@@ -216,49 +216,27 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // benchRunEnv is a minimal Env for benchmarking the raw interpreter
-// loops without feature-store or helper overhead in the way.
+// loop without feature-store or helper overhead in the way.
 type benchRunEnv struct{ cells [4]float64 }
 
 func (e *benchRunEnv) LoadCell(i int32) float64                         { return e.cells[i] }
 func (e *benchRunEnv) StoreCell(i int32, v float64)                     { e.cells[i] = v }
 func (e *benchRunEnv) Helper(vm.HelperID, *[5]float64) (float64, error) { return 0, nil }
 
-// BenchmarkRunProven vs BenchmarkRunGuarded isolate the payoff of
-// verifier-proven trap-freedom: the same compiled Listing-2 program run
-// on the interpreter's guard-free fast path (Meta carries the proof)
-// and on the fully-guarded fallback path (Meta cleared, as for a
-// decoded image).
-func BenchmarkRunProven(b *testing.B) {
+// BenchmarkRun isolates the interpreter loop: the compiled Listing-2
+// program on a bare Env. The per-fire share of this cost is the
+// benchmark's vm.run_ns / vm.ns_per_step (BENCHMARK.json).
+func BenchmarkRun(b *testing.B) {
 	cs, err := compile.Source(benchSpec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := cs[0].Program
-	if !p.Meta.TrapFree {
-		b.Fatal("compiled program carries no proof")
-	}
 	var m vm.Machine
 	env := &benchRunEnv{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(p, env, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunGuarded(b *testing.B) {
-	cs, err := compile.Source(benchSpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := *cs[0].Program
-	p.Meta = vm.ProgramMeta{}
-	var m vm.Machine
-	env := &benchRunEnv{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(&p, env, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

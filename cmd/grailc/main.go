@@ -73,30 +73,32 @@ func main() {
 		level = 0
 	}
 
-	sources := map[string]string{}
+	// Inputs are processed in the order given: -e text, then the files.
+	type source struct{ name, text string }
+	var sources []source
 	if *expr != "" {
-		sources["<command line>"] = *expr
+		sources = append(sources, source{"<command line>", *expr})
 	}
 	for _, path := range flag.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fail("%v", err)
 		}
-		sources[path] = string(data)
+		sources = append(sources, source{path, string(data)})
 	}
 	if len(sources) == 0 {
 		fail("usage: grailc [-O0|-O1] [-S] [-json] [-check-only] file.grail... | grailc -e 'spec'")
 	}
 
 	exit := 0
-	for name, src := range sources {
-		if err := processOne(os.Stdout, name, src, options{
+	for _, src := range sources {
+		if err := processOne(os.Stdout, src.name, src.text, options{
 			asm: *asm, jsonOut: *jsonOut, checkOnly: *checkOnly, imageOut: *imgOut,
 			level: level, vet: *vetFlag, interfere: *interfereFlag,
 			witness: *witnessFlag, witnessBudget: *witnessBudget,
 			check: *checkFlag, aggregates: *aggregatesFlag,
 		}); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", src.name, err)
 			exit = 1
 		}
 	}
@@ -222,7 +224,7 @@ func processOne(w io.Writer, name, src string, opt options) error {
 				path = fmt.Sprintf("%s.%s.img", opt.imageOut, c.Name)
 			}
 			// Attach the verification certificate so the image carries its
-			// proof: loaders restore the proven fast path with a single
+			// proof: loaders restore the certified facts with a single
 			// CheckCertificate pass instead of a full re-analysis.
 			if err := vm.Certify(c.Program, vm.NumBuiltinHelpers); err != nil {
 				return fmt.Errorf("certify %s: %w", c.Name, err)

@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -150,24 +149,13 @@ func (e *rawEnv) LoadCell(i int32) float64     { return e.store.LoadID(e.cells[i
 func (e *rawEnv) StoreCell(i int32, v float64) { e.store.SaveID(e.cells[i], v) }
 func (e *rawEnv) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	switch h {
-	case vm.HelperNow:
-		return 0, nil
-	case vm.HelperSqrt:
-		if args[0] < 0 {
-			return 0, nil
-		}
-		return math.Sqrt(args[0]), nil
-	case vm.HelperLog2:
-		if args[0] <= 0 {
-			return 0, nil
-		}
-		return math.Log2(args[0]), nil
 	case vm.HelperReport:
 		e.reports++
 	case vm.HelperAction:
 		e.actions++
 	}
-	return 0, nil
+	v, _ := vm.PureHelper(h, args[0]) // now() and unknown helpers read 0
+	return v, nil
 }
 
 // runRaw evaluates a monitor image or assembly file once. Decoded

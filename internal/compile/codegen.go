@@ -188,15 +188,7 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 	bld := vm.NewBuilder(name)
 	lbl := func(b *block) string { return fmt.Sprintf("b%d", b.id) }
 	rg := func(v vreg) uint8 { return uint8(info[v].reg) }
-	binOps := map[irOp]vm.Op{
-		irAdd: vm.OpAdd, irSub: vm.OpSub, irMul: vm.OpMul,
-		irDiv: vm.OpDiv, irMin: vm.OpMin, irMax: vm.OpMax,
-	}
 	commutative := map[irOp]bool{irAdd: true, irMul: true, irMin: true, irMax: true}
-	immOps := map[irOp]vm.Op{
-		irAddI: vm.OpAddI, irSubI: vm.OpSubI, irMulI: vm.OpMulI, irDivI: vm.OpDivI,
-	}
-	unOps := map[irOp]vm.Op{irNeg: vm.OpNeg, irAbs: vm.OpAbs, irNot: vm.OpNot, irBoo: vm.OpBoo}
 
 	for bi, b := range f.blocks {
 		bld.Label(lbl(b))
@@ -227,13 +219,13 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 				if d != a {
 					bld.Mov(d, a)
 				}
-				bld.Un(unOps[in.Op], d)
+				bld.Un(aluOps[in.Op], d)
 			case irAddI, irSubI, irMulI, irDivI:
 				d, a := rg(in.Dst), rg(in.A)
 				if d != a {
 					bld.Mov(d, a)
 				}
-				bld.ALUI(immOps[in.Op], d, in.Imm)
+				bld.ALUI(aluOps[in.Op], d, in.Imm)
 			case irCall:
 				for j, a := range in.Args {
 					argReg := uint8(1 + j)
@@ -248,7 +240,7 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 					bld.Mov(rg(in.Dst), 0)
 				}
 			default: // binary register forms, two-address emission
-				op := binOps[in.Op]
+				op := aluOps[in.Op]
 				d, a, bb := rg(in.Dst), rg(in.A), rg(in.B)
 				switch {
 				case d == a:

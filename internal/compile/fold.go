@@ -8,9 +8,10 @@ import (
 // Compile-time constant evaluation over the AST. The optimizer proper
 // folds constants as an IR pass (passes.go); this evaluator exists for
 // the places that need a constant *without* compiling — the monitor
-// runtime's out-of-band SAVE dispatch, and tests. It implements exactly
-// the VM's semantics: x/0 = 0, sqrt of a negative and log2 of a
-// non-positive clamp to 0, booleans are 0/1, and now() never folds.
+// runtime's out-of-band SAVE dispatch, and tests. Every value comes
+// from the interpreter itself (vm.Eval, vm.PureHelper), so VM semantics
+// — x/0 = 0, clamped sqrt/log2, NaN compares, 0/1 booleans — are not
+// restated here. now() never folds.
 
 // ConstEval returns the value of e if it is a compile-time constant.
 func ConstEval(e spec.Expr) (float64, bool) {
@@ -19,53 +20,29 @@ func ConstEval(e spec.Expr) (float64, bool) {
 	}
 	switch n := e.(type) {
 	case *spec.UnaryExpr:
-		x, ok := ConstEval(n.X)
-		if !ok {
-			return 0, false
+		if op, ok := constUnOps[n.Op]; ok {
+			if x, ok := ConstEval(n.X); ok {
+				return vm.Eval(op, x, 0), true
+			}
 		}
-		switch n.Op {
-		case spec.TokMinus:
-			return -x, true
-		case spec.TokNot:
-			return foldUn(irNot, x), true
-		}
-		return 0, false
 	case *spec.BinaryExpr:
-		x, ok := ConstEval(n.X)
-		if !ok {
+		x, okX := ConstEval(n.X)
+		y, okY := ConstEval(n.Y)
+		if !okX || !okY {
 			return 0, false
 		}
-		y, ok := ConstEval(n.Y)
-		if !ok {
-			return 0, false
+		if op, ok := constBinOps[n.Op]; ok {
+			return vm.Eval(op, x, y), true
 		}
+		// and/or are not opcodes (the lowerer branches on truthiness);
+		// OpBoo is the VM's statement of truthiness.
+		x, y = vm.Eval(vm.OpBoo, x, 0), vm.Eval(vm.OpBoo, y, 0)
 		switch n.Op {
-		case spec.TokPlus:
-			return foldBin(irAdd, x, y), true
-		case spec.TokMinus:
-			return foldBin(irSub, x, y), true
-		case spec.TokStar:
-			return foldBin(irMul, x, y), true
-		case spec.TokSlash:
-			return foldBin(irDiv, x, y), true
-		case spec.TokLt:
-			return b2f(cmpLt.eval(x, y)), true
-		case spec.TokLe:
-			return b2f(cmpLe.eval(x, y)), true
-		case spec.TokGt:
-			return b2f(cmpGt.eval(x, y)), true
-		case spec.TokGe:
-			return b2f(cmpGe.eval(x, y)), true
-		case spec.TokEq:
-			return b2f(cmpEq.eval(x, y)), true
-		case spec.TokNe:
-			return b2f(cmpNe.eval(x, y)), true
 		case spec.TokAnd:
-			return b2f(truthy(x) && truthy(y)), true
+			return vm.Eval(vm.OpMin, x, y), true
 		case spec.TokOr:
-			return b2f(truthy(x) || truthy(y)), true
+			return vm.Eval(vm.OpMax, x, y), true
 		}
-		return 0, false
 	case *spec.CallExpr:
 		args := make([]float64, len(n.Args))
 		for i, a := range n.Args {
@@ -77,24 +54,27 @@ func ConstEval(e spec.Expr) (float64, bool) {
 		}
 		switch n.Fn {
 		case "abs":
-			return foldUn(irAbs, args[0]), true
+			return vm.Eval(vm.OpAbs, args[0], 0), true
 		case "min":
-			return foldBin(irMin, args[0], args[1]), true
+			return vm.Eval(vm.OpMin, args[0], args[1]), true
 		case "max":
-			return foldBin(irMax, args[0], args[1]), true
+			return vm.Eval(vm.OpMax, args[0], args[1]), true
 		case "sqrt":
-			return foldHelper(vm.HelperSqrt, args[0])
+			return vm.PureHelper(vm.HelperSqrt, args[0])
 		case "log2":
-			return foldHelper(vm.HelperLog2, args[0])
+			return vm.PureHelper(vm.HelperLog2, args[0])
 		}
-		return 0, false
 	}
 	return 0, false
 }
 
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
+// constUnOps and constBinOps name the VM instruction that computes each
+// foldable spec operator; comparisons fold to whether their immediate
+// compare-and-jump is taken (0/1).
+var constUnOps = map[spec.TokenKind]vm.Op{spec.TokMinus: vm.OpNeg, spec.TokNot: vm.OpNot}
+
+var constBinOps = map[spec.TokenKind]vm.Op{
+	spec.TokPlus: vm.OpAdd, spec.TokMinus: vm.OpSub, spec.TokStar: vm.OpMul, spec.TokSlash: vm.OpDiv,
+	spec.TokLt: vm.OpJLtI, spec.TokLe: vm.OpJLeI, spec.TokGt: vm.OpJGtI, spec.TokGe: vm.OpJGeI,
+	spec.TokEq: vm.OpJEqI, spec.TokNe: vm.OpJNeI,
 }

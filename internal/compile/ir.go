@@ -62,6 +62,15 @@ func (o irOp) String() string {
 	return fmt.Sprintf("irop(%d)", uint8(o))
 }
 
+// aluOps maps each IR arithmetic op onto the VM opcode codegen emits for
+// it and the constant folder evaluates it with (vm.Eval).
+var aluOps = [...]vm.Op{
+	irNeg: vm.OpNeg, irAbs: vm.OpAbs, irNot: vm.OpNot, irBoo: vm.OpBoo,
+	irAdd: vm.OpAdd, irSub: vm.OpSub, irMul: vm.OpMul, irDiv: vm.OpDiv,
+	irMin: vm.OpMin, irMax: vm.OpMax,
+	irAddI: vm.OpAddI, irSubI: vm.OpSubI, irMulI: vm.OpMulI, irDivI: vm.OpDivI,
+}
+
 // irInstr is one straight-line IR instruction. Field use is per-opcode;
 // unary ops read A, binary ops read A and B, immediate forms read A and
 // Imm, irCall reads Args.
@@ -122,24 +131,6 @@ func (c cmpKind) swap() cmpKind {
 		return cmpLe
 	default: // eq/ne are symmetric
 		return c
-	}
-}
-
-// eval applies the comparison to two values.
-func (c cmpKind) eval(a, b float64) bool {
-	switch c {
-	case cmpLt:
-		return a < b
-	case cmpLe:
-		return a <= b
-	case cmpGt:
-		return a > b
-	case cmpGe:
-		return a >= b
-	case cmpEq:
-		return a == b
-	default:
-		return a != b
 	}
 }
 

@@ -63,71 +63,12 @@ func ssaDefs(f *irFunc) map[vreg]*irInstr {
 	return defs
 }
 
-func truthy(v float64) bool { return v != 0 }
-
-// foldUn evaluates a unary op with VM semantics.
-func foldUn(op irOp, a float64) float64 {
-	switch op {
-	case irNeg:
-		return -a
-	case irAbs:
-		return math.Abs(a)
-	case irNot:
-		if truthy(a) {
-			return 0
-		}
-		return 1
-	default: // irBoo
-		if truthy(a) {
-			return 1
-		}
-		return 0
-	}
-}
-
-// foldBin evaluates a binary op with VM semantics (x/0 = 0).
-func foldBin(op irOp, a, b float64) float64 {
-	switch op {
-	case irAdd, irAddI:
-		return a + b
-	case irSub, irSubI:
-		return a - b
-	case irMul, irMulI:
-		return a * b
-	case irDiv, irDivI:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case irMin:
-		return math.Min(a, b)
-	default: // irMax
-		return math.Max(a, b)
-	}
-}
-
-// foldHelper evaluates the pure math helpers with their documented
-// clamping semantics. Only Sqrt and Log2 are foldable.
-func foldHelper(h vm.HelperID, a float64) (float64, bool) {
-	switch h {
-	case vm.HelperSqrt:
-		if a < 0 {
-			return 0, true
-		}
-		return math.Sqrt(a), true
-	case vm.HelperLog2:
-		if a <= 0 {
-			return 0, true
-		}
-		return math.Log2(a), true
-	}
-	return 0, false
-}
-
 // passConstFold propagates constants forward and folds every pure
 // operation whose operands are known, including the clamped sqrt/log2
 // helpers. Conditional branches over constants become unconditional
-// jumps, which passDCE then exploits to drop the untaken side.
+// jumps, which passDCE then exploits to drop the untaken side. Values
+// come from the interpreter itself (vm.Eval, vm.PureHelper), so a fold
+// cannot disagree with the unfolded instruction.
 func passConstFold(f *irFunc) {
 	consts := make(map[vreg]float64)
 	for _, b := range f.blocks {
@@ -144,9 +85,9 @@ func passConstFold(f *irFunc) {
 					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: v}
 					consts[in.Dst] = v
 				}
-			case irNeg, irAbs, irNot, irBoo:
-				if v, ok := consts[in.A]; ok {
-					r := foldUn(in.Op, v)
+			case irNeg, irAbs, irNot, irBoo, irAddI, irSubI, irMulI, irDivI:
+				if a, ok := consts[in.A]; ok {
+					r := vm.Eval(aluOps[in.Op], a, in.Imm)
 					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: r}
 					consts[in.Dst] = r
 				}
@@ -154,13 +95,7 @@ func passConstFold(f *irFunc) {
 				a, okA := consts[in.A]
 				bv, okB := consts[in.B]
 				if okA && okB {
-					r := foldBin(in.Op, a, bv)
-					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: r}
-					consts[in.Dst] = r
-				}
-			case irAddI, irSubI, irMulI, irDivI:
-				if a, ok := consts[in.A]; ok {
-					r := foldBin(in.Op, a, in.Imm)
+					r := vm.Eval(aluOps[in.Op], a, bv)
 					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: r}
 					consts[in.Dst] = r
 				}
@@ -172,7 +107,7 @@ func passConstFold(f *irFunc) {
 				if !ok {
 					continue
 				}
-				if r, folded := foldHelper(in.Helper, a); folded {
+				if r, folded := vm.PureHelper(in.Helper, a); folded {
 					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: r}
 					consts[in.Dst] = r
 				}
@@ -192,7 +127,7 @@ func passConstFold(f *irFunc) {
 		}
 		if okB {
 			dst := t.Else
-			if t.Cmp.eval(a, bv) {
+			if vm.Eval(t.Cmp.jumpOp(true), a, bv) != 0 {
 				dst = t.Then
 			}
 			*t = terminator{Kind: termJmp, Then: dst}

@@ -201,8 +201,8 @@ type Monitor struct {
 	// trace for the in-flight evaluation; provLive marks a capture in
 	// flight; provSkip is the head-based healthy-sample countdown
 	// (commit at zero, reload to HealthyEvery-1). All are only touched
-	// while running is held. provSite is set by hook-trigger closures
-	// just before Evaluate (kernel goroutine ordering publishes it).
+	// while running is held; provSite is the in-flight evaluation's
+	// hook site.
 	prov      provenance.Record
 	provTrace vm.BranchTrace
 	provLive  bool
@@ -400,9 +400,7 @@ func (m *Monitor) arm() {
 				if len(args) > 0 {
 					arg = args[0]
 				}
-				m.provSite = site
-				m.Evaluate(arg)
-				m.provSite = ""
+				m.evaluateAt(site, arg)
 			})
 			m.detach = append(m.detach, detach)
 		}
@@ -459,11 +457,19 @@ func (m *Monitor) disarm() {
 // of one bad run.
 //
 //guardrails:hotpath
-func (m *Monitor) Evaluate(arg float64) bool {
+func (m *Monitor) Evaluate(arg float64) bool { return m.evaluateAt("", arg) }
+
+// evaluateAt is Evaluate for a trigger at a named hook site ("" for
+// timers, dependency triggers and direct calls); the site labels the
+// evaluation's provenance records.
+//
+//guardrails:hotpath
+func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	if !m.running.CompareAndSwap(false, true) {
 		return true
 	}
 	defer m.running.Store(false)
+	m.provSite = site
 
 	m.mu.Lock()
 	if !m.enabled || m.state == StateQuarantined {
@@ -665,16 +671,6 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	switch h {
 	case vm.HelperNow:
 		return float64(m.rt.k.Now()), nil
-	case vm.HelperSqrt:
-		if args[0] < 0 {
-			return 0, nil
-		}
-		return math.Sqrt(args[0]), nil
-	case vm.HelperLog2:
-		if args[0] <= 0 {
-			return 0, nil
-		}
-		return math.Log2(args[0]), nil
 	case vm.HelperReport:
 		if !m.suppressActions {
 			v := actions.Violation{
@@ -697,7 +693,8 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 		}
 		return 0, nil
 	default:
-		return 0, nil
+		v, _ := vm.PureHelper(h, args[0])
+		return v, nil
 	}
 }
 

@@ -118,14 +118,21 @@ func (r *Runtime) Store() *featurestore.Store { return r.store }
 // the incremental-deployment point: guardrails can be added while the
 // system runs.
 func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
-	opts.fillDefaults()
-	admitProof(c)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.monitors[c.Name]; dup {
 		return nil, &DuplicateLoadError{Name: c.Name}
 	}
+	return r.install(c, opts, nil), nil
+}
 
+// install builds the monitor for c, arms it and registers it under
+// c.Name. A non-nil old is the generation being replaced: it is
+// disarmed, and its operator state and cumulative stats carry over.
+// Callers hold r.mu.
+func (r *Runtime) install(c *compile.Compiled, opts Options, old *Monitor) *Monitor {
+	opts.fillDefaults()
+	admitProof(c)
 	m := &Monitor{
 		rt:       r,
 		c:        c,
@@ -135,22 +142,30 @@ func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
 		enabled:  true,
 		gen:      1,
 	}
+	if old != nil {
+		m.enabled, m.forceShadow = old.Enabled(), old.ForcedShadow()
+		m.gen, m.base = old.Generation()+1, old.Stats()
+	}
 	for i, sym := range c.Program.Symbols {
 		m.cells[i] = r.store.Intern(sym)
 	}
 	m.provInit()
+	if old != nil {
+		old.disarm()
+	}
 	m.arm()
 	r.monitors[c.Name] = m
 	r.Telemetry().MonitorLoad(c.Name, c.Program.Meta.TrapFree)
-	return m, nil
+	return m
 }
 
 // admitProof gives an unproven program carrying a verification
 // certificate (a decoded image: Meta is not serialized, the certificate
-// is) one shot at the proven fast path: a valid certificate restores
-// the Meta claims via CheckCertificate's single linear pass. A missing,
-// corrupted, or stale certificate leaves the program on the guarded
-// path — the admission decision is visible in the proven/guarded load
+// is) its certified facts back: a valid certificate restores the Meta
+// claims via CheckCertificate's single linear pass. A missing,
+// corrupted, or stale certificate leaves the program unverified — it
+// runs on the same interpreter loop, without a certified step bound —
+// and the admission decision is visible in the proven/guarded load
 // telemetry split.
 func admitProof(c *compile.Compiled) {
 	if !c.Program.Meta.TrapFree && c.Program.Cert != nil {
@@ -203,29 +218,7 @@ func (r *Runtime) Update(c *compile.Compiled, opts Options) (*Monitor, error) {
 	if !ok {
 		return nil, fmt.Errorf("monitor: guardrail %q not loaded", c.Name)
 	}
-	opts.fillDefaults()
-	admitProof(c)
-	m := &Monitor{
-		rt:          r,
-		c:           c,
-		opts:        opts,
-		cells:       make([]featurestore.ID, len(c.Program.Symbols)),
-		lastGood:    make([]float64, len(c.Program.Symbols)),
-		enabled:     old.Enabled(),
-		forceShadow: old.ForcedShadow(),
-		gen:         old.Generation() + 1,
-		base:        old.Stats(),
-	}
-	for i, sym := range c.Program.Symbols {
-		m.cells[i] = r.store.Intern(sym)
-	}
-	m.provInit()
-	// Swap: disarm the old monitor, arm the new one, replace the entry.
-	old.disarm()
-	m.arm()
-	r.monitors[c.Name] = m
-	r.Telemetry().MonitorLoad(c.Name, c.Program.Meta.TrapFree)
-	return m, nil
+	return r.install(c, opts, old), nil
 }
 
 // UpdateSource compiles src (which must contain exactly one guardrail)

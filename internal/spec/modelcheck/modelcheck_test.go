@@ -125,6 +125,46 @@ func TestEscalationRefutesTooTightBound(t *testing.T) {
 	}
 }
 
+// TestOscillationReportedOncePerWriterPair: a one-way latch driven by
+// an unconstrained signal splits the oscSrc cycle into two strongly
+// connected components (latched = 0 and latched = 1). The mode
+// oscillation lives in both; it is one finding, not one per component.
+func TestOscillationReportedOncePerWriterPair(t *testing.T) {
+	dep := deployment(t, oscSrc+`
+feature sig range(0, 1)
+
+guardrail latch {
+    trigger: { TIMER(250, 1000) },
+    rule: { LOAD(sig) < 0.5 || LOAD(latched) >= 1 },
+    action: { SAVE(latched, 1) }
+}`)
+	m := buildModel(dep, Config{})
+	m.explore()
+	cyclic := 0
+	for _, comp := range sccsOf(m.adj) {
+		if len(comp) > 1 {
+			cyclic++
+		}
+	}
+	if cyclic < 2 {
+		t.Fatalf("fixture has %d cyclic SCCs, want >= 2", cyclic)
+	}
+
+	rep := Check(dep, Config{})
+	n := 0
+	for _, d := range rep.Diagnostics {
+		if d.Code == CodeOscillation {
+			n++
+			if !strings.Contains(d.Message, `"mode"`) {
+				t.Errorf("unexpected GM003: %s", d.Message)
+			}
+		}
+	}
+	if n != 1 {
+		t.Errorf("mode oscillation reported %d times across %d SCCs, want once:\n%+v", n, cyclic, rep.Diagnostics)
+	}
+}
+
 func TestOscillationRefutedWithConfirmedWitness(t *testing.T) {
 	dep := deployment(t, oscSrc)
 	rep := Check(dep, Config{

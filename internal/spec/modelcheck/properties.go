@@ -402,10 +402,13 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 // checkOscillation finds non-convergent SAVE oscillations (GM003): a
 // reachable cycle along which two monitors (or one monitor in two
 // modes) write provably disjoint values to the same feature key, so
-// the key never settles.
+// the key never settles. The same key and writer pair usually recurs in
+// many SCCs (one per value of every unrelated feature); it is reported
+// once, from the first SCC in sccsOf order.
 func (m *model) checkOscillation() []interfere.Diagnostic {
 	sccs := sccsOf(m.adj)
 	var diags []interfere.Diagnostic
+	reported := map[[3]int]bool{} // key, lower and higher writer index
 	for _, comp := range sccs {
 		inComp := map[int]bool{}
 		for _, n := range comp {
@@ -444,6 +447,14 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 						continue
 					}
 					found = true
+					id := [3]int{ki, ws[i].w.mon, ws[j].w.mon}
+					if id[2] < id[1] {
+						id[1], id[2] = id[2], id[1]
+					}
+					if reported[id] {
+						continue
+					}
+					reported[id] = true
 					d, plan := m.oscillationFinding(inComp, ki, ws[i], ws[j])
 					diags = append(diags, d)
 					m.plans = append(m.plans, plan)

@@ -317,8 +317,9 @@ func (s *Sink) HookFire(at Time, site string, arg float64) {
 }
 
 // MonitorLoad records one monitor program load, split by whether the
-// verifier proved it trap-free (the interpreter's guard-free fast path)
-// or it fell back to the fully-guarded path. Counter-only by design —
+// image arrived verified (proven trap-free, by Verify or a checked
+// certificate) or unverified (counted as guarded: only the
+// interpreter's runtime guards stand behind it). Counter-only by design —
 // loads are configuration events, not flight-recorder traffic.
 func (s *Sink) MonitorLoad(monitor string, proven bool) {
 	if s == nil {

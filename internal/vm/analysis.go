@@ -596,8 +596,7 @@ type Analysis struct {
 	// path through the program.
 	MaxSteps int
 	// DivProven reports that every division's divisor was proven unable
-	// to be ordinary zero, so raw IEEE division matches safeDiv and the
-	// interpreter's guarded division can be skipped.
+	// to be ordinary zero, so the interpreter's x/0 = 0 rule never fires.
 	DivProven bool
 	// Reachable records, per pc, whether the instruction is reachable
 	// from entry (dead comparison edges pruned).

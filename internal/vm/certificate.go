@@ -2,16 +2,18 @@ package vm
 
 // Proof-carrying bytecode. Verify's proofs (trap-freedom, certified
 // MaxSteps, proven divisors) normally die at Encode time: Program.Meta
-// is advisory and not serialized, so decoded images run guarded until a
-// full re-analysis. A Certificate makes the proof itself portable, in
+// is advisory and not serialized, so decoded images load unverified —
+// no certified step bound for admission, no proof facts for provenance —
+// until a full re-analysis. A Certificate makes the proof itself portable, in
 // the style of proof-carrying code and the JVM/KVM split verifier: the
 // producer ships the abstract-interpretation fixpoint state at every
 // block leader (jump target), and the consumer validates the whole
 // proof with ONE linear transfer pass — no worklist, no fixpoint
 // iteration, no widening. Checking is O(n) in program length where the
 // full analysis revisits joins until convergence, and a checked
-// certificate restores the exact Meta claims the original Verify made,
-// landing the decoded image back on the interpreter's proven fast path.
+// certificate restores the exact Meta claims the original Verify made.
+// Those claims are certified facts, not a fast path: the interpreter
+// keeps every guard for every program and reads none of them.
 //
 // The checker is the trust boundary: certificates arrive from untrusted
 // images, so nothing in them is believed until re-derived. Soundness
@@ -21,8 +23,10 @@ package vm
 // analyzer uses (shared transfer in analysis.go), every edge into a
 // block leader must be subsumed by the shipped invariant, and the step
 // bound is recomputed exactly. A certificate can at worst make the
-// checker *reject* a safe program (falling back to guarded execution);
-// it can never make it accept an unsafe one.
+// checker *reject* a safe program (which then loads unverified); it
+// can never make it accept an unsafe one. And because the interpreter
+// never drops a guard on the checker's say-so, a checker bug could
+// certify a wrong step bound but not make execution memory-unsafe.
 
 // Certificate is a serializable verification proof for one program: the
 // scalar claims Verify would put in Meta plus the per-block interval
@@ -94,15 +98,15 @@ func Certify(p *Program, numHelpers int) error {
 }
 
 // CheckCertificate validates p.Cert with a single linear pass and, on
-// success, restores the certificate's claims into p.Meta so the
-// interpreter takes the proven fast path. The pass re-runs the
+// success, restores the certificate's claims into p.Meta for
+// admission, step budgets and provenance to consume. The pass re-runs the
 // analyzer's transfer function over each instruction exactly once:
 // flow between block leaders is propagated directly (straight-line code
 // has one predecessor), and every edge into a block leader must be
 // subsumed by the shipped invariant, which makes the invariant set
 // inductive and the whole program trap-free. Any malformed, stale, or
 // tampered certificate is rejected with a VerifyError; callers then
-// fall back to guarded execution (or a full Verify).
+// load the program unverified (or run a full Verify).
 func CheckCertificate(p *Program, numHelpers int) error {
 	c := p.Cert
 	if c == nil {

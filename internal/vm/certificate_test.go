@@ -67,11 +67,10 @@ func TestCertifyRejectsUnsafe(t *testing.T) {
 	}
 }
 
-// TestCertificateRoundTripProven is the tentpole's core promise: a
+// TestCertificateRoundTripProven is the certificate's core promise: a
 // certified program survives Encode/Decode with its proof intact, and
-// CheckCertificate restores the exact Meta claims so the decoded image
-// runs on the proven fast path — agreeing step-for-step with the
-// guarded interpreter.
+// CheckCertificate restores the exact Meta claims, which the decoded
+// image then honours — trap-free within the certified step bound.
 func TestCertificateRoundTripProven(t *testing.T) {
 	p := certFixture(t)
 	if err := Certify(p, NumBuiltinHelpers); err != nil {
@@ -104,27 +103,12 @@ func TestCertificateRoundTripProven(t *testing.T) {
 		env := &testEnv{cells: make([]float64, len(q.Symbols))}
 		env.cells[0] = qd
 		env.cells[1] = 100
-		var mp Machine
-		provenOut, perr := mp.Run(q, env, 0)
-		if perr != nil {
-			t.Fatalf("qdepth=%v: proven path trapped: %v", qd, perr)
+		var m Machine
+		if _, err := m.Run(q, env, 0); err != nil {
+			t.Fatalf("qdepth=%v: certified image trapped: %v", qd, err)
 		}
-		guarded := *q
-		guarded.Meta = ProgramMeta{}
-		genv := &testEnv{cells: make([]float64, len(q.Symbols))}
-		genv.cells[0] = qd
-		genv.cells[1] = 100
-		var mg Machine
-		guardedOut, gerr := mg.Run(&guarded, genv, 0)
-		if gerr != nil {
-			t.Fatalf("qdepth=%v: guarded path trapped: %v", qd, gerr)
-		}
-		if !sameFloat(provenOut, guardedOut) || mp.Steps != mg.Steps {
-			t.Fatalf("qdepth=%v: proven (%v, %d) != guarded (%v, %d)",
-				qd, provenOut, mp.Steps, guardedOut, mg.Steps)
-		}
-		if int(mp.Steps) > q.Meta.MaxSteps {
-			t.Fatalf("qdepth=%v: %d steps exceed certified bound %d", qd, mp.Steps, q.Meta.MaxSteps)
+		if int(m.Steps) > q.Meta.MaxSteps {
+			t.Fatalf("qdepth=%v: %d steps exceed certified bound %d", qd, m.Steps, q.Meta.MaxSteps)
 		}
 	}
 }
@@ -221,7 +205,7 @@ func TestCheckCertificateRejections(t *testing.T) {
 			t.Errorf("%s: want positioned *VerifyError, got %T %v", name, err, err)
 		}
 		if p.Meta.TrapFree {
-			t.Errorf("%s: rejected program still claims the proven path", name)
+			t.Errorf("%s: rejected program still claims a proof", name)
 		}
 	}
 }
@@ -229,11 +213,10 @@ func TestCheckCertificateRejections(t *testing.T) {
 // TestCertificateTamperCorpus is the acceptance gate for the trust
 // boundary: hundreds of byte-level corruptions of certified images must
 // never admit a bad proof. Each corrupted image either fails to decode,
-// fails CheckCertificate (falling back to guarded execution), or — when
+// fails CheckCertificate (loading as an unverified image), or — when
 // the corruption happens to leave a semantically valid program+proof —
-// the admitted program must run trap-free on the proven path, within
-// its certified step bound, agreeing exactly with the guarded
-// interpreter on adversarial inputs.
+// the admitted program must run trap-free within its certified step
+// bound on adversarial inputs.
 func TestCertificateTamperCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7a3b))
 	base := func() []byte {
@@ -328,7 +311,7 @@ func TestCertificateTamperCorpus(t *testing.T) {
 			t.Fatalf("trial %d: decode granted trust without a check", trial)
 		}
 		if p.Cert == nil {
-			checkFail++ // no proof: guarded fallback
+			checkFail++ // no proof: loads unverified
 			continue
 		}
 		if err := CheckCertificate(p, NumBuiltinHelpers); err != nil {
@@ -346,26 +329,13 @@ func TestCertificateTamperCorpus(t *testing.T) {
 				cells[i] = randCell()
 			}
 			arg := randCell()
-			var mp Machine
-			provenOut, perr := mp.Run(p, &fuzzEnv{cells: append([]float64(nil), cells...)}, arg)
-			if perr != nil {
-				t.Fatalf("trial %d: admitted image trapped on the proven path: %v\ncells=%v\n%s",
-					trial, perr, cells, p)
+			var m Machine
+			if _, err := m.Run(p, &fuzzEnv{cells: append([]float64(nil), cells...)}, arg); err != nil {
+				t.Fatalf("trial %d: admitted image trapped: %v\ncells=%v\n%s", trial, err, cells, p)
 			}
-			if int(mp.Steps) > p.Meta.MaxSteps {
+			if int(m.Steps) > p.Meta.MaxSteps {
 				t.Fatalf("trial %d: %d steps exceed certified bound %d\n%s",
-					trial, mp.Steps, p.Meta.MaxSteps, p)
-			}
-			guarded := *p
-			guarded.Meta = ProgramMeta{}
-			var mg Machine
-			guardedOut, gerr := mg.Run(&guarded, &fuzzEnv{cells: append([]float64(nil), cells...)}, arg)
-			if gerr != nil {
-				t.Fatalf("trial %d: guarded trapped where proven did not: %v", trial, gerr)
-			}
-			if !sameFloat(provenOut, guardedOut) || mp.Steps != mg.Steps {
-				t.Fatalf("trial %d: admitted image diverges: proven (%v, %d) vs guarded (%v, %d)\ncells=%v\n%s",
-					trial, provenOut, mp.Steps, guardedOut, mg.Steps, cells, p)
+					trial, m.Steps, p.Meta.MaxSteps, p)
 			}
 		}
 	}

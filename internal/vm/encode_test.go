@@ -136,8 +136,8 @@ func TestDecodedTrappingImageRejected(t *testing.T) {
 	if err := verifyStructure(q, NumBuiltinHelpers); err != nil {
 		t.Fatalf("fixture is meant to be structurally valid: %v", err)
 	}
-	// ...and the decoded image carries no proof, so it would run on the
-	// guarded path if loaded unverified.
+	// ...and the decoded image carries no proof: loaded as is, only the
+	// interpreter's runtime guards would stand behind it.
 	if q.Meta.TrapFree {
 		t.Error("decoded image claims a verifier proof")
 	}

@@ -56,19 +56,17 @@ func (t *BranchTrace) add(pc int, taken bool) {
 	t.N++
 }
 
-// Machine executes verified programs. A Machine is cheap; the zero value
-// is ready to use and may be reused across runs. Not safe for concurrent
-// use.
+// Machine executes programs on the one interpreter loop. A Machine is
+// cheap; the zero value is ready to use and may be reused across runs.
+// Not safe for concurrent use.
 type Machine struct {
 	regs [NumRegs]float64
 	// Steps accumulates executed instruction counts across Run calls,
 	// feeding monitor-overhead accounting (property P5).
 	Steps uint64
 	// Trace, when non-nil, receives the conditional-branch path of
-	// each Run — the provenance plane's branch capture. Both
-	// interpreter loops honour it; the proven fast path pays one
-	// predictable nil test per conditional jump, so proven programs
-	// stay off the guarded loop even while traced.
+	// each Run — the provenance plane's branch capture. Untraced runs
+	// pay one predictable nil test per conditional jump.
 	Trace *BranchTrace
 }
 
@@ -77,188 +75,40 @@ type Machine struct {
 // the value of r0 at OpExit. Failures are returned as classified *Trap
 // errors.
 //
-// Programs whose Meta carries a verifier proof (Meta.TrapFree, set by
-// Verify) execute on a fast path that skips the per-step budget and pc
-// guards — the proof makes them redundant — and, when Meta.DivProven,
-// uses raw IEEE division. Unproven programs (decoded images before
-// re-verification, hand-built test programs) run with every guard as
-// defense in depth.
+// Every program runs with every guard: a per-step instruction budget
+// bounds runaway code, every pc is bounds-tested before the fetch, and
+// division is always the x/0 = 0 form. The loop reads none of p.Meta —
+// the verifier's proof is what admission, budgets and provenance
+// consume, never a licence to drop a guard — so a wrong verifier or
+// certificate-checker verdict cannot make execution unsafe. This loop
+// is also the only statement of what each opcode computes (see Eval).
+// The step count is kept in a local and folded into m.Steps on every
+// exit so the loop touches no memory beyond the register file.
 //
 //guardrails:hotpath
 func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
-	if p.Meta.TrapFree {
-		return m.runProven(p, env, arg)
-	}
-	return m.runGuarded(p, env, arg)
-}
-
-// runProven is the guard-free interpreter loop for verifier-proven
-// programs: no budget decrement, no pc bounds test. Step accounting is
-// kept in a local and folded into m.Steps at exit so the hot loop
-// touches no memory beyond the register file.
-//
-//guardrails:hotpath
-func (m *Machine) runProven(p *Program, env Env, arg float64) (float64, error) {
 	m.regs = [NumRegs]float64{}
 	m.regs[0] = arg
 	r := &m.regs
 	code := p.Code
-	rawDiv := p.Meta.DivProven
+	budget := len(code) + 1
 	tr := m.Trace
 	var steps uint64
 	pc := 0
 	for {
-		steps++
-		in := code[pc]
-		switch in.Op {
-		case OpMov:
-			r[in.Dst] = r[in.Src]
-		case OpMovI:
-			r[in.Dst] = in.Imm
-		case OpAdd:
-			r[in.Dst] += r[in.Src]
-		case OpAddI:
-			r[in.Dst] += in.Imm
-		case OpSub:
-			r[in.Dst] -= r[in.Src]
-		case OpSubI:
-			r[in.Dst] -= in.Imm
-		case OpMul:
-			r[in.Dst] *= r[in.Src]
-		case OpMulI:
-			r[in.Dst] *= in.Imm
-		case OpDiv:
-			if rawDiv {
-				r[in.Dst] /= r[in.Src]
-			} else {
-				r[in.Dst] = safeDiv(r[in.Dst], r[in.Src])
-			}
-		case OpDivI:
-			if rawDiv {
-				r[in.Dst] /= in.Imm
-			} else {
-				r[in.Dst] = safeDiv(r[in.Dst], in.Imm)
-			}
-		case OpNeg:
-			r[in.Dst] = -r[in.Dst]
-		case OpAbs:
-			r[in.Dst] = math.Abs(r[in.Dst])
-		case OpMin:
-			r[in.Dst] = math.Min(r[in.Dst], r[in.Src])
-		case OpMax:
-			r[in.Dst] = math.Max(r[in.Dst], r[in.Src])
-		case OpNot:
-			if r[in.Dst] == 0 {
-				r[in.Dst] = 1
-			} else {
-				r[in.Dst] = 0
-			}
-		case OpBoo:
-			if r[in.Dst] != 0 {
-				r[in.Dst] = 1
-			}
-		case OpJmp:
-			pc += int(in.Off)
-		case OpJEq:
-			if taken := r[in.Dst] == r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJNe:
-			if taken := r[in.Dst] != r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJLt:
-			if taken := r[in.Dst] < r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJLe:
-			if taken := r[in.Dst] <= r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJGt:
-			if taken := r[in.Dst] > r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJGe:
-			if taken := r[in.Dst] >= r[in.Src]; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJEqI:
-			if taken := r[in.Dst] == in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJNeI:
-			if taken := r[in.Dst] != in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJLtI:
-			if taken := r[in.Dst] < in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJLeI:
-			if taken := r[in.Dst] <= in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJGtI:
-			if taken := r[in.Dst] > in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpJGeI:
-			if taken := r[in.Dst] >= in.Imm; branch(tr, pc, taken) {
-				pc += int(in.Off)
-			}
-		case OpLoad:
-			r[in.Dst] = env.LoadCell(in.Cell)
-		case OpStore:
-			env.StoreCell(in.Cell, r[in.Src])
-		case OpCall:
-			args := [5]float64{r[1], r[2], r[3], r[4], r[5]}
-			out, err := env.Helper(HelperID(in.Imm), &args)
-			if err != nil {
-				m.Steps += steps
-				return 0, &Trap{Code: TrapHelper, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
-					Instr: p.fmtInstr(in), Cause: err}
-			}
-			r[0] = out
-			r[1], r[2], r[3], r[4], r[5] = 0, 0, 0, 0, 0
-		case OpExit:
-			m.Steps += steps
-			return r[0], nil
-		default:
-			// Unreachable for a verified program; kept as defense in
-			// depth against post-verification code mutation.
-			m.Steps += steps
-			return 0, &Trap{Code: TrapBadOpcode, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
-				Instr: p.fmtInstr(in), Cause: fmt.Errorf("invalid opcode %v", in.Op)}
-		}
-		pc++
-	}
-}
-
-// runGuarded is the fully-guarded interpreter loop for unproven
-// programs: a per-step instruction budget bounds runaway code and every
-// pc is bounds-tested before the fetch.
-//
-//guardrails:hotpath
-func (m *Machine) runGuarded(p *Program, env Env, arg float64) (float64, error) {
-	m.regs = [NumRegs]float64{}
-	m.regs[0] = arg
-	budget := len(p.Code) + 1
-	r := &m.regs
-	tr := m.Trace
-	pc := 0
-	for {
 		if budget <= 0 {
+			m.Steps += steps
 			return 0, &Trap{Code: TrapBudget, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
 				Instr: p.InstrString(pc), Cause: ErrBudget}
 		}
 		budget--
-		m.Steps++
-		if pc < 0 || pc >= len(p.Code) {
+		steps++
+		if pc < 0 || pc >= len(code) {
+			m.Steps += steps
 			return 0, &Trap{Code: TrapBadPC, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
-				Cause: fmt.Errorf("pc %d outside [0,%d)", pc, len(p.Code))}
+				Cause: fmt.Errorf("pc %d outside [0,%d)", pc, len(code))}
 		}
-		in := p.Code[pc]
+		in := code[pc]
 		switch in.Op {
 		case OpMov:
 			r[in.Dst] = r[in.Src]
@@ -356,14 +206,17 @@ func (m *Machine) runGuarded(p *Program, env Env, arg float64) (float64, error) 
 			args := [5]float64{r[1], r[2], r[3], r[4], r[5]}
 			out, err := env.Helper(HelperID(in.Imm), &args)
 			if err != nil {
+				m.Steps += steps
 				return 0, &Trap{Code: TrapHelper, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
 					Instr: p.fmtInstr(in), Cause: err}
 			}
 			r[0] = out
 			r[1], r[2], r[3], r[4], r[5] = 0, 0, 0, 0, 0
 		case OpExit:
+			m.Steps += steps
 			return r[0], nil
 		default:
+			m.Steps += steps
 			return 0, &Trap{Code: TrapBadOpcode, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
 				Instr: p.fmtInstr(in), Cause: fmt.Errorf("invalid opcode %v", in.Op)}
 		}
@@ -372,8 +225,8 @@ func (m *Machine) runGuarded(p *Program, env Env, arg float64) (float64, error) 
 }
 
 // branch records one conditional-jump decision into tr (if installed)
-// and passes the verdict through, keeping the guarded loop's jump
-// cases single-expression.
+// and passes the verdict through, keeping the loop's jump cases
+// single-expression.
 func branch(tr *BranchTrace, pc int, taken bool) bool {
 	if tr != nil {
 		tr.add(pc, taken)
@@ -386,4 +239,55 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
+}
+
+// Eval returns what a single ALU or conditional-jump instruction
+// computes on concrete operands, by running it on the interpreter: a is
+// the dst register's value and b the src register's and the immediate
+// (so register and immediate forms are both covered; unary ops ignore
+// b). ALU opcodes yield the new dst; conditional jumps yield 1 if
+// taken, else 0. It is how the compiler's constant folders learn VM
+// semantics without restating them. Passing an opcode that touches the
+// environment (load, store, call) or an invalid one is a caller bug and
+// panics.
+func Eval(op Op, a, b float64) float64 {
+	var tr BranchTrace
+	m := Machine{Trace: &tr}
+	p := Program{Name: "eval", Code: []Instr{
+		{Op: OpMovI, Dst: 1, Imm: b},
+		{Op: op, Dst: 0, Src: 1, Imm: b, Off: 1},
+		{Op: OpExit}, // fallthrough
+		{Op: OpExit}, // jump target
+	}}
+	out, err := m.Run(&p, nil, a)
+	if err != nil {
+		panic(err)
+	}
+	switch {
+	case tr.N == 0:
+		return out
+	case tr.Taken[0]:
+		return 1
+	}
+	return 0
+}
+
+// PureHelper computes the side-effect-free math helpers under their
+// clamping contract — sqrt of a negative and log2 of a non-positive are
+// 0, NaN propagates — and reports whether h is one of them. Every Env
+// and the constant folder call it, so the contract is stated once.
+func PureHelper(h HelperID, x float64) (float64, bool) {
+	switch h {
+	case HelperSqrt:
+		if x < 0 {
+			return 0, true
+		}
+		return math.Sqrt(x), true
+	case HelperLog2:
+		if x <= 0 {
+			return 0, true
+		}
+		return math.Log2(x), true
+	}
+	return 0, false
 }

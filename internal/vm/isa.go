@@ -161,8 +161,10 @@ type Program struct {
 // Program: the optimization level it was built at, the instruction
 // counts before and after optimization (for overhead accounting), and
 // the verifier's proof outcome. The proof fields are written only by
-// Verify; a decoded image carries a zero Meta until it is re-verified,
-// so unproven programs always take the interpreter's guarded path.
+// Verify and CheckCertificate; a decoded image carries a zero Meta
+// until one of them passes. They are certified facts that admission,
+// step budgets and provenance consume — the interpreter reads none of
+// them and guards every program alike.
 type ProgramMeta struct {
 	// OptLevel is the compile.Options.Level the program was built at.
 	OptLevel int
@@ -178,14 +180,12 @@ type ProgramMeta struct {
 	MaxSteps int
 	// TrapFree records that the abstract interpreter proved the program
 	// cannot trap by its own doing (no uninitialized reads, no helper
-	// contract violations, bounded by MaxSteps); the interpreter skips
-	// its per-step budget and pc guards for such programs. Helper
-	// backends may still fail at runtime (TrapHelper) — that is an
-	// environment fault, not a program fault.
+	// contract violations, bounded by MaxSteps). Helper backends may
+	// still fail at runtime (TrapHelper) — that is an environment
+	// fault, not a program fault.
 	TrapFree bool
 	// DivProven records that every division's divisor was proven unable
-	// to be ordinary zero, so the interpreter may use raw IEEE division
-	// instead of the guarded x/0 = 0 form.
+	// to be ordinary zero, so the x/0 = 0 rule never fires for it.
 	DivProven bool
 }
 

@@ -63,10 +63,11 @@ func vErr(p *Program, pc int, format string, args ...any) error {
 // provably-always-zero divisor.
 //
 // On success Verify records the proof in p.Meta: the certified
-// worst-case step bound (MaxSteps), trap-freedom (TrapFree — the
-// interpreter skips its per-step runtime guards), and whether every
-// divisor was proven non-zero (DivProven — the interpreter uses raw IEEE
-// division). Verify returns nil if the program is safe to load.
+// worst-case step bound (MaxSteps), trap-freedom (TrapFree), and
+// whether every divisor was proven non-zero (DivProven). These are
+// facts for admission, budgets and provenance; the interpreter keeps
+// its guards regardless. Verify returns nil if the program is safe to
+// load.
 func Verify(p *Program, numHelpers int) error {
 	if err := verifyStructure(p, numHelpers); err != nil {
 		return err

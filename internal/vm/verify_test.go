@@ -201,8 +201,8 @@ func TestHelperContracts(t *testing.T) {
 
 // TestDivisionPolicy pins the three-way division policy: a
 // provably-always-zero divisor is rejected, a possibly-zero divisor is
-// accepted with DivProven=false (the interpreter keeps the guarded
-// x/0 = 0 form), and a proven-nonzero divisor yields DivProven=true.
+// accepted with DivProven=false (x/0 = 0 applies at run time), and a
+// proven-nonzero divisor yields DivProven=true.
 func TestDivisionPolicy(t *testing.T) {
 	t.Run("constant-zero-rejected", func(t *testing.T) {
 		b := NewBuilder("div-const0")
@@ -241,14 +241,14 @@ func TestDivisionPolicy(t *testing.T) {
 		if !p.Meta.TrapFree || p.Meta.DivProven {
 			t.Errorf("Meta = %+v, want TrapFree && !DivProven", p.Meta)
 		}
-		// The proven fast path must still apply x/0 = 0.
+		// A verified program still gets x/0 = 0.
 		var m Machine
 		out, err := m.Run(p, &testEnv{cells: []float64{0}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out != 0 {
-			t.Errorf("1/0 = %v on fast path, want 0", out)
+			t.Errorf("1/0 = %v, want 0", out)
 		}
 	})
 	t.Run("branch-proven-nonzero", func(t *testing.T) {
@@ -417,7 +417,7 @@ func TestTrapMessagesCarryDisassembly(t *testing.T) {
 		}
 	}
 
-	// Guarded path (unverified program) carries the same detail.
+	// An unverified program's trap carries the same detail.
 	p2 := &Program{Name: "bad-op", Code: []Instr{{Op: opMax + 1}}}
 	_, err = m.Run(p2, &testEnv{}, 0)
 	if err == nil {
@@ -443,51 +443,4 @@ func TestVerifyErrorPointsAtInstruction(t *testing.T) {
 			t.Errorf("verify error %q missing %q", err, want)
 		}
 	}
-}
-
-// TestProvenRunMatchesGuardedRun spot-checks that the two interpreter
-// paths agree, including on NaN-heavy inputs.
-func TestProvenRunMatchesGuardedRun(t *testing.T) {
-	b := NewBuilder("both-paths")
-	b.Load(6, "a")
-	b.Load(7, "b")
-	b.ALU(OpAdd, 6, 7)
-	b.ALUI(OpMulI, 6, 2)
-	b.ALU(OpMin, 6, 7)
-	b.JmpIfI(OpJGeI, 6, 0, "pos")
-	b.Un(OpNeg, 6)
-	b.Label("pos")
-	b.Mov(0, 6)
-	b.Exit()
-	p := mustBuild(t, b)
-	if err := Verify(p, NumBuiltinHelpers); err != nil {
-		t.Fatal(err)
-	}
-	stores := [][]float64{
-		{1, 2}, {-3, 7}, {0, 0},
-		{math.NaN(), 1}, {math.Inf(1), math.Inf(-1)},
-	}
-	for _, cells := range stores {
-		var mp, mg Machine
-		proven, perr := mp.Run(p, &testEnv{cells: append([]float64(nil), cells...)}, 0)
-		unproven := *p
-		unproven.Meta = ProgramMeta{} // force the guarded path
-		guarded, gerr := mg.Run(&unproven, &testEnv{cells: append([]float64(nil), cells...)}, 0)
-		if (perr == nil) != (gerr == nil) {
-			t.Fatalf("cells %v: proven err %v vs guarded err %v", cells, perr, gerr)
-		}
-		if !sameFloat(proven, guarded) {
-			t.Errorf("cells %v: proven %v != guarded %v", cells, proven, guarded)
-		}
-		if mp.Steps != mg.Steps {
-			t.Errorf("cells %v: proven steps %d != guarded steps %d", cells, mp.Steps, mg.Steps)
-		}
-	}
-}
-
-func sameFloat(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return a == b
 }

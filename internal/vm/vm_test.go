@@ -65,8 +65,7 @@ func TestArithmeticOps(t *testing.T) {
 		op   Op
 		a, b float64
 		want float64
-		// skipVerify runs the program unverified (guarded interpreter
-		// path): the verifier rejects a provably-constant-zero divisor,
+		// skipVerify runs the program unverified: the verifier rejects a provably-constant-zero divisor,
 		// but the runtime x/0 = 0 semantics must still hold for programs
 		// that bypass it.
 		skipVerify bool
@@ -124,7 +123,7 @@ func TestImmediateOps(t *testing.T) {
 	}
 }
 
-// TestDivIByZeroUnverified pins the guarded interpreter's x/0 = 0
+// TestDivIByZeroUnverified pins the interpreter's x/0 = 0
 // semantics for the immediate form; the verifier rejects such programs,
 // so this runs unverified.
 func TestDivIByZeroUnverified(t *testing.T) {

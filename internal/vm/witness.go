@@ -134,21 +134,12 @@ func (e *replayEnv) Helper(h HelperID, args *[5]float64) (float64, error) {
 	switch h {
 	case HelperNow:
 		return e.now, nil
-	case HelperSqrt:
-		if args[0] < 0 {
-			return 0, nil
-		}
-		return math.Sqrt(args[0]), nil
-	case HelperLog2:
-		if args[0] <= 0 {
-			return 0, nil
-		}
-		return math.Log2(args[0]), nil
 	case HelperReport, HelperAction:
 		e.rec.Calls = append(e.rec.Calls, CallEvent{Helper: h, Arg: args[0]})
 		return 0, nil
 	}
-	return 0, nil
+	v, _ := PureHelper(h, args[0])
+	return v, nil
 }
 
 // ReplayProgram runs p on the real interpreter against the concrete

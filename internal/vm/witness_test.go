@@ -101,7 +101,7 @@ func TestReplayDeterministicNow(t *testing.T) {
 	}
 }
 
-// A trapping replay (guarded path) reports the error and is never
+// A trapping replay reports the error and is never
 // counted as a violation.
 func TestReplayTrapNotViolation(t *testing.T) {
 	p := &Program{
@@ -110,7 +110,7 @@ func TestReplayTrapNotViolation(t *testing.T) {
 	}
 	rec := ReplayProgram(p, nil, 0, 0)
 	if rec.Err == nil {
-		t.Fatal("falling off the end should trap on the guarded path")
+		t.Fatal("falling off the end should trap")
 	}
 	if rec.Violated {
 		t.Fatal("a trapped run must not count as a violation")

@@ -2,10 +2,10 @@ package guardrails
 
 // Integration tests for proof-carrying bytecode: a certified program's
 // proof survives the Encode/Decode image round-trip, the monitor
-// runtime's admission restores the proven fast path from the shipped
+// runtime's admission restores the certified facts from the shipped
 // certificate (visible in the proven/guarded telemetry split), and a
-// tampered certificate falls back to guarded execution instead of
-// being trusted.
+// tampered certificate loads as an unverified image instead of being
+// trusted.
 
 import (
 	"bytes"
@@ -52,8 +52,8 @@ func imageRoundTrip(t *testing.T) *vm.Program {
 }
 
 // TestDecodedCertifiedImageLoadsProven: a decoded image whose
-// certificate checks lands on the proven fast path at load time — the
-// same Prometheus counter split the compiled-path test pins down.
+// certificate checks is counted as a proven load — the same
+// Prometheus counter split the compiled-path test pins down.
 func TestDecodedCertifiedImageLoadsProven(t *testing.T) {
 	q := imageRoundTrip(t)
 
@@ -103,8 +103,8 @@ func TestDecodedCertifiedImageLoadsProven(t *testing.T) {
 }
 
 // TestTamperedImageLoadsGuarded: corrupt the certificate and the same
-// image must still load — but guarded, with the tamper visible in the
-// guarded-fallback counter.
+// image must still load — but unverified, with the tamper visible in
+// the guarded-load counter.
 func TestTamperedImageLoadsGuarded(t *testing.T) {
 	q := imageRoundTrip(t)
 	q.Cert.MaxSteps++ // stale claim
@@ -124,14 +124,14 @@ func TestTamperedImageLoadsGuarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q.Meta.TrapFree {
-		t.Fatal("tampered certificate restored the proven path")
+		t.Fatal("tampered certificate restored the proof")
 	}
 
 	m := sys.Runtime.Monitor("decoded-tampered")
 	sys.Store.Save("err_rate", 30)
 	sys.Store.Save("req_rate", 100)
 	if held := m.Evaluate(0); held {
-		t.Error("guarded fallback must still evaluate the rule correctly")
+		t.Error("an unverified image must still evaluate the rule correctly")
 	}
 
 	var sb strings.Builder

@@ -2,8 +2,8 @@ package guardrails
 
 // Integration tests for the static-verification plane: compiled
 // guardrails arrive at the monitor runtime carrying the abstract
-// interpreter's proof, the load split (proven fast path vs. guarded
-// fallback) is observable in the Prometheus exposition, and the facade
+// interpreter's proof, the load split (verified image vs. unverified,
+// counted as guarded) is observable in the Prometheus exposition, and the facade
 // surfaces the certified step bound.
 
 import (
@@ -23,7 +23,7 @@ guardrail static-verify-watch {
 // TestProvenLoadVisibleInPrometheus: loading a compiled (and therefore
 // verifier-proven) guardrail must increment monitor_loads_proven_total,
 // and force-loading an unproven copy of the same program must increment
-// the guarded-fallback counter instead.
+// the guarded-load counter instead.
 func TestProvenLoadVisibleInPrometheus(t *testing.T) {
 	sys := NewSystem()
 	sink := sys.AttachTelemetry(64)
