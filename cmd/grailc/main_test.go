@@ -61,39 +61,6 @@ func TestProcessOneCheckOnly(t *testing.T) {
 	}
 }
 
-// TestProcessOneInterfere covers -interfere: a clean single-guardrail
-// file passes, and a file whose two guardrails SAVE contradictory
-// values to one key on the same hook site fails with GI001.
-func TestProcessOneInterfere(t *testing.T) {
-	var sb strings.Builder
-	if err := processOne(&sb, "t.grail", testSpec, options{interfere: true, level: 1}); err != nil {
-		t.Fatalf("clean spec failed -interfere: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "interfere: no findings") {
-		t.Errorf("missing interfere summary:\n%s", sb.String())
-	}
-
-	const conflicting = `
-guardrail ml-off {
-    trigger: { FUNCTION(io_submit) },
-    rule: { LOAD(err_rate) <= 0.01 },
-    action: { SAVE(ml_enabled, 0) }
-}
-guardrail ml-on {
-    trigger: { FUNCTION(io_submit) },
-    rule: { LOAD(lat_p99) <= 5e6 },
-    action: { SAVE(ml_enabled, 1) }
-}`
-	sb.Reset()
-	err := processOne(&sb, "t.grail", conflicting, options{interfere: true, level: 1})
-	if err == nil {
-		t.Fatal("-interfere accepted a conflicting deployment")
-	}
-	if !strings.Contains(sb.String(), "GI001") {
-		t.Errorf("missing GI001 diagnostic:\n%s", sb.String())
-	}
-}
-
 func TestProcessOneErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := processOne(&sb, "t.grail", "guardrail g { rule: { 5 } }", options{}); err == nil {

@@ -1,70 +1,66 @@
-// Command grailcheck is the whole-deployment interference checker: it
-// takes the set of guardrail specification files that will be deployed
-// together and reports cross-guardrail interference no per-file check
-// can see — contradictory co-firing actions, SAVE→LOAD feedback cycles
-// across monitors, hook sites whose aggregate certified worst-case cost
-// exceeds their step budget, dead guardrails, and duplicate names —
-// as stable GI-coded diagnostics (package internal/spec/interfere).
+// Command grailcheck is the diagnostics front end for guardrail
+// deployments: it takes the set of specification files that will be
+// deployed together and runs every load-time check on it — the same
+// pipeline (package internal/spec/deploy) the runtime loader, the
+// rollout controller and grailctl run, so a deployment grailcheck
+// passes is a deployment they admit.
 //
 // Usage:
 //
-//	grailcheck [-budget N] [-shards N] [-warn] [-json] [-witness] [-check] file.grail...
+//	grailcheck [-budget N] [-shards N] [-warn] [-json] [-vet] [-witness] [-check] file.grail...
 //	grailcheck -manifest deploy.json
 //
-// A deployment manifest names the spec files and budgets in one place:
+// The checks, in order:
 //
-//	{
-//	  "specs": ["latency.grail", "failover.grail"],
-//	  "hook_budget": 200,
-//	  "hook_budgets": {"io_uring_submit": 64},
-//	  "shards": 4,
-//	  "aggregates": ["err_rate"],
-//	  "properties": ["always LOAD(mode) <= 1"],
-//	  "shadow": ["candidate-monitor"]
-//	}
+//   - -vet lints each checked file (internal/spec/vet, GV001…) before
+//     anything compiles — the specs it flags may not compile — and any
+//     lint warning ends the check there;
+//   - the whole-deployment interference analysis
+//     (internal/spec/interfere, GI001…): contradictory co-firing
+//     actions, SAVE→LOAD feedback cycles across monitors, hook sites
+//     whose aggregate certified worst-case cost exceeds their step
+//     budget, dead guardrails, and duplicate names;
+//   - the bounded temporal model checker (internal/spec/modelcheck,
+//     GM001…), whenever a property is declared: "assert always <pred>" /
+//     "assert eventually <pred> within K" blocks in the spec files plus
+//     the manifest's "properties" list are PROVED (with an exploration
+//     certificate), REFUTED (with a multi-step abstract trace), or
+//     INCONCLUSIVE (bounds hit). -check forces the model checker when
+//     nothing is declared, for its non-convergent SAVE oscillation sweep
+//     (GM003).
 //
-// "aggregates", when present, lists the cross-shard aggregate names the
-// deployment registers; every LOAD of a *_global key with no matching
-// registration is then flagged GV011 (the cell is never written).
-// -witness attempts bounded counterexample synthesis for co-firing
-// findings (GI001–GI003): each is annotated CONFIRMED — with a concrete
-// joint input whose replay through the real VM reproduces the
-// interference, including both dispatch orders for SAVE conflicts — or
-// downgraded to PLAUSIBLE when no witness exists within the search
-// bounds (the sound static finding is kept either way). -witness-budget
-// caps the concrete assignments tried per finding (0 = default).
+// A deployment manifest (-manifest, format in deploy.Manifest) names the
+// spec files, hook budgets, shard count, registered aggregates, extra
+// properties and shadow monitors in one place; unknown keys are errors.
+// Declaring "aggregates" flags every LOAD of a *_global key with no
+// matching registration GV011 (the cell is never written).
 //
-// -check runs the bounded temporal model checker
-// (internal/spec/modelcheck) over the whole deployment: declared
-// properties — "assert always <pred>" / "assert eventually <pred>
-// within K" blocks in the spec files plus the manifest's "properties"
-// list — are PROVED (with an exploration certificate), REFUTED (with a
-// GM-coded diagnostic carrying a multi-step abstract trace, upgraded to
-// CONFIRMED by -witness when a concrete schedule replays), or
-// INCONCLUSIVE (bounds hit). Non-convergent SAVE oscillations (GM003)
-// are reported even without declared properties. "shadow" names
-// monitors excluded from the temporal transition relation (deployed to
-// observe, not act).
+// -witness attempts bounded counterexample synthesis for the findings
+// with replayable claims (GV002/GV003, GI001–GI003, GM001–GM003): each
+// is annotated CONFIRMED — with a concrete input whose replay through
+// the real VM reproduces it, including both dispatch orders for SAVE
+// conflicts — or downgraded to PLAUSIBLE when no witness exists within
+// the search bounds (the sound static finding is kept either way).
+// -witness-budget caps the concrete assignments tried per finding (0 =
+// default).
 //
 // -sarif writes the combined report as SARIF 2.1.0 to the given path
 // ("-" = stdout), the CI code-scanning artifact format; rule ids are
 // the stable GV/GI/GM codes.
 //
-// Spec paths in a manifest resolve relative to the manifest's
-// directory. -budget sets the default per-hook-site certified step
-// budget (0 = unlimited); the manifest's hook_budget, when present,
-// takes precedence. Budgets declare one event loop's per-firing step
-// capacity; shards (or -shards) declares the kernel pool width the
-// deployment runs on, so the GI005 aggregate-budget check scales each
-// site's effective budget by the shard count instead of silently
-// assuming one loop. -json emits the full report (diagnostics plus the
-// per-site worst-case load table) as JSON, the CI artifact format.
+// -budget sets the default per-hook-site certified step budget (0 =
+// unlimited) and -shards the kernel pool width each site's budget
+// scales by; a manifest's hook_budget and shards take precedence. -json
+// emits the full report (diagnostics, the per-site worst-case load
+// table, and the temporal report when the model checker ran), the CI
+// artifact format; under -json any -vet lines go to stderr.
 //
-// Exit status: 0 when the deployment checks clean, 1 when the analysis
-// finds warnings, 2 on usage or spec errors. With -warn, findings are
-// reported but warnings do not fail the check (exit 0) — the
-// counterpart of loading with guardrails.DeployWarn, which quarantines
-// the implicated monitors instead of refusing the deployment.
+// Exit status: 0 when the deployment checks clean, 1 when a check finds
+// warnings or a property is not proved, 2 on usage, manifest or spec
+// errors. With -warn, findings are reported but do not fail the check
+// (exit 0) — the counterpart of loading with guardrails.DeployWarn,
+// which quarantines the implicated monitors instead of refusing the
+// deployment.
 package main
 
 import (
@@ -73,43 +69,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"guardrails/internal/compile"
-	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/spec/modelcheck"
-	"guardrails/internal/spec/vet"
 )
 
 func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// manifest is the deployment manifest file format.
-type manifest struct {
-	Specs       []string       `json:"specs"`
-	HookBudget  int            `json:"hook_budget"`
-	HookBudgets map[string]int `json:"hook_budgets"`
-	// Shards is the kernel pool width the deployment targets (0 or 1 =
-	// single loop); GI005 budgets scale with it.
-	Shards int `json:"shards"`
-	// Aggregates lists the cross-shard aggregate names the deployment
-	// registers (featurestore.RegisterAggregate). When present (even
-	// empty), every LOAD of a *_global key with no matching registration
-	// is flagged GV011: the cell is never written, so it reads 0 forever.
-	Aggregates []string `json:"aggregates"`
-	// Properties declares temporal properties over the deployment
-	// ("always <pred>", "eventually <pred> within K"), checked by the
-	// bounded model checker alongside any assert blocks in the specs.
-	Properties []string `json:"properties"`
-	// Shadow names monitors excluded from the temporal transition
-	// relation (deployed in shadow: they observe but do not act).
-	Shadow []string `json:"shadow"`
-}
-
 // combinedReport is the -json artifact shape: the interference report
-// plus, under -check, the temporal model-checking report.
+// plus, when the model checker ran, the temporal report.
 type combinedReport struct {
 	*interfere.Report
 	Temporal *modelcheck.Report `json:"temporal,omitempty"`
@@ -122,210 +93,105 @@ func run(stdout, stderr io.Writer, args []string) int {
 	shards := fs.Int("shards", 0, "kernel pool width the deployment runs on (scales hook budgets; 0 or 1 = single loop)")
 	warnOnly := fs.Bool("warn", false, "report findings but do not fail on warnings")
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
-	witness := fs.Bool("witness", false, "attempt counterexample synthesis: annotate co-firing findings CONFIRMED (with a replayable witness) or PLAUSIBLE")
+	vetFlag := fs.Bool("vet", false, "lint the specifications first (GV001… diagnostics); lint warnings stop the check")
+	witness := fs.Bool("witness", false, "attempt counterexample synthesis: annotate replayable findings CONFIRMED (with a witness) or PLAUSIBLE")
 	witnessBudget := fs.Int("witness-budget", 0, "max concrete assignments tried per finding during witness synthesis (0 = default)")
-	check := fs.Bool("check", false, "run the bounded temporal model checker over declared properties (assert blocks and the manifest's properties list)")
+	check := fs.Bool("check", false, "run the bounded temporal model checker even when no property is declared (GM003 oscillation sweep)")
 	sarifPath := fs.String("sarif", "", "write the combined report as SARIF 2.1.0 to this path (\"-\" = stdout)")
 	manifestPath := fs.String("manifest", "", "deployment manifest (JSON: specs, hook_budget, hook_budgets, shards, aggregates, properties, shadow)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	paths := fs.Args()
-	dep := &interfere.Deployment{HookBudget: *budget, Shards: *shards, Witness: *witness, WitnessBudget: *witnessBudget}
-	var aggregates []string
-	var properties []*spec.PropertyDecl
-	var shadow []string
-	if *manifestPath != "" {
-		data, err := os.ReadFile(*manifestPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %v\n", err)
-			return 2
-		}
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %s: %v\n", *manifestPath, err)
-			return 2
-		}
-		dir := filepath.Dir(*manifestPath)
-		for _, p := range m.Specs {
-			if !filepath.IsAbs(p) {
-				p = filepath.Join(dir, p)
-			}
-			paths = append(paths, p)
-		}
-		if m.HookBudget != 0 {
-			dep.HookBudget = m.HookBudget
-		}
-		dep.HookBudgets = m.HookBudgets
-		if m.Shards != 0 {
-			dep.Shards = m.Shards
-		}
-		aggregates = m.Aggregates
-		shadow = m.Shadow
-		for _, src := range m.Properties {
-			d, err := spec.ParseProperty(src)
-			if err != nil {
-				fmt.Fprintf(stderr, "grailcheck: %s: property %q: %v\n", *manifestPath, src, err)
-				return 2
-			}
-			properties = append(properties, d)
-		}
-	}
-	if len(paths) == 0 {
-		fmt.Fprintln(stderr, "usage: grailcheck [-budget N] [-warn] [-json] [-witness] file.grail... | grailcheck -manifest deploy.json")
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "grailcheck: %v\n", err)
 		return 2
 	}
 
-	// fileOf attributes each guardrail to its source file so multi-file
-	// diagnostics print a resolvable position.
-	fileOf := map[string]string{}
-	type parsedFile struct {
-		path string
-		f    *spec.File
+	paths := fs.Args()
+	manifest := &deploy.Manifest{}
+	if *manifestPath != "" {
+		var err error
+		if manifest, err = deploy.ReadManifest(*manifestPath); err != nil {
+			return fail(err)
+		}
+		paths = append(paths, manifest.Specs...)
 	}
-	var parsed []parsedFile
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %v\n", err)
-			return 2
+	if len(paths) == 0 {
+		fmt.Fprintln(stderr, "usage: grailcheck [-budget N] [-warn] [-json] [-vet] [-witness] [-check] file.grail... | grailcheck -manifest deploy.json")
+		return 2
+	}
+	srcs, err := deploy.ReadSources(paths)
+	if err != nil {
+		return fail(err)
+	}
+	files, err := deploy.Parse(srcs)
+	if err != nil {
+		return fail(err)
+	}
+
+	// Lint runs on the checked ASTs, before compile: the specs it exists
+	// to flag (constant-zero divisors, say) may not compile at all, so its
+	// warnings end the check here.
+	if *vetFlag {
+		lintOut := stdout
+		if *jsonOut {
+			lintOut = stderr // stdout stays one JSON document
 		}
-		f, err := spec.Parse(string(data))
-		if err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %s: %v\n", path, err)
-			return 2
-		}
-		if err := spec.Check(f); err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %s: %v\n", path, err)
-			return 2
-		}
-		cs, err := compile.File(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %s: %v\n", path, err)
-			return 2
-		}
-		for _, c := range cs {
-			if _, dup := fileOf[c.Name]; !dup {
-				fileOf[c.Name] = path
+		if warns := files.Lint(lintOut, manifest.Aggregates, *witness, *witnessBudget); warns > 0 {
+			fmt.Fprintf(stderr, "grailcheck: vet: %d warning(s)\n", warns)
+			if *warnOnly {
+				return 0
 			}
-		}
-		parsed = append(parsed, parsedFile{path: path, f: f})
-		dep.Monitors = append(dep.Monitors, cs...)
-		dep.Features = append(dep.Features, f.Features...)
-		properties = append(properties, f.Properties...)
-	}
-
-	report := interfere.Analyze(dep)
-
-	// -check: bounded temporal model checking over the deployment's
-	// declared properties (assert blocks + manifest list). GM003
-	// oscillation detection runs even with no properties declared.
-	var temporal *modelcheck.Report
-	if *check {
-		temporal = modelcheck.Check(dep, modelcheck.Config{
-			Properties:    properties,
-			Shadow:        shadow,
-			Witness:       *witness,
-			WitnessBudget: *witnessBudget,
-		})
-	}
-
-	// A manifest that declares its registered aggregates (even an empty
-	// set) opts into GV011: every LOAD of a *_global key with no matching
-	// registration reads a cell the aggregation step never writes. The
-	// findings are folded into the deployment report so exit status and
-	// the JSON artifact treat them like any other deployment warning.
-	if aggregates != nil {
-		cfg := &vet.Config{Aggregates: aggregates}
-		for _, pf := range parsed {
-			for _, d := range vet.FileConfig(pf.f, cfg) {
-				if d.Code != vet.CodeUnknownGlobal {
-					continue
-				}
-				report.Diagnostics = append(report.Diagnostics, interfere.Diagnostic{
-					Code: d.Code, Severity: interfere.Warn,
-					Pos: d.Pos, Guardrail: d.Guardrail, Message: d.Message,
-				})
-			}
+			return 1
 		}
 	}
+
+	dep, err := files.Compile()
+	if err != nil {
+		return fail(err)
+	}
+	dep.HookBudget, dep.Shards = *budget, *shards
+	if err := manifest.Apply(dep); err != nil {
+		return fail(fmt.Errorf("%s: %w", *manifestPath, err))
+	}
+	verdict := dep.Check(deploy.Checks{Sweep: *check, Witness: *witness, WitnessBudget: *witnessBudget})
 
 	if *sarifPath != "" {
 		out := stdout
 		var file *os.File
 		if *sarifPath != "-" {
-			var err error
 			file, err = os.Create(*sarifPath)
 			if err != nil {
-				fmt.Fprintf(stderr, "grailcheck: %v\n", err)
-				return 2
+				return fail(err)
 			}
 			out = file
 		}
-		err := writeSARIF(out, report, temporal, fileOf)
+		err := writeSARIF(out, verdict.Diagnostics(), dep.FileOf)
 		if file != nil {
 			if cerr := file.Close(); err == nil {
 				err = cerr
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %v\n", err)
-			return 2
+			return fail(err)
 		}
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(combinedReport{Report: report, Temporal: temporal}); err != nil {
-			fmt.Fprintf(stderr, "grailcheck: %v\n", err)
-			return 2
+		if err := enc.Encode(combinedReport{Report: verdict.Report, Temporal: verdict.Temporal}); err != nil {
+			return fail(err)
 		}
 	} else {
-		for _, d := range report.Diagnostics {
-			fmt.Fprintf(stdout, "%s:%s\n", fileOf[d.Guardrail], d)
+		verdict.WriteText(stdout, dep.FileOf)
+		if verdict.Temporal != nil {
+			fmt.Fprintf(stdout, "grailcheck: %s\n", verdict.Temporal.Summary())
 		}
-		for _, s := range report.Sites {
-			line := fmt.Sprintf("hook %s: worst case %d certified steps", s.Site, s.Total)
-			switch {
-			case s.Budget > 0 && s.Shards > 1:
-				line += fmt.Sprintf(" (budget %d × %d shards = %d)", s.Budget, s.Shards, s.EffectiveBudget)
-			case s.Budget > 0:
-				line += fmt.Sprintf(" (budget %d)", s.Budget)
-			}
-			for _, l := range s.Monitors {
-				line += fmt.Sprintf(" %s=%d", l.Guardrail, l.MaxSteps)
-			}
-			fmt.Fprintln(stdout, line)
-		}
-		if temporal != nil {
-			for _, d := range temporal.Diagnostics {
-				fmt.Fprintf(stdout, "%s:%s\n", fileOf[d.Guardrail], d)
-				for _, line := range d.Trace {
-					fmt.Fprintf(stdout, "    %s\n", line)
-				}
-			}
-			for _, p := range temporal.Properties {
-				line := fmt.Sprintf("property %s: %s", p.Property, p.Status)
-				if p.Reason != "" {
-					line += " (" + p.Reason + ")"
-				}
-				if p.Certificate != nil {
-					line += fmt.Sprintf(" [%d states, depth %d]", p.Certificate.States, p.Certificate.Depth)
-				}
-				fmt.Fprintln(stdout, line)
-			}
-			fmt.Fprintf(stdout, "grailcheck: %s\n", temporal.Summary())
-		}
-		fmt.Fprintf(stdout, "grailcheck: %d guardrail(s): %s\n", len(dep.Monitors), report.Summary())
+		fmt.Fprintf(stdout, "grailcheck: %d guardrail(s): %s\n", len(dep.Monitors), verdict.Report.Summary())
 	}
 
-	failed := report.Warnings() > 0
-	if temporal != nil && !temporal.Clean() {
-		failed = true
-	}
-	if failed && !*warnOnly {
+	if !verdict.Clean() && !*warnOnly {
 		return 1
 	}
 	return 0

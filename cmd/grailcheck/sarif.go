@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"guardrails/internal/spec/interfere"
-	"guardrails/internal/spec/modelcheck"
 )
 
 // SARIF 2.1.0 emission. The static-analysis results interchange format
@@ -91,16 +90,9 @@ var ruleMeta = map[string]string{
 	"GV011": "LOAD of a *_global key with no registered aggregate",
 }
 
-// writeSARIF renders the combined interference + temporal report as a
-// SARIF 2.1.0 log. Output is deterministic: rules sorted by id,
-// results in report order.
-func writeSARIF(w io.Writer, rep *interfere.Report, temporal *modelcheck.Report, fileOf map[string]string) error {
-	var diags []interfere.Diagnostic
-	diags = append(diags, rep.Diagnostics...)
-	if temporal != nil {
-		diags = append(diags, temporal.Diagnostics...)
-	}
-
+// writeSARIF renders the findings as a SARIF 2.1.0 log. Output is
+// deterministic: rules sorted by id, results in report order.
+func writeSARIF(w io.Writer, diags []interfere.Diagnostic, fileOf map[string]string) error {
 	codes := map[string]bool{}
 	for _, d := range diags {
 		codes[d.Code] = true

@@ -39,16 +39,15 @@ import (
 	"sort"
 	"strings"
 
-	"guardrails/internal/compile"
 	"guardrails/internal/featurestore"
 	"guardrails/internal/kernel"
 	"guardrails/internal/monitor"
 	"guardrails/internal/rollout"
 	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/spec/modelcheck"
 	"guardrails/internal/telemetry"
-	"guardrails/internal/vm"
 )
 
 func main() {
@@ -81,61 +80,34 @@ func usage(w io.Writer) {
 specs is a comma-separated list of .grail files`)
 }
 
-// generation is one parsed deployment generation.
-type generation struct {
-	compiled   []*compile.Compiled
-	features   []*spec.FeatureDecl
-	properties []*spec.PropertyDecl
-}
-
 // loadGeneration parses, checks, and compiles a comma-separated spec
-// list.
-func loadGeneration(stderr io.Writer, list string) (*generation, bool) {
-	g := &generation{}
+// list into one deployment generation.
+func loadGeneration(list string) (*deploy.Deployment, error) {
+	var paths []string
 	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
+		if path = strings.TrimSpace(path); path != "" {
+			paths = append(paths, path)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "grailctl: %v\n", err)
-			return nil, false
-		}
-		f, err := spec.Parse(string(data))
-		if err != nil {
-			fmt.Fprintf(stderr, "grailctl: %s: %v\n", path, err)
-			return nil, false
-		}
-		if err := spec.Check(f); err != nil {
-			fmt.Fprintf(stderr, "grailctl: %s: %v\n", path, err)
-			return nil, false
-		}
-		cs, err := compile.File(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "grailctl: %s: %v\n", path, err)
-			return nil, false
-		}
-		g.compiled = append(g.compiled, cs...)
-		g.features = append(g.features, f.Features...)
-		g.properties = append(g.properties, f.Properties...)
 	}
-	return g, true
+	srcs, err := deploy.ReadSources(paths)
+	if err != nil {
+		return nil, err
+	}
+	return deploy.Load(srcs...)
 }
 
-// loadGenerations parses the -old and -new spec lists.
-func loadGenerations(stderr io.Writer, oldList, newList string) (old, new *generation, ok bool) {
+// loadGenerations loads the -old (possibly empty) and -new spec lists.
+func loadGenerations(stderr io.Writer, oldList, newList string) (old, new *deploy.Deployment, ok bool) {
 	if newList == "" {
 		fmt.Fprintln(stderr, "grailctl: -new is required")
 		return nil, nil, false
 	}
-	old = &generation{}
-	if oldList != "" {
-		if old, ok = loadGeneration(stderr, oldList); !ok {
-			return nil, nil, false
-		}
+	old, err := loadGeneration(oldList)
+	if err == nil {
+		new, err = loadGeneration(newList)
 	}
-	if new, ok = loadGeneration(stderr, newList); !ok {
+	if err != nil {
+		fmt.Fprintf(stderr, "grailctl: %v\n", err)
 		return nil, nil, false
 	}
 	return old, new, true
@@ -158,20 +130,12 @@ func runDiff(stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 
-	d := rollout.Compare(old.compiled, new.compiled)
-	dep := &interfere.Deployment{
-		Monitors: new.compiled, Features: new.features, HookBudget: *budget,
-	}
-	scoped, names := rollout.Scope(d, dep)
-	report := interfere.Analyze(scoped)
-
+	d := rollout.Compare(old.Monitors, new.Monitors)
+	new.HookBudget = *budget
 	// Declared temporal properties gate the candidate generation the
 	// same way they gate rollout.Begin: a candidate that breaks an
 	// "assert" block is refused at diff time, before any rehearsal.
-	var temporal *modelcheck.Report
-	if len(new.properties) > 0 {
-		temporal = modelcheck.Check(dep, modelcheck.Config{Properties: new.properties})
-	}
+	verdict, names := rollout.CheckScoped(d, new)
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -181,7 +145,7 @@ func runDiff(stdout, stderr io.Writer, args []string) int {
 			Scope    []string           `json:"scope"`
 			Report   *interfere.Report  `json:"report"`
 			Temporal *modelcheck.Report `json:"temporal,omitempty"`
-		}{d, names, report, temporal}); err != nil {
+		}{d, names, verdict.Report, verdict.Temporal}); err != nil {
 			fmt.Fprintf(stderr, "grailctl: %v\n", err)
 			return 2
 		}
@@ -191,25 +155,13 @@ func runDiff(stdout, stderr io.Writer, args []string) int {
 		}
 		fmt.Fprintf(stdout, "diff: %s\n", d.Summary())
 		fmt.Fprintf(stdout, "scoped re-analysis (%d of %d guardrails: %s): %s\n",
-			len(names), len(new.compiled), strings.Join(names, ", "), report.Summary())
-		for _, diag := range report.Diagnostics {
-			fmt.Fprintf(stdout, "  %s\n", diag)
-		}
-		if temporal != nil {
-			for _, diag := range temporal.Diagnostics {
-				fmt.Fprintf(stdout, "  %s\n", diag)
-			}
-			for _, p := range temporal.Properties {
-				line := fmt.Sprintf("property %s: %s", p.Property, p.Status)
-				if p.Reason != "" {
-					line += " (" + p.Reason + ")"
-				}
-				fmt.Fprintln(stdout, line)
-			}
-			fmt.Fprintf(stdout, "model check: %s\n", temporal.Summary())
+			len(names), len(new.Monitors), strings.Join(names, ", "), verdict.Report.Summary())
+		verdict.WriteText(stdout, new.FileOf)
+		if verdict.Temporal != nil {
+			fmt.Fprintf(stdout, "model check: %s\n", verdict.Temporal.Summary())
 		}
 	}
-	if report.Warnings() > 0 || (temporal != nil && !temporal.Clean()) {
+	if !verdict.Clean() {
 		return 1
 	}
 	return 0
@@ -248,14 +200,14 @@ func runRollout(stdout, stderr io.Writer, args []string) int {
 	rt.SetTelemetry(sink)
 	k.SetTelemetry(sink)
 
-	for _, c := range old.compiled {
+	for _, c := range old.Monitors {
 		if _, err := rt.Load(c, monitor.Options{}); err != nil {
 			fmt.Fprintf(stderr, "grailctl: loading incumbent %s: %v\n", c.Name, err)
 			return 2
 		}
 	}
 	ctl := rollout.NewController(rt)
-	ctl.Adopt(old.compiled)
+	ctl.Adopt(old.Monitors)
 
 	driveWorkload(k, st, old, new, *seed)
 
@@ -264,10 +216,10 @@ func runRollout(stdout, stderr io.Writer, args []string) int {
 		CanaryWindow: kernel.Time(*canaryMS) * kernel.Millisecond,
 		CanaryNum:    num, CanaryDen: den,
 		HookBudget: *budget,
-		Features:   new.features,
-		Properties: new.properties,
+		Features:   new.Features,
+		Properties: new.Properties,
 	}
-	err := ctl.Begin(new.compiled, cfg)
+	err := ctl.Begin(new.Monitors, cfg)
 	if err == nil {
 		// Rollouts run as kernel events; drive the clock until terminal.
 		deadline := kernel.Time(10*(*shadowMS+*canaryMS)) * kernel.Millisecond
@@ -285,7 +237,7 @@ func runRollout(stdout, stderr io.Writer, args []string) int {
 		History []rollout.Record `json:"history"`
 	}{
 		Phase: ctl.Phase().String(), Reason: ctl.Reason(),
-		Gen: ctl.FleetGeneration(), Diff: rollout.Compare(old.compiled, new.compiled),
+		Gen: ctl.FleetGeneration(), Diff: rollout.Compare(old.Monitors, new.Monitors),
 		History: ctl.History(),
 	}
 	if err != nil {
@@ -328,31 +280,20 @@ func runRollout(stdout, stderr io.Writer, args []string) int {
 // simulated millisecond, and every feature key any program loads is
 // refreshed from the seeded generator — uniform over its declared
 // range, or [0, 1) when undeclared.
-func driveWorkload(k *kernel.Kernel, st *featurestore.Store, old, new *generation, seed int64) {
+func driveWorkload(k *kernel.Kernel, st *featurestore.Store, old, new *deploy.Deployment, seed int64) {
 	sites := map[string]bool{}
 	loadKeys := map[string]bool{}
-	for _, g := range []*generation{old, new} {
-		for _, c := range g.compiled {
-			for _, t := range c.Triggers {
-				if ft, ok := t.(*spec.FuncTrigger); ok {
-					sites[ft.Site] = true
-				}
+	for _, g := range []*deploy.Deployment{old, new} {
+		for _, c := range g.Monitors {
+			for _, site := range c.Footprint.Sites {
+				sites[site] = true
 			}
-			for _, in := range c.Program.Code {
-				if in.Op == vm.OpLoad {
-					loadKeys[c.Program.Symbols[in.Cell]] = true
-				}
+			for _, key := range c.Footprint.Loads {
+				loadKeys[key] = true
 			}
 		}
 	}
-	ranges := map[string][2]float64{}
-	for _, g := range []*generation{old, new} {
-		for _, f := range g.features {
-			if _, ok := ranges[f.Key]; !ok {
-				ranges[f.Key] = [2]float64{f.Lo, f.Hi}
-			}
-		}
-	}
+	ranges := spec.RangesOf(append(append([]*spec.FeatureDecl{}, old.Features...), new.Features...))
 	rng := rand.New(rand.NewSource(seed))
 	var siteList []string
 	for s := range sites {
@@ -368,8 +309,8 @@ func driveWorkload(k *kernel.Kernel, st *featurestore.Store, old, new *generatio
 	k.Every(0, kernel.Millisecond, 0, func(now kernel.Time) {
 		for _, key := range keyList {
 			lo, hi := 0.0, 1.0
-			if r, ok := ranges[key]; ok {
-				lo, hi = r[0], r[1]
+			if fd, ok := ranges[key]; ok {
+				lo, hi = fd.Lo, fd.Hi
 			}
 			st.Save(key, lo+rng.Float64()*(hi-lo))
 		}

@@ -64,6 +64,7 @@ import (
 	"guardrails/internal/provenance"
 	"guardrails/internal/rollout"
 	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/spec/modelcheck"
 	"guardrails/internal/telemetry"
@@ -333,70 +334,49 @@ func (s *System) LoadGuardrails(src string, opts Options) ([]*Monitor, error) {
 // conflicts, SAVE→LOAD feedback cycles, aggregate hook budgets, and
 // dead guardrails, reported as stable GI-coded diagnostics. Declared
 // feature ranges in src refine the analysis. This is the library
-// surface behind cmd/grailcheck and grailc -interfere.
+// surface behind cmd/grailcheck.
 func AnalyzeDeployment(src string, hookBudget int, hookBudgets map[string]int) (*DeploymentReport, error) {
-	f, err := ParseSpec(src)
+	d, err := deploy.Load(deploy.Source{Text: src})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := compile.File(f)
-	if err != nil {
-		return nil, err
-	}
-	return interfere.Analyze(&Deployment{
-		Monitors:    cs,
-		Features:    f.Features,
-		HookBudget:  hookBudget,
-		HookBudgets: hookBudgets,
-	}), nil
+	d.HookBudget, d.HookBudgets = hookBudget, hookBudgets
+	return d.Check(deploy.Checks{}).Report, nil
 }
 
 // ModelCheckDeployment parses and compiles src, then model-checks the
 // deployment's declared "assert" property blocks plus any extra
 // manifest-style properties ("always LOAD(k) <= 1", "eventually
 // LOAD(k) == 1 within 4") over one timer hyperperiod of abstract
-// execution. This is the library surface behind grailcheck -check and
-// grailc -check.
+// execution. This is the library surface behind grailcheck -check.
 func ModelCheckDeployment(src string, extra ...string) (*TemporalReport, error) {
-	f, err := ParseSpec(src)
+	d, err := deploy.Load(deploy.Source{Text: src})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := compile.File(f)
+	props, err := deploy.ParseProperties(extra)
 	if err != nil {
 		return nil, err
 	}
-	props := append([]*PropertyDecl{}, f.Properties...)
-	for _, s := range extra {
-		p, err := spec.ParseProperty(s)
-		if err != nil {
-			return nil, err
-		}
-		props = append(props, p)
-	}
-	return modelcheck.Check(&Deployment{
-		Monitors: cs,
-		Features: f.Features,
-	}, TemporalConfig{Properties: props, Witness: true}), nil
+	d.Properties = append(d.Properties, props...)
+	return d.Check(deploy.Checks{Sweep: true, Witness: true}).Temporal, nil
 }
 
 // LoadDeployment parses, compiles, and loads every guardrail in src as
-// one deployment: the interference analysis and the kernel's
+// one deployment: the deployment checks and the kernel's
 // aggregate-budget admission test run before anything arms, so a
 // conflicting deployment is refused atomically (DeployEnforce) or
 // loaded with the implicated monitors quarantined (DeployWarn).
-// Declared feature ranges in src feed the analysis automatically.
+// Declared feature ranges in src feed the analysis, and its "assert"
+// blocks are admission conditions like any cfg.Properties.
 func (s *System) LoadDeployment(src string, cfg DeployConfig) (*DeployResult, error) {
-	f, err := ParseSpec(src)
+	d, err := deploy.Load(deploy.Source{Text: src})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := compile.File(f)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Features = append(cfg.Features, f.Features...)
-	return s.Runtime.LoadDeployment(cs, cfg)
+	cfg.Features = append(cfg.Features, d.Features...)
+	cfg.Properties = append(cfg.Properties, d.Properties...)
+	return s.Runtime.LoadDeployment(d.Monitors, cfg)
 }
 
 // AttachTelemetry builds a telemetry sink whose flight recorder retains
@@ -466,16 +446,7 @@ func CompareDeployments(old, new []*Compiled) *DeploymentDiff {
 }
 
 // ParseSpec parses and semantically checks guardrail specification text.
-func ParseSpec(src string) (*File, error) {
-	f, err := spec.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.Check(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
+func ParseSpec(src string) (*File, error) { return spec.ParseChecked(src) }
 
 // CompileSpec parses, checks, compiles, and verifies guardrail
 // specification text, returning one monitor image per guardrail.

@@ -19,6 +19,7 @@ package compile
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"guardrails/internal/spec"
 	"guardrails/internal/vm"
@@ -40,6 +41,65 @@ type Compiled struct {
 	// non-SAVE actions by index through vm.HelperAction; the monitor
 	// runtime interprets the index against this slice.
 	Actions []spec.Action
+	// Footprint is what the guardrail touches, stated once here for the
+	// kernel admission test, the interference analyzer, the model checker
+	// and the rollout scope to share.
+	Footprint Footprint
+}
+
+// Footprint is a compiled guardrail's coupling surface: where it
+// attaches and which feature-store keys its program — not its source,
+// so a LOAD the optimizer proved dead does not count — reads and writes.
+type Footprint struct {
+	// Sites are the FUNCTION hook sites, sorted and unique.
+	Sites []string
+	// Timers are the TIMER triggers, in source order.
+	Timers []*spec.TimerTrigger
+	// Loads and Stores are the feature keys the program LOADs and
+	// STOREs, each sorted and unique.
+	Loads, Stores []string
+}
+
+// Reads reports whether the program LOADs key.
+func (fp *Footprint) Reads(key string) bool { return sortedHas(fp.Loads, key) }
+
+// Writes reports whether the program STOREs key.
+func (fp *Footprint) Writes(key string) bool { return sortedHas(fp.Stores, key) }
+
+func sortedHas(sorted []string, key string) bool {
+	i := sort.SearchStrings(sorted, key)
+	return i < len(sorted) && sorted[i] == key
+}
+
+func footprintOf(triggers []spec.Trigger, p *vm.Program) Footprint {
+	fp := Footprint{Loads: vm.LoadedKeys(p), Stores: vm.StoredKeys(p)}
+	for _, t := range triggers {
+		switch tt := t.(type) {
+		case *spec.FuncTrigger:
+			if !sortedHas(fp.Sites, tt.Site) {
+				fp.Sites = append(fp.Sites, tt.Site)
+				sort.Strings(fp.Sites)
+			}
+		case *spec.TimerTrigger:
+			fp.Timers = append(fp.Timers, tt)
+		}
+	}
+	return fp
+}
+
+// WitnessSpace is the search space every witness synthesizer draws
+// concrete inputs from: a key with a declared feature range takes
+// vm.Candidates of that range, any other key the generic seeds.
+func WitnessSpace(keys []string, features map[string]*spec.FeatureDecl) map[string][]float64 {
+	cands := make(map[string][]float64, len(keys))
+	for _, k := range keys {
+		if fd, ok := features[k]; ok {
+			cands[k] = vm.Candidates(vm.RangeInterval(fd.Lo, fd.Hi), true)
+		} else {
+			cands[k] = vm.Candidates(vm.Interval{}, false)
+		}
+	}
+	return cands
 }
 
 // Register conventions for generated code.
@@ -73,11 +133,18 @@ var DefaultOptions = Options{Level: 1}
 // File compiles every guardrail in a checked file at -O1.
 func File(f *spec.File) ([]*Compiled, error) { return FileWith(f, DefaultOptions) }
 
-// FileWith compiles every guardrail in a checked file.
+// FileWith checks a parsed file and compiles every guardrail in it.
 func FileWith(f *spec.File, o Options) ([]*Compiled, error) {
 	if err := spec.Check(f); err != nil {
 		return nil, err
 	}
+	return CheckedFile(f, o)
+}
+
+// CheckedFile compiles every guardrail of a file the caller has already
+// passed through spec.Check (a loader that lints between check and
+// compile checks once, not twice).
+func CheckedFile(f *spec.File, o Options) ([]*Compiled, error) {
 	out := make([]*Compiled, 0, len(f.Guardrails))
 	for _, g := range f.Guardrails {
 		c, err := compileChecked(g, o)
@@ -105,11 +172,11 @@ func Source(src string) ([]*Compiled, error) { return SourceWith(src, DefaultOpt
 
 // SourceWith parses, checks, and compiles a specification source text.
 func SourceWith(src string, o Options) ([]*Compiled, error) {
-	f, err := spec.Parse(src)
+	f, err := spec.ParseChecked(src)
 	if err != nil {
 		return nil, err
 	}
-	return FileWith(f, o)
+	return CheckedFile(f, o)
 }
 
 func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
@@ -163,11 +230,12 @@ func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
 		}
 	}
 	return &Compiled{
-		Name:     g.Name,
-		Source:   g,
-		Triggers: g.Triggers,
-		Program:  p,
-		Actions:  g.Actions,
+		Name:      g.Name,
+		Source:    g,
+		Triggers:  g.Triggers,
+		Program:   p,
+		Actions:   g.Actions,
+		Footprint: footprintOf(g.Triggers, p),
 	}, nil
 }
 

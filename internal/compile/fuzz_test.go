@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"guardrails/internal/spec"
@@ -55,7 +56,13 @@ func FuzzOptDifferential(f *testing.F) {
 			if err0 != nil || err1 != nil {
 				// Either level may reject (e.g. -O0 cannot prove a
 				// division safe that -O1 folds away); only dual
-				// acceptance is comparable.
+				// acceptance is comparable. An assembler error is never
+				// a rejection: codegen emitted a jump it cannot encode.
+				for _, err := range []error{err0, err1} {
+					if err != nil && strings.Contains(err.Error(), "vm: label") {
+						t.Fatalf("%s: codegen bug on checked source: %v", g.Name, err)
+					}
+				}
 				continue
 			}
 			assign := map[string]float64{}

@@ -54,6 +54,9 @@ func lowerGuardrail(g *spec.Guardrail) (*irFunc, error) {
 	}
 	zero := l.emitConst(0)
 	l.cur.term = terminator{Kind: termRet, Ret: zero}
+	// A boolean literal in condition position lowers to a bare jmp, so
+	// "x > 8 && false" leaves a jmp-only block under a branch.
+	threadJumps(f)
 	return f, nil
 }
 

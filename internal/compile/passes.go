@@ -433,14 +433,61 @@ func sideEffecting(in *irInstr) bool {
 	return false
 }
 
+// threadJumps retargets every edge that lands on a jmp-only block to
+// that block's destination and turns a branch whose arms then coincide
+// into a jmp. Codegen elides a jmp to the next block in layout, so a
+// jmp-only block can assemble to nothing, and a branch over it to the
+// zero-offset jump the VM forbids. The bypassed blocks have lost every
+// predecessor and leave the layout.
+func threadJumps(f *irFunc) {
+	jmpOnly := func(b *block) bool { return len(b.ins) == 0 && b.term.Kind == termJmp }
+	final := func(b *block) *block {
+		for jmpOnly(b) {
+			b = b.term.Then
+		}
+		return b
+	}
+	for _, b := range f.blocks {
+		t := &b.term
+		switch t.Kind {
+		case termJmp:
+			t.Then = final(t.Then)
+		case termBr:
+			t.Then, t.Else = final(t.Then), final(t.Else)
+			if t.Then == t.Else {
+				*t = terminator{Kind: termJmp, Then: t.Then}
+			}
+		}
+	}
+	kept := f.blocks[:1]
+	for _, b := range f.blocks[1:] {
+		if !jmpOnly(b) {
+			b.id = len(kept)
+			kept = append(kept, b)
+		}
+	}
+	f.blocks = kept
+}
+
 // passDCE removes blocks unreachable from the entry (e.g. the untaken
-// side of a branch passConstFold decided) and then strips pure
-// instructions whose results are never read, iterating to a fixpoint so
-// whole dead expression trees disappear.
+// side of a branch passConstFold decided) and strips pure instructions
+// whose results are never read, iterating to a fixpoint so whole dead
+// expression trees disappear. Stripping can leave a block jmp-only and
+// threading past it can free a branch's operands, so the two repeat
+// until the IR stops shrinking.
 func passDCE(f *irFunc) {
 	if len(f.blocks) == 0 {
 		return
 	}
+	for n := -1; n != f.numInstrs(); {
+		n = f.numInstrs()
+		threadJumps(f)
+		dropUnreachable(f)
+		stripDead(f)
+	}
+}
+
+func dropUnreachable(f *irFunc) {
 	reach := map[*block]bool{f.blocks[0]: true}
 	kept := f.blocks[:0]
 	for _, b := range f.blocks {
@@ -454,7 +501,9 @@ func passDCE(f *irFunc) {
 		kept = append(kept, b)
 	}
 	f.blocks = kept
+}
 
+func stripDead(f *irFunc) {
 	uses := make(map[vreg]int)
 	var buf []vreg
 	for _, b := range f.blocks {

@@ -6,6 +6,7 @@ import (
 	"guardrails/internal/compile"
 	"guardrails/internal/kernel"
 	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/spec/modelcheck"
 )
@@ -130,15 +131,9 @@ func (e *DeployError) Error() string {
 func HookLoads(cs []*compile.Compiled) []kernel.HookLoad {
 	var loads []kernel.HookLoad
 	for _, c := range cs {
-		seen := map[string]bool{}
-		for _, t := range c.Triggers {
-			ft, ok := t.(*spec.FuncTrigger)
-			if !ok || seen[ft.Site] {
-				continue
-			}
-			seen[ft.Site] = true
+		for _, site := range c.Footprint.Sites {
 			loads = append(loads, kernel.HookLoad{
-				Site:     ft.Site,
+				Site:     site,
 				Monitor:  c.Name,
 				MaxSteps: c.Program.Meta.MaxSteps,
 			})
@@ -148,11 +143,12 @@ func HookLoads(cs []*compile.Compiled) []kernel.HookLoad {
 }
 
 // LoadDeployment loads a set of compiled guardrails as one deployment:
-// it runs the whole-deployment interference analysis
-// (interfere.Analyze) and the kernel's aggregate-budget admission test
-// (kernel.AdmitDeployment) before arming anything, so a conflicting
-// deployment is refused atomically rather than discovered in
-// production as dispatch-order-dependent behavior.
+// it runs the deployment checks (package deploy: interference analysis,
+// and model checking when cfg declares properties) and the kernel's
+// aggregate-budget admission test (kernel.AdmitDeployment) before
+// arming anything, so a conflicting deployment is refused atomically
+// rather than discovered in production as dispatch-order-dependent
+// behavior.
 //
 // Under DeployEnforce (default) any warning refuses the whole
 // deployment with a *DeployError and loads nothing. Under DeployWarn
@@ -160,42 +156,29 @@ func HookLoads(cs []*compile.Compiled) []kernel.HookLoad {
 // (shadow mode or disabled, see DeployPolicy) and the result lists
 // them. Load errors mid-way unload everything already loaded.
 func (r *Runtime) LoadDeployment(cs []*compile.Compiled, cfg DeployConfig) (*DeployResult, error) {
-	dep := &interfere.Deployment{
+	dep := &deploy.Deployment{
 		Monitors:    cs,
 		Features:    cfg.Features,
+		Properties:  cfg.Properties,
 		HookBudget:  cfg.HookBudget,
 		HookBudgets: cfg.HookBudgets,
 	}
-	report := interfere.Analyze(dep)
+	verdict := dep.Check(deploy.Checks{})
 	admErr := r.k.AdmitDeployment(cfg.HookBudget, cfg.HookBudgets, HookLoads(cs))
 
-	// Declared temporal properties are admission conditions too: the
-	// bounded model checker must prove every one before the deployment
-	// arms under DeployEnforce.
-	var temporal *modelcheck.Report
-	if len(cfg.Properties) > 0 {
-		temporal = modelcheck.Check(dep, modelcheck.Config{Properties: cfg.Properties})
-	}
-
-	res := &DeployResult{Report: report, Temporal: temporal}
-	if cfg.Policy == DeployEnforce {
-		if !report.Clean() || admErr != nil || (temporal != nil && !temporal.Clean()) {
-			derr := &DeployError{Report: report, Admission: admErr}
-			if temporal != nil && !temporal.Clean() {
-				derr.Temporal = temporal
-			}
-			return res, derr
+	res := &DeployResult{Report: verdict.Report, Temporal: verdict.Temporal}
+	if cfg.Policy == DeployEnforce && (!verdict.Clean() || admErr != nil) {
+		derr := &DeployError{Report: verdict.Report, Admission: admErr}
+		if verdict.Temporal != nil && !verdict.Temporal.Clean() {
+			derr.Temporal = verdict.Temporal
 		}
+		return res, derr
 	}
 
-	// Under DeployWarn, classify each monitor's quarantine level from
-	// the diagnostics that implicate it: budget findings disable (the
-	// program must not run on the hot hook at all), every other warning
-	// shadows (evaluate, but suppress actions).
-	shadow := map[string]bool{}
-	disable := map[string]bool{}
+	var shadow, disable map[string]bool
 	skip := map[int]bool{}
 	if cfg.Policy == DeployWarn {
+		shadow, disable = verdict.Quarantine()
 		seen := map[string]bool{}
 		for i, c := range cs {
 			if seen[c.Name] {
@@ -203,34 +186,6 @@ func (r *Runtime) LoadDeployment(cs []*compile.Compiled, cfg DeployConfig) (*Dep
 				res.Skipped = append(res.Skipped, c.Name)
 			}
 			seen[c.Name] = true
-		}
-		for _, d := range report.Diagnostics {
-			if d.Severity != interfere.Warn || d.Code == interfere.CodeDuplicateName {
-				continue
-			}
-			names := append([]string{d.Guardrail}, d.Others...)
-			for _, n := range names {
-				if d.Code == interfere.CodeHookBudget {
-					disable[n] = true
-				} else {
-					shadow[n] = true
-				}
-			}
-		}
-		if temporal != nil {
-			// A monitor implicated in a refuted property (safety breach,
-			// missed liveness, oscillation) shadows: its rules still
-			// evaluate, but it cannot act until the property is fixed.
-			for _, d := range temporal.Diagnostics {
-				if d.Severity != interfere.Warn {
-					continue
-				}
-				for _, n := range append([]string{d.Guardrail}, d.Others...) {
-					if n != "" {
-						shadow[n] = true
-					}
-				}
-			}
 		}
 	}
 

@@ -406,29 +406,13 @@ func (m *Monitor) arm() {
 		}
 	}
 	if m.opts.DependencyTrigger {
-		for _, key := range m.ruleDependencies() {
+		// The keys the program loads, not the ones it only stores.
+		for _, key := range m.c.Footprint.Loads {
 			m.rt.store.Watch(key, func(string, float64) {
 				m.Evaluate(0)
 			})
 		}
 	}
-}
-
-// ruleDependencies returns the feature-store keys the program loads
-// (not the ones it only stores).
-func (m *Monitor) ruleDependencies() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, in := range m.c.Program.Code {
-		if in.Op == vm.OpLoad {
-			key := m.c.Program.Symbols[in.Cell]
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, key)
-			}
-		}
-	}
-	return out
 }
 
 func (m *Monitor) disarm() {

@@ -16,6 +16,7 @@ import (
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 )
 
@@ -324,19 +325,11 @@ func exprSkeleton(e spec.Expr) string {
 // exprLiterals collects the numeric literals of an expression in
 // left-to-right order.
 func exprLiterals(e spec.Expr, out *[]float64) {
-	switch n := e.(type) {
-	case *spec.NumLit:
-		*out = append(*out, n.Value)
-	case *spec.UnaryExpr:
-		exprLiterals(n.X, out)
-	case *spec.BinaryExpr:
-		exprLiterals(n.X, out)
-		exprLiterals(n.Y, out)
-	case *spec.CallExpr:
-		for _, a := range n.Args {
-			exprLiterals(a, out)
+	spec.WalkExpr(e, func(e spec.Expr) {
+		if n, ok := e.(*spec.NumLit); ok {
+			*out = append(*out, n.Value)
 		}
-	}
+	})
 }
 
 // actionSkeleton renders an action with its value expressions masked.
@@ -380,67 +373,32 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 		inScope[name] = true
 	}
 
-	type coupling struct {
-		sites  map[string]bool
-		loads  map[string]bool
-		saves  map[string]bool
-		timers bool
-	}
-	couple := make(map[string]*coupling, len(dep.Monitors))
+	footprint := make(map[string]*compile.Footprint, len(dep.Monitors))
 	for _, c := range dep.Monitors {
-		cp := &coupling{sites: map[string]bool{}, loads: map[string]bool{}, saves: map[string]bool{}}
-		for _, t := range c.Triggers {
-			switch tt := t.(type) {
-			case *spec.FuncTrigger:
-				cp.sites[tt.Site] = true
-			case *spec.TimerTrigger:
-				cp.timers = true
-			}
-		}
-		for _, r := range c.Source.Rules {
-			exprKeys(r, cp.loads)
-		}
-		for _, a := range c.Source.Actions {
-			switch act := a.(type) {
-			case *spec.SaveAction:
-				cp.saves[act.Key] = true
-				exprKeys(act.Value, cp.loads)
-			case *spec.ReportAction:
-				for _, arg := range act.Args {
-					exprKeys(arg, cp.loads)
-				}
-			case *spec.DeprioritizeAction:
-				if act.Priority != nil {
-					exprKeys(act.Priority, cp.loads)
-				}
-			}
-		}
-		couple[c.Name] = cp
+		footprint[c.Name] = &c.Footprint
 	}
-
-	coupled := func(a, b *coupling) bool {
-		for s := range a.sites {
-			if b.sites[s] {
+	// A written key read or written by the other side couples a pair
+	// (SAVE/SAVE conflicts, SAVE→LOAD refinement and cycles).
+	writesInto := func(a, b *compile.Footprint) bool {
+		for _, k := range a.Stores {
+			if b.Reads(k) || b.Writes(k) {
 				return true
 			}
 		}
-		// A written key read or written by the other side couples the
-		// pair (SAVE/SAVE conflicts, SAVE→LOAD refinement and cycles).
-		for k := range a.saves {
-			if b.loads[k] || b.saves[k] {
-				return true
-			}
-		}
-		for k := range b.saves {
-			if a.loads[k] || a.saves[k] {
-				return true
+		return false
+	}
+	coupled := func(a, b *compile.Footprint) bool {
+		for _, site := range a.Sites {
+			for _, other := range b.Sites {
+				if site == other {
+					return true
+				}
 			}
 		}
 		// Two timer-driven guardrails can co-fire (timer coincidence);
-		// that only matters when they also touch a common written key,
-		// which the checks above caught. Pure timer overlap with
-		// disjoint state cannot interfere.
-		return false
+		// that only matters when they also touch a common written key.
+		// Pure timer overlap with disjoint state cannot interfere.
+		return writesInto(a, b) || writesInto(b, a)
 	}
 
 	// Fixpoint closure over the coupling relation.
@@ -451,11 +409,11 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 				continue
 			}
 			for other := range inScope {
-				oc, ok := couple[other]
+				oc, ok := footprint[other]
 				if !ok {
 					continue // removed guardrail: no longer in the new deployment
 				}
-				if coupled(couple[c.Name], oc) {
+				if coupled(&c.Footprint, oc) {
 					inScope[c.Name] = true
 					changed = true
 					break
@@ -480,21 +438,15 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 	return scoped, names
 }
 
-// exprKeys collects the feature keys an expression reads.
-func exprKeys(e spec.Expr, out map[string]bool) {
-	switch n := e.(type) {
-	case *spec.LoadExpr:
-		out[n.Key] = true
-	case *spec.IdentExpr:
-		out[n.Name] = true
-	case *spec.UnaryExpr:
-		exprKeys(n.X, out)
-	case *spec.BinaryExpr:
-		exprKeys(n.X, out)
-		exprKeys(n.Y, out)
-	case *spec.CallExpr:
-		for _, a := range n.Args {
-			exprKeys(a, out)
-		}
+// CheckScoped runs the deployment checks on a candidate generation with
+// the interference analysis narrowed to the diff's scope, returning the
+// verdict and the scoped guardrail names. Declared properties are
+// model-checked against the whole candidate.
+func CheckScoped(d *Diff, dep *deploy.Deployment) (*deploy.Verdict, []string) {
+	scoped, names := Scope(d, &interfere.Deployment{Monitors: dep.Monitors})
+	in := make(map[*compile.Compiled]bool, len(scoped.Monitors))
+	for _, c := range scoped.Monitors {
+		in[c] = true
 	}
+	return dep.Check(deploy.Checks{Scope: func(c *compile.Compiled) bool { return in[c] }}), names
 }

@@ -30,6 +30,7 @@ import (
 	"guardrails/internal/monitor"
 	"guardrails/internal/provenance"
 	"guardrails/internal/spec"
+	"guardrails/internal/spec/deploy"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/spec/modelcheck"
 )
@@ -411,32 +412,30 @@ func (c *Controller) Begin(cs []*compile.Compiled, cfg Config) error {
 	if d.Empty() {
 		return ErrNoChanges
 	}
-	dep := &interfere.Deployment{
+	verdict, names := CheckScoped(d, &deploy.Deployment{
 		Monitors:    cs,
 		Features:    cfg.Features,
+		Properties:  cfg.Properties,
 		HookBudget:  cfg.HookBudget,
 		HookBudgets: cfg.HookBudgets,
-	}
-	scoped, names := Scope(d, dep)
+	})
 	c.nextGen = gen
-	if rep := interfere.Analyze(scoped); !rep.Clean() {
-		c.record(gen, "refused", rep.Summary())
-		c.cur = &rollout{gen: gen, cfg: cfg, cs: cs, diff: d, phase: PhaseFailed,
-			reason: "scoped interference analysis: " + rep.Summary()}
-		return &RefusedError{Report: rep, Scope: names}
-	}
 	// Declared temporal properties gate the whole candidate generation:
 	// a retuned monitor that breaks an "assert always" (or introduces a
 	// SAVE oscillation) is refused here, before shadow, like any other
-	// fail-static condition.
-	if len(cfg.Properties) > 0 {
-		trep := modelcheck.Check(dep, modelcheck.Config{Properties: cfg.Properties})
-		if !trep.Clean() {
-			c.record(gen, "refused", trep.Summary())
-			c.cur = &rollout{gen: gen, cfg: cfg, cs: cs, diff: d, phase: PhaseFailed,
-				reason: "temporal model checking: " + trep.Summary()}
-			return &RefusedError{Report: nil, Temporal: trep, Scope: names}
+	// fail-static condition. An interference warning is reported first;
+	// RefusedError.Temporal is set only when the model checker alone
+	// refused.
+	if !verdict.Clean() {
+		refused := &RefusedError{Report: verdict.Report, Scope: names}
+		summary, reason := verdict.Report.Summary(), "scoped interference analysis: "
+		if verdict.Report.Clean() {
+			refused = &RefusedError{Temporal: verdict.Temporal, Scope: names}
+			summary, reason = verdict.Temporal.Summary(), "temporal model checking: "
 		}
+		c.record(gen, "refused", summary)
+		c.cur = &rollout{gen: gen, cfg: cfg, cs: cs, diff: d, phase: PhaseFailed, reason: reason + summary}
+		return refused
 	}
 
 	st := &rollout{gen: gen, cfg: cfg, cs: cs, diff: d, phase: PhaseAdmitting}

@@ -64,12 +64,32 @@ func Check(f *File) error {
 	return nil
 }
 
+// ParseChecked parses src and checks the result, the front half of
+// every load.
+func ParseChecked(src string) (*File, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := Check(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // FeatureRanges returns the file's declared feature ranges keyed by
 // feature name. Files without declarations return an empty map.
-func FeatureRanges(f *File) map[string]*FeatureDecl {
-	out := make(map[string]*FeatureDecl, len(f.Features))
-	for _, d := range f.Features {
-		out[d.Key] = d
+func FeatureRanges(f *File) map[string]*FeatureDecl { return RangesOf(f.Features) }
+
+// RangesOf keys feature declarations by name. Check rejects a repeat
+// within one file; across the files of a deployment the first
+// declaration wins, for every analysis alike.
+func RangesOf(decls []*FeatureDecl) map[string]*FeatureDecl {
+	out := make(map[string]*FeatureDecl, len(decls))
+	for _, d := range decls {
+		if _, dup := out[d.Key]; !dup {
+			out[d.Key] = d
+		}
 	}
 	return out
 }

@@ -27,7 +27,7 @@
 // Findings are Diagnostics with stable positioned codes (GI001…), the
 // deployment analogue of vet's GV codes. The kernel's admission test
 // (kernel.AdmitDeployment) enforces the budget half at load time;
-// cmd/grailcheck and grailc -interfere surface the rest offline.
+// cmd/grailcheck surfaces the rest offline.
 package interfere
 
 import (
@@ -147,6 +147,15 @@ func (d Diagnostic) String() string {
 	return s
 }
 
+// Grade records the outcome of a witness search: CONFIRMED with the
+// witness found, or PLAUSIBLE (the static claim stands) when w is nil.
+func (d *Diagnostic) Grade(w *vm.Witness) {
+	d.Status, d.Witness = vm.WitnessPlausible, w
+	if w != nil {
+		d.Status = vm.WitnessConfirmed
+	}
+}
+
 // Implicates reports whether the diagnostic names the guardrail as
 // primary or partner.
 func (d Diagnostic) Implicates(name string) bool {
@@ -232,9 +241,12 @@ type Report struct {
 }
 
 // Warnings counts warn-severity diagnostics.
-func (r *Report) Warnings() int {
+func (r *Report) Warnings() int { return Warnings(r.Diagnostics) }
+
+// Warnings counts the warn-severity diagnostics in ds.
+func Warnings(ds []Diagnostic) int {
 	n := 0
-	for _, d := range r.Diagnostics {
+	for _, d := range ds {
 		if d.Severity == Warn {
 			n++
 		}
@@ -269,11 +281,7 @@ func (r *Report) Summary() string {
 // monFacts is the per-monitor certificate bundle the cross-monitor
 // checks consume.
 type monFacts struct {
-	c      *compile.Compiled
-	sites  []string // sorted unique FUNCTION sites
-	timers []*spec.TimerTrigger
-
-	loads map[string]bool // keys the program LOADs
+	c *compile.Compiled
 
 	// saves maps SAVEd keys to their certified value ranges, from the
 	// deployment-refined analysis when it succeeded (baseline
@@ -320,7 +328,7 @@ func Analyze(d *Deployment) *Report {
 	// certificates, which become the producer ranges of pass 2.
 	baseline := make([]*vm.Analysis, len(d.Monitors))
 	for i, c := range d.Monitors {
-		f := newMonFacts(c)
+		f := &monFacts{c: c, saves: map[string]vm.Interval{}}
 		a, err := vm.Analyze(c.Program, vm.NumBuiltinHelpers)
 		if err == nil {
 			baseline[i] = a
@@ -342,12 +350,7 @@ func Analyze(d *Deployment) *Report {
 
 	// Pass 2: refine each monitor under the deployment env (declared
 	// feature ranges + the other monitors' certified SAVE ranges).
-	features := map[string]*spec.FeatureDecl{}
-	for _, fd := range d.Features {
-		if _, dup := features[fd.Key]; !dup {
-			features[fd.Key] = fd
-		}
-	}
+	features := spec.RangesOf(d.Features)
 	for i, f := range facts {
 		if baseline[i] == nil {
 			continue
@@ -397,8 +400,15 @@ func Analyze(d *Deployment) *Report {
 	checkCycles(r, facts)
 	checkBudgets(r, d, facts)
 
-	sort.SliceStable(r.Diagnostics, func(i, j int) bool {
-		a, b := r.Diagnostics[i], r.Diagnostics[j]
+	SortDiagnostics(r.Diagnostics)
+	return r
+}
+
+// SortDiagnostics puts findings in report order: by code, then primary
+// guardrail, then message (stable).
+func SortDiagnostics(ds []Diagnostic) {
+	sort.SliceStable(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
 		if a.Code != b.Code {
 			return a.Code < b.Code
 		}
@@ -407,34 +417,6 @@ func Analyze(d *Deployment) *Report {
 		}
 		return a.Message < b.Message
 	})
-	return r
-}
-
-func newMonFacts(c *compile.Compiled) *monFacts {
-	f := &monFacts{
-		c:     c,
-		loads: map[string]bool{},
-		saves: map[string]vm.Interval{},
-	}
-	siteSet := map[string]bool{}
-	for _, t := range c.Triggers {
-		switch tt := t.(type) {
-		case *spec.FuncTrigger:
-			siteSet[tt.Site] = true
-		case *spec.TimerTrigger:
-			f.timers = append(f.timers, tt)
-		}
-	}
-	for s := range siteSet {
-		f.sites = append(f.sites, s)
-	}
-	sort.Strings(f.sites)
-	for _, in := range c.Program.Code {
-		if in.Op == vm.OpLoad {
-			f.loads[c.Program.Symbols[in.Cell]] = true
-		}
-	}
-	return f
 }
 
 // fillSaves joins a's reachable store certificates into f.saves.
@@ -510,20 +492,20 @@ func deployEnv(c *compile.Compiled, self int, facts []*monFacts, features map[st
 // site) do not co-fire — the conflict checks are per-hook by design.
 func sharedGroups(a, b *monFacts) []string {
 	var groups []string
-	i, j := 0, 0
-	for i < len(a.sites) && j < len(b.sites) {
+	as, bs := a.c.Footprint.Sites, b.c.Footprint.Sites // both sorted
+	for i, j := 0, 0; i < len(as) && j < len(bs); {
 		switch {
-		case a.sites[i] == b.sites[j]:
-			groups = append(groups, a.sites[i])
+		case as[i] == bs[j]:
+			groups = append(groups, as[i])
 			i++
 			j++
-		case a.sites[i] < b.sites[j]:
+		case as[i] < bs[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	if timersCanCoincide(a.timers, b.timers) {
+	if timersCanCoincide(a.c.Footprint.Timers, b.c.Footprint.Timers) {
 		groups = append(groups, "TIMER")
 	}
 	return groups
@@ -732,7 +714,7 @@ func checkCycles(r *Report, facts []*monFacts) {
 				continue
 			}
 			for _, k := range keys {
-				if b.loads[k] {
+				if b.c.Footprint.Reads(k) {
 					if len(edgeKeys[[2]int{i, j}]) == 0 {
 						adj[i] = append(adj[i], j)
 					}
@@ -742,7 +724,7 @@ func checkCycles(r *Report, facts []*monFacts) {
 		}
 	}
 
-	for _, scc := range tarjanSCC(adj) {
+	for _, scc := range SCCs(adj) {
 		if len(scc) < 2 {
 			continue
 		}
@@ -772,9 +754,9 @@ func checkCycles(r *Report, facts []*monFacts) {
 	}
 }
 
-// tarjanSCC returns the strongly connected components of adj,
-// iteratively (no recursion; deployments can be large).
-func tarjanSCC(adj [][]int) [][]int {
+// SCCs returns the strongly connected components of adj (Tarjan,
+// iterative: deployments and explored state graphs can be large).
+func SCCs(adj [][]int) [][]int {
 	n := len(adj)
 	index := make([]int, n)
 	low := make([]int, n)
@@ -851,7 +833,7 @@ func checkBudgets(r *Report, d *Deployment, facts []*monFacts) {
 	firstPos := map[string]spec.Pos{}
 	firstName := map[string]string{}
 	for _, f := range facts {
-		for _, site := range f.sites {
+		for _, site := range f.c.Footprint.Sites {
 			bySite[site] = append(bySite[site], MonitorLoad{Guardrail: f.c.Name, MaxSteps: f.maxSteps})
 			if _, ok := firstPos[site]; !ok {
 				firstPos[site] = f.c.Source.Pos

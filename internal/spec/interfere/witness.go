@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"guardrails/internal/compile"
 	"guardrails/internal/spec"
 	"guardrails/internal/vm"
 )
@@ -52,27 +53,14 @@ func newWitnesser(features map[string]*spec.FeatureDecl, budget int) *witnesser 
 // the feature keys either program LOADs, with candidate values drawn
 // from the declared ranges where they exist.
 func (w *witnesser) jointSpace(a, b *monFacts) ([]string, map[string][]float64) {
-	set := map[string]bool{}
-	for _, k := range vm.LoadedKeys(a.c.Program) {
-		set[k] = true
-	}
-	for _, k := range vm.LoadedKeys(b.c.Program) {
-		set[k] = true
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cands := map[string][]float64{}
-	for _, k := range keys {
-		if fd, ok := w.features[k]; ok {
-			cands[k] = vm.Candidates(vm.RangeInterval(fd.Lo, fd.Hi), true)
-		} else {
-			cands[k] = vm.Candidates(vm.Interval{}, false)
+	keys := append([]string(nil), a.c.Footprint.Loads...)
+	for _, k := range b.c.Footprint.Loads {
+		if !a.c.Footprint.Reads(k) {
+			keys = append(keys, k)
 		}
 	}
-	return keys, cands
+	sort.Strings(keys)
+	return keys, compile.WitnessSpace(keys, w.features)
 }
 
 // findJoint searches for one assignment on which both monitors'
@@ -100,17 +88,14 @@ func (w *witnesser) coFire(d *Diagnostic, a, b *monFacts) {
 	if w == nil {
 		return
 	}
-	assign := w.findJoint(a, b)
-	if assign == nil {
-		d.Status = vm.WitnessPlausible
-		return
+	d.Grade(nil)
+	if assign := w.findJoint(a, b); assign != nil {
+		d.Grade(&vm.Witness{Inputs: assign, Steps: []string{
+			fmt.Sprintf("replayed %s: violation path fires", a.c.Name),
+			fmt.Sprintf("replayed %s: violation path fires", b.c.Name),
+			"one hook dispatch runs both conflicting actions",
+		}})
 	}
-	d.Status = vm.WitnessConfirmed
-	d.Witness = &vm.Witness{Inputs: assign, Steps: []string{
-		fmt.Sprintf("replayed %s: violation path fires", a.c.Name),
-		fmt.Sprintf("replayed %s: violation path fires", b.c.Name),
-		"one hook dispatch runs both conflicting actions",
-	}}
 }
 
 // saveConflict annotates a GI001 finding: CONFIRMED when a joint input
@@ -123,23 +108,21 @@ func (w *witnesser) saveConflict(d *Diagnostic, a, b *monFacts, key string) {
 	if w == nil {
 		return
 	}
+	d.Grade(nil)
 	assign := w.findJoint(a, b)
 	if assign == nil {
-		d.Status = vm.WitnessPlausible
 		return
 	}
 	fAB, okAB := runSequential(a, b, assign, key)
 	fBA, okBA := runSequential(b, a, assign, key)
 	if !okAB || !okBA || fAB == fBA {
-		d.Status = vm.WitnessPlausible
 		return
 	}
-	d.Status = vm.WitnessConfirmed
-	d.Witness = &vm.Witness{Inputs: assign, Steps: []string{
+	d.Grade(&vm.Witness{Inputs: assign, Steps: []string{
 		fmt.Sprintf("dispatch %s then %s: final %s = %g", a.c.Name, b.c.Name, key, fAB),
 		fmt.Sprintf("dispatch %s then %s: final %s = %g", b.c.Name, a.c.Name, key, fBA),
 		"the surviving value depends on dispatch order",
-	}}
+	}})
 }
 
 // runSequential models one hook dispatch ordering: replay first, apply

@@ -106,39 +106,19 @@ type Config struct {
 	WitnessBudget int
 }
 
-func (c Config) maxDepth() int {
-	if c.MaxDepth > 0 {
-		return c.MaxDepth
+// filled returns c with every unset bound at its default.
+func (c Config) filled() Config {
+	def := func(v *int, d int) {
+		if *v <= 0 {
+			*v = d
+		}
 	}
-	return DefaultMaxDepth
-}
-
-func (c Config) maxStates() int {
-	if c.MaxStates > 0 {
-		return c.MaxStates
-	}
-	return DefaultMaxStates
-}
-
-func (c Config) widenAfter() int {
-	if c.WidenAfter > 0 {
-		return c.WidenAfter
-	}
-	return DefaultWidenAfter
-}
-
-func (c Config) maxTicks() int {
-	if c.MaxTicks > 0 {
-		return c.MaxTicks
-	}
-	return DefaultMaxTicks
-}
-
-func (c Config) witnessBudget() int {
-	if c.WitnessBudget > 0 {
-		return c.WitnessBudget
-	}
-	return DefaultWitnessBudget
+	def(&c.MaxDepth, DefaultMaxDepth)
+	def(&c.MaxStates, DefaultMaxStates)
+	def(&c.WidenAfter, DefaultWidenAfter)
+	def(&c.MaxTicks, DefaultMaxTicks)
+	def(&c.WitnessBudget, DefaultWitnessBudget)
+	return c
 }
 
 // Certificate states the exact bounds under which a proof holds. The
@@ -206,15 +186,7 @@ type Report struct {
 }
 
 // Warnings counts Warn-severity diagnostics.
-func (r *Report) Warnings() int {
-	n := 0
-	for _, d := range r.Diagnostics {
-		if d.Severity == interfere.Warn {
-			n++
-		}
-	}
-	return n
-}
+func (r *Report) Warnings() int { return interfere.Warnings(r.Diagnostics) }
 
 // Clean reports no diagnostics and no refuted or inconclusive
 // properties.
@@ -362,25 +334,17 @@ func Check(dep *interfere.Deployment, cfg Config) *Report {
 	diags = append(diags, m.checkOscillation()...)
 
 	if cfg.Witness {
-		concretize(m, diags, cfg.witnessBudget())
+		concretize(m, diags, m.cfg.WitnessBudget)
 	}
 
-	sort.SliceStable(diags, func(i, j int) bool {
-		if diags[i].Code != diags[j].Code {
-			return diags[i].Code < diags[j].Code
-		}
-		if diags[i].Guardrail != diags[j].Guardrail {
-			return diags[i].Guardrail < diags[j].Guardrail
-		}
-		return diags[i].Message < diags[j].Message
-	})
+	interfere.SortDiagnostics(diags)
 	rep.Diagnostics = diags
 	return rep
 }
 
 // buildModel derives the abstract transition system from a deployment.
 func buildModel(dep *interfere.Deployment, cfg Config) *model {
-	m := &model{cfg: cfg, keyIdx: map[string]int{}, index: map[string]int{}, widened: map[int]bool{}}
+	m := &model{cfg: cfg.filled(), keyIdx: map[string]int{}, index: map[string]int{}, widened: map[int]bool{}}
 
 	shadow := map[string]bool{}
 	for _, s := range cfg.Shadow {
@@ -398,21 +362,17 @@ func buildModel(dep *interfere.Deployment, cfg Config) *model {
 	keySet := map[string]bool{}
 	writtenSet := map[string]bool{}
 	for _, c := range m.mons {
-		for _, in := range c.Program.Code {
-			switch in.Op {
-			case vm.OpLoad:
-				keySet[c.Program.Symbols[in.Cell]] = true
-			case vm.OpStore:
-				key := c.Program.Symbols[in.Cell]
-				keySet[key] = true
-				writtenSet[key] = true
-			}
+		for _, key := range c.Footprint.Loads {
+			keySet[key] = true
+		}
+		for _, key := range c.Footprint.Stores {
+			keySet[key] = true
+			writtenSet[key] = true
 		}
 	}
-	declByKey := map[string]*spec.FeatureDecl{}
-	for _, fd := range dep.Features {
-		keySet[fd.Key] = true
-		declByKey[fd.Key] = fd
+	declByKey := spec.RangesOf(dep.Features)
+	for key := range declByKey {
+		keySet[key] = true
 	}
 	for _, p := range cfg.Properties {
 		for _, k := range spec.ExprKeys(p.Pred) {
@@ -456,17 +416,11 @@ func (m *model) buildGroups() {
 	}
 	var timers []timerRef
 	for i, c := range m.mons {
-		sites := map[string]bool{}
-		for _, t := range c.Triggers {
-			switch tt := t.(type) {
-			case *spec.FuncTrigger:
-				if !sites[tt.Site] {
-					sites[tt.Site] = true
-					hookMons[tt.Site] = append(hookMons[tt.Site], i)
-				}
-			case *spec.TimerTrigger:
-				timers = append(timers, timerRef{mon: i, timer: tt})
-			}
+		for _, site := range c.Footprint.Sites {
+			hookMons[site] = append(hookMons[site], i)
+		}
+		for _, tt := range c.Footprint.Timers {
+			timers = append(timers, timerRef{mon: i, timer: tt})
 		}
 	}
 
@@ -486,7 +440,7 @@ func (m *model) buildGroups() {
 	for i, tr := range timers {
 		specs[i] = tr.timer
 	}
-	ticks, hyper, ok := interfere.TimerTicks(specs, m.cfg.maxTicks())
+	ticks, hyper, ok := interfere.TimerTicks(specs, m.cfg.MaxTicks)
 	if !ok {
 		// Conservative fallback: each timer fires alone, in an
 		// unknown order — one singleton transition per timer.
@@ -588,14 +542,8 @@ func (m *model) apply(g group, vals []vm.Interval) ([]vm.Interval, []write) {
 		if a == nil {
 			// No analysis at all: weak-join Top into every key the
 			// program can store, the only sound effect left.
-			for _, in := range c.Program.Code {
-				if in.Op != vm.OpStore {
-					continue
-				}
-				ki, ok := m.keyIdx[c.Program.Symbols[in.Cell]]
-				if !ok {
-					continue
-				}
+			for _, key := range c.Footprint.Stores {
+				ki := m.keyIdx[key]
 				next[ki] = next[ki].Join(vm.TopInterval())
 				writes = append(writes, write{mon: mi, key: ki, val: vm.TopInterval()})
 			}
@@ -645,7 +593,7 @@ func (m *model) widenKey(ki int, nv vm.Interval) vm.Interval {
 	if _, ok := m.seen[ki][nv]; ok {
 		return nv
 	}
-	if len(m.seen[ki]) >= m.cfg.widenAfter() {
+	if len(m.seen[ki]) >= m.cfg.WidenAfter {
 		w := m.accum[ki].Widen(nv)
 		m.widened[ki] = true
 		m.accum[ki] = w
@@ -678,7 +626,7 @@ func (m *model) explore() {
 		if n.depth > m.maxDepth {
 			m.maxDepth = n.depth
 		}
-		if n.depth >= m.cfg.maxDepth() {
+		if n.depth >= m.cfg.MaxDepth {
 			m.truncate("depth bound")
 			continue
 		}
@@ -690,7 +638,7 @@ func (m *model) explore() {
 				m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})
 				continue
 			}
-			if len(m.nodes) >= m.cfg.maxStates() {
+			if len(m.nodes) >= m.cfg.MaxStates {
 				m.truncate("state bound")
 				continue
 			}

@@ -321,3 +321,24 @@ func findCode(t *testing.T, rep *Report, code string) interfere.Diagnostic {
 	t.Fatalf("no %s in %+v", code, rep.Diagnostics)
 	return interfere.Diagnostic{}
 }
+
+// TestFirstFeatureDeclarationWins: when two files of a deployment
+// declare the same feature, the model checker reads the first range,
+// the rule interfere.Analyze and deploy.Deployment.Features state. (It
+// used to read the last, so the two analyses judged one deployment
+// under different input ranges.)
+func TestFirstFeatureDeclarationWins(t *testing.T) {
+	dep := deployment(t, `
+feature load range(0, 1)
+
+guardrail shed {
+    trigger: { TIMER(0, 1000) },
+    rule: { LOAD(load) <= 1 },
+    action: { SAVE(shedding, 1) }
+}`)
+	dep.Features = append(dep.Features, &spec.FeatureDecl{Key: "load", Lo: 5, Hi: 9})
+	rep := Check(dep, Config{Properties: props(t, "always LOAD(load) <= 1")})
+	if len(rep.Properties) != 1 || rep.Properties[0].Status != StatusProved {
+		t.Fatalf("property judged under the later declaration's range: %+v", rep.Properties)
+	}
+}

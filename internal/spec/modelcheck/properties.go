@@ -43,10 +43,7 @@ func compilePred(pred spec.Expr) (*vm.Program, error) {
 		Rules:    []spec.Expr{pred},
 		Actions:  []spec.Action{&spec.ReportAction{}},
 	}
-	c, err := compile.GuardrailWith(g, compile.Options{Level: 1})
-	if err != nil {
-		c, err = compile.GuardrailWith(g, compile.Options{Level: 0})
-	}
+	c, err := compile.Guardrail(g)
 	if err != nil {
 		return nil, err
 	}
@@ -558,71 +555,18 @@ func (m *model) sccPath(u, v int, inComp map[int]bool) []int {
 	return rev
 }
 
-// sccsOf computes strongly connected components of the explored graph
-// (iterative Tarjan), returned in a deterministic order with members
-// ascending.
+// sccsOf computes strongly connected components of the explored graph,
+// returned in a deterministic order with members ascending.
 func sccsOf(adj [][]edge) [][]int {
-	n := len(adj)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var out [][]int
-	next := 0
-
-	type frame struct {
-		v, ei int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
+	succ := make([][]int, len(adj))
+	for u, es := range adj {
+		for _, e := range es {
+			succ[u] = append(succ[u], e.to)
 		}
-		frames := []frame{{v: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei].to
-				f.ei++
-				if index[w] == -1 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			if low[f.v] == index[f.v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.v {
-						break
-					}
-				}
-				sort.Ints(comp)
-				out = append(out, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-			}
-		}
+	}
+	out := interfere.SCCs(succ)
+	for _, comp := range out {
+		sort.Ints(comp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out

@@ -3,7 +3,10 @@ package modelcheck
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"guardrails/internal/compile"
+	"guardrails/internal/spec"
 	"guardrails/internal/spec/interfere"
 	"guardrails/internal/vm"
 )
@@ -27,14 +30,7 @@ func concretize(m *model, diags []interfere.Diagnostic, budget int) {
 		if i >= len(m.plans) || m.plans[i] == nil {
 			continue
 		}
-		plan := m.plans[i]
-		w := m.searchWitness(plan, budget)
-		if w != nil {
-			diags[i].Status = vm.WitnessConfirmed
-			diags[i].Witness = w
-		} else {
-			diags[i].Status = vm.WitnessPlausible
-		}
+		diags[i].Grade(m.searchWitness(m.plans[i], budget))
 	}
 }
 
@@ -46,25 +42,23 @@ func (m *model) searchWitness(plan *witnessPlan, budget int) *vm.Witness {
 	// interval's candidate values; undeclared-unwritten keys (pure
 	// environment inputs) over generic seeds. Written-undeclared keys
 	// are pinned to the store default 0.
-	var keys []string
-	cands := map[string][]float64{}
+	var keys []string // m.keys is sorted, so keys is too
+	features := map[string]*spec.FeatureDecl{}
 	base := map[string]float64{}
 	for i, k := range m.keys {
 		switch {
 		case m.declared[i] != nil:
 			keys = append(keys, k)
-			cands[k] = vm.Candidates(vm.RangeInterval(m.declared[i].Lo, m.declared[i].Hi), true)
+			features[k] = m.declared[i]
 		case !m.written[i]:
 			keys = append(keys, k)
-			cands[k] = vm.Candidates(vm.Interval{}, false)
 		default:
 			base[k] = 0
 		}
 	}
-	sort.Strings(keys)
 
 	var found *vm.Witness
-	vm.EnumAssignments(keys, cands, budget, func(assign map[string]float64) bool {
+	vm.EnumAssignments(keys, compile.WitnessSpace(keys, features), budget, func(assign map[string]float64) bool {
 		env := vm.CopyAssign(base)
 		for k, v := range assign {
 			env[k] = v
@@ -88,7 +82,7 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 
 	switch plan.code {
 	case CodeSafety:
-		if !m.replayGroups(plan.prefix, env, &steps, nil) {
+		if !m.replayGroups(plan.prefix, env, &steps, nil, nil) {
 			return nil
 		}
 		if !m.predFalse(plan.prog, env) {
@@ -107,7 +101,7 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 				allFalse = false
 			}
 		}
-		if !m.replayGroups(plan.prefix, env, &steps, check) || !allFalse {
+		if !m.replayGroups(plan.prefix, env, &steps, check, nil) || !allFalse {
 			return nil
 		}
 		if len(plan.cycle) == 0 {
@@ -120,7 +114,7 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 		// concrete store with the predicate false throughout — then
 		// the schedule extends to any bound.
 		entry := vm.CopyAssign(env)
-		if !m.replayGroups(plan.cycle, env, &steps, check) || !allFalse {
+		if !m.replayGroups(plan.cycle, env, &steps, check, nil) || !allFalse {
 			return nil
 		}
 		if !sameAssign(entry, env) {
@@ -130,7 +124,7 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 		return &vm.Witness{Steps: steps}
 
 	case CodeOscillation:
-		if !m.replayGroups(plan.prefix, env, &steps, nil) {
+		if !m.replayGroups(plan.prefix, env, &steps, nil, nil) {
 			return nil
 		}
 		entry := vm.CopyAssign(env)
@@ -140,7 +134,7 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 				written[val] = true
 			}
 		}
-		if !m.replayGroupsObserved(plan.cycle, env, &steps, observe) {
+		if !m.replayGroups(plan.cycle, env, &steps, nil, observe) {
 			return nil
 		}
 		if len(written) < 2 || !sameAssign(entry, env) {
@@ -157,24 +151,12 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 	return nil
 }
 
-// replayGroups replays a group sequence on env, narrating into steps.
-// after (when non-nil) observes the store after each step. Returns
-// false on any interpreter trap.
-func (m *model) replayGroups(groups []int, env map[string]float64, steps *[]string, after func(map[string]float64)) bool {
-	return m.replayWith(groups, env, steps, after, nil)
-}
-
-// replayGroupsObserved replays a group sequence with a per-write
-// observer.
-func (m *model) replayGroupsObserved(groups []int, env map[string]float64, steps *[]string, observe func(string, float64)) bool {
-	return m.replayWith(groups, env, steps, nil, observe)
-}
-
-// replayWith is the common driver: run each group's monitors in
-// deployment order, applying fired monitors' stores; observe (when
-// non-nil) sees each store write, after (when non-nil) sees the store
-// after each group.
-func (m *model) replayWith(groups []int, env map[string]float64, steps *[]string, after func(map[string]float64), observe func(string, float64)) bool {
+// replayGroups replays a group sequence on env, narrating into steps:
+// each group's monitors run in deployment order, fired monitors' stores
+// applied as they go. observe (when non-nil) sees each store write,
+// after (when non-nil) the store after each group. Returns false on any
+// interpreter trap.
+func (m *model) replayGroups(groups []int, env map[string]float64, steps *[]string, after func(map[string]float64), observe func(string, float64)) bool {
 	for _, gi := range groups {
 		g := m.groups[gi]
 		var acts []string
@@ -201,20 +183,12 @@ func (m *model) replayWith(groups []int, env map[string]float64, steps *[]string
 		if len(acts) == 0 {
 			acts = append(acts, "no monitor fires")
 		}
-		*steps = append(*steps, fmt.Sprintf("[%s] %s", g.label, joinActs(acts)))
+		*steps = append(*steps, fmt.Sprintf("[%s] %s", g.label, strings.Join(acts, "; ")))
 		if after != nil {
 			after(env)
 		}
 	}
 	return true
-}
-
-func joinActs(acts []string) string {
-	s := acts[0]
-	for _, a := range acts[1:] {
-		s += "; " + a
-	}
-	return s
 }
 
 // predFalse replays a compiled predicate against a concrete store:

@@ -145,33 +145,42 @@ func CheckProperty(d *PropertyDecl) error {
 	return nil
 }
 
+// WalkExpr calls visit on e and every sub-expression, parents first,
+// left to right.
+func WalkExpr(e Expr, visit func(Expr)) {
+	if e == nil {
+		return
+	}
+	visit(e)
+	switch n := e.(type) {
+	case *UnaryExpr:
+		WalkExpr(n.X, visit)
+	case *BinaryExpr:
+		WalkExpr(n.X, visit)
+		WalkExpr(n.Y, visit)
+	case *CallExpr:
+		for _, a := range n.Args {
+			WalkExpr(a, visit)
+		}
+	}
+}
+
 // ExprKeys returns the sorted feature-store keys an expression reads
 // (LOAD(k) and bare identifiers alike).
 func ExprKeys(e Expr) []string {
 	set := map[string]bool{}
-	exprKeysInto(e, set)
+	WalkExpr(e, func(e Expr) {
+		switch n := e.(type) {
+		case *LoadExpr:
+			set[n.Key] = true
+		case *IdentExpr:
+			set[n.Name] = true
+		}
+	})
 	keys := make([]string, 0, len(set))
 	for k := range set {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func exprKeysInto(e Expr, set map[string]bool) {
-	switch n := e.(type) {
-	case *LoadExpr:
-		set[n.Key] = true
-	case *IdentExpr:
-		set[n.Name] = true
-	case *UnaryExpr:
-		exprKeysInto(n.X, set)
-	case *BinaryExpr:
-		exprKeysInto(n.X, set)
-		exprKeysInto(n.Y, set)
-	case *CallExpr:
-		for _, a := range n.Args {
-			exprKeysInto(a, set)
-		}
-	}
 }

@@ -28,29 +28,24 @@ import (
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
-	"guardrails/internal/vm"
+	"guardrails/internal/spec/interfere"
 )
 
-// Severity grades a diagnostic.
-type Severity int
+// The linter's findings share the type, and so the rendering, of the
+// deployment analyzer's GI and the model checker's GM findings. Warn
+// flags a construct that is very likely a spec bug — a spec "lints
+// clean" when it produces no Warn diagnostic; Info flags a convention
+// worth a look.
+type (
+	Diagnostic = interfere.Diagnostic
+	Severity   = interfere.Severity
+)
 
 // Severities.
 const (
-	// Info flags a convention worth a look; clean specs may carry Info
-	// diagnostics.
-	Info Severity = iota
-	// Warn flags a construct that is very likely a spec bug. A spec
-	// "lints clean" when it produces zero Warn diagnostics.
-	Warn
+	Info = interfere.Info
+	Warn = interfere.Warn
 )
-
-// String names the severity.
-func (s Severity) String() string {
-	if s == Warn {
-		return "warning"
-	}
-	return "info"
-}
 
 // Diagnostic codes.
 const (
@@ -66,42 +61,6 @@ const (
 	CodeThresholdRange  = "GV010" // constant threshold outside the feature's declared range
 	CodeUnknownGlobal   = "GV011" // LOAD of a *_global key with no registered aggregate
 )
-
-// Diagnostic is one linter finding.
-type Diagnostic struct {
-	// Code is the stable diagnostic code (GV001…).
-	Code string
-	// Severity grades the finding.
-	Severity Severity
-	// Pos is the source position of the offending construct.
-	Pos spec.Pos
-	// Guardrail names the guardrail the finding is in.
-	Guardrail string
-	// Message explains the finding.
-	Message string
-	// Status, when witness synthesis ran (Witnesses), grades the finding
-	// CONFIRMED (a concrete replay reproduces the violation) or
-	// PLAUSIBLE (no counterexample found within the search bounds; the
-	// static claim stands). Empty when synthesis was not attempted.
-	Status vm.WitnessStatus
-	// Witness is the replayable counterexample backing a CONFIRMED
-	// status.
-	Witness *vm.Witness
-}
-
-// String renders "line:col: severity: [CODE] (guardrail) message",
-// followed by the witness verdict when synthesis ran.
-func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s: %s: [%s] guardrail %s: %s",
-		d.Pos, d.Severity, d.Code, d.Guardrail, d.Message)
-	switch d.Status {
-	case vm.WitnessConfirmed:
-		s += fmt.Sprintf(" [CONFIRMED: %s]", d.Witness)
-	case vm.WitnessPlausible:
-		s += " [PLAUSIBLE: no witness within search bounds]"
-	}
-	return s
-}
 
 // Config carries deployment context the spec file alone cannot provide.
 type Config struct {
@@ -128,13 +87,13 @@ func FileConfig(f *spec.File, cfg *Config) []Diagnostic {
 	loaded := map[string]bool{}
 	for _, g := range f.Guardrails {
 		for _, r := range g.Rules {
-			for k := range loadedKeys(r) {
+			for _, k := range spec.ExprKeys(r) {
 				loaded[k] = true
 			}
 		}
 		for _, a := range g.Actions {
 			for _, e := range actionExprs(a) {
-				for k := range loadedKeys(e) {
+				for _, k := range spec.ExprKeys(e) {
 					loaded[k] = true
 				}
 			}
@@ -178,11 +137,11 @@ func lintGlobalLoads(g *spec.Guardrail, aggregates []string) []Diagnostic {
 			Message: fmt.Sprintf("LOAD(%s) reads a cross-shard aggregate the deployment never registers: no aggregation step writes this cell, so it is always 0", key)})
 	}
 	for _, r := range g.Rules {
-		walkExprs(r, check)
+		spec.WalkExpr(r, check)
 	}
 	for _, a := range g.Actions {
 		for _, e := range actionExprs(a) {
-			walkExprs(e, check)
+			spec.WalkExpr(e, check)
 		}
 	}
 	return ds
@@ -194,7 +153,7 @@ func lintGlobalLoads(g *spec.Guardrail, aggregates []string) []Diagnostic {
 func Guardrail(g *spec.Guardrail) []Diagnostic {
 	loaded := map[string]bool{}
 	for _, r := range g.Rules {
-		for k := range loadedKeys(r) {
+		for _, k := range spec.ExprKeys(r) {
 			loaded[k] = true
 		}
 	}
@@ -245,7 +204,7 @@ func lintGuardrail(g *spec.Guardrail, fileLoaded map[string]bool, features map[s
 		} else {
 			seen[s] = r.ExprPos()
 		}
-		walkExprs(r, func(e spec.Expr) {
+		spec.WalkExpr(r, func(e spec.Expr) {
 			checkTautologicalCmp(e, emit)
 			checkConstZeroDiv(e, emit)
 		})
@@ -260,13 +219,13 @@ func lintGuardrail(g *spec.Guardrail, fileLoaded map[string]bool, features map[s
 	saved := map[string]spec.Pos{}
 	ownLoads := map[string]bool{}
 	for _, r := range g.Rules {
-		for k := range loadedKeys(r) {
+		for _, k := range spec.ExprKeys(r) {
 			ownLoads[k] = true
 		}
 	}
 	for _, a := range g.Actions {
 		for _, e := range actionExprs(a) {
-			walkExprs(e, func(e spec.Expr) {
+			spec.WalkExpr(e, func(e spec.Expr) {
 				checkConstZeroDiv(e, emit)
 			})
 		}
@@ -449,17 +408,6 @@ func loadKey(e spec.Expr) (string, bool) {
 	return "", false
 }
 
-// loadedKeys collects every feature key an expression reads.
-func loadedKeys(e spec.Expr) map[string]bool {
-	keys := map[string]bool{}
-	walkExprs(e, func(e spec.Expr) {
-		if k, ok := loadKey(e); ok {
-			keys[k] = true
-		}
-	})
-	return keys
-}
-
 // actionExprs returns the expression operands embedded in an action.
 func actionExprs(a spec.Action) []spec.Expr {
 	switch n := a.(type) {
@@ -475,48 +423,8 @@ func actionExprs(a spec.Action) []spec.Expr {
 	return nil
 }
 
-func walkExprs(e spec.Expr, visit func(spec.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch n := e.(type) {
-	case *spec.UnaryExpr:
-		walkExprs(n.X, visit)
-	case *spec.BinaryExpr:
-		walkExprs(n.X, visit)
-		walkExprs(n.Y, visit)
-	case *spec.CallExpr:
-		for _, a := range n.Args {
-			walkExprs(a, visit)
-		}
-	}
-}
-
 // Summary renders a one-line count of findings by severity, e.g.
 // "2 warnings, 1 info".
 func Summary(ds []Diagnostic) string {
-	var warns, infos int
-	for _, d := range ds {
-		if d.Severity == Warn {
-			warns++
-		} else {
-			infos++
-		}
-	}
-	var parts []string
-	if warns > 0 {
-		s := "s"
-		if warns == 1 {
-			s = ""
-		}
-		parts = append(parts, fmt.Sprintf("%d warning%s", warns, s))
-	}
-	if infos > 0 {
-		parts = append(parts, fmt.Sprintf("%d info", infos))
-	}
-	if len(parts) == 0 {
-		return "no findings"
-	}
-	return strings.Join(parts, ", ")
+	return (&interfere.Report{Diagnostics: ds}).Summary()
 }

@@ -45,38 +45,22 @@ func Witnesses(f *spec.File, ds []Diagnostic, budget int) []Diagnostic {
 	for _, g := range f.Guardrails {
 		byName[g.Name] = g
 	}
-	progs := map[string]*vm.Program{}
+	compiled := map[string]*compile.Compiled{}
 	for i := range ds {
 		d := &ds[i]
 		if !witnessable(d.Code) {
 			continue
 		}
-		p, cached := progs[d.Guardrail]
-		if !cached {
-			if g := byName[d.Guardrail]; g != nil {
-				// Prefer the optimized program (what deploys), but fall
-				// back to -O0: constant-heavy degenerate specs — the very
-				// ones these lints flag — sometimes only lower one way.
-				for _, level := range []int{1, 0} {
-					if c, err := compile.GuardrailWith(g, compile.Options{Level: level}); err == nil {
-						p = c.Program
-						break
-					}
-				}
-			}
-			progs[d.Guardrail] = p
+		c, cached := compiled[d.Guardrail]
+		if g := byName[d.Guardrail]; !cached && g != nil {
+			c, _ = compile.Guardrail(g) // nil when it does not compile
+			compiled[d.Guardrail] = c
 		}
-		if p == nil {
-			// The guardrail does not compile in isolation (e.g. it also
-			// fails verification); the static finding stands unreplayed.
-			d.Status = vm.WitnessPlausible
-			continue
-		}
-		if w := synthesize(p, features, budget); w != nil {
-			d.Status = vm.WitnessConfirmed
-			d.Witness = w
-		} else {
-			d.Status = vm.WitnessPlausible
+		// A guardrail that does not compile in isolation (e.g. it also
+		// fails verification) leaves the static finding unreplayed.
+		d.Grade(nil)
+		if c != nil {
+			d.Grade(synthesize(c, features, budget))
 		}
 	}
 	return ds
@@ -84,19 +68,11 @@ func Witnesses(f *spec.File, ds []Diagnostic, budget int) []Diagnostic {
 
 // synthesize searches for one assignment whose replay violates the
 // program's rule conjunction, returning the witness or nil.
-func synthesize(p *vm.Program, features map[string]*spec.FeatureDecl, budget int) *vm.Witness {
-	keys := vm.LoadedKeys(p)
-	cands := map[string][]float64{}
-	for _, k := range keys {
-		if fd, ok := features[k]; ok {
-			cands[k] = vm.Candidates(vm.RangeInterval(fd.Lo, fd.Hi), true)
-		} else {
-			cands[k] = vm.Candidates(vm.Interval{}, false)
-		}
-	}
+func synthesize(c *compile.Compiled, features map[string]*spec.FeatureDecl, budget int) *vm.Witness {
+	keys := c.Footprint.Loads
 	var found *vm.Witness
-	vm.EnumAssignments(keys, cands, budget, func(assign map[string]float64) bool {
-		rec := vm.ReplayProgram(p, assign, 0, 0)
+	vm.EnumAssignments(keys, compile.WitnessSpace(keys, features), budget, func(assign map[string]float64) bool {
+		rec := vm.ReplayProgram(c.Program, assign, 0, 0)
 		if !rec.Violated {
 			return false
 		}

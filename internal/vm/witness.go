@@ -267,10 +267,15 @@ func CopyAssign(a map[string]float64) map[string]float64 {
 }
 
 // LoadedKeys lists the feature keys p LOADs, sorted.
-func LoadedKeys(p *Program) []string {
+func LoadedKeys(p *Program) []string { return cellKeys(p, OpLoad) }
+
+// StoredKeys lists the feature keys p STOREs, sorted.
+func StoredKeys(p *Program) []string { return cellKeys(p, OpStore) }
+
+func cellKeys(p *Program, op Op) []string {
 	set := map[string]bool{}
 	for _, in := range p.Code {
-		if in.Op == OpLoad && int(in.Cell) < len(p.Symbols) {
+		if in.Op == op && in.Cell >= 0 && int(in.Cell) < len(p.Symbols) {
 			set[p.Symbols[in.Cell]] = true
 		}
 	}
