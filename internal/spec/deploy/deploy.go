@@ -195,16 +195,18 @@ func (d *Deployment) Check(c Checks) *Verdict {
 		HookBudget: d.HookBudget, HookBudgets: d.HookBudgets, Shards: d.Shards,
 		Witness: c.Witness, WitnessBudget: c.WitnessBudget,
 	}
-	scoped := *whole
+	scoped := whole // unscoped, both checks share the value and so its memoized analyses
 	if c.Scope != nil {
-		scoped.Monitors = nil
+		cp := *whole
+		cp.Monitors = nil
+		scoped = &cp
 		for _, m := range d.Monitors {
 			if c.Scope(m) {
 				scoped.Monitors = append(scoped.Monitors, m)
 			}
 		}
 	}
-	v := &Verdict{Report: interfere.Analyze(&scoped)}
+	v := &Verdict{Report: interfere.Analyze(scoped)}
 	if c.Sweep || len(d.Properties) > 0 {
 		v.Temporal = modelcheck.Check(whole, modelcheck.Config{
 			Properties: d.Properties, Shadow: d.Shadow,
@@ -213,11 +215,7 @@ func (d *Deployment) Check(c Checks) *Verdict {
 	}
 	if d.Aggregates != nil {
 		for _, f := range d.Files {
-			for _, ld := range vet.FileConfig(f.AST, &vet.Config{Aggregates: d.Aggregates}) {
-				if ld.Code == vet.CodeUnknownGlobal {
-					v.Report.Diagnostics = append(v.Report.Diagnostics, ld)
-				}
-			}
+			v.Report.Diagnostics = append(v.Report.Diagnostics, vet.UnknownGlobals(f.AST, d.Aggregates)...)
 		}
 	}
 	return v

@@ -31,8 +31,11 @@
 package interfere
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"guardrails/internal/compile"
@@ -198,7 +201,62 @@ type Deployment struct {
 	// WitnessBudget bounds the assignment enumeration per finding
 	// (0 = DefaultWitnessBudget).
 	WitnessBudget int
+
+	// memo holds vm.AnalyzeWith's results for this deployment, keyed by
+	// the program and the env's answer at each of its LOADs: all that the
+	// analyzer reads of its CellEnv (loadVal; pinned by
+	// vm.TestAnalyzeWithDependsOnlyOnLoadedCells). Unbounded, because its
+	// callers' own bounds (monitors, MaxStates × monitors) already bound it.
+	memo    map[analysisIn]analysis
+	memoKey []byte // scratch for analysisIn.loads
 }
+
+type analysisIn struct {
+	p     *vm.Program
+	loads string
+}
+
+type analysis struct {
+	a   *vm.Analysis
+	err error
+}
+
+// Analysis is vm.AnalyzeWith(p, vm.NumBuiltinHelpers, env), performed
+// once per distinct answer of env on the cells p LOADs. Every deployment
+// check analyzes through here, so Analyze and a following
+// modelcheck.Check of one value share results. Do not modify the result.
+func (d *Deployment) Analysis(p *vm.Program, env vm.CellEnv) (*vm.Analysis, error) {
+	key := d.memoKey[:0]
+	for _, in := range p.Code {
+		if in.Op != vm.OpLoad {
+			continue
+		}
+		// No certificate is the zero Interval: both analyze as top.
+		var iv vm.Interval
+		if env != nil {
+			if v, ok := env(in.Cell); ok {
+				iv = v
+			}
+		}
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(iv.Lo))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(iv.Hi))
+		key = strconv.AppendBool(strconv.AppendBool(key, iv.Num), iv.NaN)
+	}
+	d.memoKey = key
+	r, hit := d.memo[analysisIn{p, string(key)}]
+	if !hit {
+		if d.memo == nil {
+			d.memo = map[analysisIn]analysis{}
+		}
+		r.a, r.err = vm.AnalyzeWith(p, vm.NumBuiltinHelpers, env)
+		d.memo[analysisIn{p, string(key)}] = r
+	}
+	return r.a, r.err
+}
+
+// Analyses counts the abstract interpretations performed so far: one per
+// memo entry.
+func (d *Deployment) Analyses() int { return len(d.memo) }
 
 // budgetFor resolves the budget for one hook site (0 = unlimited).
 func (d *Deployment) budgetFor(site string) int {
@@ -301,8 +359,8 @@ type monFacts struct {
 }
 
 // Analyze runs every deployment-level check and returns the report.
-// The input is not mutated. Diagnostics are ordered by code, then
-// primary guardrail, then message.
+// The input's declared fields are not mutated. Diagnostics are ordered
+// by code, then primary guardrail, then message.
 func Analyze(d *Deployment) *Report {
 	r := &Report{}
 	facts := make([]*monFacts, 0, len(d.Monitors))
@@ -329,7 +387,7 @@ func Analyze(d *Deployment) *Report {
 	baseline := make([]*vm.Analysis, len(d.Monitors))
 	for i, c := range d.Monitors {
 		f := &monFacts{c: c, saves: map[string]vm.Interval{}}
-		a, err := vm.Analyze(c.Program, vm.NumBuiltinHelpers)
+		a, err := d.Analysis(c.Program, nil)
 		if err == nil {
 			baseline[i] = a
 			f.maxSteps = a.MaxSteps
@@ -351,15 +409,21 @@ func Analyze(d *Deployment) *Report {
 	// Pass 2: refine each monitor under the deployment env (declared
 	// feature ranges + the other monitors' certified SAVE ranges).
 	features := spec.RangesOf(d.Features)
+	savers := map[string][]int{} // key → the monitors with a certified SAVE of it, ascending
+	for i, f := range facts {
+		for key := range f.saves {
+			savers[key] = append(savers[key], i)
+		}
+	}
 	for i, f := range facts {
 		if baseline[i] == nil {
 			continue
 		}
-		env, ranged := deployEnv(f.c, i, facts, features)
+		env, ranged := deployEnv(f.c, i, facts, savers, features)
 		if len(ranged) == 0 {
 			continue // open-world facts are already exact
 		}
-		a, err := vm.AnalyzeWith(f.c.Program, vm.NumBuiltinHelpers, env)
+		a, err := d.Analysis(f.c.Program, env)
 		if err != nil {
 			f.refinedErr = err
 			f.rangedKeys = ranged
@@ -447,7 +511,7 @@ func (f *monFacts) savePos(key string) spec.Pos {
 // sorted list of keys it constrains (empty = nothing to refine). A
 // monitor's own SAVEs never constrain its own LOADs — self-feedback is
 // vet's GV006, not a certificate.
-func deployEnv(c *compile.Compiled, self int, facts []*monFacts, features map[string]*spec.FeatureDecl) (vm.CellEnv, []string) {
+func deployEnv(c *compile.Compiled, self int, facts []*monFacts, savers map[string][]int, features map[string]*spec.FeatureDecl) (vm.CellEnv, []string) {
 	byCell := map[int32]vm.Interval{}
 	var ranged []string
 	for cell, key := range c.Program.Symbols {
@@ -458,11 +522,12 @@ func deployEnv(c *compile.Compiled, self int, facts []*monFacts, features map[st
 		}
 		var acc vm.Interval
 		found := false
-		for j, p := range facts {
+		for _, j := range savers[key] {
 			if j == self {
 				continue
 			}
-			if iv, ok := p.saves[key]; ok {
+			// Read live: pass 2 has refined the monitors before self.
+			if iv, ok := facts[j].saves[key]; ok {
 				if !found {
 					acc, found = iv, true
 				} else {

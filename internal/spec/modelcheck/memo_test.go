@@ -1,0 +1,318 @@
+package modelcheck
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"guardrails/internal/compile"
+	"guardrails/internal/spec"
+	"guardrails/internal/spec/interfere"
+	"guardrails/internal/vm"
+)
+
+// The checker has one analysis path, the deployment's memo
+// (interfere.Deployment.Analysis). These tests are its differential: the
+// un-memoized reference is vm.AnalyzeWith called by the test itself.
+
+// ladderSrc is the escalation ladder plus n background guardrails, each
+// reading one key nothing writes — the shape of a large rule set, where
+// almost every monitor's analysis is the same in every state.
+func ladderSrc(n int) string {
+	var b strings.Builder
+	b.WriteString(escalationSrc)
+	for i := 0; i < n; i++ {
+		trigger := "TIMER(0, 1000)"
+		if i%2 == 1 {
+			trigger = fmt.Sprintf("FUNCTION(hook_%d)", i%6)
+		}
+		fmt.Fprintf(&b, `
+guardrail watch%d {
+    trigger: { %s },
+    rule: { LOAD(bg_%d) <= %d },
+    action: { REPORT(LOAD(bg_%d)) }
+}`, i, trigger, i, 10+i, i)
+	}
+	return b.String()
+}
+
+// Safety only: a background hook firing does not advance the ladder.
+var ladderProps = []string{"always LOAD(quarantined) <= 1", "always LOAD(alert_level) <= 1"}
+
+// testdataDeployments loads every deployment checked in under
+// cmd/grailcheck/testdata: each spec file alone, and each manifest's
+// file set with its properties and shadow list.
+func testdataDeployments(t *testing.T) map[string]func(*testing.T) (*interfere.Deployment, Config) {
+	t.Helper()
+	dir := filepath.Join("..", "..", "..", "cmd", "grailcheck", "testdata")
+	read := func(name string) string {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	out := map[string]func(*testing.T) (*interfere.Deployment, Config){}
+	specs, _ := filepath.Glob(filepath.Join(dir, "*.grail"))
+	manifests, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(specs) == 0 || len(manifests) == 0 {
+		t.Fatal("no testdata deployments found")
+	}
+	load := func(names []string, properties, shadow []string) func(*testing.T) (*interfere.Deployment, Config) {
+		return func(t *testing.T) (*interfere.Deployment, Config) {
+			dep := &interfere.Deployment{}
+			cfg := Config{Properties: props(t, properties...), Shadow: shadow}
+			for _, name := range names {
+				f, err := spec.ParseChecked(read(name))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cs, err := compile.File(f)
+				if err != nil {
+					t.Skipf("%s is lint-only testdata: %v", name, err)
+				}
+				dep.Monitors = append(dep.Monitors, cs...)
+				dep.Features = append(dep.Features, f.Features...)
+				cfg.Properties = append(cfg.Properties, f.Properties...)
+			}
+			return dep, cfg
+		}
+	}
+	for _, path := range specs {
+		out[filepath.Base(path)] = load([]string{filepath.Base(path)}, nil, nil)
+	}
+	for _, path := range manifests {
+		var m struct {
+			Specs      []string `json:"specs"`
+			Properties []string `json:"properties"`
+			Shadow     []string `json:"shadow"`
+		}
+		if err := json.Unmarshal([]byte(read(filepath.Base(path))), &m); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out[filepath.Base(path)] = load(m.Specs, m.Properties, m.Shadow)
+	}
+	return out
+}
+
+// checkMemoAgainstFresh asks, for every explored node and every monitor
+// of every group, the memo and a fresh vm.AnalyzeWith the same question
+// and requires the same answer. Within a group each monitor sees its
+// predecessors' writes, so the state vector is advanced by the recorded
+// edge writes exactly as apply advanced it: every input exploration put
+// to the memo is put to it again here, the property predicates' included
+// (evalAll runs first, through the memo, as checkProperty would).
+func checkMemoAgainstFresh(t *testing.T, m *model) {
+	t.Helper()
+	var preds []*vm.Program
+	for _, p := range m.cfg.Properties {
+		if prog, err := compilePred(p.Pred); err == nil {
+			m.evalAll(prog)
+			preds = append(preds, prog)
+		}
+	}
+	render := func(a *vm.Analysis, err error) string { return fmt.Sprintf("%+v / %v", a, err) }
+	ask := func(where string, p *vm.Program, vals []vm.Interval) {
+		got := render(m.dep.Analysis(p, m.envFor(p, vals)))
+		want := render(vm.AnalyzeWith(p, vm.NumBuiltinHelpers, m.envFor(p, vals)))
+		if got != want {
+			t.Fatalf("%s, program %s: memo disagrees with a fresh analysis\nmemo:  %s\nfresh: %s", where, p.Name, got, want)
+		}
+	}
+	for ni, n := range m.nodes {
+		for _, e := range m.adj[ni] {
+			g := m.groups[e.group]
+			cur := append([]vm.Interval(nil), n.vals...)
+			for _, mi := range g.mons {
+				ask(fmt.Sprintf("node %d, %s", ni, g.label), m.mons[mi].Program, cur)
+				for _, w := range e.writes {
+					switch {
+					case w.mon != mi:
+					case w.must:
+						cur[w.key] = w.val
+					default:
+						cur[w.key] = cur[w.key].Join(w.val)
+					}
+				}
+			}
+		}
+		for _, prog := range preds {
+			ask(fmt.Sprintf("node %d, property", ni), prog, n.vals)
+		}
+	}
+}
+
+func TestMemoMatchesFreshAnalysis(t *testing.T) {
+	cases := testdataDeployments(t)
+	cases["ladder+40"] = func(t *testing.T) (*interfere.Deployment, Config) {
+		return deployment(t, ladderSrc(40)), Config{Properties: props(t, ladderProps...)}
+	}
+	// A widened counter: n takes [0,0], [1,1], … then [0,+Inf], so memo
+	// keys differ in the upper bound alone.
+	cases["counter"] = func(t *testing.T) (*interfere.Deployment, Config) {
+		return deployment(t, `
+guardrail counter {
+    trigger: { TIMER(0, 1000) },
+    rule: { LOAD(n) < 0 },
+    action: { SAVE(n, LOAD(n) + 1) }
+}`), Config{Properties: props(t, "always LOAD(n) >= 0")}
+	}
+	for name, load := range cases {
+		t.Run(name, func(t *testing.T) {
+			dep, cfg := load(t)
+			// As deploy.Check does: interference first, on the same value.
+			interfere.Analyze(dep)
+			m := buildModel(dep, cfg)
+			m.explore()
+			checkMemoAgainstFresh(t, m)
+		})
+	}
+}
+
+// TestBackgroundMonitorsAnalyzedOnce is the test that fails without the
+// memo: a monitor that loads no written key is analyzed once, not once
+// per state, so a check's abstract interpretations are bounded by
+// monitors + (state-dependent programs) × states, and each additional
+// background monitor costs exactly one.
+func TestBackgroundMonitorsAnalyzedOnce(t *testing.T) {
+	performed := func(n int) (analyses, states int) {
+		dep := deployment(t, ladderSrc(n))
+		rep := Check(dep, Config{Properties: props(t, ladderProps...)})
+		if rep.Truncated || !rep.Clean() {
+			t.Fatalf("ladder+%d: %s %v", n, rep.Summary(), rep.Diagnostics)
+		}
+		return dep.Analyses(), rep.States
+	}
+	const n = 50
+	got, states := performed(n)
+	// escalate-two loads the written alert_level; both properties read
+	// the written quarantined.
+	const stateDependent = 1 + 2
+	if bound := (n + 2) + stateDependent*states; got > bound {
+		t.Errorf("ladder+%d: %d analyses performed over %d states, want ≤ %d", n, got, states, bound)
+	}
+	if twice, _ := performed(2 * n); twice-got != n {
+		t.Errorf("doubling the background monitors %d → %d added %d analyses, want exactly %d", n, 2*n, twice-got, n)
+	}
+}
+
+// BenchmarkCheck is the profiling handle on the checker alone:
+//
+//	go test -run '^$' -bench Check -cpuprofile cpu.prof ./internal/spec/modelcheck
+//
+// Every iteration checks a fresh deployment value (a cold memo), which
+// is what a load-time gate pays.
+func BenchmarkCheck(b *testing.B) {
+	dep := deployment(b, ladderSrc(200))
+	cfg := Config{Properties: props(b, ladderProps...)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := Check(&interfere.Deployment{Monitors: dep.Monitors, Features: dep.Features}, cfg)
+		if !rep.Clean() {
+			b.Fatal(rep.Summary())
+		}
+	}
+}
+
+// FuzzModelcheck: on any spec text the front end accepts, Check under
+// small bounds never panics, is deterministic to the byte, withholds
+// every proof when exploration was truncated, never proves an "always"
+// property that a short concrete run on the real interpreter falsifies,
+// and the memo agrees with a fresh analysis on every edge.
+func FuzzModelcheck(f *testing.F) {
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "..", "cmd", "grailcheck", "testdata", "*.grail"))
+	if len(paths) == 0 {
+		f.Fatal("no seed specs found")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Add(ladderSrc(3) + "\nassert always LOAD(quarantined) <= 1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := spec.ParseChecked(src)
+		if err != nil {
+			return
+		}
+		cs, err := compile.File(file)
+		if err != nil {
+			return
+		}
+		cfg := Config{Properties: file.Properties, MaxStates: 64, MaxDepth: 16}
+		fresh := func() *interfere.Deployment {
+			return &interfere.Deployment{Monitors: cs, Features: file.Features}
+		}
+		rep := Check(fresh(), cfg)
+		first, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := json.Marshal(Check(fresh(), cfg)); string(again) != string(first) {
+			t.Fatalf("two runs differ:\n%s\n%s", first, again)
+		}
+
+		m := buildModel(fresh(), cfg)
+		m.explore()
+		checkMemoAgainstFresh(t, m)
+
+		for i, res := range rep.Properties {
+			if res.Status != StatusProved {
+				continue
+			}
+			if rep.Truncated {
+				t.Fatalf("%s PROVED on a truncated exploration (%s)", res.Property, rep.TruncationReason)
+			}
+			if p := cfg.Properties[i]; p.Kind == spec.PropAlways {
+				refuteConcretely(t, m, p)
+			}
+		}
+	})
+}
+
+// refuteConcretely replays every group sequence of up to three fires on
+// the real interpreter from the zero store (declared features at their
+// lower bound, which the zero store must respect to be an execution the
+// proof covers) and fails if the proved predicate is concretely false
+// anywhere along one.
+func refuteConcretely(t *testing.T, m *model, p *spec.PropertyDecl) {
+	prog, err := compilePred(p.Pred)
+	if err != nil {
+		return
+	}
+	groups := len(m.groups)
+	if groups > 4 {
+		groups = 4 // 4 + 16 + 64 sequences at most
+	}
+	var walk func(seq []int)
+	walk = func(seq []int) {
+		env := map[string]float64{}
+		for i, k := range m.keys {
+			if d := m.declared[i]; d != nil {
+				env[k] = d.Lo
+			} else {
+				env[k] = 0
+			}
+		}
+		var steps []string
+		falsified := m.predFalse(prog, env)
+		ok := m.replayGroups(seq, env, &steps, func(e map[string]float64) {
+			falsified = falsified || m.predFalse(prog, e)
+		}, nil)
+		if ok && falsified {
+			t.Fatalf("%s PROVED, but is false on the real interpreter along %v:\n%s", p, seq, strings.Join(steps, "\n"))
+		}
+		if len(seq) < 3 {
+			for gi := 0; gi < groups; gi++ {
+				walk(append(append([]int(nil), seq...), gi))
+			}
+		}
+	}
+	walk(nil)
+}

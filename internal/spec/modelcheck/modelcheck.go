@@ -9,8 +9,9 @@
 // oscillate forever?". This package does, within explicit bounds.
 //
 // The abstract state is a tuple of certified feature-store intervals —
-// one per key the deployment reads or writes — obtained from
-// vm.AnalyzeWith under a state-dependent cell environment. Transitions
+// one per key the deployment reads or writes — obtained from the
+// deployment's memoized vm.AnalyzeWith (interfere.Deployment.Analysis)
+// under a state-dependent cell environment. Transitions
 // are monitor firings: one per hook site, and one per timer
 // coincidence class scheduled over a single timer hyperperiod (shared
 // machinery with interfere, see TimerTicks). The checker explores the
@@ -28,8 +29,9 @@
 package modelcheck
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -252,7 +254,6 @@ type node struct {
 	vals     []vm.Interval
 	parent   int // node index, -1 for the root
 	viaGroup int // group index taken from parent, -1 for the root
-	viaWrite []write
 	depth    int
 }
 
@@ -267,22 +268,24 @@ type edge struct {
 // model is the abstract transition system built from a deployment.
 type model struct {
 	cfg      Config
-	mons     []*compile.Compiled // active (non-shadow) monitors
-	keys     []string            // sorted key universe
+	dep      *interfere.Deployment // owns the analysis memo
+	mons     []*compile.Compiled   // active (non-shadow) monitors
+	keys     []string              // sorted key universe
 	keyIdx   map[string]int
 	written  []bool              // some active monitor stores the key
 	declared []*spec.FeatureDecl // by key index, nil when undeclared
-	baseline []*vm.Analysis      // open-world analysis per monitor, nil on error
 	groups   []group
 	hyper    int64
 	conserv  bool
 
 	nodes       []node
-	plans       []*witnessPlan // parallel to the diagnostics under construction
-	adj         [][]edge       // outgoing edges per node, in group order
-	index       map[string]int
+	plans       []*witnessPlan        // parallel to the diagnostics under construction
+	adj         [][]edge              // outgoing edges per node, in group order
+	index       map[string]int        // state signature → node index
+	next        []vm.Interval         // apply's scratch successor vector
+	sig         []byte                // apply's scratch signature
 	widened     map[int]bool          // key index → widened
-	seen        []map[vm.Interval]int // per key: distinct values observed
+	seen        []map[vm.Interval]int // per key: distinct values observed → id
 	accum       []vm.Interval         // per key: running join for widening
 	truncated   bool
 	truncReason string
@@ -344,7 +347,7 @@ func Check(dep *interfere.Deployment, cfg Config) *Report {
 
 // buildModel derives the abstract transition system from a deployment.
 func buildModel(dep *interfere.Deployment, cfg Config) *model {
-	m := &model{cfg: cfg.filled(), keyIdx: map[string]int{}, index: map[string]int{}, widened: map[int]bool{}}
+	m := &model{cfg: cfg.filled(), dep: dep, keyIdx: map[string]int{}, index: map[string]int{}, widened: map[int]bool{}}
 
 	shadow := map[string]bool{}
 	for _, s := range cfg.Shadow {
@@ -390,16 +393,6 @@ func buildModel(dep *interfere.Deployment, cfg Config) *model {
 		m.keyIdx[k] = i
 		m.written[i] = writtenSet[k]
 		m.declared[i] = declByKey[k]
-	}
-
-	// Open-world baseline per monitor: the fallback effect when
-	// state-dependent analysis fails mid-exploration.
-	m.baseline = make([]*vm.Analysis, len(m.mons))
-	for i, c := range m.mons {
-		a, err := vm.AnalyzeWith(c.Program, vm.NumBuiltinHelpers, nil)
-		if err == nil {
-			m.baseline[i] = a
-		}
 	}
 
 	m.buildGroups()
@@ -515,29 +508,21 @@ func (m *model) envFor(p *vm.Program, vals []vm.Interval) vm.CellEnv {
 	}
 }
 
-// signature canonically encodes a state vector for deduplication.
-func signature(vals []vm.Interval) string {
-	var b strings.Builder
-	b.Grow(len(vals) * 36)
-	for _, v := range vals {
-		fmt.Fprintf(&b, "%x:%x:%t:%t;", math.Float64bits(v.Lo), math.Float64bits(v.Hi), v.Num, v.NaN)
-	}
-	return b.String()
-}
-
 // apply computes the successor state of vals under a transition group,
 // recording the writes. Monitors in a group run sequentially in
 // deployment order, each observing the writes of its predecessors —
-// matching the runtime, which serializes same-instant firings.
-func (m *model) apply(g group, vals []vm.Interval) ([]vm.Interval, []write) {
-	next := make([]vm.Interval, len(vals))
-	copy(next, vals)
+// matching the runtime, which serializes same-instant firings. The
+// successor and its signature — the tuple of value ids (m.seen) over the
+// written keys; every other key is a constant of the model — come back
+// in the model's scratch buffers, valid until the next apply.
+func (m *model) apply(g group, vals []vm.Interval) ([]vm.Interval, []byte, []write) {
+	next := append(m.next[:0], vals...)
 	var writes []write
 	for _, mi := range g.mons {
 		c := m.mons[mi]
-		a, err := vm.AnalyzeWith(c.Program, vm.NumBuiltinHelpers, m.envFor(c.Program, next))
+		a, err := m.dep.Analysis(c.Program, m.envFor(c.Program, next))
 		if err != nil {
-			a = m.baseline[mi]
+			a, _ = m.dep.Analysis(c.Program, nil) // fall back to the open-world effect
 		}
 		if a == nil {
 			// No analysis at all: weak-join Top into every key the
@@ -555,56 +540,60 @@ func (m *model) apply(g group, vals []vm.Interval) ([]vm.Interval, []write) {
 		must := a.MustViolate()
 		// Per stored key: join the certified ranges of its reachable
 		// stores (first-seen order for determinism), then update.
-		storedOrder := []int{}
-		stored := map[int]vm.Interval{}
+		first := len(writes)
 		for _, sf := range a.Stores {
 			ki, ok := m.keyIdx[c.Program.Symbols[sf.Cell]]
 			if !ok {
 				continue
 			}
-			if cur, seen := stored[ki]; seen {
-				stored[ki] = cur.Join(sf.Val)
+			if i := slices.IndexFunc(writes[first:], func(w write) bool { return w.key == ki }); i >= 0 {
+				writes[first+i].val = writes[first+i].val.Join(sf.Val)
 			} else {
-				stored[ki] = sf.Val
-				storedOrder = append(storedOrder, ki)
+				writes = append(writes, write{mon: mi, key: ki, val: sf.Val, must: must})
 			}
 		}
-		for _, ki := range storedOrder {
-			sv := stored[ki]
+		for _, w := range writes[first:] {
 			if must {
-				next[ki] = sv // the store provably executes
+				next[w.key] = w.val // the store provably executes
 			} else {
-				next[ki] = next[ki].Join(sv) // may or may not fire
+				next[w.key] = next[w.key].Join(w.val) // may or may not fire
 			}
-			writes = append(writes, write{mon: mi, key: ki, val: sv, must: must})
 		}
 	}
-	for ki := range next {
-		next[ki] = m.widenKey(ki, next[ki])
+	sig := m.sig[:0]
+	for ki, w := range m.written {
+		if w {
+			var id int
+			next[ki], id = m.widenKey(ki, next[ki])
+			sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
+		}
 	}
-	return next, writes
+	m.next, m.sig = next, sig
+	return next, sig, writes
 }
 
 // widenKey accelerates a key that keeps taking new interval values:
 // after WidenAfter distinct values, new ones are widened against the
 // running join, sending unstable bounds to ±Inf so exploration
-// converges on counting loops.
-func (m *model) widenKey(ki int, nv vm.Interval) vm.Interval {
-	if _, ok := m.seen[ki][nv]; ok {
-		return nv
+// converges on counting loops. It returns the (possibly widened) value
+// and its id among the key's distinct values.
+func (m *model) widenKey(ki int, nv vm.Interval) (vm.Interval, int) {
+	seen := m.seen[ki]
+	if id, ok := seen[nv]; ok {
+		return nv, id
 	}
-	if len(m.seen[ki]) >= m.cfg.WidenAfter {
-		w := m.accum[ki].Widen(nv)
-		m.widened[ki] = true
-		m.accum[ki] = w
-		if _, ok := m.seen[ki][w]; !ok {
-			m.seen[ki][w] = len(m.seen[ki])
+	if len(seen) < m.cfg.WidenAfter {
+		m.accum[ki] = m.accum[ki].Join(nv)
+	} else {
+		nv = m.accum[ki].Widen(nv)
+		m.accum[ki], m.widened[ki] = nv, true
+		if id, ok := seen[nv]; ok {
+			return nv, id
 		}
-		return w
 	}
-	m.seen[ki][nv] = len(m.seen[ki])
-	m.accum[ki] = m.accum[ki].Join(nv)
-	return nv
+	id := len(seen)
+	seen[nv] = id
+	return nv, id
 }
 
 // explore runs breadth-first exhaustive exploration from the initial
@@ -619,7 +608,8 @@ func (m *model) explore() {
 	}
 	m.nodes = append(m.nodes, node{vals: init, parent: -1, viaGroup: -1})
 	m.adj = append(m.adj, nil)
-	m.index[signature(init)] = 0
+	_, sig, _ := m.apply(group{}, init) // no monitor fires: the initial state's own signature
+	m.index[string(sig)] = 0
 
 	for qi := 0; qi < len(m.nodes); qi++ {
 		n := m.nodes[qi]
@@ -631,9 +621,8 @@ func (m *model) explore() {
 			continue
 		}
 		for gi := range m.groups {
-			next, writes := m.apply(m.groups[gi], n.vals)
-			sig := signature(next)
-			if to, ok := m.index[sig]; ok {
+			next, sig, writes := m.apply(m.groups[gi], n.vals)
+			if to, ok := m.index[string(sig)]; ok {
 				m.edges++
 				m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})
 				continue
@@ -644,12 +633,11 @@ func (m *model) explore() {
 			}
 			m.edges++
 			to := len(m.nodes)
-			m.index[sig] = to
+			m.index[string(sig)] = to
 			m.nodes = append(m.nodes, node{
-				vals:     next,
+				vals:     append([]vm.Interval(nil), next...),
 				parent:   qi,
 				viaGroup: gi,
-				viaWrite: writes,
 				depth:    n.depth + 1,
 			})
 			m.adj = append(m.adj, nil)

@@ -11,7 +11,7 @@ import (
 )
 
 // deployment compiles src into a single-file deployment.
-func deployment(t *testing.T, src string) *interfere.Deployment {
+func deployment(t testing.TB, src string) *interfere.Deployment {
 	t.Helper()
 	f, err := spec.Parse(src)
 	if err != nil {
@@ -28,7 +28,7 @@ func deployment(t *testing.T, src string) *interfere.Deployment {
 }
 
 // props parses manifest-style property strings.
-func props(t *testing.T, ss ...string) []*spec.PropertyDecl {
+func props(t testing.TB, ss ...string) []*spec.PropertyDecl {
 	t.Helper()
 	out := make([]*spec.PropertyDecl, len(ss))
 	for i, s := range ss {

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,7 +56,7 @@ func compilePred(pred spec.Expr) (*vm.Program, error) {
 func (m *model) evalAll(prog *vm.Program) []int8 {
 	out := make([]int8, len(m.nodes))
 	for i := range m.nodes {
-		a, err := vm.AnalyzeWith(prog, vm.NumBuiltinHelpers, m.envFor(prog, m.nodes[i].vals))
+		a, err := m.dep.Analysis(prog, m.envFor(prog, m.nodes[i].vals))
 		if err != nil {
 			out[i] = evalUnknown
 			continue
@@ -87,65 +88,51 @@ func (m *model) treePath(n int) []int {
 }
 
 // renderTrace narrates a group sequence starting from the initial
-// state, one line per step, tracking the abstract state as it goes.
-// keysOfInterest selects which keys the initial line prints.
-func (m *model) renderTrace(groups []int, keysOfInterest []string) []string {
-	vals := m.initState()
-	var lines []string
-	var initParts []string
-	for _, k := range keysOfInterest {
-		if ki, ok := m.keyIdx[k]; ok {
-			initParts = append(initParts, fmt.Sprintf("%s=%s", k, vals[ki]))
-		}
-	}
-	if len(initParts) == 0 {
-		initParts = append(initParts, "(store empty)")
-	}
-	lines = append(lines, "init: "+strings.Join(initParts, ", "))
-	for step, gi := range groups {
-		g := m.groups[gi]
-		next, writes := m.apply(g, vals)
-		var parts []string
-		for _, w := range writes {
-			mode := "may write"
-			if w.must {
-				mode = "writes"
-			}
-			parts = append(parts, fmt.Sprintf("%s %s %s=%s",
-				m.mons[w.mon].Name, mode, m.keys[w.key], w.val))
-		}
-		if len(parts) == 0 {
-			parts = append(parts, "no monitor acts")
-		}
-		lines = append(lines, fmt.Sprintf("step %d [%s]: %s", step+1, g.label, strings.Join(parts, "; ")))
-		vals = next
-	}
-	return lines
-}
-
-// traceKeys picks the keys worth printing in a trace: the property's
-// keys plus everything written along the steps.
-func (m *model) traceKeys(pred spec.Expr, groups []int) []string {
+// state, one line per step, by walking the recorded edges of the
+// explored graph: it performs no analysis and cannot touch exploration
+// state. The initial line prints the keys worth seeing — the property's
+// (pred may be nil) plus everything written along the steps.
+func (m *model) renderTrace(groups []int, pred spec.Expr) []string {
 	set := map[string]bool{}
 	if pred != nil {
 		for _, k := range spec.ExprKeys(pred) {
 			set[k] = true
 		}
 	}
-	vals := m.initState()
-	for _, gi := range groups {
-		next, writes := m.apply(m.groups[gi], vals)
-		for _, w := range writes {
+	lines := make([]string, 1, len(groups)+2) // lines[0] is the initial line
+	at := 0
+	for step, gi := range groups {
+		e := m.adj[at][slices.IndexFunc(m.adj[at], func(e edge) bool { return e.group == gi })]
+		var parts []string
+		for _, w := range e.writes {
+			mode := "may write"
+			if w.must {
+				mode = "writes"
+			}
 			set[m.keys[w.key]] = true
+			parts = append(parts, fmt.Sprintf("%s %s %s=%s",
+				m.mons[w.mon].Name, mode, m.keys[w.key], w.val))
 		}
-		vals = next
+		if len(parts) == 0 {
+			parts = append(parts, "no monitor acts")
+		}
+		lines = append(lines, fmt.Sprintf("step %d [%s]: %s", step+1, m.groups[gi].label, strings.Join(parts, "; ")))
+		at = e.to
 	}
 	keys := make([]string, 0, len(set))
 	for k := range set {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	var initParts []string
+	for _, k := range keys {
+		initParts = append(initParts, fmt.Sprintf("%s=%s", k, m.nodes[0].vals[m.keyIdx[k]]))
+	}
+	if len(initParts) == 0 {
+		initParts = append(initParts, "(store empty)")
+	}
+	lines[0] = "init: " + strings.Join(initParts, ", ")
+	return lines
 }
 
 // monitorsOf names the monitors attached to a group sequence, primary
@@ -240,7 +227,7 @@ func (m *model) checkAlways(p *spec.PropertyDecl, prog *vm.Program, evals []int8
 	path := m.treePath(bad)
 	res.Reason = fmt.Sprintf("predicate %s in a state reachable in %d step(s)", verdict, len(path))
 	primary, others := m.monitorsOf(path)
-	trace := m.renderTrace(path, m.traceKeys(p.Pred, path))
+	trace := m.renderTrace(path, p.Pred)
 	trace = append(trace, fmt.Sprintf("state reached: %s %s", spec.ExprString(p.Pred), verdict))
 	site := ""
 	if len(path) > 0 {
@@ -376,7 +363,7 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 	}
 	all := append(append([]int{}, prefix...), cycle...)
 	primary, others := m.monitorsOf(all)
-	trace := m.renderTrace(all, m.traceKeys(p.Pred, all))
+	trace := m.renderTrace(all, p.Pred)
 	if pumped {
 		trace = append(trace, fmt.Sprintf("steps %d..%d repeat forever: %s never provably holds", len(prefix)+1, len(all), spec.ExprString(p.Pred)))
 	} else {
@@ -498,7 +485,7 @@ func (m *model) oscillationFinding(inComp map[int]bool, ki int, a, b cycleWrite)
 		others = append(others, monB)
 	}
 	all := append(append([]int{}, prefix...), cycleGroups...)
-	trace := m.renderTrace(all, m.traceKeys(nil, all))
+	trace := m.renderTrace(all, nil)
 	trace = append(trace, fmt.Sprintf("steps %d..%d form a cycle: %s alternates between %s and %s forever",
 		len(prefix)+1, len(all), key, a.w.val, b.w.val))
 	var pos spec.Pos

@@ -110,6 +110,17 @@ func FileConfig(f *spec.File, cfg *Config) []Diagnostic {
 	return ds
 }
 
+// UnknownGlobals is FileConfig's GV011 check alone, for the deployment
+// gate, which folds just these findings into its interference report.
+func UnknownGlobals(f *spec.File, aggregates []string) []Diagnostic {
+	var ds []Diagnostic
+	for _, g := range f.Guardrails {
+		ds = append(ds, lintGlobalLoads(g, aggregates)...)
+	}
+	sortDiags(ds)
+	return ds
+}
+
 // lintGlobalLoads reports GV011: a LOAD of a *_global key whose base
 // name is not a registered aggregate. The aggregation step only ever
 // broadcasts into global cells derived from registered names

@@ -284,3 +284,35 @@ guardrail vacuous {
 		t.Error("Guardrail() flagged GV010 without file-level declarations")
 	}
 }
+
+// TestUnknownGlobalsIsFileConfigsGV011: the deployment gate's GV011-only
+// entry point reports exactly the GV011 findings of the full lint, in
+// the same order, and nothing when every global is registered.
+func TestUnknownGlobalsIsFileConfigsGV011(t *testing.T) {
+	f := parse(t, `
+guardrail late {
+    trigger: { TIMER(0, 1e9) },
+    rule: { LOAD(qdepth_global) <= 8 && LOAD(x) <= 1 && LOAD(x) > 1 },
+    action: { SAVE(knob, LOAD(lat_global)) }
+}
+guardrail early {
+    trigger: { TIMER(0, 1e9) },
+    rule: { LOAD(err_rate_global) <= 0.25 },
+    action: { REPORT() }
+}`)
+	for _, aggregates := range [][]string{{}, {"qdepth"}, {"qdepth", "lat", "err_rate"}} {
+		var want []string
+		for _, d := range FileConfig(f, &Config{Aggregates: aggregates}) {
+			if d.Code == CodeUnknownGlobal {
+				want = append(want, d.String())
+			}
+		}
+		var got []string
+		for _, d := range UnknownGlobals(f, aggregates) {
+			got = append(got, d.String())
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") || len(want) != 3-len(aggregates) {
+			t.Errorf("aggregates %v:\ngot  %q\nwant %q", aggregates, got, want)
+		}
+	}
+}

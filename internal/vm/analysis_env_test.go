@@ -2,6 +2,9 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -129,6 +132,78 @@ func TestAnalyzeWithDivisorCollapse(t *testing.T) {
 	}
 	if _, err := AnalyzeWith(p, NumBuiltinHelpers, zero); err == nil {
 		t.Error("divisor certified [0,0] but AnalyzeWith passed")
+	}
+}
+
+// TestAnalyzeWithDependsOnlyOnLoadedCells pins the assumption the
+// deployment checkers' analysis memo (interfere.Deployment.Analysis)
+// rests on: the analyzer reads its CellEnv for the cells the program
+// LOADs and nothing else. Two envs that agree on LoadedKeys' cells and
+// differ arbitrarily elsewhere — a range against no certificate at all,
+// on STORE targets and on cells the program never names — must give the
+// same proof object or the same rejection. If the analyzer ever asks the
+// env about a STORE target or on behalf of a helper, this fails before
+// the memo goes unsound.
+func TestAnalyzeWithDependsOnlyOnLoadedCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x10ad))
+	symbols := []string{"a", "b", "c", "d", "e"}
+	randAnswer := func() (Interval, bool) {
+		lo := float64(rng.Intn(40) - 20)
+		switch rng.Intn(6) {
+		case 0:
+			return Interval{}, false
+		case 1:
+			return TopInterval(), true
+		case 2:
+			return Interval{Num: true, Lo: lo, Hi: lo, NaN: true}, true
+		case 3:
+			return Interval{Num: true, Lo: 1, Hi: -1}, true // bottom: degrades to top
+		case 4:
+			return RangeInterval(math.Inf(-1), lo), true
+		default:
+			return RangeInterval(lo, lo+float64(rng.Intn(10))), true
+		}
+	}
+	type answer struct {
+		iv Interval
+		ok bool
+	}
+	envOf := func(as []answer) CellEnv {
+		return func(c int32) (Interval, bool) { return as[c].iv, as[c].ok }
+	}
+	render := func(a *Analysis, err error) string { return fmt.Sprintf("%+v / %v", a, err) }
+
+	analyzed, differed := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		p := randProgram(rng, symbols)
+		loaded := map[string]bool{}
+		for _, k := range LoadedKeys(p) {
+			loaded[k] = true
+		}
+		one, two := make([]answer, len(symbols)), make([]answer, len(symbols))
+		for c, key := range symbols {
+			one[c].iv, one[c].ok = randAnswer()
+			two[c] = one[c]
+			if !loaded[key] {
+				two[c].iv, two[c].ok = randAnswer()
+				if two[c] != one[c] {
+					differed++
+				}
+			}
+		}
+		a1, err1 := AnalyzeWith(p, NumBuiltinHelpers, envOf(one))
+		a2, err2 := AnalyzeWith(p, NumBuiltinHelpers, envOf(two))
+		if got, want := render(a2, err2), render(a1, err1); got != want {
+			t.Fatalf("trial %d: envs agree on the loaded cells %v but the analyses differ:\n%s\n%s\n%s",
+				trial, LoadedKeys(p), want, got, p)
+		}
+		if err1 == nil {
+			analyzed++
+		}
+	}
+	// The generator must reach the analysis, and the envs must differ.
+	if analyzed < 100 || differed < 1000 {
+		t.Fatalf("degenerate mix: %d programs analyzed, %d differing unloaded cells", analyzed, differed)
 	}
 }
 
