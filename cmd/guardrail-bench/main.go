@@ -1,19 +1,23 @@
 // Command guardrail-bench is the experiment harness: it runs every
 // experiment in the reproduction's index (DESIGN.md / EXPERIMENTS.md)
-// and prints the paper-style rows and series.
+// and prints the paper-style rows and series. Every experiment runs in
+// simulated time from the seed, so the same seed prints the same bytes
+// on every machine; host time is measured in one place only,
+// `go run ./benchmark` (benchmark/README.md).
 //
 // Usage:
 //
-//	guardrail-bench [-seed N] [-only fig2,p1,p2,p3,p4,p5,p6,osc,trig,vm,chaos,rollout,shards]
+//	guardrail-bench [-seed N] [-only fig2,p1,p2,p3,p4,p5,p6,osc,trig,chaos,rollout]
 //	guardrail-bench -chaos        (just the fault-injection run)
 //	guardrail-bench -rollout-chaos [-rollout-out report.json]
 //	guardrail-bench -only fig2 -metrics-out metrics.json -trace-out trace.json
 //	guardrail-bench -only fig2 -bench-out BENCH_fig2.json
-//	guardrail-bench -throughput [-shards N]
-//	guardrail-bench -throughput -shards-out BENCH_shards.json
 //	guardrail-bench -only fig2 -prov -why-out why.json
 //	guardrail-bench -only fig2 -serve :9090
-//	guardrail-bench -prov-overhead [-prov-tol 0.05]
+//
+// An id -only does not know is an error (exit 2), as is a fig2-scoped
+// flag (-metrics-out -trace-out -bench-out -prov -why-out -serve) on a
+// selection that leaves fig2 out.
 //
 // The chaos experiment (also selectable as -only chaos) reruns Figure 2
 // under the standard fault plan and reports the fault audit and the
@@ -27,23 +31,12 @@
 // fleet-wide. The process exits nonzero when any rollback is missed;
 // -rollout-out archives the JSON report.
 //
-// The throughput mode (-throughput, or -only shards) measures how many
-// hook fires per wall-clock second the monitor plane sustains on the
-// sharded multi-core kernel. With -shards N it measures that one shard
-// count; without it (or with -shards-out) it sweeps 1, 4, and NumCPU
-// shards, and -shards-out archives the sweep as the committed
-// BENCH_shards.json. Simulated quantities in the snapshot (hook fires,
-// evals, events) are deterministic; the fires/sec rate is wall-clock
-// and scales with real cores.
-//
 // Decision provenance (-prov) attaches a sampled per-fire "why"
 // recorder to the fig2 guarded stack; the simulated results are
 // identical with or without it. -why-out archives the records as JSON,
 // and -serve keeps the process alive after the runs serving the live
 // ops endpoint (/metrics, /snapshot.json, /flight, /why?monitor=...,
-// /healthz) — point `grailctl explain` at it. -prov-overhead measures
-// the wall-clock cost sampled provenance adds to a steady-state
-// evaluation and exits nonzero when it exceeds -prov-tol.
+// /healthz) — point `grailctl explain` at it.
 //
 // The telemetry flags apply to the Figure 2 run: -metrics-out writes
 // the guarded system's counter/histogram snapshot as JSON, -trace-out
@@ -59,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"guardrails/internal/experiments"
@@ -80,6 +74,13 @@ func writeFile(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
+// usageError reports a command line that would otherwise run nothing,
+// or drop a flag, and exits 2 like the flag package does.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "guardrail-bench: "+msg)
+	os.Exit(2)
+}
+
 func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
@@ -89,42 +90,10 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the fig2 guarded system's telemetry snapshot (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the fig2 guarded system's flight recorder (Chrome trace_event JSON) to this file")
 	benchOut := flag.String("bench-out", "", "write the fig2 per-config benchmark summary (JSON) to this file")
-	throughput := flag.Bool("throughput", false, "run only the sharded-kernel hook-fire throughput experiment")
-	shards := flag.Int("shards", 0, "shard count for -throughput (0 sweeps 1, 4, and NumCPU)")
-	shardsOut := flag.String("shards-out", "", "write the shard-throughput sweep (JSON, BENCH_shards.json) to this file")
 	prov := flag.Bool("prov", false, "attach a sampled decision-provenance recorder to the fig2 guarded stack")
 	whyOut := flag.String("why-out", "", "write the fig2 decision-provenance records (JSON) to this file (implies -prov)")
 	serveAddr := flag.String("serve", "", "after the runs, serve the fig2 ops endpoint (/metrics, /snapshot.json, /flight, /why, /healthz) on this address and block")
-	provOverhead := flag.Bool("prov-overhead", false, "run only the sampled-provenance hot-path overhead measurement")
-	provTol := flag.Float64("prov-tol", 0.05, "overhead budget for -prov-overhead (fraction; 0.05 = 5%)")
 	flag.Parse()
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	if *chaos {
-		want["chaos"] = true
-	}
-	if *rolloutChaos {
-		want["rollout"] = true
-	}
-	if *throughput {
-		want["shards"] = true
-	}
-	if *provOverhead {
-		want["provoverhead"] = true
-	}
-	run := func(id string) bool {
-		if id == "provoverhead" {
-			// Wall-clock measurement: opt-in only (-prov-overhead or
-			// -only provoverhead), never part of the default sweep.
-			return want[id]
-		}
-		return len(want) == 0 || want[id]
-	}
 
 	// The ops endpoint and provenance exports hang off the fig2 run.
 	var opsSink *telemetry.Sink
@@ -237,13 +206,6 @@ func main() {
 			}
 			return experiments.RenderTriggers(rows), nil
 		}},
-		{"vm", func() (string, error) {
-			rows, err := experiments.RunVMMicro()
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderVMMicro(rows), nil
-		}},
 		{"chaos", func() (string, error) {
 			r, err := experiments.RunChaos(experiments.DefaultChaosConfig(*seed))
 			if err != nil {
@@ -275,34 +237,42 @@ func main() {
 			}
 			return out, nil
 		}},
-		{"shards", func() (string, error) {
-			counts := experiments.ShardSweepCounts()
-			if *shards > 0 {
-				counts = []int{*shards}
-			}
-			b, err := experiments.RunShardSweep(counts)
-			if err != nil {
-				return "", err
-			}
-			if *shardsOut != "" {
-				if err := writeFile(*shardsOut, b.WriteJSON); err != nil {
-					return "", fmt.Errorf("shards: shards-out: %w", err)
+	}
+
+	// Selection: -only ids plus the -chaos / -rollout-chaos shorthands;
+	// nothing named selects everything. A typo must not select nothing,
+	// and a fig2 export must not be asked of a run that skips fig2.
+	var ids []string
+	for _, e := range exps {
+		ids = append(ids, e.id)
+	}
+	want := map[string]bool{}
+	fig2Flag := ""
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "only":
+			for _, id := range strings.Split(*only, ",") {
+				id = strings.TrimSpace(id)
+				if !slices.Contains(ids, id) {
+					usageError(fmt.Sprintf("-only: unknown experiment %q; valid ids: %s", id, strings.Join(ids, ",")))
 				}
+				want[id] = true
 			}
-			return b.Render(), nil
-		}},
-		{"provoverhead", func() (string, error) {
-			r, err := experiments.RunProvOverhead(0, 0, *provTol)
-			if err != nil {
-				return "", err
+		case "metrics-out", "trace-out", "bench-out", "prov", "why-out", "serve":
+			if fig2Flag == "" {
+				fig2Flag = f.Name
 			}
-			out := r.Render()
-			if !r.Pass {
-				return out, fmt.Errorf("provoverhead: sampled provenance costs %.2f%% on the hot path, budget %.0f%%",
-					100*r.Overhead, 100*r.Tol)
-			}
-			return out, nil
-		}},
+		}
+	})
+	if *chaos {
+		want["chaos"] = true
+	}
+	if *rolloutChaos {
+		want["rollout"] = true
+	}
+	run := func(id string) bool { return len(want) == 0 || want[id] }
+	if fig2Flag != "" && !run("fig2") {
+		usageError("-" + fig2Flag + " applies to the fig2 run, which this selection leaves out")
 	}
 
 	exit := 0

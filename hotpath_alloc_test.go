@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"guardrails/internal/compile"
+	"guardrails/internal/experiments"
 	"guardrails/internal/featurestore"
 	"guardrails/internal/kernel"
 	"guardrails/internal/monitor"
@@ -26,7 +27,7 @@ func (e *staticEnv) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 }
 
 func TestMachineRunAllocationFree(t *testing.T) {
-	cs, err := compile.Source(benchSpec)
+	cs, err := compile.Source(experiments.Listing2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestMonitorEvaluateSteadyStateAllocationFree(t *testing.T) {
 	k := kernel.New()
 	st := featurestore.New()
 	rt := monitor.New(k, st)
-	ms, err := rt.LoadSource(benchSpec, monitor.Options{})
+	ms, err := rt.LoadSource(experiments.Listing2, monitor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMonitorEvaluateProvenanceDisabledAllocationFree(t *testing.T) {
 	st := featurestore.New()
 	rt := monitor.New(k, st)
 	rt.SetProvenance(nil) // explicit: the disabled plane
-	ms, err := rt.LoadSource(benchSpec, monitor.Options{})
+	ms, err := rt.LoadSource(experiments.Listing2, monitor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	st := featurestore.New()
 	rt := monitor.New(k, st)
 	rt.SetProvenance(provenance.New(256, 1))
-	ms, err := rt.LoadSource(benchSpec, monitor.Options{})
+	ms, err := rt.LoadSource(experiments.Listing2, monitor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"guardrails/internal/compile"
 	"guardrails/internal/featurestore"
 	"guardrails/internal/kernel"
 	"guardrails/internal/linnos"
 	"guardrails/internal/monitor"
 	"guardrails/internal/properties"
-	"guardrails/internal/vm"
 )
 
 // reenableGuardrail re-enables the model once latency recovers — the
@@ -190,103 +187,5 @@ func RenderTriggers(rows []TriggerRow) string {
 	}
 	t.Notes = append(t.Notes,
 		"dependency triggering detects on the next relevant write at per-write cost; timers trade delay for fewer checks")
-	return t.String()
-}
-
-// VMMicroResult holds the monitor-cost microbenchmark (supports the
-// paper's in-kernel latency-budget argument).
-type VMMicroResult struct {
-	Program       string
-	Instructions  int
-	CompileNS     float64
-	VerifyNS      float64
-	ExecNSPerEval float64
-	StepsPerEval  float64
-}
-
-// RunVMMicro measures compile, verify, and execution cost of the
-// Listing 2 monitor and a wider synthetic guardrail.
-func RunVMMicro() ([]VMMicroResult, error) {
-	specs := []struct{ name, src string }{
-		{"listing2", Listing2},
-		{"wide-rule", properties.BuildSpec("wide",
-			[]string{properties.TimerTrigger(1e9)},
-			[]string{
-				"LOAD(a) + LOAD(b) * 2 <= LOAD(c) / max(LOAD(d), 1)",
-				"abs(LOAD(e) - LOAD(f)) < 10 || LOAD(g) == 0",
-				"sqrt(LOAD(h)) <= log2(LOAD(i) + 1) + 5",
-			},
-			[]string{"REPORT(LOAD(a), LOAD(b))", "SAVE(knob, 0)"},
-		)},
-	}
-	var out []VMMicroResult
-	for _, s := range specs {
-		// Compile cost.
-		const compileIters = 200
-		start := time.Now()
-		var cs []*compile.Compiled
-		var err error
-		for i := 0; i < compileIters; i++ {
-			cs, err = compile.Source(s.src)
-			if err != nil {
-				return nil, err
-			}
-		}
-		compileNS := float64(time.Since(start).Nanoseconds()) / compileIters
-		prog := cs[0].Program
-
-		const verifyIters = 2000
-		start = time.Now()
-		for i := 0; i < verifyIters; i++ {
-			if err := vm.Verify(prog, vm.NumBuiltinHelpers); err != nil {
-				return nil, err
-			}
-		}
-		verifyNS := float64(time.Since(start).Nanoseconds()) / verifyIters
-
-		// Execution cost against a real store-backed env.
-		k := kernel.New()
-		st := featurestore.New()
-		rt := monitor.New(k, st)
-		ms, err := rt.Load(cs[0], monitor.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for _, sym := range prog.Symbols {
-			st.Save(sym, 1)
-		}
-		const execIters = 100000
-		startSteps := ms.Stats().VMSteps
-		start = time.Now()
-		for i := 0; i < execIters; i++ {
-			ms.Evaluate(0)
-		}
-		execNS := float64(time.Since(start).Nanoseconds()) / execIters
-		steps := float64(ms.Stats().VMSteps-startSteps) / execIters
-
-		out = append(out, VMMicroResult{
-			Program:       s.name,
-			Instructions:  len(prog.Code),
-			CompileNS:     compileNS,
-			VerifyNS:      verifyNS,
-			ExecNSPerEval: execNS,
-			StepsPerEval:  steps,
-		})
-	}
-	return out, nil
-}
-
-// RenderVMMicro formats the microbenchmark.
-func RenderVMMicro(rows []VMMicroResult) string {
-	t := &Table{
-		Title:   "Monitor VM microbenchmarks (host wall clock)",
-		Columns: []string{"program", "insns", "compile_ns", "verify_ns", "exec_ns/eval", "vm_steps/eval"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Program, fmt.Sprintf("%d", r.Instructions),
-			f2(r.CompileNS), f2(r.VerifyNS), f2(r.ExecNSPerEval), f2(r.StepsPerEval),
-		})
-	}
 	return t.String()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"guardrails/internal/faults"
@@ -277,7 +278,13 @@ func (r *ChaosResult) Render() string {
 		}
 	}
 	fmt.Fprintf(&b, "missed faults: %d\n", r.Missed)
-	for name, s := range r.Monitors {
+	names := make([]string, 0, len(r.Monitors))
+	for name := range r.Monitors {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		s := r.Monitors[name]
 		fmt.Fprintf(&b, "monitor %-20s evals=%d violations=%d traps=%d quarantines=%d rearms=%d retries=%d deadletters=%d\n",
 			name, s.Evals, s.Violations, s.Traps, s.Quarantines, s.Rearms, s.Retries, s.DeadLetters)
 	}

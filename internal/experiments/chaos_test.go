@@ -120,4 +120,7 @@ func TestChaosIsDeterministic(t *testing.T) {
 	if sa.Evals != sb.Evals || sa.Traps != sb.Traps || sa.Violations != sb.Violations {
 		t.Errorf("monitor stats differ: %+v vs %+v", sa, sb)
 	}
+	if ra, rb := a.Render(), b.Render(); ra != rb {
+		t.Errorf("rendered reports differ:\n%s\nvs\n%s", ra, rb)
+	}
 }

@@ -1,10 +1,11 @@
 // Package experiments implements every experiment in the reproduction's
 // index (DESIGN.md): the paper's Figure 2 case study, one experiment per
 // row of the Figure 1 property/action taxonomy, and the §6 discussion
-// ablations (guardrail oscillation, trigger-mechanism sweep, monitor
-// microbenchmarks). Each experiment returns a structured result and can
-// render itself as the paper-style rows/series; cmd/guardrail-bench and
-// bench_test.go both drive this package.
+// ablations (guardrail oscillation, trigger-mechanism sweep). Every
+// experiment runs in simulated time from a seed and measures no host
+// time — that is the repo benchmark's job (benchmark/). Each returns a
+// structured result and can render itself as the paper-style
+// rows/series; cmd/guardrail-bench drives this package.
 package experiments
 
 import (

@@ -229,29 +229,6 @@ func TestTriggerSweepExperiment(t *testing.T) {
 	}
 }
 
-func TestVMMicro(t *testing.T) {
-	rows, err := RunVMMicro()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Instructions <= 0 || r.ExecNSPerEval <= 0 || r.StepsPerEval <= 0 {
-			t.Errorf("degenerate row: %+v", r)
-		}
-		// Monitor evaluation must be sub-microsecond-ish: the paper's
-		// in-kernel budget argument. Allow generous CI slack.
-		if r.ExecNSPerEval > 50000 {
-			t.Errorf("%s eval cost %vns implausibly high", r.Program, r.ExecNSPerEval)
-		}
-	}
-	if !strings.Contains(RenderVMMicro(rows), "VM") {
-		t.Error("render broken")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{
 		Title:   "demo",

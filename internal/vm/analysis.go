@@ -442,10 +442,6 @@ func contractFor(h HelperID) helperContract {
 	}
 }
 
-// helperArity returns the number of declared arguments for built-in
-// helpers; unknown (runtime-extended) helpers report 1.
-func helperArity(h HelperID) int { return contractFor(h).arity }
-
 // String names the built-in helpers for diagnostics.
 func (h HelperID) String() string {
 	switch h {

@@ -7,6 +7,8 @@ package guardrails
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"strconv"
@@ -28,134 +30,192 @@ func shardCount(t *testing.T) int {
 	return n
 }
 
-// TestShardedOneShardReproducesSingleLoopTrace is the compatibility
-// acceptance check: -shards 1 must be the existing kernel, not an
-// approximation of it. The same seeded workload runs on a plain System
-// and on a one-shard ShardedSystem, and the flight-recorder traces must
-// be byte-identical — same events, same order, same sequence numbers.
-func TestShardedOneShardReproducesSingleLoopTrace(t *testing.T) {
-	drive := func(sys *System) {
-		if _, err := sys.LoadGuardrails(telemetrySpec, Options{RetryMax: 1}); err != nil {
-			t.Fatal(err)
+// shardCase is one seeded guardrail-plus-workload the sharded
+// differential tests run: a single threshold rule over sig, checked on
+// a TIMER or at a FUNCTION hook, with a SAVE or REPORT action, driven
+// by a periodic writer that pushes sig over the threshold inside
+// [from, to).
+type shardCase struct {
+	name     string
+	spec     string
+	opts     Options
+	fires    bool // FUNCTION trigger: the writer fires the tick hook
+	period   Time // writer period
+	from, to Time // sig violates the rule while from <= now < to
+	lo, hi   float64
+	until    Time
+}
+
+// shardCases is the differential table: the telemetry suite's own
+// workload (REPORT plus a DEPRIORITIZE that walks the retry ladder into
+// the dead-letter ring) and 24 seeded random cases.
+func shardCases() []shardCase {
+	cases := []shardCase{{
+		name: "telemetry-watch", spec: telemetrySpec, opts: Options{RetryMax: 1},
+		period: 50 * Millisecond, from: Second, to: 2 * Second,
+		lo: 0.5, hi: 2.5, until: 3 * Second,
+	}}
+	periods := []Time{100 * Microsecond, 250 * Microsecond, 500 * Microsecond, Millisecond, 2 * Millisecond, 5 * Millisecond}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 24; i++ {
+		c := shardCase{
+			fires:  rng.Intn(2) == 0,
+			period: periods[rng.Intn(len(periods))],
+			until:  100 * Millisecond,
 		}
-		sys.Kernel.Every(0, 50*Millisecond, 3*Second, func(now Time) {
-			v := 0.5
-			if now >= Second && now < 2*Second {
-				v = 2.5
-			}
-			sys.Store.Save("sig", v)
-		})
-	}
-
-	plain := NewSystem()
-	plainSink := plain.AttachTelemetry(4096)
-	drive(plain)
-	plain.Kernel.RunUntil(3 * Second)
-
-	ss := NewShardedSystem(1)
-	sinks := ss.AttachTelemetry(4096)
-	drive(ss.Shard(0))
-	ss.RunUntil(3 * Second)
-
-	var want, got bytes.Buffer
-	if err := plainSink.WriteTrace(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := sinks[0].WriteTrace(&got); err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 || plainSink.Flight().Total() == 0 {
-		t.Fatal("plain run recorded no events; trace comparison is vacuous")
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("one-shard trace diverges from single-loop trace (%d vs %d bytes)",
-			want.Len(), got.Len())
-	}
-	// The merged fleet view of one shard is that shard.
-	var merged bytes.Buffer
-	if err := ss.Telemetry().WriteTrace(&merged); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), merged.Bytes()) {
-		t.Fatal("merged one-shard trace diverges from single-loop trace")
-	}
-	if !reflect.DeepEqual(plainSink.Snapshot().Counters, sinks[0].Snapshot().Counters) {
-		t.Errorf("counters diverge:\nplain   %v\nsharded %v",
-			plainSink.Snapshot().Counters, sinks[0].Snapshot().Counters)
-	}
-}
-
-// shardSpec is a FUNCTION-triggered guardrail replicated across shards
-// by the determinism tests.
-const shardSpec = `
+		threshold := 0.5 + 4.5*rng.Float64()
+		c.lo, c.hi = threshold/2, threshold*1.5
+		c.from = Time(rng.Int63n(int64(c.until / 2)))
+		c.to = c.from + Time(rng.Int63n(int64(c.until/2)))
+		trigger := fmt.Sprintf("TIMER(0, %d)", periods[rng.Intn(len(periods))])
+		if c.fires {
+			trigger = "FUNCTION(tick)"
+		}
+		action := "SAVE(alert, 1)"
+		if rng.Intn(2) == 0 {
+			action = "REPORT(LOAD(sig))"
+		}
+		c.name = fmt.Sprintf("%02d-%s-%s", i, trigger[:5], action[:4])
+		c.spec = fmt.Sprintf(`
 guardrail shard-watch {
-    trigger: { FUNCTION(tick) },
-    rule: { LOAD(sig) <= 1.0 },
-    action: { REPORT(LOAD(sig)) }
-}`
+    trigger: { %s },
+    rule: { LOAD(sig) <= %g },
+    action: { %s }
+}`, trigger, threshold, action)
+		cases = append(cases, c)
+	}
+	return cases
+}
 
-// driveShards installs a deterministic, shard-dependent workload: shard
-// i ticks every (i+1)*100µs with a value cycle offset by i.
-func driveShards(t *testing.T, ss *ShardedSystem) {
+// drive loads the case's guardrail on sys and installs its writer.
+// Shard i writes every (i+1) periods and enters the violating window i
+// periods late, so the shards of one run do different work.
+func (c shardCase) drive(t *testing.T, sys *System, shard int) {
 	t.Helper()
-	if _, err := ss.LoadGuardrails(shardSpec, Options{}); err != nil {
+	if _, err := sys.LoadGuardrails(c.spec, c.opts); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ss.NumShards(); i++ {
-		sh := ss.Shard(i)
-		j := i
-		sh.Kernel.Every(0, Time(i+1)*100*Microsecond, 0, func(now Time) {
-			sh.Store.Save("sig", float64((j*7)%3))
-			sh.Kernel.Fire("tick", float64(j))
-			j++
+	skew := Time(shard) * c.period
+	j := shard
+	sys.Kernel.Every(0, Time(shard+1)*c.period, c.until, func(now Time) {
+		v := c.lo
+		if now >= c.from+skew && now < c.to+skew {
+			v = c.hi
+		}
+		sys.Store.Save("sig", v)
+		if c.fires {
+			sys.Kernel.Fire("tick", float64(j))
+		}
+		j++
+	})
+}
+
+// trace renders a sink's flight recorder.
+func trace(t *testing.T, sink *Telemetry) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := sink.WriteTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestShardedOneShardReproducesSingleLoopTrace is the compatibility
+// acceptance check: a one-shard pool must be the existing kernel, not an
+// approximation of it. Every case runs on a plain System and on a
+// one-shard ShardedSystem, and the flight-recorder traces must be
+// byte-identical — same events, same order, same sequence numbers —
+// with the same counters and monitor stats.
+func TestShardedOneShardReproducesSingleLoopTrace(t *testing.T) {
+	var violations uint64
+	for _, c := range shardCases() {
+		t.Run(c.name, func(t *testing.T) {
+			plain := NewSystem()
+			plainSink := plain.AttachTelemetry(4096)
+			c.drive(t, plain, 0)
+			plain.Kernel.RunUntil(c.until)
+
+			ss := NewShardedSystem(1)
+			sinks := ss.AttachTelemetry(4096)
+			c.drive(t, ss.Shard(0), 0)
+			ss.RunUntil(c.until)
+
+			want := trace(t, plainSink)
+			counters := plainSink.Snapshot().Counters
+			if counters["evals_total"] == 0 {
+				t.Fatalf("plain run evaluated nothing; comparison is vacuous: %v", counters)
+			}
+			violations += counters["violations_total"]
+			if got := trace(t, sinks[0]); !bytes.Equal(want, got) {
+				t.Fatalf("one-shard trace diverges from single-loop trace (%d vs %d bytes)",
+					len(want), len(got))
+			}
+			// The merged fleet view of one shard is that shard.
+			if !bytes.Equal(want, trace(t, ss.Telemetry())) {
+				t.Fatal("merged one-shard trace diverges from single-loop trace")
+			}
+			if got := sinks[0].Snapshot().Counters; !reflect.DeepEqual(counters, got) {
+				t.Errorf("counters diverge:\nplain   %v\nsharded %v", counters, got)
+			}
+			for _, m := range plain.Runtime.Monitors() {
+				if want, got := m.Stats(), ss.FleetStats(m.Name()); want != got {
+					t.Errorf("%s stats diverge:\nplain   %+v\nsharded %+v", m.Name(), want, got)
+				}
+			}
 		})
+	}
+	if violations == 0 {
+		t.Fatal("no case violated its rule; the table never compares an action")
 	}
 }
 
-// TestShardedRunsAreDeterministic replays the same seeded K-shard
-// workload twice: every shard's flight-recorder trace and the merged
-// fleet trace must be byte-identical across runs even though shards
-// execute on concurrent goroutines.
+// TestShardedRunsAreDeterministic replays every case twice on K
+// shards: each shard's flight-recorder trace and the merged fleet trace
+// must be byte-identical across runs even though shards execute on
+// concurrent goroutines.
 func TestShardedRunsAreDeterministic(t *testing.T) {
 	n := shardCount(t)
-	run := func() ([][]byte, []byte, map[string]uint64) {
-		ss := NewShardedSystem(n)
-		ss.AttachTelemetry(1 << 14)
-		driveShards(t, ss)
-		ss.RunUntil(50 * Millisecond)
-		var traces [][]byte
-		for i := 0; i < n; i++ {
-			var b bytes.Buffer
-			if err := ss.ShardTelemetry(i).WriteTrace(&b); err != nil {
-				t.Fatal(err)
+	var violations uint64
+	for _, c := range shardCases() {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() ([][]byte, []byte, map[string]uint64) {
+				ss := NewShardedSystem(n)
+				ss.AttachTelemetry(1 << 14)
+				var traces [][]byte
+				for i := 0; i < n; i++ {
+					c.drive(t, ss.Shard(i), i)
+				}
+				ss.RunUntil(c.until)
+				for i := 0; i < n; i++ {
+					traces = append(traces, trace(t, ss.ShardTelemetry(i)))
+				}
+				return traces, trace(t, ss.Telemetry()), ss.Telemetry().Snapshot().Counters
 			}
-			traces = append(traces, b.Bytes())
-		}
-		var merged bytes.Buffer
-		if err := ss.Telemetry().WriteTrace(&merged); err != nil {
-			t.Fatal(err)
-		}
-		return traces, merged.Bytes(), ss.Telemetry().Snapshot().Counters
-	}
 
-	t1, m1, c1 := run()
-	t2, m2, c2 := run()
-	for i := range t1 {
-		if len(t1[i]) == 0 {
-			t.Fatalf("shard %d trace empty", i)
-		}
-		if !bytes.Equal(t1[i], t2[i]) {
-			t.Errorf("shard %d trace diverged across identical runs", i)
-		}
+			t1, m1, c1 := run()
+			t2, m2, c2 := run()
+			for i := range t1 {
+				if len(t1[i]) == 0 {
+					t.Fatalf("shard %d trace empty", i)
+				}
+				if !bytes.Equal(t1[i], t2[i]) {
+					t.Errorf("shard %d trace diverged across identical runs", i)
+				}
+			}
+			if !bytes.Equal(m1, m2) {
+				t.Error("merged trace diverged across identical runs")
+			}
+			if !reflect.DeepEqual(c1, c2) {
+				t.Errorf("merged counters diverged:\nrun1 %v\nrun2 %v", c1, c2)
+			}
+			if c1["evals_total"] == 0 {
+				t.Fatalf("workload evaluated nothing: %v", c1)
+			}
+			violations += c1["violations_total"]
+		})
 	}
-	if !bytes.Equal(m1, m2) {
-		t.Error("merged trace diverged across identical runs")
-	}
-	if !reflect.DeepEqual(c1, c2) {
-		t.Errorf("merged counters diverged:\nrun1 %v\nrun2 %v", c1, c2)
-	}
-	if c1["evals_total"] == 0 || c1["violations_total"] == 0 {
-		t.Fatalf("workload exercised nothing: %v", c1)
+	if violations == 0 {
+		t.Fatal("no case violated its rule")
 	}
 }
 
