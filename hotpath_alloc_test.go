@@ -2,18 +2,24 @@ package guardrails
 
 // Allocation guards for the in-kernel hot paths: a monitor evaluation
 // must not touch the heap, or the guardrail's own overhead violates the
-// P5 discipline it enforces. testing.AllocsPerRun fails these the moment
-// a change reintroduces a per-dispatch or per-evaluation allocation.
+// P5 discipline it enforces — and neither must the learned decision it
+// guards (an inference, a LinnOS read). testing.AllocsPerRun fails these
+// the moment a change reintroduces a per-dispatch, per-evaluation or
+// per-inference allocation.
 
 import (
 	"testing"
 
+	"guardrails/internal/cache"
 	"guardrails/internal/compile"
 	"guardrails/internal/experiments"
 	"guardrails/internal/featurestore"
 	"guardrails/internal/kernel"
+	"guardrails/internal/linnos"
 	"guardrails/internal/monitor"
 	"guardrails/internal/provenance"
+	"guardrails/internal/sched"
+	"guardrails/internal/storage"
 	"guardrails/internal/vm"
 )
 
@@ -98,5 +104,74 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	}
 	if rt.Provenance().Total() == 0 {
 		t.Fatal("recorder captured nothing; the measurement exercised the wrong path")
+	}
+}
+
+// TestPredictSlowAllocationFree: float and int16 inference both run in
+// scratch the model owns.
+func TestPredictSlowAllocationFree(t *testing.T) {
+	c := linnos.NewClassifier(1)
+	features := make([]float64, linnos.NumFeatures)
+	for _, mode := range []string{"float", "quantized"} {
+		if mode == "quantized" {
+			if err := c.EnableQuantized(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, func() { c.PredictSlow(features) }); n != 0 {
+			t.Errorf("%s Classifier.PredictSlow allocates %v times per run, want 0", mode, n)
+		}
+	}
+}
+
+// TestEngineReadMLPathAllocation: a model-routed read builds its
+// features in the engine's buffer. The one allocation left is
+// kernel.Fire's variadic argument slice (ROADMAP item 1).
+func TestEngineReadMLPathAllocation(t *testing.T) {
+	mk := func(name string, seed int64) *storage.Device {
+		d, err := storage.NewDevice(storage.DefaultDeviceConfig(name, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	arr, err := storage.NewArray(mk("primary", 1), mk("replica", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New()
+	e, err := linnos.NewEngine(k, featurestore.New(), arr, linnos.NewClassifier(1), linnos.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := kernel.Time(0)
+	read := func() {
+		now += 50 * kernel.Microsecond
+		e.Read(now, uint64(now))
+	}
+	read()
+	if n := testing.AllocsPerRun(1000, read); n > 1 {
+		t.Errorf("Engine.Read on the ML path allocates %v times per run, want <= 1", n)
+	}
+	if st := e.Stats(); st.MLRouted != st.Reads || st.Reads == 0 {
+		t.Fatalf("%d of %d reads were model-routed; the measurement exercised the wrong path", st.MLRouted, st.Reads)
+	}
+}
+
+// TestLearnedDecisionsAllocationFree: the other learned policies decide
+// through the same inference path, feature vector included.
+func TestLearnedDecisionsAllocationFree(t *testing.T) {
+	evictor := cache.NewLearned(1)
+	for key := uint64(0); key < 64; key++ {
+		evictor.OnInsert(key)
+	}
+	if n := testing.AllocsPerRun(1000, func() { evictor.Victim() }); n != 0 {
+		t.Errorf("learned cache Victim allocates %v times per run, want 0", n)
+	}
+
+	picker := sched.NewLearnedSJF(1)
+	ready := []*sched.Job{{ID: 1, SizeHint: 2, CPUUsed: kernel.Millisecond}, {ID: 2, SizeHint: 5}, {ID: 3, SizeHint: 1}}
+	if n := testing.AllocsPerRun(1000, func() { picker.Pick(0, ready) }); n != 0 {
+		t.Errorf("learned scheduler Pick allocates %v times per run, want 0", n)
 	}
 }

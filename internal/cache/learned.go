@@ -30,6 +30,9 @@ type Learned struct {
 	keys       []uint64
 	index      map[uint64]int
 
+	// feat is the feature vector of the key being scored.
+	feat [learnedFeatures]float64
+
 	// SampleSize candidates are scored per eviction.
 	SampleSize int
 }
@@ -86,17 +89,20 @@ func (p *Learned) OnEvict(key uint64) {
 	delete(p.freq, key)
 }
 
-// features builds the model input for a resident key.
+// features builds the model input for a resident key in the policy's
+// own buffer (Victim scores several keys per eviction) and returns a
+// view of it, valid until the next call.
 func (p *Learned) features(key uint64) []float64 {
 	age := float64(p.tick - p.lastAccess[key])
 	n := float64(len(p.keys))
 	if n == 0 {
 		n = 1
 	}
-	return []float64{
+	p.feat = [learnedFeatures]float64{
 		math.Min(age/n, 4),                   // recency in cache-size units
 		math.Log2(float64(p.freq[key])) / 16, // log frequency
 	}
+	return p.feat[:]
 }
 
 // Victim samples SampleSize resident keys and evicts the one with the

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"guardrails/internal/featurestore"
@@ -96,8 +95,8 @@ type Fig2Result struct {
 	GuardedMonitorStats monitor.Stats
 }
 
-// LatencySummary is an exact (sorted-sample) latency summary in
-// microseconds.
+// LatencySummary is an exact (every sample, no sketch) latency summary
+// in microseconds.
 type LatencySummary struct {
 	Count  int     `json:"count"`
 	MeanUS float64 `json:"mean_us"`
@@ -107,27 +106,86 @@ type LatencySummary struct {
 }
 
 // summarizeLatencies computes exact percentiles from per-read latencies
-// (simulated ns), reported in µs. The input slice is sorted in place.
+// (simulated ns), reported in µs: the values a full sort would put at
+// the three percentile indices, found by selection instead. The input
+// slice is reordered in place (partitioned around those indices, not
+// sorted). Latencies are whole nanoseconds and a run's total is far
+// below 2^53, so the sum, and with it the mean, is exact in any order.
 func summarizeLatencies(ns []float64) LatencySummary {
 	if len(ns) == 0 {
 		return LatencySummary{}
 	}
-	sort.Float64s(ns)
 	var sum float64
 	for _, v := range ns {
 		sum += v
 	}
-	q := func(p float64) float64 {
-		i := int(p * float64(len(ns)-1))
-		return ns[i] / 1e3
+	at := func(p float64) int { return int(p * float64(len(ns)-1)) }
+	i50, i95, i99 := at(0.50), at(0.95), at(0.99)
+	// Each selection leaves everything smaller in the prefix before its
+	// index, so the next lower percentile is selected in that prefix.
+	p99 := selectNth(ns, i99)
+	p95 := p99
+	if i95 < i99 {
+		p95 = selectNth(ns[:i99], i95)
+	}
+	p50 := p95
+	if i50 < i95 {
+		p50 = selectNth(ns[:i95], i50)
 	}
 	return LatencySummary{
 		Count:  len(ns),
 		MeanUS: sum / float64(len(ns)) / 1e3,
-		P50US:  q(0.50),
-		P95US:  q(0.95),
-		P99US:  q(0.99),
+		P50US:  p50 / 1e3,
+		P95US:  p95 / 1e3,
+		P99US:  p99 / 1e3,
 	}
+}
+
+// selectNth reorders ns so that ns[k] is the value a sort would put
+// there, with nothing larger before it and nothing smaller after it, and
+// returns that value (Hoare's quickselect, median-of-three pivots;
+// stopping both scans on values equal to the pivot keeps runs of
+// duplicates splitting evenly).
+func selectNth(ns []float64, k int) float64 {
+	lo, hi := 0, len(ns)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if ns[mid] < ns[lo] {
+			ns[mid], ns[lo] = ns[lo], ns[mid]
+		}
+		if ns[hi] < ns[lo] {
+			ns[hi], ns[lo] = ns[lo], ns[hi]
+		}
+		if ns[hi] < ns[mid] {
+			ns[hi], ns[mid] = ns[mid], ns[hi]
+		}
+		pivot := ns[mid]
+		i, j := lo, hi
+		for i <= j {
+			for ns[i] < pivot {
+				i++
+			}
+			for ns[j] > pivot {
+				j--
+			}
+			if i <= j {
+				ns[i], ns[j] = ns[j], ns[i]
+				i++
+				j--
+			}
+		}
+		// ns[lo..j] <= pivot <= ns[i..hi], and anything between j and i
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return ns[k]
+		}
+	}
+	return ns[k]
 }
 
 // fig2System is one complete LinnOS stack (kernel, store, array, engine).
@@ -138,11 +196,14 @@ type fig2System struct {
 	engine *linnos.Engine
 	wl     *linnos.MixedWorkload
 
-	// readLats accumulates per-read latencies (simulated ns) when
-	// collect is set, for the exact bench percentiles.
-	collect  bool
+	// readLats, when non-nil, accumulates per-read latencies (simulated
+	// ns) for the exact bench percentiles.
 	readLats []float64
 }
+
+// fig2OpsPerSec is the workload's arrival rate (reads and writes) per
+// simulated second.
+const fig2OpsPerSec = 20000
 
 // stackParams tune the LinnOS stack for an experiment.
 type stackParams struct {
@@ -215,7 +276,7 @@ func newStack(seed int64, model *linnos.Classifier, p stackParams) (*fig2System,
 		return nil, err
 	}
 	keys := trace.NewZipfKeys(trace.Split(seed, "keys"), 1<<16, 1.2, true)
-	wl := linnos.NewMixedWorkload(seed, 20000, 0.05, keys)
+	wl := linnos.NewMixedWorkload(seed, fig2OpsPerSec, 0.05, keys)
 	// Reads have Zipf locality; writes are log-structured (uniform) so
 	// no single chip is write-overloaded.
 	wl.SetWriteKeys(trace.NewUniformKeys(trace.Split(seed, "wkeys"), 1<<16))
@@ -232,7 +293,7 @@ func (s *fig2System) run(until kernel.Time) {
 			s.engine.Write(op.At, op.LBA)
 		} else {
 			lat, _ := s.engine.Read(op.At, op.LBA)
-			if s.collect {
+			if s.readLats != nil {
 				s.readLats = append(s.readLats, float64(lat))
 			}
 		}
@@ -268,7 +329,7 @@ func trainModel(seed int64, p stackParams) (*linnos.Classifier, error) {
 		return nil, err
 	}
 	keys := trace.NewZipfKeys(trace.Split(seed, "train-keys"), 1<<16, 1.2, true)
-	wl := linnos.NewMixedWorkload(trace.Split(seed, "train-wl"), 20000, 0.05, keys)
+	wl := linnos.NewMixedWorkload(trace.Split(seed, "train-wl"), fig2OpsPerSec, 0.05, keys)
 	wl.SetWriteKeys(trace.NewUniformKeys(trace.Split(seed, "train-wkeys"), 1<<16))
 	model, _, err := linnos.TrainedClassifier(arr, wl, 40000, kernel.Millisecond, trace.Split(seed, "model"), 0.75)
 	return model, err
@@ -294,8 +355,13 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 		return nil, err
 	}
 
-	guarded.collect = cfg.CollectLatencies
-	unguarded.collect = cfg.CollectLatencies
+	if cfg.CollectLatencies {
+		// Sized once: reads are at most the operations the workload
+		// issues, rate x duration on average.
+		ops := fig2OpsPerSec * (cfg.CalmSeconds + cfg.ShiftSeconds)
+		guarded.readLats = make([]float64, 0, ops)
+		unguarded.readLats = make([]float64, 0, ops)
+	}
 
 	rt := monitor.New(guarded.k, guarded.st)
 	if cfg.Telemetry != nil {

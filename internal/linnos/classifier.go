@@ -15,7 +15,8 @@ type Sample struct {
 
 // Classifier is the fast/slow binary classifier. It wraps a small MLP
 // (and optionally its integer-quantized form for cheap inference, as
-// LinnOS deploys in-kernel).
+// LinnOS deploys in-kernel). Like the networks it wraps, it infers in
+// scratch it owns and is not safe for concurrent use.
 type Classifier struct {
 	net  *nn.Network
 	q    *nn.Quantized
@@ -110,6 +111,8 @@ func (c *Classifier) Quantized() bool { return c.useQ }
 
 // PredictSlow classifies a feature vector; true means the access is
 // predicted slow (and should fail over to a replica).
+//
+//guardrails:hotpath
 func (c *Classifier) PredictSlow(features []float64) bool {
 	var out []float64
 	if c.useQ {

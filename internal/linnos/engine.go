@@ -109,7 +109,9 @@ type EngineStats struct {
 
 // Predictor classifies an access as slow from its feature vector; the
 // trained Classifier is the production implementation, and tests inject
-// deterministic stand-ins.
+// deterministic stand-ins. An implementation must not retain features:
+// the engine passes a view of a buffer it overwrites on the next
+// prediction.
 type Predictor interface {
 	PredictSlow(features []float64) bool
 }
@@ -131,6 +133,9 @@ type Engine struct {
 
 	fsWindow *stats.RateWindow
 	maWindow *stats.Window
+
+	// feat is the feature vector of the prediction in progress.
+	feat [NumFeatures]float64
 
 	stats EngineStats
 }
@@ -180,6 +185,8 @@ func (e *Engine) Write(now kernel.Time, lba uint64) kernel.Time {
 }
 
 // Read serves one read and returns its end-to-end latency and route.
+//
+//guardrails:hotpath
 func (e *Engine) Read(now kernel.Time, lba uint64) (kernel.Time, Route) {
 	var lat kernel.Time
 	var route Route
@@ -200,11 +207,21 @@ func (e *Engine) Read(now kernel.Time, lba uint64) (kernel.Time, Route) {
 	return lat, route
 }
 
+// predictSlow asks the model about a read submitted to d at time now.
+//
+//guardrails:hotpath
+func (e *Engine) predictSlow(d *storage.Device, now kernel.Time) bool {
+	fillFeatures(&e.feat, d, now)
+	return e.model.PredictSlow(e.feat[:])
+}
+
 // readML is the LinnOS path: predict on the primary's features; on a
 // slow prediction, predict on the replica and serve from it when it
 // looks fast (LinnOS re-issues only to replicas its model likes).
 // Wherever the read lands, the model's word is trusted to completion
 // (no hedge) — the false-submit exposure the guardrail bounds.
+//
+//guardrails:hotpath
 func (e *Engine) readML(now kernel.Time, lba uint64) (kernel.Time, Route) {
 	primary := e.arr.Primary()
 	replica := e.arr.Secondary()
@@ -214,10 +231,10 @@ func (e *Engine) readML(now kernel.Time, lba uint64) (kernel.Time, Route) {
 
 	target, route := primary, RoutePrimary
 	predictedFast := true
-	if e.model.PredictSlow(Features(primary, now)) {
+	if e.predictSlow(primary, now) {
 		e.stats.Inferences++
 		cost += e.cfg.InferenceCost
-		if e.model.PredictSlow(Features(replica, now)) {
+		if e.predictSlow(replica, now) {
 			// Both predicted slow: stay on the primary (re-issuing buys
 			// nothing) and accept the wait, exactly like LinnOS.
 			predictedFast = false
@@ -254,6 +271,8 @@ func (e *Engine) readML(now kernel.Time, lba uint64) (kernel.Time, Route) {
 // readBaseline is the vanilla failover heuristic: submit to the
 // primary; if the access would exceed the revoke timeout, cancel and
 // re-issue to the replica, paying timeout + replica latency.
+//
+//guardrails:hotpath
 func (e *Engine) readBaseline(now kernel.Time, lba uint64) (kernel.Time, Route) {
 	primary := e.arr.Primary()
 	lat := primary.Submit(now, lba, false)

@@ -24,14 +24,23 @@ func latFeature(l kernel.Time) float64 {
 	return stats.Clamp(float64(l)/float64(kernel.Millisecond), 0, 4)
 }
 
-// Features extracts the model input for a read about to be submitted to
-// device d at time now. The caller owns the returned slice.
-func Features(d *storage.Device, now kernel.Time) []float64 {
-	f := make([]float64, 0, NumFeatures)
-	f = append(f, stats.Clamp(float64(d.QueueDepth(now))/16.0, 0, 4))
-	rec := d.RecentLatencies()
-	for _, l := range rec {
-		f = append(f, latFeature(l))
+// fillFeatures writes the model input for a read about to be submitted
+// to device d at time now into f.
+//
+//guardrails:hotpath
+func fillFeatures(f *[NumFeatures]float64, d *storage.Device, now kernel.Time) {
+	f[0] = stats.Clamp(float64(d.QueueDepth(now))/16.0, 0, 4)
+	for i, l := range d.RecentLatencies() {
+		f[1+i] = latFeature(l)
 	}
-	return f
+}
+
+// Features extracts the model input for a read about to be submitted to
+// device d at time now. The caller owns the returned slice: CollectSamples
+// keeps it in a Sample. The engine, whose predictor only looks at the
+// vector, fills its own buffer instead of allocating per prediction.
+func Features(d *storage.Device, now kernel.Time) []float64 {
+	f := new([NumFeatures]float64)
+	fillFeatures(f, d, now)
+	return f[:]
 }

@@ -45,22 +45,6 @@ func (a Activation) String() string {
 	}
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
-	case Tanh:
-		return math.Tanh(x)
-	default:
-		return x
-	}
-}
-
 // derivFromOutput returns dActivation/dx expressed in terms of the
 // activation output y (possible for all supported activations).
 func (a Activation) derivFromOutput(y float64) float64 {
@@ -114,11 +98,16 @@ type layer struct {
 	// momentum buffers
 	vw []float64
 	vb []float64
+
+	// y holds this layer's activations from the last forward pass:
+	// scratch the network owns, so inference allocates nothing.
+	y []float64
 }
 
-// Network is a feedforward MLP. Not safe for concurrent mutation; a
-// frozen network may be shared for concurrent Forward calls through
-// Clone-per-goroutine or external locking.
+// Network is a feedforward MLP. It is not safe for concurrent use, not
+// even a frozen network for inference: Forward writes the per-layer
+// scratch the network owns, so two goroutines sharing one Network race.
+// Clone gives each goroutine its own.
 type Network struct {
 	cfg    Config
 	layers []layer
@@ -148,6 +137,7 @@ func New(cfg Config) *Network {
 			b:  make([]float64, out),
 			vw: make([]float64, in*out),
 			vb: make([]float64, out),
+			y:  make([]float64, out),
 		}
 		limit := math.Sqrt(6.0 / float64(in+out))
 		for j := range l.w {
@@ -173,45 +163,85 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// Forward runs inference, returning a fresh output slice.
+// Forward runs inference. The result is a view of scratch the network
+// owns, valid until the next Forward or Train on this network: read it
+// (or copy it) before then.
+//
+//guardrails:hotpath
 func (n *Network) Forward(in []float64) []float64 {
 	if len(in) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), n.InputSize()))
 	}
+	return n.forward(in)
+}
+
+// forward runs every layer, leaving layer li's activations in
+// n.layers[li].y (backprop reads them all), and returns the last.
+//
+//guardrails:hotpath
+func (n *Network) forward(in []float64) []float64 {
 	cur := in
 	for li := range n.layers {
 		l := &n.layers[li]
-		next := make([]float64, l.out)
-		for o := 0; o < l.out; o++ {
-			sum := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, x := range cur {
-				sum += row[i] * x
-			}
-			next[o] = l.act.apply(sum)
-		}
-		cur = next
+		l.dense(cur)
+		cur = l.y
 	}
 	return cur
 }
 
-// forwardTrace runs inference keeping every layer's activations
-// (including the input) for backprop.
-func (n *Network) forwardTrace(in []float64, acts [][]float64) {
-	copy(acts[0], in)
-	cur := acts[0]
-	for li := range n.layers {
-		l := &n.layers[li]
-		next := acts[li+1]
-		for o := 0; o < l.out; o++ {
-			sum := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, x := range cur {
-				sum += row[i] * x
-			}
-			next[o] = l.act.apply(sum)
+// dense is the one dense-layer loop, shared by inference and training:
+// y[o] = act(b[o] + w[o][0]*x[0] + w[o][1]*x[1] + ...). The rule that
+// keeps every result bit-identical to the naive loop
+// (TestKernelBitIdenticalToReference) is "same order, four rows at a
+// time": each sum starts from its bias and adds its products in index
+// order, and the only liberty taken is that four rows, which share no
+// data but x, advance together on four independent accumulators. No
+// sum is split, reassociated or fused.
+//
+//guardrails:hotpath
+func (l *layer) dense(x []float64) {
+	w, b, y := l.w, l.b, l.y[:len(l.b)]
+	n := len(x)
+	o := 0
+	for ; o+4 <= len(b); o += 4 {
+		// Re-slicing each row to len(x) lets the compiler drop the
+		// bounds check from the inner loop.
+		r0 := w[o*n : (o+1)*n][:len(x)]
+		r1 := w[(o+1)*n : (o+2)*n][:len(x)]
+		r2 := w[(o+2)*n : (o+3)*n][:len(x)]
+		r3 := w[(o+3)*n : (o+4)*n][:len(x)]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
 		}
-		cur = next
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(b); o++ {
+		r := w[o*n : (o+1)*n][:len(x)]
+		s := b[o]
+		for i, xi := range x {
+			s += r[i] * xi
+		}
+		y[o] = s
+	}
+	switch l.act {
+	case ReLU:
+		for o, s := range y {
+			if s < 0 {
+				y[o] = 0
+			}
+		}
+	case Sigmoid:
+		for o, s := range y {
+			y[o] = 1 / (1 + math.Exp(-s))
+		}
+	case Tanh:
+		for o, s := range y {
+			y[o] = math.Tanh(s)
+		}
 	}
 }
 
@@ -245,13 +275,27 @@ func (n *Network) Train(inputs, targets [][]float64, opts TrainOpts) (float64, e
 	if opts.Epochs <= 0 {
 		opts.Epochs = 1
 	}
+	// The set is packed into one row per sample, input then target: the
+	// shuffled walk below then touches one place per sample instead of
+	// two slice headers and two arrays scattered over the heap.
+	nIn, nOut := n.InputSize(), n.OutputSize()
+	width := nIn + nOut
+	packed := make([]float64, len(inputs)*width)
 	for i := range inputs {
-		if len(inputs[i]) != n.InputSize() {
-			return 0, fmt.Errorf("nn: input %d has size %d, want %d", i, len(inputs[i]), n.InputSize())
+		if len(inputs[i]) != nIn {
+			return 0, fmt.Errorf("nn: input %d has size %d, want %d", i, len(inputs[i]), nIn)
 		}
-		if len(targets[i]) != n.OutputSize() {
-			return 0, fmt.Errorf("nn: target %d has size %d, want %d", i, len(targets[i]), n.OutputSize())
+		// backprop's zero-delta skip needs finite activations; checking
+		// the inputs here, once, spares it a test per sample.
+		if !finite(inputs[i]) {
+			return 0, fmt.Errorf("nn: input %d has a non-finite feature", i)
 		}
+		if len(targets[i]) != nOut {
+			return 0, fmt.Errorf("nn: target %d has size %d, want %d", i, len(targets[i]), nOut)
+		}
+		row := packed[i*width : (i+1)*width]
+		copy(row, inputs[i])
+		copy(row[nIn:], targets[i])
 	}
 
 	idx := make([]int, len(inputs))
@@ -264,11 +308,7 @@ func (n *Network) Train(inputs, targets [][]float64, opts TrainOpts) (float64, e
 	}
 
 	// Scratch buffers reused across samples.
-	acts := make([][]float64, len(n.cfg.Layers))
 	deltas := make([][]float64, len(n.layers))
-	for i, w := range n.cfg.Layers {
-		acts[i] = make([]float64, w)
-	}
 	for i := range n.layers {
 		deltas[i] = make([]float64, n.layers[i].out)
 	}
@@ -296,7 +336,8 @@ func (n *Network) Train(inputs, targets [][]float64, opts TrainOpts) (float64, e
 				zero(gb[i])
 			}
 			for _, s := range batch {
-				epochLoss += n.backprop(inputs[s], targets[s], acts, deltas, gw, gb)
+				row := packed[s*width : (s+1)*width]
+				epochLoss += n.backprop(row[:nIn], row[nIn:], deltas, gw, gb)
 			}
 			scale := opts.LearningRate / float64(len(batch))
 			for li := range n.layers {
@@ -322,10 +363,20 @@ func zero(s []float64) {
 	}
 }
 
+// finite reports whether every element is neither NaN nor ±Inf.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // backprop accumulates gradients for one sample and returns its loss.
-func (n *Network) backprop(in, target []float64, acts, deltas, gw, gb [][]float64) float64 {
-	n.forwardTrace(in, acts)
-	out := acts[len(acts)-1]
+// Every accumulator receives the naive loops' terms in their order.
+func (n *Network) backprop(in, target []float64, deltas, gw, gb [][]float64) float64 {
+	out := n.forward(in)
 	last := len(n.layers) - 1
 
 	var loss float64
@@ -347,34 +398,50 @@ func (n *Network) backprop(in, target []float64, acts, deltas, gw, gb [][]float6
 
 	for li := last; li >= 0; li-- {
 		l := &n.layers[li]
-		prev := acts[li]
-		for o := 0; o < l.out; o++ {
-			d := deltas[li][o]
+		delta := deltas[li][:l.out]
+		prev := in // Train checked it finite
+		prevFinite := true
+		if li > 0 {
+			prev = n.layers[li-1].y
+			prevFinite = finite(prev)
+		}
+		g := gw[li]
+		for o, d := range delta {
 			gb[li][o] += d
-			row := gw[li][o*l.in : (o+1)*l.in]
+			// A unit whose delta is exactly zero (mostly a dead ReLU)
+			// adds ±0·x to each gradient in its row. An accumulator
+			// zeroed to +0 can never become -0, so for finite x that is
+			// the identity and the row can be skipped; 0·Inf is NaN,
+			// hence prevFinite.
+			if d == 0 && prevFinite {
+				continue
+			}
+			row := g[o*l.in : (o+1)*l.in][:len(prev)]
 			for i, x := range prev {
 				row[i] += d * x
 			}
 		}
-		if li > 0 {
-			below := deltas[li-1]
-			zero(below)
-			for o := 0; o < l.out; o++ {
-				d := deltas[li][o]
-				row := l.w[o*l.in : (o+1)*l.in]
-				for i := range below {
-					below[i] += d * row[i]
-				}
+		if li == 0 {
+			break
+		}
+		below := deltas[li-1][:l.in]
+		zero(below)
+		for o, d := range delta {
+			row := l.w[o*l.in : (o+1)*l.in][:len(below)]
+			for i := range below {
+				below[i] += d * row[i]
 			}
-			for i, y := range acts[li] {
-				below[i] *= n.layers[li-1].act.derivFromOutput(y)
-			}
+		}
+		act := n.layers[li-1].act
+		for i, y := range prev[:len(below)] {
+			below[i] *= act.derivFromOutput(y)
 		}
 	}
 	return loss
 }
 
-// Clone returns a deep copy (weights and momentum buffers).
+// Clone returns a deep copy (weights and momentum buffers) with its own
+// scratch: one clone per goroutine is how a trained network is shared.
 func (n *Network) Clone() *Network {
 	c := &Network{cfg: n.cfg}
 	c.cfg.Layers = append([]int(nil), n.cfg.Layers...)
@@ -386,6 +453,7 @@ func (n *Network) Clone() *Network {
 			b:  append([]float64(nil), l.b...),
 			vw: append([]float64(nil), l.vw...),
 			vb: append([]float64(nil), l.vb...),
+			y:  make([]float64, l.out),
 		}
 	}
 	return c

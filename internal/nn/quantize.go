@@ -11,11 +11,19 @@ import (
 // Linear/ReLU/Sigmoid outputs are supported; sigmoid is approximated by a
 // piecewise-linear "hard sigmoid", which preserves the argmax/threshold
 // decisions the learned policies make.
+//
+// Like Network, a Quantized owns its inference scratch and is not safe
+// for concurrent use.
 type Quantized struct {
 	layers   []qlayer
 	inSize   int
 	outSize  int
 	fracBits uint
+
+	// Scratch reused by every Forward: the quantized input and the
+	// dequantized output (each layer keeps its own activations).
+	qin []int32
+	out []float64
 }
 
 type qlayer struct {
@@ -23,6 +31,7 @@ type qlayer struct {
 	w       []int16
 	b       []int32 // pre-shifted to 2*fracBits scale
 	act     Activation
+	y       []int32 // activations from the last Forward
 }
 
 // Quantize converts the network to fixed point with the given number of
@@ -39,10 +48,11 @@ func (n *Network) Quantize(fracBits uint) (*Quantized, error) {
 		}
 	}
 	scale := float64(int64(1) << fracBits)
-	q := &Quantized{inSize: n.InputSize(), outSize: n.OutputSize(), fracBits: fracBits}
+	q := &Quantized{inSize: n.InputSize(), outSize: n.OutputSize(), fracBits: fracBits,
+		qin: make([]int32, n.InputSize()), out: make([]float64, n.OutputSize())}
 	for _, l := range n.layers {
 		ql := qlayer{in: l.in, out: l.out, act: l.act,
-			w: make([]int16, len(l.w)), b: make([]int32, len(l.b))}
+			w: make([]int16, len(l.w)), b: make([]int32, len(l.b)), y: make([]int32, l.out)}
 		for j, w := range l.w {
 			v := math.Round(w * scale)
 			if v > math.MaxInt16 {
@@ -69,13 +79,17 @@ func (q *Quantized) InputSize() int { return q.inSize }
 func (q *Quantized) OutputSize() int { return q.outSize }
 
 // Forward runs fixed-point inference. Inputs are quantized on entry;
-// outputs are dequantized to float64 for the caller.
+// outputs are dequantized to float64 for the caller. As with
+// Network.Forward, the result is a view of owned scratch, valid until
+// the next Forward.
+//
+//guardrails:hotpath
 func (q *Quantized) Forward(in []float64) []float64 {
 	if len(in) != q.inSize {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), q.inSize))
 	}
 	scale := int64(1) << q.fracBits
-	cur := make([]int32, len(in))
+	cur := q.qin
 	for i, x := range in {
 		v := math.Round(x * float64(scale))
 		if v > math.MaxInt32 {
@@ -86,8 +100,9 @@ func (q *Quantized) Forward(in []float64) []float64 {
 		}
 		cur[i] = int32(v)
 	}
-	for _, l := range q.layers {
-		next := make([]int32, l.out)
+	for li := range q.layers {
+		l := &q.layers[li]
+		next := l.y
 		for o := 0; o < l.out; o++ {
 			acc := int64(l.b[o])
 			row := l.w[o*l.in : (o+1)*l.in]
@@ -114,7 +129,7 @@ func (q *Quantized) Forward(in []float64) []float64 {
 		}
 		cur = next
 	}
-	out := make([]float64, len(cur))
+	out := q.out
 	for i, v := range cur {
 		out[i] = float64(v) / float64(scale)
 	}
