@@ -27,10 +27,9 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestMarkedPackagesClean runs the real driver over the repo's marked
-// hot paths — the same invocation CI gates on — and requires zero
-// findings.
-func TestMarkedPackagesClean(t *testing.T) {
+// TestTreeIsClean runs the real driver over the whole module — the same
+// invocation CI gates on, every analyzer — and requires zero findings.
+func TestTreeIsClean(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
 	}
@@ -39,18 +38,18 @@ func TestMarkedPackagesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	code, err := run(&sb, []string{"./internal/vm", "./internal/monitor", "./internal/provenance"})
+	code, err := run(&sb, []string{"./..."})
 	if err != nil {
-		t.Fatalf("hotpathcheck failed: %v", err)
+		t.Fatalf("repolint failed: %v", err)
 	}
 	if code != 0 {
-		t.Errorf("marked hot paths are dirty:\n%s", sb.String())
+		t.Errorf("repolint ./... has findings:\n%s", sb.String())
 	}
 }
 
-// TestDriverFlagsSeededViolation plants a marked allocating function in
-// a throwaway package inside the module and checks the driver flags it
-// and exits 1.
+// TestDriverFlagsSeededViolation plants a marked allocating function
+// and a function nothing calls in a throwaway package under internal/
+// and checks the driver flags both and exits 1.
 func TestDriverFlagsSeededViolation(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
@@ -59,7 +58,7 @@ func TestDriverFlagsSeededViolation(t *testing.T) {
 	if err := os.Chdir(root); err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(root, "tools", "analyzers", "hotpath", "zz_seeded_violation")
+	dir := filepath.Join(root, "internal", "zz_seeded_violation")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +74,20 @@ func leaky(n int) []int {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	code, err := run(&sb, []string{"./tools/analyzers/hotpath/zz_seeded_violation"})
+	code, err := run(&sb, []string{"./internal/zz_seeded_violation"})
 	if err != nil {
-		t.Fatalf("hotpathcheck failed: %v", err)
+		t.Fatalf("repolint failed: %v", err)
 	}
 	if code != 1 {
-		t.Errorf("seeded violation not flagged (exit %d):\n%s", code, sb.String())
+		t.Errorf("seeded violations not flagged (exit %d):\n%s", code, sb.String())
 	}
-	if !strings.Contains(sb.String(), "make allocates") {
-		t.Errorf("finding text missing:\n%s", sb.String())
+	for _, want := range []string{
+		"hotpath: leaky: make allocates",
+		"reach: guardrails/internal/zz_seeded_violation.leaky: reachable only from tests",
+		"repolint: 2 finding(s)", // and none from the packages the pattern leaves out
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -307,6 +307,13 @@ func StandardChaos(seed int64) *FaultPlan {
 	return faults.StandardChaos(seed)
 }
 
+// NewRecorder returns a feature-store flight recorder retaining the
+// most recent capacity writes. Attach it with Store.AttachRecorder and
+// set Options.Recorder: every violation report's Context then carries
+// the writes that led up to it — the paper's A1, "log which inputs
+// triggered the violation". A zero Recorder has no ring to record into.
+func NewRecorder(capacity int) *Recorder { return featurestore.NewRecorder(capacity) }
+
 // System bundles a kernel, a feature store, and a guardrail runtime —
 // everything needed to run guarded learned policies.
 type System struct {

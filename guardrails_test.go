@@ -127,3 +127,44 @@ func TestFaultInjectionPublicAPI(t *testing.T) {
 		t.Fatal("dead-letter queue not wired")
 	}
 }
+
+// TestRecorderContextThroughFacade goes facade-only along the paper's A1
+// path: NewRecorder → Store.AttachRecorder → Options.Recorder → a
+// violating REPORT whose Context holds the writes that triggered it.
+// Options.Recorder and the Recorder alias were public before
+// NewRecorder was, and a zero Recorder panics on its first write.
+func TestRecorderContextThroughFacade(t *testing.T) {
+	sys := NewSystem()
+	rec := NewRecorder(16)
+	sys.Store.Intern("io_latency_us")
+	sys.Store.AttachRecorder(rec, "io_latency_us")
+	_, err := sys.LoadGuardrails(`
+guardrail slow-io {
+    trigger: { TIMER(start_time, 1e9) },
+    rule: { LOAD(slow_rate) <= 0.1 },
+    action: { REPORT(LOAD(slow_rate)) }
+}`, Options{Recorder: rec, RecorderContext: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, us := range []float64{90, 4000, 9000} {
+		sys.Store.Save("io_latency_us", us)
+	}
+	sys.Store.Save("slow_rate", 0.5)
+	sys.Kernel.RunUntil(Second)
+
+	reports := sys.Runtime.Log.Recent(1)
+	if len(reports) != 1 {
+		t.Fatalf("violation reports = %d, want 1", len(reports))
+	}
+	var got []float64
+	for _, w := range reports[0].Context {
+		if w.Key != "io_latency_us" {
+			t.Errorf("unattached key %q in context", w.Key)
+		}
+		got = append(got, w.Value)
+	}
+	if len(got) != 2 || got[0] != 4000 || got[1] != 9000 {
+		t.Errorf("context = %v, want the last two attached writes [4000 9000]", got)
+	}
+}

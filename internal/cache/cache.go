@@ -1,5 +1,5 @@
 // Package cache simulates cache replacement with pluggable eviction
-// policies: LRU, LFU, random, and a learned evictor that scores
+// policies: LRU, random, and a learned evictor that scores
 // candidates with a small neural network. It backs the decision-quality
 // property experiments (P4 in the paper's Figure 1: "decisions of the
 // model must yield better hit rates than randomly selecting elements"),
@@ -31,28 +31,11 @@ type Policy interface {
 	Victim() uint64
 }
 
-// Stats counts cache outcomes.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no accesses.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache is a fixed-capacity key cache driven by a Policy.
 type Cache struct {
 	capacity int
 	entries  map[uint64]bool
 	policy   Policy
-	stats    Stats
 }
 
 // New returns a cache of the given capacity using policy.
@@ -70,9 +53,6 @@ func New(capacity int, policy Policy) (*Cache, error) {
 	}, nil
 }
 
-// Policy returns the cache's eviction policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // SwapPolicy replaces the eviction policy in place (the REPLACE action
 // path): resident keys are re-registered with the new policy via
 // OnInsert so it can immediately pick victims.
@@ -87,24 +67,16 @@ func (c *Cache) SwapPolicy(p Policy) error {
 	return nil
 }
 
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // Len returns the number of cached keys.
 func (c *Cache) Len() int { return len(c.entries) }
-
-// Contains reports whether key is cached (without touching policy state).
-func (c *Cache) Contains(key uint64) bool { return c.entries[key] }
 
 // Access performs one access, returning true on a hit. Misses insert
 // the key, evicting a victim when full.
 func (c *Cache) Access(key uint64) bool {
 	if c.entries[key] {
-		c.stats.Hits++
 		c.policy.OnHit(key)
 		return true
 	}
-	c.stats.Misses++
 	if len(c.entries) >= c.capacity {
 		victim := c.policy.Victim()
 		if !c.entries[victim] {
@@ -112,7 +84,6 @@ func (c *Cache) Access(key uint64) bool {
 		}
 		delete(c.entries, victim)
 		c.policy.OnEvict(victim)
-		c.stats.Evictions++
 	}
 	c.entries[key] = true
 	c.policy.OnInsert(key)
@@ -151,42 +122,6 @@ func (p *LRU) OnEvict(key uint64) {
 
 // Victim returns the least recently used key.
 func (p *LRU) Victim() uint64 { return p.order.Back().Value.(uint64) }
-
-// --- LFU ---------------------------------------------------------------
-
-// LFU evicts the least frequently used key (ties broken arbitrarily).
-// Victim selection is O(n) over resident keys; acceptable at simulation
-// scales and free of heap bookkeeping.
-type LFU struct {
-	freq map[uint64]uint64
-}
-
-// NewLFU returns an LFU policy.
-func NewLFU() *LFU { return &LFU{freq: make(map[uint64]uint64)} }
-
-// Name identifies the policy.
-func (p *LFU) Name() string { return "lfu" }
-
-// OnInsert notes an insertion.
-func (p *LFU) OnInsert(key uint64) { p.freq[key] = 1 }
-
-// OnHit bumps the frequency.
-func (p *LFU) OnHit(key uint64) { p.freq[key]++ }
-
-// OnEvict drops metadata.
-func (p *LFU) OnEvict(key uint64) { delete(p.freq, key) }
-
-// Victim returns the minimum-frequency key.
-func (p *LFU) Victim() uint64 {
-	var best uint64
-	bestF := uint64(1<<63 - 1)
-	for k, f := range p.freq {
-		if f < bestF {
-			best, bestF = k, f
-		}
-	}
-	return best
-}
 
 // --- Random ------------------------------------------------------------
 

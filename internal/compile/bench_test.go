@@ -39,10 +39,11 @@ func BenchmarkCompilePipeline(b *testing.B) {
 // BenchmarkCompileStages isolates each pipeline stage: parsing+checking,
 // lowering, each IR pass, and codegen.
 func BenchmarkCompileStages(b *testing.B) {
-	g, err := spec.ParseOne(benchSrc)
+	file, err := spec.Parse(benchSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	if err := spec.CheckGuardrail(g); err != nil {
 		b.Fatal(err)
 	}

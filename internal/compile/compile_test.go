@@ -403,10 +403,11 @@ func TestCompiledProgramsAlwaysVerify(t *testing.T) {
 }
 
 func TestGuardrailDirectCompile(t *testing.T) {
-	g, err := spec.ParseOne(listing2)
+	file, err := spec.Parse(listing2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	c, err := Guardrail(g)
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,11 @@ import (
 func parseExpr(t *testing.T, exprSrc string) spec.Expr {
 	t.Helper()
 	src := "guardrail g { trigger: { TIMER(0,1) }, rule: { " + exprSrc + " }, action: { REPORT() } }"
-	g, err := spec.ParseOne(src)
+	file, err := spec.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", exprSrc, err)
 	}
+	g := file.Guardrails[0]
 	return g.Rules[0]
 }
 
@@ -22,10 +23,11 @@ func parseExpr(t *testing.T, exprSrc string) spec.Expr {
 func parseValueExpr(t *testing.T, exprSrc string) spec.Expr {
 	t.Helper()
 	src := "guardrail g { trigger: { TIMER(0,1) }, rule: { 1 < 2 }, action: { SAVE(k, " + exprSrc + ") } }"
-	g, err := spec.ParseOne(src)
+	file, err := spec.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", exprSrc, err)
 	}
+	g := file.Guardrails[0]
 	return g.Actions[0].(*spec.SaveAction).Value
 }
 

@@ -219,10 +219,11 @@ func TestLiteralRulesCompileAndAgree(t *testing.T) {
 		"LOAD(k0) > 2  true  LOAD(k1) < 1",
 	} {
 		src := "guardrail lit { trigger: { TIMER(0,1) }, rule: { " + rules + " }, action: { SAVE(bad, 1) } }"
-		g, err := spec.ParseOne(src)
+		file, err := spec.Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", rules, err)
 		}
+		g := file.Guardrails[0]
 		for level := 0; level <= 1; level++ {
 			c, err := GuardrailWith(g, Options{Level: level})
 			if err != nil {
@@ -256,10 +257,11 @@ func TestRandomRulesCompileAndAgree(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		exprSrc := randExpr(rng, 2)
 		src := "guardrail fuzz { trigger: { TIMER(0,1) }, rule: { " + exprSrc + " }, action: { SAVE(bad, 1) } }"
-		g, err := spec.ParseOne(src)
+		file, err := spec.Parse(src)
 		if err != nil {
 			t.Fatalf("trial %d: parse %q: %v", trial, exprSrc, err)
 		}
+		g := file.Guardrails[0]
 		o1, err := GuardrailWith(g, Options{Level: 1})
 		if err != nil {
 			// Depth overflow of the register stack is a legitimate

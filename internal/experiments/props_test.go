@@ -1,11 +1,39 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"guardrails/internal/kernel"
 )
+
+// tableDigests pins each paper-table experiment at seed 1 with
+// guardrail-bench's parameters: sha256 of the rendered table plus the
+// newline the CLI prints after it, so each constant is what
+// `guardrail-bench -only <id> -seed 1 2>/dev/null | sha256sum` prints.
+// Recorded before the reachability cut removed the test-only half of
+// stats, properties and trace; the experiments run on those packages and
+// were checked for shape only.
+var tableDigests = map[string]string{
+	"p1":   "14a5a1219b99292a0393836aaa14750ff750fbe20f225f88780934587fbfa6a8",
+	"p2":   "d50ebecfda98359c55398cdf23c071da953089942c12b4638daa7e2a131edc40",
+	"p3":   "d4cddc901d233b151e115b176971f8d401d636b81a58a70754af7d58152916e8",
+	"p4":   "383c43394ad38f949079e8b0462c5d07d931d61ad5ae172e990dc520bac0c0c4",
+	"p5":   "01aa36ab0dd03425ad4f4cd8f48fe381c795ae2ba73aceb562e3658642a8fb6a",
+	"p6":   "870a74fb8f93aaad48796460f720690c1c6965f9d150ba7c51f83a329f9fbd26",
+	"osc":  "46bbc09fb6b92402e8dac861f7d0bb3ae528d9363be69feb137b09e0000f35f2",
+	"trig": "58676a9af54dc73518cbabf7e06e0c90cd2889b34d6ae9b6ea7f6655439c2431",
+}
+
+func checkTableDigest(t *testing.T, id, rendered string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(rendered + "\n"))
+	if got := hex.EncodeToString(sum[:]); got != tableDigests[id] {
+		t.Errorf("%s: table digest %s, want %s\n%s", id, got, tableDigests[id], rendered)
+	}
+}
 
 func TestP1DriftExperiment(t *testing.T) {
 	r, err := RunP1Drift(1)
@@ -30,23 +58,21 @@ func TestP1DriftExperiment(t *testing.T) {
 	if r.Reports == 0 {
 		t.Error("no violation reports")
 	}
-	if !strings.Contains(r.Render(), "P1") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p1", r.Render())
 }
 
 func TestP2RobustnessExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	rows, err := RunP2Robustness(2, []float64{0, 0.3})
+	rows, err := RunP2Robustness(1, []float64{0, 0.1, 0.2, 0.3, 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	clean, noisy := rows[0], rows[1]
+	clean, noisy := rows[0], rows[3]
 	if noisy.LearnedCoV <= clean.LearnedCoV {
 		t.Errorf("noise should raise learned CoV: %v -> %v", clean.LearnedCoV, noisy.LearnedCoV)
 	}
@@ -62,16 +88,14 @@ func TestP2RobustnessExperiment(t *testing.T) {
 	if clean.GuardedFired {
 		t.Error("guardrail fired on a clean run")
 	}
-	if !strings.Contains(RenderP2(rows), "P2") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p2", RenderP2(rows))
 }
 
 func TestP3OutOfBoundsExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long drive")
 	}
-	r, err := RunP3OutOfBounds(3)
+	r, err := RunP3OutOfBounds(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +114,14 @@ func TestP3OutOfBoundsExperiment(t *testing.T) {
 	if r.GuardedLatencyNS >= r.UnguardedLatencyNS {
 		t.Errorf("guarded latency %v should beat unguarded %v", r.GuardedLatencyNS, r.UnguardedLatencyNS)
 	}
-	if !strings.Contains(r.Render(), "P3") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p3", r.Render())
 }
 
 func TestP4QualityExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long drive")
 	}
-	r, err := RunP4Quality(4)
+	r, err := RunP4Quality(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,22 +134,20 @@ func TestP4QualityExperiment(t *testing.T) {
 	if r.ReplacedAtAccess <= 40000 {
 		t.Errorf("replaced during calm phase at access %d", r.ReplacedAtAccess)
 	}
-	if !strings.Contains(r.Render(), "P4") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p4", r.Render())
 }
 
 func TestP5OverheadExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system sweep")
 	}
-	rows, err := RunP5Overhead(5, []kernel.Time{
-		6 * kernel.Microsecond, 400 * kernel.Microsecond,
+	rows, err := RunP5Overhead(1, []kernel.Time{
+		6 * kernel.Microsecond, 60 * kernel.Microsecond, 400 * kernel.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheap, costly := rows[0], rows[1]
+	cheap, costly := rows[0], rows[2]
 	if !cheap.MLFinal {
 		t.Error("cheap inference should stay enabled")
 	}
@@ -141,16 +161,14 @@ func TestP5OverheadExperiment(t *testing.T) {
 		t.Errorf("guarded MA %v should beat unguarded %v at high cost",
 			costly.GuardedMAUS, costly.UnguardedMAUS)
 	}
-	if !strings.Contains(RenderP5(rows), "P5") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p5", RenderP5(rows))
 }
 
 func TestP6FairnessExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three scheduler runs")
 	}
-	r, err := RunP6Fairness(6)
+	r, err := RunP6Fairness(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +184,14 @@ func TestP6FairnessExperiment(t *testing.T) {
 	if r.GuardedMaxWait >= r.LearnedMaxWait {
 		t.Errorf("guarded max wait %v should beat unguarded %v", r.GuardedMaxWait, r.LearnedMaxWait)
 	}
-	if !strings.Contains(r.Render(), "P6") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "p6", r.Render())
 }
 
 func TestOscillationExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 60s phases")
 	}
-	r, err := RunOscillation(7)
+	r, err := RunOscillation(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +202,11 @@ func TestOscillationExperiment(t *testing.T) {
 		t.Errorf("hysteresis did not damp: %d vs %d",
 			r.TogglesWithHysteresis, r.TogglesNoHysteresis)
 	}
-	if !strings.Contains(r.Render(), "feedback") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "osc", r.Render())
 }
 
 func TestTriggerSweepExperiment(t *testing.T) {
-	rows, err := RunTriggerSweep(8)
+	rows, err := RunTriggerSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +238,7 @@ func TestTriggerSweepExperiment(t *testing.T) {
 	if dep.Evals == 0 {
 		t.Error("dependency mechanism never evaluated")
 	}
-	if !strings.Contains(RenderTriggers(rows), "trigger") {
-		t.Error("render broken")
-	}
+	checkTableDigest(t, "trig", RenderTriggers(rows))
 }
 
 func TestTableRendering(t *testing.T) {

@@ -155,16 +155,16 @@ func TestPlanArmsReplicaEvents(t *testing.T) {
 	inj := p.Arm(k, arr)
 
 	k.RunUntil(kernel.Second)
-	if !arr.Alive(1) {
+	if arr.AliveCount() != 2 {
 		t.Fatal("replica failed early")
 	}
 	k.RunUntil(3 * kernel.Second)
-	if arr.Alive(1) {
-		t.Fatal("replica not failed at 2s")
+	if arr.AliveCount() != 1 || arr.Secondary() != arr.Replica(0) {
+		t.Fatal("replica 1 not failed at 2s")
 	}
 	k.RunUntil(5 * kernel.Second)
-	if !arr.Alive(1) {
-		t.Fatal("replica not healed at 4s")
+	if arr.AliveCount() != 2 || arr.Secondary() != arr.Replica(1) {
+		t.Fatal("replica 1 not healed at 4s")
 	}
 	if inj.Count(ReplicaFail) != 1 || inj.Count(ReplicaHeal) != 1 {
 		t.Errorf("counts fail=%d heal=%d, want 1/1; log: %v",

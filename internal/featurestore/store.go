@@ -15,6 +15,7 @@ package featurestore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,13 +51,20 @@ type Store struct {
 
 	objMu   sync.RWMutex
 	objects map[string]any
+
+	// watchRegs names each watcher by registration number, parallel to
+	// the watchers lists, so a cancel finds its own entry. Under mu;
+	// writers never read it, and it sits after the fields they do read.
+	watchRegs map[ID][]uint64
+	watchSeq  uint64
 }
 
 // New returns an empty feature store.
 func New() *Store {
 	s := &Store{
-		ids:     make(map[string]ID),
-		objects: make(map[string]any),
+		ids:       make(map[string]ID),
+		objects:   make(map[string]any),
+		watchRegs: make(map[ID][]uint64),
 	}
 	empty := make([]*cell, 0)
 	s.cells.Store(&empty)
@@ -249,18 +257,46 @@ func (s *Store) SeqID(id ID) uint64 {
 	return c.seq.Load()
 }
 
-// Watch registers fn to run on every write to name. The key is interned
-// if needed.
-func (s *Store) Watch(name string, fn WatchFunc) {
+// Watch registers fn to run on every write to name and returns its
+// cancel function. The key is interned if needed. Cancelling removes
+// exactly this registration (the others on the key keep their order),
+// drops the closure so whatever it captured can be collected, and may
+// be repeated; a write already past its watcher-table load may still
+// call fn once more.
+func (s *Store) Watch(name string, fn WatchFunc) (cancel func()) {
 	id := s.Intern(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.watchSeq++
+	reg := s.watchSeq
+	s.setWatchers(id, append(slices.Clone((*s.watchers.Load())[id]), fn))
+	s.watchRegs[id] = append(s.watchRegs[id], reg)
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		i := slices.Index(s.watchRegs[id], reg)
+		if i < 0 {
+			return
+		}
+		s.setWatchers(id, slices.Delete(slices.Clone((*s.watchers.Load())[id]), i, i+1))
+		s.watchRegs[id] = slices.Delete(s.watchRegs[id], i, i+1)
+	}
+}
+
+// setWatchers publishes a copy of the watcher table with id's list
+// replaced (an empty list removes the key, so writers skip it). The
+// caller holds mu; writers load the table without it.
+func (s *Store) setWatchers(id ID, fns []WatchFunc) {
 	old := *s.watchers.Load()
 	next := make(map[ID][]WatchFunc, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[id] = append(append([]WatchFunc(nil), next[id]...), fn)
+	if len(fns) == 0 {
+		delete(next, id)
+	} else {
+		next[id] = fns
+	}
 	s.watchers.Store(&next)
 }
 

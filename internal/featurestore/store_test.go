@@ -130,11 +130,25 @@ func TestWatchersFire(t *testing.T) {
 func TestMultipleWatchersSameKey(t *testing.T) {
 	s := New()
 	a, b := 0, 0
-	s.Watch("k", func(string, float64) { a++ })
-	s.Watch("k", func(string, float64) { b++ })
+	cancelA := s.Watch("k", func(string, float64) { a++ })
+	cancelB := s.Watch("k", func(string, float64) { b++ })
 	s.Save("k", 1)
 	if a != 1 || b != 1 {
 		t.Errorf("watchers: a=%d b=%d", a, b)
+	}
+	// Cancelling removes that registration only, and may be repeated.
+	cancelA()
+	cancelA()
+	s.Save("k", 2)
+	if a != 1 || b != 2 {
+		t.Errorf("after cancelling a: a=%d b=%d, want 1 and 2", a, b)
+	}
+	// The last cancel takes the key out of the table writers consult.
+	cancelB()
+	s.Save("k", 3)
+	id, _ := s.Lookup("k")
+	if _, watched := (*s.watchers.Load())[id]; watched || len(s.watchRegs[id]) != 0 || b != 2 {
+		t.Errorf("after cancelling both: watched=%v regs=%v b=%d", watched, s.watchRegs[id], b)
 	}
 }
 
@@ -177,15 +191,22 @@ func TestConcurrentSaveLoadIntern(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				key := []string{"a", "b", "c", "d"}[i%4]
+				// Watchers come and go (monitor load/unload) while
+				// other goroutines write the key.
+				cancel := s.Watch(key, func(string, float64) {})
 				s.Save(key, float64(i))
 				_ = s.Load(key)
 				_ = s.Intern(key)
+				cancel()
 			}
 		}(g)
 	}
 	wg.Wait()
 	if s.Len() != 4 {
 		t.Errorf("Len = %d, want 4", s.Len())
+	}
+	if left := len(*s.watchers.Load()); left != 0 {
+		t.Errorf("%d keys still watched after every watcher was cancelled", left)
 	}
 }
 

@@ -106,9 +106,6 @@ func (c *Classifier) EnableQuantized() error {
 	return nil
 }
 
-// Quantized reports whether fixed-point inference is active.
-func (c *Classifier) Quantized() bool { return c.useQ }
-
 // PredictSlow classifies a feature vector; true means the access is
 // predicted slow (and should fail over to a replica).
 //

@@ -167,12 +167,6 @@ func NewEngine(k *kernel.Kernel, store *featurestore.Store, arr *storage.Array, 
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
-// Model returns the engine's predictor (nil when baseline-only).
-func (e *Engine) Model() Predictor { return e.model }
-
-// SetModel swaps the predictor (used by RETRAIN flows).
-func (e *Engine) SetModel(m Predictor) { e.model = m }
-
 // MLEnabled reports the current value of the ml_enabled knob.
 func (e *Engine) MLEnabled() bool {
 	return e.model != nil && e.store.LoadID(e.mlEnabledID) != 0

@@ -71,12 +71,24 @@ func TestClassifierTrainsOnCalmWorkload(t *testing.T) {
 	if len(samples) < 30000 {
 		t.Fatalf("samples = %d", len(samples))
 	}
-	m := Confusion(c, samples)
-	if m.TrueSlow == 0 {
+	var trueSlow, predictedFast, falseFast int
+	for _, s := range samples {
+		switch pred := c.PredictSlow(s.Features); {
+		case pred && s.Slow:
+			trueSlow++
+		case !pred:
+			predictedFast++
+			if s.Slow {
+				falseFast++
+			}
+		}
+	}
+	if trueSlow == 0 {
 		t.Error("model never predicts slow correctly")
 	}
-	if m.FalseSubmitRate() > 0.05 {
-		t.Errorf("in-distribution false submit rate = %v", m.FalseSubmitRate())
+	// The false-submit rate is the quantity the paper's guardrail bounds.
+	if rate := float64(falseFast) / float64(predictedFast); rate > 0.05 {
+		t.Errorf("in-distribution false submit rate = %v", rate)
 	}
 }
 
@@ -105,7 +117,7 @@ func TestQuantizedClassifierAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Quantized() {
+	if c.useQ {
 		t.Fatal("quantization should be off by default")
 	}
 	floatPreds := make([]bool, 0, 2000)
@@ -115,7 +127,7 @@ func TestQuantizedClassifierAgrees(t *testing.T) {
 	if err := c.EnableQuantized(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Quantized() {
+	if !c.useQ {
 		t.Fatal("quantization flag not set")
 	}
 	agree := 0
@@ -295,45 +307,6 @@ func TestRouteString(t *testing.T) {
 	}
 }
 
-func TestSliceWorkloadReplay(t *testing.T) {
-	gen := NewMixedWorkload(5, 1000, 0.2, trace.NewUniformKeys(6, 100))
-	recorded := Record(gen, 50)
-	w := NewSliceWorkload(recorded)
-	if w.Remaining() != 50 {
-		t.Fatalf("remaining = %d", w.Remaining())
-	}
-	for i, want := range recorded {
-		if got := w.Next(); got != want {
-			t.Fatalf("op %d: %+v != %+v", i, got, want)
-		}
-	}
-	if w.Remaining() != 0 {
-		t.Errorf("remaining after drain = %d", w.Remaining())
-	}
-	// Replay determinism: a second replay yields the identical stream.
-	w2 := NewSliceWorkload(recorded)
-	for i := 0; i < 50; i++ {
-		if w2.Next() != recorded[i] {
-			t.Fatal("replay diverged")
-		}
-	}
-	// Exhausted trace keeps time moving forward.
-	prev := recorded[len(recorded)-1].At
-	for i := 0; i < 5; i++ {
-		op := w.Next()
-		if op.At <= prev {
-			t.Fatal("time stalled after trace end")
-		}
-		prev = op.At
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("empty trace should panic")
-		}
-	}()
-	NewSliceWorkload(nil)
-}
-
 func TestWorkloadValidationAndShift(t *testing.T) {
 	keys := trace.NewUniformKeys(1, 100)
 	mustPanic := func(name string, f func()) {
@@ -347,7 +320,6 @@ func TestWorkloadValidationAndShift(t *testing.T) {
 	mustPanic("zero-rate", func() { NewMixedWorkload(1, 0, 0.1, keys) })
 	mustPanic("bad-frac", func() { NewMixedWorkload(1, 100, 1.0, keys) })
 	w := NewMixedWorkload(1, 1000, 0.1, keys)
-	mustPanic("set-zero-rate", func() { w.SetRate(0) })
 	mustPanic("set-bad-frac", func() { w.SetWriteFraction(-0.1) })
 
 	prev := kernel.Time(0)
@@ -370,14 +342,5 @@ func TestWorkloadValidationAndShift(t *testing.T) {
 	}
 	if w.Now() != prev {
 		t.Error("Now() mismatch")
-	}
-	// Rate shift: gaps shrink.
-	w.SetRate(100000)
-	start := w.Now()
-	for i := 0; i < 100; i++ {
-		w.Next()
-	}
-	if gap := w.Now() - start; gap > 10*kernel.Millisecond {
-		t.Errorf("post-shift 100 ops took %v", gap)
 	}
 }

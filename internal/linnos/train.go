@@ -61,40 +61,3 @@ func Accuracy(c *Classifier, samples []Sample) float64 {
 	}
 	return float64(correct) / float64(len(samples))
 }
-
-// ConfusionMatrix summarizes classifier performance on samples.
-type ConfusionMatrix struct {
-	TrueFast  int // predicted fast, was fast
-	TrueSlow  int // predicted slow, was slow
-	FalseFast int // predicted fast, was slow (the false submit)
-	FalseSlow int // predicted slow, was fast
-}
-
-// Confusion evaluates the classifier on samples.
-func Confusion(c *Classifier, samples []Sample) ConfusionMatrix {
-	var m ConfusionMatrix
-	for _, s := range samples {
-		pred := c.PredictSlow(s.Features)
-		switch {
-		case !pred && !s.Slow:
-			m.TrueFast++
-		case pred && s.Slow:
-			m.TrueSlow++
-		case !pred && s.Slow:
-			m.FalseFast++
-		default:
-			m.FalseSlow++
-		}
-	}
-	return m
-}
-
-// FalseSubmitRate is the fraction of actually-slow samples the model
-// predicted fast — the quantity the paper's guardrail bounds.
-func (m ConfusionMatrix) FalseSubmitRate() float64 {
-	denom := m.TrueFast + m.FalseFast
-	if denom == 0 {
-		return 0
-	}
-	return float64(m.FalseFast) / float64(denom)
-}

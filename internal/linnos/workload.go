@@ -19,56 +19,10 @@ type OpGen interface {
 	Next() Op
 }
 
-// SliceWorkload replays a recorded operation trace. Exhausting the
-// trace repeats the last operation with advancing timestamps, so
-// drivers that run "until time T" terminate.
-type SliceWorkload struct {
-	ops []Op
-	i   int
-}
-
-// NewSliceWorkload wraps a recorded trace. It panics on an empty trace.
-func NewSliceWorkload(ops []Op) *SliceWorkload {
-	if len(ops) == 0 {
-		panic("linnos: empty trace")
-	}
-	return &SliceWorkload{ops: ops}
-}
-
-// Next implements OpGen.
-func (w *SliceWorkload) Next() Op {
-	if w.i < len(w.ops) {
-		op := w.ops[w.i]
-		w.i++
-		return op
-	}
-	last := w.ops[len(w.ops)-1]
-	w.i++
-	last.At += kernel.Time(w.i-len(w.ops)) * kernel.Millisecond
-	return last
-}
-
-// Remaining reports how many recorded operations are left.
-func (w *SliceWorkload) Remaining() int {
-	if w.i >= len(w.ops) {
-		return 0
-	}
-	return len(w.ops) - w.i
-}
-
-// Record captures n operations from a generator into a replayable trace.
-func Record(g OpGen, n int) []Op {
-	out := make([]Op, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // MixedWorkload generates Poisson-arriving reads and writes over a key
-// popularity distribution. Rate, write fraction, and key generator can
-// be changed mid-stream to create the distribution shifts guardrail
-// experiments need.
+// popularity distribution. The write fraction and the write-key
+// generator can be changed mid-stream to create the distribution shifts
+// guardrail experiments need.
 type MixedWorkload struct {
 	rng       *rand.Rand
 	meanGap   float64
@@ -96,14 +50,6 @@ func NewMixedWorkload(seed int64, ratePerSec, writeFrac float64, keys trace.KeyG
 	}
 }
 
-// SetRate changes the arrival rate (operations per simulated second).
-func (w *MixedWorkload) SetRate(ratePerSec float64) {
-	if ratePerSec <= 0 {
-		panic("linnos: workload rate must be positive")
-	}
-	w.meanGap = float64(kernel.Second) / ratePerSec
-}
-
 // SetWriteFraction changes the write mix.
 func (w *MixedWorkload) SetWriteFraction(f float64) {
 	if f < 0 || f >= 1 {
@@ -111,9 +57,6 @@ func (w *MixedWorkload) SetWriteFraction(f float64) {
 	}
 	w.writeFrac = f
 }
-
-// SetKeys swaps the read-key generator (e.g. moving a hotspot).
-func (w *MixedWorkload) SetKeys(k trace.KeyGen) { w.keys = k }
 
 // SetWriteKeys gives writes their own key distribution (log-structured
 // workloads write far more uniformly than they read). nil reverts to

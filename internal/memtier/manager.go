@@ -75,17 +75,8 @@ func NewManager(k *kernel.Kernel, store *featurestore.Store, dramCapacity int, p
 	}, nil
 }
 
-// SetPolicy swaps the placement policy (REPLACE action target).
-func (m *Manager) SetPolicy(p Policy) { m.policy = p }
-
-// Policy returns the active policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() ManagerStats { return m.stats }
-
-// DRAMUsage returns resident DRAM pages and capacity.
-func (m *Manager) DRAMUsage() (used, capacity int) { return m.dramCount, m.dramCapacity }
 
 func (m *Manager) pressure() float64 {
 	return float64(m.dramCount) / float64(m.dramCapacity)

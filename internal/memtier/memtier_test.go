@@ -45,7 +45,7 @@ func TestFrequencyPolicyPromotesHotPages(t *testing.T) {
 	if m.pages[2].Tier != TierNVM {
 		t.Error("cold page promoted")
 	}
-	used, capacity := m.DRAMUsage()
+	used, capacity := m.dramCount, m.dramCapacity
 	if used != 1 || capacity != 8 {
 		t.Errorf("usage = %d/%d", used, capacity)
 	}
@@ -63,7 +63,7 @@ func TestDRAMCapacityDemotesColdest(t *testing.T) {
 			m.Access(page)
 		}
 	}
-	used, _ := m.DRAMUsage()
+	used := m.dramCount
 	if used != 2 {
 		t.Errorf("DRAM used = %d, want 2", used)
 	}
@@ -119,7 +119,7 @@ func TestIllegalDecisionsRecoveredAndCounted(t *testing.T) {
 		t.Errorf("hook args = %v", hookTiers)
 	}
 	// Negative tiers too.
-	m.SetPolicy(&illegalPolicy{tier: -1})
+	m.policy = &illegalPolicy{tier: -1}
 	m.Access(2)
 	if m.Stats().IllegalDecisions != 2 {
 		t.Error("negative tier not flagged")
@@ -132,7 +132,7 @@ func TestIllegalRateWindowDecays(t *testing.T) {
 	if st.Load(KeyIllegalRate) != 1 {
 		t.Fatal("rate should be 1 after one illegal decision")
 	}
-	m.SetPolicy(&FrequencyPolicy{})
+	m.policy = &FrequencyPolicy{}
 	for i := uint64(0); i < 255; i++ {
 		m.Access(i + 10)
 	}

@@ -408,9 +408,9 @@ func (m *Monitor) arm() {
 	if m.opts.DependencyTrigger {
 		// The keys the program loads, not the ones it only stores.
 		for _, key := range m.c.Footprint.Loads {
-			m.rt.store.Watch(key, func(string, float64) {
+			m.detach = append(m.detach, m.rt.store.Watch(key, func(string, float64) {
 				m.Evaluate(0)
-			})
+			}))
 		}
 	}
 }
@@ -424,8 +424,6 @@ func (m *Monitor) disarm() {
 	}
 	m.timers, m.detach = nil, nil
 	m.SetEnabled(false)
-	// Store watchers (dependency triggers) stay registered but become
-	// no-ops through the enabled check in Evaluate.
 }
 
 // Evaluate runs the monitor program once with the given trigger argument

@@ -297,6 +297,62 @@ guardrail dep {
 	}
 }
 
+// TestUnloadRemovesDependencyWatchers: unloading or updating a
+// dependency-triggered monitor must cancel its store watchers, not leave
+// them behind as no-ops — a rollout controller cycles generations, and
+// each leaked closure pins its dead monitor and runs on every SAVE of the
+// key. Re-enabling a dead generation through a stale handle makes a
+// leaked watcher visible: it would evaluate again.
+func TestUnloadRemovesDependencyWatchers(t *testing.T) {
+	rt, _, st := newRT()
+	const src = `
+guardrail dep {
+    trigger: { TIMER(0, 1e15) },
+    rule: { LOAD(queue_depth) < 100 },
+    action: { SAVE(overload, 1) }
+}`
+	opts := Options{DependencyTrigger: true}
+	var dead []*Monitor
+	for gen := 0; gen < 500; gen++ {
+		var m *Monitor
+		if gen%2 == 0 {
+			ms, err := rt.LoadSource(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = ms[0]
+		} else {
+			var err error
+			if m, err = rt.UpdateSource(src, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// An update carries the old generation's counters over.
+		before := m.Stats().Evals
+		st.Save("queue_depth", float64(gen%50))
+		if m.Stats().Evals != before+1 {
+			t.Fatalf("generation %d: evals = %d after its first write, want %d", gen, m.Stats().Evals, before+1)
+		}
+		dead = append(dead, m)
+		if gen%2 == 1 {
+			if err := rt.Unload("dep"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	evals := make([]uint64, len(dead))
+	for gen, m := range dead {
+		m.SetEnabled(true)
+		evals[gen] = m.Stats().Evals
+	}
+	st.Save("queue_depth", 1)
+	for gen, m := range dead {
+		if got := m.Stats().Evals; got != evals[gen] {
+			t.Fatalf("dead generation %d evaluated again (evals %d -> %d): its store watcher outlived it", gen, evals[gen], got)
+		}
+	}
+}
+
 func TestPublishResult(t *testing.T) {
 	rt, k, st := newRT()
 	if _, err := rt.LoadSource(listing2, Options{PublishResult: true}); err != nil {

@@ -93,9 +93,6 @@ func (p *Path) Step(dt kernel.Time, sendRateMbps float64) Sample {
 	return Sample{RTT: rtt, LossRate: lossRate, ThroughputMbps: throughput}
 }
 
-// QueueMb returns the current queue occupancy in megabits.
-func (p *Path) QueueMb() float64 { return p.queueMb }
-
 // Measurement is the controller's (possibly noisy) view of the path.
 type Measurement struct {
 	// RTT is the measured round-trip time.

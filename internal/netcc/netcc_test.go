@@ -27,12 +27,12 @@ func TestPathQueueingAndLoss(t *testing.T) {
 	}
 	// Under capacity: no queue, base RTT, no loss.
 	s := p.Step(100*kernel.Millisecond, 50)
-	if s.LossRate != 0 || s.RTT != 20*kernel.Millisecond || p.QueueMb() != 0 {
-		t.Errorf("undersubscribed: %+v queue=%v", s, p.QueueMb())
+	if s.LossRate != 0 || s.RTT != 20*kernel.Millisecond || p.queueMb != 0 {
+		t.Errorf("undersubscribed: %+v queue=%v", s, p.queueMb)
 	}
 	// Over capacity: queue builds, RTT grows.
 	s = p.Step(100*kernel.Millisecond, 110)
-	if p.QueueMb() <= 0 {
+	if p.queueMb <= 0 {
 		t.Error("queue did not build")
 	}
 	if s.RTT <= 20*kernel.Millisecond {
@@ -49,8 +49,8 @@ func TestPathQueueingAndLoss(t *testing.T) {
 		t.Error("no loss under sustained overload")
 	}
 	// Queue is capped at the buffer.
-	if p.QueueMb() > 2.0001 {
-		t.Errorf("queue exceeded buffer: %v", p.QueueMb())
+	if p.queueMb > 2.0001 {
+		t.Errorf("queue exceeded buffer: %v", p.queueMb)
 	}
 	// Throughput is capped at capacity.
 	if s := p.Step(100*kernel.Millisecond, 500); s.ThroughputMbps > 100 {

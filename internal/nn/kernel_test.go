@@ -280,7 +280,7 @@ func TestTrainRejectsNonFiniteInputs(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		n := New(Config{Layers: []int{2, 3, 1}, Hidden: ReLU, Output: Linear, Seed: 1})
 		before := refFrom(n)
-		_, err := n.Train([][]float64{{1, 2}, {3, bad}}, [][]float64{{1}, {0}}, DefaultTrainOpts())
+		_, err := n.Train([][]float64{{1, 2}, {3, bad}}, [][]float64{{1}, {0}}, TrainOpts{})
 		if err == nil {
 			t.Fatalf("Train accepted a %v feature", bad)
 		}

@@ -10,10 +10,8 @@
 package nn
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -107,7 +105,6 @@ type layer struct {
 // Network is a feedforward MLP. It is not safe for concurrent use, not
 // even a frozen network for inference: Forward writes the per-layer
 // scratch the network owns, so two goroutines sharing one Network race.
-// Clone gives each goroutine its own.
 type Network struct {
 	cfg    Config
 	layers []layer
@@ -153,15 +150,6 @@ func (n *Network) InputSize() int { return n.cfg.Layers[0] }
 
 // OutputSize returns the output vector length.
 func (n *Network) OutputSize() int { return n.cfg.Layers[len(n.cfg.Layers)-1] }
-
-// NumParams returns the total number of weights and biases.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.w) + len(l.b)
-	}
-	return total
-}
 
 // Forward runs inference. The result is a view of scratch the network
 // owns, valid until the next Forward or Train on this network: read it
@@ -253,11 +241,6 @@ type TrainOpts struct {
 	Epochs       int
 	// Shuffle seeds minibatch shuffling; 0 disables shuffling.
 	ShuffleSeed int64
-}
-
-// DefaultTrainOpts returns sensible small-model defaults.
-func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 10, ShuffleSeed: 1}
 }
 
 // Train runs minibatch SGD over the dataset and returns the mean loss of
@@ -438,100 +421,4 @@ func (n *Network) backprop(in, target []float64, deltas, gw, gb [][]float64) flo
 		}
 	}
 	return loss
-}
-
-// Clone returns a deep copy (weights and momentum buffers) with its own
-// scratch: one clone per goroutine is how a trained network is shared.
-func (n *Network) Clone() *Network {
-	c := &Network{cfg: n.cfg}
-	c.cfg.Layers = append([]int(nil), n.cfg.Layers...)
-	c.layers = make([]layer, len(n.layers))
-	for i, l := range n.layers {
-		c.layers[i] = layer{
-			in: l.in, out: l.out, act: l.act,
-			w:  append([]float64(nil), l.w...),
-			b:  append([]float64(nil), l.b...),
-			vw: append([]float64(nil), l.vw...),
-			vb: append([]float64(nil), l.vb...),
-			y:  make([]float64, l.out),
-		}
-	}
-	return c
-}
-
-const magic = "GRNN1\x00"
-
-// Save serializes the network (config and weights, not momentum).
-func (n *Network) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	hdr := []int64{
-		int64(len(n.cfg.Layers)),
-		int64(n.cfg.Hidden), int64(n.cfg.Output), int64(n.cfg.Loss), n.cfg.Seed,
-	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, l := range n.cfg.Layers {
-		if err := binary.Write(w, binary.LittleEndian, int64(l)); err != nil {
-			return err
-		}
-	}
-	for _, l := range n.layers {
-		if err := binary.Write(w, binary.LittleEndian, l.w); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, l.b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load deserializes a network produced by Save.
-func Load(r io.Reader) (*Network, error) {
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return nil, fmt.Errorf("nn: reading magic: %w", err)
-	}
-	if string(got) != magic {
-		return nil, errors.New("nn: bad magic")
-	}
-	var nLayers, hidden, output, loss, seed int64
-	for _, p := range []*int64{&nLayers, &hidden, &output, &loss, &seed} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if nLayers < 2 || nLayers > 64 {
-		return nil, fmt.Errorf("nn: implausible layer count %d", nLayers)
-	}
-	cfg := Config{
-		Hidden: Activation(hidden), Output: Activation(output),
-		Loss: Loss(loss), Seed: seed,
-		Layers: make([]int, nLayers),
-	}
-	for i := range cfg.Layers {
-		var w int64
-		if err := binary.Read(r, binary.LittleEndian, &w); err != nil {
-			return nil, err
-		}
-		if w <= 0 || w > 1<<20 {
-			return nil, fmt.Errorf("nn: implausible layer width %d", w)
-		}
-		cfg.Layers[i] = int(w)
-	}
-	n := New(cfg)
-	for li := range n.layers {
-		if err := binary.Read(r, binary.LittleEndian, n.layers[li].w); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, binary.LittleEndian, n.layers[li].b); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
 }

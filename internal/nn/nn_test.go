@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,17 +51,6 @@ func TestNewDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds gave identical networks")
-	}
-}
-
-func TestNumParams(t *testing.T) {
-	n := New(Config{Layers: []int{3, 5, 2}, Seed: 1})
-	// (3*5+5) + (5*2+2) = 20 + 12 = 32
-	if got := n.NumParams(); got != 32 {
-		t.Errorf("NumParams = %d, want 32", got)
-	}
-	if n.InputSize() != 3 || n.OutputSize() != 2 {
-		t.Error("sizes wrong")
 	}
 }
 
@@ -153,68 +141,17 @@ func TestTrainReducesLossLinearRegression(t *testing.T) {
 
 func TestTrainValidation(t *testing.T) {
 	n := New(Config{Layers: []int{2, 1}, Seed: 1})
-	if _, err := n.Train([][]float64{{1, 2}}, nil, DefaultTrainOpts()); err == nil {
+	if _, err := n.Train([][]float64{{1, 2}}, nil, TrainOpts{}); err == nil {
 		t.Error("mismatched lengths should error")
 	}
-	if _, err := n.Train(nil, nil, DefaultTrainOpts()); err == nil {
+	if _, err := n.Train(nil, nil, TrainOpts{}); err == nil {
 		t.Error("empty set should error")
 	}
-	if _, err := n.Train([][]float64{{1}}, [][]float64{{1}}, DefaultTrainOpts()); err == nil {
+	if _, err := n.Train([][]float64{{1}}, [][]float64{{1}}, TrainOpts{}); err == nil {
 		t.Error("wrong input width should error")
 	}
-	if _, err := n.Train([][]float64{{1, 2}}, [][]float64{{1, 2}}, DefaultTrainOpts()); err == nil {
+	if _, err := n.Train([][]float64{{1, 2}}, [][]float64{{1, 2}}, TrainOpts{}); err == nil {
 		t.Error("wrong target width should error")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	n := New(Config{Layers: []int{2, 3, 1}, Hidden: ReLU, Output: Linear, Seed: 4})
-	c := n.Clone()
-	in := []float64{0.5, -0.5}
-	before := n.Forward(in)[0]
-	// Train the clone; original must not change.
-	_, err := c.Train([][]float64{{0.5, -0.5}}, [][]float64{{10}},
-		TrainOpts{LearningRate: 0.5, Epochs: 50, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Forward(in)[0]; got != before {
-		t.Error("training clone mutated original")
-	}
-	if c.Forward(in)[0] == before {
-		t.Error("clone did not train")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	n := New(Config{Layers: []int{3, 6, 2}, Hidden: ReLU, Output: Sigmoid, Loss: BCE, Seed: 11})
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []float64{0.2, -0.7, 1.5}
-	a, b := n.Forward(in), m.Forward(in)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round-trip output mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
-		t.Error("garbage magic should error")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input should error")
-	}
-	// Truncated after magic.
-	if _, err := Load(bytes.NewReader([]byte(magic))); err == nil {
-		t.Error("truncated header should error")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 type Quantized struct {
 	layers   []qlayer
 	inSize   int
-	outSize  int
 	fracBits uint
 
 	// Scratch reused by every Forward: the quantized input and the
@@ -48,7 +47,7 @@ func (n *Network) Quantize(fracBits uint) (*Quantized, error) {
 		}
 	}
 	scale := float64(int64(1) << fracBits)
-	q := &Quantized{inSize: n.InputSize(), outSize: n.OutputSize(), fracBits: fracBits,
+	q := &Quantized{inSize: n.InputSize(), fracBits: fracBits,
 		qin: make([]int32, n.InputSize()), out: make([]float64, n.OutputSize())}
 	for _, l := range n.layers {
 		ql := qlayer{in: l.in, out: l.out, act: l.act,
@@ -71,12 +70,6 @@ func (n *Network) Quantize(fracBits uint) (*Quantized, error) {
 	}
 	return q, nil
 }
-
-// InputSize returns the expected input vector length.
-func (q *Quantized) InputSize() int { return q.inSize }
-
-// OutputSize returns the output vector length.
-func (q *Quantized) OutputSize() int { return q.outSize }
 
 // Forward runs fixed-point inference. Inputs are quantized on entry;
 // outputs are dequantized to float64 for the caller. As with

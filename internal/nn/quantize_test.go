@@ -105,7 +105,7 @@ func TestQuantizedForwardPanicsOnBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.InputSize() != 2 || q.OutputSize() != 1 {
+	if q.inSize != 2 || len(q.out) != 1 {
 		t.Error("quantized sizes wrong")
 	}
 	defer func() {

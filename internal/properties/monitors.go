@@ -2,105 +2,10 @@ package properties
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"guardrails/internal/featurestore"
 	"guardrails/internal/stats"
 )
-
-// RobustnessMonitor implements P2 (robust decisions): it tracks the
-// coefficient of variation of a policy's outputs over a sliding window
-// and publishes it. A policy whose inputs are stable but whose outputs
-// jitter violates the "similar inputs yield similar outputs" property.
-type RobustnessMonitor struct {
-	store *featurestore.Store
-	key   featurestore.ID
-	win   *stats.Window
-}
-
-// RobustnessKey is the key convention: <policy>_output_cov.
-func RobustnessKey(policy string) string { return policy + "_output_cov" }
-
-// NewRobustnessMonitor returns a monitor windowing the last n outputs.
-func NewRobustnessMonitor(store *featurestore.Store, policy string, n int) *RobustnessMonitor {
-	return &RobustnessMonitor{
-		store: store,
-		key:   store.Intern(RobustnessKey(policy)),
-		win:   stats.NewWindow(n),
-	}
-}
-
-// Observe records one policy output and republishes the windowed CoV.
-func (m *RobustnessMonitor) Observe(output float64) {
-	m.win.Add(output)
-	if m.win.Len() < 2 || m.win.Mean() == 0 {
-		return
-	}
-	mean := m.win.Mean()
-	var sq float64
-	for _, v := range m.win.Values() {
-		d := v - mean
-		sq += d * d
-	}
-	cov := math.Sqrt(sq/float64(m.win.Len()-1)) / math.Abs(mean)
-	m.store.SaveID(m.key, cov)
-}
-
-// Spec emits the P2 guardrail: bounded output CoV; on violation fall
-// back to the robust policy (Figure 1 pairs P2 with A3/A2).
-func (m *RobustnessMonitor) Spec(name, policy, fallback string, maxCoV, intervalNS float64) string {
-	return BuildSpec(name,
-		[]string{TimerTrigger(intervalNS)},
-		[]string{fmt.Sprintf("LOAD(%s) <= %g", RobustnessKey(policy), maxCoV)},
-		[]string{fmt.Sprintf("REPLACE(%s, %s)", policy, fallback)},
-	)
-}
-
-// BoundsChecker implements P3 (out-of-bounds outputs): it validates each
-// decision against [lo, hi] and publishes the windowed violation rate.
-type BoundsChecker struct {
-	store  *featurestore.Store
-	key    featurestore.ID
-	lo, hi float64
-	win    *stats.RateWindow
-}
-
-// BoundsKey is the key convention: <policy>_oob_rate.
-func BoundsKey(policy string) string { return policy + "_oob_rate" }
-
-// NewBoundsChecker returns a checker for decisions legal in [lo, hi].
-func NewBoundsChecker(store *featurestore.Store, policy string, lo, hi float64, window int) *BoundsChecker {
-	return &BoundsChecker{
-		store: store,
-		key:   store.Intern(BoundsKey(policy)),
-		lo:    lo, hi: hi,
-		win: stats.NewRateWindow(window),
-	}
-}
-
-// Observe validates one decision, publishes the updated rate, and
-// returns whether the decision was legal.
-func (c *BoundsChecker) Observe(decision float64) bool {
-	legal := decision >= c.lo && decision <= c.hi
-	c.win.Add(!legal)
-	c.store.SaveID(c.key, c.win.Rate())
-	return legal
-}
-
-// Spec emits the P3 guardrail: zero tolerance beyond eps for illegal
-// outputs; on violation swap in the fallback (Figure 1 pairs P3 with
-// A2/A3).
-func (c *BoundsChecker) Spec(name, policy, fallback string, eps, intervalNS float64) string {
-	return BuildSpec(name,
-		[]string{TimerTrigger(intervalNS)},
-		[]string{fmt.Sprintf("LOAD(%s) <= %g", BoundsKey(policy), eps)},
-		[]string{
-			fmt.Sprintf("REPORT(LOAD(%s))", BoundsKey(policy)),
-			fmt.Sprintf("REPLACE(%s, %s)", policy, fallback),
-		},
-	)
-}
 
 // RegretMonitor implements P4 (decision quality): it compares the
 // learned policy's windowed reward against a shadow baseline evaluated
@@ -132,20 +37,6 @@ func (m *RegretMonitor) Observe(learnedReward, baselineReward float64) {
 	m.learned.Add(learnedReward)
 	m.baseline.Add(baselineReward)
 	m.store.SaveID(m.key, m.baseline.Mean()-m.learned.Mean())
-}
-
-// Spec emits the P4 guardrail: regret against the baseline must stay
-// under maxRegret; on violation report and fall back (Figure 1 pairs P4
-// with A1/A2).
-func (m *RegretMonitor) Spec(name, policy, fallback string, maxRegret, intervalNS float64) string {
-	return BuildSpec(name,
-		[]string{TimerTrigger(intervalNS)},
-		[]string{fmt.Sprintf("LOAD(%s) <= %g", RegretKey(policy), maxRegret)},
-		[]string{
-			fmt.Sprintf("REPORT(LOAD(%s))", RegretKey(policy)),
-			fmt.Sprintf("REPLACE(%s, %s)", policy, fallback),
-		},
-	)
 }
 
 // OverheadMonitor implements P5 (decision overhead): it accumulates the
@@ -196,78 +87,5 @@ func (m *OverheadMonitor) Spec(name, policy, enableKey string, maxRatio, interva
 			fmt.Sprintf("REPORT(LOAD(%s))", OverheadKey(policy)),
 			fmt.Sprintf("SAVE(%s, false)", enableKey),
 		},
-	)
-}
-
-// FairnessMonitor implements P6 (fairness and liveness): it tracks
-// cumulative resource allocations per entity and publishes Jain's
-// fairness index, plus the maximum time any entity has gone without an
-// allocation (the starvation signal).
-type FairnessMonitor struct {
-	store   *featurestore.Store
-	jainKey featurestore.ID
-	waitKey featurestore.ID
-
-	mu       sync.Mutex
-	alloc    map[string]float64
-	lastSeen map[string]float64
-}
-
-// FairnessKeys returns the key conventions: <domain>_jain and
-// <domain>_max_wait.
-func FairnessKeys(domain string) (jain, maxWait string) {
-	return domain + "_jain", domain + "_max_wait"
-}
-
-// NewFairnessMonitor returns a fairness monitor for a resource domain.
-func NewFairnessMonitor(store *featurestore.Store, domain string) *FairnessMonitor {
-	jainKey, waitKey := FairnessKeys(domain)
-	return &FairnessMonitor{
-		store:    store,
-		jainKey:  store.Intern(jainKey),
-		waitKey:  store.Intern(waitKey),
-		alloc:    make(map[string]float64),
-		lastSeen: make(map[string]float64),
-	}
-}
-
-// Observe records an allocation of amount to entity at logical time now
-// and republishes both signals. Entities must be Observed once (amount
-// may be 0) to be tracked for starvation.
-func (m *FairnessMonitor) Observe(entity string, amount, now float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.alloc[entity] += amount
-	if amount > 0 {
-		m.lastSeen[entity] = now
-	} else if _, ok := m.lastSeen[entity]; !ok {
-		m.lastSeen[entity] = now
-	}
-	allocs := make([]float64, 0, len(m.alloc))
-	for _, v := range m.alloc {
-		allocs = append(allocs, v)
-	}
-	m.store.SaveID(m.jainKey, stats.JainIndex(allocs))
-	var worst float64
-	for _, seen := range m.lastSeen {
-		if w := now - seen; w > worst {
-			worst = w
-		}
-	}
-	m.store.SaveID(m.waitKey, worst)
-}
-
-// Spec emits the P6 guardrail: Jain index above minJain and no entity
-// starved longer than maxWait; on violation deprioritize the offending
-// group (Figure 1 pairs P6 with A4).
-func (m *FairnessMonitor) Spec(name, domain, victimGroup string, minJain, maxWait, intervalNS float64) string {
-	jainKey, waitKey := FairnessKeys(domain)
-	return BuildSpec(name,
-		[]string{TimerTrigger(intervalNS)},
-		[]string{
-			fmt.Sprintf("LOAD(%s) >= %g", jainKey, minJain),
-			fmt.Sprintf("LOAD(%s) <= %g", waitKey, maxWait),
-		},
-		[]string{fmt.Sprintf("DEPRIORITIZE(%s)", victimGroup)},
 	)
 }

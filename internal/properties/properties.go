@@ -1,16 +1,18 @@
-// Package properties implements the paper's property taxonomy (Figure 1,
-// left table) as reusable monitors. Each monitor observes a learned
-// policy's inputs, outputs, or the resulting system behaviour, publishes
-// a scalar signal to the feature store, and can emit the guardrail
-// specification text that checks the signal — so the same compiler
-// pipeline handles hand-written and library-generated guardrails:
+// Package properties implements the part of the paper's property
+// taxonomy (Figure 1, left table) that is shared between substrates as
+// reusable monitors. Each monitor observes a learned policy's inputs,
+// outputs, or the resulting system behaviour and publishes a scalar
+// signal to the feature store; two also emit the guardrail specification
+// text that checks the signal, through the same compiler pipeline as
+// hand-written guardrails:
 //
-//	P1 DriftDetector    — in-distribution inputs (PSI / KS over windows)
-//	P2 RobustnessMonitor— similar inputs → similar outputs (decision CoV)
-//	P3 BoundsChecker    — outputs within legal bounds
-//	P4 RegretMonitor    — decision quality vs. a baseline
-//	P5 OverheadMonitor  — inference cost vs. benefit
-//	P6 FairnessMonitor  — fairness/liveness of system behaviour
+//	P1 DriftDetector   — in-distribution inputs (PSI over windows)
+//	P4 RegretMonitor   — decision quality vs. a baseline
+//	P5 OverheadMonitor — inference cost vs. benefit
+//
+// P2, P3 and P6 have no monitor here: netcc, memtier and sched publish
+// their decision-CoV, out-of-bounds-rate and fairness/starvation signals
+// inline, where the decision is made.
 package properties
 
 import (
@@ -46,9 +48,4 @@ func BuildSpec(name string, triggers, rules, actions []string) string {
 // nanoseconds.
 func TimerTrigger(intervalNS float64) string {
 	return fmt.Sprintf("TIMER(start_time, %g)", intervalNS)
-}
-
-// FunctionTrigger renders a FUNCTION trigger on a hook site.
-func FunctionTrigger(site string) string {
-	return fmt.Sprintf("FUNCTION(%s)", site)
 }

@@ -1,10 +1,10 @@
 // Package sched simulates a single-CPU scheduler with pluggable
-// pickers: a CFS-like fair baseline, FIFO, and a learned
-// shortest-job-first picker that predicts remaining work with a small
-// neural network. Learned SJF minimizes mean response time but starves
-// long jobs under sustained load — the liveness failure the paper's P6
-// property ("no ready task should be starved for more than 100ms")
-// detects and corrects.
+// pickers: a CFS-like fair baseline and a learned shortest-job-first
+// picker that predicts remaining work with a small neural network.
+// Learned SJF minimizes mean response time but starves long jobs under
+// sustained load — the liveness failure the paper's P6 property ("no
+// ready task should be starved for more than 100ms") detects and
+// corrects.
 package sched
 
 import (
@@ -89,23 +89,6 @@ func (p *CFS) Pick(_ kernel.Time, ready []*Job) int {
 		a, b := ready[i], ready[best]
 		av, bv := p.vruntime(a), p.vruntime(b)
 		if av < bv || (av == bv && a.Arrival < b.Arrival) {
-			best = i
-		}
-	}
-	return best
-}
-
-// FIFO runs jobs in arrival order.
-type FIFO struct{}
-
-// Name identifies the picker.
-func (FIFO) Name() string { return "fifo" }
-
-// Pick implements Picker.
-func (FIFO) Pick(_ kernel.Time, ready []*Job) int {
-	best := 0
-	for i := 1; i < len(ready); i++ {
-		if ready[i].Arrival < ready[best].Arrival {
 			best = i
 		}
 	}

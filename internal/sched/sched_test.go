@@ -72,12 +72,12 @@ func TestGenerateJobsShape(t *testing.T) {
 }
 
 func TestAllJobsComplete(t *testing.T) {
-	for _, p := range []Picker{NewCFS(), FIFO{}} {
+	for _, p := range []Picker{NewCFS()} {
 		sim, m := runSim(t, p, DefaultSimConfig(3), 500)
 		if m.Completed != 500 {
 			t.Errorf("%s completed %d/500", p.Name(), m.Completed)
 		}
-		if sim.ReadyLen() != 0 {
+		if len(sim.ready) != 0 {
 			t.Errorf("%s left jobs ready", p.Name())
 		}
 		if m.MeanResponse <= 0 || m.MeanSlowdown < 1 {
@@ -111,9 +111,6 @@ func TestCFSVruntimeSemantics(t *testing.T) {
 	b.CPUUsed = 4 * kernel.Millisecond
 	if cfs.Pick(0, []*Job{a, b, c}) != 2 {
 		t.Error("normalized newcomer never scheduled")
-	}
-	if (FIFO{}).Pick(0, []*Job{a, b, c}) != 0 {
-		t.Error("FIFO pick wrong")
 	}
 }
 
@@ -226,7 +223,7 @@ func TestPickerProviderSwapMidRun(t *testing.T) {
 }
 
 func TestPickerNames(t *testing.T) {
-	if NewCFS().Name() != "cfs" || (FIFO{}).Name() != "fifo" || NewLearnedSJF(1).Name() != "learned-sjf" {
+	if NewCFS().Name() != "cfs" || NewLearnedSJF(1).Name() != "learned-sjf" {
 		t.Error("picker names wrong")
 	}
 }

@@ -213,9 +213,6 @@ func (s *Sim) publish() {
 // Completed returns the finished jobs.
 func (s *Sim) Completed() []*Job { return s.completed }
 
-// ReadyLen returns the current ready-queue length.
-func (s *Sim) ReadyLen() int { return len(s.ready) }
-
 // Metrics computes summary metrics over completed jobs.
 func (s *Sim) Metrics() Metrics {
 	m := Metrics{

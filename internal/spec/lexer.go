@@ -193,20 +193,3 @@ func (l *Lexer) number(pos Pos) (Token, error) {
 	}
 	return Token{Kind: TokNumber, Text: text, Num: v, Pos: pos}, nil
 }
-
-// LexAll tokenizes the whole input (testing convenience); the final
-// token is TokEOF.
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}

@@ -4,6 +4,22 @@ import (
 	"testing"
 )
 
+// lexAll drives the lexer to TokEOF (included) or its first error.
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func kinds(ts []Token) []TokenKind {
 	out := make([]TokenKind, len(ts))
 	for i, t := range ts {
@@ -13,7 +29,7 @@ func kinds(ts []Token) []TokenKind {
 }
 
 func TestLexBasicTokens(t *testing.T) {
-	ts, err := LexAll("guardrail x { } ( ) , : ; + - * /")
+	ts, err := lexAll("guardrail x { } ( ) , : ; + - * /")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +49,7 @@ func TestLexBasicTokens(t *testing.T) {
 }
 
 func TestLexOperators(t *testing.T) {
-	ts, err := LexAll("< <= > >= == != && || !")
+	ts, err := lexAll("< <= > >= == != && || !")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +71,7 @@ func TestLexNumbers(t *testing.T) {
 		{"2.5e-3", 2.5e-3}, {"1E6", 1e6}, {".5", 0.5},
 	}
 	for _, c := range cases {
-		ts, err := LexAll(c.src)
+		ts, err := lexAll(c.src)
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
@@ -67,7 +83,7 @@ func TestLexNumbers(t *testing.T) {
 
 func TestLexNumberFollowedByIdent(t *testing.T) {
 	// "1e" without digits: the 'e' must not be consumed as an exponent.
-	ts, err := LexAll("5e x")
+	ts, err := lexAll("5e x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +96,7 @@ func TestLexNumberFollowedByIdent(t *testing.T) {
 }
 
 func TestLexComments(t *testing.T) {
-	ts, err := LexAll("a // line comment\nb /* block\ncomment */ c")
+	ts, err := lexAll("a // line comment\nb /* block\ncomment */ c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +106,13 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexUnterminatedBlockComment(t *testing.T) {
-	if _, err := LexAll("a /* never ends"); err == nil {
+	if _, err := lexAll("a /* never ends"); err == nil {
 		t.Error("unterminated comment should error")
 	}
 }
 
 func TestLexPositions(t *testing.T) {
-	ts, err := LexAll("a\n  bb")
+	ts, err := lexAll("a\n  bb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +129,14 @@ func TestLexPositions(t *testing.T) {
 
 func TestLexBadCharacters(t *testing.T) {
 	for _, src := range []string{"@", "#", "$", "a & b", "a | b", "="} {
-		if _, err := LexAll(src); err == nil {
+		if _, err := lexAll(src); err == nil {
 			t.Errorf("%q should fail to lex", src)
 		}
 	}
 }
 
 func TestLexIdentifiers(t *testing.T) {
-	ts, err := LexAll("false_submit_rate _x Abc9")
+	ts, err := lexAll("false_submit_rate _x Abc9")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,18 +52,6 @@ func Parse(src string) (*File, error) {
 	return f, nil
 }
 
-// ParseOne parses a source containing exactly one guardrail.
-func ParseOne(src string) (*Guardrail, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Guardrails) != 1 {
-		return nil, fmt.Errorf("spec: expected exactly one guardrail, found %d", len(f.Guardrails))
-	}
-	return f.Guardrails[0], nil
-}
-
 func (p *Parser) next() {
 	if p.err != nil {
 		return

@@ -21,10 +21,11 @@ guardrail low-false-submit {
 `
 
 func TestParseListing2(t *testing.T) {
-	g, err := ParseOne(listing2)
+	file, err := Parse(listing2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	if g.Name != "low-false-submit" {
 		t.Errorf("name = %q", g.Name)
 	}
@@ -72,10 +73,11 @@ guardrail multi {
     rule: { LOAD(x) < 1 },
     action: { REPORT(LOAD(x)) }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	if len(g.Triggers) != 3 {
 		t.Fatalf("triggers = %d", len(g.Triggers))
 	}
@@ -103,10 +105,11 @@ guardrail acts {
         SAVE(ml_enabled, 0)
     }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	if len(g.Actions) != 6 {
 		t.Fatalf("actions = %d", len(g.Actions))
 	}
@@ -140,10 +143,11 @@ guardrail prec {
     rule: { LOAD(a) + LOAD(b) * 2 < 10 || LOAD(c) > 5 && LOAD(d) != 0 },
     action: { REPORT() }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	got := ExprString(g.Rules[0])
 	want := "(((LOAD(a) + (LOAD(b) * 2)) < 10) || ((LOAD(c) > 5) && (LOAD(d) != 0)))"
 	if got != want {
@@ -158,10 +162,11 @@ guardrail un {
     rule: { !(LOAD(x) > 3) && -LOAD(y) < abs(LOAD(z) - 2) },
     action: { REPORT() }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	got := ExprString(g.Rules[0])
 	want := "(!(LOAD(x) > 3) && (-LOAD(y) < abs((LOAD(z) - 2))))"
 	if got != want {
@@ -176,10 +181,11 @@ guardrail bare {
     rule: { page_fault_latency <= 2e6 },
     action: { REPORT(page_fault_latency) }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	rule := g.Rules[0].(*BinaryExpr)
 	if id, ok := rule.X.(*IdentExpr); !ok || id.Name != "page_fault_latency" {
 		t.Errorf("lhs = %s", ExprString(rule.X))
@@ -218,10 +224,11 @@ guardrail reorder {
     rule: { LOAD(x) < 1 },
     trigger: { TIMER(0, 1) }
 }`
-	g, err := ParseOne(src)
+	file, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	if len(g.Triggers) != 1 || len(g.Rules) != 1 || len(g.Actions) != 1 {
 		t.Error("sections lost")
 	}
@@ -257,23 +264,19 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseOneRejectsMultiple(t *testing.T) {
-	if _, err := ParseOne(listing2 + listing2[1:]); err == nil {
-		t.Error("two guardrails should error in ParseOne")
-	}
-}
-
 func TestGuardrailStringRoundTrip(t *testing.T) {
-	g, err := ParseOne(listing2)
+	file, err := Parse(listing2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := file.Guardrails[0]
 	rendered := g.String()
 	// The canonical form must itself parse to the same structure.
-	g2, err := ParseOne(rendered)
+	file2, err := Parse(rendered)
 	if err != nil {
 		t.Fatalf("canonical form does not re-parse: %v\n%s", err, rendered)
 	}
+	g2 := file2.Guardrails[0]
 	if g2.Name != g.Name || len(g2.Rules) != len(g.Rules) {
 		t.Error("round trip changed structure")
 	}

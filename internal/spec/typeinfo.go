@@ -20,29 +20,3 @@ func ConstValue(e Expr) (float64, bool) {
 	}
 	return 0, false
 }
-
-// Pure reports whether evaluating e is free of environment reads other
-// than the feature store: it contains no now() call. Pure expressions
-// over constant operands may be evaluated at compile time; impure ones
-// must reach the runtime.
-func Pure(e Expr) bool {
-	switch n := e.(type) {
-	case *NumLit, *BoolLit, *LoadExpr, *IdentExpr:
-		return true
-	case *UnaryExpr:
-		return Pure(n.X)
-	case *BinaryExpr:
-		return Pure(n.X) && Pure(n.Y)
-	case *CallExpr:
-		if n.Fn == "now" {
-			return false
-		}
-		for _, a := range n.Args {
-			if !Pure(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}

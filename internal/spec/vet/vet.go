@@ -158,21 +158,6 @@ func lintGlobalLoads(g *spec.Guardrail, aggregates []string) []Diagnostic {
 	return ds
 }
 
-// Guardrail lints a single checked guardrail in isolation (GV005 then
-// only sees that guardrail's own LOADs, and GV010 sees no feature
-// declarations).
-func Guardrail(g *spec.Guardrail) []Diagnostic {
-	loaded := map[string]bool{}
-	for _, r := range g.Rules {
-		for _, k := range spec.ExprKeys(r) {
-			loaded[k] = true
-		}
-	}
-	ds := lintGuardrail(g, loaded, nil)
-	sortDiags(ds)
-	return ds
-}
-
 func sortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]

@@ -126,14 +126,15 @@ guardrail g {
 }
 
 func TestUnreadKeyIsInfoAndCrossGuardrail(t *testing.T) {
-	// knob is SAVEd in g1 but LOADed by g2's rules: File-level lint must
-	// not flag it; Guardrail-level lint of g1 alone must (as Info).
-	f := parse(t, `
+	// knob is SAVEd in g1 but LOADed by g2's rules: linting the two
+	// together must not flag it; linting g1 alone must (as Info).
+	const g1 = `
 guardrail g1 {
     trigger: { TIMER(start_time, 1e9) },
     rule: { LOAD(rate) <= 1 },
     action: { SAVE(knob, 0) }
-}
+}`
+	f := parse(t, g1+`
 guardrail g2 {
     trigger: { TIMER(start_time, 1e9) },
     rule: { LOAD(knob) == 0 },
@@ -142,7 +143,7 @@ guardrail g2 {
 	if ds := File(f); hasCode(ds, CodeUnreadKey) {
 		t.Errorf("GV005 fired despite cross-guardrail LOAD: %v", codes(ds))
 	}
-	ds := Guardrail(f.Guardrails[0])
+	ds := File(parse(t, g1))
 	if !hasCode(ds, CodeUnreadKey) {
 		t.Fatalf("want GV005 from isolated lint, got %v", codes(ds))
 	}
@@ -266,22 +267,6 @@ guardrail at-hi {
 		if d.Code == CodeThresholdRange {
 			t.Errorf("boundary threshold flagged: %s", d)
 		}
-	}
-}
-
-// TestGuardrailEntryPointSkipsRangeCheck: the single-guardrail entry
-// point has no file context, so declared ranges cannot apply.
-func TestGuardrailEntryPointSkipsRangeCheck(t *testing.T) {
-	f := parse(t, `
-feature util range(0, 1)
-
-guardrail vacuous {
-    trigger: { TIMER(start_time, 1e9) },
-    rule: { LOAD(util) <= 2 },
-    action: { REPORT(1) }
-}`)
-	if hasCode(Guardrail(f.Guardrails[0]), CodeThresholdRange) {
-		t.Error("Guardrail() flagged GV010 without file-level declarations")
 	}
 }
 

@@ -6,16 +6,14 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bin histogram over [Lo, Hi) with equal-width bins
-// plus underflow/overflow counters. It supports quantile queries,
-// normalization, and distribution-distance computations used by drift
-// properties (P1).
+// Histogram is a fixed-bin histogram over [Lo, Hi) with equal-width
+// bins; out-of-range observations count toward the total and the mean
+// only. It supports the normalization and distribution-distance (PSI)
+// computations used by drift properties (P1).
 type Histogram struct {
 	lo, hi float64
 	width  float64
 	bins   []uint64
-	under  uint64
-	over   uint64
 	total  uint64
 	sum    float64
 }
@@ -35,22 +33,15 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 func (h *Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // float rounding at the top edge
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
+	if x < h.lo || x >= h.hi {
+		return
 	}
+	i := int((x - h.lo) / h.width)
+	if i >= len(h.bins) { // float rounding at the top edge
+		i = len(h.bins) - 1
+	}
+	h.bins[i]++
 }
-
-// Count returns the total number of observations including out-of-range.
-func (h *Histogram) Count() uint64 { return h.total }
 
 // Mean returns the mean of all observations. An empty histogram has no
 // mean: it returns NaN (not 0, which is a legitimate observed mean).
@@ -61,70 +52,12 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Bins returns a copy of the in-range bin counts.
-func (h *Histogram) Bins() []uint64 {
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
-}
-
 // Reset zeroes all counters.
 func (h *Histogram) Reset() {
 	for i := range h.bins {
 		h.bins[i] = 0
 	}
-	h.under, h.over, h.total, h.sum = 0, 0, 0, 0
-}
-
-// Quantile returns an approximate p-quantile assuming uniform density
-// within each bin. Out-of-range mass is attributed to the boundary bins.
-// An empty histogram has no quantiles: it returns NaN, matching Mean.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	p = Clamp(p, 0, 1)
-	target := p * float64(h.total)
-	acc := float64(h.under)
-	if acc >= target && h.under > 0 {
-		return h.lo
-	}
-	for i, c := range h.bins {
-		next := acc + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - acc) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		acc = next
-	}
-	return h.hi
-}
-
-// Merge folds o's observations into h. The histograms must be
-// identically shaped (same bounds and bin count); merging differently
-// shaped histograms is an error, not a silent re-bin. o is unchanged.
-// Merging is how per-shard telemetry histograms aggregate.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bins) != len(o.bins) || h.lo != o.lo || h.hi != o.hi {
-		return fmt.Errorf("stats: cannot merge histogram [%g,%g)/%d bins into [%g,%g)/%d bins",
-			o.lo, o.hi, len(o.bins), h.lo, h.hi, len(h.bins))
-	}
-	for i, c := range o.bins {
-		h.bins[i] += c
-	}
-	h.under += o.under
-	h.over += o.over
-	h.total += o.total
-	h.sum += o.sum
-	return nil
+	h.total, h.sum = 0, 0
 }
 
 // Probabilities returns the normalized in-range bin probabilities with
@@ -206,9 +139,6 @@ func (h *LogHistogram) Add(x float64) {
 	h.bins[i]++
 }
 
-// Count returns the number of observations.
-func (h *LogHistogram) Count() uint64 { return h.total }
-
 // Buckets exposes the raw log2 buckets for cumulative-histogram
 // export: the sub-1 count, a copy of the power-of-two bin counts
 // (bins[i] counts values in [2^i, 2^(i+1)), the top bin absorbing
@@ -288,21 +218,6 @@ type Summary struct {
 	P90   float64 `json:"p90"`
 	P95   float64 `json:"p95"`
 	P99   float64 `json:"p99"`
-}
-
-// Summary exports the fixed quantile set.
-func (h *Histogram) Summary() Summary {
-	if h.total == 0 {
-		return Summary{}
-	}
-	return Summary{
-		Count: h.total,
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
 }
 
 // Summary exports the fixed quantile set.

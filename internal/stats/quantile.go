@@ -1,125 +1,5 @@
 package stats
 
-import "sort"
-
-// P2 estimates a single quantile of a stream without storing the
-// observations, using the P² algorithm (Jain & Chlamtac, 1985). It keeps
-// five markers whose positions are nudged toward ideal positions with a
-// piecewise-parabolic update. Accuracy is typically within a fraction of
-// a percent for smooth distributions; for exact small-sample quantiles
-// use Quantile on a materialized slice.
-type P2 struct {
-	p       float64    // target quantile in (0,1)
-	q       [5]float64 // marker heights
-	n       [5]int     // marker positions (1-based counts)
-	np      [5]float64 // desired marker positions
-	dn      [5]float64 // position increments
-	count   int
-	initial [5]float64
-}
-
-// NewP2 returns a P² estimator for quantile p in (0, 1).
-func NewP2(p float64) *P2 {
-	if p <= 0 || p >= 1 {
-		panic("stats: P2 quantile must be in (0, 1)")
-	}
-	e := &P2{p: p}
-	e.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return e
-}
-
-// Add incorporates one observation.
-func (e *P2) Add(x float64) {
-	if e.count < 5 {
-		e.initial[e.count] = x
-		e.count++
-		if e.count == 5 {
-			s := e.initial
-			sort.Float64s(s[:])
-			e.q = s
-			e.n = [5]int{1, 2, 3, 4, 5}
-			for i := range e.np {
-				e.np[i] = 1 + 4*e.dn[i]
-			}
-		}
-		return
-	}
-	e.count++
-
-	// Find cell k such that q[k] <= x < q[k+1], adjusting extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.n[i]++
-	}
-	for i := range e.np {
-		e.np[i] += e.dn[i]
-	}
-
-	// Adjust interior markers.
-	for i := 1; i <= 3; i++ {
-		d := e.np[i] - float64(e.n[i])
-		if (d >= 1 && e.n[i+1]-e.n[i] > 1) || (d <= -1 && e.n[i-1]-e.n[i] < -1) {
-			s := 1
-			if d < 0 {
-				s = -1
-			}
-			qn := e.parabolic(i, s)
-			if e.q[i-1] < qn && qn < e.q[i+1] {
-				e.q[i] = qn
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.n[i] += s
-		}
-	}
-}
-
-func (e *P2) parabolic(i, s int) float64 {
-	fs := float64(s)
-	ni := float64(e.n[i])
-	nm := float64(e.n[i-1])
-	np := float64(e.n[i+1])
-	return e.q[i] + fs/(np-nm)*((ni-nm+fs)*(e.q[i+1]-e.q[i])/(np-ni)+
-		(np-ni-fs)*(e.q[i]-e.q[i-1])/(ni-nm))
-}
-
-func (e *P2) linear(i, s int) float64 {
-	fs := float64(s)
-	return e.q[i] + fs*(e.q[i+s]-e.q[i])/(float64(e.n[i+s])-float64(e.n[i]))
-}
-
-// Count returns the number of observations added.
-func (e *P2) Count() int { return e.count }
-
-// Value returns the current quantile estimate. With fewer than five
-// observations it returns the exact sample quantile of what has been seen.
-func (e *P2) Value() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		s := make([]float64, e.count)
-		copy(s, e.initial[:e.count])
-		sort.Float64s(s)
-		return Quantile(s, e.p)
-	}
-	return e.q[2]
-}
-
 // Quantile returns the p-quantile of sorted (ascending) using linear
 // interpolation between closest ranks. sorted must be non-empty and
 // already sorted; p is clamped to [0, 1].

@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestQuantileExact(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
@@ -30,87 +25,5 @@ func TestQuantileInterpolates(t *testing.T) {
 	s := []float64{0, 10}
 	if got := Quantile(s, 0.3); !almostEqual(got, 3, 1e-12) {
 		t.Errorf("interpolated = %v, want 3", got)
-	}
-}
-
-func TestP2AgainstExactUniform(t *testing.T) {
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.95, 0.99} {
-		est := NewP2(p)
-		rng := rand.New(rand.NewSource(42))
-		var xs []float64
-		for i := 0; i < 50000; i++ {
-			x := rng.Float64() * 100
-			est.Add(x)
-			xs = append(xs, x)
-		}
-		sort.Float64s(xs)
-		exact := Quantile(xs, p)
-		if math.Abs(est.Value()-exact) > 1.0 {
-			t.Errorf("p=%v: P2=%v exact=%v", p, est.Value(), exact)
-		}
-	}
-}
-
-func TestP2AgainstExactLognormal(t *testing.T) {
-	est := NewP2(0.95)
-	rng := rand.New(rand.NewSource(9))
-	var xs []float64
-	for i := 0; i < 50000; i++ {
-		x := math.Exp(rng.NormFloat64())
-		est.Add(x)
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	exact := Quantile(xs, 0.95)
-	if math.Abs(est.Value()-exact)/exact > 0.05 {
-		t.Errorf("P2 p95 = %v, exact = %v (>5%% off)", est.Value(), exact)
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	est := NewP2(0.5)
-	if est.Value() != 0 {
-		t.Error("empty estimator should report 0")
-	}
-	est.Add(3)
-	if est.Value() != 3 {
-		t.Errorf("one sample: %v", est.Value())
-	}
-	est.Add(1)
-	est.Add(2)
-	// Exact median of {1,2,3} is 2.
-	if est.Value() != 2 {
-		t.Errorf("three samples: %v, want 2", est.Value())
-	}
-	if est.Count() != 3 {
-		t.Errorf("count = %d", est.Count())
-	}
-}
-
-func TestP2MonotoneMarkers(t *testing.T) {
-	est := NewP2(0.9)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		est.Add(rng.ExpFloat64() * 50)
-		if est.count >= 5 {
-			for j := 0; j < 4; j++ {
-				if est.q[j] > est.q[j+1] {
-					t.Fatalf("markers out of order at i=%d: %v", i, est.q)
-				}
-			}
-		}
-	}
-}
-
-func TestP2InvalidQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("p=%v should panic", p)
-				}
-			}()
-			NewP2(p)
-		}()
 	}
 }

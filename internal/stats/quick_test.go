@@ -11,34 +11,12 @@ import (
 func sanitize(xs []float64) []float64 {
 	out := xs[:0]
 	for _, x := range xs {
-		if !IsFinite(x) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
 			continue
 		}
 		out = append(out, math.Mod(x, 1e6))
 	}
 	return out
-}
-
-func TestQuickP2WithinSampleRange(t *testing.T) {
-	f := func(raw []float64, pRaw uint8) bool {
-		xs := sanitize(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		p := 0.05 + float64(pRaw%90)/100
-		est := NewP2(p)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			est.Add(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		v := est.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestQuickRateWindowBounds(t *testing.T) {
@@ -49,27 +27,6 @@ func TestQuickRateWindowBounds(t *testing.T) {
 			if r := w.Rate(); r < 0 || r > 1 {
 				return false
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickHistogramQuantileMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := NewHistogram(-1e6, 1e6, 32)
-		for _, x := range sanitize(raw) {
-			h.Add(x)
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 1.0; p += 0.1 {
-			q := h.Quantile(p)
-			if q < prev-1e-9 {
-				return false
-			}
-			prev = q
 		}
 		return true
 	}
@@ -90,55 +47,6 @@ func TestQuickJainIndexBounds(t *testing.T) {
 			return j == 1
 		}
 		return j >= 1/float64(len(alloc))-1e-9 && j <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickKSStatisticBounds(t *testing.T) {
-	f := func(rawA, rawB []float64) bool {
-		a, b := sanitize(rawA), sanitize(rawB)
-		r := KSTest(a, b)
-		return r.D >= 0 && r.D <= 1 && r.PValue >= 0 && r.PValue <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickWelfordVarianceNonNegative(t *testing.T) {
-	f := func(raw []float64) bool {
-		var w Welford
-		for _, x := range sanitize(raw) {
-			w.Add(x)
-		}
-		return w.Variance() >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickEWMABounded(t *testing.T) {
-	f := func(raw []float64, aRaw uint8) bool {
-		xs := sanitize(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		alpha := 0.01 + float64(aRaw%99)/100
-		e := NewEWMA(alpha)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			e.Add(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-			// An EWMA is a convex combination of observations.
-			if e.Value() < lo-1e-6 || e.Value() > hi+1e-6 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

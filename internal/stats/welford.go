@@ -1,79 +1,21 @@
 package stats
 
-import "math"
-
-// Welford accumulates count, mean, and variance of a stream using
-// Welford's online algorithm. The zero value is ready to use.
+// Welford accumulates the count and mean of a stream with the mean
+// update of Welford's online algorithm (no running sum to lose
+// precision in). The zero value is ready to use.
 type Welford struct {
 	n    uint64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
 
 // Mean returns the running mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the unbiased sample variance (n-1 denominator).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }

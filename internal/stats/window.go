@@ -2,33 +2,12 @@ package stats
 
 // Window is a fixed-capacity sliding window over a float64 stream backed
 // by a ring buffer, maintaining running sum for O(1) mean queries.
-// Min/max queries use monotonic deques and are amortized O(1).
 type Window struct {
-	buf   []float64
-	head  int // index of oldest element
-	size  int
-	sum   float64
-	minDQ deque // indices of candidate minima, increasing values
-	maxDQ deque // indices of candidate maxima, decreasing values
-	seq   uint64
+	buf  []float64
+	head int // index of oldest element
+	size int
+	sum  float64
 }
-
-type dqItem struct {
-	seq uint64
-	val float64
-}
-
-type deque struct {
-	items []dqItem
-}
-
-func (d *deque) pushBack(it dqItem) { d.items = append(d.items, it) }
-func (d *deque) popBack()           { d.items = d.items[:len(d.items)-1] }
-func (d *deque) back() dqItem       { return d.items[len(d.items)-1] }
-func (d *deque) front() dqItem      { return d.items[0] }
-func (d *deque) popFront()          { d.items = d.items[1:] }
-func (d *deque) empty() bool        { return len(d.items) == 0 }
-func (d *deque) reset()             { d.items = d.items[:0] }
 
 // NewWindow returns a sliding window holding the most recent n values.
 func NewWindow(n int) *Window {
@@ -52,34 +31,11 @@ func (w *Window) Add(x float64) (evicted float64, wasFull bool) {
 		w.size++
 	}
 	w.sum += x
-	// Expire deque fronts that slid out of the window.
-	oldest := w.seq + 1 - uint64(w.size) // seq of oldest element after this add
-	for !w.minDQ.empty() && w.minDQ.front().seq < oldest {
-		w.minDQ.popFront()
-	}
-	for !w.maxDQ.empty() && w.maxDQ.front().seq < oldest {
-		w.maxDQ.popFront()
-	}
-	for !w.minDQ.empty() && w.minDQ.back().val >= x {
-		w.minDQ.popBack()
-	}
-	w.minDQ.pushBack(dqItem{w.seq, x})
-	for !w.maxDQ.empty() && w.maxDQ.back().val <= x {
-		w.maxDQ.popBack()
-	}
-	w.maxDQ.pushBack(dqItem{w.seq, x})
-	w.seq++
 	return evicted, wasFull
 }
 
 // Len returns the number of values currently held.
 func (w *Window) Len() int { return w.size }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Full reports whether the window holds Cap() values.
-func (w *Window) Full() bool { return w.size == len(w.buf) }
 
 // Sum returns the sum of held values.
 func (w *Window) Sum() float64 { return w.sum }
@@ -90,22 +46,6 @@ func (w *Window) Mean() float64 {
 		return 0
 	}
 	return w.sum / float64(w.size)
-}
-
-// Min returns the minimum held value, or 0 when empty.
-func (w *Window) Min() float64 {
-	if w.minDQ.empty() {
-		return 0
-	}
-	return w.minDQ.front().val
-}
-
-// Max returns the maximum held value, or 0 when empty.
-func (w *Window) Max() float64 {
-	if w.maxDQ.empty() {
-		return 0
-	}
-	return w.maxDQ.front().val
 }
 
 // Values copies the window contents, oldest first.
@@ -119,9 +59,7 @@ func (w *Window) Values() []float64 {
 
 // Reset clears the window.
 func (w *Window) Reset() {
-	w.head, w.size, w.sum, w.seq = 0, 0, 0, 0
-	w.minDQ.reset()
-	w.maxDQ.reset()
+	w.head, w.size, w.sum = 0, 0, 0
 }
 
 // RateWindow counts event outcomes (hit/miss style) over a sliding window

@@ -50,7 +50,7 @@ func TestArrayFailoverDuringGCPause(t *testing.T) {
 		primary.Submit(now, 0, true)
 		now += kernel.Millisecond
 	}
-	if !primary.InGC(now, 0) {
+	if primary.chipFor(0).gcUntil <= now {
 		t.Fatal("write pressure did not trigger a GC pause")
 	}
 	gcRead := arr.Read(now, 0)
@@ -62,8 +62,8 @@ func TestArrayFailoverDuringGCPause(t *testing.T) {
 	if !arr.Fail(0) {
 		t.Fatal("Fail(0) refused with a live survivor present")
 	}
-	if arr.AliveCount() != 1 || arr.Alive(0) {
-		t.Fatalf("alive = %d, Alive(0) = %v after failure", arr.AliveCount(), arr.Alive(0))
+	if arr.AliveCount() != 1 || !arr.down[0] {
+		t.Fatalf("alive = %d, down[0] = %v after failure", arr.AliveCount(), arr.down[0])
 	}
 	if arr.Primary() != arr.Replica(1) || arr.Secondary() != arr.Replica(1) {
 		t.Fatal("reads not routed to the survivor")
@@ -85,12 +85,11 @@ func TestArrayFailoverDuringGCPause(t *testing.T) {
 	}
 
 	// Writes skip the corpse.
-	w0 := primary.Stats().Writes
 	arr.Write(now, 42)
-	if primary.Stats().Writes != w0 {
+	if primary.chipFor(42).writesSinceGC != 0 {
 		t.Error("write mirrored to a failed replica")
 	}
-	if arr.Replica(1).Stats().Writes == 0 {
+	if arr.Replica(1).chipFor(42).writesSinceGC != 1 {
 		t.Error("write skipped the survivor")
 	}
 

@@ -77,22 +77,12 @@ type chip struct {
 	nextBgGC      kernel.Time
 }
 
-// DeviceStats aggregates a device's lifetime I/O accounting.
-type DeviceStats struct {
-	Reads      uint64
-	Writes     uint64
-	GCs        uint64
-	TotalWait  kernel.Time // queue + GC wait across all I/Os
-	TotalServe kernel.Time // media service time across all I/Os
-}
-
 // Device is one simulated SSD. Not safe for concurrent use (the
 // simulated kernel is single-threaded).
 type Device struct {
 	cfg   DeviceConfig
 	chips []chip
 	rng   *rand.Rand
-	stats DeviceStats
 	tsink *telemetry.Sink
 
 	// completion ring for queue-depth estimation
@@ -128,12 +118,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 // Name returns the device name.
 func (d *Device) Name() string { return d.cfg.Name }
 
-// Config returns the device configuration.
-func (d *Device) Config() DeviceConfig { return d.cfg }
-
-// Stats returns a copy of the device's counters.
-func (d *Device) Stats() DeviceStats { return d.stats }
-
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink: every
 // GC pause becomes a flight-recorder span and every I/O completion
 // feeds the device's latency histogram.
@@ -166,7 +150,6 @@ func (d *Device) Submit(now kernel.Time, lba uint64, write bool) kernel.Time {
 		if start+d.cfg.GCDuration > c.gcUntil {
 			c.gcUntil = start + d.cfg.GCDuration
 		}
-		d.stats.GCs++
 		d.tsink.GCPause(int64(start), int64(d.cfg.GCDuration), d.cfg.Name)
 		c.nextBgGC = d.nextBackgroundGC(now)
 	}
@@ -182,26 +165,21 @@ func (d *Device) Submit(now kernel.Time, lba uint64, write bool) kernel.Time {
 	var service kernel.Time
 	if write {
 		service = d.cfg.WriteBase + kernel.Time(d.rng.Int63n(int64(d.cfg.WriteJitter)+1))
-		d.stats.Writes++
 		c.writesSinceGC++
 		if c.writesSinceGC >= d.cfg.GCWritePages {
 			// Write-pressure GC: the chip pauses after this write.
 			c.gcUntil = start + service + d.cfg.GCDuration
 			c.writesSinceGC = 0
-			d.stats.GCs++
 			d.tsink.GCPause(int64(start+service), int64(d.cfg.GCDuration), d.cfg.Name)
 		}
 	} else {
 		service = d.cfg.ReadBase + kernel.Time(d.rng.Int63n(int64(d.cfg.ReadJitter)+1))
-		d.stats.Reads++
 	}
 
 	complete := start + service
 	c.busyUntil = complete
 
 	lat := complete - now
-	d.stats.TotalWait += start - now
-	d.stats.TotalServe += service
 
 	d.completions[d.compHead] = complete
 	d.compHead = (d.compHead + 1) % len(d.completions)
@@ -227,13 +205,6 @@ func (d *Device) QueueDepth(now kernel.Time) int {
 // RecentLatencies returns the device's last four I/O latencies, newest
 // first — the latency history half of the LinnOS feature vector.
 func (d *Device) RecentLatencies() [4]kernel.Time { return d.recent }
-
-// InGC reports whether the chip backing lba is currently in a GC pause.
-// This is simulator ground truth (a real host cannot observe it); tests
-// and oracle baselines use it, policies must not.
-func (d *Device) InGC(now kernel.Time, lba uint64) bool {
-	return d.chipFor(lba).gcUntil > now
-}
 
 func max(a, b kernel.Time) kernel.Time {
 	if a > b {
@@ -311,9 +282,6 @@ func (a *Array) Heal(i int) bool {
 	}
 	return true
 }
-
-// Alive reports whether replica i is in service.
-func (a *Array) Alive(i int) bool { return i >= 0 && i < len(a.replicas) && !a.down[i] }
 
 // AliveCount returns the number of live replicas.
 func (a *Array) AliveCount() int {

@@ -28,7 +28,7 @@ func TestDeviceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Name() != "ok" || d.Config().Chips != 16 {
+	if d.Name() != "ok" || d.cfg.Chips != 16 {
 		t.Error("accessors wrong")
 	}
 }
@@ -40,9 +40,6 @@ func TestReadLatencyIsFastWhenIdle(t *testing.T) {
 		if lat < 80*kernel.Microsecond || lat > 100*kernel.Microsecond {
 			t.Fatalf("idle read latency = %v, want 80-100us", lat)
 		}
-	}
-	if d.Stats().Reads != 100 {
-		t.Errorf("reads = %d", d.Stats().Reads)
 	}
 }
 
@@ -69,16 +66,16 @@ func TestWritePressureTriggersGC(t *testing.T) {
 	// Four writes to chip 0 trigger GC; spread them out so queueing
 	// doesn't interfere.
 	for i := 0; i < 4; i++ {
+		if d.chipFor(0).gcUntil != 0 {
+			t.Fatalf("GC after %d writes, want it after the 4th", i)
+		}
 		d.Submit(now, 0, true)
 		now += 10 * kernel.Millisecond
 	}
-	if d.Stats().GCs != 1 {
-		t.Fatalf("GCs = %d, want 1", d.Stats().GCs)
-	}
-	if !d.InGC(now, 0) {
-		// GC started right after the 4th write at ~now-10ms+service,
-		// duration 8ms; at now it may have ended. Check just after the
-		// 4th write instead.
+	// GC started right after the 4th write at ~now-10ms+service,
+	// duration 8ms; at now it may have ended.
+	if d.chipFor(0).gcUntil <= now-10*kernel.Millisecond {
+		t.Fatal("4th write did not start a GC pause")
 	}
 	// A read right after the triggering write eats the GC pause.
 	lat := d.Submit(now-10*kernel.Millisecond+kernel.Microsecond, 0, false)
@@ -103,7 +100,13 @@ func TestBackgroundGCHappens(t *testing.T) {
 			slow++
 		}
 	}
-	if d.Stats().GCs == 0 {
+	paused := 0
+	for i := range d.chips {
+		if d.chips[i].gcUntil > 0 {
+			paused++
+		}
+	}
+	if paused == 0 {
 		t.Fatal("no background GCs fired")
 	}
 	if slow == 0 {
@@ -201,7 +204,7 @@ func TestArrayMirrorsWrites(t *testing.T) {
 		t.Error("array accessors wrong")
 	}
 	lat := arr.Write(0, 5)
-	if d1.Stats().Writes != 1 || d2.Stats().Writes != 1 {
+	if d1.chipFor(5).writesSinceGC != 1 || d2.chipFor(5).writesSinceGC != 1 {
 		t.Error("write not mirrored")
 	}
 	if lat < 400*kernel.Microsecond {

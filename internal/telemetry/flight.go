@@ -55,7 +55,6 @@ const (
 	// KindBreakglass: an operator quarantined a guardrail fleet-wide
 	// (Detail = "shadow" or "disable").
 	KindBreakglass
-	numKinds
 )
 
 // String names the kind (stable: these appear in trace files).

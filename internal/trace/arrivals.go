@@ -6,12 +6,6 @@ import (
 	"guardrails/internal/kernel"
 )
 
-// Arrivals generates a monotone sequence of event times.
-type Arrivals interface {
-	// Next returns the next arrival time strictly after the previous one.
-	Next() kernel.Time
-}
-
 // Poisson is a homogeneous Poisson arrival process.
 type Poisson struct {
 	rng  *rand.Rand
@@ -40,60 +34,4 @@ func (p *Poisson) Next() kernel.Time {
 	}
 	p.now += kernel.Time(gap)
 	return p.now
-}
-
-// MMPP is a two-state Markov-modulated Poisson process: a "calm" state
-// and a "burst" state with different rates, switching with exponential
-// holding times. It models bursty I/O and network traffic.
-type MMPP struct {
-	rng        *rand.Rand
-	calmMean   float64
-	burstMean  float64
-	holdCalm   float64
-	holdBurst  float64
-	inBurst    bool
-	stateUntil kernel.Time
-	now        kernel.Time
-}
-
-// NewMMPP returns an MMPP with calm/burst arrival rates (events per
-// second) and mean state holding times (in simulated seconds).
-func NewMMPP(seed int64, calmRate, burstRate, holdCalmSec, holdBurstSec float64) *MMPP {
-	if calmRate <= 0 || burstRate <= 0 || holdCalmSec <= 0 || holdBurstSec <= 0 {
-		panic("trace: MMPP parameters must be positive")
-	}
-	m := &MMPP{
-		rng:       NewRand(seed),
-		calmMean:  float64(kernel.Second) / calmRate,
-		burstMean: float64(kernel.Second) / burstRate,
-		holdCalm:  holdCalmSec * float64(kernel.Second),
-		holdBurst: holdBurstSec * float64(kernel.Second),
-	}
-	m.stateUntil = kernel.Time(Exponential(m.rng, m.holdCalm))
-	return m
-}
-
-// InBurst reports whether the process is currently in the burst state.
-func (m *MMPP) InBurst() bool { return m.inBurst }
-
-// Next returns the next arrival time.
-func (m *MMPP) Next() kernel.Time {
-	for m.now >= m.stateUntil {
-		m.inBurst = !m.inBurst
-		hold := m.holdCalm
-		if m.inBurst {
-			hold = m.holdBurst
-		}
-		m.stateUntil += kernel.Time(Exponential(m.rng, hold))
-	}
-	mean := m.calmMean
-	if m.inBurst {
-		mean = m.burstMean
-	}
-	gap := Exponential(m.rng, mean)
-	if gap < 1 {
-		gap = 1
-	}
-	m.now += kernel.Time(gap)
-	return m.now
 }

@@ -80,49 +80,3 @@ func (g *UniformKeys) Next() uint64 { return uint64(g.rng.Int63n(int64(g.n))) }
 
 // Universe returns the key-space size.
 func (g *UniformKeys) Universe() uint64 { return g.n }
-
-// HotspotKeys sends hotFrac of accesses to a contiguous hot region
-// covering hotRegion of the key space, and the rest uniformly elsewhere.
-// Moving the hot region between phases produces abrupt distribution
-// shift.
-type HotspotKeys struct {
-	rng      *rand.Rand
-	n        uint64
-	hotStart uint64
-	hotLen   uint64
-	hotFrac  float64
-}
-
-// NewHotspotKeys returns a hotspot generator: hotFrac in (0,1) of
-// accesses hit a region of hotRegion in (0,1) of the key space starting
-// at hotStart.
-func NewHotspotKeys(seed int64, n uint64, hotStart uint64, hotRegion, hotFrac float64) *HotspotKeys {
-	if n == 0 {
-		panic("trace: empty key universe")
-	}
-	if hotRegion <= 0 || hotRegion >= 1 || hotFrac <= 0 || hotFrac >= 1 {
-		panic("trace: hotspot fractions must be in (0,1)")
-	}
-	hotLen := uint64(float64(n) * hotRegion)
-	if hotLen == 0 {
-		hotLen = 1
-	}
-	return &HotspotKeys{
-		rng: NewRand(seed), n: n,
-		hotStart: hotStart % n, hotLen: hotLen, hotFrac: hotFrac,
-	}
-}
-
-// SetHotStart moves the hot region (phase shift).
-func (g *HotspotKeys) SetHotStart(start uint64) { g.hotStart = start % g.n }
-
-// Next returns the next key.
-func (g *HotspotKeys) Next() uint64 {
-	if g.rng.Float64() < g.hotFrac {
-		return (g.hotStart + uint64(g.rng.Int63n(int64(g.hotLen)))) % g.n
-	}
-	return uint64(g.rng.Int63n(int64(g.n)))
-}
-
-// Universe returns the key-space size.
-func (g *HotspotKeys) Universe() uint64 { return g.n }

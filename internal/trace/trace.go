@@ -1,9 +1,9 @@
 // Package trace provides deterministic synthetic workload generation for
-// the substrate simulators: seed splitting, arrival processes (Poisson
-// and Markov-modulated Poisson), key-popularity distributions (Zipf,
-// hotspot), and phase schedules that shift workload parameters at known
-// times — the controlled distribution shift the guardrail experiments
-// rely on.
+// the substrate simulators: seed splitting, Poisson arrivals, Zipf and
+// uniform key popularity, and exponential, Pareto and log-normal
+// variates. The experiments produce their controlled distribution shift
+// by swapping or re-parameterising these generators at a known
+// simulated time.
 //
 // Everything is seeded; the same seeds reproduce the same workload
 // exactly, which makes every experiment in the repository replayable.

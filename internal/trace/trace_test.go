@@ -99,37 +99,6 @@ func TestPoissonValidation(t *testing.T) {
 	NewPoisson(1, 0, 0)
 }
 
-func TestMMPPBurstsIncreaseRate(t *testing.T) {
-	m := NewMMPP(7, 100, 10000, 0.5, 0.5)
-	var calmGaps, burstGaps []float64
-	prev := kernel.Time(0)
-	for i := 0; i < 50000; i++ {
-		wasBurst := m.InBurst()
-		next := m.Next()
-		gap := float64(next - prev)
-		if wasBurst && m.InBurst() {
-			burstGaps = append(burstGaps, gap)
-		} else if !wasBurst && !m.InBurst() {
-			calmGaps = append(calmGaps, gap)
-		}
-		prev = next
-	}
-	if len(calmGaps) == 0 || len(burstGaps) == 0 {
-		t.Fatal("MMPP never switched states")
-	}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	if mean(burstGaps)*10 > mean(calmGaps) {
-		t.Errorf("burst gaps %v not much smaller than calm gaps %v",
-			mean(burstGaps), mean(calmGaps))
-	}
-}
-
 func TestZipfKeysSkewAndDeterminism(t *testing.T) {
 	g := NewZipfKeys(11, 1000, 1.2, false)
 	counts := make(map[uint64]int)
@@ -191,84 +160,6 @@ func TestUniformKeysCoverage(t *testing.T) {
 	}
 }
 
-func TestHotspotKeysShift(t *testing.T) {
-	g := NewHotspotKeys(17, 10000, 0, 0.1, 0.9)
-	inHot := 0
-	for i := 0; i < 10000; i++ {
-		if g.Next() < 1000 {
-			inHot++
-		}
-	}
-	// ~90% hot + ~10%*10% uniform spill ≈ 0.91.
-	if frac := float64(inHot) / 10000; frac < 0.85 {
-		t.Errorf("hot fraction = %v", frac)
-	}
-	// Move the hotspot: traffic follows.
-	g.SetHotStart(5000)
-	inNew := 0
-	for i := 0; i < 10000; i++ {
-		k := g.Next()
-		if k >= 5000 && k < 6000 {
-			inNew++
-		}
-	}
-	if frac := float64(inNew) / 10000; frac < 0.85 {
-		t.Errorf("shifted hot fraction = %v", frac)
-	}
-}
-
-func TestScheduleLookup(t *testing.T) {
-	s, err := NewSchedule(
-		Phase{Start: 0, Name: "read-heavy"},
-		Phase{Start: 10 * kernel.Second, Name: "write-heavy"},
-		Phase{Start: 20 * kernel.Second, Name: "mixed"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		t    kernel.Time
-		want string
-	}{
-		{0, "read-heavy"},
-		{9 * kernel.Second, "read-heavy"},
-		{10 * kernel.Second, "write-heavy"},
-		{15 * kernel.Second, "write-heavy"},
-		{25 * kernel.Second, "mixed"},
-	}
-	for _, c := range cases {
-		if got := s.At(c.t); got != c.want {
-			t.Errorf("At(%v) = %q, want %q", c.t, got, c.want)
-		}
-	}
-	if s.Index(15*kernel.Second) != 1 {
-		t.Error("Index wrong")
-	}
-	if len(s.Phases()) != 3 {
-		t.Error("Phases wrong")
-	}
-}
-
-func TestScheduleValidation(t *testing.T) {
-	if _, err := NewSchedule(); err == nil {
-		t.Error("empty schedule should error")
-	}
-	if _, err := NewSchedule(Phase{Start: 5, Name: "x"}); err == nil {
-		t.Error("nonzero first phase should error")
-	}
-	if _, err := NewSchedule(Phase{0, "a"}, Phase{0, "b"}); err == nil {
-		t.Error("duplicate starts should error")
-	}
-	// Unsorted input is fine.
-	s, err := NewSchedule(Phase{10, "b"}, Phase{0, "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(5) != "a" {
-		t.Error("sorting failed")
-	}
-}
-
 func TestKeyGenValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -281,6 +172,4 @@ func TestKeyGenValidation(t *testing.T) {
 	mustPanic("zipf-empty", func() { NewZipfKeys(1, 0, 1.5, false) })
 	mustPanic("zipf-skew", func() { NewZipfKeys(1, 10, 1.0, false) })
 	mustPanic("uniform-empty", func() { NewUniformKeys(1, 0) })
-	mustPanic("hotspot-empty", func() { NewHotspotKeys(1, 0, 0, 0.1, 0.9) })
-	mustPanic("hotspot-frac", func() { NewHotspotKeys(1, 10, 0, 0.1, 1.5) })
 }

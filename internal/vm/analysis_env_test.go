@@ -35,7 +35,7 @@ func branchProg(t *testing.T) (*Program, int32) {
 func TestAnalyzeWithRefinement(t *testing.T) {
 	p, cell := branchProg(t)
 
-	open, err := Analyze(p, NumBuiltinHelpers)
+	open, err := AnalyzeWith(p, NumBuiltinHelpers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAnalysisStoreFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(p, NumBuiltinHelpers)
+	a, err := AnalyzeWith(p, NumBuiltinHelpers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAnalyzeWithDivisorCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(p, NumBuiltinHelpers); err != nil {
+	if _, err := AnalyzeWith(p, NumBuiltinHelpers, nil); err != nil {
 		t.Fatalf("open-world analysis rejected a guarded division: %v", err)
 	}
 	zero := func(c int32) (Interval, bool) {

@@ -40,9 +40,6 @@ func (b *Builder) Sym(key string) int32 {
 	return i
 }
 
-// PC returns the index the next emitted instruction will have.
-func (b *Builder) PC() int { return len(b.code) }
-
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in Instr) { b.code = append(b.code, in) }
 

@@ -96,15 +96,11 @@ func VerifySteps(p *Program, numHelpers, maxSteps int) error {
 	return nil
 }
 
-// Analyze runs the abstract interpreter on a structurally-checked
-// program and returns the proof object without mutating p.Meta.
-func Analyze(p *Program, numHelpers int) (*Analysis, error) {
-	return AnalyzeWith(p, numHelpers, nil)
-}
-
-// AnalyzeWith is Analyze with certified input ranges for feature-store
-// cells: LOADs of cells the env covers analyze as the given interval
-// instead of top. Refining inputs can only shrink the reachable state
+// AnalyzeWith runs the abstract interpreter on a structurally-checked
+// program and returns the proof object without mutating p.Meta. env
+// carries certified input ranges for feature-store cells: LOADs of cells
+// it covers analyze as the given interval instead of top (a nil env is
+// the open world). Refining inputs can only shrink the reachable state
 // space, so a program that verifies open-world stays verifiable under
 // any env — except that a division whose divisor collapses to a
 // provable constant zero under the env is rejected, which is exactly

@@ -27,7 +27,7 @@
 //	//guardrails:coldpath
 //
 // The analysis is purely stdlib (go/ast + go/types); the driver is
-// cmd/hotpathcheck.
+// cmd/repolint.
 package hotpath
 
 import (

@@ -1,0 +1,298 @@
+package reach
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// fixture is a module "mod" in memory: a facade, three internal
+// packages, a command, a non-main benchmark package, and just enough of
+// a standard library for the interface-name rule. Keys are
+// "import/path/file.go".
+var fixture = map[string]string{
+	"fmt/fmt.go":            `package fmt; type Stringer interface{ String() string }`,
+	"sort/sort.go":          `package sort; type Interface interface{ Len() int; Less(i, j int) bool; Swap(i, j int) }`,
+	"encoding/json/json.go": `package json; type Marshaler interface{ MarshalJSON() ([]byte, error) }`,
+
+	"mod/mod.go": `package mod
+
+import "mod/internal/a"
+
+// Thing is reachable by users only through this alias.
+type Thing = a.Thing
+
+func NewThing() *Thing { return a.New() }
+
+func unexportedAndUnused() { a.OnlyFromDeadFacadeCode() }
+`,
+
+	"mod/internal/a/a.go": `package a
+
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+
+	"mod/internal/b"
+)
+
+type Thing struct {
+	Inner  *b.Inner // exported field: b.Inner's exported methods are API
+	hidden b.Hidden // unexported field: b.Hidden is live, its methods are not API
+}
+
+func New() *Thing { hookStale(); return &Thing{} }
+
+// Exported is API through the facade's alias; b.Result is API through
+// its signature.
+func (t *Thing) Exported() b.Result { return b.Result{} }
+
+func (t *Thing) unexportedUnused() {}
+
+// Interface-named methods of a live type stay: calls through
+// interfaces are not resolved.
+func (t *Thing) String() string               { return "" }
+func (t *Thing) Error() string                { return "" }
+func (t *Thing) Unwrap() error                { return nil }
+func (t *Thing) MarshalJSON() ([]byte, error) { return nil, nil }
+func (t *Thing) Len() int                     { return 0 }
+func (t *Thing) Less(i, j int) bool           { return false }
+func (t *Thing) Swap(i, j int)                {}
+func (t *Thing) Frob()                        {}
+func (t *Thing) inline()                      {}
+
+// Frobber is a module interface nothing mentions: it is itself a
+// finding, and its method names count all the same.
+type Frobber interface{ Frob() }
+
+func viaInlineInterface(x any) { _, _ = x.(interface{ inline() }) }
+
+var (
+	_ fmt.Stringer   = (*Thing)(nil)
+	_ sort.Interface = (*Thing)(nil)
+	_ json.Marshaler = (*Thing)(nil)
+	_                = viaBlank()
+)
+
+func init() { viaInit(); viaInlineInterface(nil) }
+
+func viaInit()      {}
+func viaBlank() int { return 0 }
+
+func onlyTests() int         { return helperOfOnlyTests() }
+func helperOfOnlyTests() int { return 1 }
+
+func OnlyFromDeadFacadeCode() {}
+
+//guardrails:testhook
+func hookNoReason() {}
+
+// hookOK has a doc comment before its directive.
+//
+//guardrails:testhook b's external test counts these
+func hookOK() int { return keptByHook() }
+
+func keptByHook() int { return 0 }
+
+//guardrails:testhook New calls it, so this directive is stale
+func hookStale() {}
+`,
+	"mod/internal/a/a_test.go": `package a
+
+func fromATest() int { return onlyTests() }
+`,
+
+	"mod/internal/b/b.go": `package b
+
+type Inner struct{}
+
+func (Inner) ViaField()           {}
+func (Inner) viaFieldUnexported() {}
+
+type Result struct{}
+
+func (Result) ViaSignature() {}
+
+type Hidden struct{}
+
+func (Hidden) NotExposed() {}
+
+type Orphan struct{}
+
+func (Orphan) String() string { return "" }
+
+const DeadConst = 1
+
+var DeadVar = 2
+`,
+
+	"mod/internal/c/c.go": `package c
+
+func FromMain()      { fromMainHelper() }
+func fromMainHelper() {}
+func FromBenchmark() {}
+func Dead()          {}
+`,
+	"mod/cmd/tool/main.go": `package main
+
+import "mod/internal/c"
+
+func main() { c.FromMain() }
+`,
+	"mod/benchmark/gen/gen.go": `package gen
+
+import "mod/internal/c"
+
+// Unused is called by nobody: packages outside internal/ are roots whole.
+func Unused() { c.FromBenchmark() }
+`,
+}
+
+// loader type-checks fixture packages from memory, importing each other
+// on demand.
+type loader struct {
+	t     *testing.T
+	src   map[string]string
+	fset  *token.FileSet
+	pkgs  map[string]*Package
+	order []string
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p.Types, nil
+	}
+	var names []string
+	for name := range l.src {
+		if strings.HasPrefix(name, path+"/") && !strings.Contains(name[len(path)+1:], "/") {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("fixture has no package %q", path)
+	}
+	sort.Strings(names)
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, name, l.src[name], parser.ParseComments)
+		if err != nil {
+			l.t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+	}
+	tpkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
+	if err != nil {
+		l.t.Fatalf("%s: %v", path, err)
+	}
+	l.pkgs[path] = &Package{Fset: l.fset, Files: files, Info: info, Types: tpkg}
+	l.order = append(l.order, path)
+	return tpkg, nil
+}
+
+// analyze loads every "mod" package of src and returns finding
+// descriptions keyed by declaration.
+func analyze(t *testing.T, src map[string]string) map[string]string {
+	t.Helper()
+	l := &loader{t: t, src: src, fset: token.NewFileSet(), pkgs: map[string]*Package{}}
+	for name := range src {
+		if path := name[:strings.LastIndex(name, "/")]; strings.HasPrefix(path, "mod") {
+			if _, err := l.Import(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sort.Strings(l.order)
+	var pkgs []*Package
+	for _, path := range l.order {
+		if strings.HasPrefix(path, "mod") {
+			pkgs = append(pkgs, l.pkgs[path])
+		}
+	}
+	got := map[string]string{}
+	for _, f := range Analyze("mod", pkgs) {
+		if prev, dup := got[f.Decl]; dup {
+			t.Errorf("%s reported twice: %q and %q", f.Decl, prev, f.What)
+		}
+		got[f.Decl] = f.What
+	}
+	return got
+}
+
+// TestAnalyzeFixture compares the whole finding set, so a declaration
+// wrongly kept fails as loudly as one wrongly flagged.
+func TestAnalyzeFixture(t *testing.T) {
+	const unreachable = "reachable only from tests"
+	want := map[string]string{
+		// Called only from a_test.go, and the helper only it calls.
+		"mod/internal/a.onlyTests":         unreachable,
+		"mod/internal/a.helperOfOnlyTests": unreachable,
+		// Unexported, uncalled, and no interface has the name.
+		"mod/internal/a.Thing.unexportedUnused": unreachable,
+		// An interface nothing mentions (Thing.Frob stays: the name rule
+		// does not ask whether the interface is live).
+		"mod/internal/a.Frobber": unreachable,
+		// The facade's unexported code is not a root.
+		"mod/internal/a.OnlyFromDeadFacadeCode": unreachable,
+		// b.Inner is API through Thing's exported field, but only its
+		// exported methods are.
+		"mod/internal/b.Inner.viaFieldUnexported": unreachable,
+		// b.Hidden is only a private field's type.
+		"mod/internal/b.Hidden.NotExposed": unreachable,
+		// A dead type takes its interface-named methods with it.
+		"mod/internal/b.Orphan":        unreachable,
+		"mod/internal/b.Orphan.String": unreachable,
+		"mod/internal/b.DeadConst":     unreachable,
+		"mod/internal/b.DeadVar":       unreachable,
+		"mod/internal/c.Dead":          unreachable,
+		// Directive misuse; both declarations are kept.
+		"mod/internal/a.hookNoReason": "testhook directive needs a reason",
+		"mod/internal/a.hookStale":    "the roots already reach",
+	}
+	got := analyze(t, fixture)
+	for decl, what := range want {
+		if !strings.Contains(got[decl], what) {
+			t.Errorf("%s: got %q, want a finding containing %q", decl, got[decl], what)
+		}
+	}
+	for decl, what := range got {
+		if _, ok := want[decl]; !ok {
+			t.Errorf("%s wrongly reported: %s", decl, what)
+		}
+	}
+}
+
+// TestHookLimit: every directive past the MaxHooks-th is a finding.
+func TestHookLimit(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("package h\n")
+	for i := 0; i <= MaxHooks; i++ {
+		fmt.Fprintf(&b, "//guardrails:testhook reason %d\nfunc hook%d() {}\n", i, i)
+	}
+	got := analyze(t, map[string]string{"mod/internal/h/h.go": b.String()})
+	last := fmt.Sprintf("mod/internal/h.hook%d", MaxHooks)
+	if !strings.Contains(got[last], "of at most") || len(got) != 1 {
+		t.Errorf("findings = %v, want only %s over the limit", got, last)
+	}
+}
+
+// TestFindingString pins the file:line:col rendering the driver prints.
+func TestFindingString(t *testing.T) {
+	f := Finding{
+		Pos:  token.Position{Filename: "x.go", Line: 3, Column: 7},
+		Decl: "mod/internal/a.onlyTests", What: "reachable only from tests (or from nothing)",
+	}
+	if got, want := f.String(), "x.go:3:7: reach: mod/internal/a.onlyTests: reachable only from tests (or from nothing)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
