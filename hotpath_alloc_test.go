@@ -20,6 +20,7 @@ import (
 	"guardrails/internal/provenance"
 	"guardrails/internal/sched"
 	"guardrails/internal/storage"
+	"guardrails/internal/telemetry"
 	"guardrails/internal/vm"
 )
 
@@ -104,6 +105,45 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	}
 	if rt.Provenance().Total() == 0 {
 		t.Fatal("recorder captured nothing; the measurement exercised the wrong path")
+	}
+}
+
+// TestKernelFireObservedAllocationFree: attaching the telemetry sink and
+// the provenance recorder adds no allocation to a fire. What a bare
+// fire allocates is kernel.Fire's variadic argument slice (ROADMAP item
+// 1); an observed one — sampled wall timing, three flight events, the
+// resolved histogram handles, provenance's healthy sampling — allocates
+// exactly that.
+func TestKernelFireObservedAllocationFree(t *testing.T) {
+	const src = `
+guardrail low-false-submit {
+    trigger: { FUNCTION(io_done) },
+    rule: { LOAD(false_submit_rate) <= 0.05 },
+    action: { SAVE(ml_enabled, false) }
+}`
+	fireAllocs := func(observed bool) float64 {
+		k := kernel.New()
+		st := featurestore.New()
+		rt := monitor.New(k, st)
+		if observed {
+			sink := telemetry.New(func() telemetry.Time { return int64(k.Now()) }, 4096)
+			k.SetTelemetry(sink)
+			rt.SetTelemetry(sink)
+			st.SetTelemetry(sink)
+			rt.SetProvenance(provenance.New(4096, 64))
+		}
+		if _, err := rt.LoadSource(src, monitor.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		st.Save("false_submit_rate", 0.01)
+		arg := 0.0
+		fire := func() { arg++; k.Fire("io_done", arg) }
+		fire() // resolve the handles
+		return testing.AllocsPerRun(1000, fire)
+	}
+	bare, observed := fireAllocs(false), fireAllocs(true)
+	if observed != bare {
+		t.Errorf("an observed fire allocates %v times, a bare one %v", observed, bare)
 	}
 }
 

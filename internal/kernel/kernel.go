@@ -105,7 +105,35 @@ type hookSlot struct {
 type hookSite struct {
 	slots atomic.Pointer[[]hookSlot]
 	fires atomic.Uint64
+	// telem is the site's resolved telemetry handle; see dispatchHist.
+	telem atomic.Pointer[siteTelemetry]
 }
+
+// siteTelemetry pairs a sink with that sink's dispatch-latency
+// histogram for one site. Immutable once published.
+type siteTelemetry struct {
+	sink *telemetry.Sink
+	hist *telemetry.Hist
+}
+
+// dispatchHist returns sink's dispatch-latency histogram for the site,
+// looking it up by name only the first time a sink is seen: a handle
+// resolved against another sink (SetTelemetry swapped it) is replaced,
+// so an observation never lands in a sink that has been detached.
+func (hs *hookSite) dispatchHist(sink *telemetry.Sink, site string) *telemetry.Hist {
+	t := hs.telem.Load()
+	if t == nil || t.sink != sink {
+		t = &siteTelemetry{sink: sink, hist: sink.HookHist(site)}
+		hs.telem.Store(t)
+	}
+	return t.hist
+}
+
+// dispatchSamplePeriod is how many fires of a site share one wall-clock
+// measurement: the time.Now pair costs about as much as a bare fire, and
+// hook_dispatch_ns is a distribution of a host-dependent quantity, so
+// it is sampled; every count stays exact. Power of two.
+const dispatchSamplePeriod = 64
 
 // Kernel is a deterministic discrete-event simulated kernel — in a
 // sharded Pool, one shard. One goroutine at a time may step the event
@@ -350,10 +378,12 @@ func (k *Kernel) SetHookPanicHandler(h PanicHandler) {
 func (k *Kernel) HookPanics() uint64 { return k.hookPanics.Load() }
 
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink.
-// Every subsequent Fire records a hook-fire event and charges the
-// wall-clock cost of dispatching the site's callbacks — the real
-// overhead the attached monitors add — to the site's latency histogram.
-// Safe to call while the kernel runs.
+// Every subsequent Fire records a hook-fire event, and one fire in
+// dispatchSamplePeriod per site — chosen by the site's own fire count,
+// so the choice replays exactly — charges the wall-clock cost of
+// dispatching the site's callbacks, the real overhead the attached
+// monitors add, to the site's latency histogram. Safe to call while the
+// kernel runs.
 func (k *Kernel) SetTelemetry(s *telemetry.Sink) { k.tsink.Store(s) }
 
 // Telemetry returns the attached sink, or nil.
@@ -364,18 +394,22 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 // a kprobe firing. The dispatch path is lock-free: the site entry and
 // its slot list are read with two atomic loads, so concurrent shards
 // firing different (or the same) sites never serialize on a mutex.
+//
+//guardrails:hotpath
 func (k *Kernel) Fire(site string, args ...float64) {
 	hs := (*k.sites.Load())[site]
 	if hs == nil {
 		hs = k.siteFor(site)
 	}
-	hs.fires.Add(1)
+	n := hs.fires.Add(1)
 	slots := *hs.slots.Load()
 	var guard PanicHandler
 	if h, ok := k.panicGuard.Load().(PanicHandler); ok && h != nil {
 		guard = h
 	}
 	sink := k.tsink.Load()
+	// The site's 1st, 65th, 129th, ... fire is timed.
+	timed := sink != nil && (n-1)%dispatchSamplePeriod == 0
 	var wallStart time.Time
 	if sink != nil {
 		arg := 0.0
@@ -383,7 +417,9 @@ func (k *Kernel) Fire(site string, args ...float64) {
 			arg = args[0]
 		}
 		sink.HookFire(int64(k.Now()), site, arg)
-		wallStart = time.Now()
+		if timed {
+			wallStart = time.Now() //guardrails:coldpath sampled 1-in-64
+		}
 	}
 	for _, s := range slots {
 		if guard == nil {
@@ -392,8 +428,8 @@ func (k *Kernel) Fire(site string, args ...float64) {
 		}
 		k.fireGuarded(s.fn, site, args, guard)
 	}
-	if sink != nil {
-		sink.HookDispatched(site, float64(time.Since(wallStart)))
+	if timed {
+		hs.dispatchHist(sink, site).Observe(float64(time.Since(wallStart)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,5 +81,95 @@ func TestUpdateTelemetryContinuity(t *testing.T) {
 	}
 	if uint64(lane3) != m3.Stats().Evals {
 		t.Errorf("telemetry lane count %d != cumulative evals %d (lane reset or orphaned)", lane3, m3.Stats().Evals)
+	}
+}
+
+// TestTelemetrySinkSwapAndDetachMidRun: the kernel's per-site and the
+// monitor's own histogram handles follow SetTelemetry. Sink a stops
+// moving at the swap, sink b accounts for exactly the middle segment —
+// continuously across a hot Update inside it — and nothing is recorded
+// after the detach.
+func TestTelemetrySinkSwapAndDetachMidRun(t *testing.T) {
+	const src = `
+guardrail low-false-submit {
+    trigger: { FUNCTION(io_done) },
+    rule: { LOAD(false_submit_rate) <= 0.05 },
+    action: { SAVE(ml_enabled, false) }
+}`
+	rt, k, st := newRT()
+	st.Save("false_submit_rate", 0.9) // violates every evaluation
+	if _, err := rt.LoadSource(src, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	attach := func(s *telemetry.Sink) {
+		k.SetTelemetry(s)
+		rt.SetTelemetry(s)
+		st.SetTelemetry(s)
+	}
+	fired := uint64(0)
+	fire := func(n uint64) {
+		for i := uint64(0); i < n; i++ {
+			k.Fire("io_done", 1)
+		}
+		fired += n
+	}
+	// timed counts the fires in (from, to] the kernel takes wall time
+	// on: the site's 1st, 65th, 129th, ... (kernel.dispatchSamplePeriod).
+	timed := func(from, to uint64) (n uint64) {
+		for f := from + 1; f <= to; f++ {
+			if (f-1)%64 == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(name string, s *telemetry.Sink, fires, timed uint64) {
+		t.Helper()
+		c := &s.Counters
+		for _, row := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"hook_fires_total", c.HookFires.Value(), fires},
+			{"evals_total", c.Evals.Value(), fires},
+			{"violations_total", c.Violations.Value(), fires},
+			{"featurestore_loads_total", c.StoreLoads.Value(), fires},
+			{"eval_vm_steps count", s.EvalHist("low-false-submit").Summary().Count, fires},
+			{"hook_dispatch_ns count", s.HookHist("io_done").Summary().Count, timed},
+		} {
+			if row.got != row.want {
+				t.Errorf("sink %s: %s = %d, want %d", name, row.what, row.got, row.want)
+			}
+		}
+	}
+
+	a := telemetry.New(nil, 1<<10)
+	b := telemetry.New(nil, 1<<10)
+	attach(a)
+	fire(100)
+	aAtSwap := a.Snapshot()
+
+	attach(b)
+	fire(70)
+	m2, err := rt.UpdateSource(strings.Replace(src, "0.05", "0.02", 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fire(80)
+	bAtDetach := b.Snapshot()
+
+	attach(nil)
+	fire(50)
+
+	check("a", a, 100, timed(0, 100))
+	check("b", b, 150, timed(100, 250))
+	if got := a.Snapshot(); !reflect.DeepEqual(got, aAtSwap) {
+		t.Errorf("sink a moved after the swap:\nat swap %+v\nnow     %+v", aAtSwap, got)
+	}
+	if got := b.Snapshot(); !reflect.DeepEqual(got, bAtDetach) {
+		t.Errorf("sink b moved after the detach:\nat detach %+v\nnow       %+v", bAtDetach, got)
+	}
+	if got := m2.Stats().Evals; got != fired {
+		t.Errorf("monitor evaluated %d times over %d fires", got, fired)
 	}
 }

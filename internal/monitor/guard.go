@@ -220,13 +220,13 @@ func (m *Monitor) rearm(how string) {
 // accountBudget charges an evaluation's VM steps against the monitor's
 // per-window overhead budget (property P5 turned from accounting into
 // enforcement). Over budget demotes to shadow mode; the demotion is
-// undone when a fresh window begins.
+// undone when a fresh window begins. opts is immutable after Load, so a
+// monitor with no budget returns without taking the lock.
 func (m *Monitor) accountBudget(steps uint64, now kernel.Time) {
-	m.mu.Lock()
 	if m.opts.StepBudget == 0 {
-		m.mu.Unlock()
 		return
 	}
+	m.mu.Lock()
 	epoch := int64(now / m.opts.BudgetWindow)
 	if epoch != m.budgetEpoch {
 		m.budgetEpoch = epoch

@@ -12,6 +12,7 @@ import (
 	"guardrails/internal/kernel"
 	"guardrails/internal/provenance"
 	"guardrails/internal/spec"
+	"guardrails/internal/telemetry"
 	"guardrails/internal/vm"
 )
 
@@ -195,6 +196,14 @@ type Monitor struct {
 	// in-flight evaluation. Only touched while running is held; action
 	// closures copy it out so retries keep the original trigger time.
 	trigAt kernel.Time
+
+	// telSink is the telemetry sink the in-flight (or last) evaluation
+	// saw and telSteps this monitor's eval-steps histogram on it, looked
+	// up by name only when the runtime's sink pointer differs from
+	// telSink — so a SetTelemetry swap or detach takes effect at the next
+	// evaluation. Only touched while running is held.
+	telSink  *telemetry.Sink
+	telSteps *telemetry.Hist
 
 	// Provenance capture state (see provenance.go). prov is the
 	// reusable scratch record and provTrace the reusable VM branch
@@ -482,6 +491,9 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	trig := m.rt.k.Now()
 	m.trigAt = trig
 	sink := m.rt.Telemetry()
+	if sink != m.telSink {
+		m.telSink, m.telSteps = sink, sink.EvalHist(m.Name())
+	}
 	prov := m.rt.Provenance()
 	if prov != nil {
 		m.provBegin(arg, shadow, shadowReason)
@@ -505,17 +517,14 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	m.stats.Evals++
 	m.stats.VMSteps = m.machine.Steps
 	m.stats.LastTriggerAt = trig
-	m.mu.Unlock()
-
 	if err != nil {
-		sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, true)
+		m.mu.Unlock()
+		sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
 		m.accountBudget(m.machine.Steps-before, now)
 		return true
 	}
-
-	m.mu.Lock()
 	m.stats.LastResult = out
 	held := out != 0
 	fireRecover := false
@@ -584,7 +593,7 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	// The eval record covers both phases of a two-phase evaluation, so
 	// its step count (and virtual trace duration) is the evaluation's
 	// whole overhead.
-	sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, held)
+	sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, held)
 	m.provEnd(prov, held, twoPhase, m.machine.Steps-before)
 	if fired {
 		sink.ActionsFired(int64(trig), m.Name())

@@ -123,19 +123,35 @@ func NewLogHistogram(maxExp int) *LogHistogram {
 	return &LogHistogram{bins: make([]uint64, maxExp)}
 }
 
-// Add incorporates one non-negative observation; values >= 2^maxExp land
-// in the top bin.
+// Add incorporates one observation. It is total over float64 so that a
+// caller holding a lock around it can never be left holding it: NaN is
+// dropped, a negative value counts as 0, and anything at or above
+// 2^maxExp (+Inf included) lands in the top bin and adds 2^maxExp to
+// the sum, so Mean stays finite.
+//
+//guardrails:hotpath
 func (h *LogHistogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	if x < 1 {
-		h.zero++
+	if x != x {
 		return
 	}
-	i := int(math.Log2(x))
+	h.total++
+	if x < 1 {
+		h.zero++
+		if x > 0 {
+			h.sum += x
+		}
+		return
+	}
+	// x >= 1: the sign bit is clear and the biased exponent is at least
+	// 1023, so the unbiased exponent is floor(log2 x) exactly — the
+	// half-open bucket, with none of math.Log2's rounding just below a
+	// power of two.
+	i := int(math.Float64bits(x)>>52) - 1023
 	if i >= len(h.bins) {
 		i = len(h.bins) - 1
+		x = math.Ldexp(1, len(h.bins))
 	}
+	h.sum += x
 	h.bins[i]++
 }
 

@@ -195,3 +195,69 @@ func TestLogHistogramMaxExpPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestLogHistogramBucketBoundaries: bins[i] is the half-open range
+// [2^i, 2^(i+1)) exactly — the largest double below a power of two
+// stays in the bin below it, which int(math.Log2(x)) got wrong for
+// almost every boundary.
+func TestLogHistogramBucketBoundaries(t *testing.T) {
+	const maxExp = 40
+	bin := func(x float64) int {
+		h := NewLogHistogram(maxExp)
+		h.Add(x)
+		if h.zero == 1 {
+			return -1
+		}
+		for i, c := range h.bins {
+			if c == 1 {
+				return i
+			}
+		}
+		t.Fatalf("Add(%v) landed nowhere", x)
+		return 0
+	}
+	for k := 0; k <= maxExp; k++ {
+		p := math.Ldexp(1, k)
+		top := k
+		if top > maxExp-1 {
+			top = maxExp - 1 // the top bin absorbs overflow
+		}
+		for _, c := range []struct {
+			x    float64
+			want int
+		}{
+			{math.Nextafter(p, 0), k - 1},
+			{p, top},
+			{math.Nextafter(p, math.Inf(1)), top},
+		} {
+			if got := bin(c.x); got != c.want {
+				t.Errorf("k=%d: Add(%v) landed in bin %d, want %d", k, c.x, got, c.want)
+			}
+		}
+	}
+}
+
+// TestLogHistogramNonFinite: Add is total. A NaN is dropped, negatives
+// count as zero observations, and +Inf saturates in the top bin — no
+// index panic, and a Mean encoding/json accepts.
+func TestLogHistogramNonFinite(t *testing.T) {
+	h := NewLogHistogram(8)
+	h.Add(math.NaN())
+	if h.total != 0 {
+		t.Fatalf("NaN was counted: total=%d", h.total)
+	}
+	h.Add(-3)
+	h.Add(math.Inf(-1))
+	if h.total != 2 || h.zero != 2 || h.sum != 0 {
+		t.Errorf("negatives: total=%d zero=%d sum=%v, want 2 2 0", h.total, h.zero, h.sum)
+	}
+	h.Add(math.Inf(1))
+	h.Add(math.MaxFloat64)
+	h.Add(math.MaxFloat64)
+	if h.bins[7] != 3 {
+		t.Errorf("overflow: top bin = %d, want 3 (bins %v)", h.bins[7], h.bins)
+	}
+	if want := 3 * 256.0 / 5; h.Mean() != want {
+		t.Errorf("mean = %v, want %v (overflow saturates at 2^maxExp)", h.Mean(), want)
+	}
+}

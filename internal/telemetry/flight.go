@@ -176,16 +176,23 @@ func NewFlight(capacity int) *Flight {
 
 // Record appends one event, assigning its sequence number, and returns
 // that number. Safe for concurrent use.
+//
+//guardrails:hotpath
 func (f *Flight) Record(e Event) uint64 {
 	f.mu.Lock()
 	f.seq++
 	e.Seq = f.seq
-	if f.size == len(f.ring) {
-		f.ring[f.head] = e
-		f.head = (f.head + 1) % len(f.ring)
-	} else {
-		f.ring[(f.head+f.size)%len(f.ring)] = e
+	// The write slot is head+size wrapped once; both are below the
+	// capacity, so a compare does what a modulo would.
+	i := f.head + f.size
+	if i >= len(f.ring) {
+		i -= len(f.ring)
+	}
+	f.ring[i] = e
+	if f.size < len(f.ring) {
 		f.size++
+	} else if f.head++; f.head == len(f.ring) {
+		f.head = 0
 	}
 	f.mu.Unlock()
 	return e.Seq

@@ -20,7 +20,10 @@
 // travel as int64 nanoseconds (the representation of kernel.Time).
 // Wall-clock durations — the real cost of hook dispatch, the paper's
 // "accountable overhead" — are measured with time.Now at the
-// instrumentation site and recorded in nanoseconds.
+// instrumentation site and recorded in nanoseconds; the kernel takes
+// them on a sample of fires (a clock read pair costs about what a bare
+// fire does), while every counter, flight event and step histogram is
+// exact.
 package telemetry
 
 import (
@@ -48,7 +51,11 @@ type Hist struct {
 
 func newHist() *Hist { return &Hist{h: stats.NewLogHistogram(histMaxExp)} }
 
-// Observe incorporates one non-negative observation.
+// Observe incorporates one observation. stats.LogHistogram.Add is total
+// (NaN dropped, negatives counted as 0, overflow saturated), so nothing
+// between Lock and Unlock can panic and leave the histogram locked.
+//
+//guardrails:hotpath
 func (h *Hist) Observe(v float64) {
 	if h == nil {
 		return
@@ -307,7 +314,10 @@ func (s *Sink) IOHist(device string) *Hist {
 // first hook argument) and the global counter. The kernel calls this
 // before dispatching the site's callbacks, so the fire event precedes
 // the evaluations it triggers in the flight recorder; the dispatch cost
-// arrives afterwards via HookDispatched.
+// of the fires the kernel samples arrives afterwards in the site's
+// HookHist.
+//
+//guardrails:hotpath
 func (s *Sink) HookFire(at Time, site string, arg float64) {
 	if s == nil {
 		return
@@ -349,24 +359,33 @@ func (s *Sink) Deployment(admitted bool) {
 
 // HookDispatched charges the wall-clock cost of one completed hook
 // dispatch (all callbacks at the site) to the site's latency histogram.
+// The kernel holds the site's HookHist and observes into it directly;
+// this is the same call for a caller that has only the name.
 func (s *Sink) HookDispatched(site string, wallNS float64) {
-	if s == nil {
-		return
-	}
-	s.hist(s.hookNS, site).Observe(wallNS)
+	s.HookHist(site).Observe(wallNS)
 }
 
-// Eval records one monitor evaluation at its trigger time. steps is the
+// Eval is EvalOn for a caller that has only the monitor's name: it
+// looks the step histogram up first.
+func (s *Sink) Eval(at Time, monitor string, steps uint64, held bool) {
+	s.EvalOn(s.EvalHist(monitor), at, monitor, steps, held)
+}
+
+// EvalOn records one monitor evaluation at its trigger time. h is the
+// monitor's EvalHist on this sink, which the monitor runtime resolves
+// once per (monitor, sink) instead of per evaluation. steps is the
 // evaluation's VM instruction count; it doubles as the event's virtual
 // duration (1 step = 1ns) so evaluations have width on a timeline. A
 // violated evaluation additionally records a violation event.
-func (s *Sink) Eval(at Time, monitor string, steps uint64, held bool) {
+//
+//guardrails:hotpath
+func (s *Sink) EvalOn(h *Hist, at Time, monitor string, steps uint64, held bool) {
 	if s == nil {
 		return
 	}
 	s.Counters.Evals.Inc()
 	s.Counters.VMSteps.Add(steps)
-	s.hist(s.evalSteps, monitor).Observe(float64(steps))
+	h.Observe(float64(steps))
 	s.rec.Record(Event{At: at, Dur: Time(steps), Kind: KindEval, Subject: monitor, Value: float64(steps)})
 	if !held {
 		s.Counters.Violations.Inc()

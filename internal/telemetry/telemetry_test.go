@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +275,30 @@ func TestTelemetryKindStringsAndCategories(t *testing.T) {
 		if k.Category() == "other" {
 			t.Errorf("kind %s has no category", k)
 		}
+	}
+}
+
+// TestTelemetryHistObserveNonFinite: an observation no histogram bucket
+// can hold must not panic between Hist's Lock and Unlock — under a
+// kernel hook panic handler the panic is recovered and every later
+// Observe, Snapshot and WritePrometheus on the sink would deadlock —
+// and must leave the summaries JSON-encodable.
+func TestTelemetryHistObserveNonFinite(t *testing.T) {
+	s := New(nil, 8)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 100} {
+		s.HookDispatched("site", v)
+	}
+	sum := s.HookHist("site").Summary()
+	if sum.Count != 4 {
+		t.Errorf("count = %d, want 4 (the NaN is dropped)", sum.Count)
+	}
+	if want := (math.Ldexp(1, histMaxExp) + 100) / 4; sum.Mean != want {
+		t.Errorf("mean = %v, want %v", sum.Mean, want)
+	}
+	if err := s.WriteJSON(io.Discard); err != nil {
+		t.Errorf("snapshot does not encode: %v", err)
+	}
+	if err := s.WritePrometheus(io.Discard); err != nil {
+		t.Error(err)
 	}
 }
