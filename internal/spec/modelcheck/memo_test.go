@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"guardrails/benchmark/gen"
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
 	"guardrails/internal/spec/interfere"
@@ -98,15 +100,27 @@ func testdataDeployments(t *testing.T) map[string]func(*testing.T) (*interfere.D
 	return out
 }
 
-// checkMemoAgainstFresh asks, for every explored node and every monitor
-// of every group, the memo and a fresh vm.AnalyzeWith the same question
-// and requires the same answer. Within a group each monitor sees its
-// predecessors' writes, so the state vector is advanced by the recorded
-// edge writes exactly as apply advanced it: every input exploration put
-// to the memo is put to it again here, the property predicates' included
-// (evalAll runs first, through the memo, as checkProperty would).
+// checkMemoAgainstFresh fails t on the first disagreement freshDiff
+// finds.
 func checkMemoAgainstFresh(t *testing.T, m *model) {
 	t.Helper()
+	if err := freshDiff(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshDiff recomputes an explored model without its caches. For every
+// explored node and every monitor of every group, the memo and a fresh
+// vm.AnalyzeWith are asked the same question and must give the same
+// answer, and the writes recorded on the edge must equal the ones
+// effectOf computes on the node's values, monitor by monitor in group
+// order, each seeing its predecessors' writes: every input exploration
+// put to the memo is put to it again here, the property predicates'
+// included (evalAll runs first, through the memo, as checkProperty
+// would), and a cached effect must be the one its monitor has in every
+// state. Every node's signature must be the ids (m.seen) of its values
+// over all written keys, not just the ones apply re-stamped.
+func freshDiff(m *model) error {
 	var preds []*vm.Program
 	for _, p := range m.cfg.Properties {
 		if prog, err := compilePred(p.Pred); err == nil {
@@ -115,34 +129,99 @@ func checkMemoAgainstFresh(t *testing.T, m *model) {
 		}
 	}
 	render := func(a *vm.Analysis, err error) string { return fmt.Sprintf("%+v / %v", a, err) }
-	ask := func(where string, p *vm.Program, vals []vm.Interval) {
+	ask := func(where string, p *vm.Program, vals []vm.Interval) error {
 		got := render(m.dep.Analysis(p, m.envFor(p, vals)))
 		want := render(vm.AnalyzeWith(p, vm.NumBuiltinHelpers, m.envFor(p, vals)))
 		if got != want {
-			t.Fatalf("%s, program %s: memo disagrees with a fresh analysis\nmemo:  %s\nfresh: %s", where, p.Name, got, want)
+			return fmt.Errorf("%s, program %s: memo disagrees with a fresh analysis\nmemo:  %s\nfresh: %s", where, p.Name, got, want)
 		}
+		return nil
 	}
 	for ni, n := range m.nodes {
 		for _, e := range m.adj[ni] {
 			g := m.groups[e.group]
+			where := fmt.Sprintf("node %d, %s", ni, g.label)
 			cur := append([]vm.Interval(nil), n.vals...)
+			var fresh []write
 			for _, mi := range g.mons {
-				ask(fmt.Sprintf("node %d, %s", ni, g.label), m.mons[mi].Program, cur)
-				for _, w := range e.writes {
-					switch {
-					case w.mon != mi:
-					case w.must:
+				if err := ask(where, m.mons[mi].Program, cur); err != nil {
+					return err
+				}
+				first := len(fresh)
+				fresh = m.effectOf(fresh, mi, cur)
+				for _, w := range fresh[first:] {
+					if w.must {
 						cur[w.key] = w.val
-					default:
+					} else {
 						cur[w.key] = cur[w.key].Join(w.val)
 					}
 				}
 			}
+			if got, want := fmt.Sprintf("%+v", e.writes), fmt.Sprintf("%+v", fresh); got != want {
+				return fmt.Errorf("%s: recorded writes differ from an uncached recomputation\nedge:  %s\nfresh: %s", where, got, want)
+			}
 		}
 		for _, prog := range preds {
-			ask(fmt.Sprintf("node %d, property", ni), prog, n.vals)
+			if err := ask(fmt.Sprintf("node %d, property", ni), prog, n.vals); err != nil {
+				return err
+			}
+		}
+		var sig []byte
+		for ki, written := range m.written {
+			if !written {
+				continue
+			}
+			id, ok := m.seen[ki][n.vals[ki]]
+			if !ok {
+				return fmt.Errorf("node %d: %s=%s has no value id", ni, m.keys[ki], n.vals[ki])
+			}
+			sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
+		}
+		if string(sig) != n.sig {
+			return fmt.Errorf("node %d: signature %x, its values' ids are %x", ni, n.sig, sig)
 		}
 	}
+	return nil
+}
+
+// TestFreshDiffCatchesMisclassifiedEffect is the mutation check on
+// freshDiff's effect comparison: classifying escalate-two, which loads
+// the written alert_level, as fixed must fail it. escalate-two is
+// declared first here, so it fires before escalate-one raises the alert
+// in the same group and sees alert_level both at 0 and at 1 (in
+// escalationSrc's order it only ever sees 1, and its effect never varies).
+func TestFreshDiffCatchesMisclassifiedEffect(t *testing.T) {
+	src := `
+feature bad_tenant_err range(0.8, 1)
+
+guardrail escalate-two {
+    trigger: { TIMER(0, 1000) },
+    rule: { LOAD(alert_level) < 1 || LOAD(bad_tenant_err) < 0.5 },
+    action: { SAVE(quarantined, 1) }
+}
+
+guardrail escalate-one {
+    trigger: { TIMER(0, 1000) },
+    rule: { LOAD(bad_tenant_err) < 0.5 },
+    action: { SAVE(alert_level, 1) }
+}`
+	explored := func(mutate bool) *model {
+		m := buildModel(deployment(t, src), Config{})
+		if m.mons[0].Name != "escalate-two" || m.effects[0].fixed {
+			t.Fatalf("monitor 0 is %s, fixed=%v", m.mons[0].Name, m.effects[0].fixed)
+		}
+		m.effects[0].fixed = mutate
+		m.explore()
+		return m
+	}
+	if err := freshDiff(explored(false)); err != nil {
+		t.Fatal(err)
+	}
+	err := freshDiff(explored(true))
+	if err == nil {
+		t.Fatal("escalate-two's cached effect passed the differential")
+	}
+	t.Log(err)
 }
 
 func TestMemoMatchesFreshAnalysis(t *testing.T) {
@@ -204,17 +283,33 @@ func TestBackgroundMonitorsAnalyzedOnce(t *testing.T) {
 //	go test -run '^$' -bench Check -cpuprofile cpu.prof ./internal/spec/modelcheck
 //
 // Every iteration checks a fresh deployment value (a cold memo), which
-// is what a load-time gate pays.
+// is what a load-time gate pays. ladder+200's background monitors only
+// REPORT, so it is two states and 202 first analyses. manifest is the
+// check_manifest workload's deployment (benchmark/gen, seed 1, every
+// ladder): background monitors SAVE shared keys on shared hooks and
+// timers beside an oscillator pair, so per-edge writes and the
+// oscillation search are in the profile too.
 func BenchmarkCheck(b *testing.B) {
-	dep := deployment(b, ladderSrc(200))
-	cfg := Config{Properties: props(b, ladderProps...)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := Check(&interfere.Deployment{Monitors: dep.Monitors, Features: dep.Features}, cfg)
-		if !rep.Clean() {
-			b.Fatal(rep.Summary())
-		}
+	manifest, manifestCfg := manifestDeployment(b, 1, gen.Ladders)
+	for _, bc := range []struct {
+		name string
+		dep  *interfere.Deployment
+		cfg  Config
+	}{
+		{"ladder+200", deployment(b, ladderSrc(200)), Config{Properties: props(b, ladderProps...)}},
+		{"manifest", manifest, manifestCfg},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep := Check(&interfere.Deployment{Monitors: bc.dep.Monitors, Features: bc.dep.Features}, bc.cfg)
+				for _, p := range rep.Properties {
+					if p.Status != StatusProved {
+						b.Fatal(rep.Summary())
+					}
+				}
+			}
+		})
 	}
 }
 

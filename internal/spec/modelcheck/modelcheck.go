@@ -249,11 +249,22 @@ type write struct {
 	must bool        // the monitor provably fired (strong update)
 }
 
+// effect is one active monitor's place in the transition relation. A
+// monitor that loads no written key sees the same env in every state, so
+// its writes are computed once, by the same code as everyone else's, the
+// first time a group it belongs to fires.
+type effect struct {
+	fixed  bool    // loads no key an active monitor stores
+	cached bool    // writes holds the fixed monitor's effect
+	writes []write // the cached effect, in effectOf order
+}
+
 // node is one explored abstract state.
 type node struct {
 	vals     []vm.Interval
-	parent   int // node index, -1 for the root
-	viaGroup int // group index taken from parent, -1 for the root
+	sig      string // the m.index key: ids of vals over the written keys
+	parent   int    // node index, -1 for the root
+	viaGroup int    // group index taken from parent, -1 for the root
 	depth    int
 }
 
@@ -273,7 +284,9 @@ type model struct {
 	keys     []string              // sorted key universe
 	keyIdx   map[string]int
 	written  []bool              // some active monitor stores the key
+	sigPos   []int               // by key index: byte offset of its id in a signature, -1 when unwritten
 	declared []*spec.FeatureDecl // by key index, nil when undeclared
+	effects  []effect            // parallel to mons
 	groups   []group
 	hyper    int64
 	conserv  bool
@@ -284,6 +297,7 @@ type model struct {
 	index       map[string]int        // state signature → node index
 	next        []vm.Interval         // apply's scratch successor vector
 	sig         []byte                // apply's scratch signature
+	writes      []write               // apply's scratch write list
 	widened     map[int]bool          // key index → widened
 	seen        []map[vm.Interval]int // per key: distinct values observed → id
 	accum       []vm.Interval         // per key: running join for widening
@@ -388,11 +402,24 @@ func buildModel(dep *interfere.Deployment, cfg Config) *model {
 	}
 	sort.Strings(m.keys)
 	m.written = make([]bool, len(m.keys))
+	m.sigPos = make([]int, len(m.keys))
 	m.declared = make([]*spec.FeatureDecl, len(m.keys))
+	pos := 0
 	for i, k := range m.keys {
 		m.keyIdx[k] = i
 		m.written[i] = writtenSet[k]
+		m.sigPos[i] = -1
+		if m.written[i] {
+			m.sigPos[i] = pos
+			pos += 4
+		}
 		m.declared[i] = declByKey[k]
+	}
+	// Footprint.Loads is every cell the program LOADs, and the analysis
+	// reads its env at those cells only (see Deployment.Analysis).
+	m.effects = make([]effect, len(m.mons))
+	for i, c := range m.mons {
+		m.effects[i].fixed = !slices.ContainsFunc(c.Footprint.Loads, func(k string) bool { return writtenSet[k] })
 	}
 
 	m.buildGroups()
@@ -508,68 +535,88 @@ func (m *model) envFor(p *vm.Program, vals []vm.Interval) vm.CellEnv {
 	}
 }
 
-// apply computes the successor state of vals under a transition group,
-// recording the writes. Monitors in a group run sequentially in
-// deployment order, each observing the writes of its predecessors —
-// matching the runtime, which serializes same-instant firings. The
-// successor and its signature — the tuple of value ids (m.seen) over the
-// written keys; every other key is a constant of the model — come back
-// in the model's scratch buffers, valid until the next apply.
-func (m *model) apply(g group, vals []vm.Interval) ([]vm.Interval, []byte, []write) {
-	next := append(m.next[:0], vals...)
-	var writes []write
-	for _, mi := range g.mons {
-		c := m.mons[mi]
-		a, err := m.dep.Analysis(c.Program, m.envFor(c.Program, next))
-		if err != nil {
-			a, _ = m.dep.Analysis(c.Program, nil) // fall back to the open-world effect
+// effectOf appends the writes monitor mi makes when it fires in state
+// vals: per stored key, the join of the certified ranges of its
+// reachable stores (first-seen order for determinism), strong when the
+// monitor provably fires.
+func (m *model) effectOf(writes []write, mi int, vals []vm.Interval) []write {
+	c := m.mons[mi]
+	a, err := m.dep.Analysis(c.Program, m.envFor(c.Program, vals))
+	if err != nil {
+		a, _ = m.dep.Analysis(c.Program, nil) // fall back to the open-world effect
+	}
+	if a == nil {
+		// No analysis at all: weak-join Top into every key the
+		// program can store, the only sound effect left.
+		for _, key := range c.Footprint.Stores {
+			writes = append(writes, write{mon: mi, key: m.keyIdx[key], val: vm.TopInterval()})
 		}
-		if a == nil {
-			// No analysis at all: weak-join Top into every key the
-			// program can store, the only sound effect left.
-			for _, key := range c.Footprint.Stores {
-				ki := m.keyIdx[key]
-				next[ki] = next[ki].Join(vm.TopInterval())
-				writes = append(writes, write{mon: mi, key: ki, val: vm.TopInterval()})
-			}
+		return writes
+	}
+	if !a.CanViolate() {
+		return writes // rules provably hold in this state: no action path
+	}
+	must := a.MustViolate()
+	first := len(writes)
+	for _, sf := range a.Stores {
+		ki, ok := m.keyIdx[c.Program.Symbols[sf.Cell]]
+		if !ok {
 			continue
 		}
-		if !a.CanViolate() {
-			continue // rules provably hold in this state: no action path
+		if i := slices.IndexFunc(writes[first:], func(w write) bool { return w.key == ki }); i >= 0 {
+			writes[first+i].val = writes[first+i].val.Join(sf.Val)
+		} else {
+			writes = append(writes, write{mon: mi, key: ki, val: sf.Val, must: must})
 		}
-		must := a.MustViolate()
-		// Per stored key: join the certified ranges of its reachable
-		// stores (first-seen order for determinism), then update.
+	}
+	return writes
+}
+
+// apply computes the successor of a state (its values and signature)
+// under a transition group, recording the writes. Monitors in a group
+// run sequentially in deployment order, each observing the writes of its
+// predecessors — matching the runtime, which serializes same-instant
+// firings. A fixed monitor's effect is computed on first use and reused.
+//
+// The successor and its signature — the tuple of value ids (m.seen)
+// over the written keys; every other key is a constant of the model —
+// come back in the model's scratch buffers, valid until the next apply.
+// Only the keys whose value the writes changed are re-widened and
+// re-stamped: every other key keeps the source's value, which widenKey
+// already gave the id the source's signature holds, so widening it again
+// would return that id and change nothing.
+func (m *model) apply(g group, src *node) ([]vm.Interval, []byte, []write) {
+	next := append(m.next[:0], src.vals...)
+	writes := m.writes[:0]
+	for _, mi := range g.mons {
 		first := len(writes)
-		for _, sf := range a.Stores {
-			ki, ok := m.keyIdx[c.Program.Symbols[sf.Cell]]
-			if !ok {
-				continue
-			}
-			if i := slices.IndexFunc(writes[first:], func(w write) bool { return w.key == ki }); i >= 0 {
-				writes[first+i].val = writes[first+i].val.Join(sf.Val)
-			} else {
-				writes = append(writes, write{mon: mi, key: ki, val: sf.Val, must: must})
+		if e := &m.effects[mi]; e.cached {
+			writes = append(writes, e.writes...)
+		} else {
+			writes = m.effectOf(writes, mi, next)
+			if e.fixed {
+				e.writes, e.cached = slices.Clone(writes[first:]), true
 			}
 		}
 		for _, w := range writes[first:] {
-			if must {
+			if w.must {
 				next[w.key] = w.val // the store provably executes
 			} else {
 				next[w.key] = next[w.key].Join(w.val) // may or may not fire
 			}
 		}
 	}
-	sig := m.sig[:0]
-	for ki, w := range m.written {
-		if w {
-			var id int
-			next[ki], id = m.widenKey(ki, next[ki])
-			sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
+	sig := append(m.sig[:0], src.sig...)
+	for _, w := range writes {
+		if next[w.key] == src.vals[w.key] {
+			continue // unchanged: src.sig already holds its id
 		}
+		var id int
+		next[w.key], id = m.widenKey(w.key, next[w.key])
+		binary.LittleEndian.PutUint32(sig[m.sigPos[w.key]:], uint32(id))
 	}
-	m.next, m.sig = next, sig
-	return next, sig, writes
+	m.next, m.sig, m.writes = next, sig, writes
+	return next, sig, slices.Clone(writes)
 }
 
 // widenKey accelerates a key that keeps taking new interval values:
@@ -602,14 +649,19 @@ func (m *model) explore() {
 	m.seen = make([]map[vm.Interval]int, len(m.keys))
 	m.accum = make([]vm.Interval, len(m.keys))
 	init := m.initState()
+	var sig []byte // the root's, in full
 	for ki := range m.keys {
 		m.seen[ki] = map[vm.Interval]int{init[ki]: 0}
 		m.accum[ki] = init[ki]
+		if m.written[ki] {
+			var id int
+			init[ki], id = m.widenKey(ki, init[ki])
+			sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
+		}
 	}
-	m.nodes = append(m.nodes, node{vals: init, parent: -1, viaGroup: -1})
+	m.nodes = append(m.nodes, node{vals: init, sig: string(sig), parent: -1, viaGroup: -1})
 	m.adj = append(m.adj, nil)
-	_, sig, _ := m.apply(group{}, init) // no monitor fires: the initial state's own signature
-	m.index[string(sig)] = 0
+	m.index[m.nodes[0].sig] = 0
 
 	for qi := 0; qi < len(m.nodes); qi++ {
 		n := m.nodes[qi]
@@ -621,7 +673,7 @@ func (m *model) explore() {
 			continue
 		}
 		for gi := range m.groups {
-			next, sig, writes := m.apply(m.groups[gi], n.vals)
+			next, sig, writes := m.apply(m.groups[gi], &n)
 			if to, ok := m.index[string(sig)]; ok {
 				m.edges++
 				m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})
@@ -633,9 +685,11 @@ func (m *model) explore() {
 			}
 			m.edges++
 			to := len(m.nodes)
-			m.index[string(sig)] = to
+			key := string(sig)
+			m.index[key] = to
 			m.nodes = append(m.nodes, node{
 				vals:     append([]vm.Interval(nil), next...),
+				sig:      key,
 				parent:   qi,
 				viaGroup: gi,
 				depth:    n.depth + 1,

@@ -210,6 +210,62 @@ func TestVacuousPropertyFlagged(t *testing.T) {
 	findCode(t, rep, CodeVacuous)
 }
 
+// TestVacuityNeedsExhaustiveExploration: GM004 says the predicate is
+// undecidable in every reachable state, which a truncated exploration
+// cannot know. A chain of latches on four hooks reaches p = 1, where
+// "always p >= 0" is decided, only in its fifth state; cut off before
+// it, the checker must still report the initial-state refutation rather
+// than call the assert vacuous.
+func TestVacuityNeedsExhaustiveExploration(t *testing.T) {
+	const src = `
+feature p range(-1, 1)
+
+guardrail chain-a {
+    trigger: { FUNCTION(h1) },
+    rule: { LOAD(s1) >= 1 },
+    action: { SAVE(s1, 1) }
+}
+
+guardrail chain-b {
+    trigger: { FUNCTION(h2) },
+    rule: { LOAD(s1) < 1 },
+    action: { SAVE(s2, 1) }
+}
+
+guardrail chain-c {
+    trigger: { FUNCTION(h3) },
+    rule: { LOAD(s2) < 1 },
+    action: { SAVE(s3, 1) }
+}
+
+guardrail chain-d {
+    trigger: { FUNCTION(h4) },
+    rule: { LOAD(s3) < 1 },
+    action: { SAVE(p, 1) }
+}`
+	for _, tc := range []struct {
+		maxStates int
+		states    int
+		truncated bool
+	}{{0, 5, false}, {3, 3, true}} {
+		rep := Check(deployment(t, src), Config{Properties: props(t, "always LOAD(p) >= 0"), MaxStates: tc.maxStates})
+		if rep.States != tc.states || rep.Truncated != tc.truncated {
+			t.Fatalf("MaxStates %d: %d state(s), truncated=%v; want %d, %v", tc.maxStates, rep.States, rep.Truncated, tc.states, tc.truncated)
+		}
+		if got := rep.Properties[0].Status; got != StatusRefuted {
+			t.Errorf("MaxStates %d: %s (%s), want REFUTED", tc.maxStates, got, rep.Properties[0].Reason)
+		}
+		for _, d := range rep.Diagnostics {
+			if d.Code == CodeVacuous {
+				t.Errorf("MaxStates %d: %s", tc.maxStates, d.Message)
+			}
+		}
+		if d := findCode(t, rep, CodeSafety); !strings.Contains(d.Message, "may fail after 0 step(s)") {
+			t.Errorf("MaxStates %d: GM001 %q, want the initial state's refutation", tc.maxStates, d.Message)
+		}
+	}
+}
+
 func TestDeterministicReports(t *testing.T) {
 	dep := deployment(t, oscSrc)
 	cfg := Config{

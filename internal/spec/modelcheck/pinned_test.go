@@ -1,0 +1,117 @@
+package modelcheck
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"guardrails/benchmark/gen"
+	"guardrails/internal/compile"
+	"guardrails/internal/spec"
+	"guardrails/internal/spec/interfere"
+)
+
+// manifestDeployment loads the check_manifest workload's generated
+// tool-governance deployment (benchmark/gen, read-only) the way the
+// benchmark's pipeline assembles it: every file's monitors, features and
+// asserts in file order.
+func manifestDeployment(t testing.TB, seed int64, ladders int) (*interfere.Deployment, Config) {
+	t.Helper()
+	dep := &interfere.Deployment{}
+	var cfg Config
+	for _, sf := range gen.BuildManifest(seed, ladders).Files {
+		f, err := spec.ParseChecked(sf.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", sf.Name, err)
+		}
+		cs, err := compile.File(f)
+		if err != nil {
+			t.Fatalf("%s: %v", sf.Name, err)
+		}
+		dep.Monitors = append(dep.Monitors, cs...)
+		dep.Features = append(dep.Features, f.Features...)
+		cfg.Properties = append(cfg.Properties, f.Properties...)
+	}
+	return dep, cfg
+}
+
+// TestReportsPinned is the exactness gate for changes to how the checker
+// explores: per fixture, the SHA-256 of the JSON report with Witness off
+// and on, and the abstract interpretations a check of a fresh deployment
+// performs (Deployment.Analyses). The values were recorded at commit
+// 951d2f4, before the effect cache, incremental signatures and the
+// distinct-write oscillation search; a change that moves one changed what
+// the checker reports or asks, not just how fast.
+func TestReportsPinned(t *testing.T) {
+	cases := testdataDeployments(t)
+	cases["ladder+40"] = func(t *testing.T) (*interfere.Deployment, Config) {
+		return deployment(t, ladderSrc(40)), Config{Properties: props(t, ladderProps...)}
+	}
+	cases["osc"] = func(t *testing.T) (*interfere.Deployment, Config) {
+		return deployment(t, oscSrc), Config{Properties: props(t, "always LOAD(mode) <= 0", "eventually LOAD(mode) >= 2 within 4")}
+	}
+	for _, seed := range []int64{1, 5} {
+		for _, ladders := range []int{2, 4} {
+			cases[fmt.Sprintf("manifest-seed%d-ladders%d", seed, ladders)] = func(t *testing.T) (*interfere.Deployment, Config) {
+				return manifestDeployment(t, seed, ladders)
+			}
+		}
+	}
+
+	type pin struct {
+		off, on  string // report digest, Witness off / on
+		analyses int
+	}
+	pinned := map[string]pin{
+		"aggregates.grail":        {"dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", "dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", 1},
+		"aggregates_clean.json":   {"dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", "dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", 1},
+		"aggregates_dirty.json":   {"dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", "dec861482b1140f43b4e167048ae91be80fdf20b0a19bdf9a076d138d468f87c", 1},
+		"budget.json":             {"2e2052ccc35eeb1187af2be487063d0be0647cce6e3c463aee646fe076171807", "778cc2fd3c83d59fffc2620d96a483b2960a0a745c80d6dd17ef0e2c0d30a660", 2},
+		"clean.json":              {"f5fd4de5077d0535b17c229c1d2f0d429ebb54bf76401d56d0d9909a18ad4689", "f5fd4de5077d0535b17c229c1d2f0d429ebb54bf76401d56d0d9909a18ad4689", 6},
+		"clean_core.grail":        {"b2bc3b5d83813ada1dc055153d8a7eec07d8065732889a9f5211281f6d38d94c", "b2bc3b5d83813ada1dc055153d8a7eec07d8065732889a9f5211281f6d38d94c", 5},
+		"clean_hook.grail":        {"46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", "46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", 1},
+		"conflict.json":           {"2e2052ccc35eeb1187af2be487063d0be0647cce6e3c463aee646fe076171807", "778cc2fd3c83d59fffc2620d96a483b2960a0a745c80d6dd17ef0e2c0d30a660", 2},
+		"conflict_a.grail":        {"46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", "46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", 1},
+		"conflict_b.grail":        {"c35bd97fb4e78170dc09dcb73ea0646c789285ec753c83eeaac2dbd5bd95316d", "c35bd97fb4e78170dc09dcb73ea0646c789285ec753c83eeaac2dbd5bd95316d", 1},
+		"deep_witness.grail":      {"46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", "46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", 2},
+		"feedback.grail":          {"d54a874aee22809d724c4b3927cc24351474b8de6e7453883f3deafbfe4ff780", "d54a874aee22809d724c4b3927cc24351474b8de6e7453883f3deafbfe4ff780", 2},
+		"ladder+40":               {"87d964024724db5b6f26377974cf5f136780b8706de9ab48ec3d8375c6e72022", "87d964024724db5b6f26377974cf5f136780b8706de9ab48ec3d8375c6e72022", 46},
+		"listing2.grail":          {"186017e2f2df0ec08d85c1f4237b616ecb16f5ae08e3b73028f8bd89ed5d29f0", "186017e2f2df0ec08d85c1f4237b616ecb16f5ae08e3b73028f8bd89ed5d29f0", 1},
+		"manifest-seed1-ladders2": {"39ffae9b822c1bb85dfb4b5dc38bda500cf5b1d8bd5b8aab70a7bfc16aca3112", "1249aec5b584c52762561a5bd27780db6da17a98dd849430525a43f6e6f552de", 214},
+		"manifest-seed1-ladders4": {"60f981bf61dc265d9e4dd0c47b748af0959335c96fd7c3f6c7b3708a46ba8613", "3216f98544542f9000299a5f8dc639b5a1e49dd838d8b1a9cecd2ea84586f2f9", 226},
+		"manifest-seed5-ladders2": {"31c4bd19d575a2beefdd026a462e7f0089e4414e8cefd510f438b317548fdd3f", "f30bd4eb30a8f1b39e9640364f5c9776face6654189673e1bbd77044f32b8d03", 214},
+		"manifest-seed5-ladders4": {"7744f93f4155b60f96826eca7aa0490df565e6768fb5938a3bcdbf8ea5511dae", "b0f45850805712de40ba1ccb5685968f673c42a6d6625554463fd85015d7e119", 226},
+		"osc":                     {"3315effe2e3e81862ec684f41a3b85c62473aad2448c7eb0ef5ca6295ebd0856", "1539c641db334709ca28ed9a02ce6bf3ad602ae78c415f2d343538723c31dadc", 8},
+		"sharded.json":            {"2e2052ccc35eeb1187af2be487063d0be0647cce6e3c463aee646fe076171807", "778cc2fd3c83d59fffc2620d96a483b2960a0a745c80d6dd17ef0e2c0d30a660", 2},
+		"temporal_clean.grail":    {"5f549f46b8d420e5ef065abecfc8de7012978e227768eecbc202981858c57a8b", "5f549f46b8d420e5ef065abecfc8de7012978e227768eecbc202981858c57a8b", 6},
+		"temporal_clean.json":     {"c17f016658537e98826d1f5b88e14de9a5c579b67466cb1ebebfc792b2e4d1cd", "c17f016658537e98826d1f5b88e14de9a5c579b67466cb1ebebfc792b2e4d1cd", 8},
+		"temporal_osc.grail":      {"e13f5a665dbf7b7e43da72d30fca7625301e2811eee0361866abefdfb8afbf55", "5a813816572b4be6f6796749444947774c3ac6cb60f36e2865c2c79b9e59dcab", 6},
+		"vet_range.grail":         {"218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", "218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", 3},
+		"witness.grail":           {"e88cc0290894e24f8accef3fe1f70fbd86721cce1c86184f1b5471f67ea18b9e", "70a8e150f823e1d43c2d75f5fcbd37b2eee632dcd61148189a2b16f84fcd678c", 4},
+	}
+
+	digest := func(rep *Report) string {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
+	}
+	for name, load := range cases {
+		t.Run(name, func(t *testing.T) {
+			dep, cfg := load(t)
+			var got pin
+			got.off = digest(Check(dep, cfg))
+			got.analyses = dep.Analyses()
+			dep, cfg = load(t)
+			cfg.Witness = true
+			got.on = digest(Check(dep, cfg))
+			if want, ok := pinned[name]; !ok || got != want {
+				t.Errorf("got %q: {%q, %q, %d}, pinned %+v", name, got.off, got.on, got.analyses, want)
+			}
+		})
+	}
+}

@@ -172,15 +172,11 @@ func (m *model) checkProperty(p *spec.PropertyDecl, cert *Certificate) (Property
 
 	// Vacuity: a predicate never decidable in any reachable state
 	// constrains nothing — the assert is almost certainly miswritten
-	// (a typoed key, a range the deployment never enters).
-	decidable := false
-	for _, e := range evals {
-		if e != evalUnknown {
-			decidable = true
-			break
-		}
-	}
-	if !decidable {
+	// (a typoed key, a range the deployment never enters). Only an
+	// exhaustive exploration shows that: a truncated one may have cut
+	// off the state that decides it, and its refutations still stand.
+	decidable := slices.ContainsFunc(evals, func(e int8) bool { return e != evalUnknown })
+	if !decidable && !m.truncated {
 		res.Status = StatusInconclusive
 		res.Reason = "predicate is undecidable in every reachable abstract state"
 		primary, others := m.monitorsOf(nil)
@@ -389,36 +385,58 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 // the key never settles. The same key and writer pair usually recurs in
 // many SCCs (one per value of every unrelated feature); it is reported
 // once, from the first SCC in sccsOf order.
+//
+// Per SCC and key, only the first occurrence of each (writer, interval)
+// along the intra-SCC edges is scanned — background monitors repeat the
+// same write on every edge. That cannot change the first disjoint pair
+// (i, j) found: were i a repeat, its earlier occurrence would pair with j
+// first; were j a repeat of some k ≠ i, k would pair with i first. k = i
+// is possible only for an interval disjoint from itself (∅), so those
+// are never collapsed.
 func (m *model) checkOscillation() []interfere.Diagnostic {
 	sccs := sccsOf(m.adj)
+	compOf := make([]int, len(m.adj))
+	for ci, comp := range sccs {
+		for _, n := range comp {
+			compOf[n] = ci
+		}
+	}
 	var diags []interfere.Diagnostic
 	reported := map[[3]int]bool{} // key, lower and higher writer index
-	for _, comp := range sccs {
-		inComp := map[int]bool{}
-		for _, n := range comp {
-			inComp[n] = true
+	// This SCC's writes: the distinct (key, interval) classes per writer,
+	// and the writes to scan per key.
+	classes := make([][]write, len(m.mons))
+	byKey := make([][]cycleWrite, len(m.keys))
+	var writers, keyOrder []int
+	for ci, comp := range sccs {
+		for _, mi := range writers {
+			classes[mi] = classes[mi][:0]
 		}
-		// Intra-SCC edges; a single node only counts with a self-loop.
-		var edges []cycleEdge
+		for _, ki := range keyOrder {
+			byKey[ki] = byKey[ki][:0]
+		}
+		writers, keyOrder = writers[:0], keyOrder[:0]
 		for _, u := range comp {
-			for _, e := range m.adj[u] {
-				if inComp[e.to] && (len(comp) > 1 || e.to == u) {
-					edges = append(edges, cycleEdge{from: u, e: e})
+			for ei, e := range m.adj[u] {
+				// Intra-SCC edges; a single node only counts with a self-loop.
+				if compOf[e.to] != ci || (len(comp) == 1 && e.to != u) {
+					continue
 				}
-			}
-		}
-		if len(edges) == 0 {
-			continue
-		}
-		// Writes per key along the cycle edges.
-		byKey := map[int][]cycleWrite{}
-		var keyOrder []int
-		for _, ce := range edges {
-			for _, w := range ce.e.writes {
-				if len(byKey[w.key]) == 0 {
-					keyOrder = append(keyOrder, w.key)
+				for wi, w := range e.writes {
+					if !w.val.DisjointFrom(w.val) {
+						if slices.ContainsFunc(classes[w.mon], func(c write) bool { return c.key == w.key && c.val == w.val }) {
+							continue
+						}
+						if len(classes[w.mon]) == 0 {
+							writers = append(writers, w.mon)
+						}
+						classes[w.mon] = append(classes[w.mon], w)
+					}
+					if len(byKey[w.key]) == 0 {
+						keyOrder = append(keyOrder, w.key)
+					}
+					byKey[w.key] = append(byKey[w.key], cycleWrite{from: u, edge: ei, write: wi})
 				}
-				byKey[w.key] = append(byKey[w.key], cycleWrite{ce: ce, w: w})
 			}
 		}
 		sort.Ints(keyOrder)
@@ -426,12 +444,14 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 			ws := byKey[ki]
 			found := false
 			for i := 0; i < len(ws) && !found; i++ {
+				wi := m.writeAt(ws[i])
 				for j := i + 1; j < len(ws) && !found; j++ {
-					if !ws[i].w.val.DisjointFrom(ws[j].w.val) {
+					wj := m.writeAt(ws[j])
+					if !wi.val.DisjointFrom(wj.val) {
 						continue
 					}
 					found = true
-					id := [3]int{ki, ws[i].w.mon, ws[j].w.mon}
+					id := [3]int{ki, wi.mon, wj.mon}
 					if id[2] < id[1] {
 						id[1], id[2] = id[2], id[1]
 					}
@@ -439,7 +459,7 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 						continue
 					}
 					reported[id] = true
-					d, plan := m.oscillationFinding(inComp, ki, ws[i], ws[j])
+					d, plan := m.oscillationFinding(compOf, ki, ws[i], ws[j])
 					diags = append(diags, d)
 					m.plans = append(m.plans, plan)
 				}
@@ -449,37 +469,34 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 	return diags
 }
 
-// cycleEdge is an intra-SCC edge with its source node.
-type cycleEdge struct {
-	from int
-	e    edge
-}
+// cycleWrite locates one feature-store write on an intra-SCC edge:
+// m.adj[from][edge].writes[write].
+type cycleWrite struct{ from, edge, write int }
 
-// cycleWrite is one feature-store write on an intra-SCC edge.
-type cycleWrite struct {
-	ce cycleEdge
-	w  write
-}
+func (m *model) writeAt(cw cycleWrite) write { return m.adj[cw.from][cw.edge].writes[cw.write] }
 
 // oscillationFinding builds the GM003 diagnostic and witness plan for
 // one contested key: the cycle visiting both writes, prefixed by the
 // tree path to its entry.
-func (m *model) oscillationFinding(inComp map[int]bool, ki int, a, b cycleWrite) (interfere.Diagnostic, *witnessPlan) {
+func (m *model) oscillationFinding(compOf []int, ki int, a, b cycleWrite) (interfere.Diagnostic, *witnessPlan) {
+	ea, eb := m.adj[a.from][a.edge], m.adj[b.from][b.edge]
+	wa, wb := ea.writes[a.write], eb.writes[b.write]
 	// Cycle: take a's edge, walk inside the SCC from a's target to b's
 	// source, take b's edge, walk back to a's source.
-	mid := m.sccPath(a.ce.e.to, b.ce.from, inComp)
-	back := m.sccPath(b.ce.e.to, a.ce.from, inComp)
-	cycleGroups := []int{a.ce.e.group}
+	comp := compOf[a.from]
+	mid := m.sccPath(ea.to, b.from, compOf, comp)
+	back := m.sccPath(eb.to, a.from, compOf, comp)
+	cycleGroups := []int{ea.group}
 	cycleGroups = append(cycleGroups, mid...)
-	cycleGroups = append(cycleGroups, b.ce.e.group)
+	cycleGroups = append(cycleGroups, eb.group)
 	cycleGroups = append(cycleGroups, back...)
-	entry := a.ce.from
+	entry := a.from
 	prefix := m.treePath(entry)
 
-	monA, monB := m.mons[a.w.mon].Name, m.mons[b.w.mon].Name
+	monA, monB := m.mons[wa.mon].Name, m.mons[wb.mon].Name
 	key := m.keys[ki]
 	msg := fmt.Sprintf("feature %q oscillates on a reachable cycle: %s writes %s while %s writes %s — the value never converges",
-		key, monA, a.w.val, monB, b.w.val)
+		key, monA, wa.val, monB, wb.val)
 	var others []string
 	if monB != monA {
 		others = append(others, monB)
@@ -487,15 +504,15 @@ func (m *model) oscillationFinding(inComp map[int]bool, ki int, a, b cycleWrite)
 	all := append(append([]int{}, prefix...), cycleGroups...)
 	trace := m.renderTrace(all, nil)
 	trace = append(trace, fmt.Sprintf("steps %d..%d form a cycle: %s alternates between %s and %s forever",
-		len(prefix)+1, len(all), key, a.w.val, b.w.val))
+		len(prefix)+1, len(all), key, wa.val, wb.val))
 	var pos spec.Pos
-	if src := m.mons[a.w.mon].Source; src != nil {
+	if src := m.mons[wa.mon].Source; src != nil {
 		pos = src.Pos
 	}
 	d := interfere.Diagnostic{
 		Code: CodeOscillation, Severity: interfere.Warn,
 		Pos: pos, Guardrail: monA, Others: others,
-		Site:    m.groups[a.ce.e.group].label,
+		Site:    m.groups[ea.group].label,
 		Message: msg,
 		Trace:   trace,
 	}
@@ -504,8 +521,8 @@ func (m *model) oscillationFinding(inComp map[int]bool, ki int, a, b cycleWrite)
 }
 
 // sccPath returns the group sequence of a shortest path from u to v
-// staying inside the SCC (empty when u == v).
-func (m *model) sccPath(u, v int, inComp map[int]bool) []int {
+// staying inside SCC comp (empty when u == v).
+func (m *model) sccPath(u, v int, compOf []int, comp int) []int {
 	if u == v {
 		return nil
 	}
@@ -517,7 +534,7 @@ func (m *model) sccPath(u, v int, inComp map[int]bool) []int {
 		var next []int
 		for _, x := range frontier {
 			for _, e := range m.adj[x] {
-				if !inComp[e.to] || visited[e.to] {
+				if compOf[e.to] != comp || visited[e.to] {
 					continue
 				}
 				visited[e.to] = true
