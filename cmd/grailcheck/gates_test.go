@@ -74,11 +74,11 @@ func findingsOfJSON(t *testing.T, artifact string) findings {
 }
 
 // TestEveryGateGivesTheSameVerdict loads each checked-in deployment
-// through every load-time gate — the deploy package itself, grailcheck,
-// Runtime.LoadDeployment under DeployEnforce, and rollout.Begin from an
-// empty incumbent — and requires them to agree on clean vs. refused, on
-// the warning set, and on every property's status. The loader and the
-// rollout controller take no shard width, aggregate set or shadow list,
+// through every load-time gate that takes a whole deployment — the
+// deploy package itself, grailcheck, and rollout.Begin from an empty
+// incumbent — and requires them to agree on clean vs. refused, on the
+// warning set, and on every property's status. The rollout controller
+// takes no shard width, aggregate set, shadow list or per-site budget,
 // so manifests declaring one are compared across the first two only.
 func TestEveryGateGivesTheSameVerdict(t *testing.T) {
 	for _, tc := range []struct {
@@ -144,32 +144,16 @@ func TestEveryGateGivesTheSameVerdict(t *testing.T) {
 				t.Errorf("grailcheck findings = %+v, deploy's = %+v", got, want)
 			}
 
-			if manifest.Shards != 0 || manifest.Aggregates != nil || manifest.Shadow != nil {
+			if manifest.Shards != 0 || manifest.Aggregates != nil || manifest.Shadow != nil || manifest.HookBudgets != nil {
 				return
 			}
 
-			// Gate 3: the runtime loader.
-			rt := monitor.New(kernel.New(), featurestore.New())
-			res, err := rt.LoadDeployment(dep.Monitors, monitor.DeployConfig{
-				Features: dep.Features, Properties: dep.Properties,
-				HookBudget: dep.HookBudget, HookBudgets: dep.HookBudgets,
-			})
-			if (err == nil) != tc.clean {
-				t.Errorf("Runtime.LoadDeployment err = %v, clean = %v", err, tc.clean)
-			}
-			if got := findingsOf(res.Report, res.Temporal); !reflect.DeepEqual(got, want) {
-				t.Errorf("Runtime.LoadDeployment findings = %+v, deploy's = %+v", got, want)
-			}
-			if loaded := len(rt.Monitors()); (loaded > 0) != tc.clean {
-				t.Errorf("Runtime.LoadDeployment left %d monitors loaded, clean = %v", loaded, tc.clean)
-			}
-
-			// Gate 4: a rollout from nothing — every guardrail is "added",
+			// Gate 3: a rollout from nothing — every guardrail is "added",
 			// so the scoped analysis is the whole deployment.
 			ctl := rollout.NewController(monitor.New(kernel.New(), featurestore.New()))
 			err = ctl.Begin(dep.Monitors, rollout.Config{
 				Features: dep.Features, Properties: dep.Properties,
-				HookBudget: dep.HookBudget, HookBudgets: dep.HookBudgets,
+				HookBudget: dep.HookBudget,
 			})
 			if (err == nil) != tc.clean {
 				t.Errorf("rollout.Begin err = %v, clean = %v", err, tc.clean)

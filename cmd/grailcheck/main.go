@@ -58,9 +58,7 @@
 // Exit status: 0 when the deployment checks clean, 1 when a check finds
 // warnings or a property is not proved, 2 on usage, manifest or spec
 // errors. With -warn, findings are reported but do not fail the check
-// (exit 0) — the counterpart of loading with guardrails.DeployWarn,
-// which quarantines the implicated monitors instead of refusing the
-// deployment.
+// (exit 0).
 package main
 
 import (

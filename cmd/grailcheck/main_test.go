@@ -101,8 +101,7 @@ func TestShardedManifest(t *testing.T) {
 	}
 }
 
-// TestWarnFlag: -warn reports the findings but exits 0, mirroring the
-// runtime's DeployWarn quarantine-instead-of-refuse policy.
+// TestWarnFlag: -warn reports the findings but exits 0.
 func TestWarnFlag(t *testing.T) {
 	out, _, code := runCheck(t, "-warn", "-manifest", filepath.Join("testdata", "conflict.json"))
 	if code != 0 {

@@ -5,9 +5,10 @@
 //     calls, and map iteration, with //guardrails:coldpath suppressing
 //     findings on provably cold lines
 //   - reach (tools/analyzers/reach): every package-level declaration
-//     under internal/ must be reachable from a main package, the
-//     benchmark, the tools or the facade's exported API; what only
-//     tests reach is deleted, or kept under //guardrails:testhook
+//     under internal/ or in the module-root facade must be reachable
+//     from cmd/, examples/, benchmark/ or tools/, and every field of a
+//     live struct type must be both set and read by non-test code; what
+//     only tests reach is deleted, or kept under //guardrails:testhook
 //     with a reason
 //
 // Usage:
@@ -177,6 +178,8 @@ func load(fset *token.FileSet, imp types.Importer, p *listedPackage) (*reach.Pac
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Defs:  map[*ast.Ident]types.Object{},
+
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(p.ImportPath, fset, files, info)

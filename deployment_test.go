@@ -4,6 +4,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"guardrails/internal/compile"
+	"guardrails/internal/kernel"
+	"guardrails/internal/monitor"
 )
 
 // The paper's failover/failback interference example in this repo's
@@ -29,56 +33,33 @@ guardrail ml-on-for-latency {
     }
 }`
 
-// TestAnalyzeDeploymentFindsInterference: the library surface reports
-// the conflict pair (GI001 contradictory SAVEs, GI002 REPLACE
-// ping-pong) without loading anything.
-func TestAnalyzeDeploymentFindsInterference(t *testing.T) {
-	report, err := AnalyzeDeployment(conflictingDeployment, 0, nil)
+// mustCompile compiles specification text or fails the test.
+func mustCompile(t *testing.T, src string) []*compile.Compiled {
+	t.Helper()
+	cs, err := compile.Source(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Clean() {
-		t.Fatal("conflicting deployment analyzed clean")
-	}
-	found := map[string]bool{}
-	for _, d := range report.Diagnostics {
-		found[d.Code] = true
-	}
-	if !found["GI001"] || !found["GI002"] {
-		t.Errorf("diagnostics = %v, want GI001 and GI002", found)
-	}
+	return cs
 }
 
-// TestSystemRefusesConflictingDeployment: System.LoadDeployment under
-// the default enforce policy refuses atomically; nothing is armed.
+// TestSystemRefusesConflictingDeployment: the system's runtime loads a
+// deployment only after the interference analysis, so the conflicting
+// pair is refused atomically (GI001 and GI002 cited) and nothing arms.
 func TestSystemRefusesConflictingDeployment(t *testing.T) {
 	sys := NewSystem()
-	res, err := sys.LoadDeployment(conflictingDeployment, DeployConfig{})
-	var derr *DeployError
+	res, err := sys.Runtime.LoadDeployment(mustCompile(t, conflictingDeployment), monitor.DeployConfig{})
+	var derr *monitor.DeployError
 	if !errors.As(err, &derr) {
 		t.Fatalf("got %v, want *DeployError", err)
 	}
+	for _, code := range []string{"GI001", "GI002"} {
+		if !strings.Contains(err.Error(), code) {
+			t.Errorf("refusal does not cite %s: %s", code, err)
+		}
+	}
 	if len(res.Monitors) != 0 || len(sys.Runtime.Monitors()) != 0 {
 		t.Error("refused deployment left monitors loaded")
-	}
-
-	// The same deployment under DeployWarn loads quarantined: the
-	// conflicting SAVEs never reach the store.
-	sys2 := NewSystem()
-	sys2.Store.Save("ml_enabled", 1)
-	sys2.Store.Save("io_err_rate", 0.9)
-	sys2.Store.Save("io_lat_p99", 1e9)
-	res2, err := sys2.LoadDeployment(conflictingDeployment, DeployConfig{Policy: DeployWarn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Shadowed) != 2 {
-		t.Fatalf("Shadowed = %v, want both guardrails", res2.Shadowed)
-	}
-	sys2.Kernel.Fire("io_uring_submit")
-	sys2.Kernel.RunUntil(Second)
-	if got := sys2.Store.Load("ml_enabled"); got != 1 {
-		t.Errorf("quarantined deployment still wrote ml_enabled = %v", got)
 	}
 }
 
@@ -98,7 +79,7 @@ guardrail low-false-submit {
 		t.Fatal(err)
 	}
 	_, err := sys.LoadGuardrails(src, Options{})
-	var dup *DuplicateLoadError
+	var dup *monitor.DuplicateLoadError
 	if !errors.As(err, &dup) {
 		t.Fatalf("second load returned %v, want *DuplicateLoadError", err)
 	}
@@ -127,14 +108,11 @@ guardrail watch-b {
     rule: { LOAD(b) <= 1 },
     action: { REPORT(LOAD(b)) }
 }`
-	_, err := sys.LoadDeployment(twoOnOneHook, DeployConfig{HookBudget: 4})
-	var derr *DeployError
-	if !errors.As(err, &derr) {
-		t.Fatalf("got %v, want *DeployError", err)
-	}
-	var aerr *AdmissionError
-	if !errors.As(derr.Admission, &aerr) {
-		t.Fatalf("DeployError.Admission = %v, want *AdmissionError", derr.Admission)
+	loads := monitor.HookLoads(mustCompile(t, twoOnOneHook))
+	err := sys.Kernel.AdmitDeployment(4, nil, loads)
+	var aerr *kernel.AdmissionError
+	if !errors.As(err, &aerr) {
+		t.Fatalf("got %v, want *AdmissionError", err)
 	}
 	if got := sink.Counters.DeployRejected.Value(); got != 1 {
 		t.Errorf("deployment_rejected_total = %d, want 1", got)
@@ -148,48 +126,7 @@ guardrail watch-b {
 	}
 
 	// Raising the budget admits the same deployment.
-	sys2 := NewSystem()
-	if _, err := sys2.LoadDeployment(twoOnOneHook, DeployConfig{HookBudget: 64}); err != nil {
+	if err := sys.Kernel.AdmitDeployment(64, nil, loads); err != nil {
 		t.Fatalf("within-budget deployment refused: %v", err)
-	}
-}
-
-// TestModelCheckDeploymentPublicAPI: the library surface proves a
-// satisfied assert block and refutes a broken extra property with a
-// replayable witness.
-func TestModelCheckDeploymentPublicAPI(t *testing.T) {
-	const src = `
-assert always LOAD(alert) <= 1
-
-guardrail latch {
-    trigger: { TIMER(0, 1000) },
-    rule: { LOAD(alert) >= 1 },
-    action: { SAVE(alert, 1) }
-}`
-	rep, err := ModelCheckDeployment(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("satisfied property not proved: %s", rep.Summary())
-	}
-	rep, err = ModelCheckDeployment(src, "always LOAD(alert) <= 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clean() {
-		t.Fatal("broken extra property not refuted")
-	}
-	confirmed := false
-	for _, d := range rep.Diagnostics {
-		if d.Status == "CONFIRMED" {
-			confirmed = true
-		}
-	}
-	if !confirmed {
-		t.Errorf("refutation carries no confirmed witness: %+v", rep.Diagnostics)
-	}
-	if _, err := ModelCheckDeployment(src, "sometimes LOAD(x)"); err == nil {
-		t.Error("malformed extra property accepted")
 	}
 }

@@ -35,17 +35,6 @@ func TestReportLogAppendAndRecent(t *testing.T) {
 	}
 }
 
-func TestReportLogByGuardrail(t *testing.T) {
-	l := NewReportLog(10)
-	l.Append(Violation{Guardrail: "a"})
-	l.Append(Violation{Guardrail: "b"})
-	l.Append(Violation{Guardrail: "a"})
-	by := l.ByGuardrail()
-	if by["a"] != 2 || by["b"] != 1 {
-		t.Errorf("by = %v", by)
-	}
-}
-
 func TestViolationString(t *testing.T) {
 	v := Violation{Time: 2 * kernel.Second, Guardrail: "low-false-submit",
 		Values: []float64{0.12}, Note: "rate spike"}
@@ -88,12 +77,9 @@ func TestRegistryDefineAndCurrent(t *testing.T) {
 	if err := r.DefineSlot("bad", map[string]any{"a": 1}, "b"); err == nil {
 		t.Error("initial not in policies should error")
 	}
-	if got := r.Slots(); len(got) != 1 || got[0] != "io_predictor" {
-		t.Errorf("slots = %v", got)
-	}
 }
 
-func TestRegistryReplaceAndRestore(t *testing.T) {
+func TestRegistryReplaceAndHistory(t *testing.T) {
 	r := NewRegistry()
 	if err := r.DefineSlot("s1", map[string]any{"learned": "L", "fallback": "F"}, "learned"); err != nil {
 		t.Fatal(err)
@@ -125,18 +111,9 @@ func TestRegistryReplaceAndRestore(t *testing.T) {
 	if _, err := r.Replace("x", "x", 0); err == nil {
 		t.Error("identical policies should error")
 	}
-	// Restore.
-	if err := r.Restore("s1", 300); err != nil {
-		t.Fatal(err)
-	}
-	if name, _, _ := r.Current("s1"); name != "learned" {
-		t.Errorf("restored current = %q", name)
-	}
-	if err := r.Restore("nope", 0); err == nil {
-		t.Error("unknown slot restore should error")
-	}
+	// Only the swap that happened is in the audit trail.
 	h := r.History("s1")
-	if len(h) != 2 || h[0].To != "fallback" || h[1].To != "learned" || h[1].Time != 300 {
+	if len(h) != 1 || h[0].From != "learned" || h[0].To != "fallback" || h[0].Time != 100 {
 		t.Errorf("history = %+v", h)
 	}
 	if r.History("nope") != nil {
@@ -168,10 +145,6 @@ func TestRetrainerRateLimit(t *testing.T) {
 	if !r.Request("m3", kernel.Second) {
 		t.Error("request after refill rejected")
 	}
-	acc, rej, _ := r.Stats()
-	if acc != 3 || rej != 1 {
-		t.Errorf("stats = %d accepted, %d rejected", acc, rej)
-	}
 }
 
 func TestRetrainerRunPending(t *testing.T) {
@@ -195,10 +168,6 @@ func TestRetrainerRunPending(t *testing.T) {
 	// Model can be requested again after training.
 	if !r.Request("a", 0) {
 		t.Error("re-request after drain rejected")
-	}
-	_, _, done := r.Stats()
-	if done != 2 {
-		t.Errorf("trained count = %d", done)
 	}
 }
 
@@ -232,62 +201,5 @@ func TestRetrainerValidation(t *testing.T) {
 			}()
 			NewRetrainer(c.cap, c.refill)
 		}()
-	}
-}
-
-func TestDeprioritizerApply(t *testing.T) {
-	k := kernel.New()
-	t1, _ := k.CreateTask("batch1", 0)
-	t2, _ := k.CreateTask("batch2", 5)
-	t3, _ := k.CreateTask("web", 0)
-	d := NewDeprioritizer(k)
-	d.RegisterGroup("batch_jobs", t1.ID, t2.ID)
-	d.RegisterGroup("web", t3.ID)
-
-	n, err := d.Apply("batch_jobs", 19)
-	if err != nil || n != 2 {
-		t.Fatalf("apply = %d, %v", n, err)
-	}
-	if t1.Priority != 19 || t2.Priority != 19 {
-		t.Errorf("priorities = %d, %d", t1.Priority, t2.Priority)
-	}
-	if t3.Priority != 0 {
-		t.Error("unrelated task demoted")
-	}
-	// Below-range priorities clamp.
-	if _, err := d.Apply("batch_jobs", -100); err != nil {
-		t.Fatal(err)
-	}
-	if t1.Priority != kernel.MinPriority {
-		t.Errorf("clamped priority = %d", t1.Priority)
-	}
-	if _, err := d.Apply("ghost", 0); err == nil {
-		t.Error("unknown group should error")
-	}
-}
-
-func TestDeprioritizerKill(t *testing.T) {
-	k := kernel.New()
-	t1, _ := k.CreateTask("victim", 0)
-	d := NewDeprioritizer(k)
-	d.RegisterGroup("victims", t1.ID)
-	n, err := d.Apply("victims", KillPriority)
-	if err != nil || n != 1 {
-		t.Fatalf("kill apply = %d, %v", n, err)
-	}
-	if t1.State != kernel.TaskKilled {
-		t.Error("task not killed")
-	}
-	// Re-applying skips killed tasks.
-	n, err = d.Apply("victims", KillPriority)
-	if err != nil || n != 0 {
-		t.Errorf("second kill = %d, %v", n, err)
-	}
-	demoted, killed := d.Stats()
-	if demoted != 0 || killed != 1 {
-		t.Errorf("stats = %d demoted, %d killed", demoted, killed)
-	}
-	if got := d.Groups(); len(got) != 1 || got[0] != "victims" {
-		t.Errorf("groups = %v", got)
 	}
 }

@@ -1,99 +1,18 @@
 package actions
 
-import (
-	"fmt"
-	"sync"
+import "sync/atomic"
 
-	"guardrails/internal/kernel"
-)
-
-// FailedAction records an action dispatch that exhausted its retries —
-// the terminal stop on the runtime's degradation ladder for a single
-// action. Nothing is silently dropped: what could not run is queued
-// here for the operator (or a chaos experiment's assertions) to see.
-type FailedAction struct {
-	// Time is when the final attempt failed.
-	Time kernel.Time
-	// Guardrail names the monitor that dispatched the action.
-	Guardrail string
-	// Action is the rendered action, e.g. "RETRAIN(linnos)".
-	Action string
-	// Attempts is how many times the action was tried (1 = no retries).
-	Attempts int
-	// Err is the final attempt's error text.
-	Err string
-}
-
-// String renders the entry for logs.
-func (f FailedAction) String() string {
-	return fmt.Sprintf("[%s] guardrail %q action %s dead-lettered after %d attempt(s): %s",
-		f.Time, f.Guardrail, f.Action, f.Attempts, f.Err)
-}
-
-// DeadLetter is a bounded ring of actions that failed permanently.
-// Like ReportLog it never blocks and never errors: when full, the
-// oldest entries are overwritten but the total count keeps advancing.
-// Safe for concurrent use.
+// DeadLetter counts actions that failed permanently — the terminal
+// stop on the runtime's degradation ladder for a single action. What
+// failed is reported in the violation log, the telemetry flight ring
+// and the decision records as it happens; this is the running total an
+// experiment or benchmark checks at the end. Safe for concurrent use.
 type DeadLetter struct {
-	mu    sync.Mutex
-	ring  []FailedAction
-	next  int
-	total uint64
+	total atomic.Uint64
 }
 
-// NewDeadLetter returns a dead-letter queue holding up to capacity
-// entries (minimum 1).
-func NewDeadLetter(capacity int) *DeadLetter {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DeadLetter{ring: make([]FailedAction, 0, capacity)}
-}
+// Add counts one permanently failed action.
+func (d *DeadLetter) Add() { d.total.Add(1) }
 
-// Add records a permanently failed action.
-func (d *DeadLetter) Add(f FailedAction) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.total++
-	if len(d.ring) < cap(d.ring) {
-		d.ring = append(d.ring, f)
-		return
-	}
-	d.ring[d.next] = f
-	d.next = (d.next + 1) % cap(d.ring)
-}
-
-// Total returns how many actions have ever been dead-lettered,
-// including entries the ring has since overwritten.
-func (d *DeadLetter) Total() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.total
-}
-
-// Recent returns the most recent min(n, retained) entries, oldest
-// first.
-func (d *DeadLetter) Recent(n int) []FailedAction {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n > len(d.ring) {
-		n = len(d.ring)
-	}
-	out := make([]FailedAction, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (d.next + len(d.ring) - n + i) % len(d.ring)
-		out = append(out, d.ring[idx])
-	}
-	return out
-}
-
-// ByGuardrail counts retained entries per guardrail.
-func (d *DeadLetter) ByGuardrail() map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]int)
-	for _, f := range d.ring {
-		out[f.Guardrail]++
-	}
-	return out
-}
+// Total returns how many actions have ever been dead-lettered.
+func (d *DeadLetter) Total() uint64 { return d.total.Load() }

@@ -10,7 +10,6 @@ import (
 // Swap records one policy replacement for audit.
 type Swap struct {
 	Time kernel.Time
-	Slot string
 	From string
 	To   string
 }
@@ -18,9 +17,7 @@ type Swap struct {
 // slot is a policy binding point: a subsystem decision it dispatches
 // through whichever policy is current.
 type slot struct {
-	name     string
 	current  string
-	initial  string
 	policies map[string]any
 	history  []Swap
 }
@@ -59,7 +56,7 @@ func (r *Registry) DefineSlot(name string, policies map[string]any, initial stri
 	for k, v := range policies {
 		cp[k] = v
 	}
-	r.slots[name] = &slot{name: name, current: initial, initial: initial, policies: cp}
+	r.slots[name] = &slot{current: initial, policies: cp}
 	return nil
 }
 
@@ -92,27 +89,11 @@ func (r *Registry) Replace(old, new string, now kernel.Time) (int, error) {
 		if _, ok := s.policies[new]; !ok {
 			continue
 		}
-		s.history = append(s.history, Swap{Time: now, Slot: s.name, From: old, To: new})
+		s.history = append(s.history, Swap{Time: now, From: old, To: new})
 		s.current = new
 		swapped++
 	}
 	return swapped, nil
-}
-
-// Restore resets a slot to its initial policy (used when a guardrail's
-// property recovers and the learned policy is re-enabled).
-func (r *Registry) Restore(slotName string, now kernel.Time) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.slots[slotName]
-	if !ok {
-		return fmt.Errorf("actions: no slot %q", slotName)
-	}
-	if s.current != s.initial {
-		s.history = append(s.history, Swap{Time: now, Slot: s.name, From: s.current, To: s.initial})
-		s.current = s.initial
-	}
-	return nil
 }
 
 // History returns the swap audit trail for a slot.
@@ -124,15 +105,4 @@ func (r *Registry) History(slotName string) []Swap {
 		return nil
 	}
 	return append([]Swap(nil), s.history...)
-}
-
-// Slots returns the defined slot names.
-func (r *Registry) Slots() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.slots))
-	for name := range r.slots {
-		out = append(out, name)
-	}
-	return out
 }

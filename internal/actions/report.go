@@ -9,7 +9,9 @@
 //	A4 DEPRIORITIZE — demote or kill task groups to release resources
 //
 // The monitor runtime (package monitor) dispatches compiled guardrail
-// actions to these implementations.
+// actions to these implementations. A4 has none: no binary owns a task
+// group, so the runtime reports every DEPRIORITIZE dispatch as naming
+// an unknown group.
 package actions
 
 import (
@@ -17,7 +19,6 @@ import (
 	"strings"
 	"sync"
 
-	"guardrails/internal/featurestore"
 	"guardrails/internal/kernel"
 )
 
@@ -31,9 +32,6 @@ type Violation struct {
 	Values []float64
 	// Note is optional free-form context from the reporter.
 	Note string
-	// Context carries the flight-recorder snapshot of recent feature
-	// writes around the violation, when a recorder is configured.
-	Context []featurestore.Write
 }
 
 // String renders the violation for logs.
@@ -45,16 +43,6 @@ func (v Violation) String() string {
 	}
 	if v.Note != "" {
 		fmt.Fprintf(&b, " note=%q", v.Note)
-	}
-	if len(v.Context) > 0 {
-		fmt.Fprintf(&b, " context=[")
-		for i, w := range v.Context {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%s=%g", w.Key, w.Value)
-		}
-		b.WriteByte(']')
 	}
 	return b.String()
 }
@@ -110,18 +98,6 @@ func (l *ReportLog) Recent(n int) []Violation {
 	start := l.size - n
 	for i := start; i < l.size; i++ {
 		out = append(out, l.ring[(l.head+i)%len(l.ring)])
-	}
-	return out
-}
-
-// ByGuardrail returns the total recorded violations per guardrail among
-// retained entries.
-func (l *ReportLog) ByGuardrail() map[string]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]int)
-	for i := 0; i < l.size; i++ {
-		out[l.ring[(l.head+i)%len(l.ring)].Guardrail]++
 	}
 	return out
 }

@@ -9,8 +9,7 @@ import (
 
 // RetrainRequest is a queued retraining job (A3).
 type RetrainRequest struct {
-	Model     string
-	Requested kernel.Time
+	Model string
 }
 
 // TrainFunc performs the (offline, asynchronous in the paper's design)
@@ -31,11 +30,8 @@ type Retrainer struct {
 	refill   float64 // tokens per simulated second
 	lastFill kernel.Time
 
-	queue    []RetrainRequest
-	queued   map[string]bool
-	rejected uint64
-	accepted uint64
-	trained  uint64
+	queue  []RetrainRequest
+	queued map[string]bool
 }
 
 // NewRetrainer returns a retrainer whose token bucket holds capacity
@@ -64,13 +60,11 @@ func (r *Retrainer) Request(model string, now kernel.Time) bool {
 	}
 	r.refillLocked(now)
 	if r.tokens < 1 {
-		r.rejected++
 		return false
 	}
 	r.tokens--
-	r.accepted++
 	r.queued[model] = true
-	r.queue = append(r.queue, RetrainRequest{Model: model, Requested: now})
+	r.queue = append(r.queue, RetrainRequest{Model: model})
 	return true
 }
 
@@ -117,16 +111,5 @@ func (r *Retrainer) RunPending(train TrainFunc) (int, error) {
 		}
 		done++
 	}
-	r.mu.Lock()
-	r.trained += uint64(done)
-	r.mu.Unlock()
 	return done, firstErr
-}
-
-// Stats returns acceptance counters: accepted and rate-limited request
-// counts and completed retraining jobs.
-func (r *Retrainer) Stats() (accepted, rejected, trained uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.accepted, r.rejected, r.trained
 }

@@ -50,10 +50,6 @@ func TestRetrainerZeroRefillStarvation(t *testing.T) {
 			t.Fatalf("zero-refill bucket granted a token at %v", now)
 		}
 	}
-	acc, rej, _ := r.Stats()
-	if acc != 1 || rej != 3 {
-		t.Errorf("stats = %d accepted, %d rejected; want 1/3", acc, rej)
-	}
 }
 
 func TestRetrainerDedupDoesNotConsumeTokens(t *testing.T) {
@@ -62,7 +58,7 @@ func TestRetrainerDedupDoesNotConsumeTokens(t *testing.T) {
 		t.Fatal("first request rejected")
 	}
 	// Hammer the queued model: every duplicate collapses into the
-	// pending request without touching the bucket or the counters.
+	// pending request without touching the bucket.
 	for i := 0; i < 50; i++ {
 		if !r.Request("m1", 0) {
 			t.Fatal("duplicate of queued model rejected")
@@ -74,10 +70,6 @@ func TestRetrainerDedupDoesNotConsumeTokens(t *testing.T) {
 	}
 	if got := len(r.Pending()); got != 2 {
 		t.Errorf("pending = %d, want 2", got)
-	}
-	acc, rej, _ := r.Stats()
-	if acc != 2 || rej != 0 {
-		t.Errorf("stats = %d accepted, %d rejected; want 2/0", acc, rej)
 	}
 }
 
@@ -129,10 +121,6 @@ func TestRetrainerTrainErrorClearsQueuedFlag(t *testing.T) {
 	if n != 0 || !errors.Is(err, sentinel) {
 		t.Fatalf("run = %d, %v; want 0 jobs and the sentinel", n, err)
 	}
-	_, _, trained := r.Stats()
-	if trained != 0 {
-		t.Errorf("trained = %d after a failed job", trained)
-	}
 	if len(r.Pending()) != 0 {
 		t.Error("failed job left in queue")
 	}
@@ -143,9 +131,5 @@ func TestRetrainerTrainErrorClearsQueuedFlag(t *testing.T) {
 	n, err = r.RunPending(func(string) error { return nil })
 	if n != 1 || err != nil {
 		t.Fatalf("retry run = %d, %v", n, err)
-	}
-	_, _, trained = r.Stats()
-	if trained != 1 {
-		t.Errorf("trained = %d, want 1", trained)
 	}
 }

@@ -27,33 +27,31 @@ guardrail reenable-ml {
 type OscillationResult struct {
 	TogglesNoHysteresis   int
 	TogglesWithHysteresis int
-	Evals                 uint64
 }
 
 // RunOscillation runs the guarded LinnOS stack through the shifted phase
 // with both guardrails loaded, first without hysteresis, then with a
-// violation streak + recovery window on the re-enable guardrail.
+// violation streak on the re-enable guardrail.
 func RunOscillation(seed int64) (*OscillationResult, error) {
 	model, err := trainFig2Model(seed)
 	if err != nil {
 		return nil, err
 	}
-	runOnce := func(hysteresis bool) (int, uint64, error) {
+	runOnce := func(hysteresis bool) (int, error) {
 		sys, err := newFig2System(seed+300, model)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		rt := monitor.New(sys.k, sys.st)
 		if _, err := rt.LoadSource(Listing2, monitor.Options{}); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		opts := monitor.Options{}
 		if hysteresis {
 			opts.ViolationStreak = 5
 		}
-		ms, err := rt.LoadSource(reenableGuardrail, opts)
-		if err != nil {
-			return 0, 0, err
+		if _, err := rt.LoadSource(reenableGuardrail, opts); err != nil {
+			return 0, err
 		}
 		toggles := 0
 		last := sys.st.Load(linnos.KeyMLEnabled)
@@ -68,18 +66,14 @@ func RunOscillation(seed int64) (*OscillationResult, error) {
 		for t := kernel.Second; t <= 60*kernel.Second; t += kernel.Second {
 			sys.run(t)
 		}
-		return toggles, ms[0].Stats().Evals, nil
+		return toggles, nil
 	}
 	res := &OscillationResult{}
-	var evals uint64
 	var terr error
-	res.TogglesNoHysteresis, evals, terr = runOnce(false)
-	if terr != nil {
+	if res.TogglesNoHysteresis, terr = runOnce(false); terr != nil {
 		return nil, terr
 	}
-	res.Evals = evals
-	res.TogglesWithHysteresis, _, terr = runOnce(true)
-	if terr != nil {
+	if res.TogglesWithHysteresis, terr = runOnce(true); terr != nil {
 		return nil, terr
 	}
 	return res, nil

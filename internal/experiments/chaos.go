@@ -47,15 +47,12 @@ guardrail replica-redundancy {
 type ChaosConfig struct {
 	// Fig2 is the underlying Figure 2 configuration (phases, seed).
 	Fig2 Fig2Config
-	// FaultSeed drives the fault plan (separate from the system seed so
-	// the same system can face different fault schedules).
-	FaultSeed int64
 }
 
 // DefaultChaosConfig returns the standard chaos run: the default
 // Figure 2 experiment under the standard fault plan.
 func DefaultChaosConfig(seed int64) ChaosConfig {
-	return ChaosConfig{Fig2: DefaultFig2Config(seed), FaultSeed: seed + 1000}
+	return ChaosConfig{Fig2: DefaultFig2Config(seed)}
 }
 
 // ChaosResult is the outcome of one chaos run.
@@ -140,7 +137,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	guarded.k.Every(5*kernel.Second, 5*kernel.Second, 0,
 		func(kernel.Time) { _, _ = rt.Retrainer.RunPending(func(string) error { return nil }) })
 
-	inj := faults.StandardChaos(cfg.FaultSeed).Arm(guarded.k, guarded.arr)
+	inj := faults.StandardChaos().Arm(guarded.k, guarded.arr)
 	rt.SetFaultInjector(inj)
 
 	res := &ChaosResult{

@@ -32,8 +32,6 @@ guardrail low-false-submit {
 type Fig2Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// TrainOps is the size of the pre-run training trace.
-	TrainOps int
 	// CalmSeconds and ShiftSeconds are the two phase durations.
 	CalmSeconds  int
 	ShiftSeconds int
@@ -57,7 +55,6 @@ type Fig2Config struct {
 func DefaultFig2Config(seed int64) Fig2Config {
 	return Fig2Config{
 		Seed:         seed,
-		TrainOps:     40000,
 		CalmSeconds:  20,
 		ShiftSeconds: 40,
 		SampleEvery:  250 * kernel.Millisecond,

@@ -1,27 +1,24 @@
 // Package faults is the deterministic fault-injection layer for chaos
-// experiments against the guardrail runtime. A Plan is a seeded,
-// declarative schedule of faults — VM traps, helper-call failures,
-// feature-store read corruption, action-backend errors, replica loss —
-// that arms against a simulated kernel and plugs into the monitor
-// runtime through the monitor.FaultInjector seam.
+// experiments against the guardrail runtime. A Plan is a declarative
+// schedule of faults — VM traps, helper-call failures, feature-store
+// read corruption, action-backend errors, replica loss — that arms
+// against a simulated kernel and plugs into the monitor runtime through
+// the monitor.FaultInjector seam.
 //
-// Everything is schedulable by simulated time ([From, Until) windows,
-// At instants) or by call count (EveryN, Limit), and every probabilistic
-// choice draws from a seeded RNG: the same Plan against the same system
-// replays the same faults, so a chaos run is as reproducible as any
-// other experiment in this repository.
+// Everything is scheduled by simulated time ([From, Until) windows, At
+// instants): the same Plan against the same system replays the same
+// faults, so a chaos run is as reproducible as any other experiment in
+// this repository.
 package faults
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync"
 
 	"guardrails/internal/kernel"
 	"guardrails/internal/monitor"
-	"guardrails/internal/trace"
 	"guardrails/internal/vm"
 )
 
@@ -80,112 +77,36 @@ type Rule struct {
 	// of the rendered action name, e.g. "RETRAIN" (ActionFail).
 	// "" matches everything.
 	Key string
-	// Helpers restricts HelperFail to these helper IDs (empty = any).
-	Helpers []vm.HelperID
 	// From and Until bound the rule to [From, Until) in simulated time.
 	// Until 0 means forever.
 	From, Until kernel.Time
-	// EveryN fires the rule on every Nth matching call (0 or 1 = every
-	// call).
-	EveryN int
-	// Limit caps the rule's total firings (0 = unlimited).
-	Limit int
-	// Prob fires the rule with this probability per matching call,
-	// drawn from the plan's seeded RNG (0 = unset = always fire).
-	Prob float64
 	// Replica and At place ReplicaFail/ReplicaHeal events.
 	Replica int
 	At      kernel.Time
-}
-
-// Injection is one fault the injector actually delivered.
-type Injection struct {
-	Time      kernel.Time
-	Kind      Kind
-	Guardrail string
-	Detail    string
-}
-
-// String renders the injection for logs.
-func (i Injection) String() string {
-	s := fmt.Sprintf("[%s] %s", i.Time, i.Kind)
-	if i.Guardrail != "" {
-		s += " guardrail=" + i.Guardrail
-	}
-	if i.Detail != "" {
-		s += " " + i.Detail
-	}
-	return s
-}
-
-type armedRule struct {
-	Rule
-	calls int // matching calls seen (for EveryN)
-	fired int // faults delivered (for Limit)
 }
 
 // Injector delivers a Plan's faults. It implements
 // monitor.FaultInjector and is safe for concurrent use.
 type Injector struct {
 	mu       sync.Mutex
-	rules    []*armedRule
-	rng      *rand.Rand
+	rules    []Rule
 	clock    func() kernel.Time
-	log      []Injection
 	counts   map[Kind]int
 	lastSeen map[string]float64
 }
 
 var _ monitor.FaultInjector = (*Injector)(nil)
 
-// NewInjector builds an injector with the given seed and clock. Most
-// callers should use Plan.Arm instead.
-func NewInjector(seed int64, clock func() kernel.Time) *Injector {
-	return &Injector{
-		rng:      trace.NewRand(trace.Split(seed, "faults")),
-		clock:    clock,
-		counts:   make(map[Kind]int),
-		lastSeen: make(map[string]float64),
-	}
-}
-
-// add arms one rule.
-func (inj *Injector) add(r Rule) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.rules = append(inj.rules, &armedRule{Rule: r})
-}
-
-// fires decides, under the lock, whether an armed rule delivers a fault
-// at time now for a call matching (guardrail, key).
-func (inj *Injector) fires(r *armedRule, now kernel.Time, guardrail, key string) bool {
+// fires decides whether a rule delivers a fault at time now for a call
+// matching (guardrail, key).
+func fires(r Rule, now kernel.Time, guardrail, key string) bool {
 	if r.Guardrail != "" && r.Guardrail != guardrail {
 		return false
 	}
 	if now < r.From || (r.Until > 0 && now >= r.Until) {
 		return false
 	}
-	if r.Key != "" && !strings.Contains(key, r.Key) {
-		return false
-	}
-	if r.Limit > 0 && r.fired >= r.Limit {
-		return false
-	}
-	r.calls++
-	if r.EveryN > 1 && r.calls%r.EveryN != 0 {
-		return false
-	}
-	if r.Prob > 0 && inj.rng.Float64() >= r.Prob {
-		return false
-	}
-	r.fired++
-	return true
-}
-
-// record logs one delivered fault. Callers hold inj.mu.
-func (inj *Injector) record(now kernel.Time, kind Kind, guardrail, detail string) {
-	inj.counts[kind]++
-	inj.log = append(inj.log, Injection{Time: now, Kind: kind, Guardrail: guardrail, Detail: detail})
+	return r.Key == "" || strings.Contains(key, r.Key)
 }
 
 // EvalFault implements monitor.FaultInjector.
@@ -194,8 +115,8 @@ func (inj *Injector) EvalFault(guardrail string) error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	for _, r := range inj.rules {
-		if r.Kind == EvalTrap && inj.fires(r, now, guardrail, "") {
-			inj.record(now, EvalTrap, guardrail, "")
+		if r.Kind == EvalTrap && fires(r, now, guardrail, "") {
+			inj.counts[EvalTrap]++
 			return fmt.Errorf("faults: injected evaluation trap")
 		}
 	}
@@ -211,15 +132,14 @@ func (inj *Injector) LoadFault(guardrail, key string, value float64) (float64, b
 	for _, r := range inj.rules {
 		switch r.Kind {
 		case LoadNaN:
-			if inj.fires(r, now, guardrail, key) {
-				inj.record(now, LoadNaN, guardrail, "key="+key)
+			if fires(r, now, guardrail, key) {
+				inj.counts[LoadNaN]++
 				return math.NaN(), true
 			}
 		case LoadStale:
-			if inj.fires(r, now, guardrail, key) {
-				stale := inj.lastSeen[key]
-				inj.record(now, LoadStale, guardrail, fmt.Sprintf("key=%s stale=%g", key, stale))
-				return stale, true
+			if fires(r, now, guardrail, key) {
+				inj.counts[LoadStale]++
+				return inj.lastSeen[key], true
 			}
 		}
 	}
@@ -233,23 +153,8 @@ func (inj *Injector) HelperFault(guardrail string, h vm.HelperID) error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	for _, r := range inj.rules {
-		if r.Kind != HelperFail {
-			continue
-		}
-		if len(r.Helpers) > 0 {
-			ok := false
-			for _, want := range r.Helpers {
-				if want == h {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		if inj.fires(r, now, guardrail, "") {
-			inj.record(now, HelperFail, guardrail, fmt.Sprintf("helper=%d", h))
+		if r.Kind == HelperFail && fires(r, now, guardrail, "") {
+			inj.counts[HelperFail]++
 			return fmt.Errorf("faults: injected helper %d failure", h)
 		}
 	}
@@ -262,8 +167,8 @@ func (inj *Injector) ActionFault(guardrail, action string) error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	for _, r := range inj.rules {
-		if r.Kind == ActionFail && inj.fires(r, now, guardrail, action) {
-			inj.record(now, ActionFail, guardrail, "action="+action)
+		if r.Kind == ActionFail && fires(r, now, guardrail, action) {
+			inj.counts[ActionFail]++
 			return fmt.Errorf("faults: injected %s backend failure", action)
 		}
 	}
@@ -277,17 +182,8 @@ func (inj *Injector) Count(k Kind) int {
 	return inj.counts[k]
 }
 
-// Injections returns the delivered faults in order.
-func (inj *Injector) Injections() []Injection {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return append([]Injection(nil), inj.log...)
-}
-
-// Plan is a seeded fault schedule.
+// Plan is a fault schedule.
 type Plan struct {
-	// Seed drives every probabilistic choice the plan makes.
-	Seed int64
 	// Rules are the faults to arm.
 	Rules []Rule
 }
@@ -306,7 +202,7 @@ type Target interface {
 // still has to be installed with Runtime.SetFaultInjector; replica
 // events run regardless.
 func (p *Plan) Arm(k *kernel.Kernel, arrays ...Target) *Injector {
-	inj := NewInjector(p.Seed, k.Now)
+	inj := &Injector{clock: k.Now, counts: make(map[Kind]int), lastSeen: make(map[string]float64)}
 	for _, r := range p.Rules {
 		switch r.Kind {
 		case ReplicaFail, ReplicaHeal:
@@ -314,7 +210,6 @@ func (p *Plan) Arm(k *kernel.Kernel, arrays ...Target) *Injector {
 			for _, arr := range arrays {
 				arr := arr
 				k.At(rule.At, func() {
-					now := k.Now()
 					var done bool
 					if rule.Kind == ReplicaFail {
 						done = arr.Fail(rule.Replica)
@@ -323,13 +218,13 @@ func (p *Plan) Arm(k *kernel.Kernel, arrays ...Target) *Injector {
 					}
 					if done {
 						inj.mu.Lock()
-						inj.record(now, rule.Kind, "", fmt.Sprintf("replica=%d", rule.Replica))
+						inj.counts[rule.Kind]++
 						inj.mu.Unlock()
 					}
 				})
 			}
 		default:
-			inj.add(r)
+			inj.rules = append(inj.rules, r)
 		}
 	}
 	return inj
@@ -340,9 +235,8 @@ func (p *Plan) Arm(k *kernel.Kernel, arrays ...Target) *Injector {
 // the calm phase (tripping the breaker), a NaN window on the guarded
 // feature, a retrain-backend outage right as the workload shifts, and a
 // replica lost and healed late in the run.
-func StandardChaos(seed int64) *Plan {
+func StandardChaos() *Plan {
 	return &Plan{
-		Seed: seed,
 		Rules: []Rule{
 			{Kind: EvalTrap, Guardrail: "low-false-submit",
 				From: 5 * kernel.Second, Until: 9 * kernel.Second},

@@ -3,7 +3,6 @@ package featurestore
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,22 +69,10 @@ func IsGlobalKey(key string) bool {
 
 // aggregate is one registered cross-shard aggregation.
 type aggregate struct {
-	name   string // contribution key, SAVEd per shard
 	global string // published key, LOADed per shard
 	op     AggOp
 	src    []ID // per-shard contribution cell
 	dst    []ID // per-shard published cell
-}
-
-// EpochSnapshot is one epoch's published aggregate view: an immutable
-// value swapped in whole, so readers on any goroutine see a consistent
-// (epoch, values) pair without locks.
-type EpochSnapshot struct {
-	// Epoch is the barrier count at publication (1-based; 0 = never
-	// aggregated).
-	Epoch uint64
-	// Values maps global keys (GlobalKey(name)) to their aggregates.
-	Values map[string]float64
 }
 
 // Sharded splits the feature store into per-shard cells with
@@ -115,7 +102,6 @@ type Sharded struct {
 	epoch  []ID           // per-shard EpochKey cell
 
 	count atomic.Uint64
-	snap  atomic.Pointer[EpochSnapshot]
 }
 
 // NewSharded returns a sharded store with n independent shard cells
@@ -130,19 +116,11 @@ func NewSharded(n int) *Sharded {
 		s.shards = append(s.shards, sh)
 		s.epoch = append(s.epoch, sh.Intern(EpochKey))
 	}
-	s.snap.Store(&EpochSnapshot{Values: map[string]float64{}})
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // Shard returns shard i's store.
 func (s *Sharded) Shard(i int) *Store { return s.shards[i] }
-
-// Shards returns the shard stores in index order. The slice is the
-// sharded store's own; callers must not mutate it.
-func (s *Sharded) Shards() []*Store { return s.shards }
 
 // RegisterAggregate arms epoch aggregation for name: every shard's
 // contribution under name is op-combined at each Aggregate call and
@@ -156,7 +134,7 @@ func (s *Sharded) RegisterAggregate(name string, op AggOp) string {
 	if i, ok := s.byName[name]; ok {
 		return s.aggs[i].global
 	}
-	a := aggregate{name: name, global: GlobalKey(name), op: op}
+	a := aggregate{global: GlobalKey(name), op: op}
 	for _, sh := range s.shards {
 		a.src = append(a.src, sh.Intern(name))
 		a.dst = append(a.dst, sh.Intern(a.global))
@@ -164,18 +142,6 @@ func (s *Sharded) RegisterAggregate(name string, op AggOp) string {
 	s.byName[name] = len(s.aggs)
 	s.aggs = append(s.aggs, a)
 	return a.global
-}
-
-// Aggregates returns the registered contribution keys in sorted order.
-func (s *Sharded) Aggregates() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.aggs))
-	for _, a := range s.aggs {
-		out = append(out, a.name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // combine folds the shard contributions under op.
@@ -213,8 +179,8 @@ func combine(op AggOp, vals []float64) float64 {
 
 // Aggregate runs one epoch: it reads every registered key's per-shard
 // contributions, op-combines them, broadcasts the results (and the new
-// epoch number under EpochKey) into every shard, and publishes an
-// immutable EpochSnapshot. It returns the new epoch number.
+// epoch number under EpochKey) into every shard. It returns the new
+// epoch number.
 //
 // Call it from the kernel Pool's barrier (all shards parked) for the
 // consistency guarantee monitors rely on; calling it concurrently with
@@ -224,7 +190,6 @@ func (s *Sharded) Aggregate() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	epoch := s.count.Add(1)
-	values := make(map[string]float64, len(s.aggs))
 	vals := make([]float64, len(s.shards))
 	for i := range s.aggs {
 		a := &s.aggs[i]
@@ -238,7 +203,6 @@ func (s *Sharded) Aggregate() uint64 {
 			}
 		}
 		v := combine(a.op, vals)
-		values[a.global] = v
 		for si, sh := range s.shards {
 			sh.PublishID(a.dst[si], v)
 		}
@@ -246,13 +210,5 @@ func (s *Sharded) Aggregate() uint64 {
 	for si, sh := range s.shards {
 		sh.PublishID(s.epoch[si], float64(epoch))
 	}
-	s.snap.Store(&EpochSnapshot{Epoch: epoch, Values: values})
 	return epoch
 }
-
-// Epoch returns the number of completed aggregation epochs.
-func (s *Sharded) Epoch() uint64 { return s.count.Load() }
-
-// Snapshot returns the most recently published epoch snapshot. The
-// returned value is immutable and safe to read from any goroutine.
-func (s *Sharded) Snapshot() *EpochSnapshot { return s.snap.Load() }

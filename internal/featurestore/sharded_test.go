@@ -37,10 +37,6 @@ func TestShardedAggregateOps(t *testing.T) {
 			t.Errorf("shard %d: epoch cell = %g, want 1", i, got)
 		}
 	}
-	snap := s.Snapshot()
-	if snap.Epoch != 1 || !reflect.DeepEqual(snap.Values, want) {
-		t.Fatalf("snapshot = %+v, want epoch 1 values %v", snap, want)
-	}
 }
 
 // TestShardedEpochMonotonicAndConsistent drives a seeded cross-shard
@@ -81,44 +77,50 @@ func TestShardedEpochMonotonicAndConsistent(t *testing.T) {
 	}
 	// Convergence: after quiescing, the aggregate is already exact and
 	// stays fixed for every later epoch (bounded by 1 epoch).
-	before := s.Snapshot().Values["x_global"]
+	before := s.Shard(0).Load("x_global")
 	s.Aggregate()
-	if after := s.Snapshot().Values["x_global"]; after != before {
-		t.Fatalf("aggregate moved after quiesce: %g -> %g", before, after)
+	for i := 0; i < shards; i++ {
+		if after := s.Shard(i).Load("x_global"); after != before {
+			t.Fatalf("shard %d: aggregate moved after quiesce: %g -> %g", i, before, after)
+		}
 	}
 }
 
 func TestShardedDeterminism(t *testing.T) {
-	run := func() []*EpochSnapshot {
+	// Every epoch's view on every shard: the epoch cell and both
+	// published aggregates.
+	run := func() [][]float64 {
 		s := NewSharded(4)
 		s.RegisterAggregate("a", AggSum)
 		s.RegisterAggregate("b", AggMax)
 		rng := rand.New(rand.NewSource(99))
-		var snaps []*EpochSnapshot
+		var views [][]float64
 		for e := 0; e < 10; e++ {
 			for i := 0; i < 4; i++ {
 				s.Shard(i).Save("a", float64(rng.Intn(1000)))
 				s.Shard(i).Save("b", float64(rng.Intn(1000)))
 			}
 			s.Aggregate()
-			snaps = append(snaps, s.Snapshot())
+			var view []float64
+			for i := 0; i < 4; i++ {
+				sh := s.Shard(i)
+				view = append(view, sh.Load(EpochKey), sh.Load("a_global"), sh.Load("b_global"))
+			}
+			views = append(views, view)
 		}
-		return snaps
+		return views
 	}
 	a, b := run(), run()
-	for i := range a {
-		if a[i].Epoch != b[i].Epoch || !reflect.DeepEqual(a[i].Values, b[i].Values) {
-			t.Fatalf("epoch %d diverged across identical seeded runs: %+v vs %+v", i+1, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("epochs diverged across identical seeded runs:\n%v\n%v", a, b)
 	}
 }
 
 // TestShardedConcurrentWriters hammers per-shard writers against the
-// aggregator under -race: shard writes are lock-free atomics and the
-// snapshot is an immutable swap, so nothing here may race even without
-// a pool barrier. (Consistency-under-concurrency is weaker than at a
-// barrier — this test only asserts memory safety and snapshot
-// immutability.)
+// aggregator under -race: shard writes and the broadcast are lock-free
+// atomics, so nothing here may race even without a pool barrier.
+// (Consistency-under-concurrency is weaker than at a barrier — this
+// test only asserts memory safety and epoch counting.)
 func TestShardedConcurrentWriters(t *testing.T) {
 	const shards = 4
 	s := NewSharded(shards)
@@ -142,16 +144,14 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			}
 		}(i)
 	}
-	for e := 0; e < 200; e++ {
-		s.Aggregate()
-		snap := s.Snapshot()
-		if snap.Epoch == 0 {
-			t.Error("snapshot epoch 0 after Aggregate")
+	for e := 1; e <= 200; e++ {
+		if got := s.Aggregate(); got != uint64(e) {
+			t.Fatalf("Aggregate = epoch %d, want %d", got, e)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if s.Epoch() != 200 {
-		t.Fatalf("epoch = %d, want 200", s.Epoch())
+	if got := s.Shard(0).Load(EpochKey); got != 200 {
+		t.Fatalf("epoch cell = %g, want 200", got)
 	}
 }

@@ -36,7 +36,6 @@ type WatchFunc func(name string, value float64)
 
 type cell struct {
 	bits atomic.Uint64 // float64 bits
-	seq  atomic.Uint64 // incremented on every Save; 0 = never written
 }
 
 // Store is a concurrent feature store. The zero value is not usable; use
@@ -49,9 +48,6 @@ type Store struct {
 	watchers atomic.Pointer[map[ID][]WatchFunc]
 	tsink    atomic.Pointer[telemetry.Sink]
 
-	objMu   sync.RWMutex
-	objects map[string]any
-
 	// watchRegs names each watcher by registration number, parallel to
 	// the watchers lists, so a cancel finds its own entry. Under mu;
 	// writers never read it, and it sits after the fields they do read.
@@ -63,7 +59,6 @@ type Store struct {
 func New() *Store {
 	s := &Store{
 		ids:       make(map[string]ID),
-		objects:   make(map[string]any),
 		watchRegs: make(map[ID][]uint64),
 	}
 	empty := make([]*cell, 0)
@@ -169,7 +164,6 @@ func (s *Store) SaveID(id ID, value float64) {
 	}
 	s.tsink.Load().StoreSave()
 	c.bits.Store(math.Float64bits(value))
-	c.seq.Add(1)
 	ws := *s.watchers.Load()
 	if fns, ok := ws[id]; ok {
 		name := s.Name(id)
@@ -185,15 +179,13 @@ func (s *Store) SaveID(id ID, value float64) {
 // a barrier-time broadcast would be the pool driver, not the shard that
 // owns the monitors; and an epoch broadcast is plane maintenance, not
 // guardrail traffic, so it must not inflate the SAVE counters the
-// monitors' own writes are audited against. The write sequence number
-// still advances (dependency-triggered monitors poll Seq).
+// monitors' own writes are audited against.
 func (s *Store) PublishID(id ID, value float64) {
 	c := s.cellAt(id)
 	if c == nil {
 		return
 	}
 	c.bits.Store(math.Float64bits(value))
-	c.seq.Add(1)
 }
 
 // LoadID returns the value in the cell for id, or 0 if out of range.
@@ -204,57 +196,6 @@ func (s *Store) LoadID(id ID) float64 {
 	}
 	s.tsink.Load().StoreLoad()
 	return math.Float64frombits(c.bits.Load())
-}
-
-// Add atomically adds delta to the value under name and returns the new
-// value. Interns the key if needed.
-func (s *Store) Add(name string, delta float64) float64 {
-	return s.AddID(s.Intern(name), delta)
-}
-
-// AddID atomically adds delta to the cell for id and returns the new
-// value. Out-of-range IDs return 0.
-func (s *Store) AddID(id ID, delta float64) float64 {
-	c := s.cellAt(id)
-	if c == nil {
-		return 0
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
-			c.seq.Add(1)
-			ws := *s.watchers.Load()
-			v := math.Float64frombits(next)
-			if fns, ok := ws[id]; ok {
-				name := s.Name(id)
-				for _, fn := range fns {
-					fn(name, v)
-				}
-			}
-			return v
-		}
-	}
-}
-
-// Seq returns the write sequence number for name: 0 if never written,
-// monotonically increasing afterwards. Used by dependency-triggered
-// monitors to detect relevant state changes (§6).
-func (s *Store) Seq(name string) uint64 {
-	id, ok := s.Lookup(name)
-	if !ok {
-		return 0
-	}
-	return s.SeqID(id)
-}
-
-// SeqID returns the write sequence number for id.
-func (s *Store) SeqID(id ID) uint64 {
-	c := s.cellAt(id)
-	if c == nil {
-		return 0
-	}
-	return c.seq.Load()
 }
 
 // Watch registers fn to run on every write to name and returns its
@@ -310,31 +251,6 @@ func (s *Store) Snapshot() map[string]float64 {
 		out[n] = s.LoadID(ID(i))
 	}
 	return out
-}
-
-// Keys returns all interned keys in sorted order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	out := append([]string(nil), s.names...)
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// PutObject stores an arbitrary named object (estimator, window,
-// histogram) alongside the scalar cells. Property implementations use
-// this to keep state that does not fit a float64.
-func (s *Store) PutObject(name string, obj any) {
-	s.objMu.Lock()
-	defer s.objMu.Unlock()
-	s.objects[name] = obj
-}
-
-// Object returns the object stored under name, or nil.
-func (s *Store) Object(name string) any {
-	s.objMu.RLock()
-	defer s.objMu.RUnlock()
-	return s.objects[name]
 }
 
 // Dump renders the scalar contents for debugging, one "key=value" per

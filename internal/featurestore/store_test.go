@@ -62,45 +62,6 @@ func TestIDFastPath(t *testing.T) {
 	if s.LoadID(ID(1000)) != 0 || s.LoadID(NoID) != 0 {
 		t.Error("out-of-range access should yield 0")
 	}
-	if s.AddID(ID(1000), 5) != 0 {
-		t.Error("out-of-range AddID should yield 0")
-	}
-}
-
-func TestAddAccumulates(t *testing.T) {
-	s := New()
-	if got := s.Add("ctr", 2); got != 2 {
-		t.Errorf("first Add = %v", got)
-	}
-	if got := s.Add("ctr", 3); got != 5 {
-		t.Errorf("second Add = %v", got)
-	}
-	if got := s.Load("ctr"); got != 5 {
-		t.Errorf("Load after Add = %v", got)
-	}
-}
-
-func TestSeqTracksWrites(t *testing.T) {
-	s := New()
-	if s.Seq("k") != 0 {
-		t.Error("unknown key seq should be 0")
-	}
-	id := s.Intern("k")
-	if s.SeqID(id) != 0 {
-		t.Error("never-written seq should be 0")
-	}
-	s.SaveID(id, 1)
-	s.SaveID(id, 2)
-	s.AddID(id, 1)
-	if got := s.SeqID(id); got != 3 {
-		t.Errorf("seq = %d, want 3", got)
-	}
-	if s.Seq("k") != 3 {
-		t.Error("Seq by name mismatch")
-	}
-	if s.SeqID(ID(50)) != 0 {
-		t.Error("out-of-range seq should be 0")
-	}
 }
 
 func TestWatchersFire(t *testing.T) {
@@ -116,9 +77,9 @@ func TestWatchersFire(t *testing.T) {
 	if calls != 1 || gotName != "ml_enabled" || gotVal != 0 {
 		t.Errorf("watcher: calls=%d name=%q val=%v", calls, gotName, gotVal)
 	}
-	s.Add("ml_enabled", 1)
+	s.SaveID(s.Intern("ml_enabled"), 1)
 	if calls != 2 || gotVal != 1 {
-		t.Errorf("watcher on Add: calls=%d val=%v", calls, gotVal)
+		t.Errorf("watcher on SaveID: calls=%d val=%v", calls, gotVal)
 	}
 	// Writes to other keys do not fire.
 	s.Save("other", 9)
@@ -160,25 +121,8 @@ func TestSnapshotAndKeys(t *testing.T) {
 	if len(snap) != 2 || snap["a"] != 1 || snap["b"] != 2 {
 		t.Errorf("snapshot = %v", snap)
 	}
-	keys := s.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Errorf("keys = %v", keys)
-	}
 	if s.Dump() != "a=1\nb=2\n" {
 		t.Errorf("dump = %q", s.Dump())
-	}
-}
-
-func TestObjects(t *testing.T) {
-	s := New()
-	if s.Object("w") != nil {
-		t.Error("missing object should be nil")
-	}
-	type thing struct{ x int }
-	s.PutObject("w", &thing{7})
-	got, ok := s.Object("w").(*thing)
-	if !ok || got.x != 7 {
-		t.Errorf("object round trip failed: %v", s.Object("w"))
 	}
 }
 
@@ -210,25 +154,6 @@ func TestConcurrentSaveLoadIntern(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddExact(t *testing.T) {
-	s := New()
-	id := s.Intern("ctr")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.AddID(id, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := s.LoadID(id); got != 8000 {
-		t.Errorf("concurrent Add total = %v, want 8000", got)
-	}
-}
-
 func TestPropertySaveLoadIdentity(t *testing.T) {
 	s := New()
 	f := func(key string, v float64) bool {
@@ -244,7 +169,7 @@ func TestPropertySaveLoadIdentity(t *testing.T) {
 }
 
 // TestConcurrentLoadDuringIntern is the cell-growth regression test:
-// readers hammer Save/Load/Seq on already-interned IDs while other
+// readers hammer Save/Load on already-interned IDs while other
 // goroutines keep growing the copy-on-write cells slice with fresh
 // registrations. The growth contract (Intern publishes the grown slice
 // before the new ID escapes; cell pointers are shared across slice
@@ -277,10 +202,6 @@ func TestConcurrentLoadDuringIntern(t *testing.T) {
 				s.SaveID(mine, n)
 				if got := s.LoadID(mine); got != n {
 					t.Errorf("LoadID(reader cell) = %v, want %v", got, n)
-					return
-				}
-				if s.SeqID(mine) == 0 {
-					t.Error("SeqID(reader cell) = 0 after writes")
 					return
 				}
 			}

@@ -1,8 +1,7 @@
 // Package kernel provides the simulated operating-system kernel the
 // guardrail monitors run inside: a deterministic discrete-event clock,
-// kprobe-style hook points (the paper's FUNCTION trigger sites), periodic
-// timers (the TIMER trigger), and a task registry with priorities (the
-// substrate for the DEPRIORITIZE action).
+// kprobe-style hook points (the paper's FUNCTION trigger sites) and
+// periodic timers (the TIMER trigger).
 //
 // Real deployments would compile guardrails to eBPF programs attached to
 // kernel functions; here subsystem simulators call Fire at their
@@ -18,7 +17,7 @@
 // tests load and unload monitors while the clock advances.
 //
 // For multi-core execution a Pool runs N Kernel shards — each with its
-// own clock, event heap, hook table, and task registry — concurrently
+// own clock, event heap, and hook table — concurrently
 // between deterministic barrier points (see pool.go), the simulated
 // analogue of per-CPU eBPF program instances and per-CPU maps.
 package kernel
@@ -26,7 +25,6 @@ package kernel
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,18 +160,11 @@ type Kernel struct {
 	// the rollout control plane on fleet-wide promotion. Generation 1 is
 	// the boot deployment.
 	generation atomic.Uint64
-
-	tasksMu sync.Mutex
-	tasks   map[TaskID]*Task
-	nextTID TaskID
 }
 
 // New returns a kernel at time zero, on deployment generation 1.
 func New() *Kernel {
-	k := &Kernel{
-		tasks:   make(map[TaskID]*Task),
-		nextTID: 1,
-	}
+	k := &Kernel{}
 	empty := make(map[string]*hookSite)
 	k.sites.Store(&empty)
 	k.generation.Store(1)
@@ -302,13 +293,6 @@ func (k *Kernel) Run() int {
 		n++
 	}
 	return n
-}
-
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int {
-	k.qmu.Lock()
-	defer k.qmu.Unlock()
-	return k.queue.Len()
 }
 
 // siteFor returns the dispatch state for site, creating it (under hmu,
@@ -451,15 +435,4 @@ func (k *Kernel) FireCount(site string) uint64 {
 		return 0
 	}
 	return hs.fires.Load()
-}
-
-// Sites returns all sites that have hooks attached or have fired, sorted.
-func (k *Kernel) Sites() []string {
-	m := *k.sites.Load()
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -77,9 +77,6 @@ func TestRunUntil(t *testing.T) {
 	if k.Now() != 25 {
 		t.Errorf("clock = %v, want 25", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Errorf("pending = %d", k.Pending())
-	}
 	// Event exactly at the deadline must NOT run (deadline exclusive).
 	k.At(40, func() { count++ })
 	k.RunUntil(30)
@@ -175,10 +172,6 @@ func TestFireUnattachedSite(t *testing.T) {
 	if k.FireCount("lonely") != 1 {
 		t.Error("fire count not recorded")
 	}
-	sites := k.Sites()
-	if len(sites) != 1 || sites[0] != "lonely" {
-		t.Errorf("sites = %v", sites)
-	}
 }
 
 func TestTimeString(t *testing.T) {
@@ -195,72 +188,5 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.t), got, c.want)
 		}
-	}
-}
-
-func TestTaskLifecycle(t *testing.T) {
-	k := New()
-	a, err := k.CreateTask("web", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := k.CreateTask("batch", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ID == b.ID {
-		t.Fatal("duplicate task IDs")
-	}
-	if got := k.Task(a.ID); got != a {
-		t.Error("Task lookup failed")
-	}
-	if k.Task(TaskID(999)) != nil {
-		t.Error("unknown task should be nil")
-	}
-	tasks := k.Tasks()
-	if len(tasks) != 2 || tasks[0].ID > tasks[1].ID {
-		t.Errorf("Tasks() = %v", tasks)
-	}
-	if err := k.SetPriority(b.ID, 19); err != nil {
-		t.Fatal(err)
-	}
-	if b.Priority != 19 {
-		t.Error("priority not applied")
-	}
-	if err := k.SetPriority(b.ID, 99); err == nil {
-		t.Error("out-of-range priority should error")
-	}
-	if err := k.SetPriority(TaskID(999), 0); err == nil {
-		t.Error("unknown task should error")
-	}
-	b.MemoryBytes = 4096
-	if err := k.KillTask(b.ID); err != nil {
-		t.Fatal(err)
-	}
-	if b.State != TaskKilled || b.MemoryBytes != 0 {
-		t.Error("kill did not release resources")
-	}
-	if err := k.SetPriority(b.ID, 0); err == nil {
-		t.Error("setting priority on killed task should error")
-	}
-	if err := k.KillTask(TaskID(999)); err == nil {
-		t.Error("killing unknown task should error")
-	}
-}
-
-func TestCreateTaskValidation(t *testing.T) {
-	k := New()
-	if _, err := k.CreateTask("bad", -21); err == nil {
-		t.Error("priority below min should error")
-	}
-	if _, err := k.CreateTask("bad", 20); err == nil {
-		t.Error("priority above max should error")
-	}
-}
-
-func TestTaskStateString(t *testing.T) {
-	if TaskReady.String() != "ready" || TaskRunning.String() != "running" ||
-		TaskBlocked.String() != "blocked" || TaskKilled.String() != "killed" {
-		t.Error("state names wrong")
 	}
 }

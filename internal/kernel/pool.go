@@ -11,8 +11,8 @@ import (
 const DefaultQuantum = Millisecond
 
 // Pool is a sharded multi-core kernel: N independent Kernel shards,
-// each with its own clock, event heap, hook table, and task registry,
-// advanced in lockstep epochs by a cross-shard barrier.
+// each with its own clock, event heap, and hook table, advanced in
+// lockstep epochs by a cross-shard barrier.
 //
 // Between barriers every shard runs its own event loop on its own
 // goroutine, touching only shard-local state (its kernel, its feature
@@ -20,8 +20,8 @@ const DefaultQuantum = Millisecond
 // analogue of per-CPU eBPF program instances over per-CPU maps. At each
 // barrier all shards are parked at the same simulated instant and the
 // registered barrier callbacks run on the driver goroutine: epoch-based
-// feature aggregation, rollout phase supervision, breakglass, and any
-// other operation that needs a deterministic global time.
+// feature aggregation, and any other operation that needs a
+// deterministic global time.
 //
 // Determinism: each shard's event order is fully determined by its own
 // heap (time, then schedule order), and cross-shard effects happen only
@@ -36,8 +36,7 @@ type Pool struct {
 	epoch atomicEpoch
 
 	mu       sync.Mutex
-	barriers []func(now Time, epoch uint64) // recurring, in registration order
-	once     []func(now Time)               // one-shot, drained at the next barrier
+	barriers []func(now Time, epoch uint64) // in registration order
 }
 
 // atomicTime / atomicEpoch are tiny named wrappers so the Pool's fields
@@ -64,27 +63,8 @@ func NewPool(n int, quantum Time) *Pool {
 	return p
 }
 
-// NumShards returns the shard count.
-func (p *Pool) NumShards() int { return len(p.shards) }
-
 // Shard returns shard i's kernel.
 func (p *Pool) Shard(i int) *Kernel { return p.shards[i] }
-
-// Shards returns the shard kernels in index order. The slice is the
-// pool's own; callers must not mutate it.
-func (p *Pool) Shards() []*Kernel { return p.shards }
-
-// Quantum returns the barrier interval.
-func (p *Pool) Quantum() Time { return p.quantum }
-
-// Now returns the pool's global time: the simulated instant of the most
-// recent barrier. Between barriers individual shards may be ahead of
-// it (never behind); at a barrier every shard clock equals it.
-func (p *Pool) Now() Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Time(p.now.v)
-}
 
 // Epoch returns how many barriers have completed.
 func (p *Pool) Epoch() uint64 {
@@ -97,22 +77,11 @@ func (p *Pool) Epoch() uint64 {
 // parked at the barrier time. Callbacks run on the driver goroutine in
 // registration order; they may touch any shard's state (no shard events
 // execute concurrently with them). The feature store's epoch aggregator
-// and the fleet rollout supervisor register here.
+// registers here.
 func (p *Pool) OnBarrier(fn func(now Time, epoch uint64)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.barriers = append(p.barriers, fn)
-}
-
-// AtBarrier schedules fn to run exactly once at the next barrier —
-// the deterministic point for global-time operations (deployment
-// admission, breakglass engagement) requested while shards run.
-// One-shots run after the recurring barrier callbacks, in the order
-// they were scheduled.
-func (p *Pool) AtBarrier(fn func(now Time)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.once = append(p.once, fn)
 }
 
 // RunUntil advances every shard to deadline, epoch by epoch: each epoch
@@ -161,29 +130,8 @@ func (p *Pool) barrier(now Time) {
 	p.epoch.v++
 	epoch := p.epoch.v
 	recurring := p.barriers
-	oneShots := p.once
-	p.once = nil
 	p.mu.Unlock()
 	for _, fn := range recurring {
 		fn(now, epoch)
-	}
-	for _, fn := range oneShots {
-		fn(now)
-	}
-}
-
-// Pending sums the queued events across shards.
-func (p *Pool) Pending() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += sh.Pending()
-	}
-	return n
-}
-
-// SetGeneration records a fleet-wide promotion on every shard.
-func (p *Pool) SetGeneration(g uint64) {
-	for _, sh := range p.shards {
-		sh.SetGeneration(g)
 	}
 }

@@ -71,20 +71,16 @@ func TestPoolBarrier(t *testing.T) {
 	p := NewPool(3, 500*Microsecond)
 	var seq []string
 	p.OnBarrier(func(now Time, epoch uint64) {
-		for i, sh := range p.Shards() {
-			if sh.Now() != now {
+		for i := 0; i < 3; i++ {
+			if sh := p.Shard(i); sh.Now() != now {
 				t.Errorf("epoch %d: shard %d clock %v, barrier at %v", epoch, i, sh.Now(), now)
 			}
 		}
 		seq = append(seq, fmt.Sprintf("recur@%d/e%d", now, epoch))
 	})
-	p.AtBarrier(func(now Time) {
-		seq = append(seq, fmt.Sprintf("once@%d", now))
-	})
 	p.RunUntil(2 * Millisecond)
 	want := []string{
-		"recur@500000/e1", "once@500000",
-		"recur@1000000/e2", "recur@1500000/e3", "recur@2000000/e4",
+		"recur@500000/e1", "recur@1000000/e2", "recur@1500000/e3", "recur@2000000/e4",
 	}
 	if !reflect.DeepEqual(seq, want) {
 		t.Fatalf("barrier sequence:\ngot  %v\nwant %v", seq, want)
@@ -92,8 +88,8 @@ func TestPoolBarrier(t *testing.T) {
 	if p.Epoch() != 4 {
 		t.Fatalf("epoch = %d, want 4", p.Epoch())
 	}
-	if p.Now() != 2*Millisecond {
-		t.Fatalf("pool now = %v, want 2ms", p.Now())
+	if got := p.Shard(2).Now(); got != 2*Millisecond {
+		t.Fatalf("shard clock = %v, want 2ms", got)
 	}
 }
 

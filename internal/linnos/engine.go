@@ -97,13 +97,6 @@ func (r Route) String() string {
 // EngineStats aggregates engine activity.
 type EngineStats struct {
 	Reads        uint64
-	Writes       uint64
-	MLRouted     uint64 // reads decided by the model
-	Failovers    uint64 // predicted-slow immediate failovers
-	Hedged       uint64 // baseline timeout failovers
-	FalseSubmits uint64 // predicted fast, actually slow
-	SlowReads    uint64 // reads above SlowThreshold (as served)
-	Inferences   uint64
 	TotalLatency kernel.Time
 }
 
@@ -174,7 +167,6 @@ func (e *Engine) MLEnabled() bool {
 
 // Write mirrors a write to all replicas.
 func (e *Engine) Write(now kernel.Time, lba uint64) kernel.Time {
-	e.stats.Writes++
 	return e.arr.Write(now, lba)
 }
 
@@ -192,9 +184,6 @@ func (e *Engine) Read(now kernel.Time, lba uint64) (kernel.Time, Route) {
 
 	e.stats.Reads++
 	e.stats.TotalLatency += lat
-	if lat > e.cfg.SlowThreshold {
-		e.stats.SlowReads++
-	}
 	e.maWindow.Add(float64(lat) / float64(kernel.Microsecond))
 	e.store.SaveID(e.maID, e.maWindow.Mean())
 	e.k.Fire(HookIOComplete, float64(lat)/float64(kernel.Microsecond))
@@ -219,21 +208,17 @@ func (e *Engine) predictSlow(d *storage.Device, now kernel.Time) bool {
 func (e *Engine) readML(now kernel.Time, lba uint64) (kernel.Time, Route) {
 	primary := e.arr.Primary()
 	replica := e.arr.Secondary()
-	e.stats.Inferences++
-	e.stats.MLRouted++
 	cost := e.cfg.InferenceCost
 
 	target, route := primary, RoutePrimary
 	predictedFast := true
 	if e.predictSlow(primary, now) {
-		e.stats.Inferences++
 		cost += e.cfg.InferenceCost
 		if e.predictSlow(replica, now) {
 			// Both predicted slow: stay on the primary (re-issuing buys
 			// nothing) and accept the wait, exactly like LinnOS.
 			predictedFast = false
 		} else {
-			e.stats.Failovers++
 			target, route = replica, RouteFailover
 		}
 	}
@@ -245,18 +230,13 @@ func (e *Engine) readML(now kernel.Time, lba uint64) (kernel.Time, Route) {
 		if target == replica {
 			other = primary
 		}
-		e.stats.Hedged++
 		lat = cost + e.cfg.MLSafetyTimeout + other.Submit(now+cost+e.cfg.MLSafetyTimeout, lba, false)
 	}
 	// A false submit is a read the model waved through as fast that
 	// turned out slow; predicted-slow reads are not counted (the model
 	// called them correctly or pessimistically, not unsafely).
 	if predictedFast {
-		falseSubmit := lat > e.cfg.SlowThreshold
-		if falseSubmit {
-			e.stats.FalseSubmits++
-		}
-		e.fsWindow.Add(falseSubmit)
+		e.fsWindow.Add(lat > e.cfg.SlowThreshold)
 		e.store.SaveID(e.falseRateID, e.fsWindow.Rate())
 	}
 	return lat, route
@@ -273,7 +253,6 @@ func (e *Engine) readBaseline(now kernel.Time, lba uint64) (kernel.Time, Route) 
 	if lat <= e.cfg.RevokeTimeout {
 		return lat, RoutePrimary
 	}
-	e.stats.Hedged++
 	replicaLat := e.arr.Secondary().Submit(now+e.cfg.RevokeTimeout, lba, false)
 	return e.cfg.RevokeTimeout + replicaLat, RouteHedged
 }

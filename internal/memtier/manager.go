@@ -22,11 +22,7 @@ const (
 // ManagerStats aggregates manager activity.
 type ManagerStats struct {
 	Accesses         uint64
-	DRAMHits         uint64
-	NVMHits          uint64
 	IllegalDecisions uint64
-	Promotions       uint64
-	Demotions        uint64
 	TotalLatency     kernel.Time
 }
 
@@ -128,9 +124,7 @@ func (m *Manager) Access(page uint64) kernel.Time {
 
 	m.stats.TotalLatency += lat
 	if s.Tier == TierDRAM {
-		m.stats.DRAMHits++
 	} else {
-		m.stats.NVMHits++
 	}
 	// EWMA-style published latency (ns).
 	const alpha = 0.02
@@ -152,20 +146,17 @@ func (m *Manager) applyPlacement(s *PageStats, want int) {
 			if victim := m.coldestDRAM(); victim != nil {
 				victim.Tier = TierNVM
 				m.dramCount--
-				m.stats.Demotions++
 			} else {
 				return // nothing to demote; keep page where it is
 			}
 		}
 		s.Tier = TierDRAM
 		m.dramCount++
-		m.stats.Promotions++
 		return
 	}
 	// Demotion to NVM.
 	s.Tier = TierNVM
 	m.dramCount--
-	m.stats.Demotions++
 }
 
 func (m *Manager) coldestDRAM() *PageStats {

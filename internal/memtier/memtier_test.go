@@ -49,9 +49,6 @@ func TestFrequencyPolicyPromotesHotPages(t *testing.T) {
 	if used != 1 || capacity != 8 {
 		t.Errorf("usage = %d/%d", used, capacity)
 	}
-	if m.Stats().Promotions != 1 {
-		t.Errorf("promotions = %d", m.Stats().Promotions)
-	}
 }
 
 func TestDRAMCapacityDemotesColdest(t *testing.T) {
@@ -70,9 +67,6 @@ func TestDRAMCapacityDemotesColdest(t *testing.T) {
 	// Page 1 is the coldest (accessed earliest); it was demoted.
 	if m.pages[1].Tier != TierNVM {
 		t.Error("coldest page not demoted")
-	}
-	if m.Stats().Demotions == 0 {
-		t.Error("no demotion recorded")
 	}
 }
 

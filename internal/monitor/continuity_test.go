@@ -11,8 +11,8 @@ import (
 
 // TestUpdateTelemetryContinuity is the regression gate for hot updates:
 // counters must neither reset nor orphan across generations. Stats()
-// carries the cumulative totals forward, GenerationStats() isolates the
-// new generation, Generation() increments monotonically, and the
+// carries the cumulative totals forward, Generation() increments
+// monotonically, and the
 // per-monitor telemetry lane (keyed by the guardrail name, not a
 // versioned alias) keeps accumulating in the same histogram.
 func TestUpdateTelemetryContinuity(t *testing.T) {
@@ -35,7 +35,7 @@ func TestUpdateTelemetryContinuity(t *testing.T) {
 	lane1 := sink.EvalHist("low-false-submit").Summary().Count
 
 	// Generation 2: tightened threshold, same name.
-	m2, err := rt.UpdateSource(strings.Replace(listing2, "0.05", "0.02", 1), Options{})
+	m2, err := updateSource(rt, strings.Replace(listing2, "0.05", "0.02", 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +45,15 @@ func TestUpdateTelemetryContinuity(t *testing.T) {
 	k.RunUntil(7500 * kernel.Millisecond)
 
 	s2 := m2.Stats()
-	g2 := m2.GenerationStats()
 	if s2.Evals <= s1.Evals {
 		t.Errorf("cumulative evals did not carry: gen1=%d gen2 total=%d", s1.Evals, s2.Evals)
 	}
 	if s2.Violations < s1.Violations {
 		t.Errorf("cumulative violations went backwards: gen1=%d gen2 total=%d", s1.Violations, s2.Violations)
 	}
-	if g2.Evals == 0 {
-		t.Error("generation 2 isolated stats saw no traffic")
-	}
-	if g2.Evals+s1.Evals != s2.Evals {
-		t.Errorf("per-generation evals do not sum: %d + %d != %d", g2.Evals, s1.Evals, s2.Evals)
-	}
 
 	// Generation 3: another update; the chain keeps accumulating.
-	m3, err := rt.UpdateSource(listing2, Options{})
+	m3, err := updateSource(rt, listing2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +144,7 @@ guardrail low-false-submit {
 
 	attach(b)
 	fire(70)
-	m2, err := rt.UpdateSource(strings.Replace(src, "0.05", "0.02", 1), Options{})
+	m2, err := updateSource(rt, strings.Replace(src, "0.05", "0.02", 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"guardrails/internal/compile"
 	"guardrails/internal/kernel"
-	"guardrails/internal/spec"
 	"guardrails/internal/telemetry"
 )
 
@@ -35,20 +34,13 @@ guardrail watch-b {
     action: { REPORT(LOAD(lat_p99)) }
 }`
 
-func compileAll(t *testing.T, src string) ([]*compile.Compiled, []*spec.FeatureDecl) {
+func compileAll(t *testing.T, src string) []*compile.Compiled {
 	t.Helper()
-	f, err := spec.Parse(src)
+	cs, err := compile.Source(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.Check(f); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := compile.File(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs, f.Features
+	return cs
 }
 
 // TestDuplicateLoadIsCoded: loading the same spec twice into one
@@ -80,13 +72,11 @@ func TestDuplicateLoadIsCoded(t *testing.T) {
 	}
 }
 
-// TestLoadDeploymentEnforceRefusesConflicts: the default policy refuses
-// a conflicting deployment atomically — nothing loaded, the error
-// carries the report.
+// TestLoadDeploymentEnforceRefusesConflicts: a conflicting deployment
+// is refused atomically — nothing loaded, the error carries the report.
 func TestLoadDeploymentEnforceRefusesConflicts(t *testing.T) {
 	rt, _, _ := newRT()
-	cs, feats := compileAll(t, conflictingPair)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Features: feats})
+	res, err := rt.LoadDeployment(compileAll(t, conflictingPair), DeployConfig{})
 	var derr *DeployError
 	if !errors.As(err, &derr) {
 		t.Fatalf("got %v, want *DeployError", err)
@@ -97,8 +87,8 @@ func TestLoadDeploymentEnforceRefusesConflicts(t *testing.T) {
 	if len(res.Monitors) != 0 || len(rt.Monitors()) != 0 {
 		t.Error("refused deployment still loaded monitors")
 	}
-	if res.Report == nil || res.Report.Clean() {
-		t.Error("result must carry the dirty report")
+	if derr.Report == nil || derr.Report.Clean() {
+		t.Error("refusal must carry the dirty report")
 	}
 }
 
@@ -108,8 +98,7 @@ func TestLoadDeploymentEnforceAdmitsClean(t *testing.T) {
 	rt, k, _ := newRT()
 	sink := telemetry.New(nil, 16)
 	k.SetTelemetry(sink)
-	cs, feats := compileAll(t, cleanPair)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Features: feats, HookBudget: 64})
+	res, err := rt.LoadDeployment(compileAll(t, cleanPair), DeployConfig{})
 	if err != nil {
 		t.Fatalf("clean deployment refused: %v", err)
 	}
@@ -118,196 +107,5 @@ func TestLoadDeploymentEnforceAdmitsClean(t *testing.T) {
 	}
 	if got := sink.Counters.DeployAdmitted.Value(); got != 1 {
 		t.Errorf("deployment_admitted_total = %d, want 1", got)
-	}
-}
-
-// TestLoadDeploymentWarnQuarantines: under DeployWarn a conflicting
-// pair loads in shadow mode — rules evaluate, actions are suppressed —
-// so the conflict cannot reach the feature store.
-func TestLoadDeploymentWarnQuarantines(t *testing.T) {
-	rt, k, st := newRT()
-	st.Save("ml_enabled", 1)
-	st.Save("err_rate", 0.5) // ml-off's rule is violated
-	st.Save("lat_p99", 1e9)  // ml-on's rule is violated
-	cs, feats := compileAll(t, conflictingPair)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Policy: DeployWarn, Features: feats})
-	if err != nil {
-		t.Fatalf("DeployWarn refused: %v", err)
-	}
-	if len(res.Monitors) != 2 || len(res.Shadowed) != 2 {
-		t.Fatalf("monitors=%d shadowed=%v, want both loaded and shadowed", len(res.Monitors), res.Shadowed)
-	}
-	k.Fire("io_submit")
-	k.RunUntil(100 * kernel.Millisecond)
-	for _, m := range res.Monitors {
-		if m.Stats().Evals == 0 {
-			t.Errorf("shadowed monitor %s did not evaluate", m.Name())
-		}
-	}
-	if got := st.Load("ml_enabled"); got != 1 {
-		t.Errorf("quarantined deployment wrote ml_enabled = %v; conflicting SAVEs must be suppressed", got)
-	}
-}
-
-// TestLoadDeploymentWarnDisablesOverBudget: a hook site over its step
-// budget loads its monitors disabled under DeployWarn.
-func TestLoadDeploymentWarnDisablesOverBudget(t *testing.T) {
-	rt, k, st := newRT()
-	st.Save("err_rate", 0.5)
-	cs, feats := compileAll(t, `
-guardrail watch-a {
-    trigger: { FUNCTION(io_submit) },
-    rule: { LOAD(err_rate) <= 0.01 },
-    action: { REPORT(LOAD(err_rate)) }
-}
-guardrail watch-b {
-    trigger: { FUNCTION(io_submit) },
-    rule: { LOAD(err_rate) >= 0 },
-    action: { REPORT(LOAD(err_rate)) }
-}`)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Policy: DeployWarn, Features: feats, HookBudget: 4})
-	if err != nil {
-		t.Fatalf("DeployWarn refused: %v", err)
-	}
-	if len(res.Disabled) != 2 {
-		t.Fatalf("Disabled = %v, want both monitors", res.Disabled)
-	}
-	k.Fire("io_submit")
-	k.RunUntil(100 * kernel.Millisecond)
-	for _, m := range res.Monitors {
-		if m.Stats().Evals != 0 {
-			t.Errorf("disabled monitor %s evaluated on the over-budget hook", m.Name())
-		}
-	}
-}
-
-// TestLoadDeploymentWarnSkipsDuplicates: duplicate names load once.
-func TestLoadDeploymentWarnSkipsDuplicates(t *testing.T) {
-	rt, _, _ := newRT()
-	a, _ := compileAll(t, testDupSolo)
-	b, _ := compileAll(t, testDupSolo)
-	res, err := rt.LoadDeployment(append(a, b...), DeployConfig{Policy: DeployWarn})
-	if err != nil {
-		t.Fatalf("DeployWarn refused: %v", err)
-	}
-	if len(res.Monitors) != 1 || len(res.Skipped) != 1 {
-		t.Errorf("monitors=%d skipped=%v, want 1 loaded + 1 skipped", len(res.Monitors), res.Skipped)
-	}
-}
-
-const testDupSolo = `
-guardrail solo {
-    trigger: { TIMER(start_time, 1e9) },
-    rule: { LOAD(x) <= 1 },
-    action: { REPORT(LOAD(x)) }
-}`
-
-// oscillatingPair flips the mode key between 0 and 1 forever; the
-// declared property says it must stay 0.
-const oscillatingPair = `
-assert always LOAD(mode) <= 0
-
-guardrail osc-up {
-    trigger: { TIMER(0, 1000) },
-    rule: { LOAD(mode) >= 1 },
-    action: { SAVE(mode, 1) }
-}
-guardrail osc-down {
-    trigger: { TIMER(500, 1000) },
-    rule: { LOAD(mode) < 1 },
-    action: { SAVE(mode, 0) }
-}`
-
-// compileWithProps is compileAll plus the file's assert property
-// blocks.
-func compileWithProps(t *testing.T, src string) ([]*compile.Compiled, []*spec.FeatureDecl, []*spec.PropertyDecl) {
-	t.Helper()
-	f, err := spec.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spec.Check(f); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := compile.File(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs, f.Features, f.Properties
-}
-
-// TestLoadDeploymentEnforceRefusesBrokenProperty: a deployment whose
-// declared temporal property the model checker refutes is refused
-// atomically under the default policy — GM001 cited, nothing loaded.
-func TestLoadDeploymentEnforceRefusesBrokenProperty(t *testing.T) {
-	rt, _, _ := newRT()
-	cs, feats, props := compileWithProps(t, oscillatingPair)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Features: feats, Properties: props})
-	var derr *DeployError
-	if !errors.As(err, &derr) {
-		t.Fatalf("got %v, want *DeployError", err)
-	}
-	if derr.Temporal == nil {
-		t.Fatal("refusal does not carry the temporal report")
-	}
-	if !strings.Contains(err.Error(), "GM001") {
-		t.Errorf("refusal does not cite GM001: %s", err)
-	}
-	if len(res.Monitors) != 0 || len(rt.Monitors()) != 0 {
-		t.Error("refused deployment still loaded monitors")
-	}
-	if res.Temporal == nil || res.Temporal.Clean() {
-		t.Error("result must carry the refuting temporal report")
-	}
-}
-
-// TestLoadDeploymentWarnShadowsPropertyBreakers: under DeployWarn the
-// monitors implicated in the refuted property load in shadow mode.
-func TestLoadDeploymentWarnShadowsPropertyBreakers(t *testing.T) {
-	rt, k, st := newRT()
-	cs, feats, props := compileWithProps(t, oscillatingPair)
-	res, err := rt.LoadDeployment(cs, DeployConfig{
-		Policy: DeployWarn, Features: feats, Properties: props,
-	})
-	if err != nil {
-		t.Fatalf("DeployWarn refused: %v", err)
-	}
-	if len(res.Monitors) != 2 {
-		t.Fatalf("loaded %d monitors, want 2", len(res.Monitors))
-	}
-	if len(res.Shadowed) != 2 {
-		t.Fatalf("shadowed = %v, want both oscillators", res.Shadowed)
-	}
-	// Shadowed oscillators evaluate but cannot SAVE: mode never flips.
-	k.RunUntil(3 * kernel.Second)
-	if got := st.Load("mode"); got != 0 {
-		t.Errorf("mode = %v; shadowed oscillator wrote the store", got)
-	}
-	for _, m := range res.Monitors {
-		if m.Stats().Evals == 0 {
-			t.Errorf("shadowed monitor %s did not evaluate", m.Name())
-		}
-	}
-}
-
-// TestLoadDeploymentProvedPropertyAdmits: a deployment that satisfies
-// its declared property loads normally and the result carries the
-// proof.
-func TestLoadDeploymentProvedPropertyAdmits(t *testing.T) {
-	rt, _, _ := newRT()
-	cs, feats, props := compileWithProps(t, `
-assert always LOAD(mode) <= 1
-
-guardrail mode-set {
-    trigger: { TIMER(0, 1000) },
-    rule: { LOAD(mode) >= 1 },
-    action: { SAVE(mode, 1) }
-}`)
-	res, err := rt.LoadDeployment(cs, DeployConfig{Features: feats, Properties: props})
-	if err != nil {
-		t.Fatalf("proved deployment refused: %v", err)
-	}
-	if res.Temporal == nil || !res.Temporal.Clean() {
-		t.Error("result does not carry the clean temporal report")
 	}
 }

@@ -15,8 +15,7 @@ import (
 // down with it — and must not fail silently either. The runtime
 // degrades each monitor down an explicit ladder:
 //
-//	StateActive ──over budget──▶ StateShadow ──window reset──▶ StateActive
-//	StateActive ──breaker trip─▶ StateQuarantined ──cooldown/Rearm──▶ StateActive
+//	StateActive ──breaker trip─▶ StateQuarantined ──cooldown──▶ StateActive
 //
 // Every step down the ladder is reported; what a quarantined guardrail
 // stops doing is governed by its FaultPolicy.
@@ -27,12 +26,8 @@ type State int
 const (
 	// StateActive: evaluating normally, actions enabled.
 	StateActive State = iota
-	// StateShadow: over its overhead budget — still evaluating and
-	// counting violations, but actions are suppressed until the next
-	// budget window ("degrade before disable").
-	StateShadow
 	// StateQuarantined: the circuit breaker tripped — evaluation is
-	// suspended until the cooldown elapses or Rearm is called.
+	// suspended until the cooldown elapses.
 	StateQuarantined
 )
 
@@ -41,8 +36,6 @@ func (s State) String() string {
 	switch s {
 	case StateActive:
 		return "active"
-	case StateShadow:
-		return "shadow"
 	case StateQuarantined:
 		return "quarantined"
 	default:
@@ -97,17 +90,6 @@ type FaultInjector interface {
 	// action (e.g. "RETRAIN(linnos)") before its backend runs.
 	ActionFault(guardrail, action string) error
 }
-
-// State returns the monitor's position on the degradation ladder.
-func (m *Monitor) State() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
-
-// Rearm manually returns a quarantined monitor to active duty,
-// regardless of any cooldown. It is a no-op unless quarantined.
-func (m *Monitor) Rearm() { m.rearm("manual") }
 
 // recordFault counts a monitor fault, surfaces it in the report log
 // with a structured note ("monitor fault [<kind>]: ..."), and feeds the
@@ -217,49 +199,6 @@ func (m *Monitor) rearm(how string) {
 	}
 }
 
-// accountBudget charges an evaluation's VM steps against the monitor's
-// per-window overhead budget (property P5 turned from accounting into
-// enforcement). Over budget demotes to shadow mode; the demotion is
-// undone when a fresh window begins. opts is immutable after Load, so a
-// monitor with no budget returns without taking the lock.
-func (m *Monitor) accountBudget(steps uint64, now kernel.Time) {
-	if m.opts.StepBudget == 0 {
-		return
-	}
-	m.mu.Lock()
-	epoch := int64(now / m.opts.BudgetWindow)
-	if epoch != m.budgetEpoch {
-		m.budgetEpoch = epoch
-		m.windowSteps = 0
-		if m.state == StateShadow {
-			m.state = StateActive
-			m.stats.ShadowPromotions++
-			m.mu.Unlock()
-			m.rt.Telemetry().Transition(int64(now), m.Name(), telemetry.KindShadowExit, "budget window reset")
-			m.rt.Log.Append(actions.Violation{
-				Time: now, Guardrail: m.Name(),
-				Note: "budget window reset: promoted from shadow mode",
-			})
-			m.mu.Lock()
-		}
-	}
-	m.windowSteps += steps
-	if m.state == StateActive && m.windowSteps > m.opts.StepBudget {
-		m.state = StateShadow
-		m.stats.ShadowDemotions++
-		used := m.windowSteps
-		m.mu.Unlock()
-		m.rt.Telemetry().Transition(int64(now), m.Name(), telemetry.KindShadowEnter, "over budget")
-		m.rt.Log.Append(actions.Violation{
-			Time: now, Guardrail: m.Name(),
-			Note: fmt.Sprintf("over budget (%d VM steps > %d per %s): degraded to shadow mode",
-				used, m.opts.StepBudget, m.opts.BudgetWindow),
-		})
-		return
-	}
-	m.mu.Unlock()
-}
-
 // runAction executes one dispatched action with injection, retry, and
 // dead-letter semantics. attempt is zero-based; failures retry with
 // exponential backoff (RetryBase << attempt) until RetryMax retries
@@ -304,12 +243,7 @@ func (m *Monitor) runAction(name string, exec func() error, attempt int, trig ke
 		m.stats.DeadLetters++
 		m.mu.Unlock()
 		sink.DeadLetter(int64(now), m.Name(), name)
-		if m.rt.DeadLetter != nil {
-			m.rt.DeadLetter.Add(actions.FailedAction{
-				Time: now, Guardrail: m.Name(), Action: name,
-				Attempts: attempt + 1, Err: err.Error(),
-			})
-		}
+		m.rt.DeadLetter.Add()
 		return
 	}
 	m.provAction(name, "retry", attempt)

@@ -50,6 +50,13 @@ func (i *testInjector) ActionFault(g, action string) error {
 	return i.actionFault(g, action)
 }
 
+// stateOf reads the monitor's position on the degradation ladder.
+func stateOf(m *Monitor) State {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.state
+}
+
 func logNotes(rt *Runtime) []string {
 	var notes []string
 	for _, v := range rt.Log.Recent(10000) {
@@ -97,7 +104,7 @@ func TestBreakerQuarantinesAndRearms(t *testing.T) {
 		},
 	})
 	k.RunUntil(2500 * kernel.Millisecond)
-	if got := m.State(); got != StateQuarantined {
+	if got := stateOf(m); got != StateQuarantined {
 		t.Fatalf("state after 3 faults = %v, want quarantined", got)
 	}
 	s := m.Stats()
@@ -114,7 +121,7 @@ func TestBreakerQuarantinesAndRearms(t *testing.T) {
 
 	// Cooldown expires 2s after the trip (t≈4s): evaluation resumes.
 	k.RunUntil(6500 * kernel.Millisecond)
-	if got := m.State(); got != StateActive {
+	if got := stateOf(m); got != StateActive {
 		t.Fatalf("state after cooldown = %v, want active", got)
 	}
 	s = m.Stats()
@@ -163,53 +170,6 @@ func TestFailClosedFallbackAndRestore(t *testing.T) {
 	k.RunUntil(3 * kernel.Second) // cooldown rearm at ~2s
 	if st.Load("ml_enabled") != 1 {
 		t.Fatal("rearm did not run the restore")
-	}
-}
-
-// Going over the per-window step budget demotes the monitor to shadow
-// mode: violations are still observed but actions no longer fire, until
-// the next budget window.
-func TestBudgetDemotesToShadow(t *testing.T) {
-	rt, k, st := newRT()
-	st.Save("false_submit_rate", 0.5) // always violated
-	st.Save("ml_enabled", 1)
-	ms, err := rt.LoadSource(listing2, Options{
-		StepBudget:   1, // any evaluation exceeds this
-		BudgetWindow: 10 * kernel.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ms[0]
-
-	k.RunUntil(500 * kernel.Millisecond) // t=0: active eval, fires SAVE, then demotes
-	if st.Load("ml_enabled") != 0 {
-		t.Fatal("first (active) evaluation should have fired the SAVE")
-	}
-	if got := m.State(); got != StateShadow {
-		t.Fatalf("state = %v, want shadow after blowing the budget", got)
-	}
-
-	st.Save("ml_enabled", 1) // re-arm the knob; shadow evals must not flip it
-	k.RunUntil(3 * kernel.Second)
-	if st.Load("ml_enabled") != 1 {
-		t.Error("shadow-mode evaluation fired an action")
-	}
-	s := m.Stats()
-	if s.ShadowDemotions == 0 {
-		t.Error("no shadow demotion recorded")
-	}
-	if s.Violations < 3 {
-		t.Errorf("violations = %d; shadow mode must keep observing", s.Violations)
-	}
-	if countNotes(rt, "degraded to shadow mode") == 0 {
-		t.Errorf("demotion not reported: %v", logNotes(rt))
-	}
-
-	// A fresh window promotes back to active (before re-accounting).
-	k.RunUntil(11 * kernel.Second)
-	if got := m.Stats().ShadowPromotions; got == 0 {
-		t.Error("no promotion at budget window boundary")
 	}
 }
 
@@ -274,12 +234,11 @@ guardrail fallback {
 	}
 	k.RunUntil(2 * kernel.Second) // next tick dispatches REPLACE again
 	k.RunUntil(3 * kernel.Second) // drain retries
-	if got := rt.DeadLetter.Total(); got == 0 {
-		t.Fatal("exhausted retries never dead-lettered")
+	if got := rt.DeadLetter.Total(); got == 0 || got != m.Stats().DeadLetters {
+		t.Fatalf("dead letters: runtime %d, monitor %d; want equal and non-zero", got, m.Stats().DeadLetters)
 	}
-	f := rt.DeadLetter.Recent(1)[0]
-	if f.Guardrail != "fallback" || !strings.HasPrefix(f.Action, "REPLACE") || f.Attempts != 3 {
-		t.Errorf("dead letter = %+v", f)
+	if countNotes(rt, "action REPLACE(learned, heuristic) failed (attempt 3)") == 0 {
+		t.Errorf("final attempt not reported: %v", logNotes(rt))
 	}
 }
 
@@ -444,7 +403,7 @@ guardrail %s {
 					_ = rt.Unload(name)
 				}
 				_ = m.Stats()
-				_ = m.State()
+				_ = stateOf(m)
 				_ = rt.Log.Recent(4)
 				_ = rt.DeadLetter.Total()
 				st.Save("false_submit_rate", float64(i%10)/100)

@@ -22,38 +22,12 @@ type Options struct {
 	// required before actions fire (anti-flap hysteresis, §6). Default 1:
 	// act on the first violation, the paper's base semantics.
 	ViolationStreak int
-	// RecoveryStreak, when positive, invokes OnRecover after that many
-	// consecutive passing evaluations following a violation episode.
-	RecoveryStreak int
-	// OnRecover is called (if non-nil) when a violation episode ends per
-	// RecoveryStreak. Typical use: re-enable a learned policy that a
-	// REPLACE or SAVE action disabled.
-	OnRecover func(m *Monitor)
 	// DependencyTrigger, when true, additionally evaluates the monitor
 	// whenever any feature-store key the rule reads is written —
 	// the §6 alternative to periodic checking. Spec triggers still apply;
 	// to measure dependency triggering alone, give the spec a TIMER with
 	// a very long interval.
 	DependencyTrigger bool
-	// PublishResult, when true, writes guardrail.<name>.violated (0/1)
-	// to the feature store after each evaluation so that other
-	// guardrails can observe this one (used by the oscillation study).
-	PublishResult bool
-	// DefaultPriority is the demotion value used by DEPRIORITIZE actions
-	// without an explicit priority. Default 19 (lowest nice).
-	DefaultPriority int
-	// ShadowMode evaluates rules and counts violations but suppresses
-	// every action (including SAVE stores) — the paper's "loose
-	// guardrails... for early warning" deployment style, and the safe
-	// way to trial a new guardrail before letting it drive the system.
-	ShadowMode bool
-	// Recorder, when set, attaches a feature-store flight recorder
-	// snapshot (the most recent writes) to every reported violation —
-	// A1's "record which inputs triggered the violation".
-	Recorder *featurestore.Recorder
-	// RecorderContext is how many recent writes each report carries
-	// (default 8).
-	RecorderContext int
 
 	// --- self-protection (see guard.go) -------------------------------
 
@@ -76,15 +50,8 @@ type Options struct {
 	// BreakerWindow is the breaker's sliding window (default 10s).
 	BreakerWindow kernel.Time
 	// Cooldown, when positive, automatically rearms a quarantined
-	// monitor after that long. 0 means quarantine is manual-release
-	// only (Rearm).
+	// monitor after that long. 0 means quarantine is permanent.
 	Cooldown kernel.Time
-	// StepBudget caps the monitor's VM steps per BudgetWindow; going
-	// over demotes the monitor to shadow mode until the next window
-	// ("degrade before disable"). 0 (default) disables enforcement.
-	StepBudget uint64
-	// BudgetWindow is the budget accounting window (default 1s).
-	BudgetWindow kernel.Time
 	// RetryMax is how many times a failed action dispatch is retried
 	// (with exponential backoff) before it is dead-lettered. Default 0:
 	// the first failure dead-letters.
@@ -98,17 +65,8 @@ func (o *Options) fillDefaults() {
 	if o.ViolationStreak <= 0 {
 		o.ViolationStreak = 1
 	}
-	if o.DefaultPriority == 0 {
-		o.DefaultPriority = 19
-	}
-	if o.RecorderContext <= 0 {
-		o.RecorderContext = 8
-	}
 	if o.BreakerWindow <= 0 {
 		o.BreakerWindow = 10 * kernel.Second
-	}
-	if o.BudgetWindow <= 0 {
-		o.BudgetWindow = kernel.Second
 	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = 10 * kernel.Millisecond
@@ -124,7 +82,9 @@ type Stats struct {
 	// ActionsFired counts violation episodes in which actions ran
 	// (differs from Violations under hysteresis).
 	ActionsFired uint64
-	// Recoveries counts completed violation→recovery episodes.
+	// Recoveries is always 0: nothing counts recovery episodes any more.
+	// It, ShadowDemotions and ShadowPromotions stay so that the Stats
+	// the experiments export as JSON keep their keys.
 	Recoveries uint64
 	// DispatchErrors counts action dispatches that failed at runtime
 	// (e.g. unknown policy slot or task group), including each failed
@@ -150,11 +110,11 @@ type Stats struct {
 	LoadFaults uint64
 	// Quarantines counts circuit-breaker trips.
 	Quarantines uint64
-	// Rearms counts returns from quarantine (cooldown or manual).
+	// Rearms counts returns from quarantine after the cooldown.
 	Rearms uint64
-	// ShadowDemotions counts budget-enforcement demotions to shadow.
-	ShadowDemotions uint64
-	// ShadowPromotions counts budget-window promotions back to active.
+	// ShadowDemotions and ShadowPromotions are always 0: the budget
+	// rung that moved monitors to shadow and back is gone.
+	ShadowDemotions  uint64
 	ShadowPromotions uint64
 	// Retries counts scheduled action retry attempts.
 	Retries uint64
@@ -253,12 +213,8 @@ type Monitor struct {
 	forceShadow bool
 
 	violStreak int
-	passStreak int
-	inEpisode  bool
 
-	faultTimes  []kernel.Time // breaker sliding window
-	budgetEpoch int64
-	windowSteps uint64
+	faultTimes []kernel.Time // breaker sliding window
 }
 
 // Name returns the guardrail name.
@@ -270,20 +226,11 @@ func (m *Monitor) Program() *vm.Program { return m.c.Program }
 // Stats returns a snapshot of the monitor's counters. After a hot
 // Update the snapshot includes the counters accumulated by the replaced
 // generations under the same name, so telemetry reads continuously
-// across updates instead of silently resetting (see GenerationStats for
-// this generation alone).
+// across updates instead of silently resetting.
 func (m *Monitor) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return mergeStats(m.base, m.stats)
-}
-
-// GenerationStats returns only this generation's counters, excluding
-// anything carried over from replaced generations.
-func (m *Monitor) GenerationStats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // Generation returns the monitor's deployment generation under its
@@ -294,27 +241,6 @@ func (m *Monitor) Generation() int {
 	return m.gen
 }
 
-// SumStats folds per-shard replica snapshots of one guardrail into a
-// fleet view: counters add across shards; the Last* observations come
-// from the replica with the latest LastTriggerAt (first wins on ties,
-// so a fixed shard order gives a deterministic result). Each input is
-// an atomic snapshot (Monitor.Stats takes the monitor's lock), so the
-// merge never reads a half-updated replica — the cross-shard
-// aggregation path for monitors replicated over a kernel Pool.
-func SumStats(ss ...Stats) Stats {
-	var out Stats
-	for _, s := range ss {
-		prevLast, prevAt, prevEvals := out.LastResult, out.LastTriggerAt, out.Evals
-		out = mergeStats(out, s)
-		// mergeStats takes Last* from s unless s never evaluated; for a
-		// cross-shard merge the freshest trigger wins instead.
-		if prevEvals > 0 && (s.Evals == 0 || prevAt >= s.LastTriggerAt) {
-			out.LastResult, out.LastTriggerAt = prevLast, prevAt
-		}
-	}
-	return out
-}
-
 // mergeStats folds the carried-over base counters into cur: counters
 // add; the Last* observations come from cur unless this generation has
 // not evaluated yet, in which case the previous generation's stand.
@@ -323,15 +249,12 @@ func mergeStats(base, cur Stats) Stats {
 	out.Evals += base.Evals
 	out.Violations += base.Violations
 	out.ActionsFired += base.ActionsFired
-	out.Recoveries += base.Recoveries
 	out.DispatchErrors += base.DispatchErrors
 	out.VMSteps += base.VMSteps
 	out.Traps += base.Traps
 	out.LoadFaults += base.LoadFaults
 	out.Quarantines += base.Quarantines
 	out.Rearms += base.Rearms
-	out.ShadowDemotions += base.ShadowDemotions
-	out.ShadowPromotions += base.ShadowPromotions
 	out.Retries += base.Retries
 	out.DeadLetters += base.DeadLetters
 	if cur.Evals == 0 {
@@ -467,14 +390,9 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 		m.mu.Unlock()
 		return true
 	}
-	shadow := m.opts.ShadowMode || m.state == StateShadow || m.forceShadow
+	shadow := m.forceShadow
 	shadowReason := ""
-	switch {
-	case m.opts.ShadowMode:
-		shadowReason = "shadow-mode"
-	case m.state == StateShadow:
-		shadowReason = "shadow-state"
-	case m.forceShadow:
+	if shadow {
 		shadowReason = "forced-shadow"
 	}
 	if m.actGate != nil && !shadow && !m.actGate(m.evalIdx) {
@@ -511,7 +429,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	m.suppressActions = needTwoPhase || shadow
 	before := m.machine.Steps
 	out, err := m.machine.Run(m.c.Program, m, arg)
-	now := m.rt.k.Now()
 
 	m.mu.Lock()
 	m.stats.Evals++
@@ -522,31 +439,18 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 		sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
-		m.accountBudget(m.machine.Steps-before, now)
 		return true
 	}
 	m.stats.LastResult = out
 	held := out != 0
-	fireRecover := false
 	twoPhase := false
 	fired := false
 	if held {
 		m.violStreak = 0
-		if m.inEpisode {
-			m.passStreak++
-			if m.opts.RecoveryStreak > 0 && m.passStreak >= m.opts.RecoveryStreak {
-				m.inEpisode = false
-				m.passStreak = 0
-				m.stats.Recoveries++
-				fireRecover = m.opts.OnRecover != nil
-			}
-		}
 	} else {
 		m.stats.Violations++
 		m.violStreak++
-		m.passStreak = 0
 		if m.violStreak >= m.opts.ViolationStreak {
-			m.inEpisode = true
 			switch {
 			case shadow:
 				// Violation observed and counted; no action taken.
@@ -560,9 +464,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	}
 	m.mu.Unlock()
 
-	if fireRecover {
-		m.opts.OnRecover(m)
-	}
 	if twoPhase {
 		// Re-run with actions enabled.
 		m.suppressActions = false
@@ -583,13 +484,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 			m.recordFault(trapKind(err), fmt.Errorf("action phase: %w", err))
 		}
 	}
-	if m.opts.PublishResult {
-		v := 0.0
-		if !held {
-			v = 1
-		}
-		m.rt.store.Save("guardrail."+m.Name()+".violated", v)
-	}
 	// The eval record covers both phases of a two-phase evaluation, so
 	// its step count (and virtual trace duration) is the evaluation's
 	// whole overhead.
@@ -598,7 +492,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	if fired {
 		sink.ActionsFired(int64(trig), m.Name())
 	}
-	m.accountBudget(m.machine.Steps-before, now)
 	return held
 }
 
@@ -664,10 +557,7 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 		return float64(m.rt.k.Now()), nil
 	case vm.HelperReport:
 		if !m.suppressActions {
-			v := actions.Violation{
-				Time: m.trigAt, Guardrail: m.Name(), Values: []float64{args[0]},
-				Context: m.recorderContext(),
-			}
+			v := actions.Violation{Time: m.trigAt, Guardrail: m.Name(), Values: []float64{args[0]}}
 			m.runAction("REPORT", func() error {
 				m.rt.Log.Append(v)
 				return nil
@@ -687,14 +577,6 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 		v, _ := vm.PureHelper(h, args[0])
 		return v, nil
 	}
-}
-
-// recorderContext snapshots the flight recorder, when configured.
-func (m *Monitor) recorderContext() []featurestore.Write {
-	if m.opts.Recorder == nil {
-		return nil
-	}
-	return m.opts.Recorder.Recent(m.opts.RecorderContext)
 }
 
 // dispatchAction interprets a compiled action index against the
@@ -734,7 +616,7 @@ func (m *Monitor) actionExec(act spec.Action, vals []float64, trig kernel.Time) 
 			n = copy(saved[:], vals[:k])
 		}
 		return "REPORT", func() error {
-			v := actions.Violation{Time: trig, Guardrail: m.Name(), Context: m.recorderContext()}
+			v := actions.Violation{Time: trig, Guardrail: m.Name()}
 			if n > 0 {
 				v.Values = append(v.Values, saved[:n]...)
 			}
@@ -754,13 +636,10 @@ func (m *Monitor) actionExec(act spec.Action, vals []float64, trig kernel.Time) 
 			return nil
 		}
 	case *spec.DeprioritizeAction:
-		prio := m.opts.DefaultPriority
-		if a.Priority != nil && len(vals) > 0 {
-			prio = int(vals[0])
-		}
+		// No binary owns a task group, so there is no backend to demote
+		// one: the dispatch fails and takes the retry ladder.
 		return fmt.Sprintf("DEPRIORITIZE(%s)", a.Target), func() error {
-			_, err := m.rt.Deprioritizer.Apply(a.Target, prio)
-			return err
+			return fmt.Errorf("actions: no task group %q", a.Target)
 		}
 	case *spec.SaveAction:
 		// SAVE compiles inline into the monitor program, so this path

@@ -148,40 +148,6 @@ guardrail drift {
 	}
 }
 
-func TestDeprioritizeActionDefaultAndExplicit(t *testing.T) {
-	rt, k, st := newRT()
-	t1, _ := k.CreateTask("batch", 0)
-	rt.Deprioritizer.RegisterGroup("batch_jobs", t1.ID)
-	src := `
-guardrail fair {
-    trigger: { TIMER(0, 1e9) },
-    rule: { LOAD(starvation_ms) < 100 },
-    action: { DEPRIORITIZE(batch_jobs) }
-}`
-	if _, err := rt.LoadSource(src, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st.Save("starvation_ms", 500)
-	k.RunUntil(1)
-	if t1.Priority != 19 {
-		t.Errorf("default demotion priority = %d, want 19", t1.Priority)
-	}
-
-	// Explicit priority.
-	rt2, k2, st2 := newRT()
-	t2, _ := k2.CreateTask("batch", 0)
-	rt2.Deprioritizer.RegisterGroup("batch_jobs", t2.ID)
-	src2 := strings.Replace(src, "DEPRIORITIZE(batch_jobs)", "DEPRIORITIZE(batch_jobs, 10)", 1)
-	if _, err := rt2.LoadSource(src2, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st2.Save("starvation_ms", 500)
-	k2.RunUntil(1)
-	if t2.Priority != 10 {
-		t.Errorf("explicit priority = %d, want 10", t2.Priority)
-	}
-}
-
 func TestHysteresisSuppressesFlappyActions(t *testing.T) {
 	rt, k, st := newRT()
 	st.Save("ml_enabled", 1)
@@ -216,50 +182,6 @@ func TestHysteresisSuppressesFlappyActions(t *testing.T) {
 	}
 	if m.Stats().ActionsFired == 0 {
 		t.Error("ActionsFired not counted")
-	}
-}
-
-func TestRecoveryCallback(t *testing.T) {
-	rt, k, st := newRT()
-	st.Save("ml_enabled", 1)
-	recovered := 0
-	ms, err := rt.LoadSource(listing2, Options{
-		RecoveryStreak: 2,
-		OnRecover: func(m *Monitor) {
-			recovered++
-			rt.Store().Save("ml_enabled", 1)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Save("false_submit_rate", 0.5)
-	k.RunUntil(1500 * kernel.Millisecond) // violate at t=0,1s
-	if st.Load("ml_enabled") != 0 {
-		t.Fatal("action did not fire")
-	}
-	st.Save("false_submit_rate", 0.0)
-	k.RunUntil(2500 * kernel.Millisecond) // pass #1
-	if recovered != 0 {
-		t.Error("recovered too early")
-	}
-	k.RunUntil(3500 * kernel.Millisecond) // pass #2 -> recovery
-	if recovered != 1 {
-		t.Errorf("recovered = %d, want 1", recovered)
-	}
-	if st.Load("ml_enabled") != 1 {
-		t.Error("recovery callback did not re-enable model")
-	}
-	if ms[0].Stats().Recoveries != 1 {
-		t.Errorf("recoveries = %d", ms[0].Stats().Recoveries)
-	}
-	// A second episode recovers again.
-	st.Save("false_submit_rate", 0.5)
-	k.RunUntil(4500 * kernel.Millisecond)
-	st.Save("false_submit_rate", 0.0)
-	k.RunUntil(6500 * kernel.Millisecond)
-	if recovered != 2 {
-		t.Errorf("second recovery missing: %d", recovered)
 	}
 }
 
@@ -323,7 +245,7 @@ guardrail dep {
 			m = ms[0]
 		} else {
 			var err error
-			if m, err = rt.UpdateSource(src, opts); err != nil {
+			if m, err = updateSource(rt, src, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -350,23 +272,6 @@ guardrail dep {
 		if got := m.Stats().Evals; got != evals[gen] {
 			t.Fatalf("dead generation %d evaluated again (evals %d -> %d): its store watcher outlived it", gen, evals[gen], got)
 		}
-	}
-}
-
-func TestPublishResult(t *testing.T) {
-	rt, k, st := newRT()
-	if _, err := rt.LoadSource(listing2, Options{PublishResult: true}); err != nil {
-		t.Fatal(err)
-	}
-	st.Save("false_submit_rate", 0.01)
-	k.RunUntil(1)
-	if st.Load("guardrail.low-false-submit.violated") != 0 {
-		t.Error("published result should be 0 while holding")
-	}
-	st.Save("false_submit_rate", 0.5)
-	k.RunUntil(1500 * kernel.Millisecond)
-	if st.Load("guardrail.low-false-submit.violated") != 1 {
-		t.Error("published result should be 1 when violated")
 	}
 }
 
@@ -412,7 +317,7 @@ func TestDispatchErrorSurfacesInLog(t *testing.T) {
 	rt, k, st := newRT()
 	// REPLACE with no policies registered: Replace(old==new) is caught
 	// at check time, but unknown policies silently swap 0 slots — that
-	// is legal. Use DEPRIORITIZE with an unregistered group instead.
+	// is legal. Use DEPRIORITIZE, whose task group no runtime binds.
 	src := `
 guardrail broken {
     trigger: { TIMER(0, 1e9) },
@@ -520,36 +425,5 @@ guardrail windowed {
 	k.RunUntil(10 * kernel.Second)
 	if got := ms[0].Stats().Evals; got != 3 { // t=0,1s,2s
 		t.Errorf("evals = %d, want 3", got)
-	}
-}
-
-func TestSumStats(t *testing.T) {
-	a := Stats{Evals: 3, Violations: 1, VMSteps: 30, LastResult: 0, LastTriggerAt: 5 * kernel.Second}
-	b := Stats{Evals: 2, Violations: 2, VMSteps: 20, LastResult: 1, LastTriggerAt: 7 * kernel.Second}
-	idle := Stats{} // replica that never evaluated
-
-	got := SumStats(a, b, idle)
-	if got.Evals != 5 || got.Violations != 3 || got.VMSteps != 50 {
-		t.Errorf("counters = %+v, want sums 5/3/50", got)
-	}
-	// Freshest trigger wins regardless of argument order; the idle
-	// replica contributes nothing to Last*.
-	if got.LastResult != 1 || got.LastTriggerAt != 7*kernel.Second {
-		t.Errorf("Last* = (%g, %d), want b's (1, 7s)", got.LastResult, got.LastTriggerAt)
-	}
-	rev := SumStats(b, idle, a)
-	if rev != got {
-		t.Errorf("SumStats order-dependent: %+v vs %+v", rev, got)
-	}
-
-	// Ties break toward the earlier argument: with a fixed shard order
-	// the fleet view is deterministic.
-	c := Stats{Evals: 1, LastResult: 0, LastTriggerAt: 7 * kernel.Second}
-	tie := SumStats(b, c)
-	if tie.LastResult != 1 {
-		t.Errorf("tie broke toward later shard: LastResult = %g, want 1", tie.LastResult)
-	}
-	if z := SumStats(); z != (Stats{}) {
-		t.Errorf("empty SumStats = %+v, want zero", z)
 	}
 }

@@ -41,8 +41,8 @@ func (m *Monitor) provInit() {
 // provBegin starts capture for the in-flight evaluation and installs
 // the branch trace on the VM. The scratch is not fully Reset per
 // evaluation (that is a measurable fraction of a steady-state eval):
-// static fields were prefilled by provInit, Commit stamps
-// Seq/Shard/Epoch, the rollout-only fields are never touched by a
+// static fields were prefilled by provInit, Commit stamps Seq, the
+// rollout-only fields are never touched by a
 // monitor, and every other field (At, Site, Held, Kind, ...) is
 // written by whichever commit path runs (provEnd for evaluations,
 // provFault for faults) — so only the state appended to during the

@@ -8,8 +8,7 @@
 // incremental deployment (monitors can be loaded and unloaded at
 // runtime without a "reboot"), per-monitor overhead accounting, and two
 // mitigations for the discussion-section failure modes (§6): anti-flap
-// hysteresis (an action fires only after K consecutive violations, with
-// an optional recovery notification after M consecutive passes) and
+// hysteresis (an action fires only after K consecutive violations) and
 // dependency-triggered evaluation (re-check a property only when a
 // feature-store key it reads changes, instead of on a timer).
 package monitor
@@ -42,9 +41,7 @@ type Runtime struct {
 	Policies *actions.Registry
 	// Retrainer backs RETRAIN.
 	Retrainer *actions.Retrainer
-	// Deprioritizer backs DEPRIORITIZE.
-	Deprioritizer *actions.Deprioritizer
-	// DeadLetter receives actions that exhausted their retries.
+	// DeadLetter counts actions that exhausted their retries.
 	DeadLetter *actions.DeadLetter
 
 	faultInj atomic.Value // injBox
@@ -97,22 +94,18 @@ func (r *Runtime) Provenance() *provenance.Recorder { return r.prov.Load() }
 // retraining budget of 4 tokens refilling at 0.1/s).
 func New(k *kernel.Kernel, store *featurestore.Store) *Runtime {
 	return &Runtime{
-		k:             k,
-		store:         store,
-		Log:           actions.NewReportLog(4096),
-		Policies:      actions.NewRegistry(),
-		Retrainer:     actions.NewRetrainer(4, 0.1),
-		Deprioritizer: actions.NewDeprioritizer(k),
-		DeadLetter:    actions.NewDeadLetter(1024),
-		monitors:      make(map[string]*Monitor),
+		k:          k,
+		store:      store,
+		Log:        actions.NewReportLog(4096),
+		Policies:   actions.NewRegistry(),
+		Retrainer:  actions.NewRetrainer(4, 0.1),
+		DeadLetter: &actions.DeadLetter{},
+		monitors:   make(map[string]*Monitor),
 	}
 }
 
 // Kernel returns the runtime's kernel.
 func (r *Runtime) Kernel() *kernel.Kernel { return r.k }
-
-// Store returns the runtime's feature store.
-func (r *Runtime) Store() *featurestore.Store { return r.store }
 
 // Load installs a compiled guardrail and arms its triggers. Loading is
 // the incremental-deployment point: guardrails can be added while the
@@ -201,9 +194,8 @@ func (r *Runtime) LoadSource(src string, opts Options) ([]*Monitor, error) {
 // validated, so a bad update never leaves the property unwatched.
 //
 // Telemetry is continuous across the swap: the replacement carries the
-// replaced generations' cumulative counters (Monitor.Stats merges them;
-// Monitor.GenerationStats isolates the new generation), its Generation
-// is the old one plus one, and per-monitor telemetry lanes keyed by
+// replaced generations' cumulative counters (Monitor.Stats merges them),
+// its Generation is the old one plus one, and per-monitor telemetry lanes keyed by
 // name keep accumulating under the same key — a hot update must not
 // silently reset or orphan a monitor's counters.
 //
@@ -219,19 +211,6 @@ func (r *Runtime) Update(c *compile.Compiled, opts Options) (*Monitor, error) {
 		return nil, fmt.Errorf("monitor: guardrail %q not loaded", c.Name)
 	}
 	return r.install(c, opts, old), nil
-}
-
-// UpdateSource compiles src (which must contain exactly one guardrail)
-// and hot-swaps it.
-func (r *Runtime) UpdateSource(src string, opts Options) (*Monitor, error) {
-	cs, err := compile.Source(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) != 1 {
-		return nil, fmt.Errorf("monitor: UpdateSource wants exactly one guardrail, got %d", len(cs))
-	}
-	return r.Update(cs[0], opts)
 }
 
 // Unload disarms and removes a guardrail monitor.

@@ -1,11 +1,26 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"guardrails/internal/compile"
 	"guardrails/internal/kernel"
 )
+
+// updateSource compiles src, which must hold exactly one guardrail, and
+// hot-swaps it in.
+func updateSource(rt *Runtime, src string, opts Options) (*Monitor, error) {
+	cs, err := compile.Source(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(cs) != 1 {
+		return nil, fmt.Errorf("want exactly one guardrail, got %d", len(cs))
+	}
+	return rt.Update(cs[0], opts)
+}
 
 func TestHotUpdateTightensThreshold(t *testing.T) {
 	rt, k, st := newRT()
@@ -22,7 +37,7 @@ func TestHotUpdateTightensThreshold(t *testing.T) {
 
 	// Hot-update to a tightened 0.02 threshold (§6: no reboot).
 	tightened := strings.Replace(listing2, "0.05", "0.02", 1)
-	m2, err := rt.UpdateSource(tightened, Options{})
+	m2, err := updateSource(rt, tightened, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +66,7 @@ func TestHotUpdateOldMonitorDisarmed(t *testing.T) {
 	old := ms[0]
 	k.RunUntil(1500 * kernel.Millisecond)
 	oldEvals := old.Stats().Evals
-	if _, err := rt.UpdateSource(listing2, Options{}); err != nil {
+	if _, err := updateSource(rt, listing2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st.Save("false_submit_rate", 0.9)
@@ -63,24 +78,8 @@ func TestHotUpdateOldMonitorDisarmed(t *testing.T) {
 
 func TestUpdateUnknownGuardrailFails(t *testing.T) {
 	rt, _, _ := newRT()
-	if _, err := rt.UpdateSource(listing2, Options{}); err == nil {
+	if _, err := updateSource(rt, listing2, Options{}); err == nil {
 		t.Error("update of unloaded guardrail should error")
-	}
-}
-
-func TestUpdateSourceRejectsMultiple(t *testing.T) {
-	rt, _, _ := newRT()
-	if _, err := rt.LoadSource(listing2, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	two := listing2 + `
-guardrail extra {
-    trigger: { TIMER(0, 1e9) },
-    rule: { LOAD(x) < 1 },
-    action: { REPORT() }
-}`
-	if _, err := rt.UpdateSource(two, Options{}); err == nil {
-		t.Error("multi-guardrail update should error")
 	}
 }
 
@@ -97,7 +96,7 @@ func TestUpdateCarriesQuarantineState(t *testing.T) {
 	name := rt.Monitors()[0].Name()
 	rt.Monitor(name).ForceShadow(true)
 
-	m2, err := rt.UpdateSource(listing2, Options{})
+	m2, err := updateSource(rt, listing2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestUpdateCarriesQuarantineState(t *testing.T) {
 	// Disable carries over the same way.
 	m2.ForceShadow(false)
 	m2.SetEnabled(false)
-	m3, err := rt.UpdateSource(listing2, Options{})
+	m3, err := updateSource(rt, listing2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +135,11 @@ func TestUpdateCarriesQuarantineState(t *testing.T) {
 func TestShadowModeObservesWithoutActing(t *testing.T) {
 	rt, k, st := newRT()
 	st.Save("ml_enabled", 1)
-	ms, err := rt.LoadSource(listing2, Options{ShadowMode: true})
+	ms, err := rt.LoadSource(listing2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms[0].ForceShadow(true)
 	st.Save("false_submit_rate", 0.9)
 	k.RunUntil(5 * kernel.Second)
 	s := ms[0].Stats()
@@ -154,26 +154,5 @@ func TestShadowModeObservesWithoutActing(t *testing.T) {
 	}
 	if rt.Log.Total() != 0 {
 		t.Error("shadow monitor reported violations to the log")
-	}
-}
-
-func TestShadowModePromotionViaUpdate(t *testing.T) {
-	// The trial-then-promote flow: shadow first, hot-update to live.
-	rt, k, st := newRT()
-	st.Save("ml_enabled", 1)
-	st.Save("false_submit_rate", 0.9)
-	if _, err := rt.LoadSource(listing2, Options{ShadowMode: true}); err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(2 * kernel.Second)
-	if st.Load("ml_enabled") != 1 {
-		t.Fatal("shadow phase acted")
-	}
-	if _, err := rt.UpdateSource(listing2, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(4 * kernel.Second)
-	if st.Load("ml_enabled") != 0 {
-		t.Error("promoted guardrail did not act")
 	}
 }

@@ -62,13 +62,10 @@ type Metrics struct {
 	// RateCoV is the coefficient of variation of the decision outputs
 	// over the whole run (jitter — P2's failure signal).
 	RateCoV float64
-	// MeanRTT and P95RTT summarize delay.
-	MeanRTT kernel.Time
-	P95RTT  kernel.Time
+	// P95RTT summarizes delay.
+	P95RTT kernel.Time
 	// LossFraction is total lost / total offered.
 	LossFraction float64
-	// Decisions counts controller invocations.
-	Decisions int
 }
 
 // Run simulates one flow under ctrl. When store is non-nil the runner
@@ -155,7 +152,6 @@ func Run(k *kernel.Kernel, store *featurestore.Store, ctrl, fallback Controller,
 		if rate > 4*cfg.Path.CapacityMbps {
 			rate = 4 * cfg.Path.CapacityMbps
 		}
-		m.Decisions++
 
 		rateWin.Add(rate)
 		if store != nil {
@@ -192,12 +188,7 @@ func windowCoV(w *stats.Window) float64 {
 // runCoV fills RTT metrics and returns the final-window rate CoV.
 func runCoV(rtts []float64, w *stats.Window, m *Metrics) float64 {
 	if len(rtts) > 0 {
-		var sum float64
 		sorted := append([]float64(nil), rtts...)
-		for _, r := range rtts {
-			sum += r
-		}
-		m.MeanRTT = kernel.Time(sum / float64(len(rtts)))
 		sort.Float64s(sorted)
 		m.P95RTT = kernel.Time(stats.Quantile(sorted, 0.95))
 	}

@@ -34,11 +34,7 @@ func explainOne(r RecordJSON) string {
 	} else if r.Monitor != "" {
 		fmt.Fprintf(&b, "  %s", r.Monitor)
 	}
-	fmt.Fprintf(&b, "  (shard %d", r.Shard)
-	if r.Epoch > 0 {
-		fmt.Fprintf(&b, ", epoch %d", r.Epoch)
-	}
-	b.WriteString(")\n")
+	fmt.Fprintf(&b, "  (shard %d)\n", r.Shard)
 
 	switch r.Kind {
 	case "gate":

@@ -10,10 +10,11 @@ import (
 // WriteJSON emits, what the ops endpoint's /why serves, and what
 // grailctl explain decodes — the schema the operator tooling speaks.
 type RecordJSON struct {
-	Seq     uint64  `json:"seq"`
-	At      int64   `json:"at"`
+	Seq uint64 `json:"seq"`
+	At  int64  `json:"at"`
+	// Shard is always 0: one runtime records one lane. The field stays
+	// so the wire form keeps its shape.
 	Shard   int     `json:"shard"`
-	Epoch   uint64  `json:"epoch,omitempty"`
 	Kind    string  `json:"kind"`
 	Monitor string  `json:"monitor,omitempty"`
 	Gen     int     `json:"gen,omitempty"`
@@ -70,7 +71,7 @@ type ActionJSON struct {
 // View converts a Record to its wire form.
 func View(r Record) RecordJSON {
 	v := RecordJSON{
-		Seq: r.Seq, At: r.At, Shard: r.Shard, Epoch: r.Epoch,
+		Seq: r.Seq, At: r.At,
 		Kind: r.Kind.String(), Monitor: r.Monitor, Gen: r.Gen,
 		Site: r.Site, Arg: r.Arg,
 		Held: r.Held, Shadow: r.Shadow, ShadowReason: r.ShadowReason,
@@ -121,8 +122,7 @@ type exportJSON struct {
 
 // WriteJSON writes the retained records as an indented JSON object.
 // Output is deterministic for a deterministic record stream: a seeded
-// single-shard run (or a merged multi-shard lane) produces
-// byte-identical bytes across runs. A nil recorder writes an empty
+// run produces byte-identical bytes across runs. A nil recorder writes an empty
 // (still valid) export.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	export := exportJSON{Total: r.Total(), Records: Views(r.Records())}

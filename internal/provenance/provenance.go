@@ -11,9 +11,8 @@
 //   - a nil *Recorder is a valid recorder whose every method is a
 //     cheap no-op, so instrumentation sites need no conditionals and
 //     the disabled hot path allocates nothing;
-//   - records flow through a bounded ring per shard and merge
-//     deterministically (stable order by time, then shard, then
-//     per-shard sequence), like the flight recorder;
+//   - records flow through one bounded ring per runtime, like the
+//     flight recorder (a sharded pool gives every shard its own);
 //   - capture itself is allocation-free: monitors fill a reusable
 //     scratch Record with fixed inline arrays and Commit copies it
 //     into the preallocated ring.
@@ -24,11 +23,7 @@
 // every rollout rollback one KindRollback record.
 package provenance
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Kind classifies a decision record.
 type Kind uint8
@@ -123,17 +118,11 @@ type Window struct {
 // the first N* entries are meaningful. Records are plain values —
 // copying one copies the whole capture.
 type Record struct {
-	// Seq is the recorder-assigned sequence number (reassigned on
-	// merge to the deterministic global order).
+	// Seq is the recorder-assigned sequence number.
 	Seq uint64
 	// At is the simulated time of the decision (the trigger time for
 	// evaluations, the fault/rollback time otherwise).
 	At int64
-	// Shard is the recording shard; Epoch is the cross-shard
-	// aggregation epoch last stamped at a pool barrier (0 until the
-	// first barrier, and always 0 on a single kernel).
-	Shard int
-	Epoch uint64
 
 	Kind Kind
 	// Monitor is the deciding monitor's loaded name (candidates carry
@@ -148,7 +137,7 @@ type Record struct {
 
 	// Held reports whether the rule held; Shadow whether action
 	// effects were suppressed, with ShadowReason saying why
-	// ("shadow-mode", "shadow-state", "forced-shadow", "act-gate").
+	// ("forced-shadow", "act-gate").
 	Held         bool
 	Shadow       bool
 	ShadowReason string
@@ -197,7 +186,7 @@ type Record struct {
 // zeroing the inline arrays (entries beyond the N* counts are never
 // read), so reuse costs a handful of stores, not a 1 KiB memclr.
 func (r *Record) Reset() {
-	r.Seq, r.At, r.Shard, r.Epoch = 0, 0, 0, 0
+	r.Seq, r.At = 0, 0
 	r.Kind = KindEval
 	r.Monitor, r.Gen, r.Site, r.Arg = "", 0, "", 0
 	r.Held, r.Shadow, r.ShadowReason, r.TwoPhase = false, false, "", false
@@ -233,14 +222,12 @@ func (r *Record) AddAction(name, outcome string) {
 	r.NActions++
 }
 
-// Recorder is one shard's provenance lane: a bounded ring of decision
-// records plus the sampling policy. All methods are safe on a nil
-// receiver (no-ops / zero values), so a runtime without provenance
+// Recorder is one runtime's provenance lane: a bounded ring of
+// decision records plus the sampling policy. All methods are safe on a
+// nil receiver (no-ops / zero values), so a runtime without provenance
 // attached pays only a nil test per site.
 type Recorder struct {
-	shard        int
 	healthyEvery uint64
-	epoch        atomic.Uint64
 
 	mu    sync.Mutex
 	ring  []Record
@@ -269,21 +256,6 @@ func New(capacity, healthyEvery int) *Recorder {
 	return r
 }
 
-// SetShard labels records committed here with a shard index.
-func (r *Recorder) SetShard(i int) {
-	if r != nil {
-		r.shard = i
-	}
-}
-
-// SetEpoch stamps the cross-shard aggregation epoch subsequent records
-// carry; the sharded facade calls it from the pool barrier.
-func (r *Recorder) SetEpoch(e uint64) {
-	if r != nil {
-		r.epoch.Store(e)
-	}
-}
-
 // HealthyEvery returns the healthy-fire sampling stride (0 = drop all
 // healthy fires).
 func (r *Recorder) HealthyEvery() uint64 {
@@ -293,25 +265,14 @@ func (r *Recorder) HealthyEvery() uint64 {
 	return r.healthyEvery
 }
 
-// Commit copies rec into the ring, stamping shard, epoch, and the next
-// sequence number onto it. The caller's record is mutated (stamped)
-// but not retained.
+// Commit copies rec into the ring, stamping the next sequence number
+// onto it. The caller's record is mutated (stamped) but not retained.
 //
 //guardrails:hotpath
 func (r *Recorder) Commit(rec *Record) {
 	if r == nil {
 		return
 	}
-	rec.Shard = r.shard
-	rec.Epoch = r.epoch.Load()
-	r.push(rec)
-}
-
-// push assigns the next sequence number and copies rec into the ring,
-// leaving the shard/epoch stamps alone (Merge preserves the originals).
-//
-//guardrails:hotpath
-func (r *Recorder) push(rec *Record) {
 	r.mu.Lock()
 	r.seq++
 	r.total++
@@ -343,14 +304,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.size
-}
-
-// Cap returns the ring capacity (0 for a nil recorder).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
 }
 
 // Records returns the retained records, oldest first.
@@ -386,42 +339,4 @@ func (r *Recorder) ForMonitor(name string, n int) []Record {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// Merge combines per-shard recorders into one deterministic lane: the
-// union of retained records ordered by (At, Shard, Seq) — the same
-// total order every run of a seeded workload produces regardless of
-// which shard's goroutine committed first in wall time — with
-// sequence numbers reassigned to that order. Nil recorders are
-// skipped. The merged recorder retains everything it was given.
-func Merge(recs ...*Recorder) *Recorder {
-	var all []Record
-	healthy := uint64(0)
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
-		all = append(all, r.Records()...)
-		if h := r.HealthyEvery(); h > healthy {
-			healthy = h
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		if all[i].Shard != all[j].Shard {
-			return all[i].Shard < all[j].Shard
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	capacity := len(all)
-	if capacity == 0 {
-		capacity = 1
-	}
-	m := New(capacity, int(healthy))
-	for i := range all {
-		m.push(&all[i])
-	}
-	return m
 }

@@ -12,8 +12,8 @@ func TestProvenanceRingWraparound(t *testing.T) {
 		rec := Record{At: int64(i), Kind: KindViolation, Monitor: "m"}
 		r.Commit(&rec)
 	}
-	if r.Total() != 10 || r.Len() != 4 || r.Cap() != 4 {
-		t.Fatalf("total=%d len=%d cap=%d", r.Total(), r.Len(), r.Cap())
+	if r.Total() != 10 || r.Len() != 4 {
+		t.Fatalf("total=%d len=%d", r.Total(), r.Len())
 	}
 	recs := r.Records()
 	for i, rec := range recs {
@@ -29,12 +29,9 @@ func TestProvenanceNilRecorderIsFree(t *testing.T) {
 	var rec Record
 	exercise := func() {
 		r.Commit(&rec)
-		r.SetShard(1)
-		r.SetEpoch(2)
 		_ = r.HealthyEvery()
 		_ = r.Total()
 		_ = r.Len()
-		_ = r.Cap()
 	}
 	exercise()
 	if n := testing.AllocsPerRun(1000, exercise); n != 0 {
@@ -80,105 +77,38 @@ func TestProvenanceRecordCaptureBounds(t *testing.T) {
 	}
 }
 
-// TestProvenanceMergeDeterministic: the merged lane must order records
-// by (At, Shard, Seq) with sequence numbers reassigned, preserving the
-// per-shard shard/epoch stamps — the same total order regardless of
-// input recorder order.
-func TestProvenanceMergeDeterministic(t *testing.T) {
-	mk := func(shard int, ats ...int64) *Recorder {
-		r := New(16, DefaultHealthyEvery)
-		r.SetShard(shard)
-		r.SetEpoch(uint64(shard) + 10)
-		for _, at := range ats {
-			rec := Record{At: at, Kind: KindViolation, Monitor: "m"}
-			r.Commit(&rec)
-		}
-		return r
-	}
-	a := mk(0, 5, 5, 20)
-	b := mk(1, 5, 10)
-	c := mk(2, 1)
-
-	m1 := Merge(a, b, c, nil)
-	m2 := Merge(c, b, a) // input order must not matter
-	r1, r2 := m1.Records(), m2.Records()
-	if len(r1) != 6 || len(r2) != 6 {
-		t.Fatalf("merged lens = %d, %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Errorf("record %d differs across merge orders:\n%+v\n%+v", i, r1[i], r2[i])
-		}
-	}
-	wantOrder := []struct {
-		at    int64
-		shard int
-	}{{1, 2}, {5, 0}, {5, 0}, {5, 1}, {10, 1}, {20, 0}}
-	for i, rec := range r1 {
-		if rec.At != wantOrder[i].at || rec.Shard != wantOrder[i].shard {
-			t.Errorf("record %d: at=%d shard=%d, want at=%d shard=%d",
-				i, rec.At, rec.Shard, wantOrder[i].at, wantOrder[i].shard)
-		}
-		if rec.Seq != uint64(i+1) {
-			t.Errorf("record %d: seq=%d, want %d", i, rec.Seq, i+1)
-		}
-		if rec.Epoch != uint64(rec.Shard)+10 {
-			t.Errorf("record %d: epoch %d lost its shard stamp", i, rec.Epoch)
-		}
-	}
-	if m1.HealthyEvery() != DefaultHealthyEvery {
-		t.Errorf("merged healthyEvery = %d", m1.HealthyEvery())
-	}
-}
-
-// TestProvenanceConcurrentCommitAndMerge is the -race guard for the
-// lane discipline: shard goroutines keep committing while a driver
-// merges at a simulated barrier, exactly the sharded-system shape.
-func TestProvenanceConcurrentCommitAndMerge(t *testing.T) {
-	const shards, perShard = 4, 500
-	recs := make([]*Recorder, shards)
-	for i := range recs {
-		recs[i] = New(256, 1)
-		recs[i].SetShard(i)
-	}
+// TestProvenanceConcurrentCommitAndRead is the -race guard for the
+// lane discipline: evaluations keep committing from several goroutines
+// while a reader (the ops endpoint's /why) snapshots the ring.
+func TestProvenanceConcurrentCommitAndRead(t *testing.T) {
+	const writers, perWriter = 4, 500
+	r := New(256, 1)
 	var wg sync.WaitGroup
-	for i, r := range recs {
+	for i := 0; i < writers; i++ {
 		wg.Add(1)
-		go func(shard int, r *Recorder) {
+		go func() {
 			defer wg.Done()
-			for j := 0; j < perShard; j++ {
+			for j := 0; j < perWriter; j++ {
 				rec := Record{At: int64(j), Kind: KindEval, Monitor: "m", Held: true}
 				rec.AddFeature("k", float64(j), false, false)
 				r.Commit(&rec)
-				if j%64 == 0 {
-					r.SetEpoch(uint64(j / 64))
-				}
 			}
-		}(i, r)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			m := Merge(recs...)
-			if m.Len() > shards*256 {
-				t.Errorf("merged len = %d", m.Len())
+			if n := len(r.Records()); n > 256 {
+				t.Errorf("retained %d records, ring holds 256", n)
 				return
 			}
 		}
 	}()
 	wg.Wait()
 	<-done
-	m := Merge(recs...)
-	if got := m.Len(); got != shards*256 {
-		t.Errorf("final merged len = %d, want %d", got, shards*256)
-	}
-	var total uint64
-	for _, r := range recs {
-		total += r.Total()
-	}
-	if total != shards*perShard {
-		t.Errorf("committed total = %d, want %d", total, shards*perShard)
+	if r.Len() != 256 || r.Total() != writers*perWriter {
+		t.Errorf("len = %d, total = %d, want 256 and %d", r.Len(), r.Total(), writers*perWriter)
 	}
 }
 
@@ -260,7 +190,7 @@ func TestProvenanceExplainRendering(t *testing.T) {
 		Cand: Window{Violations: 4}, Inc: Window{Violations: 1}}
 	rb := Record{At: 4e9, Kind: KindRollback, Monitor: "rollout", Gen: 2, Reason: "canary gate failed"}
 	shadow := Record{At: 5e9, Kind: KindEval, Monitor: "low-false-submit", Gen: 1,
-		Held: true, Shadow: true, ShadowReason: "shadow-state", Site: "io_submit", Arg: 0.5}
+		Held: true, Shadow: true, ShadowReason: "forced-shadow", Site: "io_submit", Arg: 0.5}
 
 	out := Explain("low-false-submit", Views([]Record{viol, fault, gate, rb, shadow}))
 	for _, want := range []string{
@@ -276,7 +206,7 @@ func TestProvenanceExplainRendering(t *testing.T) {
 		"candidate: evals=0 violations=4",
 		"rolled back: canary gate failed",
 		"trigger: io_submit (arg 0.5)",
-		"actions suppressed (shadow-state)",
+		"actions suppressed (forced-shadow)",
 		"rule: held",
 	} {
 		if !strings.Contains(out, want) {

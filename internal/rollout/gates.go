@@ -26,14 +26,6 @@ type Gates struct {
 	// MaxFaults is the number of candidate monitor faults (VM traps,
 	// corrupt loads, circuit-breaker trips) tolerated per window.
 	MaxFaults uint64
-	// MaxMeanVMSteps caps the candidate's mean VM steps per evaluation
-	// — the certified-overhead budget in the runtime's latency
-	// currency. 0 disables the gate.
-	MaxMeanVMSteps float64
-	// AllowSilentCandidate skips the requirement that the candidate
-	// evaluated at least once per window. Leave false: a candidate that
-	// never ran is indistinguishable from a mis-wired trigger.
-	AllowSilentCandidate bool
 }
 
 // DefaultGates returns the default promotion gates.
@@ -67,13 +59,6 @@ func (l lane) failureRate() float64 {
 		return 0
 	}
 	return float64(l.Failures) / float64(l.Dispatches)
-}
-
-func (l lane) meanSteps() float64 {
-	if l.Evals == 0 {
-		return 0
-	}
-	return l.Steps / float64(l.Evals)
 }
 
 // windowLanes reduces the flight-recorder window since start into
@@ -137,7 +122,9 @@ func (g Gates) check(stage, name string, cand, inc lane, hasIncumbent bool) stri
 		return fmt.Sprintf("%s: candidate %s faulted %d times (max %d)",
 			stage, name, cand.Faults, g.MaxFaults)
 	}
-	if cand.Evals == 0 && !g.AllowSilentCandidate {
+	// A candidate that never ran is indistinguishable from a mis-wired
+	// trigger.
+	if cand.Evals == 0 {
 		return fmt.Sprintf("%s: candidate %s never evaluated in the window", stage, name)
 	}
 	baseline := 0.0
@@ -151,12 +138,6 @@ func (g Gates) check(stage, name string, cand, inc lane, hasIncumbent bool) stri
 	if rate := cand.failureRate(); rate > g.MaxActionFailureRate {
 		return fmt.Sprintf("%s: candidate %s action failure rate %.3f (%d/%d dispatches, max %.3f)",
 			stage, name, rate, cand.Failures, cand.Dispatches, g.MaxActionFailureRate)
-	}
-	if g.MaxMeanVMSteps > 0 {
-		if mean := cand.meanSteps(); mean > g.MaxMeanVMSteps {
-			return fmt.Sprintf("%s: candidate %s mean %.1f VM steps/eval (budget %.1f)",
-				stage, name, mean, g.MaxMeanVMSteps)
-		}
 	}
 	return ""
 }

@@ -110,19 +110,9 @@ type Config struct {
 	// explicit &Gates{} is honored as-is (maximally strict
 	// zero-tolerance gates).
 	Gates *Gates
-	// AdmitRetries is how many times a *transient* admission failure is
-	// retried before the rollout fails static. Permanent refusals
-	// (kernel.AdmissionError) never retry. 0 means the default of 3;
-	// any negative value means no retries (fail static on the first
-	// transient admission error).
-	AdmitRetries int
-	// RetryBackoff is the base delay before an admission retry,
-	// doubling per attempt. Default 50ms.
-	RetryBackoff kernel.Time
-	// HookBudget / HookBudgets are the certified-step budgets passed to
-	// admission and to the scoped interference analysis.
-	HookBudget  int
-	HookBudgets map[string]int
+	// HookBudget is the per-site certified-step budget passed to
+	// admission and to the scoped interference analysis (0 = none).
+	HookBudget int
 	// Features are the declared feature ranges for interference
 	// analysis.
 	Features []*spec.FeatureDecl
@@ -132,10 +122,16 @@ type Config struct {
 	// refuses the rollout — before anything loads — if any property is
 	// refuted or any GM diagnostic fires.
 	Properties []*spec.PropertyDecl
-	// Options are the monitor options candidates load with (and keep
-	// after promotion).
-	Options monitor.Options
 }
+
+// Admission retries: a *transient* admission failure is retried
+// admitRetries times, after admitBackoff doubling per attempt, before
+// the rollout fails static. Permanent refusals (kernel.AdmissionError)
+// never retry.
+const (
+	admitRetries = 3
+	admitBackoff = 50 * kernel.Millisecond
+)
 
 // fill applies defaults.
 func (cfg *Config) fill() {
@@ -157,15 +153,6 @@ func (cfg *Config) fill() {
 	if cfg.Gates == nil {
 		g := DefaultGates()
 		cfg.Gates = &g
-	}
-	switch {
-	case cfg.AdmitRetries == 0:
-		cfg.AdmitRetries = 3
-	case cfg.AdmitRetries < 0:
-		cfg.AdmitRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * kernel.Millisecond
 	}
 }
 
@@ -413,11 +400,10 @@ func (c *Controller) Begin(cs []*compile.Compiled, cfg Config) error {
 		return ErrNoChanges
 	}
 	verdict, names := CheckScoped(d, &deploy.Deployment{
-		Monitors:    cs,
-		Features:    cfg.Features,
-		Properties:  cfg.Properties,
-		HookBudget:  cfg.HookBudget,
-		HookBudgets: cfg.HookBudgets,
+		Monitors:   cs,
+		Features:   cfg.Features,
+		Properties: cfg.Properties,
+		HookBudget: cfg.HookBudget,
 	})
 	c.nextGen = gen
 	// Declared temporal properties gate the whole candidate generation:
@@ -468,7 +454,7 @@ func (c *Controller) step(st *rollout, expect Phase, fn func()) {
 // exponential backoff. Callers hold c.mu via step.
 func (c *Controller) admitStep(st *rollout, attempt int) {
 	combined := append(append([]*compile.Compiled(nil), c.lastGood...), st.cs...)
-	err := c.admit(st.cfg.HookBudget, st.cfg.HookBudgets, monitor.HookLoads(combined))
+	err := c.admit(st.cfg.HookBudget, nil, monitor.HookLoads(combined))
 	if err == nil {
 		c.loadShadow(st)
 		return
@@ -478,13 +464,13 @@ func (c *Controller) admitStep(st *rollout, attempt int) {
 		c.failStatic(st, "admission rejected: "+err.Error())
 		return
 	}
-	if attempt >= st.cfg.AdmitRetries {
+	if attempt >= admitRetries {
 		c.failStatic(st, fmt.Sprintf("admission failed after %d retries: %v", attempt, err))
 		return
 	}
 	c.rt.Telemetry().AdmitRetry(int64(c.k.Now()), st.gen, attempt+1, err.Error())
 	c.record(st.gen, "admit_retry", err.Error())
-	backoff := st.cfg.RetryBackoff << uint(attempt)
+	backoff := admitBackoff << uint(attempt)
 	c.k.After(backoff, func() { c.step(st, PhaseAdmitting, func() { c.admitStep(st, attempt+1) }) })
 }
 
@@ -503,7 +489,7 @@ func (c *Controller) loadShadow(st *rollout) {
 		}
 		clone := *cc
 		clone.Name = VersionedName(cc.Name, st.gen)
-		m, err := c.rt.Load(&clone, st.cfg.Options)
+		m, err := c.rt.Load(&clone, monitor.Options{})
 		if err != nil {
 			c.unloadCandidates(st)
 			c.failStatic(st, fmt.Sprintf("loading candidate %s: %v", clone.Name, err))
@@ -690,7 +676,7 @@ func (c *Controller) promote(st *rollout) {
 	var added []string
 	revert := func(failure string) {
 		for _, old := range swapped {
-			if _, err := c.rt.Update(old, st.cfg.Options); err == nil {
+			if _, err := c.rt.Update(old, monitor.Options{}); err == nil {
 				if m := c.rt.Monitor(old.Name); m != nil {
 					m.SetActGate(nil)
 				}
@@ -703,7 +689,7 @@ func (c *Controller) promote(st *rollout) {
 	}
 	for _, p := range st.pairs {
 		if p.inc != nil {
-			m, err := c.rt.Update(p.c, st.cfg.Options)
+			m, err := c.rt.Update(p.c, monitor.Options{})
 			if err != nil {
 				revert(fmt.Sprintf("promoting %s: %v", p.name, err))
 				return
@@ -716,7 +702,7 @@ func (c *Controller) promote(st *rollout) {
 		// Added guardrail: retire the trial copy, load under the real
 		// name.
 		_ = c.rt.Unload(p.vname)
-		m, err := c.rt.Load(p.c, st.cfg.Options)
+		m, err := c.rt.Load(p.c, monitor.Options{})
 		if err != nil {
 			revert(fmt.Sprintf("promoting added %s: %v", p.name, err))
 			return
@@ -733,30 +719,6 @@ func (c *Controller) promote(st *rollout) {
 	st.phase = PhasePromoted
 	c.record(st.gen, "promoted", st.diff.Summary())
 	c.rt.Telemetry().Promotion(int64(c.k.Now()), st.gen)
-}
-
-// Abort cancels the in-flight rollout, if any, and reports whether one
-// was cancelled. A rollout still in admission fails static (nothing was
-// exposed); one in shadow or canary rolls back (candidates unload,
-// incumbents take back full traffic). Terminal rollouts are untouched —
-// Abort never undoes a promotion. The sharded fleet supervisor uses
-// this to keep shards in lockstep: when one shard's replica of a
-// rollout dies at a gate, the other shards' replicas are aborted at the
-// next barrier instead of promoting a generation the fleet has already
-// judged bad.
-func (c *Controller) Abort(reason string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.cur
-	if st == nil || st.phase.Terminal() {
-		return false
-	}
-	if st.phase == PhaseAdmitting {
-		c.failStatic(st, "aborted: "+reason)
-	} else {
-		c.rollback(st, "aborted: "+reason)
-	}
-	return true
 }
 
 // Breakglass quarantines a guardrail fleet-wide in one call: the named

@@ -178,6 +178,7 @@ guardrail othersite { trigger: { FUNCTION(net_rx) }, rule: { LOAD(c) <= 1 }, act
 
 func TestHealthyCanaryPromotes(t *testing.T) {
 	ctl, rt, k, _ := harness(t)
+	incumbent := rt.Monitor("lat-guard")
 	// Loosen the threshold slightly: fewer violations than the incumbent.
 	cand := mustCompile(t, strings.Replace(latGuard, "0.5", "0.56", 1))
 	if err := ctl.Begin(cand, fastCfg()); err != nil {
@@ -205,8 +206,8 @@ func TestHealthyCanaryPromotes(t *testing.T) {
 		t.Errorf("monitor generation = %d, want 2", got)
 	}
 	// Hot-swap continuity: the promoted monitor carries the incumbent's
-	// counters forward.
-	if m.Stats().Evals <= m.GenerationStats().Evals {
+	// counters forward and adds its own.
+	if m.Stats().Evals <= incumbent.Stats().Evals {
 		t.Error("promoted monitor lost the incumbent's evaluation count")
 	}
 	if tm := rt.Monitor(VersionedName("lat-guard", 2)); tm != nil {
@@ -363,11 +364,8 @@ func TestExhaustedTransientRetriesFailStatic(t *testing.T) {
 	ctl.SetAdmitFunc(func(int, map[string]int, []kernel.HookLoad) error {
 		return errors.New("admission RPC timed out")
 	})
-	cfg := fastCfg()
-	cfg.AdmitRetries = 2
-	cfg.RetryBackoff = 10 * kernel.Millisecond
 	cand := mustCompile(t, strings.Replace(latGuard, "0.5", "0.56", 1))
-	if err := ctl.Begin(cand, cfg); err != nil {
+	if err := ctl.Begin(cand, fastCfg()); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(kernel.Second)
@@ -508,31 +506,6 @@ func TestCanarySplitComplementary(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("firing at %v acted %d times (lanes %v): canary split is not complementary", at, n, byLane)
 		}
-	}
-}
-
-func TestNegativeAdmitRetriesFailsImmediately(t *testing.T) {
-	ctl, rt, k, _ := harness(t)
-	calls := 0
-	ctl.SetAdmitFunc(func(int, map[string]int, []kernel.HookLoad) error {
-		calls++
-		return errors.New("admission RPC timed out")
-	})
-	cfg := fastCfg()
-	cfg.AdmitRetries = -1 // fail static on the first transient error
-	cand := mustCompile(t, strings.Replace(latGuard, "0.5", "0.56", 1))
-	if err := ctl.Begin(cand, cfg); err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(kernel.Second)
-	if got := ctl.Phase(); got != PhaseFailed {
-		t.Fatalf("phase = %s, want failed without retries", got)
-	}
-	if calls != 1 {
-		t.Errorf("admission attempted %d times, want exactly 1", calls)
-	}
-	if got := rt.Telemetry().Counters.RolloutAdmitRetries.Value(); got != 0 {
-		t.Errorf("rollout_admission_retries_total = %d, want 0", got)
 	}
 }
 

@@ -56,10 +56,8 @@ type Metrics struct {
 	Completed     int
 	MeanResponse  kernel.Time // completion - arrival, mean over completed
 	P99Response   kernel.Time
-	MeanSlowdown  float64     // response / size
 	MaxReadyWait  kernel.Time // worst instantaneous wait observed
 	StarvedEvents int         // dispatches where some ready job waited > 100ms
-	JainCPU       float64     // fairness of CPU received across completed jobs, per unit size
 }
 
 // Sim is the scheduler simulation, driven by the shared simulated
@@ -73,7 +71,6 @@ type Sim struct {
 	ready     []*Job
 	running   *Job
 	completed []*Job
-	nextID    int
 
 	maxWaitID  featurestore.ID
 	readyLenID featurestore.ID
@@ -224,20 +221,14 @@ func (s *Sim) Metrics() Metrics {
 		return m
 	}
 	responses := make([]float64, len(s.completed))
-	perUnit := make([]float64, len(s.completed))
-	var sumResp, sumSlow float64
+	var sumResp float64
 	for i, j := range s.completed {
 		r := j.Completed - j.Arrival
 		responses[i] = float64(r)
 		sumResp += float64(r)
-		slow := float64(r) / float64(j.Size)
-		sumSlow += slow
-		perUnit[i] = 1 / slow // service rate per unit demand; equal under perfect fairness
 	}
 	sort.Float64s(responses)
 	m.MeanResponse = kernel.Time(sumResp / float64(len(responses)))
 	m.P99Response = kernel.Time(stats.Quantile(responses, 0.99))
-	m.MeanSlowdown = sumSlow / float64(len(responses))
-	m.JainCPU = stats.JainIndex(perUnit)
 	return m
 }

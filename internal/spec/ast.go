@@ -82,7 +82,6 @@ func (t *TimerTrigger) String() string {
 // FUNCTION(site_name).
 type FuncTrigger struct {
 	Site string
-	Pos  Pos
 }
 
 func (*FuncTrigger) trigger() {}
@@ -100,7 +99,6 @@ type Action interface {
 // A1 in the paper's taxonomy.
 type ReportAction struct {
 	Args []Expr
-	Pos  Pos
 }
 
 func (*ReportAction) action() {}

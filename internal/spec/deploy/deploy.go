@@ -245,29 +245,6 @@ func (v *Verdict) Diagnostics() []interfere.Diagnostic {
 	return ds
 }
 
-// Quarantine classifies the monitors the warnings implicate, for a
-// loader that degrades instead of refusing: a budget finding disables
-// (the program must not run on the hot hook at all), every other
-// warning shadows (rules evaluate, actions are suppressed). Duplicate
-// names are the loader's to skip, not a quarantine.
-func (v *Verdict) Quarantine() (shadow, disable map[string]bool) {
-	shadow, disable = map[string]bool{}, map[string]bool{}
-	for _, d := range v.Diagnostics() {
-		if d.Severity != interfere.Warn || d.Code == interfere.CodeDuplicateName {
-			continue
-		}
-		into := shadow
-		if d.Code == interfere.CodeHookBudget {
-			into = disable
-		}
-		into[d.Guardrail] = true
-		for _, name := range d.Others {
-			into[name] = true
-		}
-	}
-	return shadow, disable
-}
-
 // WriteText renders the findings: one positioned line per diagnostic
 // (prefixed with its declaring file from fileOf; a temporal finding's
 // abstract trace indented beneath), the per-hook worst-case load table,

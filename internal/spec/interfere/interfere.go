@@ -159,20 +159,6 @@ func (d *Diagnostic) Grade(w *vm.Witness) {
 	}
 }
 
-// Implicates reports whether the diagnostic names the guardrail as
-// primary or partner.
-func (d Diagnostic) Implicates(name string) bool {
-	if d.Guardrail == name {
-		return true
-	}
-	for _, o := range d.Others {
-		if o == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Deployment is the analyzer's input: the compiled guardrails that will
 // be loaded together, the declared feature ranges they operate under,
 // and the per-hook-site step budgets to check aggregate load against.
@@ -256,6 +242,8 @@ func (d *Deployment) Analysis(p *vm.Program, env vm.CellEnv) (*vm.Analysis, erro
 
 // Analyses counts the abstract interpretations performed so far: one per
 // memo entry.
+//
+//guardrails:testhook TestReportsPinned and TestBackgroundMonitorsAnalyzedOnce pin the memo's size
 func (d *Deployment) Analyses() int { return len(d.memo) }
 
 // budgetFor resolves the budget for one hook site (0 = unlimited).

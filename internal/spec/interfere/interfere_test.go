@@ -1,12 +1,19 @@
 package interfere
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
 )
+
+// implicates reports whether the diagnostic names the guardrail as
+// primary or partner.
+func implicates(d Diagnostic, name string) bool {
+	return d.Guardrail == name || slices.Contains(d.Others, name)
+}
 
 // deployment compiles src and wraps it as a single-file deployment,
 // carrying the file's feature declarations.
@@ -61,7 +68,7 @@ guardrail ml-on {
 	if d.Severity != Warn || d.Site != "io_submit" {
 		t.Errorf("GI001 = %+v, want warning on io_submit", d)
 	}
-	if !d.Implicates("ml-off") || !d.Implicates("ml-on") {
+	if !implicates(d, "ml-off") || !implicates(d, "ml-on") {
 		t.Errorf("GI001 names %q + %v, want both guardrails", d.Guardrail, d.Others)
 	}
 	if r.Clean() {
@@ -231,7 +238,7 @@ guardrail c {
 }`, 0))
 	d := find(t, r, CodeFeedbackCycle)
 	for _, name := range []string{"a", "b", "c"} {
-		if !d.Implicates(name) {
+		if !implicates(d, name) {
 			t.Errorf("cycle misses %q: %+v", name, d)
 		}
 	}
@@ -377,7 +384,7 @@ guardrail dead-consumer {
 		t.Errorf("GI006 anchored to %q, want dead-consumer", d.Guardrail)
 	}
 	// The producer itself is live: open-world inputs can violate it.
-	if d.Implicates("producer") {
+	if implicates(d, "producer") {
 		t.Errorf("producer wrongly implicated: %+v", d)
 	}
 }

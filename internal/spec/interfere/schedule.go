@@ -87,9 +87,6 @@ func Hyperperiod(intervals []int64) (int64, bool) {
 // TickGroup is one coincidence class of timer ticks: the set of timers
 // (by index into the input slice) that tick at the same instant.
 type TickGroup struct {
-	// Offset is the instant's offset in nanoseconds from the earliest
-	// timer start, within the first hyperperiod window.
-	Offset int64
 	// Members indexes the timers ticking at this instant, ascending.
 	Members []int
 }
@@ -167,7 +164,7 @@ func TimerTicks(timers []*spec.TimerTrigger, maxTicks int) (groups []TickGroup, 
 	for _, off := range offsets {
 		members := byOffset[off]
 		sort.Ints(members)
-		groups = append(groups, TickGroup{Offset: off, Members: members})
+		groups = append(groups, TickGroup{Members: members})
 	}
 	return groups, h, true
 }

@@ -1,6 +1,7 @@
 package interfere
 
 import (
+	"reflect"
 	"testing"
 
 	"guardrails/internal/spec"
@@ -55,17 +56,14 @@ func TestTimerTicksBasic(t *testing.T) {
 		t.Fatalf("ok=%v hyper=%d", ok, hyper)
 	}
 	// Ticks in [0,6): t0 at 0,2,4; t1 at 0,3 → offsets 0{0,1} 2{0} 3{1} 4{0}.
-	wantOffsets := []int64{0, 2, 3, 4}
-	if len(groups) != len(wantOffsets) {
+	want := [][]int{{0, 1}, {0}, {1}, {0}}
+	if len(groups) != len(want) {
 		t.Fatalf("groups = %+v", groups)
 	}
 	for i, g := range groups {
-		if g.Offset != wantOffsets[i] {
-			t.Errorf("group %d offset = %d, want %d", i, g.Offset, wantOffsets[i])
+		if !reflect.DeepEqual(g.Members, want[i]) {
+			t.Errorf("group %d members = %v, want %v", i, g.Members, want[i])
 		}
-	}
-	if len(groups[0].Members) != 2 {
-		t.Errorf("offset 0 members = %v, want both timers", groups[0].Members)
 	}
 }
 
@@ -80,10 +78,9 @@ func TestTimerTicksRespectsStopAndBounds(t *testing.T) {
 	if !ok || hyper != 6 || len(groups) != 3 {
 		t.Fatalf("stop window: ok=%v hyper=%d groups=%+v", ok, hyper, groups)
 	}
-	for _, g := range groups {
-		if g.Offset == 4 {
-			t.Errorf("stopped timer still ticking at offset 4: %+v", groups)
-		}
+	// Offsets 0{0,1} 2{0} 3{1}: no group for timer 0 at offset 4.
+	if want := [][]int{{0, 1}, {0}, {1}}; !reflect.DeepEqual([][]int{groups[0].Members, groups[1].Members, groups[2].Members}, want) {
+		t.Errorf("groups = %+v, want members %v", groups, want)
 	}
 	// Exceeding maxTicks must fail, not truncate silently.
 	if _, _, ok := TimerTicks([]*spec.TimerTrigger{{Start: 0, Interval: 1}, {Start: 0, Interval: 1 << 20}}, 10); ok {

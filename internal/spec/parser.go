@@ -298,7 +298,7 @@ func (p *Parser) parseTrigger() (Trigger, error) {
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
-		return &FuncTrigger{Site: site.Text, Pos: tok.Pos}, nil
+		return &FuncTrigger{Site: site.Text}, nil
 	default:
 		return nil, errAt(tok.Pos, "unknown trigger %q (want TIMER or FUNCTION)", tok.Text)
 	}
@@ -373,7 +373,7 @@ func (p *Parser) parseAction() (Action, error) {
 		if err := open(); err != nil {
 			return nil, err
 		}
-		a := &ReportAction{Pos: tok.Pos}
+		a := &ReportAction{}
 		if p.cur.Kind != TokRParen {
 			for {
 				e, err := p.parseExpr()

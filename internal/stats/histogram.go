@@ -199,22 +199,6 @@ func (h *LogHistogram) Quantile(p float64) float64 {
 	return math.Exp2(float64(len(h.bins)))
 }
 
-// Merge folds o's observations into h. Both histograms must have the
-// same maxExp; a shape mismatch is an error. o is unchanged.
-func (h *LogHistogram) Merge(o *LogHistogram) error {
-	if len(h.bins) != len(o.bins) {
-		return fmt.Errorf("stats: cannot merge log histogram with maxExp %d into maxExp %d",
-			len(o.bins), len(h.bins))
-	}
-	for i, c := range o.bins {
-		h.bins[i] += c
-	}
-	h.zero += o.zero
-	h.total += o.total
-	h.sum += o.sum
-	return nil
-}
-
 // Reset zeroes all counters.
 func (h *LogHistogram) Reset() {
 	for i := range h.bins {

@@ -163,26 +163,6 @@ func TestLogHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestLogHistogramMerge(t *testing.T) {
-	a := NewLogHistogram(20)
-	b := NewLogHistogram(20)
-	a.Add(0.5)
-	a.Add(100)
-	b.Add(200)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.total != 3 {
-		t.Errorf("merged count = %d, want 3", a.total)
-	}
-	if !almostEqual(a.Mean(), 300.5/3, 1e-12) {
-		t.Errorf("merged mean = %v", a.Mean())
-	}
-	if err := a.Merge(NewLogHistogram(10)); err == nil {
-		t.Error("maxExp mismatch should error")
-	}
-}
-
 func TestLogHistogramMaxExpPanics(t *testing.T) {
 	for _, n := range []int{0, -1, 64} {
 		func() {

@@ -34,21 +34,3 @@ func TestQuickRateWindowBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickJainIndexBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		// Jain's index is defined for non-negative allocations.
-		alloc := make([]float64, 0, len(raw))
-		for _, x := range sanitize(raw) {
-			alloc = append(alloc, math.Abs(x))
-		}
-		j := JainIndex(alloc)
-		if len(alloc) == 0 {
-			return j == 1
-		}
-		return j >= 1/float64(len(alloc))-1e-9 && j <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -59,16 +59,3 @@ func (c *Counter) Value() uint64 {
 	}
 	return total
 }
-
-// Merge folds o's count into c (shard-wise, so merged counters remain
-// mergeable). Used to aggregate per-run or per-worker sinks.
-func (c *Counter) Merge(o *Counter) {
-	if c == nil || o == nil {
-		return
-	}
-	for i := range o.shards {
-		if n := o.shards[i].n.Load(); n != 0 {
-			c.shards[i].n.Add(n)
-		}
-	}
-}

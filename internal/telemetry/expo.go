@@ -70,31 +70,6 @@ func (s *Sink) WriteJSON(w io.Writer) error {
 	return enc.Encode(s.Snapshot())
 }
 
-// Diff returns the change from prev to snap: counter and event-count
-// deltas, with the histogram summaries taken from the later snapshot
-// (histogram quantiles do not subtract). Counters present only in prev
-// appear with a zero delta.
-func (snap Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{
-		AtNS:           snap.AtNS,
-		Counters:       make(map[string]uint64, len(snap.Counters)),
-		HookDispatchNS: snap.HookDispatchNS,
-		EvalVMSteps:    snap.EvalVMSteps,
-		IOLatencyNS:    snap.IOLatencyNS,
-		EventsTotal:    snap.EventsTotal - prev.EventsTotal,
-		EventsRetained: snap.EventsRetained,
-	}
-	for name, v := range snap.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name := range prev.Counters {
-		if _, ok := snap.Counters[name]; !ok {
-			out.Counters[name] = 0
-		}
-	}
-	return out
-}
-
 // WritePrometheus renders the sink in the Prometheus text exposition
 // format, deterministically ordered: one family per counter, and each
 // latency/step distribution as a native cumulative histogram with

@@ -33,9 +33,10 @@ const (
 	KindQuarantine
 	// KindRearm: a quarantined monitor returned to duty.
 	KindRearm
-	// KindShadowEnter: budget enforcement demoted a monitor to shadow.
+	// KindShadowEnter and KindShadowExit marked moves to and from the
+	// budget shadow rung, which is gone; they keep their values so the
+	// kinds after them keep theirs.
 	KindShadowEnter
-	// KindShadowExit: a budget window reset promoted a monitor back.
 	KindShadowExit
 	// KindGCPause: an SSD chip entered a garbage-collection pause
 	// (Dur = pause length).
@@ -212,9 +213,6 @@ func (f *Flight) Len() int {
 	defer f.mu.Unlock()
 	return f.size
 }
-
-// Cap returns the ring capacity.
-func (f *Flight) Cap() int { return len(f.ring) }
 
 // Events returns the retained events in record order (ascending Seq).
 func (f *Flight) Events() []Event {

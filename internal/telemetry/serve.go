@@ -6,24 +6,22 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // OpsConfig wires the live ops endpoint. The Sink callback is
-// consulted per request so a sharded system can serve a fresh merge
-// every scrape; Why serves decision-provenance queries (wired by the
-// facade so this package needs no provenance dependency); Healthz, if
-// set, can veto liveness. Nil callbacks disable their routes' content
-// ( /metrics and /snapshot.json serve the nil sink's empty exports,
-// /why serves 404).
+// consulted per request, so the endpoint serves whatever sink is
+// attached at scrape time; Why serves decision-provenance queries
+// (wired by the caller so this package needs no provenance
+// dependency). Nil callbacks disable their routes' content (/metrics
+// and /snapshot.json serve the nil sink's empty exports, /why serves
+// 404).
 type OpsConfig struct {
 	// Sink returns the sink to export; called per request.
 	Sink func() *Sink
 	// Why returns up to n decision records for one monitor as a
 	// JSON-marshalable value ([]provenance.RecordJSON in practice).
 	Why func(monitor string, n int) (any, error)
-	// Healthz, when non-nil, is polled by /healthz; an error answers
-	// 503.
-	Healthz func() error
 }
 
 // flightEvent is the /flight wire form of one flight-recorder event.
@@ -108,12 +106,6 @@ func NewOpsMux(cfg OpsConfig) *http.ServeMux {
 		_ = enc.Encode(out)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if cfg.Healthz != nil {
-			if err := cfg.Healthz(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
@@ -125,6 +117,12 @@ type OpsServer struct {
 	srv *http.Server
 }
 
+// opsReadHeaderTimeout bounds how long a connection may take to send
+// its request line and headers. Without it a client that opens a
+// connection and never finishes its request holds the connection and
+// its goroutine until the process exits.
+const opsReadHeaderTimeout = 5 * time.Second
+
 // ServeOps binds addr (":9090", "127.0.0.1:0", ...) and serves the ops
 // routes on it in a background goroutine until Close.
 func ServeOps(addr string, cfg OpsConfig) (*OpsServer, error) {
@@ -132,7 +130,10 @@ func ServeOps(addr string, cfg OpsConfig) (*OpsServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &OpsServer{ln: ln, srv: &http.Server{Handler: NewOpsMux(cfg)}}
+	s := &OpsServer{ln: ln, srv: &http.Server{
+		Handler:           NewOpsMux(cfg),
+		ReadHeaderTimeout: opsReadHeaderTimeout,
+	}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -3,11 +3,12 @@ package telemetry
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // startOps boots a real listener on a loopback ephemeral port; the ops
@@ -105,12 +106,10 @@ func TestOpsEndpointRoutes(t *testing.T) {
 	}
 }
 
-func TestOpsEndpointNilAndUnhealthy(t *testing.T) {
+func TestOpsEndpointNilConfig(t *testing.T) {
 	// A bare config must still serve every route: empty exports, 404 for
-	// /why, and a 503 when Healthz vetoes.
-	srv := startOps(t, OpsConfig{
-		Healthz: func() error { return fmt.Errorf("rollout wedged") },
-	})
+	// /why, and a live /healthz.
+	srv := startOps(t, OpsConfig{})
 	if code, _ := get(t, srv, "/metrics"); code != http.StatusOK {
 		t.Errorf("/metrics on nil sink = %d", code)
 	}
@@ -122,38 +121,35 @@ func TestOpsEndpointNilAndUnhealthy(t *testing.T) {
 		t.Errorf("/why without provenance = %d, want 404", code)
 	}
 	code, body = get(t, srv, "/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "rollout wedged") {
-		t.Errorf("/healthz veto = %d %q", code, body)
+	if code != http.StatusOK || !strings.Contains(body, "ok") {
+		t.Errorf("/healthz = %d %q", code, body)
 	}
 }
 
-// TestTelemetryMergeConcurrentWithWriters: per-shard sinks keep
-// recording while a driver merges them — the sharded Telemetry() path
-// under -race.
-func TestTelemetryMergeConcurrentWithWriters(t *testing.T) {
-	sinks := make([]*Sink, 4)
-	for i := range sinks {
-		sinks[i] = New(nil, 128)
+// TestOpsEndpointDropsStalledRequest opens a raw connection, sends half
+// a request line and stops: the server must hang up once the header
+// timeout passes instead of holding the connection for good.
+func TestOpsEndpointDropsStalledRequest(t *testing.T) {
+	srv := startOps(t, OpsConfig{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			m := Merge(nil, 0, sinks...)
-			_ = m.Snapshot()
-		}
-	}()
-	var total uint64
-	for i := 0; i < 500; i++ {
-		for _, s := range sinks {
-			s.Eval(Time(i), "m", 3, i%7 == 0)
-			s.HookFire(Time(i), "site", 0)
-			total++
-		}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metr"); err != nil {
+		t.Fatal(err)
 	}
-	<-done
-	m := Merge(nil, 0, sinks...)
-	if got := m.Snapshot().Counters["evals_total"]; got != total {
-		t.Errorf("merged evals_total = %d, want %d", got, total)
+	// A margin past the timeout for a loaded machine; the read fails
+	// with a deadline error only if the server never hangs up.
+	if err := conn.SetReadDeadline(time.Now().Add(opsReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server still holds a stalled connection after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < opsReadHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, opsReadHeaderTimeout)
 	}
 }

@@ -86,21 +86,6 @@ func (h *Hist) buckets() (zero uint64, bins []uint64, total uint64, sum float64)
 	return h.h.Buckets()
 }
 
-// Merge folds o into h. Always shape-compatible: every telemetry
-// histogram shares histMaxExp.
-func (h *Hist) Merge(o *Hist) {
-	if h == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	snapshot := stats.NewLogHistogram(histMaxExp)
-	_ = snapshot.Merge(o.h)
-	o.mu.Unlock()
-	h.mu.Lock()
-	_ = h.h.Merge(snapshot)
-	h.mu.Unlock()
-}
-
 // Counters is the fixed counter set every sink carries. Field names
 // mirror the monitor's Stats so a snapshot reconciles 1:1 with
 // per-monitor accounting (summed over monitors).
@@ -255,16 +240,6 @@ func (s *Sink) Flight() *Flight {
 	return s.rec
 }
 
-// Emit records one flight-recorder event verbatim. Instrumentation
-// sites mostly use the typed helpers below, which also maintain the
-// matching counters and histograms.
-func (s *Sink) Emit(e Event) {
-	if s == nil {
-		return
-	}
-	s.rec.Record(e)
-}
-
 // hist returns the named histogram from m, creating it on first use.
 // The read path takes only the RLock; creation is rare (one per site).
 func (s *Sink) hist(m map[string]*Hist, name string) *Hist {
@@ -298,14 +273,6 @@ func (s *Sink) EvalHist(monitor string) *Hist {
 		return nil
 	}
 	return s.hist(s.evalSteps, monitor)
-}
-
-// IOHist returns the simulated-I/O-latency histogram for a device.
-func (s *Sink) IOHist(device string) *Hist {
-	if s == nil {
-		return nil
-	}
-	return s.hist(s.ioNS, device)
 }
 
 // --- typed instrumentation points ------------------------------------

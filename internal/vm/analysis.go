@@ -516,14 +516,6 @@ func RangeInterval(lo, hi float64) Interval {
 	return Interval{Num: true, Lo: lo, Hi: hi}
 }
 
-// Singleton reports whether the interval is exactly one ordinary value.
-func (iv Interval) Singleton() (float64, bool) {
-	if iv.Num && !iv.NaN && iv.Lo == iv.Hi {
-		return iv.Lo, true
-	}
-	return 0, false
-}
-
 // DisjointFrom reports that no ordinary value is admitted by both
 // intervals — the certificate behind "these two SAVEs are contradictory".
 // Intervals that may both be NaN are not considered disjoint.
@@ -566,8 +558,6 @@ func fromInterval(iv Interval) absVal {
 // value the instruction may write to its cell, valid whenever the
 // instruction is reachable.
 type StoreFact struct {
-	// PC is the OpStore instruction's index.
-	PC int
 	// Cell indexes the program symbol table (the SAVEd key).
 	Cell int32
 	// Val is the certified range of stored values.
@@ -576,8 +566,6 @@ type StoreFact struct {
 
 // ExitFact is one reachable OpExit site's certified return value.
 type ExitFact struct {
-	// PC is the OpExit instruction's index.
-	PC int
 	// R0 is the certified range of returned values. Rule programs
 	// return 1 when the property holds and 0 when it is violated.
 	R0 Interval
@@ -594,9 +582,6 @@ type Analysis struct {
 	// DivProven reports that every division's divisor was proven unable
 	// to be ordinary zero, so the interpreter's x/0 = 0 rule never fires.
 	DivProven bool
-	// Reachable records, per pc, whether the instruction is reachable
-	// from entry (dead comparison edges pruned).
-	Reachable []bool
 	// Stores lists every reachable OpStore with its certified value
 	// range, in pc order.
 	Stores []StoreFact
@@ -643,24 +628,6 @@ func (iv Interval) Widen(o Interval) Interval {
 	return widen(fromInterval(iv), fromInterval(o)).iv()
 }
 
-// StoreRange joins the certified ranges of every reachable store to
-// cell; ok is false when no reachable store writes it.
-func (a *Analysis) StoreRange(cell int32) (Interval, bool) {
-	var acc Interval
-	found := false
-	for _, s := range a.Stores {
-		if s.Cell != cell {
-			continue
-		}
-		if !found {
-			acc, found = s.Val, true
-		} else {
-			acc = acc.Join(s.Val)
-		}
-	}
-	return acc, found
-}
-
 // pcState is the analyzer's per-instruction entry state.
 type pcState struct {
 	reachable bool
@@ -678,25 +645,24 @@ type CellEnv func(cell int32) (Interval, bool)
 
 // analyzer runs the worklist-driven abstract interpretation.
 type analyzer struct {
-	p          *Program
-	numHelpers int
-	env        CellEnv
-	states     []pcState // len n+1; index n = fall-through off the end
-	work       []bool
-	divProven  bool
-	edges      edgeSet // scratch successor buffer reused across steps
+	p         *Program
+	env       CellEnv
+	states    []pcState // len n+1; index n = fall-through off the end
+	work      []bool
+	divProven bool
+	edges     edgeSet // scratch successor buffer reused across steps
 }
 
 // analyze proves a structurally-checked program trap-free, or explains
 // why it cannot. The CFG is acyclic with forward-only edges, so the
 // ascending-pc worklist reaches its fixpoint visiting each instruction
 // a small constant number of times.
-func analyze(p *Program, numHelpers int) (*Analysis, error) {
-	return analyzeEnv(p, numHelpers, nil)
+func analyze(p *Program) (*Analysis, error) {
+	return analyzeEnv(p, nil)
 }
 
-func analyzeEnv(p *Program, numHelpers int, env CellEnv) (*Analysis, error) {
-	a, err := runAnalyzer(p, numHelpers, env)
+func analyzeEnv(p *Program, env CellEnv) (*Analysis, error) {
+	a, err := runAnalyzer(p, env)
 	if err != nil {
 		return nil, err
 	}
@@ -706,15 +672,14 @@ func analyzeEnv(p *Program, numHelpers int, env CellEnv) (*Analysis, error) {
 // runAnalyzer drives the worklist to its fixpoint and returns the
 // analyzer with its per-pc states intact — the certificate builder
 // (certificate.go) reads the fixpoint states directly.
-func runAnalyzer(p *Program, numHelpers int, env CellEnv) (*analyzer, error) {
+func runAnalyzer(p *Program, env CellEnv) (*analyzer, error) {
 	n := len(p.Code)
 	a := &analyzer{
-		p:          p,
-		numHelpers: numHelpers,
-		env:        env,
-		states:     make([]pcState, n+1),
-		work:       make([]bool, n),
-		divProven:  true,
+		p:         p,
+		env:       env,
+		states:    make([]pcState, n+1),
+		work:      make([]bool, n),
+		divProven: true,
 	}
 	a.states[0] = pcState{reachable: true, rs: entryState()}
 	a.work[0] = true
@@ -748,20 +713,18 @@ func (a *analyzer) facts() *Analysis {
 	out := &Analysis{
 		MaxSteps:  a.maxSteps(),
 		DivProven: a.divProven,
-		Reachable: make([]bool, n),
 	}
 	for pc := 0; pc < n; pc++ {
 		st := a.states[pc]
 		if !st.reachable {
 			continue
 		}
-		out.Reachable[pc] = true
 		in := a.p.Code[pc]
 		switch in.Op {
 		case OpStore:
-			out.Stores = append(out.Stores, StoreFact{PC: pc, Cell: in.Cell, Val: st.rs.vals[in.Src].iv()})
+			out.Stores = append(out.Stores, StoreFact{Cell: in.Cell, Val: st.rs.vals[in.Src].iv()})
 		case OpExit:
-			out.Exits = append(out.Exits, ExitFact{PC: pc, R0: st.rs.vals[0].iv()})
+			out.Exits = append(out.Exits, ExitFact{R0: st.rs.vals[0].iv()})
 		}
 	}
 	return out

@@ -63,7 +63,7 @@ func Certify(p *Program, numHelpers int) error {
 	if err := verifyStructure(p, numHelpers); err != nil {
 		return err
 	}
-	a, err := runAnalyzer(p, numHelpers, nil)
+	a, err := runAnalyzer(p, nil)
 	if err != nil {
 		return err
 	}

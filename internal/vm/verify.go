@@ -72,7 +72,7 @@ func Verify(p *Program, numHelpers int) error {
 	if err := verifyStructure(p, numHelpers); err != nil {
 		return err
 	}
-	a, err := analyze(p, numHelpers)
+	a, err := analyze(p)
 	if err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func AnalyzeWith(p *Program, numHelpers int, env CellEnv) (*Analysis, error) {
 	if err := verifyStructure(p, numHelpers); err != nil {
 		return nil, err
 	}
-	return analyzeEnv(p, numHelpers, env)
+	return analyzeEnv(p, env)
 }
 
 // verifyStructure is the per-instruction structural pass; the abstract

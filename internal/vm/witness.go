@@ -78,10 +78,6 @@ type CallEvent struct {
 // Replay is the observed outcome of one program run against a concrete
 // input assignment on the real interpreter.
 type Replay struct {
-	// Assign is the feature assignment the run observed (key → value).
-	Assign map[string]float64
-	// Arg is the trigger argument (r0 at entry).
-	Arg float64
 	// R0 is the exit value; by the compiler's convention 0 means the
 	// rule set was violated (the action path ran).
 	R0 float64
@@ -148,7 +144,7 @@ func (e *replayEnv) Helper(h HelperID, args *[5]float64) (float64, error) {
 // returns everything the run observed. The replay is deterministic:
 // HelperNow returns now for the whole run.
 func ReplayProgram(p *Program, assign map[string]float64, arg, now float64) *Replay {
-	rec := &Replay{Assign: assign, Arg: arg}
+	rec := &Replay{}
 	env := &replayEnv{p: p, vals: make(map[int32]float64, len(p.Symbols)), now: now, rec: rec}
 	for cell, key := range p.Symbols {
 		if v, ok := assign[key]; ok {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"guardrails/internal/compile"
 	"guardrails/internal/vm"
 )
 
@@ -26,7 +27,7 @@ guardrail proof-carry-watch {
 // program, and returns the decoded (untrusted) image.
 func imageRoundTrip(t *testing.T) *vm.Program {
 	t.Helper()
-	cs, err := CompileSpec(proofCarrySpec)
+	cs, err := compile.Source(proofCarrySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func imageRoundTrip(t *testing.T) *vm.Program {
 func TestDecodedCertifiedImageLoadsProven(t *testing.T) {
 	q := imageRoundTrip(t)
 
-	cs, err := CompileSpec(proofCarrySpec)
+	cs, err := compile.Source(proofCarrySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestTamperedImageLoadsGuarded(t *testing.T) {
 	q := imageRoundTrip(t)
 	q.Cert.MaxSteps++ // stale claim
 
-	cs, err := CompileSpec(proofCarrySpec)
+	cs, err := compile.Source(proofCarrySpec)
 	if err != nil {
 		t.Fatal(err)
 	}

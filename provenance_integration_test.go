@@ -4,16 +4,19 @@ package guardrails
 // every guardrail evaluation must (a) reconcile exactly with the
 // monitors' own accounting for the always-on kinds — every violation,
 // fault, and rollback has precisely one record — and (b) export
-// byte-identical JSON for a fixed-seed run, single kernel and -shards 1
-// alike, so provenance is as deterministic as the simulation it
-// observes.
+// byte-identical JSON for a fixed-seed run, single kernel and every
+// shard of a pool alike, so provenance is as deterministic as the
+// simulation it observes.
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"guardrails/internal/compile"
 	"guardrails/internal/provenance"
+	"guardrails/internal/rollout"
 )
 
 // provSpec violates on the mid-run signal window and REPORTs, so a run
@@ -58,7 +61,7 @@ func runProvSystem(t *testing.T, healthyEvery int) (*System, []*Monitor) {
 }
 
 // countKinds tallies the retained records by kind.
-func countKinds(recs []ProvenanceRecord) map[string]int {
+func countKinds(recs []provenance.Record) map[string]int {
 	out := map[string]int{}
 	for _, r := range recs {
 		out[r.Kind.String()]++
@@ -140,7 +143,7 @@ func TestProvenanceRollbackRecorded(t *testing.T) {
 	sys := NewSystem()
 	sys.AttachTelemetry(1 << 15)
 	sys.AttachProvenance(4096, 0)
-	inc, err := CompileSpec(`
+	inc, err := compile.Source(`
 guardrail lat-guard {
     trigger: { FUNCTION(io_done) },
     rule: { LOAD(lat_ma) <= 0.5 },
@@ -152,7 +155,7 @@ guardrail lat-guard {
 	if _, err := sys.Runtime.Load(inc[0], Options{}); err != nil {
 		t.Fatal(err)
 	}
-	ctl := sys.NewRolloutController()
+	ctl := rollout.NewController(sys.Runtime)
 	ctl.Adopt(inc)
 	i := 0
 	sys.Kernel.Every(0, Millisecond, 0, func(now Time) {
@@ -160,7 +163,7 @@ guardrail lat-guard {
 		sys.Kernel.Fire("io_done", 0)
 		i++
 	})
-	bad, err := CompileSpec(`
+	bad, err := compile.Source(`
 guardrail lat-guard {
     trigger: { FUNCTION(io_done) },
     rule: { LOAD(lat_ma) <= 0.01 },
@@ -169,12 +172,12 @@ guardrail lat-guard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RolloutConfig{ShadowWindow: 200 * Millisecond, CanaryWindow: 400 * Millisecond}
+	cfg := rollout.Config{ShadowWindow: 200 * Millisecond, CanaryWindow: 400 * Millisecond}
 	if err := ctl.Begin(bad, cfg); err != nil {
 		t.Fatal(err)
 	}
 	sys.Kernel.RunUntil(2 * Second)
-	if got := ctl.Phase(); got != RolloutRolledBack {
+	if got := ctl.Phase(); got != rollout.PhaseRolledBack {
 		t.Fatalf("phase = %s, want rolled_back", got)
 	}
 
@@ -203,12 +206,11 @@ guardrail lat-guard {
 	}
 }
 
-// provExport runs the given driver and returns the provenance export
-// bytes.
-func provExport(t *testing.T, run func(t *testing.T) *Provenance) []byte {
+// provJSON renders a recorder's export.
+func provJSON(t *testing.T, rec *Provenance) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(t).WriteJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -217,11 +219,11 @@ func provExport(t *testing.T, run func(t *testing.T) *Provenance) []byte {
 // TestProvenanceDeterministicAcrossRuns: a fixed-seed single-kernel run
 // exports byte-identical provenance JSON every time.
 func TestProvenanceDeterministicAcrossRuns(t *testing.T) {
-	run := func(t *testing.T) *Provenance {
+	run := func() []byte {
 		sys, _ := runProvSystem(t, 8)
-		return sys.Provenance()
+		return provJSON(t, sys.Provenance())
 	}
-	a, b := provExport(t, run), provExport(t, run)
+	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Error("provenance export differs across identical runs")
 	}
@@ -230,79 +232,65 @@ func TestProvenanceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// shardedProvRun drives an n-shard system with replicated guardrails
-// and per-shard deterministic workloads, returning the merged lane.
-func shardedProvRun(t *testing.T, shards int) *Provenance {
+// driveProv loads provSpec on sys and feeds it the signal, offset by
+// phase so shards of one pool do different work.
+func driveProv(t *testing.T, sys *System, phase Time) {
 	t.Helper()
-	sys := NewShardedSystem(shards)
-	sys.AttachTelemetry(4096)
-	sys.AttachProvenance(4096, 8)
 	if _, err := sys.LoadGuardrails(provSpec, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < sys.NumShards(); i++ {
-		shard := sys.Shard(i)
-		phase := Time(i) * 10 * Millisecond // stagger shards
-		shard.Kernel.Every(phase, 50*Millisecond, 3*Second, func(now Time) {
-			v := 0.5
-			if now >= Second && now < 2*Second {
-				v = 2.5
-			}
-			shard.Store.Save("sig", v)
-		})
+	sys.Kernel.Every(phase, 50*Millisecond, 3*Second, func(now Time) {
+		v := 0.5
+		if now >= Second && now < 2*Second {
+			v = 2.5
+		}
+		sys.Store.Save("sig", v)
+	})
+}
+
+// shardedProvRun drives an n-shard pool with the guardrail replicated on
+// every shard and staggered per-shard workloads, returning each shard's
+// provenance lane.
+func shardedProvRun(t *testing.T, shards int) [][]byte {
+	t.Helper()
+	ss := newShardedRun(shards, 4096, 8)
+	for i, sys := range ss.shards {
+		driveProv(t, sys, Time(i)*10*Millisecond)
 	}
-	sys.RunUntil(3 * Second)
-	return sys.Provenance()
+	ss.pool.RunUntil(3 * Second)
+	_, provs := ss.lanes(t)
+	return provs
 }
 
 // TestShardedProvenanceSingleShardByteIdentical is the -shards 1
-// acceptance criterion: the one-shard sharded system's provenance
-// export is byte-identical across fixed-seed runs.
+// acceptance criterion: a one-shard pool's provenance lane is
+// byte-identical to the single kernel's for the same workload.
 func TestShardedProvenanceSingleShardByteIdentical(t *testing.T) {
-	run := func(t *testing.T) *Provenance { return shardedProvRun(t, 1) }
-	a, b := provExport(t, run), provExport(t, run)
-	if !bytes.Equal(a, b) {
-		t.Error("-shards 1 provenance export differs across identical runs")
+	plain := NewSystem()
+	plain.AttachProvenance(4096, 8)
+	driveProv(t, plain, 0)
+	plain.Kernel.RunUntil(3 * Second)
+	want := provJSON(t, plain.Provenance())
+	if got := shardedProvRun(t, 1)[0]; !bytes.Equal(want, got) {
+		t.Errorf("one-shard provenance lane differs from the single kernel's (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestShardedProvenanceMergeDeterministic: the merged multi-shard lane
-// is deterministic too — shard goroutine scheduling must not leak into
-// the merged order — and records carry their shard and epoch stamps.
-func TestShardedProvenanceMergeDeterministic(t *testing.T) {
-	run := func(t *testing.T) *Provenance { return shardedProvRun(t, 4) }
-	a, b := provExport(t, run), provExport(t, run)
-	if !bytes.Equal(a, b) {
-		t.Error("merged provenance export differs across identical runs")
-	}
-	merged := shardedProvRun(t, 4)
-	shardsSeen := map[int]bool{}
-	epochSeen := false
-	last := struct {
-		at  int64
-		sh  int
-		seq uint64
-	}{}
-	for i, r := range merged.Records() {
-		shardsSeen[r.Shard] = true
-		if r.Epoch > 0 {
-			epochSeen = true
-		}
-		if i > 0 {
-			if r.At < last.at ||
-				(r.At == last.at && r.Shard < last.sh) {
-				t.Fatalf("record %d out of (time, shard) order", i)
+// TestShardedProvenanceRerunsByteIdentical: every shard's lane of a
+// K-shard run is byte-identical across reruns — shard goroutine
+// scheduling must not leak into any lane — and every shard records.
+func TestShardedProvenanceRerunsByteIdentical(t *testing.T) {
+	for _, n := range shardWidths {
+		t.Run(fmt.Sprintf("K=%d", n), func(t *testing.T) {
+			a, b := shardedProvRun(t, n), shardedProvRun(t, n)
+			for i := range a {
+				if !bytes.Equal(a[i], b[i]) {
+					t.Errorf("shard %d provenance lane differs across identical runs", i)
+				}
+				if !bytes.Contains(a[i], []byte(`"kind": "violation"`)) {
+					t.Errorf("shard %d recorded no violation", i)
+				}
 			}
-			if r.Seq != last.seq+1 {
-				t.Fatalf("record %d: seq %d after %d", i, r.Seq, last.seq)
-			}
-		}
-		last.at, last.sh, last.seq = r.At, r.Shard, r.Seq
-	}
-	if len(shardsSeen) != 4 {
-		t.Errorf("records from %d shards, want 4", len(shardsSeen))
-	}
-	if !epochSeen {
-		t.Error("no record carries a barrier epoch stamp")
+		})
 	}
 }

@@ -3,13 +3,14 @@ package guardrails
 // Integration tests for the static-verification plane: compiled
 // guardrails arrive at the monitor runtime carrying the abstract
 // interpreter's proof, the load split (verified image vs. unverified,
-// counted as guarded) is observable in the Prometheus exposition, and the facade
-// surfaces the certified step bound.
+// counted as guarded) is observable in the Prometheus exposition, and the
+// certified step bound is an admission test.
 
 import (
 	"strings"
 	"testing"
 
+	"guardrails/internal/compile"
 	"guardrails/internal/vm"
 )
 
@@ -31,7 +32,7 @@ func TestProvenLoadVisibleInPrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs, err := CompileSpec(staticVerifySpec)
+	cs, err := compile.Source(staticVerifySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestProvenLoadVisibleInPrometheus(t *testing.T) {
 	}
 }
 
-// TestCompiledProgramsCarryProof: every program out of CompileSpec has
-// Meta proof fields set, and the facade's VerifySteps admission test
+// TestCompiledProgramsCarryProof: every compiled program has Meta proof
+// fields set, and the VerifySteps admission test
 // works against the certified bound.
 func TestCompiledProgramsCarryProof(t *testing.T) {
-	cs, err := CompileSpec(staticVerifySpec)
+	cs, err := compile.Source(staticVerifySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func TestCompiledProgramsCarryProof(t *testing.T) {
 	if !p.Meta.TrapFree || p.Meta.MaxSteps <= 0 {
 		t.Fatalf("compiled program carries no proof: %+v", p.Meta)
 	}
-	if err := VerifySteps(p, p.Meta.MaxSteps); err != nil {
+	if err := vm.VerifySteps(p, vm.NumBuiltinHelpers, p.Meta.MaxSteps); err != nil {
 		t.Errorf("program rejected by its own certified bound: %v", err)
 	}
-	if err := VerifySteps(p, p.Meta.MaxSteps-1); err == nil {
+	if err := vm.VerifySteps(p, vm.NumBuiltinHelpers, p.Meta.MaxSteps-1); err == nil {
 		t.Error("VerifySteps accepted a budget below the certified bound")
 	}
 }

@@ -13,11 +13,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"guardrails/internal/monitor"
+	"guardrails/internal/telemetry"
 )
 
 // telemetrySpec exercises evaluation, violation, REPORT, and a
-// DEPRIORITIZE whose task group is never registered — every episode
-// also walks the retry ladder into the dead-letter queue.
+// DEPRIORITIZE whose task group no runtime binds — every episode also
+// walks the retry ladder into the dead-letter queue.
 const telemetrySpec = `
 guardrail telemetry-watch {
     trigger: {
@@ -61,7 +64,7 @@ func runTelemetrySystem(t *testing.T, eventCap int) (*System, *Telemetry, []*Mon
 // no sampling.
 func TestTelemetryCountersReconcileWithMonitorStats(t *testing.T) {
 	_, sink, mons := runTelemetrySystem(t, 4096)
-	var want MonitorStats
+	var want monitor.Stats
 	for _, m := range mons {
 		st := m.Stats()
 		want.Evals += st.Evals
@@ -197,7 +200,7 @@ func TestTelemetryMetricsSnapshotRoundTrip(t *testing.T) {
 	if err := sink.WriteJSON(&buf); err != nil {
 		t.Fatalf("snapshot marshal: %v", err)
 	}
-	var snap TelemetrySnapshot
+	var snap telemetry.Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot round-trip: %v", err)
 	}

@@ -11,14 +11,22 @@ import (
 	"testing"
 )
 
-// fixture is a module "mod" in memory: a facade, three internal
+// fixture is a module "mod" in memory: a facade, four internal
 // packages, a command, a non-main benchmark package, and just enough of
-// a standard library for the interface-name rule. Keys are
-// "import/path/file.go".
+// a standard library for the interface-name rule and the field
+// exemptions. Keys are "import/path/file.go".
 var fixture = map[string]string{
-	"fmt/fmt.go":            `package fmt; type Stringer interface{ String() string }`,
-	"sort/sort.go":          `package sort; type Interface interface{ Len() int; Less(i, j int) bool; Swap(i, j int) }`,
-	"encoding/json/json.go": `package json; type Marshaler interface{ MarshalJSON() ([]byte, error) }`,
+	"fmt/fmt.go":   `package fmt; type Stringer interface{ String() string }`,
+	"sort/sort.go": `package sort; type Interface interface{ Len() int; Less(i, j int) bool; Swap(i, j int) }`,
+	"encoding/json/json.go": `package json
+type Marshaler interface{ MarshalJSON() ([]byte, error) }
+func Marshal(v any) ([]byte, error) { return nil, nil }`,
+	"encoding/binary/binary.go": `package binary; func Write(w, order, data any) error { return nil }`,
+	"reflect/reflect.go":        `package reflect; func DeepEqual(x, y any) bool { return false }`,
+	"sync/sync.go": `package sync
+type Mutex struct{}
+func (*Mutex) Lock()   {}
+func (*Mutex) Unlock() {}`,
 
 	"mod/mod.go": `package mod
 
@@ -29,7 +37,10 @@ type Thing = a.Thing
 
 func NewThing() *Thing { return a.New() }
 
-func unexportedAndUnused() { a.OnlyFromDeadFacadeCode() }
+// Unused is exported, but no root names it: the facade is not a root.
+func Unused() { a.OnlyFromDeadFacadeCode() }
+
+func unexportedAndUnused() {}
 `,
 
 	"mod/internal/a/a.go": `package a
@@ -42,15 +53,12 @@ import (
 	"mod/internal/b"
 )
 
-type Thing struct {
-	Inner  *b.Inner // exported field: b.Inner's exported methods are API
-	hidden b.Hidden // unexported field: b.Hidden is live, its methods are not API
-}
+type Thing struct{}
 
 func New() *Thing { hookStale(); return &Thing{} }
 
-// Exported is API through the facade's alias; b.Result is API through
-// its signature.
+// Exported is called by the command; b.Result is live through its
+// signature.
 func (t *Thing) Exported() b.Result { return b.Result{} }
 
 func (t *Thing) unexportedUnused() {}
@@ -110,20 +118,13 @@ func fromATest() int { return onlyTests() }
 
 	"mod/internal/b/b.go": `package b
 
-type Inner struct{}
-
-func (Inner) ViaField()           {}
-func (Inner) viaFieldUnexported() {}
-
 type Result struct{}
 
+// ViaSignature is an exported method of a type the facade hands out,
+// but nothing calls it.
 func (Result) ViaSignature() {}
 
-type Hidden struct{}
-
-func (Hidden) NotExposed() {}
-
-type Orphan struct{}
+type Orphan struct{ Z int }
 
 func (Orphan) String() string { return "" }
 
@@ -139,11 +140,128 @@ func fromMainHelper() {}
 func FromBenchmark() {}
 func Dead()          {}
 `,
+
+	// d exercises the field rules. The command builds a Cfg and calls
+	// Use, Encode, Same and KindB.
+	"mod/internal/d/d.go": `package d
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"reflect"
+	"sync"
+)
+
+type Cfg struct {
+	Set       int
+	NeverSet  int // read by Use, set by nothing
+	Default   int // read by Use, given only fill's default
+	NeverRead int // set by the command, read by nothing
+	ReadDead  int // read only by dead code
+	Tagged    int ` + "`json:\"tagged\"`" + `
+	sync.Mutex
+	latched bool
+	viaAddr int
+	mu      sync.Mutex
+	counts  map[string]int
+	pt      Point
+	anon    struct{ x, y int }
+}
+
+func (c *Cfg) fill() {
+	if c.Default == 0 {
+		c.Default = 4
+	}
+}
+
+// latch assigns a constant in a method of its own type, but under no
+// comparison with a constant: a setting, not a default.
+func (c *Cfg) latch() bool {
+	if !c.latched {
+		c.latched = true
+		return true
+	}
+	return false
+}
+
+func bump(p *int) { *p++ }
+
+func Use(c *Cfg) int {
+	c.fill()
+	c.Lock()
+	defer c.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	bump(&c.viaAddr)
+	c.counts["k"]++
+	c.pt.X = 1
+	seen[c.pt] = true
+	seen[Point{X: 1, Y: 2}] = true
+	c.anon.x = 1
+	n := 0
+	if c.latch() {
+		n++
+	}
+	return n + c.Set + c.NeverSet + c.Default + c.viaAddr + len(c.counts) + c.anon.y
+}
+
+func dead(c *Cfg) int { return c.ReadDead }
+
+// Point is a map key: its fields are read by hashing.
+type Point struct{ X, Y int }
+
+var seen = map[Point]bool{}
+
+// Pair is compared with ==: its fields are read by comparison.
+type Pair struct{ L, R int }
+
+func Same(a, b Pair) bool { return a == b }
+
+// Wire, Bin and Refl go to encoding or reflection, which read and
+// write fields no source mentions.
+type (
+	Wire struct{ A int }
+	Bin  struct{ B int }
+	Refl struct{ C int }
+)
+
+func Encode() bool {
+	_, _ = json.Marshal(Wire{})
+	_ = binary.Write(nil, nil, &Bin{})
+	return reflect.DeepEqual([]Refl{}, nil)
+}
+
+type DeadType struct{ F int } // the type is the finding, not its field
+
+type Kind int
+
+// One live constant keeps its whole group: deleting KindA would
+// renumber KindB.
+const (
+	KindA Kind = iota
+	KindB
+	KindC
+)
+
+const Lonely = 5
+`,
+
 	"mod/cmd/tool/main.go": `package main
 
-import "mod/internal/c"
+import (
+	"mod"
+	"mod/internal/c"
+	"mod/internal/d"
+)
 
-func main() { c.FromMain() }
+func main() {
+	c.FromMain()
+	_ = mod.NewThing().Exported()
+	_ = d.Use(&d.Cfg{Set: 1, NeverRead: 2, ReadDead: 3})
+	_ = d.Encode()
+	_ = d.Same(d.Pair{L: 1, R: 2}, d.Pair{})
+	_ = d.KindB
+}
 `,
 	"mod/benchmark/gen/gen.go": `package gen
 
@@ -190,6 +308,8 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Defs:  map[*ast.Ident]types.Object{},
+
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	tpkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
 	if err != nil {
@@ -230,9 +350,14 @@ func analyze(t *testing.T, src map[string]string) map[string]string {
 }
 
 // TestAnalyzeFixture compares the whole finding set, so a declaration
-// wrongly kept fails as loudly as one wrongly flagged.
+// or field wrongly kept fails as loudly as one wrongly flagged.
 func TestAnalyzeFixture(t *testing.T) {
-	const unreachable = "reachable only from tests"
+	const (
+		unreachable = "reachable only from tests"
+		neverSet    = "no non-test code sets"
+		neverRead   = "no non-test code reads"
+		onlyDefault = "only ever holds its default"
+	)
 	want := map[string]string{
 		// Called only from a_test.go, and the helper only it calls.
 		"mod/internal/a.onlyTests":         unreachable,
@@ -242,19 +367,30 @@ func TestAnalyzeFixture(t *testing.T) {
 		// An interface nothing mentions (Thing.Frob stays: the name rule
 		// does not ask whether the interface is live).
 		"mod/internal/a.Frobber": unreachable,
-		// The facade's unexported code is not a root.
+		// The facade is checked like internal/: an export no root names
+		// is a finding, and so is what only it calls.
+		"mod.Unused":                            unreachable,
+		"mod.unexportedAndUnused":               unreachable,
 		"mod/internal/a.OnlyFromDeadFacadeCode": unreachable,
-		// b.Inner is API through Thing's exported field, but only its
-		// exported methods are.
-		"mod/internal/b.Inner.viaFieldUnexported": unreachable,
-		// b.Hidden is only a private field's type.
-		"mod/internal/b.Hidden.NotExposed": unreachable,
-		// A dead type takes its interface-named methods with it.
+		// b.Result is live through Exported's signature, but nothing
+		// calls its exported method.
+		"mod/internal/b.Result.ViaSignature": unreachable,
+		// A dead type takes its interface-named methods with it, and its
+		// fields are not reported on their own.
 		"mod/internal/b.Orphan":        unreachable,
 		"mod/internal/b.Orphan.String": unreachable,
 		"mod/internal/b.DeadConst":     unreachable,
 		"mod/internal/b.DeadVar":       unreachable,
 		"mod/internal/c.Dead":          unreachable,
+		// Field rules.
+		"mod/internal/d.Cfg.NeverSet":  neverSet,
+		"mod/internal/d.Cfg.Default":   onlyDefault,
+		"mod/internal/d.Cfg.NeverRead": neverRead,
+		"mod/internal/d.Cfg.ReadDead":  neverRead,
+		"mod/internal/d.dead":          unreachable,
+		"mod/internal/d.DeadType":      unreachable,
+		// A constant alone in its declaration is its own group.
+		"mod/internal/d.Lonely": unreachable,
 		// Directive misuse; both declarations are kept.
 		"mod/internal/a.hookNoReason": "testhook directive needs a reason",
 		"mod/internal/a.hookStale":    "the roots already reach",
