@@ -108,12 +108,11 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	}
 }
 
-// TestKernelFireObservedAllocationFree: attaching the telemetry sink and
-// the provenance recorder adds no allocation to a fire. What a bare
-// fire allocates is kernel.Fire's variadic argument slice (ROADMAP item
-// 1); an observed one — sampled wall timing, three flight events, the
-// resolved histogram handles, provenance's healthy sampling — allocates
-// exactly that.
+// TestKernelFireObservedAllocationFree: a fire allocates nothing — not
+// bare, where the arguments go on the kernel's own stack instead of a
+// variadic slice that escapes, and not observed, with sampled wall
+// timing, three flight events, the resolved histogram handles and
+// provenance's healthy sampling.
 func TestKernelFireObservedAllocationFree(t *testing.T) {
 	const src = `
 guardrail low-false-submit {
@@ -141,9 +140,8 @@ guardrail low-false-submit {
 		fire() // resolve the handles
 		return testing.AllocsPerRun(1000, fire)
 	}
-	bare, observed := fireAllocs(false), fireAllocs(true)
-	if observed != bare {
-		t.Errorf("an observed fire allocates %v times, a bare one %v", observed, bare)
+	if bare, observed := fireAllocs(false), fireAllocs(true); bare != 0 || observed != 0 {
+		t.Errorf("a bare fire allocates %v times and an observed one %v, want 0 and 0", bare, observed)
 	}
 }
 
@@ -165,8 +163,8 @@ func TestPredictSlowAllocationFree(t *testing.T) {
 }
 
 // TestEngineReadMLPathAllocation: a model-routed read builds its
-// features in the engine's buffer. The one allocation left is
-// kernel.Fire's variadic argument slice (ROADMAP item 1).
+// features in the engine's buffer and fires its completion hook from
+// the kernel's own argument stack: nothing allocates.
 func TestEngineReadMLPathAllocation(t *testing.T) {
 	mk := func(name string, seed int64) *storage.Device {
 		d, err := storage.NewDevice(storage.DefaultDeviceConfig(name, seed))
@@ -191,8 +189,8 @@ func TestEngineReadMLPathAllocation(t *testing.T) {
 		e.Read(now, uint64(now))
 	}
 	read()
-	if n := testing.AllocsPerRun(1000, read); n > 1 {
-		t.Errorf("Engine.Read on the ML path allocates %v times per run, want <= 1", n)
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Errorf("Engine.Read on the ML path allocates %v times per run, want 0", n)
 	}
 	// Every model-routed read asks the model at least once.
 	if st := e.Stats(); uint64(model.calls) < st.Reads || st.Reads == 0 {

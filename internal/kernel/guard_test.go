@@ -50,7 +50,9 @@ func TestHookPanicPropagatesWithoutHandler(t *testing.T) {
 
 // Scheduling, attaching, and clock reads must be safe while another
 // goroutine steps the event loop (monitors schedule retries and
-// cool-downs from action paths).
+// cool-downs from action paths). The fire count is owned by the loop:
+// the other goroutines read it from an event they schedule on the loop,
+// and the test reads it once the loop has stopped.
 func TestConcurrentSchedulingWhileRunning(t *testing.T) {
 	k := New()
 	k.Every(0, Millisecond, Second, func(now Time) {
@@ -72,11 +74,10 @@ func TestConcurrentSchedulingWhileRunning(t *testing.T) {
 				default:
 				}
 				if n < 2000 {
-					k.After(Millisecond, func() {})
+					k.After(Millisecond, func() { _ = k.FireCount("tick") })
 				}
 				detach := k.Attach("tick", func(k *Kernel, site string, args []float64) {})
 				_ = k.Now()
-				_ = k.FireCount("tick")
 				detach()
 			}
 		}()

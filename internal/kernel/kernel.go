@@ -9,12 +9,18 @@
 // is a feature: every experiment in the repository replays exactly given
 // the same seeds.
 //
-// Each event loop is single-threaded (one goroutine steps a kernel at a
-// time, as a real kernel hook path runs under its own synchronization),
-// but the bookkeeping — scheduling, hook attach/detach, the clock — is
-// safe to call from other goroutines: monitor runtimes schedule retry
-// and cool-down events from action paths, and fault-injection stress
-// tests load and unload monitors while the clock advances.
+// Each kernel has one owner at a time: the goroutine that steps its
+// event loop or fires its hooks (a Pool shard's goroutine between
+// barriers; the goroutine calling Pool.RunUntil at a barrier and
+// whenever nothing runs). The
+// fire path writes owned state — site fire counts, the argument frames,
+// the panic count — with plain stores, and firing one kernel from two
+// goroutines at once is not supported. The bookkeeping is safe from any
+// goroutine: scheduling (At, After, Every), hook attach/detach (published
+// copy-on-write), the clock, and the operator toggles SetTelemetry and
+// SetHookPanicHandler (one atomic store each, read by the next fire).
+// FireCount and HookPanics read owned counters: call them on the owner —
+// from an event, or a barrier callback — or after it has stopped.
 //
 // For multi-core execution a Pool runs N Kernel shards — each with its
 // own clock, event heap, and hook table — concurrently
@@ -96,35 +102,31 @@ type hookSlot struct {
 }
 
 // hookSite is one hook point's dispatch state. The slot list is
-// copy-on-write behind an atomic pointer so Fire — the per-event hot
-// path every shard runs concurrently — reads it with a single atomic
-// load: no lock, no allocation, no cache line shared with other sites'
-// fire counters.
+// copy-on-write behind an atomic pointer, so Attach may run on any
+// goroutine while Fire reads it with one load; the rest belongs to the
+// kernel's owner and is plain.
 type hookSite struct {
 	slots atomic.Pointer[[]hookSlot]
-	fires atomic.Uint64
-	// telem is the site's resolved telemetry handle; see dispatchHist.
-	telem atomic.Pointer[siteTelemetry]
+	fires uint64
+	// telSink is the sink telHist, this site's dispatch-latency
+	// histogram, was resolved against; see dispatchHist.
+	telSink *telemetry.Sink
+	telHist *telemetry.Hist
 }
 
-// siteTelemetry pairs a sink with that sink's dispatch-latency
-// histogram for one site. Immutable once published.
-type siteTelemetry struct {
-	sink *telemetry.Sink
-	hist *telemetry.Hist
-}
+// cacheLine is the coherence granule the kernel's owned state is padded
+// against: 64 bytes on amd64 and arm64.
+const cacheLine = 64
 
 // dispatchHist returns sink's dispatch-latency histogram for the site,
 // looking it up by name only the first time a sink is seen: a handle
 // resolved against another sink (SetTelemetry swapped it) is replaced,
 // so an observation never lands in a sink that has been detached.
 func (hs *hookSite) dispatchHist(sink *telemetry.Sink, site string) *telemetry.Hist {
-	t := hs.telem.Load()
-	if t == nil || t.sink != sink {
-		t = &siteTelemetry{sink: sink, hist: sink.HookHist(site)}
-		hs.telem.Store(t)
+	if hs.telSink != sink || hs.telHist == nil {
+		hs.telSink, hs.telHist = sink, sink.HookHist(site)
 	}
-	return t.hist
+	return hs.telHist
 }
 
 // dispatchSamplePeriod is how many fires of a site share one wall-clock
@@ -134,25 +136,36 @@ func (hs *hookSite) dispatchHist(sink *telemetry.Sink, site string) *telemetry.H
 const dispatchSamplePeriod = 64
 
 // Kernel is a deterministic discrete-event simulated kernel — in a
-// sharded Pool, one shard. One goroutine at a time may step the event
-// loop; scheduling, hook registration, and clock reads are safe from
-// any goroutine.
+// sharded Pool, one shard. See the package comment for which methods
+// belong to the kernel's owner and which are safe from any goroutine.
 type Kernel struct {
+	// The leading and trailing pads keep the event loop's and the fire
+	// path's writes off any line another object — another shard's
+	// kernel, say — lives on.
+	_ [cacheLine]byte
+
 	now atomic.Int64 // Time
 
 	qmu   sync.Mutex // guards seq + queue
 	seq   uint64
 	queue eventQueue
 
+	// args is the owner's argument stack: Fire copies its arguments into
+	// the frame args[argTop:argTop+len] and hands the hooks that frame, so
+	// the caller's variadic slice never escapes and a nested Fire stacks
+	// its frame above the outer one. hookPanics is owned too.
+	args       []float64
+	argTop     int
+	hookPanics uint64
+
 	// sites is the copy-on-write hook table: the map value is replaced
 	// wholesale (under hmu) when a new site appears, and the *hookSite
-	// entries themselves are stable, so Fire dispatches entirely from
-	// atomic loads. hmu serializes mutations only.
+	// entries themselves are stable, so Fire finds a site with one
+	// atomic load. hmu serializes mutations only.
 	hmu        sync.Mutex
 	sites      atomic.Pointer[map[string]*hookSite]
 	hookID     uint64
-	panicGuard atomic.Value // PanicHandler
-	hookPanics atomic.Uint64
+	panicGuard atomic.Pointer[PanicHandler]
 
 	tsink atomic.Pointer[telemetry.Sink]
 
@@ -160,6 +173,8 @@ type Kernel struct {
 	// the rollout control plane on fleet-wide promotion. Generation 1 is
 	// the boot deployment.
 	generation atomic.Uint64
+
+	_ [cacheLine]byte
 }
 
 // New returns a kernel at time zero, on deployment generation 1.
@@ -353,13 +368,19 @@ func (k *Kernel) Attach(site string, fn HookFn) (detach func()) {
 // by hook callbacks: with a handler set, a panicking monitor or
 // instrumentation hook is contained (recovered, counted, reported to h)
 // instead of tearing down the whole simulated kernel. With no handler
-// (the default) panics propagate as before.
+// (the default) panics propagate as before. Safe from any goroutine;
+// the next fire uses the new handler.
 func (k *Kernel) SetHookPanicHandler(h PanicHandler) {
-	k.panicGuard.Store(h)
+	if h == nil {
+		k.panicGuard.Store(nil)
+		return
+	}
+	k.panicGuard.Store(&h)
 }
 
 // HookPanics returns how many hook panics the panic handler absorbed.
-func (k *Kernel) HookPanics() uint64 { return k.hookPanics.Load() }
+// The count is owned: read it on the owner or after it has stopped.
+func (k *Kernel) HookPanics() uint64 { return k.hookPanics }
 
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink.
 // Every subsequent Fire records a hook-fire event, and one fire in
@@ -375,9 +396,12 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 
 // Fire invokes all hooks attached to site, in attach order. Subsystem
 // simulators call this at their instrumentation points — the analogue of
-// a kprobe firing. The dispatch path is lock-free: the site entry and
-// its slot list are read with two atomic loads, so concurrent shards
-// firing different (or the same) sites never serialize on a mutex.
+// a kprobe firing. Fire runs on the kernel's owner: it finds the site
+// and its slot list with two atomic loads (Attach may run anywhere),
+// counts the fire with a plain increment, and hands the hooks a frame on
+// the kernel's own argument stack, so it takes no lock, no locked
+// instruction and no allocation. The hooks see the frame only for the
+// duration of their call; a hook that fires again gets a frame above it.
 //
 //guardrails:hotpath
 func (k *Kernel) Fire(site string, args ...float64) {
@@ -385,12 +409,10 @@ func (k *Kernel) Fire(site string, args ...float64) {
 	if hs == nil {
 		hs = k.siteFor(site)
 	}
-	n := hs.fires.Add(1)
+	hs.fires++
+	n := hs.fires
 	slots := *hs.slots.Load()
-	var guard PanicHandler
-	if h, ok := k.panicGuard.Load().(PanicHandler); ok && h != nil {
-		guard = h
-	}
+	guard := k.panicGuard.Load()
 	sink := k.tsink.Load()
 	// The site's 1st, 65th, 129th, ... fire is timed.
 	timed := sink != nil && (n-1)%dispatchSamplePeriod == 0
@@ -405,34 +427,58 @@ func (k *Kernel) Fire(site string, args ...float64) {
 			wallStart = time.Now() //guardrails:coldpath sampled 1-in-64
 		}
 	}
+	// Push the frame. A panic that propagates out of a hook (no handler
+	// installed) leaves it pushed; the stack only grows by it.
+	top := k.argTop
+	end := top + len(args)
+	if end > len(k.args) {
+		k.growArgs(end)
+	}
+	frame := k.args[top:end:end]
+	copy(frame, args)
+	k.argTop = end
 	for _, s := range slots {
 		if guard == nil {
-			s.fn(k, site, args)
+			s.fn(k, site, frame)
 			continue
 		}
-		k.fireGuarded(s.fn, site, args, guard)
+		k.fireGuarded(s.fn, site, frame, *guard)
 	}
+	k.argTop = top
 	if timed {
 		hs.dispatchHist(sink, site).Observe(float64(time.Since(wallStart)))
 	}
+}
+
+// growArgs replaces the argument stack with one of at least need slots:
+// 16 at the first fire with arguments, doubling after that. Frames
+// already handed out keep pointing into the old array, which nothing
+// writes any more, so nothing is copied.
+func (k *Kernel) growArgs(need int) {
+	n := max(2*len(k.args), 16)
+	for n < need {
+		n *= 2
+	}
+	k.args = make([]float64, n)
 }
 
 // fireGuarded runs one hook under the panic guard.
 func (k *Kernel) fireGuarded(fn HookFn, site string, args []float64, guard PanicHandler) {
 	defer func() {
 		if r := recover(); r != nil {
-			k.hookPanics.Add(1)
+			k.hookPanics++
 			guard(site, r)
 		}
 	}()
 	fn(k, site, args)
 }
 
-// FireCount returns how many times site has fired.
+// FireCount returns how many times site has fired. The count is owned:
+// read it on the owner or after it has stopped.
 func (k *Kernel) FireCount(site string) uint64 {
 	hs := (*k.sites.Load())[site]
 	if hs == nil {
 		return 0
 	}
-	return hs.fires.Load()
+	return hs.fires
 }

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -166,6 +168,65 @@ func TestHooksFireInOrderAndDetach(t *testing.T) {
 	}
 }
 
+// TestNestedFiresKeepTheirArguments: a hook that fires its own site and
+// then another sees each nested fire's own arguments, and once a nested
+// fire returns, the hooks of the outer fire see the outer arguments
+// again — for 0-, 1- and 2-argument fires, and across a nesting deep
+// enough to outgrow the kernel's argument stack.
+func TestNestedFiresKeepTheirArguments(t *testing.T) {
+	k := New()
+	var seen []string
+	record := func(who string, args []float64) { seen = append(seen, fmt.Sprint(who, args)) }
+	reentered := false
+	k.Attach("outer", func(k *Kernel, _ string, args []float64) {
+		record("outer.a", args)
+		if !reentered {
+			reentered = true
+			k.Fire("outer", 7)
+		}
+		record("outer.a after self", args)
+		k.Fire("inner")
+		record("outer.a after inner", args)
+	})
+	k.Attach("outer", func(_ *Kernel, _ string, args []float64) { record("outer.b", args) })
+	k.Attach("inner", func(k *Kernel, _ string, args []float64) {
+		record("inner", args)
+		k.Fire("leaf", 8, 9)
+		record("inner after leaf", args)
+	})
+	k.Attach("leaf", func(_ *Kernel, _ string, args []float64) { record("leaf", args) })
+	k.Fire("outer", 1, 2)
+	want := []string{
+		"outer.a[1 2]",
+		"outer.a[7]", "outer.a after self[7]",
+		"inner[]", "leaf[8 9]", "inner after leaf[]",
+		"outer.a after inner[7]", "outer.b[7]",
+		"outer.a after self[1 2]",
+		"inner[]", "leaf[8 9]", "inner after leaf[]",
+		"outer.a after inner[1 2]", "outer.b[1 2]",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("hooks saw\n%q\nwant\n%q", seen, want)
+	}
+
+	// Twelve nested 3-argument frames are 36 floats: the stack grows
+	// under frames that are still live.
+	const depth = 12
+	k.Attach("deep", func(k *Kernel, _ string, args []float64) {
+		before := fmt.Sprint(args)
+		if d := args[0]; d < depth {
+			k.Fire("deep", d+1, -d, 10*d)
+		}
+		if after := fmt.Sprint(args); after != before {
+			t.Errorf("frame %s changed to %s across a nested fire", before, after)
+		}
+	})
+	k.Fire("deep", 0, 0, 0)
+	if got := k.FireCount("deep"); got != depth+1 {
+		t.Errorf("deep fired %d times, want %d", got, depth+1)
+	}
+}
+
 func TestFireUnattachedSite(t *testing.T) {
 	k := New()
 	k.Fire("lonely", 3.14) // must not panic
@@ -187,6 +248,21 @@ func TestTimeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.t), got, c.want)
+		}
+	}
+}
+
+// TestKernelStateOwnsItsCacheLines: what the owner writes in the
+// Kernel on every fire or event shares no cache line with another
+// object — another shard's kernel, say: a kernel opens and closes with
+// a line of padding. On a 2-shard pool on a 2-vCPU VM the pads are the
+// difference between ~60 and ~80 ns a fire (EXPERIMENTS.md, "Monitor
+// cost").
+func TestKernelStateOwnsItsCacheLines(t *testing.T) {
+	kt := reflect.TypeOf(Kernel{})
+	for _, f := range []reflect.StructField{kt.Field(0), kt.Field(kt.NumField() - 1)} {
+		if f.Name != "_" || f.Type.Size() < cacheLine {
+			t.Errorf("Kernel field %q (%d bytes) at offset %d: want a %d-byte pad at each end", f.Name, f.Type.Size(), f.Offset, cacheLine)
 		}
 	}
 }

@@ -1,12 +1,38 @@
 package monitor
 
 import (
-	"sync"
 	"testing"
 )
 
-// TestLoadDeploymentUnderConcurrentFire loads a deployment while its
-// hook sites fire from concurrent goroutines: the admission test and
+// fireUntil runs fire on a goroutine of its own — the kernel's owner
+// while it runs — until release is closed, then another rounds times.
+// It returns once the first fire has run, so what the caller does next
+// overlaps the firing, and the returned channel closes when the
+// goroutine has stopped.
+func fireUntil(release <-chan struct{}, rounds int, fire func(n int)) (stopped <-chan struct{}) {
+	done, started := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		fire(0)
+		close(started)
+		for n := 1; ; n++ {
+			select {
+			case <-release:
+				for i := 0; i < rounds; i++ {
+					fire(i)
+				}
+				return
+			default:
+			}
+			fire(n)
+		}
+	}()
+	<-started
+	return done
+}
+
+// TestLoadDeploymentUnderConcurrentFire loads a deployment on one
+// goroutine while another fires its hook sites: the admission test and
 // the arm transitions must be safe against in-flight dispatches (run
 // under go test -race), and every monitor ends armed and acting.
 func TestLoadDeploymentUnderConcurrentFire(t *testing.T) {
@@ -14,25 +40,7 @@ func TestLoadDeploymentUnderConcurrentFire(t *testing.T) {
 	st.Save("ml_enabled", 1)
 	st.Save("err_rate", 0.5) // violates both guardrails
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k.Fire("io_submit", float64(n))
-				k.Fire("busy_site", float64(n))
-			}
-		}(i)
-	}
-
-	res, err := rt.LoadDeployment(compileAll(t, `
+	cs := compileAll(t, `
 guardrail ml-off {
     trigger: { FUNCTION(io_submit) },
     rule: { LOAD(err_rate) <= 0.01 },
@@ -42,25 +50,22 @@ guardrail busy-watch {
     trigger: { FUNCTION(busy_site) },
     rule: { LOAD(err_rate) <= 0.01 },
     action: { REPORT(LOAD(err_rate)) }
-}`), DeployConfig{})
+}`)
+	loaded := make(chan struct{})
+	stopped := fireUntil(loaded, 1000, func(n int) {
+		k.Fire("io_submit", float64(n))
+		k.Fire("busy_site", float64(n))
+	})
+	res, err := rt.LoadDeployment(cs, DeployConfig{})
+	// The firer hammers the freshly armed deployment, then stops.
+	close(loaded)
+	<-stopped
 	if err != nil {
 		t.Fatalf("clean deployment refused: %v", err)
 	}
-	// Let the firers hammer the freshly armed deployment, then stop.
-	for i := 0; i < 1000; i++ {
-		k.Fire("io_submit", float64(i))
-	}
-	close(stop)
-	wg.Wait()
-
-	// One more uncontended round so every monitor has a completed
-	// evaluation on the books (concurrent rounds can bounce off the
-	// single-evaluation CAS).
-	k.Fire("io_submit", 0)
-	k.Fire("busy_site", 0)
 	for _, m := range res.Monitors {
-		if s := m.Stats(); s.Evals == 0 || s.ActionsFired == 0 {
-			t.Errorf("%s: stats %+v; want it evaluated and acting", m.Name(), s)
+		if s := m.Stats(); s.Evals < 1000 || s.ActionsFired < 1000 {
+			t.Errorf("%s: stats %+v; want it evaluated and acting on every fire after the load", m.Name(), s)
 		}
 	}
 	if got := st.Load("ml_enabled"); got != 0 {
@@ -70,8 +75,8 @@ guardrail busy-watch {
 
 // TestQuarantineTogglesUnderConcurrentFire flips a live monitor through
 // the quarantine transitions (enabled→disabled→enabled,
-// live→forced-shadow→released) while hooks fire from other goroutines.
-// Under go test -race this pins the transition paths as safe against
+// live→forced-shadow→released) on one goroutine while another fires its
+// hook. Under go test -race this pins the toggles as safe against
 // in-flight evaluations; functionally, the monitor must end live.
 func TestQuarantineTogglesUnderConcurrentFire(t *testing.T) {
 	rt, k, st := newRT()
@@ -88,30 +93,16 @@ guardrail flip {
 	}
 	m := res.Monitors[0]
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k.Fire("io_submit", float64(n))
-			}
-		}(i)
-	}
+	toggled := make(chan struct{})
+	stopped := fireUntil(toggled, 0, func(n int) { k.Fire("io_submit", float64(n)) })
 	for i := 0; i < 500; i++ {
 		m.SetEnabled(false)
 		m.ForceShadow(true)
 		m.ForceShadow(false)
 		m.SetEnabled(true)
 	}
-	close(stop)
-	wg.Wait()
+	close(toggled)
+	<-stopped
 
 	st.Save("ml_enabled", 1)
 	k.Fire("io_submit", 0)

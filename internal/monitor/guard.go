@@ -96,9 +96,7 @@ type FaultInjector interface {
 // circuit breaker. kind is a stable marker chaos experiments grep for.
 func (m *Monitor) recordFault(kind string, err error) {
 	now := m.rt.k.Now()
-	m.mu.Lock()
 	m.stats.Traps++
-	m.mu.Unlock()
 	m.rt.Telemetry().Fault(int64(now), m.Name(), kind)
 	if rec := m.rt.Provenance(); rec != nil {
 		m.provFault(rec, kind, now)
@@ -121,9 +119,7 @@ func trapKind(err error) string {
 // breakerHit records one fault against the sliding-window circuit
 // breaker and quarantines the monitor when the threshold is reached.
 func (m *Monitor) breakerHit(now kernel.Time) {
-	m.mu.Lock()
 	if m.opts.BreakerThreshold <= 0 || m.state == StateQuarantined {
-		m.mu.Unlock()
 		return
 	}
 	cutoff := now - m.opts.BreakerWindow
@@ -135,11 +131,9 @@ func (m *Monitor) breakerHit(now kernel.Time) {
 	}
 	m.faultTimes = append(kept, now)
 	if len(m.faultTimes) < m.opts.BreakerThreshold {
-		m.mu.Unlock()
 		return
 	}
 	m.faultTimes = m.faultTimes[:0]
-	m.mu.Unlock()
 	m.quarantine(fmt.Sprintf("%d faults within %s", m.opts.BreakerThreshold, m.opts.BreakerWindow))
 }
 
@@ -148,22 +142,17 @@ func (m *Monitor) breakerHit(now kernel.Time) {
 // scheduled. Idempotent.
 func (m *Monitor) quarantine(reason string) {
 	now := m.rt.k.Now()
-	m.mu.Lock()
 	if m.state == StateQuarantined {
-		m.mu.Unlock()
 		return
 	}
 	m.state = StateQuarantined
 	m.stats.Quarantines++
-	policy := m.opts.OnFault
-	cooldown := m.opts.Cooldown
-	m.mu.Unlock()
 	m.rt.Telemetry().Transition(int64(now), m.Name(), telemetry.KindQuarantine, reason)
 	m.rt.Log.Append(actions.Violation{
 		Time: now, Guardrail: m.Name(),
-		Note: fmt.Sprintf("quarantined (%s): %s", policy, reason),
+		Note: fmt.Sprintf("quarantined (%s): %s", m.opts.OnFault, reason),
 	})
-	if policy == FailClosed {
+	if m.opts.OnFault == FailClosed {
 		if m.opts.Fallback != nil {
 			m.opts.Fallback(m)
 		} else {
@@ -172,29 +161,25 @@ func (m *Monitor) quarantine(reason string) {
 			}
 		}
 	}
-	if cooldown > 0 {
-		m.rt.k.After(cooldown, func() { m.rearm("cooldown") })
+	if m.opts.Cooldown > 0 {
+		m.rt.k.After(m.opts.Cooldown, func() { m.rearm("cooldown") })
 	}
 }
 
 // rearm returns a quarantined monitor to active duty.
 func (m *Monitor) rearm(how string) {
-	m.mu.Lock()
-	if m.state != StateQuarantined || !m.enabled {
-		m.mu.Unlock()
+	if m.state != StateQuarantined || !m.enabled.Load() {
 		return
 	}
 	m.state = StateActive
 	m.stats.Rearms++
 	m.faultTimes = m.faultTimes[:0]
-	policy := m.opts.OnFault
-	m.mu.Unlock()
 	m.rt.Telemetry().Transition(int64(m.rt.k.Now()), m.Name(), telemetry.KindRearm, how)
 	m.rt.Log.Append(actions.Violation{
 		Time: m.rt.k.Now(), Guardrail: m.Name(),
 		Note: fmt.Sprintf("rearmed (%s)", how),
 	})
-	if policy == FailClosed && m.opts.Restore != nil {
+	if m.opts.OnFault == FailClosed && m.opts.Restore != nil {
 		m.opts.Restore(m)
 	}
 }
@@ -227,29 +212,21 @@ func (m *Monitor) runAction(name string, exec func() error, attempt int, trig ke
 		}
 		return
 	}
-	m.mu.Lock()
 	m.stats.DispatchErrors++
-	retryMax := m.opts.RetryMax
-	base := m.opts.RetryBase
-	m.mu.Unlock()
 	m.rt.Log.Append(actions.Violation{
 		Time: now, Guardrail: m.Name(),
 		Note: fmt.Sprintf("action %s failed (attempt %d) [triggered at %s]: %v", name, attempt+1, trig, err),
 	})
 	m.breakerHit(now)
-	if attempt >= retryMax {
+	if attempt >= m.opts.RetryMax {
 		m.provAction(name, "dead-letter", attempt)
-		m.mu.Lock()
 		m.stats.DeadLetters++
-		m.mu.Unlock()
 		sink.DeadLetter(int64(now), m.Name(), name)
 		m.rt.DeadLetter.Add()
 		return
 	}
 	m.provAction(name, "retry", attempt)
-	m.mu.Lock()
 	m.stats.Retries++
-	m.mu.Unlock()
 	sink.ActionRetry(int64(now), m.Name(), name, attempt+1)
-	m.rt.k.After(base<<attempt, func() { m.runAction(name, exec, attempt+1, trig) })
+	m.rt.k.After(m.opts.RetryBase<<attempt, func() { m.runAction(name, exec, attempt+1, trig) })
 }

@@ -50,12 +50,9 @@ func (i *testInjector) ActionFault(g, action string) error {
 	return i.actionFault(g, action)
 }
 
-// stateOf reads the monitor's position on the degradation ladder.
-func stateOf(m *Monitor) State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
+// stateOf reads the monitor's position on the degradation ladder. The
+// state is owned: call it on the owner or after it has stopped.
+func stateOf(m *Monitor) State { return m.state }
 
 func logNotes(rt *Runtime) []string {
 	var notes []string
@@ -353,8 +350,9 @@ guardrail reporter {
 }
 
 // The runtime must hold together under -race: one goroutine drives the
-// kernel while others load/unload guardrails, read stats and logs, and
-// write the feature store.
+// kernel while others load/unload guardrails, toggle the monitor, read
+// the logs, write the feature store, and schedule reads of the
+// monitor's owned stats and state onto the loop.
 func TestRuntimeRaceStress(t *testing.T) {
 	rt, k, st := newRT()
 	st.Save("false_submit_rate", 0.01)
@@ -379,6 +377,7 @@ func TestRuntimeRaceStress(t *testing.T) {
 	})
 
 	done := make(chan struct{})
+	var onLoop atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -402,8 +401,15 @@ guardrail %s {
 				if _, err := rt.LoadSource(src, Options{}); err == nil {
 					_ = rt.Unload(name)
 				}
-				_ = m.Stats()
-				_ = stateOf(m)
+				// Bounded, so that the producers cannot outrun the loop.
+				if i <= 500 {
+					k.At(k.Now(), func() {
+						_ = m.Stats()
+						_ = stateOf(m)
+						onLoop.Add(1)
+					})
+				}
+				m.ForceShadow(i%2 == 0)
 				_ = rt.Log.Recent(4)
 				_ = rt.DeadLetter.Total()
 				st.Save("false_submit_rate", float64(i%10)/100)
@@ -416,5 +422,98 @@ guardrail %s {
 	wg.Wait()
 	if m.Stats().Evals == 0 {
 		t.Fatal("monitor never evaluated")
+	}
+	t.Logf("%d reads ran on the loop", onLoop.Load())
+}
+
+// TestTogglesFromAnotherGoroutineApplyAtTheNextEvaluation: each operator
+// toggle, made on another goroutine, is what the owner's very next
+// evaluation obeys — including the act gate's index restart, which the
+// owner performs when it first sees the new gate.
+func TestTogglesFromAnotherGoroutineApplyAtTheNextEvaluation(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("err_rate", 0.5) // violates every evaluation
+	ms, err := rt.LoadSource(`
+guardrail flip {
+    trigger: { FUNCTION(io_submit) },
+    rule: { LOAD(err_rate) <= 0.01 },
+    action: { SAVE(ml_enabled, 0) }
+}`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ms[0]
+	// elsewhere runs f on another goroutine and waits for it.
+	elsewhere := func(f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		<-done
+	}
+	// fire evaluates once on this goroutine, the owner, and reports
+	// whether the evaluation counted and whether it acted.
+	fire := func() (evaluated, acted bool) {
+		st.Save("ml_enabled", 1)
+		before := m.Stats().Evals
+		k.Fire("io_submit", 1)
+		return m.Stats().Evals == before+1, st.Load("ml_enabled") == 0
+	}
+	for _, step := range []struct {
+		what             string
+		toggle           func()
+		evaluated, acted bool
+	}{
+		{"live", func() {}, true, true},
+		{"ForceShadow(true)", func() { m.ForceShadow(true) }, true, false},
+		{"SetEnabled(false)", func() { m.SetEnabled(false) }, false, false},
+		{"SetEnabled(true)", func() { m.SetEnabled(true) }, true, false},
+		{"ForceShadow(false)", func() { m.ForceShadow(false) }, true, true},
+		// The gate admits odd indices. The index restarts at the
+		// install, so the next evaluation is index 0 and does not act.
+		{"SetActGate(odd)", func() { m.SetActGate(func(n uint64) bool { return n%2 == 1 }) }, true, false},
+		{"no toggle (index 1)", func() {}, true, true},
+		{"no toggle (index 2)", func() {}, true, false},
+		{"SetActGate(nil)", func() { m.SetActGate(nil) }, true, true},
+	} {
+		elsewhere(step.toggle)
+		if evaluated, acted := fire(); evaluated != step.evaluated || acted != step.acted {
+			t.Errorf("after %s: evaluated=%v acted=%v, want %v %v", step.what, evaluated, acted, step.evaluated, step.acted)
+		}
+	}
+}
+
+// TestEvaluationPanicDoesNotWedgeTheMonitor: an evaluation that panics
+// (here inside the fault injector) and is recovered by the kernel's hook
+// panic handler must leave the monitor free to evaluate on the next fire.
+func TestEvaluationPanicDoesNotWedgeTheMonitor(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("err_rate", 0.001)
+	ms, err := rt.LoadSource(`
+guardrail steady {
+    trigger: { FUNCTION(io_submit) },
+    rule: { LOAD(err_rate) <= 0.01 },
+    action: { SAVE(ml_enabled, 0) }
+}`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetHookPanicHandler(func(string, any) {})
+	panicked := false
+	rt.SetFaultInjector(&testInjector{evalFault: func(string) error {
+		if !panicked {
+			panicked = true
+			panic("injector bug")
+		}
+		return nil
+	}})
+	k.Fire("io_submit", 1)
+	if got := k.HookPanics(); got != 1 {
+		t.Fatalf("hook panics = %d, want 1", got)
+	}
+	k.Fire("io_submit", 2)
+	if s := ms[0].Stats(); s.Evals != 1 || s.Traps != 0 {
+		t.Errorf("after the recovered panic: stats %+v; want one clean evaluation", s)
 	}
 }

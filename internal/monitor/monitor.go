@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"guardrails/internal/actions"
@@ -124,44 +123,59 @@ type Stats struct {
 
 // Monitor is a loaded guardrail: a verified VM program bound to kernel
 // triggers and the feature store.
+//
+// Every trigger — hook fire, timer tick, dependency write, action
+// retry, cooldown rearm — runs on the goroutine that fires the
+// runtime's kernel (see package kernel), which owns the evaluation
+// state and Stats: plain fields, no lock. Any goroutine may toggle
+// (SetEnabled, ForceShadow, SetActGate: one atomic store, applied from
+// the next evaluation) or Load, Update and Unload through the runtime.
+// Read Stats on the owner — in an event or a barrier callback — or
+// after it has stopped.
 type Monitor struct {
 	rt    *Runtime
 	c     *compile.Compiled
 	opts  Options
 	cells []featurestore.ID
 
-	machine vm.Machine
+	// gen is the monitor's deployment generation under its name: 1 on
+	// first Load, incremented by every hot Update. Fixed at install.
+	gen int
 
 	timers []*kernel.Timer
 	detach []func()
 
-	// running admits one evaluation at a time (and breaks the
-	// dependency-trigger recursion: a SAVE during evaluation fires
-	// store watchers, which re-enter Evaluate and bounce off the CAS).
-	// The CAS also publishes the single-eval state — machine, lastGood,
-	// suppressActions — across goroutines.
-	running atomic.Bool
+	// Operator toggles, loaded once per evaluation. The owner tells a
+	// newly installed actGate from the one it has (gate) by pointer.
+	enabled     atomic.Bool
+	forceShadow atomic.Bool
+	actGate     atomic.Pointer[actGate]
+
+	machine vm.Machine // owned, like everything below
+
+	// running admits one evaluation at a time and breaks the
+	// dependency-trigger recursion: a SAVE during evaluation fires store
+	// watchers, which re-enter Evaluate and bounce off it.
+	running bool
 
 	// suppressActions gates SAVE/REPORT/ACTION effects during the
-	// rule-only phase of hysteresis and in shadow states. Only touched
-	// while running is held.
+	// rule-only phase of hysteresis and in shadow states.
 	suppressActions bool
 
 	// lastGood holds the last non-NaN value read per cell, the
-	// substitute served when a read comes back corrupt. Only touched
-	// while running is held.
+	// substitute served when a read comes back corrupt.
 	lastGood []float64
 
 	// trigAt is the simulated time of the trigger that started the
-	// in-flight evaluation. Only touched while running is held; action
-	// closures copy it out so retries keep the original trigger time.
+	// in-flight evaluation; action closures copy it out so retries keep
+	// the original trigger time.
 	trigAt kernel.Time
 
 	// telSink is the telemetry sink the in-flight (or last) evaluation
 	// saw and telSteps this monitor's eval-steps histogram on it, looked
 	// up by name only when the runtime's sink pointer differs from
 	// telSink — so a SetTelemetry swap or detach takes effect at the next
-	// evaluation. Only touched while running is held.
+	// evaluation.
 	telSink  *telemetry.Sink
 	telSteps *telemetry.Hist
 
@@ -169,9 +183,8 @@ type Monitor struct {
 	// reusable scratch record and provTrace the reusable VM branch
 	// trace for the in-flight evaluation; provLive marks a capture in
 	// flight; provSkip is the head-based healthy-sample countdown
-	// (commit at zero, reload to HealthyEvery-1). All are only touched
-	// while running is held; provSite is the in-flight evaluation's
-	// hook site.
+	// (commit at zero, reload to HealthyEvery-1); provSite is the
+	// in-flight evaluation's hook site.
 	prov      provenance.Record
 	provTrace vm.BranchTrace
 	provLive  bool
@@ -185,37 +198,29 @@ type Monitor struct {
 	provSyms   []string
 	provGlobal []bool
 
-	mu      sync.Mutex // guards everything below
-	enabled bool
-	state   State
-	stats   Stats
+	state State
 
-	// gen is the monitor's deployment generation under its name: 1 on
-	// first Load, incremented by every hot Update. base carries the
-	// cumulative counters of the generations this monitor replaced, so
-	// Stats() reads continuously across hot updates.
-	gen  int
-	base Stats
+	// stats is shared by every generation under the monitor's name: a hot
+	// Update hands the replacement the same block, so a replaced
+	// generation's last evaluations, retries and rearms still count.
+	stats *Stats
 
 	// evalIdx numbers evaluation attempts (including faulted ones) for
-	// the act gate's deterministic sampling. SetActGate zeroes it, so
-	// monitors attached to the same trigger stream whose gates are
-	// installed in the same kernel step see aligned indices from then
-	// on — the property complementary stride gates rely on.
+	// the act gate's deterministic sampling. It restarts at zero when
+	// the owner first sees a newly installed gate, so monitors attached
+	// to the same trigger stream whose gates are installed in the same
+	// kernel step see aligned indices from then on — the property
+	// complementary stride gates rely on.
 	evalIdx uint64
-	// actGate, when non-nil, decides per evaluation whether this
-	// monitor's actions are live (true) or suppressed as in shadow mode
-	// (false). The rollout control plane uses complementary stride gates
-	// to split traffic between an incumbent and a canary.
-	actGate func(n uint64) bool
-	// forceShadow pins the monitor in shadow regardless of state or
-	// options — the breakglass quarantine.
-	forceShadow bool
+	gate    *actGate
 
 	violStreak int
 
 	faultTimes []kernel.Time // breaker sliding window
 }
+
+// actGate is one SetActGate installation.
+type actGate struct{ admit func(n uint64) bool }
 
 // Name returns the guardrail name.
 func (m *Monitor) Name() string { return m.c.Name }
@@ -223,46 +228,17 @@ func (m *Monitor) Name() string { return m.c.Name }
 // Program returns the monitor's compiled VM program.
 func (m *Monitor) Program() *vm.Program { return m.c.Program }
 
-// Stats returns a snapshot of the monitor's counters. After a hot
-// Update the snapshot includes the counters accumulated by the replaced
-// generations under the same name, so telemetry reads continuously
-// across updates instead of silently resetting.
-func (m *Monitor) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return mergeStats(m.base, m.stats)
-}
+// Stats returns a snapshot of the monitor's counters. They are
+// cumulative over every generation under the monitor's name — a
+// replaced generation reads the same block as its successor — so
+// telemetry reads continuously across hot updates instead of silently
+// resetting. The counters are owned: read them on the owner or after it
+// has stopped.
+func (m *Monitor) Stats() Stats { return *m.stats }
 
 // Generation returns the monitor's deployment generation under its
 // name: 1 for a fresh Load, incremented by each hot Update.
-func (m *Monitor) Generation() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen
-}
-
-// mergeStats folds the carried-over base counters into cur: counters
-// add; the Last* observations come from cur unless this generation has
-// not evaluated yet, in which case the previous generation's stand.
-func mergeStats(base, cur Stats) Stats {
-	out := cur
-	out.Evals += base.Evals
-	out.Violations += base.Violations
-	out.ActionsFired += base.ActionsFired
-	out.DispatchErrors += base.DispatchErrors
-	out.VMSteps += base.VMSteps
-	out.Traps += base.Traps
-	out.LoadFaults += base.LoadFaults
-	out.Quarantines += base.Quarantines
-	out.Rearms += base.Rearms
-	out.Retries += base.Retries
-	out.DeadLetters += base.DeadLetters
-	if cur.Evals == 0 {
-		out.LastResult = base.LastResult
-		out.LastTriggerAt = base.LastTriggerAt
-	}
-	return out
-}
+func (m *Monitor) Generation() int { return m.gen }
 
 // SetActGate installs (or with nil, removes) a per-evaluation action
 // gate: before each evaluation the gate is consulted with the
@@ -271,51 +247,36 @@ func mergeStats(base, cur Stats) Stats {
 // rollout control plane uses complementary deterministic stride gates
 // on an incumbent/canary pair to split action traffic between
 // generations; breakglass uses an always-false gate's stronger cousin,
-// ForceShadow. Safe to call while the kernel runs.
+// ForceShadow. Safe from any goroutine: the gate applies from the
+// monitor's next evaluation.
 //
-// Installing (or removing) a gate resets the evaluation index to zero:
-// an incumbent that has already evaluated thousands of times and a
-// freshly loaded candidate would otherwise consult complementary gates
-// at offset indices, making some firings act twice and others not at
-// all. Gating both members of a pair in the same kernel step restarts
-// their indices together, so the split really is complementary.
+// Installing (or removing) a gate restarts the evaluation index at
+// zero, when the owner first sees the new gate: an incumbent that has
+// already evaluated thousands of times and a freshly loaded candidate
+// would otherwise consult complementary gates at offset indices, making
+// some firings act twice and others not at all. Gating both members of
+// a pair in the same kernel step restarts their indices together, so
+// the split really is complementary.
 func (m *Monitor) SetActGate(gate func(n uint64) bool) {
-	m.mu.Lock()
-	m.actGate = gate
-	m.evalIdx = 0
-	m.mu.Unlock()
+	m.actGate.Store(&actGate{admit: gate})
 }
 
 // ForceShadow pins (or with false, releases) the monitor in shadow mode
 // regardless of its degradation-ladder state and options — the
-// breakglass quarantine. Safe to call while the kernel runs.
-func (m *Monitor) ForceShadow(v bool) {
-	m.mu.Lock()
-	m.forceShadow = v
-	m.mu.Unlock()
-}
+// breakglass quarantine. Safe from any goroutine; applies from the next
+// evaluation.
+func (m *Monitor) ForceShadow(v bool) { m.forceShadow.Store(v) }
 
 // ForcedShadow reports whether breakglass has pinned the monitor in
 // shadow mode.
-func (m *Monitor) ForcedShadow() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.forceShadow
-}
+func (m *Monitor) ForcedShadow() bool { return m.forceShadow.Load() }
 
 // Enabled reports whether the monitor evaluates on triggers.
-func (m *Monitor) Enabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.enabled
-}
+func (m *Monitor) Enabled() bool { return m.enabled.Load() }
 
 // SetEnabled toggles evaluation without unloading (cheap pause/resume).
-func (m *Monitor) SetEnabled(v bool) {
-	m.mu.Lock()
-	m.enabled = v
-	m.mu.Unlock()
-}
+// Safe from any goroutine; applies from the next evaluation.
+func (m *Monitor) SetEnabled(v bool) { m.enabled.Store(v) }
 
 // arm binds the guardrail's triggers to the kernel.
 func (m *Monitor) arm() {
@@ -361,7 +322,7 @@ func (m *Monitor) disarm() {
 // Evaluate runs the monitor program once with the given trigger argument
 // (hook sites pass their first argument; timers pass 0). It returns
 // whether the property held. Violations fire actions subject to the
-// hysteresis options.
+// hysteresis options. It runs on the owner (see Monitor).
 //
 // A monitor fault — a VM trap, an injected evaluation fault — does NOT
 // count as a property violation: the evaluation is abandoned, the fault
@@ -379,28 +340,30 @@ func (m *Monitor) Evaluate(arg float64) bool { return m.evaluateAt("", arg) }
 //
 //guardrails:hotpath
 func (m *Monitor) evaluateAt(site string, arg float64) bool {
-	if !m.running.CompareAndSwap(false, true) {
+	if m.running {
 		return true
 	}
-	defer m.running.Store(false)
+	m.running = true
+	// A panic the kernel's hook guard recovers must not leave the
+	// monitor marked running, or it would never evaluate again.
+	defer m.evalDone()
+	if !m.enabled.Load() || m.state == StateQuarantined {
+		return true
+	}
 	m.provSite = site
-
-	m.mu.Lock()
-	if !m.enabled || m.state == StateQuarantined {
-		m.mu.Unlock()
-		return true
-	}
-	shadow := m.forceShadow
+	shadow := m.forceShadow.Load()
 	shadowReason := ""
 	if shadow {
 		shadowReason = "forced-shadow"
 	}
-	if m.actGate != nil && !shadow && !m.actGate(m.evalIdx) {
+	if g := m.actGate.Load(); g != m.gate {
+		m.gate, m.evalIdx = g, 0
+	}
+	if m.gate != nil && m.gate.admit != nil && !shadow && !m.gate.admit(m.evalIdx) {
 		shadow = true
 		shadowReason = "act-gate"
 	}
 	m.evalIdx++
-	m.mu.Unlock()
 
 	// The trigger time: hook fires and timer ticks run at the current
 	// simulated instant, so Now() here is the triggering hook's
@@ -430,12 +393,10 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	before := m.machine.Steps
 	out, err := m.machine.Run(m.c.Program, m, arg)
 
-	m.mu.Lock()
 	m.stats.Evals++
-	m.stats.VMSteps = m.machine.Steps
+	m.stats.VMSteps += m.machine.Steps - before
 	m.stats.LastTriggerAt = trig
 	if err != nil {
-		m.mu.Unlock()
 		sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
@@ -462,25 +423,21 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 			}
 		}
 	}
-	m.mu.Unlock()
 
 	if twoPhase {
 		// Re-run with actions enabled.
 		m.suppressActions = false
+		mid := m.machine.Steps
 		_, err := m.machine.Run(m.c.Program, m, arg)
-		m.mu.Lock()
-		m.stats.VMSteps = m.machine.Steps
+		m.stats.VMSteps += m.machine.Steps - mid
 		if err == nil {
 			m.stats.ActionsFired++
 			fired = true
 		} else {
-			m.stats.DispatchErrors++
-		}
-		m.mu.Unlock()
-		if err != nil {
 			// The action phase trapped after the rule phase succeeded —
 			// surface it; a silently dropped action is the one failure
 			// mode a guardrail runtime must not have.
+			m.stats.DispatchErrors++
 			m.recordFault(trapKind(err), fmt.Errorf("action phase: %w", err))
 		}
 	}
@@ -494,6 +451,9 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	}
 	return held
 }
+
+// evalDone ends an evaluation; evaluateAt defers it.
+func (m *Monitor) evalDone() { m.running = false }
 
 // --- vm.Env implementation -------------------------------------------
 
@@ -511,9 +471,7 @@ func (m *Monitor) LoadCell(i int32) float64 {
 	}
 	if math.IsNaN(v) {
 		good := m.lastGood[i]
-		m.mu.Lock()
 		m.stats.LoadFaults++
-		m.mu.Unlock()
 		if m.provLive {
 			m.provFeature(i, good, true)
 		}
@@ -586,9 +544,7 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 // time itself).
 func (m *Monitor) dispatchAction(idx int, vals []float64, trig kernel.Time) {
 	if idx < 0 || idx >= len(m.c.Actions) {
-		m.mu.Lock()
 		m.stats.DispatchErrors++
-		m.mu.Unlock()
 		m.rt.Log.Append(actions.Violation{
 			Time: trig, Guardrail: m.Name(),
 			Note: fmt.Sprintf("action dispatch failed: no action at index %d", idx),

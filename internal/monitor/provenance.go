@@ -9,8 +9,8 @@ import (
 
 // Provenance capture. The monitor owns one reusable scratch Record and
 // one reusable VM branch trace; while an evaluation is in flight
-// (provLive, under the running CAS) the VM appends branch decisions
-// and LoadCell/action sites append their observations. At the end the
+// (provLive) the VM appends branch decisions and LoadCell/action sites
+// append their observations. At the end the
 // scratch is committed to the runtime's recorder if the decision is
 // always-on (violation) or admitted by the per-monitor head-based
 // healthy sample; monitor faults commit their own copy immediately in

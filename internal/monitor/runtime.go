@@ -44,7 +44,7 @@ type Runtime struct {
 	// DeadLetter counts actions that exhausted their retries.
 	DeadLetter *actions.DeadLetter
 
-	faultInj atomic.Value // injBox
+	faultInj atomic.Pointer[injBox]
 	tsink    atomic.Pointer[telemetry.Sink]
 	prov     atomic.Pointer[provenance.Recorder]
 
@@ -52,18 +52,18 @@ type Runtime struct {
 	monitors map[string]*Monitor
 }
 
-// injBox wraps the injector so atomic.Value sees one concrete type
-// regardless of the FaultInjector implementation stored.
+// injBox holds an interface value behind the one pointer an atomic
+// store can publish.
 type injBox struct{ fi FaultInjector }
 
 // SetFaultInjector installs (or, with nil, removes) the fault-injection
 // plan consulted on every monitor evaluation. Safe to call while the
-// kernel runs.
-func (r *Runtime) SetFaultInjector(fi FaultInjector) { r.faultInj.Store(injBox{fi}) }
+// kernel runs; applies from the next evaluation.
+func (r *Runtime) SetFaultInjector(fi FaultInjector) { r.faultInj.Store(&injBox{fi}) }
 
 // injector returns the installed fault injector, or nil.
 func (r *Runtime) injector() FaultInjector {
-	if b, ok := r.faultInj.Load().(injBox); ok {
+	if b := r.faultInj.Load(); b != nil {
 		return b.fi
 	}
 	return nil
@@ -121,8 +121,9 @@ func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
 
 // install builds the monitor for c, arms it and registers it under
 // c.Name. A non-nil old is the generation being replaced: it is
-// disarmed, and its operator state and cumulative stats carry over.
-// Callers hold r.mu.
+// disarmed, its operator state carries over, and the replacement
+// counts into the same Stats block — the old one may still be
+// evaluating on the owner, or have retries to run. Callers hold r.mu.
 func (r *Runtime) install(c *compile.Compiled, opts Options, old *Monitor) *Monitor {
 	opts.fillDefaults()
 	admitProof(c)
@@ -132,12 +133,14 @@ func (r *Runtime) install(c *compile.Compiled, opts Options, old *Monitor) *Moni
 		opts:     opts,
 		cells:    make([]featurestore.ID, len(c.Program.Symbols)),
 		lastGood: make([]float64, len(c.Program.Symbols)),
-		enabled:  true,
 		gen:      1,
+		stats:    &Stats{},
 	}
+	m.enabled.Store(true)
 	if old != nil {
-		m.enabled, m.forceShadow = old.Enabled(), old.ForcedShadow()
-		m.gen, m.base = old.Generation()+1, old.Stats()
+		m.enabled.Store(old.Enabled())
+		m.forceShadow.Store(old.ForcedShadow())
+		m.gen, m.stats = old.gen+1, old.stats
 	}
 	for i, sym := range c.Program.Symbols {
 		m.cells[i] = r.store.Intern(sym)

@@ -273,7 +273,7 @@ func (r *Recorder) Commit(rec *Record) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	r.seq++
 	r.total++
 	rec.Seq = r.seq
@@ -282,7 +282,7 @@ func (r *Recorder) Commit(rec *Record) {
 	if r.size < len(r.ring) {
 		r.size++
 	}
-	r.mu.Unlock()
+	r.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 }
 
 // Total returns how many records were ever committed (retained or

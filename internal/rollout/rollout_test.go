@@ -178,7 +178,6 @@ guardrail othersite { trigger: { FUNCTION(net_rx) }, rule: { LOAD(c) <= 1 }, act
 
 func TestHealthyCanaryPromotes(t *testing.T) {
 	ctl, rt, k, _ := harness(t)
-	incumbent := rt.Monitor("lat-guard")
 	// Loosen the threshold slightly: fewer violations than the incumbent.
 	cand := mustCompile(t, strings.Replace(latGuard, "0.5", "0.56", 1))
 	if err := ctl.Begin(cand, fastCfg()); err != nil {
@@ -206,9 +205,10 @@ func TestHealthyCanaryPromotes(t *testing.T) {
 		t.Errorf("monitor generation = %d, want 2", got)
 	}
 	// Hot-swap continuity: the promoted monitor carries the incumbent's
-	// counters forward and adds its own.
-	if m.Stats().Evals <= incumbent.Stats().Evals {
-		t.Error("promoted monitor lost the incumbent's evaluation count")
+	// counters forward and adds its own, so every io_done fire — each
+	// evaluates exactly one generation of lat-guard — is counted once.
+	if got, want := m.Stats().Evals, k.FireCount("io_done"); got != want {
+		t.Errorf("lat-guard counted %d evaluations over %d io_done fires across the promotion", got, want)
 	}
 	if tm := rt.Monitor(VersionedName("lat-guard", 2)); tm != nil {
 		t.Error("trial monitor still loaded after promotion")

@@ -36,7 +36,9 @@ func shardIndex() int {
 	return int((uintptr(unsafe.Pointer(&probe)) >> 9) & (counterShards - 1))
 }
 
-// Add increments the counter by n.
+// Add increments the counter by n. Sink.HookFire and Sink.EvalOn call
+// it on every observed fire; the atomic add stays until ROADMAP item 2
+// makes the planes shard-local.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return

@@ -180,7 +180,7 @@ func NewFlight(capacity int) *Flight {
 //
 //guardrails:hotpath
 func (f *Flight) Record(e Event) uint64 {
-	f.mu.Lock()
+	f.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	f.seq++
 	e.Seq = f.seq
 	// The write slot is head+size wrapped once; both are below the
@@ -195,7 +195,7 @@ func (f *Flight) Record(e Event) uint64 {
 	} else if f.head++; f.head == len(f.ring) {
 		f.head = 0
 	}
-	f.mu.Unlock()
+	f.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	return e.Seq
 }
 

@@ -60,9 +60,9 @@ func (h *Hist) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
+	h.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	h.h.Add(v)
-	h.mu.Unlock()
+	h.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 }
 
 // Summary exports the fixed quantile set (zero Summary when empty).

@@ -17,6 +17,13 @@
 //     conversions that copy
 //   - time.Now calls (hot paths must take the already-sampled trigger
 //     time, not re-read the clock)
+//   - locked instructions: sync.Mutex and sync.RWMutex lock and unlock,
+//     and the sync/atomic read-modify-writes (Add, CompareAndSwap, Swap,
+//     And, Or), as functions or as methods of the atomic types. The fire
+//     path's state belongs to the goroutine that fires the kernel, so it
+//     needs none of them; atomic Load and Store stay allowed — they are
+//     how the operator toggles reach the owner, and on amd64 a load is a
+//     plain MOV
 //   - map iteration (range over a map is not allocation-free in the
 //     general case and its order nondeterminism has no place on a
 //     fire path)
@@ -189,7 +196,7 @@ func (v *visitor) Visit(n ast.Node) ast.Visitor {
 }
 
 // call classifies one call expression: allocating builtins, time.Now,
-// and copying string conversions.
+// locked instructions, and copying string conversions.
 func (v *visitor) call(e *ast.CallExpr) {
 	switch fun := e.Fun.(type) {
 	case *ast.Ident:
@@ -210,6 +217,11 @@ func (v *visitor) call(e *ast.CallExpr) {
 				v.flag(e, "time.Now on the hot path (use the sampled trigger time)")
 			}
 		}
+		if fn, ok := v.pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+			if what := lockedOp(fn); what != "" {
+				v.flag(e, what)
+			}
+		}
 	}
 	// A conversion T(x) between string and byte/rune slices copies.
 	if tv, ok := v.pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
@@ -219,6 +231,39 @@ func (v *visitor) call(e *ast.CallExpr) {
 			v.flag(e, "string conversion copies")
 		}
 	}
+}
+
+// lockedOp describes fn if calling it executes a locked instruction: a
+// mutex lock or unlock, or an atomic read-modify-write. It returns ""
+// for everything else, atomic loads and stores included.
+func lockedOp(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return ""
+	}
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name() + "." + name
+		}
+	}
+	switch fn.Pkg().Path() {
+	case "sync":
+		switch fn.Name() {
+		case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
+			return "sync." + name + ": mutex operation on the hot path (its state is owned, not locked)"
+		}
+	case "sync/atomic":
+		for _, rmw := range []string{"Add", "CompareAndSwap", "Swap", "And", "Or"} {
+			if strings.HasPrefix(fn.Name(), rmw) {
+				return "atomic." + name + ": atomic read-modify-write on the hot path (its state is owned, not locked)"
+			}
+		}
+	}
+	return ""
 }
 
 // isBuiltin reports whether the identifier resolves to a universe

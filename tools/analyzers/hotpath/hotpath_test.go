@@ -60,29 +60,53 @@ func clean(xs []int, arg float64) float64 {
 }
 `
 
-// fakeTimeImporter satisfies the one import the fixture needs without
-// touching compiled export data, keeping the test hermetic.
-type fakeTimeImporter struct{}
+// stubs are the standard-library packages the fixtures import, reduced
+// to the declarations they use. Type-checking stubs instead of reading
+// compiled export data keeps the test hermetic; the analyzer only looks
+// at the import path and the names.
+var stubs = map[string]string{
+	"time": `package time
+type Time struct{}
+func Now() Time { return Time{} }
+func (t Time) Unix() int64 { return 0 }
+`,
+	"sync": `package sync
+type Mutex struct{ state int32 }
+func (m *Mutex) Lock() {}
+func (m *Mutex) Unlock() {}
+type RWMutex struct{ w Mutex }
+func (rw *RWMutex) RLock() {}
+func (rw *RWMutex) RUnlock() {}
+`,
+	"sync/atomic": `package atomic
+type Bool struct{ v uint32 }
+func (x *Bool) Load() bool { return false }
+func (x *Bool) Store(v bool) {}
+func (x *Bool) CompareAndSwap(old, new bool) bool { return false }
+type Uint64 struct{ v uint64 }
+func (x *Uint64) Load() uint64 { return 0 }
+func (x *Uint64) Store(v uint64) {}
+func (x *Uint64) Add(d uint64) uint64 { return 0 }
+func (x *Uint64) Swap(v uint64) uint64 { return 0 }
+func AddUint64(addr *uint64, delta uint64) uint64 { return 0 }
+func LoadUint64(addr *uint64) uint64 { return 0 }
+func OrUint32(addr *uint32, mask uint32) uint32 { return 0 }
+`,
+}
 
-func (fakeTimeImporter) Import(path string) (*types.Package, error) {
-	if path != "time" {
+// stubImporter type-checks the stub for each import path.
+type stubImporter struct{ fset *token.FileSet }
+
+func (im stubImporter) Import(path string) (*types.Package, error) {
+	src, ok := stubs[path]
+	if !ok {
 		return nil, &importError{path}
 	}
-	pkg := types.NewPackage("time", "time")
-	timeStruct := types.NewNamed(
-		types.NewTypeName(token.NoPos, pkg, "Time", nil),
-		types.NewStruct(nil, nil), nil)
-	unix := types.NewFunc(token.NoPos, pkg, "Unix", types.NewSignatureType(
-		types.NewVar(token.NoPos, pkg, "t", timeStruct), nil, nil,
-		nil, types.NewTuple(types.NewVar(token.NoPos, pkg, "", types.Typ[types.Int64])), false))
-	timeStruct.AddMethod(unix)
-	now := types.NewFunc(token.NoPos, pkg, "Now", types.NewSignatureType(
-		nil, nil, nil, nil,
-		types.NewTuple(types.NewVar(token.NoPos, pkg, "", timeStruct)), false))
-	pkg.Scope().Insert(timeStruct.Obj())
-	pkg.Scope().Insert(now)
-	pkg.MarkComplete()
-	return pkg, nil
+	f, err := parser.ParseFile(im.fset, path+".go", src, 0)
+	if err != nil {
+		return nil, err
+	}
+	return (&types.Config{}).Check(path, im.fset, []*ast.File{f}, nil)
 }
 
 type importError struct{ path string }
@@ -101,7 +125,7 @@ func analyzeFixture(t *testing.T, src string) []Finding {
 		Uses:  map[*ast.Ident]types.Object{},
 		Defs:  map[*ast.Ident]types.Object{},
 	}
-	conf := types.Config{Importer: fakeTimeImporter{}}
+	conf := types.Config{Importer: stubImporter{fset}}
 	if _, err := conf.Check("fixture", fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +176,161 @@ func TestAnalyzeScope(t *testing.T) {
 	}
 }
 
+// lockedFixture seeds the locked-instruction rule with the fire path as
+// it was before it became single-writer: Monitor.evaluateAt's
+// re-entrancy CAS and its mutex sections, and Kernel.Fire's fire-count
+// add and the panic count the guard adds to — each cut down to the
+// lines that lock. The owned forms below them (plain fields, atomic
+// loads and stores for the toggles) must pass.
+const lockedFixture = `package fixture
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type Monitor struct {
+	running atomic.Bool
+	mu      sync.Mutex
+	enabled bool
+	evals   uint64
+}
+
+//guardrails:hotpath
+func (m *Monitor) evaluateAt(site string, arg float64) bool {
+	if !m.running.CompareAndSwap(false, true) {
+		return true
+	}
+	defer m.running.Store(false)
+	m.mu.Lock()
+	if !m.enabled {
+		m.mu.Unlock()
+		return true
+	}
+	m.mu.Unlock()
+	m.mu.Lock()
+	m.evals++
+	m.mu.Unlock()
+	return true
+}
+
+type hookSite struct{ fires atomic.Uint64 }
+
+type Kernel struct {
+	sites      map[string]*hookSite
+	hookPanics atomic.Uint64
+}
+
+//guardrails:hotpath
+func (k *Kernel) Fire(site string, args ...float64) {
+	hs := k.sites[site]
+	n := hs.fires.Add(1)
+	if n == 0 {
+		k.hookPanics.Add(1)
+	}
+}
+
+type table struct {
+	mu    sync.RWMutex
+	hits  uint64
+	flags uint32
+	swaps atomic.Uint64
+}
+
+//guardrails:hotpath
+func (t *table) functionForms() {
+	t.mu.RLock()
+	atomic.AddUint64(&t.hits, 1)
+	atomic.OrUint32(&t.flags, 2)
+	t.swaps.Swap(3)
+	t.mu.RUnlock()
+}
+
+type ownedMonitor struct {
+	running bool
+	enabled atomic.Bool
+	evals   uint64
+}
+
+//guardrails:hotpath
+func (m *ownedMonitor) evaluateAt(site string, arg float64) bool {
+	if m.running {
+		return true
+	}
+	m.running = true
+	defer m.done()
+	if !m.enabled.Load() {
+		return true
+	}
+	m.evals++
+	return true
+}
+
+func (m *ownedMonitor) done() { m.running = false }
+
+type ownedSite struct {
+	fires uint64
+	gen   atomic.Uint64
+	seen  uint64
+}
+
+//guardrails:hotpath
+func (hs *ownedSite) fire(mu *sync.Mutex) uint64 {
+	hs.fires++
+	hs.gen.Store(hs.fires)
+	mu.Lock() //guardrails:coldpath a plane that still locks
+	mu.Unlock() //guardrails:coldpath
+	return hs.fires + atomic.LoadUint64(&hs.seen)
+}
+`
+
+// TestAnalyzeFlagsLockedInstructions: on the seeded parent fire path
+// every mutex operation and atomic read-modify-write is a finding, in
+// method and in function form, and the owned rewrite has none.
+func TestAnalyzeFlagsLockedInstructions(t *testing.T) {
+	got := map[string][]string{}
+	for _, f := range analyzeFixture(t, lockedFixture) {
+		got[f.Func] = append(got[f.Func], f.What)
+	}
+	want := map[string][]string{
+		"Monitor.evaluateAt": {
+			"atomic.Bool.CompareAndSwap: atomic read-modify-write",
+			"sync.Mutex.Lock: mutex operation",
+			"sync.Mutex.Unlock: mutex operation",
+			"sync.Mutex.Unlock: mutex operation",
+			"sync.Mutex.Lock: mutex operation",
+			"sync.Mutex.Unlock: mutex operation",
+		},
+		"Kernel.Fire": {
+			"atomic.Uint64.Add: atomic read-modify-write",
+			"atomic.Uint64.Add: atomic read-modify-write",
+		},
+		"table.functionForms": {
+			"sync.RWMutex.RLock: mutex operation",
+			"atomic.AddUint64: atomic read-modify-write",
+			"atomic.OrUint32: atomic read-modify-write",
+			"atomic.Uint64.Swap: atomic read-modify-write",
+			"sync.RWMutex.RUnlock: mutex operation",
+		},
+	}
+	for fn, whats := range want {
+		if len(got[fn]) != len(whats) {
+			t.Errorf("%s: %d findings %q, want %d", fn, len(got[fn]), got[fn], len(whats))
+			continue
+		}
+		for i, w := range whats {
+			if !strings.HasPrefix(got[fn][i], w) {
+				t.Errorf("%s finding %d = %q, want prefix %q", fn, i, got[fn][i], w)
+			}
+		}
+	}
+	for _, fn := range []string{"ownedMonitor.evaluateAt", "ownedSite.fire"} {
+		if len(got[fn]) != 0 {
+			t.Errorf("owned form %s flagged: %q", fn, got[fn])
+		}
+	}
+}
+
 // TestAnalyzeShadowedBuiltin: a local function named make is not the
 // builtin; calling it must not be flagged.
 func TestAnalyzeShadowedBuiltin(t *testing.T) {
@@ -196,10 +375,10 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestImporterHelper keeps the fake importer honest about rejecting
+// TestImporterHelper keeps the stub importer honest about rejecting
 // unexpected imports.
 func TestImporterHelper(t *testing.T) {
-	if _, err := (fakeTimeImporter{}).Import("os"); err == nil {
-		t.Error("fake importer accepted an unexpected import")
+	if _, err := (stubImporter{token.NewFileSet()}).Import("os"); err == nil {
+		t.Error("stub importer accepted an unexpected import")
 	}
 }
