@@ -15,7 +15,8 @@ import (
 // concrete feature assignment on the real interpreter — same exit value,
 // same helper-call sequence, same final value for every stored key. The
 // optimizer may change instruction count and branch shape, never
-// observable behavior.
+// observable behavior. At both levels a run whose rule holds must store
+// nothing and call no REPORT/ACTION helper.
 func FuzzOptDifferential(f *testing.F) {
 	f.Add(`guardrail g {
     trigger: { TIMER(0, 1e9) },
@@ -74,6 +75,14 @@ func FuzzOptDifferential(f *testing.F) {
 			r1 := vm.ReplayProgram(c1.Program, assign, x, 1000)
 			if r0.Err != nil || r1.Err != nil {
 				t.Fatalf("%s: verified program trapped: -O0 %v, -O1 %v", g.Name, r0.Err, r1.Err)
+			}
+			// The monitor decides before its one run whether the run may
+			// act, which is exact only if a holding run has no effects.
+			for level, r := range []*vm.Replay{r0, r1} {
+				if !r.Violated && (len(r.Stores) > 0 || len(r.Calls) > 0) {
+					t.Fatalf("%s: -O%d holding run has effects: stores %v, calls %v\nassign=%v",
+						g.Name, level, r.Stores, r.Calls, assign)
+				}
 			}
 			if !eqFloat(r0.R0, r1.R0) || r0.Violated != r1.Violated {
 				t.Fatalf("%s: exit divergence: -O0 (r0=%v violated=%v) vs -O1 (r0=%v violated=%v)\nassign=%v\n-O0:\n%s\n-O1:\n%s",

@@ -11,6 +11,8 @@ import (
 
 	"guardrails/internal/compile"
 	"guardrails/internal/kernel"
+	"guardrails/internal/provenance"
+	"guardrails/internal/telemetry"
 	"guardrails/internal/vm"
 )
 
@@ -310,42 +312,153 @@ func TestCorruptedImageSurfacesTrap(t *testing.T) {
 	}
 }
 
-// Regression for the silent error drop: an error in the action phase of
-// a two-phase (hysteresis) evaluation must be reported, not just counted.
-func TestTwoPhaseActionErrorSurfaced(t *testing.T) {
-	rt, k, st := newRT()
-	src := `
+// countKind counts the recorder's records of one kind.
+func countKind(rec *provenance.Recorder, kind provenance.Kind) int {
+	n := 0
+	for _, r := range rec.Records() {
+		if r.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// actingAt is the trigger time of the first evaluation at which a
+// TIMER(0, 1e9) monitor that violates from t=0 acts and has already
+// read its feature once: the evaluation completing the streak, but
+// never the first evaluation, which has no last good value to patch a
+// corrupt read with.
+func actingAt(streak int) kernel.Time {
+	return kernel.Time(max(streak-1, 1)) * kernel.Second
+}
+
+// TestCrossingEvaluationRunsOnce: the evaluation that completes a
+// violation streak runs the program once, so one corrupt feature read is
+// one fault whatever the streak — the same loads, steps, features and
+// actions as an evaluation that acts without hysteresis, and not enough
+// on its own to trip a two-fault breaker.
+func TestCrossingEvaluationRunsOnce(t *testing.T) {
+	const src = `
+guardrail flagger {
+    trigger: { TIMER(0, 1e9) },
+    rule: { LOAD(err_rate) <= 0.1 },
+    action: { SAVE(flag, 1) }
+}`
+	// acting is what the acting evaluation costs and leaves behind.
+	type acting struct {
+		loads, steps      uint64
+		features, actions string
+		loadFaults, traps uint64
+		faultRecords      int
+		quarantines       uint64
+		flagSaved         bool
+	}
+	observe := func(t *testing.T, opts Options) acting {
+		rt, k, st := newRT()
+		sink := telemetry.New(nil, 1<<10)
+		k.SetTelemetry(sink)
+		rt.SetTelemetry(sink)
+		st.SetTelemetry(sink)
+		rec := provenance.New(64, 1)
+		rt.SetProvenance(rec)
+		st.Save("err_rate", 0.5)
+		ms, err := rt.LoadSource(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := actingAt(opts.ViolationStreak)
+		k.RunUntil(at - 500*kernel.Millisecond)
+		st.Save("err_rate", math.NaN())
+		loads := sink.Counters.StoreLoads.Value()
+		k.RunUntil(at + 500*kernel.Millisecond)
+
+		var a acting
+		a.loads = sink.Counters.StoreLoads.Value() - loads
+		for _, r := range rec.Records() {
+			if r.Kind != provenance.KindViolation || r.At != int64(at) {
+				continue
+			}
+			a.steps = r.Steps
+			for _, f := range r.Features[:r.NFeatures] {
+				a.features += fmt.Sprintf("%s=%g patched=%v ", f.Key, f.Value, f.Patched)
+			}
+			for _, x := range r.Actions[:r.NActions] {
+				a.actions += x.Name + ":" + x.Outcome + " "
+			}
+		}
+		s := ms[0].Stats()
+		a.loadFaults, a.traps, a.quarantines = s.LoadFaults, s.Traps, s.Quarantines
+		a.faultRecords = countKind(rec, provenance.KindFault)
+		a.flagSaved = st.Load("flag") == 1
+		return a
+	}
+	want := acting{
+		loads: 1, features: "err_rate=0.5 patched=true ", actions: "flag:save ",
+		loadFaults: 1, traps: 1, faultRecords: 1, flagSaved: true,
+	}
+	// The step count is the compiled program's violating path: take it
+	// from the run without hysteresis.
+	want.steps = observe(t, Options{ViolationStreak: 1}).steps
+	for _, opts := range []Options{
+		{ViolationStreak: 1},
+		{ViolationStreak: 2},
+		{ViolationStreak: 3},
+		{ViolationStreak: 2, BreakerThreshold: 2},
+	} {
+		t.Run(fmt.Sprintf("streak=%d,breaker=%d", opts.ViolationStreak, opts.BreakerThreshold), func(t *testing.T) {
+			if got := observe(t, opts); got != want {
+				t.Errorf("acting evaluation:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// A helper trap on the acting evaluation is an ordinary monitor fault
+// at every streak: reported once, counted once as a trap, recorded once
+// in provenance, and the violation it abandoned is not counted — never
+// a silently dropped action.
+func TestActingEvaluationHelperTrapIsAFault(t *testing.T) {
+	const src = `
 guardrail reporter {
     trigger: { TIMER(0, 1e9) },
     rule: { LOAD(err_rate) <= 0.1 },
     action: { REPORT(LOAD(err_rate)) }
 }`
-	ms, err := rt.LoadSource(src, Options{ViolationStreak: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Save("err_rate", 0.5)
-
-	// The HelperAction call runs once per rule-only phase (suppressed)
-	// and once in the action phase. Fail from the third call on: t=0
-	// phase 1 is call 1, t=1s phase 1 is call 2, t=1s phase 2 (the
-	// action rerun) is call 3 — the trap lands exactly in the rerun.
-	var calls atomic.Int64
-	rt.SetFaultInjector(&testInjector{
-		helperFault: func(_ string, h vm.HelperID) error {
-			if h == vm.HelperAction && calls.Add(1) >= 3 {
-				return errors.New("helper table corrupted")
+	for _, streak := range []int{1, 2} {
+		t.Run(fmt.Sprintf("streak=%d", streak), func(t *testing.T) {
+			rt, k, st := newRT()
+			rec := provenance.New(64, 1)
+			rt.SetProvenance(rec)
+			st.Save("err_rate", 0.5)
+			ms, err := rt.LoadSource(src, Options{ViolationStreak: streak})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	})
-	k.RunUntil(1500 * kernel.Millisecond)
-	s := ms[0].Stats()
-	if s.DispatchErrors != 1 {
-		t.Errorf("dispatch errors = %d, want 1", s.DispatchErrors)
-	}
-	if countNotes(rt, "action phase") != 1 {
-		t.Errorf("action-phase trap not surfaced: %v", logNotes(rt))
+			// The first evaluation that acts is the streak's last one.
+			at := kernel.Time(streak-1) * kernel.Second
+			rt.SetFaultInjector(&testInjector{
+				helperFault: func(_ string, h vm.HelperID) error {
+					if h == vm.HelperAction && k.Now() == at {
+						return errors.New("helper table corrupted")
+					}
+					return nil
+				},
+			})
+			k.RunUntil(at + 500*kernel.Millisecond)
+			s := ms[0].Stats()
+			if s.Traps != 1 || s.ActionsFired != 0 || s.Violations != uint64(streak-1) {
+				t.Errorf("stats = %+v, want 1 trap, 0 actions fired, %d violations", s, streak-1)
+			}
+			if n := countNotes(rt, "monitor fault [helper-trap]"); n != 1 {
+				t.Errorf("helper-trap notes = %d, want 1: %v", n, logNotes(rt))
+			}
+			if n := countNotes(rt, "action phase"); n != 0 {
+				t.Errorf("action-phase notes = %d, want 0: %v", n, logNotes(rt))
+			}
+			if n := countKind(rec, provenance.KindFault); n != 1 {
+				t.Errorf("fault records = %d, want 1", n)
+			}
+		})
 	}
 }
 

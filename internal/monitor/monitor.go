@@ -19,7 +19,10 @@ import (
 type Options struct {
 	// ViolationStreak is the number of consecutive violated evaluations
 	// required before actions fire (anti-flap hysteresis, §6). Default 1:
-	// act on the first violation, the paper's base semantics.
+	// act on the first violation, the paper's base semantics. Whether an
+	// evaluation may act is decided before its one program run: it acts
+	// if it violates and that violation brings the streak to at least
+	// ViolationStreak.
 	ViolationStreak int
 	// DependencyTrigger, when true, additionally evaluates the monitor
 	// whenever any feature-store key the rule reads is written —
@@ -78,8 +81,9 @@ type Stats struct {
 	Evals uint64
 	// Violations counts evaluations whose rule conjunction failed.
 	Violations uint64
-	// ActionsFired counts violation episodes in which actions ran
-	// (differs from Violations under hysteresis).
+	// ActionsFired counts acting evaluations: every violation at or past
+	// the hysteresis streak outside shadow (differs from Violations under
+	// hysteresis and shadow).
 	ActionsFired uint64
 	// Recoveries is always 0: nothing counts recovery episodes any more.
 	// It, ShadowDemotions and ShadowPromotions stay so that the Stats
@@ -158,8 +162,9 @@ type Monitor struct {
 	// watchers, which re-enter Evaluate and bounce off it.
 	running bool
 
-	// suppressActions gates SAVE/REPORT/ACTION effects during the
-	// rule-only phase of hysteresis and in shadow states.
+	// suppressActions gates the in-flight evaluation's SAVE/REPORT/ACTION
+	// effects: set before the run when the monitor is in shadow or a
+	// violation would not yet complete the hysteresis streak.
 	suppressActions bool
 
 	// lastGood holds the last non-NaN value read per cell, the
@@ -388,64 +393,39 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 		}
 	}
 
-	needTwoPhase := m.opts.ViolationStreak > 1 && !shadow
-	m.suppressActions = needTwoPhase || shadow
+	// Whether this evaluation may act is decided before the one run: the
+	// compiler emits every effect in the violated block, so only a
+	// violating run reaches one, and a violation acts exactly when it
+	// brings the streak to ViolationStreak or past it.
+	m.suppressActions = shadow || m.violStreak+1 < m.opts.ViolationStreak
 	before := m.machine.Steps
 	out, err := m.machine.Run(m.c.Program, m, arg)
+	steps := m.machine.Steps - before
 
 	m.stats.Evals++
-	m.stats.VMSteps += m.machine.Steps - before
+	m.stats.VMSteps += steps
 	m.stats.LastTriggerAt = trig
 	if err != nil {
-		sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
+		sink.EvalOn(m.telSteps, int64(trig), m.Name(), steps, true)
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
 		return true
 	}
 	m.stats.LastResult = out
 	held := out != 0
-	twoPhase := false
 	fired := false
 	if held {
 		m.violStreak = 0
 	} else {
 		m.stats.Violations++
 		m.violStreak++
-		if m.violStreak >= m.opts.ViolationStreak {
-			switch {
-			case shadow:
-				// Violation observed and counted; no action taken.
-			case needTwoPhase:
-				twoPhase = true
-			default:
-				m.stats.ActionsFired++
-				fired = true
-			}
-		}
-	}
-
-	if twoPhase {
-		// Re-run with actions enabled.
-		m.suppressActions = false
-		mid := m.machine.Steps
-		_, err := m.machine.Run(m.c.Program, m, arg)
-		m.stats.VMSteps += m.machine.Steps - mid
-		if err == nil {
+		if !m.suppressActions {
 			m.stats.ActionsFired++
 			fired = true
-		} else {
-			// The action phase trapped after the rule phase succeeded —
-			// surface it; a silently dropped action is the one failure
-			// mode a guardrail runtime must not have.
-			m.stats.DispatchErrors++
-			m.recordFault(trapKind(err), fmt.Errorf("action phase: %w", err))
 		}
 	}
-	// The eval record covers both phases of a two-phase evaluation, so
-	// its step count (and virtual trace duration) is the evaluation's
-	// whole overhead.
-	sink.EvalOn(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, held)
-	m.provEnd(prov, held, twoPhase, m.machine.Steps-before)
+	sink.EvalOn(m.telSteps, int64(trig), m.Name(), steps, held)
+	m.provEnd(prov, held, steps)
 	if fired {
 		sink.ActionsFired(int64(trig), m.Name())
 	}
@@ -461,6 +441,8 @@ func (m *Monitor) evalDone() { m.running = false }
 // A corrupt (NaN) read — from the store or from an injected fault — is
 // reported, counted, fed to the breaker, and patched with the cell's
 // last known good value so one poisoned feature cannot wedge the rule.
+//
+//guardrails:hotpath
 func (m *Monitor) LoadCell(i int32) float64 {
 	v := m.rt.store.LoadID(m.cells[i])
 	key := m.c.Program.Symbols[i]
@@ -485,8 +467,11 @@ func (m *Monitor) LoadCell(i int32) float64 {
 	return v
 }
 
-// StoreCell implements vm.Env. SAVE actions are suppressed during the
-// rule-only phase of hysteresis evaluation and in shadow states.
+// StoreCell implements vm.Env. SAVE actions are suppressed when the
+// evaluation may not act (shadow, or a hysteresis streak not yet
+// complete).
+//
+//guardrails:hotpath
 func (m *Monitor) StoreCell(i int32, v float64) {
 	if m.suppressActions {
 		if m.provLive {
@@ -504,6 +489,8 @@ func (m *Monitor) StoreCell(i int32, v float64) {
 
 // Helper implements vm.Env, dispatching monitor helpers and actions.
 // An injected helper fault surfaces as a TrapHelper through the VM.
+//
+//guardrails:hotpath
 func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	if inj := m.rt.injector(); inj != nil {
 		if err := inj.HelperFault(m.Name(), h); err != nil {
@@ -514,9 +501,12 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	case vm.HelperNow:
 		return float64(m.rt.k.Now()), nil
 	case vm.HelperReport:
+		// The compiler sends REPORT through HelperAction: only a decoded
+		// or hand-built image reaches this branch.
 		if !m.suppressActions {
-			v := actions.Violation{Time: m.trigAt, Guardrail: m.Name(), Values: []float64{args[0]}}
-			m.runAction("REPORT", func() error {
+			vals := []float64{args[0]} //guardrails:coldpath the compiler never emits HelperReport
+			v := actions.Violation{Time: m.trigAt, Guardrail: m.Name(), Values: vals}
+			m.runAction("REPORT", func() error { //guardrails:coldpath the compiler never emits HelperReport
 				m.rt.Log.Append(v)
 				return nil
 			}, 0, m.trigAt)

@@ -78,7 +78,7 @@ func (m *Monitor) provAbandon() {
 // sample (1 in HealthyEvery healthy fires per monitor, head-based on
 // the monitor's own healthy-evaluation counter so a seeded run always
 // samples the same fires).
-func (m *Monitor) provEnd(rec *provenance.Recorder, held, twoPhase bool, steps uint64) {
+func (m *Monitor) provEnd(rec *provenance.Recorder, held bool, steps uint64) {
 	if !m.provLive {
 		return
 	}
@@ -103,7 +103,6 @@ func (m *Monitor) provEnd(rec *provenance.Recorder, held, twoPhase bool, steps u
 	r.At = int64(m.trigAt)
 	r.Site = m.provSite
 	r.Held = held
-	r.TwoPhase = twoPhase
 	r.Steps = steps
 	if held {
 		r.Kind = provenance.KindEval
@@ -141,7 +140,7 @@ func (m *Monitor) provFault(rec *provenance.Recorder, kind string, now kernel.Ti
 		f.Site = m.provSite
 		// provBegin's slim reset leaves these to the commit paths: the
 		// snapshot may carry them from the previous committed record.
-		f.Held, f.TwoPhase, f.Steps = false, false, 0
+		f.Held, f.Steps = false, 0
 		rec.Commit(&f)
 		return
 	}

@@ -105,11 +105,7 @@ func explainOne(r RecordJSON) string {
 			proof += fmt.Sprintf(", ≤%d steps certified", r.MaxSteps)
 		}
 	}
-	fmt.Fprintf(&b, "  vm: %d steps (%s)", r.Steps, proof)
-	if r.TwoPhase {
-		b.WriteString(", two-phase")
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "  vm: %d steps (%s)\n", r.Steps, proof)
 	if r.Kind == "fault" {
 		fmt.Fprintf(&b, "  fault: %s\n", r.FaultKind)
 	} else {

@@ -24,7 +24,6 @@ type RecordJSON struct {
 	Held         bool   `json:"held"`
 	Shadow       bool   `json:"shadow,omitempty"`
 	ShadowReason string `json:"shadow_reason,omitempty"`
-	TwoPhase     bool   `json:"two_phase,omitempty"`
 	Steps        uint64 `json:"steps,omitempty"`
 
 	FaultKind string `json:"fault_kind,omitempty"`
@@ -75,7 +74,7 @@ func View(r Record) RecordJSON {
 		Kind: r.Kind.String(), Monitor: r.Monitor, Gen: r.Gen,
 		Site: r.Site, Arg: r.Arg,
 		Held: r.Held, Shadow: r.Shadow, ShadowReason: r.ShadowReason,
-		TwoPhase: r.TwoPhase, Steps: r.Steps,
+		Steps:     r.Steps,
 		FaultKind: r.FaultKind,
 		TrapFree:  r.TrapFree, DivProven: r.DivProven, MaxSteps: r.MaxSteps,
 		FeaturesTruncated: r.FeaturesTruncated,

@@ -98,7 +98,7 @@ type ActionOutcome struct {
 	// Name is the rendered action ("REPORT", "SAVE(ml_enabled)", ...).
 	Name string
 	// Outcome is "ok", "failed", "retry", "dead-letter", or
-	// "suppressed" (shadow / act-gate / rule-only phase).
+	// "suppressed" (shadow / act-gate / hysteresis streak incomplete).
 	Outcome string
 }
 
@@ -141,10 +141,7 @@ type Record struct {
 	Held         bool
 	Shadow       bool
 	ShadowReason string
-	// TwoPhase marks a hysteresis evaluation that re-ran with actions
-	// enabled; the capture spans both phases.
-	TwoPhase bool
-	// Steps is the evaluation's VM instruction count (both phases).
+	// Steps is the evaluation's VM instruction count.
 	Steps uint64
 
 	// FaultKind is the stable fault marker ("div-trap",
@@ -189,7 +186,7 @@ func (r *Record) Reset() {
 	r.Seq, r.At = 0, 0
 	r.Kind = KindEval
 	r.Monitor, r.Gen, r.Site, r.Arg = "", 0, "", 0
-	r.Held, r.Shadow, r.ShadowReason, r.TwoPhase = false, false, "", false
+	r.Held, r.Shadow, r.ShadowReason = false, false, ""
 	r.Steps = 0
 	r.FaultKind = ""
 	r.TrapFree, r.DivProven, r.MaxSteps = false, false, 0
