@@ -131,7 +131,8 @@ func (s *System) Provenance() *Provenance { return s.Runtime.Provenance() }
 // "127.0.0.1:0", ...): /metrics (Prometheus), /snapshot.json,
 // /flight, /why?monitor=<name>[&n=N] (decision provenance), and
 // /healthz. It serves whatever telemetry sink and provenance recorder
-// are attached at request time.
+// are attached at request time. The planes belong to the goroutine that
+// runs the kernel, so start serving once the run has finished.
 func (s *System) ServeOps(addr string) (*OpsServer, error) {
 	return telemetry.ServeOps(addr, telemetry.OpsConfig{
 		Sink: func() *telemetry.Sink { return s.Telemetry() },

@@ -70,7 +70,9 @@ func New() *Store {
 
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink that
 // counts cell reads and writes — the feature-store traffic guardrail
-// monitors generate. Safe to call concurrently with readers.
+// monitors generate. Safe to call concurrently with readers. With a
+// sink attached, every Save and Load counts into it, so they belong to
+// the goroutine that owns the sink.
 func (s *Store) SetTelemetry(t *telemetry.Sink) { s.tsink.Store(t) }
 
 // Intern returns the ID for name, creating the cell if needed.

@@ -3,7 +3,6 @@ package kernel
 import (
 	"io"
 	"reflect"
-	"sync"
 	"testing"
 
 	"guardrails/internal/telemetry"
@@ -94,45 +93,65 @@ func TestFireSamplingIsDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
-// TestFireObservedWhileSinkIsRead: a reader exporting the sink while
-// fires run must be race-clean (run under -race), and sees every fire
-// once it has quiesced. The firing loop paces the reader — one export
-// per 1024 fires, running alongside the fires that follow — rather than
-// letting it spin on the sink's locks, which on an oversubscribed
-// machine turns every fire into a mutex handoff.
+// TestFireObservedWhileSinkIsRead: a sink belongs to the goroutine
+// that fires its kernel, so it is read on that goroutine — here from
+// events scheduled with At between batches of fires — or by another
+// goroutine the firer hands it to and waits for. Either read is exact
+// at that instant and race-clean (run under -race).
 func TestFireObservedWhileSinkIsRead(t *testing.T) {
-	const fires = 100_000
+	const batches, perBatch = 100, 1000
 	k := New()
 	sink := telemetry.New(func() telemetry.Time { return int64(k.Now()) }, 256)
 	k.SetTelemetry(sink)
 	k.Attach("io_done", func(*Kernel, string, []float64) {})
+	want := func(fires uint64) [2]uint64 {
+		return [2]uint64{fires, (fires + dispatchSamplePeriod - 1) / dispatchSamplePeriod}
+	}
 
-	export := make(chan struct{}, 1)
-	var reader sync.WaitGroup
-	reader.Add(1)
+	var fired uint64 // owned, like the sink
+	k.Every(0, Microsecond, batches*Microsecond, func(Time) {
+		for i := 0; i < perBatch; i++ {
+			k.Fire("io_done", float64(fired))
+			fired++
+		}
+	})
+
+	// The second goroutine exports whatever it is handed and answers
+	// with the counts it read.
+	handoff, back := make(chan *telemetry.Sink), make(chan [2]uint64)
+	readerDone := make(chan struct{})
 	go func() {
-		defer reader.Done()
-		for range export {
-			_ = sink.Snapshot()
-			if err := sink.WritePrometheus(io.Discard); err != nil {
+		defer close(readerDone)
+		for s := range handoff {
+			_ = s.Snapshot()
+			if err := s.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 			}
+			back <- observed(s, "io_done")
 		}
 	}()
-	for i := 0; i < fires; i++ {
-		k.Fire("io_done", float64(i))
-		if i%1024 == 0 {
-			select {
-			case export <- struct{}{}:
-			default: // the previous export is still running
-			}
-		}
-	}
-	close(export)
-	reader.Wait()
 
-	want := [2]uint64{fires, (fires + dispatchSamplePeriod - 1) / dispatchSamplePeriod}
-	if got := observed(sink, "io_done"); got != want {
-		t.Errorf("after %d fires under a concurrent reader: %v, want %v", fires, got, want)
+	reads := 0
+	for b := 0; b < batches; b += 7 {
+		k.At(Time(b)*Microsecond+Microsecond/2, func() {
+			if got := observed(sink, "io_done"); got != want(fired) {
+				t.Errorf("on the owner after %d fires: %v, want %v", fired, got, want(fired))
+			}
+			handoff <- sink
+			if got := <-back; got != want(fired) {
+				t.Errorf("handed off after %d fires: %v, want %v", fired, got, want(fired))
+			}
+			reads++
+		})
+	}
+	k.RunUntil(batches * Microsecond)
+	close(handoff)
+	<-readerDone
+
+	if reads != (batches+6)/7 {
+		t.Errorf("%d mid-run reads ran, want %d", reads, (batches+6)/7)
+	}
+	if got := observed(sink, "io_done"); got != want(batches*perBatch) {
+		t.Errorf("after %d fires: %v, want %v", batches*perBatch, got, want(batches*perBatch))
 	}
 }

@@ -6,7 +6,11 @@
 // are sampled head-based per monitor so the hot path stays within a
 // strict overhead budget.
 //
-// The plane mirrors internal/telemetry's discipline exactly:
+// A Recorder belongs to the goroutine that fires the kernel its runtime
+// is attached to (DESIGN.md, "Ownership"): that goroutine commits with
+// plain stores, and everyone else reads the ring on the owner (in a
+// kernel event or a pool barrier callback) or after it has stopped.
+// Besides that:
 //
 //   - a nil *Recorder is a valid recorder whose every method is a
 //     cheap no-op, so instrumentation sites need no conditionals and
@@ -22,8 +26,6 @@
 // KindViolation record, every monitor fault one KindFault record, and
 // every rollout rollback one KindRollback record.
 package provenance
-
-import "sync"
 
 // Kind classifies a decision record.
 type Kind uint8
@@ -226,12 +228,10 @@ func (r *Record) AddAction(name, outcome string) {
 type Recorder struct {
 	healthyEvery uint64
 
-	mu    sync.Mutex
-	ring  []Record
-	head  int // next write slot
-	size  int
-	seq   uint64
-	total uint64
+	ring []Record
+	head int // next write slot
+	size int
+	seq  uint64 // records ever committed; the last one's Seq
 }
 
 // DefaultHealthyEvery is the default healthy-evaluation sampling
@@ -270,16 +270,13 @@ func (r *Recorder) Commit(rec *Record) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	r.seq++
-	r.total++
 	rec.Seq = r.seq
 	r.ring[r.head] = *rec
 	r.head = (r.head + 1) % len(r.ring)
 	if r.size < len(r.ring) {
 		r.size++
 	}
-	r.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 }
 
 // Total returns how many records were ever committed (retained or
@@ -288,9 +285,7 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.seq
 }
 
 // Len returns the retained record count.
@@ -298,8 +293,6 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.size
 }
 
@@ -308,8 +301,6 @@ func (r *Recorder) Records() []Record {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Record, 0, r.size)
 	start := r.head - r.size
 	if start < 0 {

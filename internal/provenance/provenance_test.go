@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -74,41 +73,6 @@ func TestProvenanceRecordCaptureBounds(t *testing.T) {
 	r.Reset()
 	if r.NFeatures != 0 || r.FeaturesTruncated || r.NActions != 0 || r.ActionsTruncated {
 		t.Errorf("reset left capture state: %+v", r)
-	}
-}
-
-// TestProvenanceConcurrentCommitAndRead is the -race guard for the
-// lane discipline: evaluations keep committing from several goroutines
-// while a reader (the ops endpoint's /why) snapshots the ring.
-func TestProvenanceConcurrentCommitAndRead(t *testing.T) {
-	const writers, perWriter = 4, 500
-	r := New(256, 1)
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perWriter; j++ {
-				rec := Record{At: int64(j), Kind: KindEval, Monitor: "m", Held: true}
-				rec.AddFeature("k", float64(j), false, false)
-				r.Commit(&rec)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			if n := len(r.Records()); n > 256 {
-				t.Errorf("retained %d records, ring holds 256", n)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if r.Len() != 256 || r.Total() != writers*perWriter {
-		t.Errorf("len = %d, total = %d, want 256 and %d", r.Len(), r.Total(), writers*perWriter)
 	}
 }
 

@@ -42,8 +42,6 @@ func (s *Sink) Snapshot() Snapshot {
 		snap.Counters[c.name] = c.ctr.Value()
 	}
 	summarize := func(m map[string]*Hist) map[string]stats.Summary {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		if len(m) == 0 {
 			return nil
 		}
@@ -98,10 +96,6 @@ func (s *Sink) WritePrometheus(w io.Writer) error {
 		p("# TYPE guardrails_%s counter\nguardrails_%s %d\n", name, name, snap.Counters[name])
 	}
 	family := func(metric, label string, m map[string]*Hist) {
-		if s == nil {
-			return
-		}
-		s.mu.RLock()
 		keys := make([]string, 0, len(m))
 		for k, h := range m {
 			if h.Summary().Count > 0 {
@@ -110,7 +104,6 @@ func (s *Sink) WritePrometheus(w io.Writer) error {
 		}
 		sort.Strings(keys)
 		if len(keys) == 0 {
-			s.mu.RUnlock()
 			return
 		}
 		p("# TYPE guardrails_%s histogram\n", metric)
@@ -129,7 +122,6 @@ func (s *Sink) WritePrometheus(w io.Writer) error {
 			p("guardrails_%s_sum{%s=%q} %g\n", metric, label, k, sum)
 			p("guardrails_%s_count{%s=%q} %d\n", metric, label, k, total)
 		}
-		s.mu.RUnlock()
 	}
 	var hookNS, evalSteps, ioNS map[string]*Hist
 	if s != nil {

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Kind classifies a flight-recorder event. The taxonomy covers the
 // kernel hook plane, the monitor lifecycle, the action pipeline, and
@@ -156,10 +153,9 @@ func (e Event) String() string {
 
 // Flight is the bounded flight-recorder ring: the most recent capacity
 // events, overwritten oldest-first, with a total count that keeps
-// advancing. Safe for concurrent writers; recording is one short
-// critical section and zero allocations.
+// advancing. It belongs to its sink's owner (see Counter): recording is
+// a few plain stores and zero allocations.
 type Flight struct {
-	mu   sync.Mutex
 	ring []Event
 	head int // index of the oldest retained event
 	size int
@@ -176,11 +172,10 @@ func NewFlight(capacity int) *Flight {
 }
 
 // Record appends one event, assigning its sequence number, and returns
-// that number. Safe for concurrent use.
+// that number.
 //
 //guardrails:hotpath
 func (f *Flight) Record(e Event) uint64 {
-	f.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	f.seq++
 	e.Seq = f.seq
 	// The write slot is head+size wrapped once; both are below the
@@ -195,29 +190,22 @@ func (f *Flight) Record(e Event) uint64 {
 	} else if f.head++; f.head == len(f.ring) {
 		f.head = 0
 	}
-	f.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	return e.Seq
 }
 
 // Total returns how many events have ever been recorded, including
 // those the ring has since overwritten.
 func (f *Flight) Total() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.seq
 }
 
 // Len returns the number of retained events.
 func (f *Flight) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.size
 }
 
 // Events returns the retained events in record order (ascending Seq).
 func (f *Flight) Events() []Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]Event, 0, f.size)
 	for i := 0; i < f.size; i++ {
 		out = append(out, f.ring[(f.head+i)%len(f.ring)])
@@ -227,10 +215,10 @@ func (f *Flight) Events() []Event {
 
 // EventsSince returns the retained events whose start time is at or
 // after t, in record order — the time-windowed query rollout gates use
-// to score a canary stage. Record times are non-decreasing (events are
-// recorded as simulated time advances), so the result is the contiguous
-// suffix of the retained events starting at the first event with
-// At >= t, found by binary search over the ring.
+// to score a canary stage. Record order is not time order: a storage
+// device records a GC pause at the time it will start, which may be
+// later than events recorded after it. So the window is a filter over
+// every retained event, not a suffix; one gate check reads it once.
 //
 // The window is best-effort at the ring boundary: events older than the
 // ring's capacity have been overwritten, so a window reaching further
@@ -239,28 +227,16 @@ func (f *Flight) Events() []Event {
 // than t while older events had already been recorded — so a gate can
 // tell "quiet window" from "window fell off the ring".
 func (f *Flight) EventsSince(t Time) (events []Event, truncated bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	// Binary search for the first retained index with At >= t.
-	lo, hi := 0, f.size
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.ring[(f.head+mid)%len(f.ring)].At < t {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for i := 0; i < f.size; i++ {
+		if e := f.ring[(f.head+i)%len(f.ring)]; e.At >= t {
+			events = append(events, e)
 		}
 	}
-	out := make([]Event, 0, f.size-lo)
-	for i := lo; i < f.size; i++ {
-		out = append(out, f.ring[(f.head+i)%len(f.ring)])
-	}
-	if f.size > 0 && lo == 0 {
+	if f.size > 0 {
+		// Seq > 1 means history before the oldest retained event was
+		// overwritten, and dropped events may have been in-window.
 		oldest := f.ring[f.head]
-		// The window reaches to (or past) the oldest retained event and
-		// the ring has dropped events before it (Seq > 1 means history
-		// was overwritten) — dropped events may have been in-window.
 		truncated = oldest.At >= t && oldest.Seq > 1
 	}
-	return out, truncated
+	return events, truncated
 }

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fillFlight records n instant events at times t = 0, step, 2*step, ...
 func fillFlight(f *Flight, n int, step Time) {
@@ -107,6 +110,39 @@ func TestEventsSinceBoundaryExactlyAtOldest(t *testing.T) {
 	fillFlight(g, 20, 10)
 	if _, trunc := g.EventsSince(0); trunc {
 		t.Error("no wraparound: truncated must be false even at the full window")
+	}
+}
+
+// TestEventsSinceOutOfOrderTimes: record order is not time order — a
+// storage device records a GC pause at the future time it starts — so
+// the window must hold exactly the retained events with At >= t, in
+// record order, and nothing from before it.
+func TestEventsSinceOutOfOrderTimes(t *testing.T) {
+	f := NewFlight(8)
+	for _, e := range []Event{
+		{At: 1, Kind: KindEval, Subject: "m"},
+		{At: 100, Dur: 50, Kind: KindGCPause, Subject: "ssd0"},
+		{At: 2, Kind: KindEval, Subject: "m"},
+		{At: 3, Kind: KindEval, Subject: "m"},
+		{At: 4, Kind: KindEval, Subject: "m"},
+		{At: 5, Kind: KindEval, Subject: "m"},
+	} {
+		f.Record(e)
+	}
+	got, truncated := f.EventsSince(3)
+	if truncated {
+		t.Error("nothing was overwritten, but truncated reported")
+	}
+	var at []Time
+	var seq []uint64
+	for _, e := range got {
+		at, seq = append(at, e.At), append(seq, e.Seq)
+	}
+	if want := []Time{100, 3, 4, 5}; !slices.Equal(at, want) {
+		t.Errorf("EventsSince(3) times = %v, want %v", at, want)
+	}
+	if want := []uint64{2, 4, 5, 6}; !slices.Equal(seq, want) {
+		t.Errorf("EventsSince(3) seqs = %v, want %v (record order)", seq, want)
 	}
 }
 

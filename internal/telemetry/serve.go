@@ -15,7 +15,9 @@ import (
 // (wired by the caller so this package needs no provenance
 // dependency). Nil callbacks disable their routes' content (/metrics
 // and /snapshot.json serve the nil sink's empty exports, /why serves
-// 404).
+// 404). Requests run on the server's goroutines and read the sink and
+// recorder without a lock, so serve them once the kernel they observe
+// has stopped firing.
 type OpsConfig struct {
 	// Sink returns the sink to export; called per request.
 	Sink func() *Sink

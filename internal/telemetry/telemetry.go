@@ -1,5 +1,5 @@
-// Package telemetry is the kernel-wide observability plane: sharded
-// counters, latency/VM-step histograms, and a bounded flight-recorder
+// Package telemetry is the kernel-wide observability plane: counters,
+// latency/VM-step histograms, and a bounded flight-recorder
 // event ring, all fed from instrumentation points in the simulated
 // kernel (hook dispatch), the monitor runtime (evaluate/action/guard
 // paths), the storage substrate (GC pauses, failover), and the feature
@@ -10,10 +10,17 @@
 // The plane is disabled by a nil *Sink: every method nil-checks its
 // receiver and returns immediately, so instrumented hot paths stay
 // zero-allocation and branch-predictable when telemetry is off — the
-// same discipline eBPF applies to disabled tracepoints. With a sink
-// attached, counters are lock-free atomic adds, histograms take one
-// short mutex, and flight-recorder appends copy one Event value into a
-// preallocated ring; the steady-state paths still do not allocate.
+// same discipline eBPF applies to disabled tracepoints.
+//
+// A sink belongs to the goroutine that fires the kernel it is attached
+// to, as the kernel's sites and monitors do (DESIGN.md, "Ownership"):
+// that goroutine writes it with plain stores — a counter add, a
+// histogram bucket increment, one Event copied into a preallocated
+// ring — with no lock, no atomic and no allocation. Everyone else reads
+// a sink on its owner (in a kernel event or a pool barrier callback) or
+// after the owner has stopped; the exporters and the ops endpoint are
+// such readers. A pool gives every shard a sink of its own, the
+// per-CPU layout eBPF uses for the same reason.
 //
 // Time: the package deliberately does not import the kernel (the kernel
 // itself is instrumented, which would cycle); simulated timestamps
@@ -28,7 +35,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sync"
 
 	"guardrails/internal/stats"
 )
@@ -42,27 +48,23 @@ type Time = int64
 // log2 buckets — wide enough for any latency this repo simulates.
 const histMaxExp = 40
 
-// Hist is a mutex-guarded log2 histogram handle. Like Counter it is
-// nil-safe: a nil *Hist ignores observations and summarizes to zero.
+// Hist is a log2 histogram handle, owned like Counter. It is nil-safe:
+// a nil *Hist ignores observations and summarizes to zero.
 type Hist struct {
-	mu sync.Mutex
-	h  *stats.LogHistogram
+	h *stats.LogHistogram
 }
 
 func newHist() *Hist { return &Hist{h: stats.NewLogHistogram(histMaxExp)} }
 
-// Observe incorporates one observation. stats.LogHistogram.Add is total
-// (NaN dropped, negatives counted as 0, overflow saturated), so nothing
-// between Lock and Unlock can panic and leave the histogram locked.
+// Observe incorporates one observation. stats.LogHistogram.Add is total:
+// NaN is dropped, a negative counts as 0 and overflow saturates.
 //
 //guardrails:hotpath
 func (h *Hist) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 	h.h.Add(v)
-	h.mu.Unlock() //guardrails:coldpath shared plane, lock until ROADMAP item 2 makes it shard-local
 }
 
 // Summary exports the fixed quantile set (zero Summary when empty).
@@ -70,8 +72,6 @@ func (h *Hist) Summary() stats.Summary {
 	if h == nil {
 		return stats.Summary{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.h.Summary()
 }
 
@@ -81,8 +81,6 @@ func (h *Hist) buckets() (zero uint64, bins []uint64, total uint64, sum float64)
 	if h == nil {
 		return 0, nil, 0, 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.h.Buckets()
 }
 
@@ -126,7 +124,7 @@ type Counters struct {
 	FlightWindowTruncated Counter
 }
 
-// counterNames returns the exposition name → counter mapping. The
+// byName returns the exposition name → counter mapping. The
 // names follow Prometheus conventions (snake case, _total suffix).
 func (c *Counters) byName() []struct {
 	name string
@@ -178,10 +176,9 @@ type Sink struct {
 	rec   *Flight
 
 	// Counters is the fixed counter set; exported so callers can read
-	// (or Merge) individual counters directly.
+	// individual counters directly.
 	Counters Counters
 
-	mu sync.RWMutex
 	// hookNS: per hook site, wall-clock nanoseconds spent dispatching
 	// that site's callbacks (the monitors' real overhead).
 	hookNS map[string]*Hist
@@ -241,17 +238,9 @@ func (s *Sink) Flight() *Flight {
 }
 
 // hist returns the named histogram from m, creating it on first use.
-// The read path takes only the RLock; creation is rare (one per site).
 func (s *Sink) hist(m map[string]*Hist, name string) *Hist {
-	s.mu.RLock()
 	h := m[name]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = m[name]; h == nil {
+	if h == nil {
 		h = newHist()
 		m[name] = h
 	}
@@ -360,8 +349,8 @@ func (s *Sink) EvalOn(h *Hist, at Time, monitor string, steps uint64, held bool)
 	}
 }
 
-// ActionsFired records that a violation episode crossed its hysteresis
-// threshold and dispatched its actions (the monitor's ActionsFired).
+// ActionsFired records one acting evaluation: a violation at or past
+// its hysteresis streak, outside shadow (the monitor's ActionsFired).
 func (s *Sink) ActionsFired(at Time, monitor string) {
 	if s == nil {
 		return
@@ -548,6 +537,8 @@ func (s *Sink) IO(device string, latNS Time, write bool) {
 }
 
 // StoreLoad counts one feature-store read.
+//
+//guardrails:hotpath
 func (s *Sink) StoreLoad() {
 	if s == nil {
 		return
@@ -556,6 +547,8 @@ func (s *Sink) StoreLoad() {
 }
 
 // StoreSave counts one feature-store write.
+//
+//guardrails:hotpath
 func (s *Sink) StoreSave() {
 	if s == nil {
 		return

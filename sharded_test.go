@@ -311,3 +311,86 @@ guardrail global-throttle {
 		})
 	}
 }
+
+// TestPlanesReconcileAtEveryBarrier: each shard's telemetry sink and
+// provenance recorder belong to the shard's goroutine, which writes them
+// with plain stores. A barrier callback runs while every shard is
+// parked, so there each shard's planes must agree exactly with its
+// monitors' Stats — at every barrier, not just at the end. Under -race
+// this also holds the ownership rule: four shards write their planes
+// concurrently, and only the barrier reads them.
+func TestPlanesReconcileAtEveryBarrier(t *testing.T) {
+	// tick-watch runs on every hook fire and REPORTs (one action event
+	// per acting evaluation); timer-watch runs every 250µs and SAVEs
+	// (no flight event).
+	c := shardCase{
+		spec: `
+guardrail tick-watch {
+    trigger: { FUNCTION(tick) },
+    rule: { LOAD(sig) <= 1.0 },
+    action: { REPORT(LOAD(sig)) }
+}
+guardrail timer-watch {
+    trigger: { TIMER(0, 250000) },
+    rule: { LOAD(sig) <= 1.5 },
+    action: { SAVE(alert, 1) }
+}`,
+		fires: true, period: 100 * kernel.Microsecond,
+		from: 20 * Millisecond, to: 60 * Millisecond,
+		lo: 0.5, hi: 2.5, until: 100 * Millisecond,
+	}
+	const shards = 4
+	ss := newShardedRun(shards, 1<<10, 1) // every healthy evaluation recorded
+	for i, sys := range ss.shards {
+		c.drive(t, sys, i)
+	}
+	barriers := 0
+	var violations uint64
+	ss.pool.OnBarrier(func(now kernel.Time, _ uint64) {
+		barriers++
+		violations = 0
+		for i, sys := range ss.shards {
+			var st monitor.Stats
+			var reports uint64
+			for _, m := range sys.Runtime.Monitors() {
+				s := m.Stats()
+				st.Evals += s.Evals
+				st.Violations += s.Violations
+				st.VMSteps += s.VMSteps
+				st.Traps += s.Traps + s.LoadFaults
+				if m.Name() == "tick-watch" {
+					reports = s.ActionsFired
+				}
+			}
+			violations += st.Violations
+			fires := sys.Kernel.FireCount("tick")
+			sink, rec := sys.Telemetry(), sys.Provenance()
+			cs := &sink.Counters
+			for _, row := range []struct {
+				what      string
+				got, want uint64
+			}{
+				{"faults", st.Traps, 0},
+				{"hook_fires_total", cs.HookFires.Value(), fires},
+				{"evals_total", cs.Evals.Value(), st.Evals},
+				{"violations_total", cs.Violations.Value(), st.Violations},
+				{"vm_steps_total", cs.VMSteps.Value(), st.VMSteps},
+				// hook_fire, eval, violation and action events.
+				{"flight events", sink.Flight().Total(), fires + st.Evals + st.Violations + reports},
+				// One record per evaluation: healthy ones are sampled 1 in 1.
+				{"provenance records", rec.Total(), st.Evals},
+			} {
+				if row.got != row.want {
+					t.Errorf("barrier at %v, shard %d: %s = %d, want %d", now, i, row.what, row.got, row.want)
+				}
+			}
+		}
+	})
+	ss.pool.RunUntil(c.until)
+	if want := int(c.until / kernel.DefaultQuantum); barriers != want {
+		t.Errorf("%d barriers ran, want %d", barriers, want)
+	}
+	if violations == 0 {
+		t.Error("no shard violated a rule; the flight count never includes a violation or an action")
+	}
+}
