@@ -145,6 +145,38 @@ guardrail low-false-submit {
 	}
 }
 
+// TestEventLoopAllocationFree: once the event heap has grown to its
+// working size, neither a timer period (the tick re-queues its own
+// closure) nor a one-shot At followed by RunUntil touches the heap.
+func TestEventLoopAllocationFree(t *testing.T) {
+	k := kernel.New()
+	ticks := 0
+	k.Every(0, kernel.Microsecond, 0, func(kernel.Time) { ticks++ })
+	at := kernel.Time(0)
+	period := func() {
+		at += kernel.Microsecond
+		k.RunUntil(at)
+	}
+	period()
+	if n := testing.AllocsPerRun(1000, period); n != 0 {
+		t.Errorf("a steady-state Every period allocates %v times, want 0", n)
+	}
+	if ticks < 1000 {
+		t.Fatalf("%d ticks; the measurement exercised the wrong path", ticks)
+	}
+
+	noop := func() {}
+	oneShot := func() {
+		at += kernel.Microsecond
+		k.At(at-1, noop)
+		k.RunUntil(at)
+	}
+	oneShot()
+	if n := testing.AllocsPerRun(1000, oneShot); n != 0 {
+		t.Errorf("At + RunUntil allocates %v times, want 0", n)
+	}
+}
+
 // TestPredictSlowAllocationFree: float and int16 inference both run in
 // scratch the model owns.
 func TestPredictSlowAllocationFree(t *testing.T) {

@@ -10,17 +10,23 @@
 // the same seeds.
 //
 // Each kernel has one owner at a time: the goroutine that steps its
-// event loop or fires its hooks (a Pool shard's goroutine between
-// barriers; the goroutine calling Pool.RunUntil at a barrier and
-// whenever nothing runs). The
-// fire path writes owned state — site fire counts, the argument frames,
-// the panic count — with plain stores, and firing one kernel from two
-// goroutines at once is not supported. The bookkeeping is safe from any
-// goroutine: scheduling (At, After, Every), hook attach/detach (published
+// event loop or fires its hooks (between barriers, the goroutine running
+// a Pool shard — for shard 0, the caller of Pool.RunUntil; at a barrier
+// and whenever nothing runs, the caller of Pool.RunUntil). The fire path
+// writes owned state — site fire counts, the argument frames, the panic
+// count — with plain stores, and firing one kernel from two goroutines
+// at once is not supported. The bookkeeping is safe from any goroutine:
+// scheduling (At, After, Every), hook attach/detach (published
 // copy-on-write), the clock, and the operator toggles SetTelemetry and
 // SetHookPanicHandler (one atomic store each, read by the next fire).
 // FireCount and HookPanics read owned counters: call them on the owner —
 // from an event, or a barrier callback — or after it has stopped.
+//
+// The event queue is a binary min-heap of value events behind one lock:
+// scheduling allocates only when the heap grows, the owner takes the
+// lock once per event it runs, and the clock never runs backwards — an
+// event scheduled in the past, from any goroutine, runs at the current
+// time.
 //
 // For multi-core execution a Pool runs N Kernel shards — each with its
 // own clock, event heap, and hook table — concurrently
@@ -29,7 +35,6 @@
 package kernel
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -68,24 +73,59 @@ type event struct {
 	fn  func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before orders events by time, then by schedule order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events by (at, seq). Events are
+// values, so a push allocates only when the backing array grows.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty. The vacated slot is cleared so the heap keeps no closure alive.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // HookFn observes a hook-point firing. args are site-specific positional
@@ -146,7 +186,7 @@ type Kernel struct {
 
 	now atomic.Int64 // Time
 
-	qmu   sync.Mutex // guards seq + queue
+	qmu   sync.Mutex // guards seq + queue, and every advance of now
 	seq   uint64
 	queue eventQueue
 
@@ -199,14 +239,17 @@ func (k *Kernel) Generation() uint64 { return k.generation.Load() }
 func (k *Kernel) SetGeneration(g uint64) { k.generation.Store(g) }
 
 // At schedules fn to run at absolute time t. Times in the past run at
-// the current time (immediately on the next Step).
+// the current time (immediately on the next Step). The clamp reads the
+// clock under the queue lock, which every clock advance also holds, so
+// no queued event is ever behind the clock and the clock never runs
+// backwards, whichever goroutine schedules.
 func (k *Kernel) At(t Time, fn func()) {
+	k.qmu.Lock()
 	if now := k.Now(); t < now {
 		t = now
 	}
-	k.qmu.Lock()
 	k.seq++
-	heap.Push(&k.queue, &event{at: t, seq: k.seq, fn: fn})
+	k.queue.push(event{at: t, seq: k.seq, fn: fn})
 	k.qmu.Unlock()
 }
 
@@ -247,57 +290,49 @@ func (k *Kernel) Every(start, interval, stop Time, fn func(now Time)) *Timer {
 	return t
 }
 
-// pop removes and returns the next event, or nil when the queue is
-// empty, advancing the clock to the event's time.
-func (k *Kernel) pop() *event {
-	k.qmu.Lock()
-	defer k.qmu.Unlock()
-	if k.queue.Len() == 0 {
-		return nil
-	}
-	e := heap.Pop(&k.queue).(*event)
+// popLocked removes the earliest event and advances the clock to it.
+// The caller holds qmu and has checked that the queue is not empty.
+func (k *Kernel) popLocked() func() {
+	e := k.queue.pop()
 	k.now.Store(int64(e.at))
-	return e
+	return e.fn
 }
 
 // Step executes the next pending event, advancing the clock. It returns
 // false when the queue is empty.
 func (k *Kernel) Step() bool {
-	e := k.pop()
-	if e == nil {
+	k.qmu.Lock()
+	if len(k.queue) == 0 {
+		k.qmu.Unlock()
 		return false
 	}
-	e.fn()
+	fn := k.popLocked()
+	k.qmu.Unlock()
+	fn()
 	return true
-}
-
-// nextAt returns the time of the earliest pending event, or ok=false.
-func (k *Kernel) nextAt() (Time, bool) {
-	k.qmu.Lock()
-	defer k.qmu.Unlock()
-	if k.queue.Len() == 0 {
-		return 0, false
-	}
-	return k.queue[0].at, true
 }
 
 // RunUntil executes events until the queue is empty or the next event is
 // at or after deadline; the clock finishes at min(deadline, last event).
-// It returns the number of events executed.
+// It returns the number of events executed. Each event costs one lock
+// acquisition: the peek, the pop and the clock advance share it, and so
+// does the final advance to deadline.
 func (k *Kernel) RunUntil(deadline Time) int {
 	n := 0
 	for {
-		at, ok := k.nextAt()
-		if !ok || at >= deadline {
-			break
+		k.qmu.Lock()
+		if len(k.queue) == 0 || k.queue[0].at >= deadline {
+			if k.Now() < deadline {
+				k.now.Store(int64(deadline))
+			}
+			k.qmu.Unlock()
+			return n
 		}
-		k.Step()
+		fn := k.popLocked()
+		k.qmu.Unlock()
+		fn()
 		n++
 	}
-	if k.Now() < deadline {
-		k.now.Store(int64(deadline))
-	}
-	return n
 }
 
 // Run executes events until the queue is empty and returns the count.

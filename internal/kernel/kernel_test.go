@@ -2,7 +2,12 @@ package kernel
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,6 +56,119 @@ func TestPastEventsRunNow(t *testing.T) {
 	if k.Now() != 100 {
 		t.Errorf("clock went backwards: %v", k.Now())
 	}
+}
+
+// TestClockNeverRunsBackwards: an event another goroutine schedules
+// while the owner advances the clock can be past due by the time it is
+// queued. It runs at the current time: no event, and no read of Now
+// between RunUntil slices, ever sees the clock decrease.
+func TestClockNeverRunsBackwards(t *testing.T) {
+	k := New()
+	var last Time
+	backwards := 0
+	observe := func() {
+		if now := k.Now(); now < last {
+			backwards++
+		} else {
+			last = now
+		}
+	}
+	k.Every(0, Microsecond, 0, func(Time) { observe() })
+	// One probe outstanding at a time, so the owner's slices stay bounded.
+	var pending atomic.Bool
+	probe := func() {
+		observe()
+		pending.Store(false)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if pending.CompareAndSwap(false, true) {
+				k.After(0, probe)
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	for i := 1; i <= 50000; i++ {
+		k.RunUntil(Time(i) * Microsecond)
+		observe()
+	}
+	close(stop)
+	wg.Wait()
+	if backwards > 0 {
+		t.Fatalf("the clock ran backwards %d times", backwards)
+	}
+}
+
+// TestEventOrderMatchesReference: the event heap runs events in the
+// order of a stable sort by (time, schedule order), where a time in the
+// past counts as the clock at scheduling — over random times with many
+// ties, past times, and events scheduled from inside events.
+func TestEventOrderMatchesReference(t *testing.T) {
+	type sched struct {
+		id  int
+		at  Time
+		seq int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New()
+		var scheduled []sched
+		var ran []int
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			id := len(scheduled)
+			scheduled = append(scheduled, sched{id: id, at: max(at, k.Now()), seq: id})
+			k.At(at, func() {
+				ran = append(ran, id)
+				if depth < 3 {
+					for c := rng.Intn(3); c > 0; c-- {
+						// Offsets from -20 to 19: past, present and future.
+						schedule(k.Now()+Time(rng.Intn(40)-20), depth+1)
+					}
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			schedule(Time(rng.Intn(50)), 0)
+		}
+		k.Run()
+		want := append([]sched(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d of %d events", seed, len(ran), len(want))
+		}
+		for i, s := range want {
+			if ran[i] != s.id {
+				t.Fatalf("seed %d: event %d is #%d, reference says #%d (at %v)", seed, i, ran[i], s.id, s.at)
+			}
+		}
+	}
+}
+
+// BenchmarkEventLoop times one event the way the benchmark's
+// kernel.event_ns layer does: batches of 64 At calls, then RunUntil.
+func BenchmarkEventLoop(b *testing.B) {
+	k := New()
+	noop := func() {}
+	var at Time
+	for i := 0; i < b.N; i++ {
+		at++
+		k.At(at, noop)
+		if i%64 == 63 {
+			k.RunUntil(at + 1)
+		}
+	}
+	k.RunUntil(at + 1)
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {

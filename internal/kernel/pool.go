@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultQuantum is the barrier interval a Pool uses when none is
@@ -14,14 +16,16 @@ const DefaultQuantum = Millisecond
 // each with its own clock, event heap, and hook table, advanced in
 // lockstep epochs by a cross-shard barrier.
 //
-// Between barriers every shard runs its own event loop on its own
-// goroutine, touching only shard-local state (its kernel, its feature
-// store cell, its monitor runtime, its telemetry lane) — the simulated
-// analogue of per-CPU eBPF program instances over per-CPU maps. At each
-// barrier all shards are parked at the same simulated instant and the
-// registered barrier callbacks run on the driver goroutine: epoch-based
-// feature aggregation, and any other operation that needs a
-// deterministic global time.
+// Between barriers every shard runs its own event loop, touching only
+// shard-local state (its kernel, its feature store cell, its monitor
+// runtime, its telemetry lane) — the simulated analogue of per-CPU eBPF
+// program instances over per-CPU maps. Shard 0 runs on the goroutine
+// that calls RunUntil; each other shard runs on a worker goroutine that
+// RunUntil starts and that exits before it returns. At each barrier all
+// shards are parked at the same simulated instant and the registered
+// barrier callbacks run on the calling goroutine: epoch-based feature
+// aggregation, and any other operation that needs a deterministic
+// global time.
 //
 // Determinism: each shard's event order is fully determined by its own
 // heap (time, then schedule order), and cross-shard effects happen only
@@ -32,19 +36,33 @@ type Pool struct {
 	shards  []*Kernel
 	quantum Time
 
-	now   atomicTime
-	epoch atomicEpoch
-
-	mu       sync.Mutex
+	mu       sync.Mutex // guards now, epoch and barriers
+	now      Time
+	epoch    uint64
 	barriers []func(now Time, epoch uint64) // in registration order
+
+	// The epoch handshake of a multi-shard RunUntil: the caller
+	// publishes each barrier time in target, and the worker that runs
+	// shard i+1 counts the epochs it has finished in workers[i].
+	_       [cacheLine]byte
+	target  atomic.Int64
+	_       [cacheLine]byte
+	workers []worker
+	wg      sync.WaitGroup
 }
 
-// atomicTime / atomicEpoch are tiny named wrappers so the Pool's fields
-// read as what they are.
-type (
-	atomicTime  struct{ v int64 }
-	atomicEpoch struct{ v uint64 }
-)
+// worker is one worker goroutine's report to the caller, alone on its
+// cache lines so the caller's polling does not slow another worker.
+type worker struct {
+	_      [cacheLine]byte
+	done   atomic.Uint64 // epochs finished in this RunUntil call
+	events int           // events run in this call; read once done is seen
+	_      [cacheLine]byte
+}
+
+// stopTarget, published in target, tells the workers to exit. Barrier
+// times are never negative.
+const stopTarget = -1
 
 // NewPool returns a pool of n shards (n >= 1) with barrier interval
 // quantum (<= 0 selects DefaultQuantum). All shards start at time zero
@@ -56,7 +74,7 @@ func NewPool(n int, quantum Time) *Pool {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	p := &Pool{quantum: quantum}
+	p := &Pool{quantum: quantum, workers: make([]worker, n-1)}
 	for i := 0; i < n; i++ {
 		p.shards = append(p.shards, New())
 	}
@@ -70,14 +88,14 @@ func (p *Pool) Shard(i int) *Kernel { return p.shards[i] }
 func (p *Pool) Epoch() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.epoch.v
+	return p.epoch
 }
 
 // OnBarrier registers fn to run at every barrier, after all shards have
-// parked at the barrier time. Callbacks run on the driver goroutine in
-// registration order; they may touch any shard's state (no shard events
-// execute concurrently with them). The feature store's epoch aggregator
-// registers here.
+// parked at the barrier time. Callbacks run on the goroutine calling
+// RunUntil, in registration order; they may touch any shard's state (no
+// shard events execute concurrently with them). The feature store's
+// epoch aggregator registers here.
 func (p *Pool) OnBarrier(fn func(now Time, epoch uint64)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -88,37 +106,69 @@ func (p *Pool) OnBarrier(fn func(now Time, epoch uint64)) {
 // runs all shards concurrently to the epoch's barrier time, waits for
 // them to park, then runs the barrier callbacks. It returns the total
 // number of shard events executed. All shard clocks finish at deadline.
+//
+// The caller runs shard 0 itself; the other shards' workers start once
+// per call, not once per epoch, and both sides wait by polling with
+// runtime.Gosched, so an epoch allocates nothing and hands no goroutine
+// to the scheduler. The workers have exited when RunUntil returns, even
+// when a barrier callback or a shard-0 event panics. Call RunUntil from
+// one goroutine at a time, and never from a barrier callback or a shard
+// event.
 func (p *Pool) RunUntil(deadline Time) int {
+	p.mu.Lock()
+	now := p.now
+	p.mu.Unlock()
+	if now >= deadline {
+		return 0
+	}
+	if len(p.workers) > 0 {
+		p.target.Store(int64(now))
+		p.wg.Add(len(p.workers))
+		for i := range p.workers {
+			p.workers[i].done.Store(0)
+			p.workers[i].events = 0
+			go p.work(i, now)
+		}
+		defer func() {
+			p.target.Store(stopTarget)
+			p.wg.Wait()
+		}()
+	}
 	total := 0
-	for {
-		p.mu.Lock()
-		now := Time(p.now.v)
-		p.mu.Unlock()
-		if now >= deadline {
-			return total
-		}
-		next := now + p.quantum
-		if next > deadline {
-			next = deadline
-		}
-		if len(p.shards) == 1 {
-			total += p.shards[0].RunUntil(next)
-		} else {
-			counts := make([]int, len(p.shards))
-			var wg sync.WaitGroup
-			for i, sh := range p.shards {
-				wg.Add(1)
-				go func(i int, sh *Kernel) {
-					defer wg.Done()
-					counts[i] = sh.RunUntil(next)
-				}(i, sh)
-			}
-			wg.Wait()
-			for _, c := range counts {
-				total += c
+	for epoch := uint64(1); now < deadline; epoch++ {
+		now = min(now+p.quantum, deadline)
+		p.target.Store(int64(now))
+		total += p.shards[0].RunUntil(now)
+		for i := range p.workers {
+			for p.workers[i].done.Load() < epoch {
+				runtime.Gosched()
 			}
 		}
-		p.barrier(next)
+		p.barrier(now)
+	}
+	for i := range p.workers {
+		total += p.workers[i].events
+	}
+	return total
+}
+
+// work runs shard i+1 to each barrier time the caller publishes, until
+// it publishes stopTarget. last is the time the shard starts at.
+func (p *Pool) work(i int, last Time) {
+	defer p.wg.Done()
+	w, sh := &p.workers[i], p.shards[i+1]
+	for epoch := uint64(1); ; epoch++ {
+		t := Time(p.target.Load())
+		for t == last {
+			runtime.Gosched()
+			t = Time(p.target.Load())
+		}
+		if t == stopTarget {
+			return
+		}
+		w.events += sh.RunUntil(t)
+		w.done.Store(epoch)
+		last = t
 	}
 }
 
@@ -126,9 +176,9 @@ func (p *Pool) RunUntil(deadline Time) int {
 // All shards are parked when it is called.
 func (p *Pool) barrier(now Time) {
 	p.mu.Lock()
-	p.now.v = int64(now)
-	p.epoch.v++
-	epoch := p.epoch.v
+	p.now = now
+	p.epoch++
+	epoch := p.epoch
 	recurring := p.barriers
 	p.mu.Unlock()
 	for _, fn := range recurring {

@@ -3,7 +3,9 @@ package kernel
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // loadWorkload schedules a deterministic mix of one-shot events and
@@ -45,26 +47,72 @@ func TestPoolSingleShardMatchesKernel(t *testing.T) {
 	}
 }
 
+// TestPoolDeterminism: identical runs replay every shard's event order,
+// with 3 and 4 shards, on the machine's cores and on one. With
+// GOMAXPROCS=1 a worker or a caller that waits without yielding hangs
+// the test.
 func TestPoolDeterminism(t *testing.T) {
-	run := func() [][]string {
-		p := NewPool(4, 500*Microsecond)
-		logs := make([]*[]string, 4)
+	run := func(shards int) [][]string {
+		p := NewPool(shards, 500*Microsecond)
+		logs := make([]*[]string, shards)
 		for i := range logs {
 			logs[i] = loadWorkload(p.Shard(i), fmt.Sprintf("s%d", i))
 		}
 		p.RunUntil(3 * Millisecond)
-		out := make([][]string, 4)
+		out := make([][]string, shards)
 		for i, l := range logs {
 			out[i] = *l
 		}
 		return out
 	}
-	a, b := run(), run()
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("shard %d event order diverged across identical runs:\n%v\n%v", i, a[i], b[i])
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		for _, shards := range []int{3, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			a, b := run(shards), run(shards)
+			runtime.GOMAXPROCS(prev)
+			for i := range a {
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Fatalf("GOMAXPROCS=%d, %d shards: shard %d event order diverged across identical runs:\n%v\n%v", procs, shards, i, a[i], b[i])
+				}
+			}
 		}
 	}
+}
+
+// TestPoolAllocatesPerCallNotPerQuantum: a multi-shard RunUntil starts
+// its workers once per call, so an idle run over 1 000 quanta allocates
+// exactly what a run over 10 does, and every worker has exited once the
+// call returns.
+func TestPoolAllocatesPerCallNotPerQuantum(t *testing.T) {
+	p := NewPool(2, Millisecond)
+	var at Time
+	allocs := func(quanta Time) float64 {
+		return testing.AllocsPerRun(20, func() {
+			at += quanta * Millisecond
+			p.RunUntil(at)
+		})
+	}
+	if few, many := allocs(10), allocs(1000); few != many {
+		t.Errorf("RunUntil over 10 quanta allocates %v times, over 1000 quanta %v times", few, many)
+	}
+
+	base := runtime.NumGoroutine()
+	at += 100 * Millisecond
+	p.RunUntil(at)
+	// A worker's last act is to return; give its goroutine time to go.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after RunUntil returned, %d before", n, base)
+	}
+}
+
+// BenchmarkPoolQuantum times one quantum of an idle 2-shard pool: the
+// barrier handshake and nothing else.
+func BenchmarkPoolQuantum(b *testing.B) {
+	p := NewPool(2, Millisecond)
+	p.RunUntil(Time(b.N) * Millisecond)
 }
 
 func TestPoolBarrier(t *testing.T) {
