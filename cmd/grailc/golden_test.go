@@ -40,7 +40,7 @@ func TestListing2PassDumpGolden(t *testing.T) {
 
 	// Sanity: the dump names every pipeline stage and ends optimized.
 	for _, stage := range []string{
-		"; after lower", "; after constfold", "; after algebra", "; after cse",
+		"; after lower", "; after constfold", "; after cse",
 		"; after copyprop", "; after immsel", "; after dce",
 		"; -O1: 9 insns before optimization",
 		"jgti",

@@ -15,9 +15,10 @@
 // disassembly; -json the program as JSON; -o writes binary monitor
 // images (one file per guardrail, named <out>.<guardrail>.img when
 // multiple); -check-only stops after semantic checking. -O1 (constant
-// folding, algebraic simplification, CSE, copy propagation, immediate
-// selection, DCE, and a bytecode peephole) is the default; -O0 compiles
-// by straight lowering and codegen.
+// folding, CSE, copy propagation, immediate selection and DCE) is the
+// default; -O0 compiles by straight lowering and codegen. A guardrail
+// whose -O1 program does not fit the register file is built as its -O0
+// program, and reported as such.
 package main
 
 import (

@@ -88,21 +88,4 @@ func BenchmarkCompileStages(b *testing.B) {
 			}
 		}
 	})
-	b.Run("peephole", func(b *testing.B) {
-		f, err := lowerGuardrail(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, q := range passesForLevel(1) {
-			q.run(f)
-		}
-		p, err := genProgram(f, g.Name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Peephole(p.Code)
-		}
-	})
 }

@@ -24,6 +24,10 @@ import (
 // maxGPRegs is the size of the allocatable register file.
 const maxGPRegs = regStackTop - regStackBase + 1
 
+// errRegisterFile is genProgram's error when more values are live at
+// once than the register file holds; codegen has no spill.
+var errRegisterFile = fmt.Errorf("rule needs more than %d live values at once", maxGPRegs)
+
 // vinfo is per-vreg allocation state.
 type vinfo struct {
 	def      int // linear position of the first defining instruction
@@ -157,7 +161,7 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 				return nil
 			}
 		}
-		return fmt.Errorf("rule expression too deep (more than %d live temporaries)", maxGPRegs)
+		return errRegisterFile
 	}
 	pos = 0
 	opsBuf := make([]vreg, 0, MaxReportArgs+1)

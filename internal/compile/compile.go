@@ -3,11 +3,14 @@
 // pipeline over a linear IR:
 //
 //	parse → check → lower (AST → IR, ir.go/lower.go)
-//	      → IR passes (passes.go): constfold → algebra → cse →
-//	        copyprop → immsel → dce                  [-O1 only]
+//	      → IR passes (passes.go): constfold → cse → copyprop →
+//	        immsel → dce                             [-O1 only]
 //	      → codegen (linear-scan allocation, branch fusion, codegen.go)
-//	      → peephole (bytecode cleanup, peephole.go) [-O1 only]
 //	      → vm.Verify
+//
+// -O1 accepts every guardrail -O0 accepts: codegen cannot spill, so
+// when the optimized program needs more live values than the register
+// file holds, the -O0 program is built instead (Meta.OptLevel 0).
 //
 // One program is produced per guardrail. The program evaluates the
 // conjunction of the guardrail's rules; when the property holds it
@@ -17,6 +20,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -119,7 +123,8 @@ const MaxReportArgs = 4
 type Options struct {
 	// Level is the optimization level: 0 compiles by straight lowering
 	// and codegen, 1 (the default used by File/Guardrail/Source) runs
-	// the full IR pass pipeline plus the bytecode peephole.
+	// the IR pass pipeline first, falling back to the level-0 program
+	// when the optimized one does not fit the register file.
 	Level int
 	// Trace, when non-nil, receives the textual IR after lowering and
 	// after each pass (grailc -S).
@@ -188,26 +193,33 @@ func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
 
 	// Codegen the unoptimized IR first: at -O0 this is the final
 	// program; at -O1 its length is the Meta.PreOptInsns baseline the P5
-	// overhead accounting compares against. Codegen does not mutate the
-	// IR, so the pipeline can keep rewriting it afterwards.
+	// overhead accounting compares against, and it is the program built
+	// when the optimized one does not fit the register file. Codegen
+	// does not mutate the IR, so the pipeline can keep rewriting it
+	// afterwards.
 	pre, preErr := genProgram(f, g.Name)
-	if o.Level <= 0 && preErr != nil {
-		return nil, fmt.Errorf("compile: guardrail %q: %w", g.Name, preErr)
-	}
-
-	p := pre
+	p, level := pre, 0
 	if o.Level > 0 {
 		for _, ps := range passesForLevel(o.Level) {
 			ps.run(f)
 			trace(o, ps.name, f)
 		}
 		p, err = genProgram(f, g.Name)
-		if err != nil {
+		switch {
+		case err == nil:
+			level = o.Level
+		case errors.Is(err, errRegisterFile) && preErr == nil:
+			// CSE keeps a loaded value live where -O0 loads it again, so
+			// a rule that fits unoptimized can overflow optimized; -O1
+			// never rejects what -O0 accepts.
+			p = pre
+		default:
 			return nil, fmt.Errorf("compile: guardrail %q: %w", g.Name, err)
 		}
-		p.Code = Peephole(p.Code)
+	} else if preErr != nil {
+		return nil, fmt.Errorf("compile: guardrail %q: %w", g.Name, preErr)
 	}
-	p.Meta = vm.ProgramMeta{OptLevel: o.Level, PostOptInsns: len(p.Code)}
+	p.Meta = vm.ProgramMeta{OptLevel: level, PostOptInsns: len(p.Code)}
 	if preErr == nil {
 		p.Meta.PreOptInsns = len(pre.Code)
 	} else {
@@ -224,7 +236,7 @@ func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
 	// rejects but whose -O1 form passes (because an IR pass folded the
 	// unsafe construct away) would make safety depend on the optimizer —
 	// exactly the coupling the static verifier exists to rule out.
-	if o.Level > 0 && preErr == nil {
+	if p != pre && preErr == nil {
 		if err := vm.Verify(pre, vm.NumBuiltinHelpers); err != nil {
 			return nil, fmt.Errorf("compile: guardrail %q: -O0 baseline failed verification (differential gate): %w", g.Name, err)
 		}

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -363,8 +364,8 @@ func TestCompileDeepExpressionFails(t *testing.T) {
 		expr = "(LOAD(b) + " + expr + ")"
 	}
 	src := "guardrail deep { trigger: { TIMER(0,1) }, rule: { " + expr + " < 1 }, action: { REPORT() } }"
-	if _, err := SourceWith(src, Options{Level: 0}); err == nil || !strings.Contains(err.Error(), "too deep") {
-		t.Errorf("-O0: expected depth error, got %v", err)
+	if _, err := SourceWith(src, Options{Level: 0}); !errors.Is(err, errRegisterFile) {
+		t.Errorf("-O0: expected register-file error, got %v", err)
 	}
 	if _, err := Source(src); err != nil {
 		t.Errorf("-O1: CSE should collapse the repeated loads: %v", err)
@@ -377,8 +378,56 @@ func TestCompileDeepExpressionFails(t *testing.T) {
 	}
 	src = "guardrail deep { trigger: { TIMER(0,1) }, rule: { " + expr + " < 1 }, action: { REPORT() } }"
 	for _, lvl := range []int{0, 1} {
-		if _, err := SourceWith(src, Options{Level: lvl}); err == nil || !strings.Contains(err.Error(), "too deep") {
-			t.Errorf("-O%d: expected depth error, got %v", lvl, err)
+		if _, err := SourceWith(src, Options{Level: lvl}); !errors.Is(err, errRegisterFile) {
+			t.Errorf("-O%d: expected register-file error, got %v", lvl, err)
+		}
+	}
+}
+
+// TestO1AcceptsWhatO0Accepts: a sum and a product over the same N keys,
+// on two rule lines. CSE keeps every load live from the first line into
+// the second, and codegen cannot spill, so from N = 10 the optimized
+// program overflows the register file while the unoptimized one, which
+// loads each key again, fits. -O1 then builds the -O0 program and says
+// so in Meta.OptLevel.
+func TestO1AcceptsWhatO0Accepts(t *testing.T) {
+	for _, n := range []int{8, 10, 12, 14, 16} {
+		loads := make([]string, n)
+		for i := range loads {
+			loads[i] = fmt.Sprintf("LOAD(k%d)", i)
+		}
+		src := "guardrail wide { trigger: { TIMER(0,1) }, rule: { " +
+			strings.Join(loads, " + ") + " < 100\n" +
+			strings.Join(loads, " * ") + " > -100 }, action: { SAVE(bad, 1) } }"
+		c0, err := SourceWith(src, Options{Level: 0})
+		if err != nil {
+			t.Fatalf("N=%d: -O0: %v", n, err)
+		}
+		c1, err := Source(src)
+		if err != nil {
+			t.Fatalf("N=%d: -O0 accepts, -O1 rejects: %v", n, err)
+		}
+		p0, p1 := c0[0].Program, c1[0].Program
+		wantLevel := 1
+		if n >= 10 {
+			wantLevel = 0
+			if p1.String() != p0.String() {
+				t.Errorf("N=%d: fallback is not the -O0 program\n-O0:\n%s\n-O1:\n%s", n, p0, p1)
+			}
+		}
+		if p1.Meta.OptLevel != wantLevel || p1.Meta.PreOptInsns != len(p0.Code) {
+			t.Errorf("N=%d: -O1 meta = %+v, want OptLevel %d and %d insns before optimization", n, p1.Meta, wantLevel, len(p0.Code))
+		}
+		for _, v := range []float64{0, 1, 2} {
+			env := map[string]float64{}
+			for i := 0; i < n; i++ {
+				env[fmt.Sprintf("k%d", i)] = v
+			}
+			out0, _ := runProg(t, c0[0], env)
+			out1, _ := runProg(t, c1[0], env)
+			if out0 != out1 {
+				t.Errorf("N=%d, every key %v: -O0 %v, -O1 %v", n, v, out0, out1)
+			}
 		}
 	}
 }

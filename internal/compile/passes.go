@@ -28,7 +28,6 @@ func passesForLevel(level int) []irPass {
 	}
 	return []irPass{
 		{"constfold", passConstFold},
-		{"algebra", passAlgebra},
 		{"cse", passCSE},
 		{"copyprop", passCopyProp},
 		{"immsel", passImmSel},
@@ -47,20 +46,6 @@ func ssaConsts(f *irFunc) map[vreg]float64 {
 		}
 	}
 	return consts
-}
-
-// ssaDefs maps every single-def vreg to its defining instruction.
-func ssaDefs(f *irFunc) map[vreg]*irInstr {
-	defs := make(map[vreg]*irInstr)
-	for _, b := range f.blocks {
-		for i := range b.ins {
-			in := &b.ins[i]
-			if in.Op != irStore && !f.multiDef[in.Dst] {
-				defs[in.Dst] = in
-			}
-		}
-	}
-	return defs
 }
 
 // passConstFold propagates constants forward and folds every pure
@@ -131,64 +116,6 @@ func passConstFold(f *irFunc) {
 				dst = t.Then
 			}
 			*t = terminator{Kind: termJmp, Then: dst}
-		}
-	}
-}
-
-// passAlgebra applies identity simplifications: x+0, x-0, x*1, x/1
-// collapse to copies; x*0 and 0/x collapse to 0 (matching the AST-level
-// folder this pipeline replaces); neg(neg x) and not(not x) collapse to
-// copy/bool. Folds that are unsound for NaN operands beyond what the
-// old folder already assumed (x-x, comparisons of a value with itself)
-// are deliberately not performed.
-func passAlgebra(f *irFunc) {
-	consts := ssaConsts(f)
-	defs := ssaDefs(f)
-	isC := func(v vreg, c float64) bool {
-		got, ok := consts[v]
-		return ok && got == c
-	}
-	for _, b := range f.blocks {
-		for i := range b.ins {
-			in := &b.ins[i]
-			if in.Op != irStore && f.multiDef[in.Dst] {
-				continue
-			}
-			switch in.Op {
-			case irAdd:
-				if isC(in.A, 0) {
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.B}
-				} else if isC(in.B, 0) {
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.A}
-				}
-			case irSub:
-				if isC(in.B, 0) {
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.A}
-				}
-			case irMul:
-				switch {
-				case isC(in.A, 0) || isC(in.B, 0):
-					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: 0}
-				case isC(in.A, 1):
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.B}
-				case isC(in.B, 1):
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.A}
-				}
-			case irDiv:
-				if isC(in.A, 0) {
-					*in = irInstr{Op: irConst, Dst: in.Dst, Imm: 0}
-				} else if isC(in.B, 1) {
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: in.A}
-				}
-			case irNeg:
-				if d, ok := defs[in.A]; ok && d.Op == irNeg {
-					*in = irInstr{Op: irCopy, Dst: in.Dst, A: d.A}
-				}
-			case irNot:
-				if d, ok := defs[in.A]; ok && d.Op == irNot {
-					*in = irInstr{Op: irBoo, Dst: in.Dst, A: d.A}
-				}
-			}
 		}
 	}
 }
@@ -437,8 +364,10 @@ func sideEffecting(in *irInstr) bool {
 // that block's destination and turns a branch whose arms then coincide
 // into a jmp. Codegen elides a jmp to the next block in layout, so a
 // jmp-only block can assemble to nothing, and a branch over it to the
-// zero-offset jump the VM forbids. The bypassed blocks have lost every
-// predecessor and leave the layout.
+// zero-offset jump the VM forbids. Edges point forward, so walking the
+// layout backwards settles every successor before its predecessors
+// look at it: a branch collapsed into a jmp is threaded past too. The
+// bypassed blocks have lost every predecessor and leave the layout.
 func threadJumps(f *irFunc) {
 	jmpOnly := func(b *block) bool { return len(b.ins) == 0 && b.term.Kind == termJmp }
 	final := func(b *block) *block {
@@ -447,8 +376,8 @@ func threadJumps(f *irFunc) {
 		}
 		return b
 	}
-	for _, b := range f.blocks {
-		t := &b.term
+	for i := len(f.blocks) - 1; i >= 0; i-- {
+		t := &f.blocks[i].term
 		switch t.Kind {
 		case termJmp:
 			t.Then = final(t.Then)

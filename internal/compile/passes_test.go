@@ -28,29 +28,6 @@ func ruleSrc(expr string) string {
 	return "guardrail g { trigger: { TIMER(0,1) }, rule: { " + expr + " }, action: { SAVE(bad, 1) } }"
 }
 
-func TestAlgebraicSimplification(t *testing.T) {
-	cases := []struct {
-		expr   string
-		banned []vm.Op
-	}{
-		{"LOAD(x) + 0 < 1", []vm.Op{vm.OpAdd, vm.OpAddI}},
-		{"0 + LOAD(x) < 1", []vm.Op{vm.OpAdd, vm.OpAddI}},
-		{"LOAD(x) - 0 < 1", []vm.Op{vm.OpSub, vm.OpSubI}},
-		{"LOAD(x) * 1 < 1", []vm.Op{vm.OpMul, vm.OpMulI}},
-		{"1 * LOAD(x) < 1", []vm.Op{vm.OpMul, vm.OpMulI}},
-		{"LOAD(x) / 1 < 1", []vm.Op{vm.OpDiv, vm.OpDivI}},
-		{"-(-LOAD(x)) < 1", []vm.Op{vm.OpNeg}},
-	}
-	for _, c := range cases {
-		counts, compiled := opCounts(t, ruleSrc(c.expr), 1)
-		for _, op := range c.banned {
-			if counts[op] > 0 {
-				t.Errorf("%s: identity not simplified away\n%s", c.expr, compiled.Program)
-			}
-		}
-	}
-}
-
 func TestConstFoldEliminatesHelperCalls(t *testing.T) {
 	src := ruleSrc("sqrt(16) <= LOAD(x)")
 	o0, _ := opCounts(t, src, 0)

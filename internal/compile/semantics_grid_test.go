@@ -42,7 +42,7 @@ func gridProgram(in vm.Instr) *vm.Program {
 	switch {
 	case in.Op == vm.OpCall:
 		code = append(code, vm.Instr{Op: vm.OpMov, Dst: 1, Src: 6}, in, vm.Instr{Op: vm.OpExit})
-	case isJumpOp(in.Op):
+	case in.Op >= vm.OpJEq && in.Op <= vm.OpJGeI: // compare-and-jump
 		in.Off = 2
 		code = append(code, in,
 			vm.Instr{Op: vm.OpMovI, Dst: 0, Imm: 0}, vm.Instr{Op: vm.OpExit},

@@ -94,6 +94,10 @@ type Diff struct {
 	// Changes lists every guardrail of either generation, sorted by
 	// name.
 	Changes []Change `json:"changes"`
+	// was holds the old generation's footprints of the removed, retuned
+	// and modified guardrails: Scope re-analyzes whatever was coupled to
+	// them, as well as whatever is coupled to their new form.
+	was []*compile.Footprint
 }
 
 // Changed returns the names of guardrails that differ (everything but
@@ -169,8 +173,13 @@ func Compare(old, new []*compile.Compiled) *Diff {
 			d.Changes = append(d.Changes, Change{Name: n, Kind: Added})
 		case !inNew:
 			d.Changes = append(d.Changes, Change{Name: n, Kind: Removed})
+			d.was = append(d.was, &oc.Footprint)
 		default:
-			d.Changes = append(d.Changes, compareGuardrail(oc.Source, nc.Source))
+			ch := compareGuardrail(oc.Source, nc.Source)
+			d.Changes = append(d.Changes, ch)
+			if ch.Kind != Unchanged {
+				d.was = append(d.was, &oc.Footprint)
+			}
 		}
 	}
 	sort.Slice(d.Changes, func(i, j int) bool { return d.Changes[i].Name < d.Changes[j].Name })
@@ -358,11 +367,13 @@ func actionSkeleton(a spec.Action) string {
 // Scope narrows a full new-generation deployment to the slice the
 // canary admission must re-analyze: every changed (added, retuned,
 // modified) guardrail, plus the fixpoint closure of unchanged
-// guardrails coupled to the slice — sharing a FUNCTION hook site,
-// sharing a feature key at least one side writes, or both timer-driven
-// while sharing a written key. Guardrails outside the scope cannot have
-// new interference: their programs and all their coupled peers are
-// byte-identical to the already-admitted generation.
+// guardrails coupled to the slice, in its new form or its old one —
+// sharing a FUNCTION hook site, sharing a feature key at least one side
+// writes, or both timer-driven while sharing a written key. A guardrail
+// outside the scope cannot have new interference: its source is
+// unchanged, and so is the source of every guardrail it is coupled to
+// in either generation; none of them was added, removed, retuned or
+// modified.
 //
 // The returned names list the scoped guardrails (sorted); the returned
 // deployment shares the input's features and budgets but carries only
@@ -373,10 +384,6 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 		inScope[name] = true
 	}
 
-	footprint := make(map[string]*compile.Footprint, len(dep.Monitors))
-	for _, c := range dep.Monitors {
-		footprint[c.Name] = &c.Footprint
-	}
 	// A written key read or written by the other side couples a pair
 	// (SAVE/SAVE conflicts, SAVE→LOAD refinement and cycles).
 	writesInto := func(a, b *compile.Footprint) bool {
@@ -401,20 +408,27 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 		return writesInto(a, b) || writesInto(b, a)
 	}
 
-	// Fixpoint closure over the coupling relation.
+	// Fixpoint closure over the coupling relation, grown from the
+	// changed guardrails' new footprints and old ones: a guardrail that
+	// was coupled only to what a peer touched before its edit (or its
+	// removal) lost an interaction, and what is left must be re-analyzed
+	// without it.
+	seeds := append([]*compile.Footprint(nil), d.was...)
+	for _, c := range dep.Monitors {
+		if inScope[c.Name] {
+			seeds = append(seeds, &c.Footprint)
+		}
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, c := range dep.Monitors {
 			if inScope[c.Name] {
 				continue
 			}
-			for other := range inScope {
-				oc, ok := footprint[other]
-				if !ok {
-					continue // removed guardrail: no longer in the new deployment
-				}
-				if coupled(&c.Footprint, oc) {
+			for _, fp := range seeds {
+				if coupled(&c.Footprint, fp) {
 					inScope[c.Name] = true
+					seeds = append(seeds, &c.Footprint)
 					changed = true
 					break
 				}

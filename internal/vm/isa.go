@@ -169,7 +169,7 @@ type ProgramMeta struct {
 	// OptLevel is the compile.Options.Level the program was built at.
 	OptLevel int
 	// PreOptInsns is the instruction count of the straight-lowered
-	// program before any IR passes or peephole cleanup ran.
+	// program before any IR passes ran.
 	PreOptInsns int
 	// PostOptInsns is the final instruction count (len(Code)).
 	PostOptInsns int
