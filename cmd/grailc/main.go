@@ -114,8 +114,8 @@ func processOne(w io.Writer, name, src string, opt options) error {
 				path = fmt.Sprintf("%s.%s.img", opt.imageOut, c.Name)
 			}
 			// Attach the verification certificate so the image carries its
-			// proof: loaders restore the certified facts with a single
-			// CheckCertificate pass instead of a full re-analysis.
+			// proof: vm.CheckCertificate restores the certified facts of a
+			// decoded image in one pass instead of a full re-analysis.
 			if err := vm.Certify(c.Program, vm.NumBuiltinHelpers); err != nil {
 				return fmt.Errorf("certify %s: %w", c.Name, err)
 			}

@@ -10,6 +10,11 @@ type Parser struct {
 	lex *Lexer
 	cur Token
 	err error
+	// prevLine is the line of the token before cur.
+	prevLine int
+	// ruleTop is set while parsing a rule list outside parentheses and
+	// call arguments, where a '-' that starts a line starts a new rule.
+	ruleTop bool
 }
 
 // Parse parses a specification source into a File. The result has not
@@ -56,6 +61,7 @@ func (p *Parser) next() {
 	if p.err != nil {
 		return
 	}
+	p.prevLine = p.cur.Pos.Line
 	t, err := p.lex.Next()
 	if err != nil {
 		p.err = err
@@ -335,7 +341,11 @@ func (p *Parser) parseTimerArg(i int) (float64, error) {
 	}
 }
 
+// parseRules parses a rule list. Rules are separated by ';', ',' or a
+// newline: a line that starts with '-' begins a new rule rather than
+// subtracting from the one before.
 func (p *Parser) parseRules(g *Guardrail) error {
+	p.ruleTop = true
 	p.skipSeparators()
 	for p.cur.Kind != TokRBrace {
 		e, err := p.parseExpr()
@@ -345,6 +355,7 @@ func (p *Parser) parseRules(g *Guardrail) error {
 		g.Rules = append(g.Rules, e)
 		p.skipSeparators()
 	}
+	p.ruleTop = false
 	return nil
 }
 
@@ -457,7 +468,8 @@ func (p *Parser) parseAction() (Action, error) {
 //	or   := and ('||' and)*
 //	and  := cmp ('&&' cmp)*
 //	cmp  := add (('<'|'<='|'>'|'>='|'=='|'!=') add)?   (non-associative)
-//	add  := mul (('+'|'-') mul)*
+//	add  := mul (('+'|'-') mul)*   (in a rule list, a '-' that starts a
+//	                                 line starts the next rule instead)
 //	mul  := unary (('*'|'/') unary)*
 //	unary := ('-'|'!') unary | primary
 //	primary := NUMBER | 'true' | 'false' | LOAD '(' ident ')'
@@ -523,6 +535,9 @@ func (p *Parser) parseAdd() (Expr, error) {
 		return nil, err
 	}
 	for p.cur.Kind == TokPlus || p.cur.Kind == TokMinus {
+		if p.cur.Kind == TokMinus && p.ruleTop && p.cur.Pos.Line > p.prevLine {
+			break // a new rule
+		}
 		op := p.cur.Kind
 		pos := p.cur.Pos
 		p.next()
@@ -575,10 +590,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return e, nil
 	case TokLParen:
 		p.next()
+		top := p.ruleTop
+		p.ruleTop = false
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
+		p.ruleTop = top
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
@@ -606,6 +624,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		if p.cur.Kind == TokLParen {
 			p.next()
+			top := p.ruleTop
+			p.ruleTop = false
 			call := &CallExpr{Fn: tok.Text, Pos: tok.Pos}
 			if p.cur.Kind != TokRParen {
 				for {
@@ -620,6 +640,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 					p.next()
 				}
 			}
+			p.ruleTop = top
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}

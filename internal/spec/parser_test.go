@@ -174,6 +174,50 @@ guardrail un {
 	}
 }
 
+// TestParseMinusStartsRule: in a rule list a '-' that starts a line
+// starts the next rule, as a newline separates rules everywhere else;
+// inside parentheses or call arguments, or after an operator that
+// ends a line, it stays a subtraction.
+func TestParseMinusStartsRule(t *testing.T) {
+	rules := func(body string) []string {
+		t.Helper()
+		file, err := Parse("guardrail m {\n  trigger: { TIMER(0, 1) },\n  rule: {\n" + body + "\n  }\n}")
+		if err != nil {
+			t.Errorf("%q: %v", body, err)
+			return nil
+		}
+		var got []string
+		for _, r := range file.Guardrails[0].Rules {
+			got = append(got, ExprString(r))
+		}
+		return got
+	}
+	for _, c := range []struct {
+		body string
+		want []string
+	}{
+		{"LOAD(a) > 1\n-2 < LOAD(b)", []string{"(LOAD(a) > 1)", "(-2 < LOAD(b))"}},
+		{"LOAD(a) > 1\n  -2", []string{"(LOAD(a) > 1)", "-2"}},
+		{"LOAD(a) > 1 -\n2", []string{"(LOAD(a) > (1 - 2))"}},
+		{"LOAD(a) > (1\n-2)", []string{"(LOAD(a) > (1 - 2))"}},
+		{"LOAD(a) > abs(1\n-2)", []string{"(LOAD(a) > abs((1 - 2)))"}},
+	} {
+		if got := rules(c.body); strings.Join(got, "; ") != strings.Join(c.want, "; ") {
+			t.Errorf("%q parsed as %q, want %q", c.body, got, c.want)
+		}
+	}
+
+	// A stray "-2" line is its own rule, so Check rejects it where it is.
+	file, err := Parse("guardrail m {\n  trigger: { TIMER(0, 1) },\n  rule: { LOAD(a) > 1\n-2 },\n  action: { REPORT() }\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Check(file)
+	if err == nil || !strings.HasPrefix(err.Error(), "4:1: ") || !strings.Contains(err.Error(), "is not a predicate") {
+		t.Errorf("Check = %v, want a 4:1 \"is not a predicate\" error", err)
+	}
+}
+
 func TestParseBareIdentifiersAsLoads(t *testing.T) {
 	src := `
 guardrail bare {

@@ -9,8 +9,9 @@ import (
 )
 
 // Monitor image format: a compact binary serialization of a Program, so
-// compiled guardrails can be shipped to the machine that loads them
-// (grailc -o / grailvm). Layout (little endian):
+// compiled guardrails can be shipped (grailc -o). No command reads an
+// image back; Decode's readers are the benchmark and tests. Layout
+// (little endian):
 //
 //	magic "GRVM2\x00"
 //	u16 name length, name bytes

@@ -82,20 +82,6 @@ func Verify(p *Program, numHelpers int) error {
 	return nil
 }
 
-// VerifySteps verifies p and additionally rejects it when the certified
-// worst-case step count exceeds maxSteps — a load-time admission test
-// for hook sites with a hard per-evaluation budget.
-func VerifySteps(p *Program, numHelpers, maxSteps int) error {
-	if err := Verify(p, numHelpers); err != nil {
-		return err
-	}
-	if p.Meta.MaxSteps > maxSteps {
-		return vErr(p, 0, "certified worst-case step count %d exceeds the budget of %d steps",
-			p.Meta.MaxSteps, maxSteps)
-	}
-	return nil
-}
-
 // AnalyzeWith runs the abstract interpreter on a structurally-checked
 // program and returns the proof object without mutating p.Meta. env
 // carries certified input ranges for feature-store cells: LOADs of cells

@@ -325,27 +325,6 @@ func TestMaxStepsCertification(t *testing.T) {
 	}
 }
 
-// TestVerifyStepsBudget covers the load-time step-budget admission
-// test built on the certified bound.
-func TestVerifyStepsBudget(t *testing.T) {
-	b := NewBuilder("budgeted")
-	b.MovI(6, 1)
-	b.ALUI(OpAddI, 6, 1)
-	b.Mov(0, 6)
-	b.Exit()
-	p := mustBuild(t, b)
-	if err := VerifySteps(p, NumBuiltinHelpers, 4); err != nil {
-		t.Fatalf("program within budget rejected: %v", err)
-	}
-	err := VerifySteps(p, NumBuiltinHelpers, 3)
-	if err == nil {
-		t.Fatal("over-budget program accepted")
-	}
-	if !strings.Contains(err.Error(), "exceeds the budget") {
-		t.Errorf("unhelpful budget rejection: %v", err)
-	}
-}
-
 // TestFallOffEnd: a program whose only path reaches the end without
 // OpExit must be rejected by the dataflow pass (reachability of the
 // virtual end node), not by a runtime bad-pc trap.
