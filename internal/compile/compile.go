@@ -6,7 +6,7 @@
 //	      → IR passes (passes.go): constfold → cse → copyprop →
 //	        immsel → dce                             [-O1 only]
 //	      → codegen (linear-scan allocation, branch fusion, codegen.go)
-//	      → vm.Verify
+//	      → vm.Prove (vm.Verify keeping the proof)
 //
 // -O1 accepts every guardrail -O0 accepts: codegen cannot spill, so
 // when the optimized program needs more live values than the register
@@ -49,6 +49,12 @@ type Compiled struct {
 	// kernel admission test, the interference analyzer, the model checker
 	// and the rollout scope to share.
 	Footprint Footprint
+	// Proof is the open-world analysis vm.Prove verified Program with,
+	// kept so the deployment checks (interfere.Deployment.Analysis) need
+	// not analyze the program again. It is never serialized, and it is
+	// shared: do not modify it. Whoever swaps Program for another
+	// program must clear it.
+	Proof *vm.Analysis
 }
 
 // Footprint is a compiled guardrail's coupling surface: where it
@@ -228,7 +234,8 @@ func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
 		p.Meta.PreOptInsns = len(p.Code)
 	}
 
-	if err := vm.Verify(p, vm.NumBuiltinHelpers); err != nil {
+	proof, err := vm.Prove(p, vm.NumBuiltinHelpers)
+	if err != nil {
 		return nil, fmt.Errorf("compile: guardrail %q failed verification: %w", g.Name, err)
 	}
 	// Differential gate: an optimized build must also verify in its
@@ -248,6 +255,7 @@ func compileChecked(g *spec.Guardrail, o Options) (*Compiled, error) {
 		Program:   p,
 		Actions:   g.Actions,
 		Footprint: footprintOf(g.Triggers, p),
+		Proof:     proof,
 	}, nil
 }
 

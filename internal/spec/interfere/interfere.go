@@ -212,6 +212,14 @@ type analysis struct {
 // check analyzes through here, so Analyze and a following
 // modelcheck.Check of one value share results. Do not modify the result.
 func (d *Deployment) Analysis(p *vm.Program, env vm.CellEnv) (*vm.Analysis, error) {
+	return d.analysis(p, env, nil)
+}
+
+// analysis is Analysis with proof, when non-nil, standing in for the
+// analyzer on a miss: proof must be what vm.AnalyzeWith(p,
+// vm.NumBuiltinHelpers, env) returns, as compile's Compiled.Proof is for
+// the nil env.
+func (d *Deployment) analysis(p *vm.Program, env vm.CellEnv, proof *vm.Analysis) (*vm.Analysis, error) {
 	key := d.memoKey[:0]
 	for _, in := range p.Code {
 		if in.Op != vm.OpLoad {
@@ -234,7 +242,11 @@ func (d *Deployment) Analysis(p *vm.Program, env vm.CellEnv) (*vm.Analysis, erro
 		if d.memo == nil {
 			d.memo = map[analysisIn]analysis{}
 		}
-		r.a, r.err = vm.AnalyzeWith(p, vm.NumBuiltinHelpers, env)
+		if proof != nil {
+			r.a = proof
+		} else {
+			r.a, r.err = vm.AnalyzeWith(p, vm.NumBuiltinHelpers, env)
+		}
 		d.memo[analysisIn{p, string(key)}] = r
 	}
 	return r.a, r.err
@@ -371,11 +383,12 @@ func Analyze(d *Deployment) *Report {
 	}
 
 	// Pass 1: open-world facts — every monitor's baseline store
-	// certificates, which become the producer ranges of pass 2.
+	// certificates, which become the producer ranges of pass 2. The
+	// compiler's proof, when it kept one, fills the memo entry.
 	baseline := make([]*vm.Analysis, len(d.Monitors))
 	for i, c := range d.Monitors {
 		f := &monFacts{c: c, saves: map[string]vm.Interval{}}
-		a, err := d.Analysis(c.Program, nil)
+		a, err := d.analysis(c.Program, nil, c.Proof)
 		if err == nil {
 			baseline[i] = a
 			f.maxSteps = a.MaxSteps

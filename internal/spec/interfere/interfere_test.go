@@ -1,12 +1,14 @@
 package interfere
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
+	"guardrails/internal/vm"
 )
 
 // implicates reports whether the diagnostic names the guardrail as
@@ -503,6 +505,45 @@ func TestDiagnosticString(t *testing.T) {
 	for _, want := range []string{"3:7", "warning", "[GI001]", "guardrail a (with b)", "both SAVE k"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// TestCompiledProofFillsOpenWorldEntry: Analyze's first pass takes each
+// monitor's open-world analysis from the proof the compiler kept
+// instead of analyzing the program again. The memo entry is that very
+// proof, and it says what a fresh analysis says.
+func TestCompiledProofFillsOpenWorldEntry(t *testing.T) {
+	dep := deployment(t, `
+feature err_rate range(0, 1)
+guardrail ml-off {
+    trigger: { FUNCTION(io_submit) },
+    rule: { LOAD(err_rate) <= 0.01 },
+    action: { SAVE(ml_enabled, 0) }
+}
+guardrail follow {
+    trigger: { FUNCTION(io_submit) },
+    rule: { LOAD(ml_enabled) >= 0.5 },
+    action: { REPORT(LOAD(ml_enabled)) }
+}`, 0)
+	Analyze(dep)
+	for _, c := range dep.Monitors {
+		if c.Proof == nil {
+			t.Fatalf("%s: compile kept no proof", c.Name)
+		}
+		got, err := dep.Analysis(c.Program, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.Proof {
+			t.Errorf("%s: the open-world memo entry is not the compiler's proof", c.Name)
+		}
+		fresh, err := vm.AnalyzeWith(c.Program, vm.NumBuiltinHelpers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: proof %+v, fresh analysis %+v", c.Name, got, fresh)
 		}
 	}
 }

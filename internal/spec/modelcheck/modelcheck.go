@@ -239,6 +239,12 @@ func plural(n int, one, many string) string {
 type group struct {
 	label string
 	mons  []int // indexes into model.mons
+	// fixed reports that every monitor of the group is effect.fixed, so
+	// the group writes the same list in every state: writes, once
+	// cached, is that list, and every edge of the group shares it.
+	fixed  bool
+	cached bool
+	writes []write
 }
 
 // write records one feature-store write applied during a transition.
@@ -283,10 +289,11 @@ type model struct {
 	mons     []*compile.Compiled   // active (non-shadow) monitors
 	keys     []string              // sorted key universe
 	keyIdx   map[string]int
-	written  []bool              // some active monitor stores the key
-	sigPos   []int               // by key index: byte offset of its id in a signature, -1 when unwritten
-	declared []*spec.FeatureDecl // by key index, nil when undeclared
-	effects  []effect            // parallel to mons
+	cellKeys map[*vm.Program][]int // per program: key index by cell, -1 outside the universe
+	written  []bool                // some active monitor stores the key
+	sigPos   []int                 // by key index: byte offset of its id in a signature, -1 when unwritten
+	declared []*spec.FeatureDecl   // by key index, nil when undeclared
+	effects  []effect              // parallel to mons
 	groups   []group
 	hyper    int64
 	conserv  bool
@@ -361,7 +368,7 @@ func Check(dep *interfere.Deployment, cfg Config) *Report {
 
 // buildModel derives the abstract transition system from a deployment.
 func buildModel(dep *interfere.Deployment, cfg Config) *model {
-	m := &model{cfg: cfg.filled(), dep: dep, keyIdx: map[string]int{}, index: map[string]int{}, widened: map[int]bool{}}
+	m := &model{cfg: cfg.filled(), dep: dep, keyIdx: map[string]int{}, cellKeys: map[*vm.Program][]int{}, index: map[string]int{}, widened: map[int]bool{}}
 
 	shadow := map[string]bool{}
 	for _, s := range cfg.Shadow {
@@ -423,6 +430,10 @@ func buildModel(dep *interfere.Deployment, cfg Config) *model {
 	}
 
 	m.buildGroups()
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		g.fixed = !slices.ContainsFunc(g.mons, func(mi int) bool { return !m.effects[mi].fixed })
+	}
 	return m
 }
 
@@ -521,17 +532,26 @@ func (m *model) initState() []vm.Interval {
 	return vals
 }
 
-// envFor adapts a state vector to a vm.CellEnv for one program.
+// envFor adapts a state vector to a vm.CellEnv for one program. The
+// program's cells are resolved to key indices once per model.
 func (m *model) envFor(p *vm.Program, vals []vm.Interval) vm.CellEnv {
+	keys, ok := m.cellKeys[p]
+	if !ok {
+		keys = make([]int, len(p.Symbols))
+		for cell, sym := range p.Symbols {
+			ki, ok := m.keyIdx[sym]
+			if !ok {
+				ki = -1
+			}
+			keys[cell] = ki
+		}
+		m.cellKeys[p] = keys
+	}
 	return func(cell int32) (vm.Interval, bool) {
-		if cell < 0 || int(cell) >= len(p.Symbols) {
+		if cell < 0 || int(cell) >= len(keys) || keys[cell] < 0 {
 			return vm.Interval{}, false
 		}
-		i, ok := m.keyIdx[p.Symbols[cell]]
-		if !ok {
-			return vm.Interval{}, false
-		}
-		return vals[i], true
+		return vals[keys[cell]], true
 	}
 }
 
@@ -576,34 +596,41 @@ func (m *model) effectOf(writes []write, mi int, vals []vm.Interval) []write {
 // under a transition group, recording the writes. Monitors in a group
 // run sequentially in deployment order, each observing the writes of its
 // predecessors — matching the runtime, which serializes same-instant
-// firings. A fixed monitor's effect is computed on first use and reused.
+// firings. A fixed monitor's effect is computed on first use and reused,
+// and so is the whole write list of a group of fixed monitors.
 //
 // The successor and its signature — the tuple of value ids (m.seen)
 // over the written keys; every other key is a constant of the model —
 // come back in the model's scratch buffers, valid until the next apply.
+// The writes are the edge's to keep: a copy, or the fixed group's one
+// list, which every edge of the group shares and nothing modifies.
 // Only the keys whose value the writes changed are re-widened and
 // re-stamped: every other key keeps the source's value, which widenKey
 // already gave the id the source's signature holds, so widening it again
 // would return that id and change nothing.
-func (m *model) apply(g group, src *node) ([]vm.Interval, []byte, []write) {
+func (m *model) apply(g *group, src *node) ([]vm.Interval, []byte, []write) {
 	next := append(m.next[:0], src.vals...)
-	writes := m.writes[:0]
-	for _, mi := range g.mons {
-		first := len(writes)
-		if e := &m.effects[mi]; e.cached {
-			writes = append(writes, e.writes...)
-		} else {
-			writes = m.effectOf(writes, mi, next)
-			if e.fixed {
-				e.writes, e.cached = slices.Clone(writes[first:]), true
-			}
-		}
-		for _, w := range writes[first:] {
-			if w.must {
-				next[w.key] = w.val // the store provably executes
+	writes := g.writes
+	if g.cached {
+		setWrites(next, writes)
+	} else {
+		writes = m.writes[:0]
+		for _, mi := range g.mons {
+			first := len(writes)
+			if e := &m.effects[mi]; e.cached {
+				writes = append(writes, e.writes...)
 			} else {
-				next[w.key] = next[w.key].Join(w.val) // may or may not fire
+				writes = m.effectOf(writes, mi, next)
+				if e.fixed {
+					e.writes, e.cached = slices.Clone(writes[first:]), true
+				}
 			}
+			setWrites(next, writes[first:])
+		}
+		m.writes = writes
+		writes = slices.Clone(writes)
+		if g.fixed {
+			g.writes, g.cached = writes, true
 		}
 	}
 	sig := append(m.sig[:0], src.sig...)
@@ -615,8 +642,20 @@ func (m *model) apply(g group, src *node) ([]vm.Interval, []byte, []write) {
 		next[w.key], id = m.widenKey(w.key, next[w.key])
 		binary.LittleEndian.PutUint32(sig[m.sigPos[w.key]:], uint32(id))
 	}
-	m.next, m.sig, m.writes = next, sig, writes
-	return next, sig, slices.Clone(writes)
+	m.next, m.sig = next, sig
+	return next, sig, writes
+}
+
+// setWrites applies one monitor's writes, or a run of monitors' in
+// firing order, to a state vector.
+func setWrites(vals []vm.Interval, writes []write) {
+	for _, w := range writes {
+		if w.must {
+			vals[w.key] = w.val // the store provably executes
+		} else {
+			vals[w.key] = vals[w.key].Join(w.val) // may or may not fire
+		}
+	}
 }
 
 // widenKey accelerates a key that keeps taking new interval values:
@@ -672,8 +711,9 @@ func (m *model) explore() {
 			m.truncate("depth bound")
 			continue
 		}
+		m.adj[qi] = make([]edge, 0, len(m.groups))
 		for gi := range m.groups {
-			next, sig, writes := m.apply(m.groups[gi], &n)
+			next, sig, writes := m.apply(&m.groups[gi], &n)
 			if to, ok := m.index[string(sig)]; ok {
 				m.edges++
 				m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Abstract interpretation over the (loop-free) control-flow graph. The
@@ -89,9 +90,10 @@ func join(a, b absVal) absVal {
 }
 
 // widen is join with bound acceleration: any interval bound that grew
-// beyond old's goes straight to its infinity. Forward-only CFGs reach a
-// fixpoint without widening; it bounds the join chains defensively and
-// would keep the analysis linear if the ISA ever grew back edges.
+// beyond old's goes straight to its infinity. Forward-only CFGs reach
+// their fixpoint in one sweep without widening; the analyzer still
+// widens a pc's state past widenAfter joins into it, which bounds long
+// join chains and is part of what the certified facts say.
 func widen(old, next absVal) absVal {
 	j := join(old, next)
 	if old.num && j.num {
@@ -643,20 +645,44 @@ type pcState struct {
 // producer SAVE certificates to sharpen the analysis to one deployment.
 type CellEnv func(cell int32) (Interval, bool)
 
-// analyzer runs the worklist-driven abstract interpretation.
+// analyzer runs the abstract interpretation as one ascending sweep.
 type analyzer struct {
 	p         *Program
 	env       CellEnv
 	states    []pcState // len n+1; index n = fall-through off the end
-	work      []bool
+	steps     []int     // maxSteps's scratch, len n+1
 	divProven bool
 	edges     edgeSet // scratch successor buffer reused across steps
 }
 
+// analyzers recycles analyzers between analyses. The per-pc states are
+// 408 bytes each and a load analyzes every program several times
+// (compile's two Verify calls, Certify, the deployment checks), so a
+// fresh slice per analysis made the analyzer the load gate's largest
+// source of garbage.
+var analyzers = sync.Pool{New: func() any { return new(analyzer) }}
+
+// reset readies a, fresh or recycled, to analyze p under env: every
+// per-pc state unreached.
+func (a *analyzer) reset(p *Program, env CellEnv) {
+	n := len(p.Code)
+	if cap(a.states) < n+1 {
+		a.states = make([]pcState, n+1)
+	} else {
+		a.states = a.states[:n+1]
+		clear(a.states)
+	}
+	a.p, a.env, a.divProven = p, env, true
+}
+
+// release returns a to the pool; nothing may use it afterwards.
+func (a *analyzer) release() {
+	a.p, a.env = nil, nil
+	analyzers.Put(a)
+}
+
 // analyze proves a structurally-checked program trap-free, or explains
-// why it cannot. The CFG is acyclic with forward-only edges, so the
-// ascending-pc worklist reaches its fixpoint visiting each instruction
-// a small constant number of times.
+// why it cannot.
 func analyze(p *Program) (*Analysis, error) {
 	return analyzeEnv(p, nil)
 }
@@ -666,60 +692,77 @@ func analyzeEnv(p *Program, env CellEnv) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.facts(), nil
+	out := a.facts()
+	a.release()
+	return out, nil
 }
 
-// runAnalyzer drives the worklist to its fixpoint and returns the
-// analyzer with its per-pc states intact — the certificate builder
-// (certificate.go) reads the fixpoint states directly.
+// runAnalyzer analyzes p with an analyzer from the pool and returns it
+// with its per-pc states intact — the certificate builder
+// (certificate.go) reads the fixpoint states directly; the caller
+// releases it. On an error the analyzer is already back in the pool.
 func runAnalyzer(p *Program, env CellEnv) (*analyzer, error) {
-	n := len(p.Code)
-	a := &analyzer{
-		p:         p,
-		env:       env,
-		states:    make([]pcState, n+1),
-		work:      make([]bool, n),
-		divProven: true,
-	}
-	a.states[0] = pcState{reachable: true, rs: entryState()}
-	a.work[0] = true
-
-	for {
-		pc := -1
-		for i, w := range a.work {
-			if w {
-				pc = i
-				break
-			}
-		}
-		if pc < 0 {
-			break
-		}
-		a.work[pc] = false
-		if err := a.step(pc); err != nil {
-			return nil, err
-		}
-	}
-
-	if a.states[n].reachable {
-		return nil, vErr(p, n-1, "execution can fall off the end of the program")
+	a := analyzers.Get().(*analyzer)
+	a.reset(p, env)
+	if err := a.sweep(); err != nil {
+		a.release()
+		return nil, err
 	}
 	return a, nil
 }
 
+// sweep visits every reachable pc once, in ascending order.
+// verifyStructure admits only strictly forward jumps, so every
+// predecessor of a pc precedes it: by the time the sweep reaches pc, its
+// entry state has absorbed every incoming edge and is final, and the one
+// visit per reachable pc is the fixpoint.
+func (a *analyzer) sweep() error {
+	n := len(a.p.Code)
+	a.states[0] = pcState{reachable: true, rs: entryState()}
+	for pc := 0; pc < n; pc++ {
+		if !a.states[pc].reachable {
+			continue
+		}
+		if err := a.step(pc); err != nil {
+			return err
+		}
+	}
+	if a.states[n].reachable {
+		return vErr(a.p, n-1, "execution can fall off the end of the program")
+	}
+	return nil
+}
+
 // facts assembles the proof object from the fixpoint states.
 func (a *analyzer) facts() *Analysis {
-	n := len(a.p.Code)
+	code := a.p.Code
+	stores, exits := 0, 0
+	for pc, in := range code {
+		if !a.states[pc].reachable {
+			continue
+		}
+		switch in.Op {
+		case OpStore:
+			stores++
+		case OpExit:
+			exits++
+		}
+	}
 	out := &Analysis{
-		MaxSteps:  a.maxSteps(),
+		MaxSteps:  a.maxSteps(code),
 		DivProven: a.divProven,
 	}
-	for pc := 0; pc < n; pc++ {
-		st := a.states[pc]
+	if stores > 0 {
+		out.Stores = make([]StoreFact, 0, stores)
+	}
+	if exits > 0 {
+		out.Exits = make([]ExitFact, 0, exits)
+	}
+	for pc, in := range code {
+		st := &a.states[pc]
 		if !st.reachable {
 			continue
 		}
-		in := a.p.Code[pc]
 		switch in.Op {
 		case OpStore:
 			out.Stores = append(out.Stores, StoreFact{Cell: in.Cell, Val: st.rs.vals[in.Src].iv()})
@@ -742,40 +785,27 @@ func (a *analyzer) loadVal(cell int32) absVal {
 	return topVal()
 }
 
-// flowTo merges an edge's exit state into the target's entry state and
-// reports whether the target state changed (and thus needs revisiting).
+// flowTo merges an edge's exit state into the target's entry state.
 // rs points into the analyzer's scratch edge buffer and may be mutated.
-func (a *analyzer) flowTo(target int, rs *regState) bool {
+func (a *analyzer) flowTo(target int, rs *regState) {
 	rs.canon()
 	st := &a.states[target]
 	if !st.reachable {
 		st.reachable = true
 		st.rs = *rs
-		return true
+		return
 	}
 	st.joins++
 	wide := st.joins > widenAfter
-	merged := st.rs
-	merged.init &= rs.init
-	for i := range merged.vals {
+	st.rs.init &= rs.init
+	for i := range st.rs.vals {
 		if wide {
-			merged.vals[i] = widen(st.rs.vals[i], rs.vals[i])
+			st.rs.vals[i] = widen(st.rs.vals[i], rs.vals[i])
 		} else {
-			merged.vals[i] = join(st.rs.vals[i], rs.vals[i])
+			st.rs.vals[i] = join(st.rs.vals[i], rs.vals[i])
 		}
 	}
-	merged.canon()
-	if merged == st.rs {
-		return false
-	}
-	st.rs = merged
-	return true
-}
-
-func (a *analyzer) enqueue(target int, rs *regState) {
-	if a.flowTo(target, rs) && target < len(a.work) {
-		a.work[target] = true
-	}
+	st.rs.canon()
 }
 
 // step transfers one instruction's entry state to its successors,
@@ -785,7 +815,7 @@ func (a *analyzer) step(pc int) error {
 		return err
 	}
 	for i := 0; i < a.edges.n; i++ {
-		a.enqueue(a.edges.target[i], &a.edges.state[i])
+		a.flowTo(a.edges.target[i], &a.edges.state[i])
 	}
 	return nil
 }
@@ -803,7 +833,7 @@ type edgeSet struct {
 }
 
 // transfer is the per-instruction abstract transfer function shared by
-// the worklist analyzer and the certificate checker (certificate.go):
+// the sweeping analyzer and the certificate checker (certificate.go):
 // given pc's entry state it fills edges with every live CFG edge and
 // that edge's exit state, or returns an error for any operation whose
 // safety it cannot prove from st. Proven-dead comparison edges (a
@@ -1006,17 +1036,19 @@ func checkDiv(p *Program, pc int, divisor absVal, divProven *bool) error {
 	return nil
 }
 
-// maxSteps computes the certified worst-case step count: the longest
-// path (in executed instructions, counting OpExit) from entry to any
-// exit over the static CFG. The DP over descending pc is exact because
-// all edges point forward.
-func (a *analyzer) maxSteps() int { return maxStepsDP(a.p.Code) }
-
-// maxStepsDP is the step-bound dynamic program shared by the analyzer
-// and the certificate checker; it depends only on the static CFG.
-func maxStepsDP(code []Instr) int {
+// maxSteps computes the certified worst-case step count of code: the
+// longest path (in executed instructions, counting OpExit) from entry
+// to any exit over the static CFG. The DP over descending pc is exact
+// because all edges point forward. The analyzer and the certificate
+// checker share it; it depends only on the static CFG, and its table
+// is a's scratch.
+func (a *analyzer) maxSteps(code []Instr) int {
 	n := len(code)
-	steps := make([]int, n+1)
+	if cap(a.steps) < n+1 {
+		a.steps = make([]int, n+1)
+	}
+	steps := a.steps[:n+1]
+	steps[n] = 0
 	for pc := n - 1; pc >= 0; pc-- {
 		in := code[pc]
 		switch in.Op {

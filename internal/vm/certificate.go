@@ -8,10 +8,11 @@ package vm
 // the style of proof-carrying code and the JVM/KVM split verifier: the
 // producer ships the abstract-interpretation fixpoint state at every
 // block leader (jump target), and the consumer validates the whole
-// proof with ONE linear transfer pass — no worklist, no fixpoint
-// iteration, no widening. Checking is O(n) in program length where the
-// full analysis revisits joins until convergence, and a checked
-// certificate restores the exact Meta claims the original Verify made.
+// proof with ONE linear transfer pass — no per-pc states, no joins, no
+// widening: where the analyzer merges every edge into its target's
+// state, the checker only tests each edge into a block leader against
+// the shipped invariant. A checked certificate restores the exact Meta
+// claims the original Verify made.
 // Those claims are certified facts, not a fast path: the interpreter
 // keeps every guard for every program and reads none of them.
 //
@@ -67,6 +68,7 @@ func Certify(p *Program, numHelpers int) error {
 	if err != nil {
 		return err
 	}
+	defer a.release()
 	n := len(p.Code)
 	isTarget := make([]bool, n+1)
 	for pc, in := range p.Code {
@@ -79,7 +81,7 @@ func Certify(p *Program, numHelpers int) error {
 			isTarget[pc+1+int(in.Off)] = true
 		}
 	}
-	cert := &Certificate{MaxSteps: a.maxSteps(), DivProven: a.divProven}
+	cert := &Certificate{MaxSteps: a.maxSteps(p.Code), DivProven: a.divProven}
 	for t := 0; t < n; t++ {
 		if !isTarget[t] || !a.states[t].reachable {
 			continue
@@ -143,7 +145,10 @@ func CheckCertificate(p *Program, numHelpers int) error {
 
 	// The step bound depends only on the static CFG, so the claim is
 	// checked by exact recomputation.
-	if c.MaxSteps != maxStepsDP(p.Code) {
+	sc := analyzers.Get().(*analyzer)
+	maxSteps := sc.maxSteps(p.Code)
+	sc.release()
+	if c.MaxSteps != maxSteps {
 		return vErr(p, 0, "certificate: claimed MaxSteps %d does not match the program's step bound", c.MaxSteps)
 	}
 

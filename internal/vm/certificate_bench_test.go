@@ -7,9 +7,9 @@ import (
 )
 
 // buildBenchProgram emits a long chain of branch diamonds: every
-// diamond adds a join point the worklist analyzer must revisit to
-// convergence, while the certificate checker transfers each instruction
-// exactly once against the shipped block invariants.
+// diamond adds a join point where the analyzer merges two machine
+// states, while the certificate checker only tests each edge into it
+// against the shipped block invariant.
 func buildBenchProgram(tb testing.TB, diamonds int) *Program {
 	tb.Helper()
 	b := NewBuilder("cert-bench")

@@ -42,102 +42,108 @@ const (
 // imageLimit bounds decoded sizes against corrupt or hostile images.
 const imageLimit = 1 << 20
 
-// Encode writes the program image to w.
+// Encode writes the program image to w in one Write. It checks every
+// length before writing, so a program that cannot be encoded writes
+// nothing.
 func (p *Program) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(imageMagic); err != nil {
+	size, err := p.imageSize()
+	if err != nil {
 		return err
 	}
-	writeStr := func(s string) error {
-		if len(s) > math.MaxUint16 {
-			return fmt.Errorf("vm: string too long to encode (%d bytes)", len(s))
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeStr(p.Name); err != nil {
-		return err
-	}
-	if len(p.Symbols) > math.MaxUint16 {
-		return fmt.Errorf("vm: too many symbols (%d)", len(p.Symbols))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(p.Symbols))); err != nil {
-		return err
-	}
-	for _, s := range p.Symbols {
-		if err := writeStr(s); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.Code))); err != nil {
-		return err
-	}
-	for _, in := range p.Code {
-		if err := binary.Write(bw, binary.LittleEndian, struct {
-			Op, Dst, Src uint8
-			Off, Cell    int32
-			Imm          float64
-		}{uint8(in.Op), in.Dst, in.Src, in.Off, in.Cell, in.Imm}); err != nil {
-			return err
-		}
-	}
-	if err := encodeCert(bw, p.Cert); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err = w.Write(p.appendImage(make([]byte, 0, size)))
+	return err
 }
 
-// encodeCert writes the optional certificate section.
-func encodeCert(bw *bufio.Writer, c *Certificate) error {
-	if c == nil {
-		return bw.WriteByte(0)
+// Record sizes of the image format.
+const (
+	insnSize = 19 // u8 op, u8 dst, u8 src, i32 off, i32 cell, f64 imm
+	regSize  = 18 // u8 index, u8 flags, f64 lo, f64 hi
+)
+
+// imageSize checks every length the image format bounds and returns
+// the image's size in bytes.
+func (p *Program) imageSize() (int, error) {
+	size := len(imageMagic) + 2 + len(p.Name)
+	if len(p.Name) > math.MaxUint16 {
+		return 0, fmt.Errorf("vm: string too long to encode (%d bytes)", len(p.Name))
 	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
+	if len(p.Symbols) > math.MaxUint16 {
+		return 0, fmt.Errorf("vm: too many symbols (%d)", len(p.Symbols))
+	}
+	size += 2
+	for _, s := range p.Symbols {
+		if len(s) > math.MaxUint16 {
+			return 0, fmt.Errorf("vm: string too long to encode (%d bytes)", len(s))
+		}
+		size += 2 + len(s)
+	}
+	size += 4 + insnSize*len(p.Code) + 1
+	c := p.Cert
+	if c == nil {
+		return size, nil
 	}
 	if c.MaxSteps < 0 || c.MaxSteps > imageLimit {
-		return fmt.Errorf("vm: certificate MaxSteps %d not encodable", c.MaxSteps)
+		return 0, fmt.Errorf("vm: certificate MaxSteps %d not encodable", c.MaxSteps)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(c.MaxSteps)); err != nil {
-		return err
+	if len(c.Blocks) > imageLimit {
+		return 0, fmt.Errorf("vm: too many block invariants (%d)", len(c.Blocks))
+	}
+	size += 4 + 1 + 4
+	for i := range c.Blocks {
+		b := &c.Blocks[i]
+		if b.PC < 0 || b.PC > imageLimit {
+			return 0, fmt.Errorf("vm: block invariant pc %d not encodable", b.PC)
+		}
+		size += 4 + 4 + 1 + regSize*nonTopRegs(b)
+	}
+	return size, nil
+}
+
+// nonTopRegs counts the registers a block invariant serializes: the
+// format omits those whose interval is top.
+func nonTopRegs(b *BlockInvariant) int {
+	n := 0
+	for r := range b.Regs {
+		if b.Regs[r] != topRegs[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// appendImage appends p's image to b. imageSize has checked p's lengths.
+func (p *Program) appendImage(b []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, imageMagic...)
+	b = append(le.AppendUint16(b, uint16(len(p.Name))), p.Name...)
+	b = le.AppendUint16(b, uint16(len(p.Symbols)))
+	for _, s := range p.Symbols {
+		b = append(le.AppendUint16(b, uint16(len(s))), s...)
+	}
+	b = le.AppendUint32(b, uint32(len(p.Code)))
+	for _, in := range p.Code {
+		b = append(b, uint8(in.Op), in.Dst, in.Src)
+		b = le.AppendUint32(b, uint32(in.Off))
+		b = le.AppendUint32(b, uint32(in.Cell))
+		b = le.AppendUint64(b, math.Float64bits(in.Imm))
+	}
+	c := p.Cert
+	if c == nil {
+		return append(b, 0)
 	}
 	var flags uint8
 	if c.DivProven {
 		flags |= 1
 	}
-	if err := bw.WriteByte(flags); err != nil {
-		return err
-	}
-	if len(c.Blocks) > imageLimit {
-		return fmt.Errorf("vm: too many block invariants (%d)", len(c.Blocks))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.Blocks))); err != nil {
-		return err
-	}
-	top := TopInterval()
+	b = le.AppendUint32(append(b, 1), uint32(c.MaxSteps))
+	b = le.AppendUint32(append(b, flags), uint32(len(c.Blocks)))
 	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		if b.PC < 0 || b.PC > imageLimit {
-			return fmt.Errorf("vm: block invariant pc %d not encodable", b.PC)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, struct{ PC, Init uint32 }{uint32(b.PC), b.Init}); err != nil {
-			return err
-		}
-		nregs := 0
-		for r := 0; r < NumRegs; r++ {
-			if b.Regs[r] != top {
-				nregs++
-			}
-		}
-		if err := bw.WriteByte(uint8(nregs)); err != nil {
-			return err
-		}
-		for r := 0; r < NumRegs; r++ {
-			iv := b.Regs[r]
-			if iv == top {
+		blk := &c.Blocks[i]
+		b = le.AppendUint32(b, uint32(blk.PC))
+		b = le.AppendUint32(b, blk.Init)
+		b = append(b, uint8(nonTopRegs(blk)))
+		for r, iv := range blk.Regs {
+			if iv == topRegs[r] {
 				continue
 			}
 			var rf uint8
@@ -147,15 +153,12 @@ func encodeCert(bw *bufio.Writer, c *Certificate) error {
 			if iv.NaN {
 				rf |= 2
 			}
-			if err := binary.Write(bw, binary.LittleEndian, struct {
-				Idx, Flags uint8
-				Lo, Hi     float64
-			}{uint8(r), rf, iv.Lo, iv.Hi}); err != nil {
-				return err
-			}
+			b = append(b, uint8(r), rf)
+			b = le.AppendUint64(b, math.Float64bits(iv.Lo))
+			b = le.AppendUint64(b, math.Float64bits(iv.Hi))
 		}
 	}
-	return nil
+	return b
 }
 
 // imgReader reads fixed-size records through one scratch buffer.
@@ -163,17 +166,23 @@ func encodeCert(bw *bufio.Writer, c *Certificate) error {
 // allocation per record) off the image-decode path, which sits in front
 // of the certificate check at monitor load time.
 type imgReader struct {
-	br  *bufio.Reader
-	buf [19]byte // the largest record: one instruction
+	r   byteReader
+	buf [insnSize]byte // the largest record: one instruction
+}
+
+// byteReader is a source Decode reads from directly.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
 }
 
 func (d *imgReader) read(n int) ([]byte, error) {
 	b := d.buf[:n]
-	_, err := io.ReadFull(d.br, b)
+	_, err := io.ReadFull(d.r, b)
 	return b, err
 }
 
-func (d *imgReader) u8() (uint8, error) { return d.br.ReadByte() }
+func (d *imgReader) u8() (uint8, error) { return d.r.ReadByte() }
 
 func (d *imgReader) u16() (uint16, error) {
 	b, err := d.read(2)
@@ -197,15 +206,23 @@ func (d *imgReader) str() (string, error) {
 		return "", err
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.br, buf); err != nil {
+	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
 }
 
-// Decode reads a program image produced by Encode.
+// Decode reads a program image produced by Encode. From a source that
+// is an io.ByteReader (a bytes.Buffer, bytes.Reader or bufio.Reader) it
+// reads exactly the image, so images written back to back decode one
+// after another. Any other reader is wrapped in a bufio.Reader, which
+// may read past the image's end: those bytes are consumed and lost.
 func Decode(r io.Reader) (*Program, error) {
-	d := &imgReader{br: bufio.NewReader(r)}
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	d := &imgReader{r: br}
 	magic, err := d.read(len(imageMagic))
 	if err != nil {
 		return nil, fmt.Errorf("vm: reading image magic: %w", err)
@@ -238,13 +255,13 @@ func Decode(r io.Reader) (*Program, error) {
 	// One bulk read for the whole code section: the per-record loop then
 	// parses from memory, which is measurably cheaper than 4k small
 	// reads when a loader checks a shipped certificate.
-	raw := make([]byte, int(nCode)*19)
-	if _, err := io.ReadFull(d.br, raw); err != nil {
+	raw := make([]byte, int(nCode)*insnSize)
+	if _, err := io.ReadFull(d.r, raw); err != nil {
 		return nil, err
 	}
 	p.Code = make([]Instr, nCode)
 	for i := range p.Code {
-		b := raw[i*19 : i*19+19]
+		b := raw[i*insnSize : (i+1)*insnSize]
 		p.Code[i] = Instr{Op: Op(b[0]), Dst: b[1], Src: b[2],
 			Off:  int32(binary.LittleEndian.Uint32(b[3:7])),
 			Cell: int32(binary.LittleEndian.Uint32(b[7:11])),
@@ -316,7 +333,7 @@ func decodeCert(d *imgReader) (*Certificate, error) {
 			return nil, fmt.Errorf("vm: implausible register count %d in block invariant", nregs)
 		}
 		for j := 0; j < int(nregs); j++ {
-			rb, err := d.read(18)
+			rb, err := d.read(regSize)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -148,5 +150,43 @@ func TestDecodedTrappingImageRejected(t *testing.T) {
 	var ve *VerifyError
 	if !errors.As(verr, &ve) || ve.Reason == "" {
 		t.Fatalf("want positioned *VerifyError, got %T %v", verr, verr)
+	}
+}
+
+// TestDecodeReadsOneImage: Decode consumes exactly one image from a
+// source that is an io.ByteReader, so images shipped back to back in
+// one buffer decode one after another, certificate sections included.
+func TestDecodeReadsOneImage(t *testing.T) {
+	first := buildImageFixture(t)
+	if err := Certify(first, NumBuiltinHelpers); err != nil {
+		t.Fatal(err)
+	}
+	second := buildImageFixture(t)
+	second.Name = "second"
+	var buf bytes.Buffer
+	for _, p := range []*Program{first, second} {
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sources := map[string]io.Reader{
+		"bytes.Buffer": bytes.NewBuffer(buf.Bytes()),
+		"bytes.Reader": bytes.NewReader(buf.Bytes()),
+		"bufio.Reader": bufio.NewReader(bytes.NewReader(buf.Bytes())),
+	}
+	for name, r := range sources {
+		for _, want := range []*Program{first, second} {
+			q, err := Decode(r)
+			if err != nil {
+				t.Fatalf("%s: decoding %q: %v", name, want.Name, err)
+			}
+			if q.Name != want.Name || (q.Cert != nil) != (want.Cert != nil) {
+				t.Errorf("%s: decoded %q (certificate %v), want %q (certificate %v)",
+					name, q.Name, q.Cert != nil, want.Name, want.Cert != nil)
+			}
+		}
+		if n, _ := r.Read(make([]byte, 1)); n != 0 {
+			t.Errorf("%s: bytes left after the second image", name)
+		}
 	}
 }

@@ -54,13 +54,14 @@ func vErr(p *Program, pc int, format string, args ...any) error {
 //   - OpLoad/OpStore cell indices are within the symbol table;
 //   - OpCall helper IDs are within the provided helper set.
 //
-// A worklist-driven abstract interpreter (analysis.go) then proves the
-// program trap-free: execution cannot fall off the end, every register
-// read is preceded by a write on all paths (r0 is the only register
-// defined at entry, carrying the trigger argument), helper arguments
-// satisfy their per-helper contracts (HelperAction's dispatch index must
-// be a provably small non-negative number), and no division has a
-// provably-always-zero divisor.
+// An abstract interpreter (analysis.go) then proves the program
+// trap-free in one ascending sweep over the instructions, which the
+// forward-only jumps make exact: execution cannot fall off the end,
+// every register read is preceded by a write on all paths (r0 is the
+// only register defined at entry, carrying the trigger argument),
+// helper arguments satisfy their per-helper contracts (HelperAction's
+// dispatch index must be a provably small non-negative number), and no
+// division has a provably-always-zero divisor.
 //
 // On success Verify records the proof in p.Meta: the certified
 // worst-case step bound (MaxSteps), trap-freedom (TrapFree), and
@@ -69,17 +70,26 @@ func vErr(p *Program, pc int, format string, args ...any) error {
 // its guards regardless. Verify returns nil if the program is safe to
 // load.
 func Verify(p *Program, numHelpers int) error {
+	_, err := Prove(p, numHelpers)
+	return err
+}
+
+// Prove is Verify that also returns the proof object: the open-world
+// Analysis that AnalyzeWith(p, numHelpers, nil) returns, so a caller
+// that verifies a program need not analyze it again. Like Verify it
+// records the proof in p.Meta. Do not modify the result.
+func Prove(p *Program, numHelpers int) (*Analysis, error) {
 	if err := verifyStructure(p, numHelpers); err != nil {
-		return err
+		return nil, err
 	}
 	a, err := analyze(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p.Meta.MaxSteps = a.MaxSteps
 	p.Meta.TrapFree = true
 	p.Meta.DivProven = a.DivProven
-	return nil
+	return a, nil
 }
 
 // AnalyzeWith runs the abstract interpreter on a structurally-checked
