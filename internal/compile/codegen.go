@@ -6,16 +6,18 @@ import (
 	"guardrails/internal/vm"
 )
 
-// Codegen: IR → VM bytecode. Virtual registers are mapped onto the
-// general-purpose file r6..r15 by linear scan over def–last-use
-// intervals, with two space optimizations:
+// Codegen: IR → VM bytecode. Every IR arithmetic op becomes one
+// three-address VM instruction (dst = lhs op src), so no operand is
+// copied first. Virtual registers are mapped onto the general-purpose
+// file r6..r15 by linear scan over def–last-use intervals, with two
+// space optimizations:
 //
 //   - a constant vreg consumed only by call arguments or a return is
 //     never materialized: its value is emitted directly as a movi into
 //     the argument/return register;
 //   - when an operand dies at the defining instruction, the destination
-//     coalesces onto the operand's register, which makes most two-address
-//     mov fixups degenerate into nothing.
+//     coalesces onto the operand's register, so a chain of temporaries
+//     holds one register rather than one each.
 //
 // Conditional terminators emit the VM's fused compare-and-jump opcodes;
 // a branch whose then-target is the next block in layout order inverts
@@ -192,7 +194,6 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 	bld := vm.NewBuilder(name)
 	lbl := func(b *block) string { return fmt.Sprintf("b%d", b.id) }
 	rg := func(v vreg) uint8 { return uint8(info[v].reg) }
-	commutative := map[irOp]bool{irAdd: true, irMul: true, irMin: true, irMax: true}
 
 	for bi, b := range f.blocks {
 		bld.Label(lbl(b))
@@ -219,17 +220,9 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 					bld.Mov(rg(in.Dst), rg(in.A))
 				}
 			case irNeg, irAbs, irNot, irBoo:
-				d, a := rg(in.Dst), rg(in.A)
-				if d != a {
-					bld.Mov(d, a)
-				}
-				bld.Un(aluOps[in.Op], d)
+				bld.Un(aluOps[in.Op], rg(in.Dst), rg(in.A))
 			case irAddI, irSubI, irMulI, irDivI:
-				d, a := rg(in.Dst), rg(in.A)
-				if d != a {
-					bld.Mov(d, a)
-				}
-				bld.ALUI(aluOps[in.Op], d, in.Imm)
+				bld.ALUI(aluOps[in.Op], rg(in.Dst), rg(in.A), in.Imm)
 			case irCall:
 				for j, a := range in.Args {
 					argReg := uint8(1 + j)
@@ -243,24 +236,8 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 				if info[in.Dst].mat {
 					bld.Mov(rg(in.Dst), 0)
 				}
-			default: // binary register forms, two-address emission
-				op := aluOps[in.Op]
-				d, a, bb := rg(in.Dst), rg(in.A), rg(in.B)
-				switch {
-				case d == a:
-					bld.ALU(op, d, bb)
-				case d == bb && commutative[in.Op]:
-					bld.ALU(op, d, a)
-				case d == bb:
-					// dst aliases the right operand of a non-commutative op:
-					// park it in the (call-clobbered, here free) r5 scratch.
-					bld.Mov(5, bb)
-					bld.Mov(d, a)
-					bld.ALU(op, d, 5)
-				default:
-					bld.Mov(d, a)
-					bld.ALU(op, d, bb)
-				}
+			default: // binary register forms
+				bld.ALU(aluOps[in.Op], rg(in.Dst), rg(in.A), rg(in.B))
 			}
 		}
 		t := &b.term

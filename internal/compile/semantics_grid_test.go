@@ -133,7 +133,7 @@ func TestSemanticsGrid(t *testing.T) {
 	for _, o := range alu {
 		add(row{
 			name: o.ir.String(),
-			in:   vm.Instr{Op: aluOps[o.ir], Dst: 6, Src: 7},
+			in:   vm.Instr{Op: aluOps[o.ir], Dst: 6, Lhs: 6, Src: 7},
 			fold: func(a, b float64) float64 {
 				return foldIR(t, &irInstr{Op: o.ir, Imm: b}, terminator{}, a, b)
 			},

@@ -551,20 +551,19 @@ func deployEnv(c *compile.Compiled, self int, facts []*monFacts, savers map[stri
 
 // --- co-firing -------------------------------------------------------
 
-// sharedGroups returns the hook groups on which two monitors can fire
-// at the same instant: every FUNCTION site both attach to, plus the
+// firstSharedGroup returns the first hook group on which two monitors
+// can fire at the same instant, and whether there is one. The groups
+// are every FUNCTION site both attach to, in sorted order, then the
 // "TIMER" pseudo-group when both have timers that can tick
 // coincidentally. Monitors on unrelated triggers (or a timer vs a hook
 // site) do not co-fire — the conflict checks are per-hook by design.
-func sharedGroups(a, b *monFacts) []string {
-	var groups []string
+// It runs for every monitor pair, so it allocates nothing.
+func firstSharedGroup(a, b *monFacts) (string, bool) {
 	as, bs := a.c.Footprint.Sites, b.c.Footprint.Sites // both sorted
 	for i, j := 0, 0; i < len(as) && j < len(bs); {
 		switch {
 		case as[i] == bs[j]:
-			groups = append(groups, as[i])
-			i++
-			j++
+			return as[i], true
 		case as[i] < bs[j]:
 			i++
 		default:
@@ -572,9 +571,9 @@ func sharedGroups(a, b *monFacts) []string {
 		}
 	}
 	if timersCanCoincide(a.c.Footprint.Timers, b.c.Footprint.Timers) {
-		groups = append(groups, "TIMER")
+		return "TIMER", true
 	}
-	return groups
+	return "", false
 }
 
 // timersCanCoincide reports whether any pair of timer triggers can tick
@@ -632,13 +631,12 @@ func checkConflicts(r *Report, facts []*monFacts, wit *witnesser) {
 			if !a.canFire || !b.canFire {
 				continue
 			}
-			groups := sharedGroups(a, b)
-			if len(groups) == 0 {
-				continue
-			}
 			// Conflicts are per-pair properties; report them once
 			// against the first shared group.
-			site := groups[0]
+			site, ok := firstSharedGroup(a, b)
+			if !ok {
+				continue
+			}
 			checkSaveConflict(r, a, b, site, wit)
 			checkReplaceConflict(r, a, b, site, wit)
 			checkDuplicateActions(r, a, b, site, wit)

@@ -290,6 +290,9 @@ type model struct {
 	keys     []string              // sorted key universe
 	keyIdx   map[string]int
 	cellKeys map[*vm.Program][]int // per program: key index by cell, -1 outside the universe
+	env      vm.CellEnv            // m.cell, bound once: envFor hands it out
+	envKeys  []int                 // cellKeys of the program under evaluation
+	envVals  []vm.Interval         // the state under evaluation
 	written  []bool                // some active monitor stores the key
 	sigPos   []int                 // by key index: byte offset of its id in a signature, -1 when unwritten
 	declared []*spec.FeatureDecl   // by key index, nil when undeclared
@@ -369,6 +372,7 @@ func Check(dep *interfere.Deployment, cfg Config) *Report {
 // buildModel derives the abstract transition system from a deployment.
 func buildModel(dep *interfere.Deployment, cfg Config) *model {
 	m := &model{cfg: cfg.filled(), dep: dep, keyIdx: map[string]int{}, cellKeys: map[*vm.Program][]int{}, index: map[string]int{}, widened: map[int]bool{}}
+	m.env = m.cell
 
 	shadow := map[string]bool{}
 	for _, s := range cfg.Shadow {
@@ -533,7 +537,10 @@ func (m *model) initState() []vm.Interval {
 }
 
 // envFor adapts a state vector to a vm.CellEnv for one program. The
-// program's cells are resolved to key indices once per model.
+// program's cells are resolved to key indices once per model, and the
+// env is the model's one bound m.cell, pointed at p and vals: it is
+// valid until the next envFor call, and an analysis request allocates
+// no closure.
 func (m *model) envFor(p *vm.Program, vals []vm.Interval) vm.CellEnv {
 	keys, ok := m.cellKeys[p]
 	if !ok {
@@ -547,12 +554,18 @@ func (m *model) envFor(p *vm.Program, vals []vm.Interval) vm.CellEnv {
 		}
 		m.cellKeys[p] = keys
 	}
-	return func(cell int32) (vm.Interval, bool) {
-		if cell < 0 || int(cell) >= len(keys) || keys[cell] < 0 {
-			return vm.Interval{}, false
-		}
-		return vals[keys[cell]], true
+	m.envKeys, m.envVals = keys, vals
+	return m.env
+}
+
+// cell is the CellEnv envFor hands out: cell's range in the state under
+// evaluation.
+func (m *model) cell(cell int32) (vm.Interval, bool) {
+	keys := m.envKeys
+	if cell < 0 || int(cell) >= len(keys) || keys[cell] < 0 {
+		return vm.Interval{}, false
 	}
+	return m.envVals[keys[cell]], true
 }
 
 // effectOf appends the writes monitor mi makes when it fires in state

@@ -241,19 +241,33 @@ func absDiv(a, b absVal) absVal {
 	return absVal{num: true, lo: outLo(lo), hi: outHi(hi), nan: nan}
 }
 
-// absMin / absMax model math.Min/math.Max, which propagate NaN.
+// absMin / absMax model math.Min/math.Max, which propagate NaN except
+// against the infinity they are looking for: math.Min(NaN, -Inf) is
+// -Inf and math.Max(NaN, +Inf) is +Inf.
 func absMin(a, b absVal) absVal {
 	if !a.num || !b.num {
-		return absVal{nan: true}
+		return nanOrInf(a, b, -1)
 	}
 	return absVal{num: true, lo: math.Min(a.lo, b.lo), hi: math.Min(a.hi, b.hi), nan: a.nan || b.nan}
 }
 
 func absMax(a, b absVal) absVal {
 	if !a.num || !b.num {
-		return absVal{nan: true}
+		return nanOrInf(a, b, 1)
 	}
 	return absVal{num: true, lo: math.Max(a.lo, b.lo), hi: math.Max(a.hi, b.hi), nan: a.nan || b.nan}
+}
+
+// nanOrInf is min (sign -1) or max (sign +1) of a and b when one of
+// them holds no ordinary value: NaN, or the infinity of that sign when
+// either side admits it.
+func nanOrInf(a, b absVal, sign int) absVal {
+	r := absVal{nan: true}
+	if a.hasInf(sign) || b.hasInf(sign) {
+		inf := math.Inf(sign)
+		r.num, r.lo, r.hi = true, inf, inf
+	}
+	return r
 }
 
 func absNeg(v absVal) absVal {
@@ -864,13 +878,13 @@ func transfer(p *Program, pc int, st *regState, loadVal func(int32) absVal, divP
 		out.init |= 1 << in.Dst
 		out.vals[in.Dst] = st.vals[in.Src]
 	case OpAdd, OpSub, OpMul, OpDiv, OpMin, OpMax:
-		if err := read(in.Dst); err != nil {
+		if err := read(in.Lhs); err != nil {
 			return err
 		}
 		if err := read(in.Src); err != nil {
 			return err
 		}
-		x, y := st.vals[in.Dst], st.vals[in.Src]
+		x, y := st.vals[in.Lhs], st.vals[in.Src]
 		var r absVal
 		switch in.Op {
 		case OpAdd:
@@ -889,12 +903,13 @@ func transfer(p *Program, pc int, st *regState, loadVal func(int32) absVal, divP
 		case OpMax:
 			r = absMax(x, y)
 		}
+		out.init |= 1 << in.Dst
 		out.vals[in.Dst] = r
 	case OpAddI, OpSubI, OpMulI, OpDivI:
-		if err := read(in.Dst); err != nil {
+		if err := read(in.Lhs); err != nil {
 			return err
 		}
-		x, y := st.vals[in.Dst], constVal(in.Imm)
+		x, y := st.vals[in.Lhs], constVal(in.Imm)
 		var r absVal
 		switch in.Op {
 		case OpAddI:
@@ -909,21 +924,24 @@ func transfer(p *Program, pc int, st *regState, loadVal func(int32) absVal, divP
 			}
 			r = absDiv(x, y)
 		}
+		out.init |= 1 << in.Dst
 		out.vals[in.Dst] = r
 	case OpNeg, OpAbs, OpNot, OpBoo:
-		if err := read(in.Dst); err != nil {
+		if err := read(in.Lhs); err != nil {
 			return err
 		}
+		x := st.vals[in.Lhs]
 		switch in.Op {
 		case OpNeg:
-			out.vals[in.Dst] = absNeg(st.vals[in.Dst])
+			out.vals[in.Dst] = absNeg(x)
 		case OpAbs:
-			out.vals[in.Dst] = absAbs(st.vals[in.Dst])
+			out.vals[in.Dst] = absAbs(x)
 		case OpNot:
-			out.vals[in.Dst] = absNot(st.vals[in.Dst])
+			out.vals[in.Dst] = absNot(x)
 		case OpBoo:
-			out.vals[in.Dst] = absBoo(st.vals[in.Dst])
+			out.vals[in.Dst] = absBoo(x)
 		}
+		out.init |= 1 << in.Dst
 	case OpJmp:
 		edges.target[0] = pc + 1 + int(in.Off)
 		edges.n = 1

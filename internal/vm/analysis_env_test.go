@@ -121,7 +121,7 @@ func TestAnalyzeWithDivisorCollapse(t *testing.T) {
 	dCell := b.Sym("d")
 	b.Load(1, "d")
 	b.Load(2, "x")
-	b.ALU(OpDiv, 2, 1)
+	b.ALU(OpDiv, 2, 2, 1)
 	b.MovI(0, 1)
 	b.Exit()
 	p, err := b.Finish()

@@ -25,7 +25,7 @@ func rejectedMidway(t *testing.T) *Program {
 	b.Load(1, "x")
 	b.MovI(2, 0)
 	b.JmpIfI(OpJGtI, 1, 0, "L")
-	b.ALUI(OpAddI, 2, 1)
+	b.ALUI(OpAddI, 2, 2, 1)
 	b.Label("L")
 	b.Mov(0, 7) // r7 is never written
 	b.Exit()

@@ -49,14 +49,18 @@ func (b *Builder) MovI(dst uint8, imm float64) { b.Emit(Instr{Op: OpMovI, Dst: d
 // Mov emits dst = src.
 func (b *Builder) Mov(dst, src uint8) { b.Emit(Instr{Op: OpMov, Dst: dst, Src: src}) }
 
-// ALU emits a register-register arithmetic op.
-func (b *Builder) ALU(op Op, dst, src uint8) { b.Emit(Instr{Op: op, Dst: dst, Src: src}) }
+// ALU emits a register-register arithmetic op: dst = lhs op src.
+func (b *Builder) ALU(op Op, dst, lhs, src uint8) {
+	b.Emit(Instr{Op: op, Dst: dst, Lhs: lhs, Src: src})
+}
 
-// ALUI emits a register-immediate arithmetic op.
-func (b *Builder) ALUI(op Op, dst uint8, imm float64) { b.Emit(Instr{Op: op, Dst: dst, Imm: imm}) }
+// ALUI emits a register-immediate arithmetic op: dst = lhs op imm.
+func (b *Builder) ALUI(op Op, dst, lhs uint8, imm float64) {
+	b.Emit(Instr{Op: op, Dst: dst, Lhs: lhs, Imm: imm})
+}
 
-// Un emits a unary op (neg/abs/not/bool).
-func (b *Builder) Un(op Op, dst uint8) { b.Emit(Instr{Op: op, Dst: dst}) }
+// Un emits a unary op (neg/abs/not/bool): dst = op lhs.
+func (b *Builder) Un(op Op, dst, lhs uint8) { b.Emit(Instr{Op: op, Dst: dst, Lhs: lhs}) }
 
 // Load emits dst = LOAD(key).
 func (b *Builder) Load(dst uint8, key string) {

@@ -19,8 +19,8 @@ func buildBenchProgram(tb testing.TB, diamonds int) *Program {
 	for i := 0; i < diamonds; i++ {
 		lbl := fmt.Sprintf("L%d", i)
 		b.JmpIfI(OpJGtI, 1, float64(i), lbl)
-		b.ALUI(OpAddI, 2, 1)
-		b.ALU(OpMin, 2, 3)
+		b.ALUI(OpAddI, 2, 2, 1)
+		b.ALU(OpMin, 2, 2, 3)
 		b.Label(lbl)
 	}
 	b.Mov(0, 2)

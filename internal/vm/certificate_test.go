@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func certFixture(t *testing.T) *Program {
 	b.Label("shallow")
 	b.MovI(8, 4)
 	b.Mov(9, 7)
-	b.ALU(OpDiv, 9, 8) // divisor is the constant 4: provably non-zero
+	b.ALU(OpDiv, 9, 9, 8) // divisor is the constant 4: provably non-zero
 	b.Store("lat_q", 9)
 	b.MovI(0, 1)
 	b.Exit()
@@ -113,32 +114,25 @@ func TestCertificateRoundTripProven(t *testing.T) {
 	}
 }
 
-func TestLegacyImageDecodes(t *testing.T) {
-	p := certFixture(t)
-	if err := Certify(p, NumBuiltinHelpers); err != nil {
-		t.Fatal(err)
-	}
-	// A legacy image is the v2 layout minus the certificate section:
-	// re-encode without a cert, rewrite the magic, and drop the v2
-	// trailing "no certificate" flag byte.
-	stripped := *p
-	stripped.Cert = nil
-	var legacy bytes.Buffer
-	if err := stripped.Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	limg := legacy.Bytes()
-	copy(limg, imageMagicV1)
-	limg = limg[:len(limg)-1]
-	q, err := Decode(bytes.NewReader(limg))
-	if err != nil {
-		t.Fatalf("legacy image rejected: %v", err)
-	}
-	if q.Cert != nil || q.Meta.TrapFree {
-		t.Error("legacy image conjured a certificate")
-	}
-	if len(q.Code) != len(p.Code) {
-		t.Errorf("legacy decode lost code: %d insns", len(q.Code))
+// TestTwoAddressImagesRefused: GRVM1 and GRVM2 images hold 19-byte
+// instruction records whose ALU ops are two-address (dst op= src), so
+// they cannot be read as three-address ones. Decode must refuse them
+// outright, even when they are otherwise well formed.
+func TestTwoAddressImagesRefused(t *testing.T) {
+	for _, c := range []struct {
+		magic string
+		cert  bool
+	}{{"GRVM1\x00", false}, {"GRVM2\x00", true}} {
+		img := append([]byte(c.magic), 0, 0, 0, 0) // no name, no symbols
+		img = append(img, 1, 0, 0, 0)              // one instruction:
+		img = append(img, uint8(OpExit))           // u8 op, u8 dst, u8 src,
+		img = append(img, make([]byte, 18)...)     // i32 off, i32 cell, f64 imm
+		if c.cert {
+			img = append(img, 0)
+		}
+		if _, err := Decode(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%q image: Decode error = %v, want a bad-magic refusal", c.magic[:5], err)
+		}
 	}
 }
 
@@ -240,7 +234,7 @@ func TestCertificateTamperCorpus(t *testing.T) {
 		b.Exit()
 		b.Label("lt")
 		b.Mov(1, 6)
-		b.Un(OpAbs, 1)
+		b.Un(OpAbs, 1, 1)
 		b.Call(HelperReport)
 		b.MovI(0, 0)
 		b.Exit()

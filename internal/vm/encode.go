@@ -13,11 +13,11 @@ import (
 // image back; Decode's readers are the benchmark and tests. Layout
 // (little endian):
 //
-//	magic "GRVM2\x00"
+//	magic "GRVM3\x00"
 //	u16 name length, name bytes
 //	u16 symbol count, then per symbol: u16 length + bytes
 //	u32 instruction count, then per instruction:
-//	    u8 op, u8 dst, u8 src, i32 off, i32 cell, f64 imm
+//	    u8 op, u8 dst, u8 lhs, u8 src, i32 off, i32 cell, f64 imm
 //	u8 certificate present (0/1); when present:
 //	    u32 claimed MaxSteps
 //	    u8 flags (bit 0 = DivProven)
@@ -27,17 +27,15 @@ import (
 //	        bit 1 = NaN), f64 lo, f64 hi
 //	        (registers whose interval is top are omitted)
 //
-// Decode also accepts the previous "GRVM1\x00" format, which is the
-// same layout without the trailing certificate section.
+// Decode refuses the earlier "GRVM1" and "GRVM2" images: they predate
+// the lhs operand, so their ALU records are two-address (dst op= src)
+// and would mean something else read as three-address ones.
 //
 // Decode validates lengths but does NOT verify the program, and it does
 // NOT validate the certificate; loaders must run CheckCertificate (or a
 // full Verify) before trusting either, exactly as with freshly compiled
 // programs.
-const (
-	imageMagic   = "GRVM2\x00"
-	imageMagicV1 = "GRVM1\x00"
-)
+const imageMagic = "GRVM3\x00"
 
 // imageLimit bounds decoded sizes against corrupt or hostile images.
 const imageLimit = 1 << 20
@@ -56,7 +54,7 @@ func (p *Program) Encode(w io.Writer) error {
 
 // Record sizes of the image format.
 const (
-	insnSize = 19 // u8 op, u8 dst, u8 src, i32 off, i32 cell, f64 imm
+	insnSize = 20 // u8 op, u8 dst, u8 lhs, u8 src, i32 off, i32 cell, f64 imm
 	regSize  = 18 // u8 index, u8 flags, f64 lo, f64 hi
 )
 
@@ -122,7 +120,7 @@ func (p *Program) appendImage(b []byte) []byte {
 	}
 	b = le.AppendUint32(b, uint32(len(p.Code)))
 	for _, in := range p.Code {
-		b = append(b, uint8(in.Op), in.Dst, in.Src)
+		b = append(b, uint8(in.Op), in.Dst, in.Lhs, in.Src)
 		b = le.AppendUint32(b, uint32(in.Off))
 		b = le.AppendUint32(b, uint32(in.Cell))
 		b = le.AppendUint64(b, math.Float64bits(in.Imm))
@@ -227,8 +225,7 @@ func Decode(r io.Reader) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: reading image magic: %w", err)
 	}
-	legacy := string(magic) == imageMagicV1
-	if string(magic) != imageMagic && !legacy {
+	if string(magic) != imageMagic {
 		return nil, fmt.Errorf("vm: bad image magic %q", magic)
 	}
 	name, err := d.str()
@@ -262,13 +259,10 @@ func Decode(r io.Reader) (*Program, error) {
 	p.Code = make([]Instr, nCode)
 	for i := range p.Code {
 		b := raw[i*insnSize : (i+1)*insnSize]
-		p.Code[i] = Instr{Op: Op(b[0]), Dst: b[1], Src: b[2],
-			Off:  int32(binary.LittleEndian.Uint32(b[3:7])),
-			Cell: int32(binary.LittleEndian.Uint32(b[7:11])),
-			Imm:  math.Float64frombits(binary.LittleEndian.Uint64(b[11:19]))}
-	}
-	if legacy {
-		return p, nil
+		p.Code[i] = Instr{Op: Op(b[0]), Dst: b[1], Lhs: b[2], Src: b[3],
+			Off:  int32(binary.LittleEndian.Uint32(b[4:8])),
+			Cell: int32(binary.LittleEndian.Uint32(b[8:12])),
+			Imm:  math.Float64frombits(binary.LittleEndian.Uint64(b[12:20]))}
 	}
 	cert, err := decodeCert(d)
 	if err != nil {

@@ -19,8 +19,8 @@ func tamperFixtureImage(tb testing.TB) []byte {
 	b.Load(7, "b")
 	b.JmpIf(OpJLt, 6, 7, "low")
 	b.Mov(1, 6)
-	b.ALU(OpDiv, 1, 7)
-	b.Un(OpAbs, 1)
+	b.ALU(OpDiv, 1, 1, 7)
+	b.Un(OpAbs, 1, 1)
 	b.Call(HelperReport)
 	b.MovI(0, 0)
 	b.Store("out", 0)
@@ -111,7 +111,11 @@ var fuzzOps = []Op{
 // programFromBytes decodes a fuzz input as an instruction stream, six
 // bytes per instruction, and terminates it with EXIT. The mapping is
 // total: every byte string decodes to some program, so the fuzzer
-// explores program space rather than fighting a parser.
+// explores program space rather than fighting a parser. The second
+// byte's low nibble is dst and its high nibble is xored into dst to
+// give lhs, so a byte below 16 decodes to the two-address form lhs ==
+// dst: inputs written before the ISA had an lhs operand (every
+// checked-in corpus file) decode to the programs they always did.
 func programFromBytes(data []byte) *Program {
 	symbols := []string{"a", "b", "c"}
 	n := len(data) / 6
@@ -124,6 +128,7 @@ func programFromBytes(data []byte) *Program {
 		in := Instr{
 			Op:  fuzzOps[int(b[0])%len(fuzzOps)],
 			Dst: b[1] & 0x0f,
+			Lhs: (b[1] ^ b[1]>>4) & 0x0f,
 			Src: b[2] & 0x0f,
 		}
 		switch b[5] % 6 {
@@ -165,6 +170,13 @@ func FuzzVerifierSoundness(f *testing.F) {
 	f.Add([]byte{
 		29, 1, 0, 0, 0, 200, // LOAD r1, cell 0
 		8, 1, 2, 0, 1, 130, // DIV r1, r2
+		32, 0, 0, 0, 0, 0, // EXIT
+	})
+	// Three-address ALU ops: three distinct operands, then lhs == src.
+	f.Add([]byte{
+		1, 1, 0, 0, 0, 136, // MOVI r1, 8
+		4, 0x22, 1, 0, 0, 0, // SUB r2, r0, r1
+		8, 0x31, 2, 0, 0, 0, // DIV r1, r2, r2
 		32, 0, 0, 0, 0, 0, // EXIT
 	})
 	// Forward branch diamond.

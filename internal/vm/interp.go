@@ -115,39 +115,41 @@ func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
 		case OpMovI:
 			r[in.Dst] = in.Imm
 		case OpAdd:
-			r[in.Dst] += r[in.Src]
+			r[in.Dst] = r[in.Lhs] + r[in.Src]
 		case OpAddI:
-			r[in.Dst] += in.Imm
+			r[in.Dst] = r[in.Lhs] + in.Imm
 		case OpSub:
-			r[in.Dst] -= r[in.Src]
+			r[in.Dst] = r[in.Lhs] - r[in.Src]
 		case OpSubI:
-			r[in.Dst] -= in.Imm
+			r[in.Dst] = r[in.Lhs] - in.Imm
 		case OpMul:
-			r[in.Dst] *= r[in.Src]
+			r[in.Dst] = r[in.Lhs] * r[in.Src]
 		case OpMulI:
-			r[in.Dst] *= in.Imm
+			r[in.Dst] = r[in.Lhs] * in.Imm
 		case OpDiv:
-			r[in.Dst] = safeDiv(r[in.Dst], r[in.Src])
+			r[in.Dst] = safeDiv(r[in.Lhs], r[in.Src])
 		case OpDivI:
-			r[in.Dst] = safeDiv(r[in.Dst], in.Imm)
+			r[in.Dst] = safeDiv(r[in.Lhs], in.Imm)
 		case OpNeg:
-			r[in.Dst] = -r[in.Dst]
+			r[in.Dst] = -r[in.Lhs]
 		case OpAbs:
-			r[in.Dst] = math.Abs(r[in.Dst])
+			r[in.Dst] = math.Abs(r[in.Lhs])
 		case OpMin:
-			r[in.Dst] = math.Min(r[in.Dst], r[in.Src])
+			r[in.Dst] = math.Min(r[in.Lhs], r[in.Src])
 		case OpMax:
-			r[in.Dst] = math.Max(r[in.Dst], r[in.Src])
+			r[in.Dst] = math.Max(r[in.Lhs], r[in.Src])
 		case OpNot:
-			if r[in.Dst] == 0 {
+			if r[in.Lhs] == 0 {
 				r[in.Dst] = 1
 			} else {
 				r[in.Dst] = 0
 			}
 		case OpBoo:
-			if r[in.Dst] != 0 {
-				r[in.Dst] = 1
+			v := r[in.Lhs]
+			if v != 0 {
+				v = 1
 			}
+			r[in.Dst] = v
 		case OpJmp:
 			pc += int(in.Off)
 		case OpJEq:
@@ -243,11 +245,12 @@ func safeDiv(a, b float64) float64 {
 
 // Eval returns what a single ALU or conditional-jump instruction
 // computes on concrete operands, by running it on the interpreter: a is
-// the dst register's value and b the src register's and the immediate
-// (so register and immediate forms are both covered; unary ops ignore
-// b). ALU opcodes yield the new dst; conditional jumps yield 1 if
-// taken, else 0. It is how the compiler's constant folders learn VM
-// semantics without restating them. Passing an opcode that touches the
+// the left operand (an ALU op's lhs register, a jump's dst register)
+// and b both the src register's value and the immediate (so register
+// and immediate forms are both covered; unary ops ignore b). ALU
+// opcodes yield the new dst; conditional jumps yield 1 if taken, else
+// 0. It is how the compiler's constant folders learn VM semantics
+// without restating them. Passing an opcode that touches the
 // environment (load, store, call) or an invalid one is a caller bug and
 // panics.
 func Eval(op Op, a, b float64) float64 {
@@ -255,7 +258,7 @@ func Eval(op Op, a, b float64) float64 {
 	m := Machine{Trace: &tr}
 	p := Program{Name: "eval", Code: []Instr{
 		{Op: OpMovI, Dst: 1, Imm: b},
-		{Op: op, Dst: 0, Src: 1, Imm: b, Off: 1},
+		{Op: op, Dst: 0, Lhs: 0, Src: 1, Imm: b, Off: 1},
 		{Op: OpExit}, // fallthrough
 		{Op: OpExit}, // jump target
 	}}

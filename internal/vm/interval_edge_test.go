@@ -117,7 +117,7 @@ func divFixture(t *testing.T) *Program {
 	b := NewBuilder("div-fixture")
 	b.Load(1, "a")
 	b.MovI(0, 10)
-	b.ALU(OpDiv, 0, 1)
+	b.ALU(OpDiv, 0, 0, 1)
 	b.Exit()
 	p, err := b.Finish()
 	if err != nil {
@@ -156,7 +156,7 @@ func TestAnalyzeWithEmptyDivisorEnv(t *testing.T) {
 func TestAnalyzeWithNaNInputSound(t *testing.T) {
 	b := NewBuilder("nan-flow")
 	b.Load(1, "a")
-	b.ALUI(OpAddI, 1, 1) // NaN + 1 = NaN
+	b.ALUI(OpAddI, 1, 1, 1) // NaN + 1 = NaN
 	b.JmpIfI(OpJGtI, 1, 0, "pos")
 	b.MovI(0, 0)
 	b.Exit()

@@ -29,31 +29,34 @@ const MaxInsns = 4096
 // Op is an opcode.
 type Op uint8
 
-// Opcodes. Arithmetic is register-register (suffix none) or
-// register-immediate (suffix I). Jumps use relative offsets: Off = +n
-// skips the next n instructions (Off >= 1 required by the verifier —
-// loop-free programs only).
+// Opcodes. Arithmetic is three-address: register-register (suffix
+// none, dst = lhs op src), register-immediate (suffix I, dst = lhs op
+// imm) or unary (dst = op lhs). Every operand is read before dst is
+// written, so any of dst, lhs and src may name the same register; the
+// two-address form is the special case lhs == dst. Jumps use relative
+// offsets: Off = +n skips the next n instructions (Off >= 1 required
+// by the verifier — loop-free programs only).
 const (
 	OpInvalid Op = iota
 
 	OpMov  // dst = src
 	OpMovI // dst = imm
 
-	OpAdd  // dst += src
-	OpAddI // dst += imm
-	OpSub  // dst -= src
-	OpSubI // dst -= imm
-	OpMul  // dst *= src
-	OpMulI // dst *= imm
-	OpDiv  // dst /= src (x/0 = 0, eBPF-style)
-	OpDivI // dst /= imm (x/0 = 0)
-	OpNeg  // dst = -dst
-	OpAbs  // dst = |dst|
-	OpMin  // dst = min(dst, src)
-	OpMax  // dst = max(dst, src)
+	OpAdd  // dst = lhs + src
+	OpAddI // dst = lhs + imm
+	OpSub  // dst = lhs - src
+	OpSubI // dst = lhs - imm
+	OpMul  // dst = lhs * src
+	OpMulI // dst = lhs * imm
+	OpDiv  // dst = lhs / src (x/0 = 0, eBPF-style)
+	OpDivI // dst = lhs / imm (x/0 = 0)
+	OpNeg  // dst = -lhs
+	OpAbs  // dst = |lhs|
+	OpMin  // dst = min(lhs, src)
+	OpMax  // dst = max(lhs, src)
 
-	OpNot // dst = !truthy(dst)        (result 0 or 1)
-	OpBoo // dst = truthy(dst) ? 1 : 0
+	OpNot // dst = !truthy(lhs)        (result 0 or 1)
+	OpBoo // dst = truthy(lhs) ? 1 : 0
 
 	OpJmp  // pc += Off
 	OpJEq  // if dst == src: pc += Off
@@ -122,13 +125,17 @@ const (
 // NumBuiltinHelpers is the count of built-in helper IDs.
 const NumBuiltinHelpers = int(numBuiltinHelpers)
 
-// Instr is a single instruction. Fields are used per-opcode: Dst/Src are
-// register numbers, Imm is an immediate or helper ID (OpCall), Off is a
-// relative jump offset, Cell indexes the program symbol table.
+// Instr is a single instruction. Fields are used per-opcode: Dst, Lhs
+// and Src are register numbers (Lhs is the left operand of the ALU
+// opcodes, and only of those), Imm is an immediate or helper ID
+// (OpCall), Off is a relative jump offset, Cell indexes the program
+// symbol table. Lhs fills the padding byte after Src, so an Instr is
+// 24 bytes.
 type Instr struct {
 	Op   Op
 	Dst  uint8
 	Src  uint8
+	Lhs  uint8
 	Off  int32
 	Cell int32
 	Imm  float64
@@ -217,12 +224,16 @@ func (p *Program) fmtInstr(in Instr) string {
 		return fmt.Sprintf("?%d", c)
 	}
 	switch in.Op {
-	case OpMov, OpAdd, OpSub, OpMul, OpDiv, OpMin, OpMax:
+	case OpMov:
 		return fmt.Sprintf("%-5s r%d, r%d", in.Op, in.Dst, in.Src)
-	case OpMovI, OpAddI, OpSubI, OpMulI, OpDivI:
+	case OpMovI:
 		return fmt.Sprintf("%-5s r%d, %g", in.Op, in.Dst, in.Imm)
+	case OpAdd, OpSub, OpMul, OpDiv, OpMin, OpMax:
+		return fmt.Sprintf("%-5s r%d, r%d, r%d", in.Op, in.Dst, in.Lhs, in.Src)
+	case OpAddI, OpSubI, OpMulI, OpDivI:
+		return fmt.Sprintf("%-5s r%d, r%d, %g", in.Op, in.Dst, in.Lhs, in.Imm)
 	case OpNeg, OpAbs, OpNot, OpBoo:
-		return fmt.Sprintf("%-5s r%d", in.Op, in.Dst)
+		return fmt.Sprintf("%-5s r%d, r%d", in.Op, in.Dst, in.Lhs)
 	case OpJmp:
 		return fmt.Sprintf("%-5s +%d", in.Op, in.Off)
 	case OpJEq, OpJNe, OpJLt, OpJLe, OpJGt, OpJGe:

@@ -128,6 +128,9 @@ func verifyStructure(p *Program, numHelpers int) error {
 		if int(in.Src) >= NumRegs {
 			return vErr(p, pc, "src register r%d out of range", in.Src)
 		}
+		if int(in.Lhs) >= NumRegs {
+			return vErr(p, pc, "lhs register r%d out of range", in.Lhs)
+		}
 		switch in.Op {
 		case OpJmp, OpJEq, OpJNe, OpJLt, OpJLe, OpJGt, OpJGe,
 			OpJEqI, OpJNeI, OpJLtI, OpJLeI, OpJGtI, OpJGeI:

@@ -112,7 +112,7 @@ func TestWideningAtRepeatedJoins(t *testing.T) {
 	b.MovI(6, 0)
 	for i := 0; i < widenAfter+4; i++ {
 		b.JmpIfI(OpJLeI, 0, float64(i), "join")
-		b.ALUI(OpAddI, 6, 1)
+		b.ALUI(OpAddI, 6, 6, 1)
 	}
 	b.Label("join")
 	b.Mov(0, 6)
@@ -207,7 +207,7 @@ func TestDivisionPolicy(t *testing.T) {
 	t.Run("constant-zero-rejected", func(t *testing.T) {
 		b := NewBuilder("div-const0")
 		b.MovI(6, 1)
-		b.ALUI(OpDivI, 6, 0)
+		b.ALUI(OpDivI, 6, 6, 0)
 		b.Mov(0, 6)
 		b.Exit()
 		ve := wantReject(t, mustBuild(t, b), "provably always zero")
@@ -220,9 +220,9 @@ func TestDivisionPolicy(t *testing.T) {
 		// interval analysis still proves it.
 		b := NewBuilder("div-folded0")
 		b.MovI(6, 4)
-		b.ALUI(OpSubI, 6, 4) // r6 = 0
+		b.ALUI(OpSubI, 6, 6, 4) // r6 = 0
 		b.MovI(7, 1)
-		b.ALU(OpDiv, 7, 6)
+		b.ALU(OpDiv, 7, 7, 6)
 		b.Mov(0, 7)
 		b.Exit()
 		wantReject(t, mustBuild(t, b), "provably always zero")
@@ -231,7 +231,7 @@ func TestDivisionPolicy(t *testing.T) {
 		b := NewBuilder("div-maybe0")
 		b.MovI(6, 1)
 		b.Load(7, "d")
-		b.ALU(OpDiv, 6, 7)
+		b.ALU(OpDiv, 6, 6, 7)
 		b.Mov(0, 6)
 		b.Exit()
 		p := mustBuild(t, b)
@@ -259,7 +259,7 @@ func TestDivisionPolicy(t *testing.T) {
 		b.MovI(0, 0)
 		b.Exit()
 		b.Label("divide")
-		b.ALU(OpDiv, 6, 7)
+		b.ALU(OpDiv, 6, 6, 7)
 		b.Mov(0, 6)
 		b.Exit()
 		p := mustBuild(t, b)
@@ -302,8 +302,8 @@ func TestMaxStepsCertification(t *testing.T) {
 	b.Jmp("join")
 	b.Label("long")
 	b.MovI(0, 1)
-	b.ALUI(OpAddI, 0, 1)
-	b.ALUI(OpMulI, 0, 2)
+	b.ALUI(OpAddI, 0, 0, 1)
+	b.ALUI(OpMulI, 0, 0, 2)
 	b.Label("join")
 	b.Exit()
 	p = mustBuild(t, b)

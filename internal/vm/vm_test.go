@@ -83,7 +83,7 @@ func TestArithmeticOps(t *testing.T) {
 			b := NewBuilder(c.name)
 			b.MovI(1, c.a)
 			b.MovI(2, c.b)
-			b.ALU(c.op, 1, 2)
+			b.ALU(c.op, 1, 1, 2)
 			b.Mov(0, 1)
 			b.Exit()
 			p, err := b.Finish()
@@ -103,14 +103,14 @@ func TestArithmeticOps(t *testing.T) {
 func TestImmediateOps(t *testing.T) {
 	b := NewBuilder("imm")
 	b.MovI(1, 10)
-	b.ALUI(OpAddI, 1, 5)  // 15
-	b.ALUI(OpSubI, 1, 3)  // 12
-	b.ALUI(OpMulI, 1, 2)  // 24
-	b.ALUI(OpDivI, 1, 4)  // 6
-	b.ALUI(OpMulI, 1, 0)  // 0
-	b.ALUI(OpAddI, 1, -7) // -7
-	b.Un(OpAbs, 1)        // 7
-	b.Un(OpNeg, 1)        // -7
+	b.ALUI(OpAddI, 1, 1, 5)  // 15
+	b.ALUI(OpSubI, 1, 1, 3)  // 12
+	b.ALUI(OpMulI, 1, 1, 2)  // 24
+	b.ALUI(OpDivI, 1, 1, 4)  // 6
+	b.ALUI(OpMulI, 1, 1, 0)  // 0
+	b.ALUI(OpAddI, 1, 1, -7) // -7
+	b.Un(OpAbs, 1, 1)        // 7
+	b.Un(OpNeg, 1, 1)        // -7
 	b.Mov(0, 1)
 	b.Exit()
 	p, err := b.Finish()
@@ -129,7 +129,7 @@ func TestImmediateOps(t *testing.T) {
 func TestDivIByZeroUnverified(t *testing.T) {
 	b := NewBuilder("divi0")
 	b.MovI(0, 42)
-	b.ALUI(OpDivI, 0, 0)
+	b.ALUI(OpDivI, 0, 0, 0)
 	b.Exit()
 	p, err := b.Finish()
 	if err != nil {
@@ -144,7 +144,7 @@ func TestLogicalOps(t *testing.T) {
 	build := func(op Op, v float64) float64 {
 		b := NewBuilder("logic")
 		b.MovI(0, v)
-		b.Un(op, 0)
+		b.Un(op, 0, 0)
 		b.Exit()
 		p, err := b.Finish()
 		if err != nil {
@@ -245,7 +245,7 @@ func TestAllJumpVariants(t *testing.T) {
 func TestLoadStore(t *testing.T) {
 	b := NewBuilder("ls")
 	b.Load(1, "rate")
-	b.ALUI(OpMulI, 1, 2)
+	b.ALUI(OpMulI, 1, 1, 2)
 	b.Store("doubled", 1)
 	b.Mov(0, 1)
 	b.Exit()
@@ -305,7 +305,7 @@ func TestHelperClobbersArgRegs(t *testing.T) {
 
 func TestRunPresetsArgInR0(t *testing.T) {
 	b := NewBuilder("arg")
-	b.ALUI(OpMulI, 0, 3)
+	b.ALUI(OpMulI, 0, 0, 3)
 	b.Exit()
 	p, err := b.Finish()
 	if err != nil {
@@ -350,6 +350,14 @@ func TestVerifyRejections(t *testing.T) {
 		{"bad-src-reg", Program{Code: []Instr{
 			{Op: OpMovI, Dst: 0},
 			{Op: OpMov, Dst: 1, Src: 17},
+			{Op: OpExit},
+		}}},
+		{"bad-lhs-reg", Program{Code: []Instr{
+			{Op: OpAdd, Dst: 0, Lhs: 16, Src: 0},
+			{Op: OpExit},
+		}}},
+		{"uninit-lhs-read", Program{Code: []Instr{
+			{Op: OpNeg, Dst: 0, Lhs: 3},
 			{Op: OpExit},
 		}}},
 		{"uninit-read", Program{Code: []Instr{
