@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,6 +196,8 @@ type Deployment struct {
 	// callers' own bounds (monitors, MaxStates × monitors) already bound it.
 	memo    map[analysisIn]analysis
 	memoKey []byte // scratch for analysisIn.loads
+	// coupled is the coupling of Monitors, computed on first use.
+	coupled *coupling
 }
 
 type analysisIn struct {
@@ -345,6 +348,11 @@ type monFacts struct {
 	// deployment-refined analysis when it succeeded (baseline
 	// otherwise). Only reachable stores contribute.
 	saves map[string]vm.Interval
+	// saveKeys are saves' keys, sorted, once saves is final.
+	saveKeys []string
+	// acts: the monitor has a REPLACE, DEPRIORITIZE or RETRAIN action,
+	// which GI002 and GI003 compare.
+	acts bool
 
 	// canFire: some exit may return 0 under the deployment env — the
 	// violation path (and thus every action) is live.
@@ -457,12 +465,27 @@ func Analyze(d *Deployment) *Report {
 		}
 	}
 
+	for _, f := range facts {
+		for k := range f.saves {
+			f.saveKeys = append(f.saveKeys, k)
+		}
+		sort.Strings(f.saveKeys)
+		f.acts = slices.ContainsFunc(f.c.Actions, func(a spec.Action) bool {
+			switch a.(type) {
+			case *spec.ReplaceAction, *spec.DeprioritizeAction, *spec.RetrainAction:
+				return true
+			}
+			return false
+		})
+	}
+
 	var wit *witnesser
 	if d.Witness {
 		wit = newWitnesser(features, d.WitnessBudget)
 	}
-	checkConflicts(r, facts, wit)
-	checkCycles(r, facts)
+	c := d.coupling()
+	checkConflicts(r, facts, c, wit)
+	checkCycles(r, facts, c)
 	checkBudgets(r, d, facts)
 
 	SortDiagnostics(r.Diagnostics)
@@ -624,11 +647,56 @@ func timerPairCoincides(a, b *spec.TimerTrigger) bool {
 
 // --- action conflicts (GI001–GI003) ----------------------------------
 
-func checkConflicts(r *Report, facts []*monFacts, wit *witnesser) {
-	for i := 0; i < len(facts); i++ {
-		for j := i + 1; j < len(facts); j++ {
-			a, b := facts[i], facts[j]
-			if !a.canFire || !b.canFire {
+// sharesKey reports whether two sorted key lists have a key in common.
+func sharesKey(as, bs []string) bool {
+	for i, j := 0, 0; i < len(as) && j < len(bs); {
+		switch {
+		case as[i] == bs[j]:
+			return true
+		case as[i] < bs[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
+// checkConflicts visits the candidate pairs only, in ascending (i, j)
+// order: those sharing a hook site, and those whose monitors both have
+// timers (firstSharedGroup then asks whether the timers coincide). The
+// cost is the sum of the firing groups' squared sizes, not the number of
+// monitors squared, and a pair with no saved key in common and not two
+// monitors with REPLACE, DEPRIORITIZE or RETRAIN actions — nothing the
+// three checks compare — is dropped before anything else is asked.
+func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
+	stamp := make([]int, len(facts)) // stamp[j] == i+1: j is already a partner of i
+	var partners []int
+	for i, a := range facts {
+		if !a.canFire {
+			continue
+		}
+		partners = partners[:0]
+		groups := a.c.Footprint.Sites
+		for gi := 0; gi <= len(groups); gi++ {
+			var members []int
+			switch {
+			case gi < len(groups):
+				members = c.sites[groups[gi]]
+			case len(a.c.Footprint.Timers) > 0:
+				members = c.timers
+			}
+			for _, j := range members[sort.SearchInts(members, i+1):] {
+				if stamp[j] != i+1 {
+					stamp[j] = i + 1
+					partners = append(partners, j)
+				}
+			}
+		}
+		sort.Ints(partners)
+		for _, j := range partners {
+			b := facts[j]
+			if !b.canFire || !(a.acts && b.acts) && !sharesKey(a.saveKeys, b.saveKeys) {
 				continue
 			}
 			// Conflicts are per-pair properties; report them once
@@ -649,15 +717,12 @@ func checkConflicts(r *Report, facts []*monFacts, wit *witnesser) {
 // hook dispatch, the key's final value is a dispatch-order accident and
 // one monitor's corrective write is always lost.
 func checkSaveConflict(r *Report, a, b *monFacts, site string, wit *witnesser) {
-	keys := make([]string, 0, len(a.saves))
-	for k := range a.saves {
-		if _, ok := b.saves[k]; ok {
-			keys = append(keys, k)
+	for _, k := range a.saveKeys {
+		vb, ok := b.saves[k]
+		if !ok {
+			continue
 		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		va, vb := a.saves[k], b.saves[k]
+		va := a.saves[k]
 		if !va.DisjointFrom(vb) {
 			continue
 		}
@@ -759,8 +824,10 @@ func checkDuplicateActions(r *Report, a, b *monFacts, site string, wit *witnesse
 // reachable SAVE of A writes a key B's rules LOAD. Strongly connected
 // components of two or more monitors are reported once each (a
 // monitor's own SAVE feeding its own rules is vet's GV006). Dead
-// monitors contribute no edges — their SAVEs cannot execute.
-func checkCycles(r *Report, facts []*monFacts) {
+// monitors contribute no edges — their SAVEs cannot execute. Edges come
+// from the coupling's per-key reader lists, so building them costs the
+// edges found rather than every monitor pair.
+func checkCycles(r *Report, facts []*monFacts, c *coupling) {
 	n := len(facts)
 	adj := make([][]int, n)
 	edgeKeys := map[[2]int][]string{}
@@ -768,24 +835,18 @@ func checkCycles(r *Report, facts []*monFacts) {
 		if !a.canFire {
 			continue
 		}
-		keys := make([]string, 0, len(a.saves))
-		for k := range a.saves {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for j, b := range facts {
-			if i == j {
-				continue
-			}
-			for _, k := range keys {
-				if b.c.Footprint.Reads(k) {
-					if len(edgeKeys[[2]int{i, j}]) == 0 {
-						adj[i] = append(adj[i], j)
-					}
-					edgeKeys[[2]int{i, j}] = append(edgeKeys[[2]int{i, j}], k)
+		for _, k := range a.saveKeys {
+			for _, j := range c.readers[k] {
+				if j == i {
+					continue
 				}
+				if len(edgeKeys[[2]int{i, j}]) == 0 {
+					adj[i] = append(adj[i], j)
+				}
+				edgeKeys[[2]int{i, j}] = append(edgeKeys[[2]int{i, j}], k)
 			}
 		}
+		sort.Ints(adj[i])
 	}
 
 	for _, scc := range SCCs(adj) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,7 +123,10 @@ func checkMemoAgainstFresh(t *testing.T, m *model) {
 // over all written keys, not just the ones apply re-stamped.
 func freshDiff(m *model) error {
 	var preds []*vm.Program
-	for _, p := range m.cfg.Properties {
+	for i, p := range m.cfg.Properties {
+		if m.sys.propOf[i] != m {
+			continue // checked on another component's model
+		}
 		if prog, err := compilePred(p.Pred); err == nil {
 			m.evalAll(prog)
 			preds = append(preds, prog)
@@ -206,7 +210,7 @@ guardrail escalate-one {
     action: { SAVE(alert_level, 1) }
 }`
 	explored := func(mutate bool) *model {
-		m := buildModel(deployment(t, src), Config{})
+		m := buildSystem(deployment(t, src), Config{}).models[0] // both on one timer: one component
 		if m.mons[0].Name != "escalate-two" || m.effects[0].fixed {
 			t.Fatalf("monitor 0 is %s, fixed=%v", m.mons[0].Name, m.effects[0].fixed)
 		}
@@ -244,9 +248,13 @@ guardrail counter {
 			dep, cfg := load(t)
 			// As deploy.Check does: interference first, on the same value.
 			interfere.Analyze(dep)
-			m := buildModel(dep, cfg)
-			m.explore()
-			checkMemoAgainstFresh(t, m)
+			s := buildSystem(dep, cfg)
+			for _, m := range s.models {
+				m.explore()
+			}
+			for _, m := range s.models {
+				checkMemoAgainstFresh(t, m)
+			}
 		})
 	}
 }
@@ -288,9 +296,13 @@ func TestBackgroundMonitorsAnalyzedOnce(t *testing.T) {
 // check_manifest workload's deployment (benchmark/gen, seed 1, every
 // ladder): background monitors SAVE shared keys on shared hooks and
 // timers beside an oscillator pair, so per-edge writes and the
-// oscillation search are in the profile too.
+// oscillation search are in the profile too. manifest×2 and
+// manifest×16 are 2 and 16 disjoint copies of it (manifestCopies: 400
+// and 3 200 guardrails). ns/guardrail is the scaling figure.
 func BenchmarkCheck(b *testing.B) {
 	manifest, manifestCfg := manifestDeployment(b, 1, gen.Ladders)
+	x2, x2Cfg := manifestCopies(b, 2)
+	x16, x16Cfg := manifestCopies(b, 16)
 	for _, bc := range []struct {
 		name string
 		dep  *interfere.Deployment
@@ -298,6 +310,8 @@ func BenchmarkCheck(b *testing.B) {
 	}{
 		{"ladder+200", deployment(b, ladderSrc(200)), Config{Properties: props(b, ladderProps...)}},
 		{"manifest", manifest, manifestCfg},
+		{"manifest×2", x2, x2Cfg},
+		{"manifest×16", x16, x16Cfg},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -309,6 +323,32 @@ func BenchmarkCheck(b *testing.B) {
 					}
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.dep.Monitors)), "ns/guardrail")
+		})
+	}
+}
+
+// BenchmarkInterfere times interfere.Analyze, the gate stage before the
+// checker, on the check_manifest deployment and on 16 disjoint copies of
+// it (200 and 3 200 guardrails), each iteration on a fresh deployment
+// value. Its pair checks visit only monitors that share a hook site or
+// both have timers, so ns/guardrail grows with the timer group alone.
+func BenchmarkInterfere(b *testing.B) {
+	manifest, _ := manifestDeployment(b, 1, gen.Ladders)
+	x16, _ := manifestCopies(b, 16)
+	for _, bc := range []struct {
+		name string
+		dep  *interfere.Deployment
+	}{{"manifest", manifest}, {"manifest×16", x16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep := interfere.Analyze(&interfere.Deployment{Monitors: bc.dep.Monitors, Features: bc.dep.Features})
+				if rep.Warnings() != 4*len(bc.dep.Monitors)/gen.ManifestMonitors {
+					b.Fatal(rep.Summary())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.dep.Monitors)), "ns/guardrail")
 		})
 	}
 }
@@ -317,7 +357,8 @@ func BenchmarkCheck(b *testing.B) {
 // small bounds never panics, is deterministic to the byte, withholds
 // every proof when exploration was truncated, never proves an "always"
 // property that a short concrete run on the real interpreter falsifies,
-// and the memo agrees with a fresh analysis on every edge.
+// the memo agrees with a fresh analysis on every edge, and checking
+// component by component gives the verdicts the whole model gives.
 func FuzzModelcheck(f *testing.F) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "..", "cmd", "grailcheck", "testdata", "*.grail"))
 	if len(paths) == 0 {
@@ -331,6 +372,23 @@ func FuzzModelcheck(f *testing.F) {
 		f.Add(string(data))
 	}
 	f.Add(ladderSrc(3) + "\nassert always LOAD(quarantined) <= 1\n")
+	// Two components, each with a state change: properties on the
+	// second alone, then one joining both.
+	const twoComponents = `
+guardrail raise-a {
+    trigger: { FUNCTION(ha) },
+    rule: { LOAD(a) >= 1 },
+    action: { SAVE(a, 1) }
+}
+
+guardrail raise-b {
+    trigger: { FUNCTION(hb) },
+    rule: { LOAD(b) >= 1 },
+    action: { SAVE(b, 1) }
+}
+`
+	f.Add(twoComponents + "assert always LOAD(b) <= 1\nassert always LOAD(b) <= 0\n")
+	f.Add(twoComponents + "assert always LOAD(a) + LOAD(b) <= 1\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := spec.ParseChecked(src)
 		if err != nil {
@@ -353,9 +411,13 @@ func FuzzModelcheck(f *testing.F) {
 			t.Fatalf("two runs differ:\n%s\n%s", first, again)
 		}
 
-		m := buildModel(fresh(), cfg)
-		m.explore()
-		checkMemoAgainstFresh(t, m)
+		s := buildSystem(fresh(), cfg)
+		for _, m := range s.models {
+			m.explore()
+		}
+		for _, m := range s.models {
+			checkMemoAgainstFresh(t, m)
+		}
 
 		for i, res := range rep.Properties {
 			if res.Status != StatusProved {
@@ -365,10 +427,51 @@ func FuzzModelcheck(f *testing.F) {
 				t.Fatalf("%s PROVED on a truncated exploration (%s)", res.Property, rep.TruncationReason)
 			}
 			if p := cfg.Properties[i]; p.Kind == spec.PropAlways {
-				refuteConcretely(t, m, p)
+				refuteConcretely(t, s.propOf[i], p)
 			}
 		}
+
+		// Component-wise ≡ whole-model. An "eventually" property joins
+		// every component into one model, the whole interleaved product;
+		// this one reads a fresh key declared in range, so it holds in the
+		// initial state and adds no finding of its own. Whenever the whole
+		// model is not truncated, every other property's status and every
+		// finding's code and guardrails must be the same.
+		wholeDep := fresh()
+		wholeDep.Features = append(slices.Clip(file.Features), &spec.FeatureDecl{Key: "whole__", Lo: 0, Hi: 1})
+		wholeCfg := cfg
+		wholeCfg.Properties = append(slices.Clip(cfg.Properties), props(t, "eventually LOAD(whole__) <= 1 within 1")...)
+		whole := Check(wholeDep, wholeCfg)
+		if len(buildSystem(wholeDep, wholeCfg).models) != 1 {
+			t.Fatal("an eventually property left the deployment in several models")
+		}
+		if whole.Truncated {
+			return
+		}
+		if last := whole.Properties[len(cfg.Properties)]; last.Status != StatusProved {
+			t.Fatalf("the joining property is %s (%s)", last.Status, last.Reason)
+		}
+		for i, res := range rep.Properties {
+			if w := whole.Properties[i]; w.Status != res.Status {
+				t.Errorf("%s: %s component-wise, %s on the whole model (%s)", res.Property, res.Status, w.Status, w.Reason)
+			}
+		}
+		if got, want := findingKeys(rep), findingKeys(whole); !slices.Equal(got, want) {
+			t.Errorf("findings differ\ncomponent-wise: %q\nwhole model:    %q", got, want)
+		}
 	})
+}
+
+// findingKeys renders a report's findings as code, guardrail and
+// partners, sorted: what a verdict is made of, without the messages
+// (which quote state counts).
+func findingKeys(rep *Report) []string {
+	keys := make([]string, len(rep.Diagnostics))
+	for i, d := range rep.Diagnostics {
+		keys[i] = fmt.Sprintf("%s %s %v", d.Code, d.Guardrail, d.Others)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // refuteConcretely replays every group sequence of up to three fires on

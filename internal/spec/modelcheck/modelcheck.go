@@ -17,7 +17,12 @@
 // machinery with interfere, see TimerTicks). The checker explores the
 // induced transition system exhaustively to a configurable depth and
 // state bound, widening per-key interval sequences so loops with
-// strictly growing counters still converge.
+// strictly growing counters still converge. It never builds the
+// product of independent parts: each connected component of the
+// deployment's coupling (interfere.Deployment.Components: monitors that
+// fire together or share a written key) is explored as a model of its
+// own, so independent components add states instead of multiplying
+// them (see system).
 //
 // Declared properties ("assert always p", "assert eventually p within
 // K") are evaluated over the explored graph. Proved properties carry a
@@ -128,11 +133,14 @@ func (c Config) filled() Config {
 // abstract projection stays inside the explored graph satisfies the
 // property.
 type Certificate struct {
-	// States is the number of distinct abstract states explored.
+	// States is the number of distinct abstract states explored, summed
+	// over the deployment's components with the initial state they all
+	// start from counted once.
 	States int `json:"states"`
-	// Transitions is the number of transition edges taken.
+	// Transitions is the number of transition edges taken, summed over
+	// the components.
 	Transitions int `json:"transitions"`
-	// Depth is the maximum exploration depth reached.
+	// Depth is the maximum exploration depth reached in any component.
 	Depth int `json:"depth"`
 	// HyperperiodNs is the timer hyperperiod the schedule was built
 	// over (0 when the deployment has no timers or the schedule fell
@@ -165,7 +173,8 @@ type Report struct {
 	// Diagnostics are the GM-coded findings, sorted by (code,
 	// guardrail, message).
 	Diagnostics []interfere.Diagnostic `json:"diagnostics,omitempty"`
-	// States is the number of distinct abstract states explored.
+	// States is the number of distinct abstract states explored (see
+	// Certificate).
 	States int `json:"states"`
 	// Transitions labels the transition groups of the model, in
 	// schedule order.
@@ -282,12 +291,46 @@ type edge struct {
 	writes []write
 }
 
-// model is the abstract transition system built from a deployment.
+// system is a deployment's abstract transition system, held as its
+// independent components (interfere.Deployment.Components): monitors of
+// different components never fire in one transition and never read each
+// other's writes, so the deployment's state space is the interleaving
+// of the components' own, and each is explored as a model of its own
+// with its own groups and keys. A property is checked on the one model
+// holding every key it reads that a monitor writes: a property spanning
+// several components joins them, and an "eventually" property joins
+// them all, since in the interleaving any group's firing is a step that
+// delays it.
+type system struct {
+	cfg     Config
+	mons    []*compile.Compiled // active (non-shadow) monitors
+	labels  []string            // every transition group's label, in schedule order
+	hyper   int64
+	conserv bool
+	models  []*model // one per (joined) component, in order of first monitor
+	propOf  []*model // parallel to cfg.Properties: the model it is checked on
+
+	// What the models explored together: distinct states (the initial
+	// state, which every model starts from, counted once), transition
+	// edges, the deepest state, and the first bound hit ("" = none).
+	// MaxStates bounds states, so the models share it.
+	states, edges, depth int
+	truncReason          string
+}
+
+func (s *system) truncate(reason string) {
+	if s.truncReason == "" {
+		s.truncReason = reason
+	}
+}
+
+// model is the abstract transition system of one component.
 type model struct {
+	sys      *system
 	cfg      Config
 	dep      *interfere.Deployment // owns the analysis memo
-	mons     []*compile.Compiled   // active (non-shadow) monitors
-	keys     []string              // sorted key universe
+	mons     []*compile.Compiled   // the component's active monitors, in deployment order
+	keys     []string              // sorted key universe: what mons load or store and its properties read
 	keyIdx   map[string]int
 	cellKeys map[*vm.Program][]int // per program: key index by cell, -1 outside the universe
 	env      vm.CellEnv            // m.cell, bound once: envFor hands it out
@@ -297,24 +340,26 @@ type model struct {
 	sigPos   []int                 // by key index: byte offset of its id in a signature, -1 when unwritten
 	declared []*spec.FeatureDecl   // by key index, nil when undeclared
 	effects  []effect              // parallel to mons
-	groups   []group
-	hyper    int64
-	conserv  bool
+	groups   []group               // the component's groups, in schedule order
 
-	nodes       []node
-	plans       []*witnessPlan        // parallel to the diagnostics under construction
-	adj         [][]edge              // outgoing edges per node, in group order
-	index       map[string]int        // state signature → node index
-	next        []vm.Interval         // apply's scratch successor vector
-	sig         []byte                // apply's scratch signature
-	writes      []write               // apply's scratch write list
-	widened     map[int]bool          // key index → widened
-	seen        []map[vm.Interval]int // per key: distinct values observed → id
-	accum       []vm.Interval         // per key: running join for widening
-	truncated   bool
-	truncReason string
-	maxDepth    int
-	edges       int
+	nodes   []node
+	adj     [][]edge              // outgoing edges per node, in group order
+	index   map[string]int        // state signature → node index
+	next    []vm.Interval         // apply's scratch successor vector
+	sig     []byte                // apply's scratch signature
+	writes  []write               // apply's scratch write list
+	widened []bool                // by key index: widening changed a value
+	seen    []map[vm.Interval]int // per written key: distinct values observed → id
+	accum   []vm.Interval         // per written key: running join for widening
+
+	narrated map[[2]int]string // renderTrace's text of edge m.adj[n][i], by {n, i}
+}
+
+// finding is one GM diagnostic and the replay recipe behind it (nil when
+// there is nothing to replay).
+type finding struct {
+	diag interfere.Diagnostic
+	plan *witnessPlan
 }
 
 // Check model-checks a deployment against cfg's properties. It never
@@ -322,135 +367,237 @@ type model struct {
 // compiled, an empty deployment) surface as INCONCLUSIVE results or
 // diagnostics in the report.
 func Check(dep *interfere.Deployment, cfg Config) *Report {
-	m := buildModel(dep, cfg)
-	m.explore()
+	s := buildSystem(dep, cfg)
+	for _, m := range s.models {
+		m.explore()
+	}
 
 	rep := &Report{
-		States:               len(m.nodes),
-		HyperperiodNs:        m.hyper,
-		ConservativeSchedule: m.conserv,
-		Truncated:            m.truncated,
-		TruncationReason:     m.truncReason,
-	}
-	for _, g := range m.groups {
-		rep.Transitions = append(rep.Transitions, g.label)
+		States:               s.states,
+		Transitions:          s.labels,
+		HyperperiodNs:        s.hyper,
+		ConservativeSchedule: s.conserv,
+		Truncated:            s.truncReason != "",
+		TruncationReason:     s.truncReason,
 	}
 	rep.Shadow = append(rep.Shadow, cfg.Shadow...)
 	sort.Strings(rep.Shadow)
-	for k := range m.widened {
-		rep.WidenedKeys = append(rep.WidenedKeys, m.keys[k])
+	for _, m := range s.models {
+		for k, w := range m.widened {
+			if w {
+				rep.WidenedKeys = append(rep.WidenedKeys, m.keys[k])
+			}
+		}
 	}
 	sort.Strings(rep.WidenedKeys)
 
 	cert := &Certificate{
-		States:        len(m.nodes),
-		Transitions:   m.edges,
-		Depth:         m.maxDepth,
-		HyperperiodNs: m.hyper,
+		States:        s.states,
+		Transitions:   s.edges,
+		Depth:         s.depth,
+		HyperperiodNs: s.hyper,
 		WidenedKeys:   rep.WidenedKeys,
 	}
 
-	var diags []interfere.Diagnostic
-	for _, p := range cfg.Properties {
-		res, d := m.checkProperty(p, cert)
+	var found []finding
+	for i, p := range cfg.Properties {
+		res, f := s.propOf[i].checkProperty(p, cert)
 		rep.Properties = append(rep.Properties, res)
-		if d != nil {
-			diags = append(diags, *d)
+		if f != nil {
+			found = append(found, *f)
 		}
 	}
-	diags = append(diags, m.checkOscillation()...)
-
-	if cfg.Witness {
-		concretize(m, diags, m.cfg.WitnessBudget)
+	for _, m := range s.models {
+		found = m.checkOscillation(found)
 	}
 
+	diags := make([]interfere.Diagnostic, len(found))
+	for i, f := range found {
+		if cfg.Witness && f.plan != nil {
+			f.diag.Grade(f.plan.m.searchWitness(f.plan, s.cfg.WitnessBudget))
+		}
+		diags[i] = f.diag
+	}
 	interfere.SortDiagnostics(diags)
 	rep.Diagnostics = diags
 	return rep
 }
 
-// buildModel derives the abstract transition system from a deployment.
-func buildModel(dep *interfere.Deployment, cfg Config) *model {
-	m := &model{cfg: cfg.filled(), dep: dep, keyIdx: map[string]int{}, cellKeys: map[*vm.Program][]int{}, index: map[string]int{}, widened: map[int]bool{}}
-	m.env = m.cell
+// buildSystem derives the abstract transition system from a deployment:
+// the transition groups over every active monitor, then one model per
+// component, components joined as the properties require.
+func buildSystem(dep *interfere.Deployment, cfg Config) *system {
+	s := &system{cfg: cfg.filled(), states: 1}
 
 	shadow := map[string]bool{}
-	for _, s := range cfg.Shadow {
-		shadow[s] = true
+	for _, n := range cfg.Shadow {
+		shadow[n] = true
 	}
-	for _, c := range dep.Monitors {
+	active := make([]int, len(dep.Monitors)) // by deployment index: index into s.mons, -1 when inactive
+	for i, c := range dep.Monitors {
+		active[i] = -1
 		if c == nil || c.Program == nil || shadow[c.Name] {
 			continue
 		}
-		m.mons = append(m.mons, c)
+		active[i] = len(s.mons)
+		s.mons = append(s.mons, c)
+	}
+	groups := s.buildGroups()
+
+	// Components of the active monitors; a shadow monitor may still have
+	// joined two of them, which only coarsens the split.
+	comp := make([]int, len(s.mons)) // active monitor → component
+	var parent []int                 // component → the component it joined
+	for _, members := range dep.Components() {
+		n := len(parent)
+		for _, i := range members {
+			if a := active[i]; a >= 0 {
+				comp[a] = n
+			}
+		}
+		if slices.ContainsFunc(members, func(i int) bool { return active[i] >= 0 }) {
+			parent = append(parent, n)
+		}
+	}
+	find := func(c int) int {
+		for parent[c] != c {
+			c = parent[c]
+		}
+		return c
+	}
+	writer := map[string]int{} // written key → its writers' component
+	for a, c := range s.mons {
+		for _, k := range c.Footprint.Stores {
+			writer[k] = comp[a]
+		}
+	}
+	propKeys := make([][]string, len(cfg.Properties))
+	home := make([]int, len(cfg.Properties)) // component, -1 = reads no written key
+	for i, p := range cfg.Properties {
+		propKeys[i] = spec.ExprKeys(p.Pred)
+		home[i] = -1
+		for _, k := range propKeys[i] {
+			if c, ok := writer[k]; ok {
+				if home[i] < 0 {
+					home[i] = find(c)
+				} else {
+					parent[find(c)] = find(home[i])
+				}
+			}
+		}
+		if p.Kind == spec.PropEventually {
+			for c := range parent {
+				parent[find(c)] = find(0)
+			}
+		}
 	}
 
-	// Key universe: everything active monitors load or store, declared
-	// features, and keys the properties mention.
-	keySet := map[string]bool{}
-	writtenSet := map[string]bool{}
-	for _, c := range m.mons {
-		for _, key := range c.Footprint.Loads {
-			keySet[key] = true
+	// One model per joined component, in order of first monitor (an
+	// empty deployment is one model with no monitors); each monitor and
+	// group goes to its component's model, renumbered locally.
+	modelOf := make([]int, len(parent)) // by root component: model index + 1
+	local := make([]int, len(s.mons))   // active monitor → index in its model
+	var members [][]int
+	for a := range s.mons {
+		r := find(comp[a])
+		if modelOf[r] == 0 {
+			members = append(members, nil)
+			modelOf[r] = len(members)
 		}
-		for _, key := range c.Footprint.Stores {
-			keySet[key] = true
-			writtenSet[key] = true
+		mi := modelOf[r] - 1
+		local[a] = len(members[mi])
+		members[mi] = append(members[mi], a)
+	}
+	if len(members) == 0 {
+		members = [][]int{nil}
+	}
+	s.models = make([]*model, len(members))
+	for mi := range s.models {
+		s.models[mi] = &model{sys: s, cfg: s.cfg, dep: dep}
+	}
+	for _, g := range groups {
+		m := s.models[modelOf[find(comp[g.mons[0]])]-1]
+		for i, a := range g.mons {
+			g.mons[i] = local[a]
 		}
+		m.groups = append(m.groups, g)
 	}
-	declByKey := spec.RangesOf(dep.Features)
-	for key := range declByKey {
-		keySet[key] = true
-	}
-	for _, p := range cfg.Properties {
-		for _, k := range spec.ExprKeys(p.Pred) {
-			keySet[k] = true
+	props := make([][]string, len(s.models)) // per model: its properties' keys
+	s.propOf = make([]*model, len(cfg.Properties))
+	for i := range cfg.Properties {
+		mi := 0
+		if home[i] >= 0 {
+			mi = modelOf[find(home[i])] - 1
 		}
+		s.propOf[i] = s.models[mi]
+		props[mi] = append(props[mi], propKeys[i]...)
 	}
-	m.keys = make([]string, 0, len(keySet))
-	for k := range keySet {
-		m.keys = append(m.keys, k)
+	declared := spec.RangesOf(dep.Features)
+	for mi, m := range s.models {
+		m.init(members[mi], props[mi], declared)
 	}
-	sort.Strings(m.keys)
+	return s
+}
+
+// init sets the model up over its monitors (indices into m.sys.mons) and
+// the keys its properties read: the key universe, which keys are
+// written, and which monitors and groups have a fixed effect.
+func (m *model) init(members []int, propKeys []string, declared map[string]*spec.FeatureDecl) {
+	m.keyIdx, m.cellKeys, m.index = map[string]int{}, map[*vm.Program][]int{}, map[string]int{}
+	m.env = m.cell
+	keys := propKeys
+	var stores []string
+	for _, a := range members {
+		c := m.sys.mons[a]
+		m.mons = append(m.mons, c)
+		keys = append(keys, c.Footprint.Loads...)
+		stores = append(stores, c.Footprint.Stores...)
+	}
+	keys = append(keys, stores...)
+	sort.Strings(keys)
+	m.keys = slices.Compact(keys)
 	m.written = make([]bool, len(m.keys))
 	m.sigPos = make([]int, len(m.keys))
 	m.declared = make([]*spec.FeatureDecl, len(m.keys))
-	pos := 0
 	for i, k := range m.keys {
 		m.keyIdx[k] = i
-		m.written[i] = writtenSet[k]
+		m.declared[i] = declared[k]
+	}
+	for _, k := range stores {
+		m.written[m.keyIdx[k]] = true
+	}
+	pos := 0
+	for i := range m.keys {
 		m.sigPos[i] = -1
 		if m.written[i] {
 			m.sigPos[i] = pos
 			pos += 4
 		}
-		m.declared[i] = declByKey[k]
 	}
 	// Footprint.Loads is every cell the program LOADs, and the analysis
 	// reads its env at those cells only (see Deployment.Analysis).
 	m.effects = make([]effect, len(m.mons))
 	for i, c := range m.mons {
-		m.effects[i].fixed = !slices.ContainsFunc(c.Footprint.Loads, func(k string) bool { return writtenSet[k] })
+		m.effects[i].fixed = !slices.ContainsFunc(c.Footprint.Loads, func(k string) bool { return m.written[m.keyIdx[k]] })
 	}
-
-	m.buildGroups()
 	for gi := range m.groups {
 		g := &m.groups[gi]
 		g.fixed = !slices.ContainsFunc(g.mons, func(mi int) bool { return !m.effects[mi].fixed })
 	}
-	return m
 }
 
-// buildGroups derives the transition groups: one per hook site, plus
-// the timer coincidence classes over one hyperperiod.
-func (m *model) buildGroups() {
+// buildGroups derives the transition groups over every active monitor:
+// one per hook site, plus the timer coincidence classes over one
+// hyperperiod. It records their labels in s.labels.
+func (s *system) buildGroups() []group {
+	var groups []group
 	hookMons := map[string][]int{}
 	type timerRef struct {
 		mon   int
 		timer *spec.TimerTrigger
 	}
 	var timers []timerRef
-	for i, c := range m.mons {
+	for i, c := range s.mons {
 		for _, site := range c.Footprint.Sites {
 			hookMons[site] = append(hookMons[site], i)
 		}
@@ -460,62 +607,63 @@ func (m *model) buildGroups() {
 	}
 
 	sites := make([]string, 0, len(hookMons))
-	for s := range hookMons {
-		sites = append(sites, s)
+	for site := range hookMons {
+		sites = append(sites, site)
 	}
 	sort.Strings(sites)
-	for _, s := range sites {
-		m.groups = append(m.groups, group{label: "hook:" + s, mons: hookMons[s]})
+	for _, site := range sites {
+		groups = append(groups, group{label: "hook:" + site, mons: hookMons[site]})
 	}
-
-	if len(timers) == 0 {
-		return
-	}
-	specs := make([]*spec.TimerTrigger, len(timers))
-	for i, tr := range timers {
-		specs[i] = tr.timer
-	}
-	ticks, hyper, ok := interfere.TimerTicks(specs, m.cfg.MaxTicks)
-	if !ok {
-		// Conservative fallback: each timer fires alone, in an
-		// unknown order — one singleton transition per timer.
-		m.conserv = true
-		for _, tr := range timers {
-			m.groups = append(m.groups, group{
-				label: "timer[" + m.mons[tr.mon].Name + "]",
-				mons:  []int{tr.mon},
+	if len(timers) > 0 {
+		specs := make([]*spec.TimerTrigger, len(timers))
+		for i, tr := range timers {
+			specs[i] = tr.timer
+		}
+		ticks, hyper, ok := interfere.TimerTicks(specs, s.cfg.MaxTicks)
+		s.hyper, s.conserv = hyper, !ok
+		if !ok {
+			// Conservative fallback (ticks is empty): each timer fires
+			// alone, in an unknown order — one singleton transition per
+			// timer.
+			for _, tr := range timers {
+				groups = append(groups, group{
+					label: "timer[" + s.mons[tr.mon].Name + "]",
+					mons:  []int{tr.mon},
+				})
+			}
+		}
+		// Distinct coincidence classes only: two ticks with the same
+		// member set induce the same abstract transition.
+		seen := map[string]bool{}
+		for _, tg := range ticks {
+			monSet := map[int]bool{}
+			for _, ti := range tg.Members {
+				monSet[timers[ti].mon] = true
+			}
+			mons := make([]int, 0, len(monSet))
+			for mi := range monSet {
+				mons = append(mons, mi)
+			}
+			sort.Ints(mons)
+			sig := fmt.Sprint(mons)
+			if seen[sig] {
+				continue
+			}
+			seen[sig] = true
+			names := make([]string, len(mons))
+			for i, mi := range mons {
+				names[i] = s.mons[mi].Name
+			}
+			groups = append(groups, group{
+				label: "timer[" + strings.Join(names, "+") + "]",
+				mons:  mons,
 			})
 		}
-		return
 	}
-	m.hyper = hyper
-	// Distinct coincidence classes only: two ticks with the same member
-	// set induce the same abstract transition.
-	seen := map[string]bool{}
-	for _, tg := range ticks {
-		monSet := map[int]bool{}
-		for _, ti := range tg.Members {
-			monSet[timers[ti].mon] = true
-		}
-		mons := make([]int, 0, len(monSet))
-		for mi := range monSet {
-			mons = append(mons, mi)
-		}
-		sort.Ints(mons)
-		sig := fmt.Sprint(mons)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		names := make([]string, len(mons))
-		for i, mi := range mons {
-			names[i] = m.mons[mi].Name
-		}
-		m.groups = append(m.groups, group{
-			label: "timer[" + strings.Join(names, "+") + "]",
-			mons:  mons,
-		})
+	for _, g := range groups {
+		s.labels = append(s.labels, g.label)
 	}
+	return groups
 }
 
 // initState is the deployment's entry state: declared features take
@@ -696,20 +844,23 @@ func (m *model) widenKey(ki int, nv vm.Interval) (vm.Interval, int) {
 }
 
 // explore runs breadth-first exhaustive exploration from the initial
-// state, up to the depth and state bounds.
+// state, up to the depth bound and the system's state bound.
 func (m *model) explore() {
+	s := m.sys
 	m.seen = make([]map[vm.Interval]int, len(m.keys))
 	m.accum = make([]vm.Interval, len(m.keys))
+	m.widened = make([]bool, len(m.keys))
 	init := m.initState()
 	var sig []byte // the root's, in full
 	for ki := range m.keys {
+		if !m.written[ki] {
+			continue // a constant of the model: never widened, not in signatures
+		}
 		m.seen[ki] = map[vm.Interval]int{init[ki]: 0}
 		m.accum[ki] = init[ki]
-		if m.written[ki] {
-			var id int
-			init[ki], id = m.widenKey(ki, init[ki])
-			sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
-		}
+		var id int
+		init[ki], id = m.widenKey(ki, init[ki])
+		sig = binary.LittleEndian.AppendUint32(sig, uint32(id))
 	}
 	m.nodes = append(m.nodes, node{vals: init, sig: string(sig), parent: -1, viaGroup: -1})
 	m.adj = append(m.adj, nil)
@@ -717,26 +868,27 @@ func (m *model) explore() {
 
 	for qi := 0; qi < len(m.nodes); qi++ {
 		n := m.nodes[qi]
-		if n.depth > m.maxDepth {
-			m.maxDepth = n.depth
+		if n.depth > s.depth {
+			s.depth = n.depth
 		}
 		if n.depth >= m.cfg.MaxDepth {
-			m.truncate("depth bound")
+			s.truncate("depth bound")
 			continue
 		}
 		m.adj[qi] = make([]edge, 0, len(m.groups))
 		for gi := range m.groups {
 			next, sig, writes := m.apply(&m.groups[gi], &n)
 			if to, ok := m.index[string(sig)]; ok {
-				m.edges++
+				s.edges++
 				m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})
 				continue
 			}
-			if len(m.nodes) >= m.cfg.MaxStates {
-				m.truncate("state bound")
+			if s.states >= m.cfg.MaxStates {
+				s.truncate("state bound")
 				continue
 			}
-			m.edges++
+			s.states++
+			s.edges++
 			to := len(m.nodes)
 			key := string(sig)
 			m.index[key] = to
@@ -750,12 +902,5 @@ func (m *model) explore() {
 			m.adj = append(m.adj, nil)
 			m.adj[qi] = append(m.adj[qi], edge{to: to, group: gi, writes: writes})
 		}
-	}
-}
-
-func (m *model) truncate(reason string) {
-	if !m.truncated {
-		m.truncated = true
-		m.truncReason = reason
 	}
 }

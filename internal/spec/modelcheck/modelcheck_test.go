@@ -138,7 +138,7 @@ guardrail latch {
     rule: { LOAD(sig) < 0.5 || LOAD(latched) >= 1 },
     action: { SAVE(latched, 1) }
 }`)
-	m := buildModel(dep, Config{})
+	m := buildSystem(dep, Config{}).models[0] // every monitor is timer-driven: one component
 	m.explore()
 	cyclic := 0
 	for _, comp := range sccsOf(m.adj) {

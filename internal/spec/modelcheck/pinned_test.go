@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"testing"
 
 	"guardrails/benchmark/gen"
@@ -22,8 +23,36 @@ func manifestDeployment(t testing.TB, seed int64, ladders int) (*interfere.Deplo
 	t.Helper()
 	dep := &interfere.Deployment{}
 	var cfg Config
-	for _, sf := range gen.BuildManifest(seed, ladders).Files {
-		f, err := spec.ParseChecked(sf.Source)
+	addManifest(t, dep, &cfg, gen.BuildManifest(seed, ladders), "")
+	return dep, cfg
+}
+
+// manifestCopies is k disjoint copies of the check_manifest deployment:
+// the manifests of seeds 1…k with every ladder, each copy's guardrail,
+// key and site names prefixed ("c2_tool_3"), so that copies share
+// nothing but the timer schedule — k × 200 guardrails, the shape the
+// load gate's scaling was first measured on.
+func manifestCopies(t testing.TB, k int) (*interfere.Deployment, Config) {
+	t.Helper()
+	dep := &interfere.Deployment{}
+	var cfg Config
+	for c := 1; c <= k; c++ {
+		addManifest(t, dep, &cfg, gen.BuildManifest(int64(c), gen.Ladders), fmt.Sprintf("c%d_", c))
+	}
+	return dep, cfg
+}
+
+// generatedName matches the start of every name benchmark/gen writes:
+// guardrails (g007-rate, lad0-alert, cf1-open, osc-up), keys (sig_3,
+// deny_tool_5, quota_2, lad0_err, cf1_gate, osc_mode) and sites (tool_5).
+var generatedName = regexp.MustCompile(`\b(g\d{3}-|lad\d|cf\d|osc|sig_|deny_tool_|quota_|tool_)`)
+
+// addManifest compiles a generated manifest's files into dep and cfg,
+// with prefix before every generated name.
+func addManifest(t testing.TB, dep *interfere.Deployment, cfg *Config, m *gen.Manifest, prefix string) {
+	t.Helper()
+	for _, sf := range m.Files {
+		f, err := spec.ParseChecked(generatedName.ReplaceAllString(sf.Source, prefix+"$1"))
 		if err != nil {
 			t.Fatalf("%s: %v", sf.Name, err)
 		}
@@ -35,7 +64,46 @@ func manifestDeployment(t testing.TB, seed int64, ladders int) (*interfere.Deplo
 		dep.Features = append(dep.Features, f.Features...)
 		cfg.Properties = append(cfg.Properties, f.Properties...)
 	}
-	return dep, cfg
+}
+
+// TestManifestCopiesAddStates: disjoint copies of the check_manifest
+// deployment are independent components apart from their timers, so
+// their states add where the whole product multiplied them (162 per
+// copy, which passed the 2 048-state bound at two copies). The count is
+// the shared initial state, two more per ladder (eight per copy), and
+// one more for the oscillators: every copy's timer-driven monitors are
+// one component, and its oscillators tick in the same coincidence
+// classes, so they flip together. Every property is PROVED and every
+// copy's planted GM003 findings are there, at 400 guardrails and at
+// 3 200.
+func TestManifestCopiesAddStates(t *testing.T) {
+	for _, k := range []int{2, 16} {
+		dep, cfg := manifestCopies(t, k)
+		rep := Check(dep, cfg)
+		if rep.Truncated {
+			t.Fatalf("manifest×%d: truncated (%s)", k, rep.TruncationReason)
+		}
+		if want := 2 + 8*k; rep.States != want {
+			t.Errorf("manifest×%d: %d states, want %d", k, rep.States, want)
+		}
+		if len(rep.Properties) != 8*k {
+			t.Fatalf("manifest×%d: %d properties, want %d", k, len(rep.Properties), 8*k)
+		}
+		for _, p := range rep.Properties {
+			if p.Status != StatusProved {
+				t.Errorf("manifest×%d: %s %s (%s)", k, p.Property, p.Status, p.Reason)
+			}
+		}
+		gm003 := 0
+		for _, d := range rep.Diagnostics {
+			if d.Code == CodeOscillation {
+				gm003++
+			}
+		}
+		if gm003 != 4*k {
+			t.Errorf("manifest×%d: %d GM003 findings, want %d (three conflict pairs and the oscillator per copy)", k, gm003, 4*k)
+		}
+	}
 }
 
 // TestReportsPinned is the exactness gate for changes to how the checker
@@ -55,7 +123,15 @@ func manifestDeployment(t testing.TB, seed int64, ladders int) (*interfere.Deplo
 // re-recorded when the ISA became three-address: every image changed
 // format (GRVM3, one more byte per instruction) and every program with
 // arithmetic lost its operand copies, while both report digests and
-// the analyses counts stayed as they were.
+// the analyses counts stayed as they were. The report digests of the
+// deployments with more than one independent component (ladder+40,
+// witness.grail and the manifests) were re-recorded when the checker
+// began exploring components apart: their state counts add instead of
+// multiplying, so States and the certificates' States, Transitions and
+// Depth moved, a witness search ranges over its component's keys only
+// (fewer inputs; in the manifests, a GM003 of each conflict pair that
+// was PLAUSIBLE is now CONFIRMED), and every verdict, code and
+// guardrail, every trace and every analyses count stayed as it was.
 func TestReportsPinned(t *testing.T) {
 	cases := testdataDeployments(t)
 	cases["ladder+40"] = func(t *testing.T) (*interfere.Deployment, Config) {
@@ -91,19 +167,19 @@ func TestReportsPinned(t *testing.T) {
 		"conflict_b.grail":        {"c35bd97fb4e78170dc09dcb73ea0646c789285ec753c83eeaac2dbd5bd95316d", "c35bd97fb4e78170dc09dcb73ea0646c789285ec753c83eeaac2dbd5bd95316d", 1, "95ba95f3b6398c43197e47a85b1a45b3ea447a689e222a9363c027a9f4c34a08", "e0f81b2d903789b2904c0ed330e63624fc0f9e73f041241459dba4daf7956fb2"},
 		"deep_witness.grail":      {"46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", "46f2620ab1745600a018718b1dbbac33f5f86410f6327fcbc09807fa84a6a7f9", 2, "a30973ca0cf60a3c2994259a54761eb9962335574904173aa8a6b126e9fd0ce4", "c80e2a1bf0c293b93ced6ae49696ea967d6da7a2454debb6a87ffb5a828d4a46"},
 		"feedback.grail":          {"d54a874aee22809d724c4b3927cc24351474b8de6e7453883f3deafbfe4ff780", "d54a874aee22809d724c4b3927cc24351474b8de6e7453883f3deafbfe4ff780", 2, "5bce6af5c006aef73bdb6e9d73d03925c4ad74492e0a96eb51fdc9f606736bec", "3d748469162a6edc00a8b107ae7dcb43145878b1e3b3c7655a2c83326827c5bf"},
-		"ladder+40":               {"87d964024724db5b6f26377974cf5f136780b8706de9ab48ec3d8375c6e72022", "87d964024724db5b6f26377974cf5f136780b8706de9ab48ec3d8375c6e72022", 46, "43f622386c16b212da25ad2f72815e59f46c07287068541339cd97db8ac649c2", "cba9b66d43bfa042f7d6d5d33354986ce4141cedab4ac514eef1d92bf0a38454"},
+		"ladder+40":               {"cd6ef8c48f89a661a121ea5e83541f7e750590e0fb3e238c72806175f1572ade", "cd6ef8c48f89a661a121ea5e83541f7e750590e0fb3e238c72806175f1572ade", 46, "43f622386c16b212da25ad2f72815e59f46c07287068541339cd97db8ac649c2", "cba9b66d43bfa042f7d6d5d33354986ce4141cedab4ac514eef1d92bf0a38454"},
 		"listing2.grail":          {"186017e2f2df0ec08d85c1f4237b616ecb16f5ae08e3b73028f8bd89ed5d29f0", "186017e2f2df0ec08d85c1f4237b616ecb16f5ae08e3b73028f8bd89ed5d29f0", 1, "62fbdc50956b4d97fa6503766655fb214acdea92e63852761002dd8dbaae1b14", "f8aa74ad7d47f64c7720875a54761b5c8c29b2164efd4fd1c23a188f96c8083b"},
-		"manifest-seed1-ladders2": {"39ffae9b822c1bb85dfb4b5dc38bda500cf5b1d8bd5b8aab70a7bfc16aca3112", "1249aec5b584c52762561a5bd27780db6da17a98dd849430525a43f6e6f552de", 214, "64e1d58b27d00733c3e710359007859021f882472596affdba49e0bd00d18ab5", "78a775312d6044b59ec374786c5c8701d24212db29332659b3aa4f962a94dc45"},
-		"manifest-seed1-ladders4": {"60f981bf61dc265d9e4dd0c47b748af0959335c96fd7c3f6c7b3708a46ba8613", "3216f98544542f9000299a5f8dc639b5a1e49dd838d8b1a9cecd2ea84586f2f9", 226, "40abc8ac2957f7c059f4ed63f9e32ed79f537bfcf348a2c876a0d1f149878768", "7209d8b49abb1aaaaed565fc4df33ff2933a9108f4c1f8ca6715e0f5a5ee6b1c"},
-		"manifest-seed5-ladders2": {"31c4bd19d575a2beefdd026a462e7f0089e4414e8cefd510f438b317548fdd3f", "f30bd4eb30a8f1b39e9640364f5c9776face6654189673e1bbd77044f32b8d03", 214, "42a0d55cf16fce5b078a2ffd92408fed10b32af7b8da95e93fa30c8237364817", "c1d51070865a0bb1794dcc588808d6d85b628708b0477a826331e5ba799b1e9d"},
-		"manifest-seed5-ladders4": {"7744f93f4155b60f96826eca7aa0490df565e6768fb5938a3bcdbf8ea5511dae", "b0f45850805712de40ba1ccb5685968f673c42a6d6625554463fd85015d7e119", 226, "84248fcd4a976f4a809f412ab2cff0b1185e6406e98ac62add0c6087f28b63e4", "dd36776355aa43f1292b208ea0be34641e4305b8e05ead50d9b990e2ae93a7bc"},
+		"manifest-seed1-ladders2": {"10db4e985fbc7a23e1fa7335ecd9b43a187f3cb99e13451a1ca4dfbc5cae04ac", "fdb38722cda4728e6b931aa63052119643334ebdb5059b9c8561ad4b2e8527d9", 214, "64e1d58b27d00733c3e710359007859021f882472596affdba49e0bd00d18ab5", "78a775312d6044b59ec374786c5c8701d24212db29332659b3aa4f962a94dc45"},
+		"manifest-seed1-ladders4": {"2aece22ebccfce422f41ed3bf14b97e496aa356327e75c803dfbddb5110061c7", "0c47ef82ae7b873954e1c5e241decaa0ed53837165b4b679f8ce6ece765b6060", 226, "40abc8ac2957f7c059f4ed63f9e32ed79f537bfcf348a2c876a0d1f149878768", "7209d8b49abb1aaaaed565fc4df33ff2933a9108f4c1f8ca6715e0f5a5ee6b1c"},
+		"manifest-seed5-ladders2": {"71cd9417bcd975cb5c7133a4da1574503c342a6ed950fab4ac52bc235d236b8f", "608386e8f85073f884d46af922442c42ace69d9967171a308149b3227c7ca989", 214, "42a0d55cf16fce5b078a2ffd92408fed10b32af7b8da95e93fa30c8237364817", "c1d51070865a0bb1794dcc588808d6d85b628708b0477a826331e5ba799b1e9d"},
+		"manifest-seed5-ladders4": {"da16bb4369f1c04d323814b6256fca120340b9a885d058d1b22362f55432ca26", "f62560c4d58261cea365624530c9c2016e8509030bfa2aeba6e12f40dadf05d8", 226, "84248fcd4a976f4a809f412ab2cff0b1185e6406e98ac62add0c6087f28b63e4", "dd36776355aa43f1292b208ea0be34641e4305b8e05ead50d9b990e2ae93a7bc"},
 		"osc":                     {"3315effe2e3e81862ec684f41a3b85c62473aad2448c7eb0ef5ca6295ebd0856", "1539c641db334709ca28ed9a02ce6bf3ad602ae78c415f2d343538723c31dadc", 8, "e9a1129af195669ec189ae83566c2f2d011bb0f391850db3442074b43f22eeff", "3afeec24f283ed83304589edaf841136caecc066e834a312edf572700f0f0898"},
 		"sharded.json":            {"2e2052ccc35eeb1187af2be487063d0be0647cce6e3c463aee646fe076171807", "778cc2fd3c83d59fffc2620d96a483b2960a0a745c80d6dd17ef0e2c0d30a660", 2, "e2cc85971070299988bb6545ab4167dd8881b325b07a1c97e2eb34744e33c7eb", "8c7a1a02aedad3a01fb0f8f832b2b4253f5116757b3ab15fb82828d3cc17d58a"},
 		"temporal_clean.grail":    {"5f549f46b8d420e5ef065abecfc8de7012978e227768eecbc202981858c57a8b", "5f549f46b8d420e5ef065abecfc8de7012978e227768eecbc202981858c57a8b", 6, "fcc24d0280c03d778d77529dafae9370f17701f591f8cfaeb40010530eb8274d", "f5ad84d583b0ce146000cb91a9e11049ba73c374976ba55fff1292f6929c9f37"},
 		"temporal_clean.json":     {"c17f016658537e98826d1f5b88e14de9a5c579b67466cb1ebebfc792b2e4d1cd", "c17f016658537e98826d1f5b88e14de9a5c579b67466cb1ebebfc792b2e4d1cd", 8, "fcc24d0280c03d778d77529dafae9370f17701f591f8cfaeb40010530eb8274d", "f5ad84d583b0ce146000cb91a9e11049ba73c374976ba55fff1292f6929c9f37"},
 		"temporal_osc.grail":      {"e13f5a665dbf7b7e43da72d30fca7625301e2811eee0361866abefdfb8afbf55", "5a813816572b4be6f6796749444947774c3ac6cb60f36e2865c2c79b9e59dcab", 6, "e9a1129af195669ec189ae83566c2f2d011bb0f391850db3442074b43f22eeff", "3afeec24f283ed83304589edaf841136caecc066e834a312edf572700f0f0898"},
 		"vet_range.grail":         {"218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", "218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", 3, "232e264790f2aae04c125b067b9a91f0dde0eaabeecc258e4f0e893291aca606", "b092a05b6ebd48ef2e689dc0df8828fa0eaee99180bcab6621340eebf4bc2830"},
-		"witness.grail":           {"e88cc0290894e24f8accef3fe1f70fbd86721cce1c86184f1b5471f67ea18b9e", "70a8e150f823e1d43c2d75f5fcbd37b2eee632dcd61148189a2b16f84fcd678c", 4, "d5b7e29069182ce06c22da4eaa9141f5d83891affd9b426a26d8f7a70fa19978", "d89374724c3be8ea1c9669811b7fdcaf23950c5fdca4ad857bb31921a59a845a"},
+		"witness.grail":           {"4b16fb4c33f331ce66e2e6b43537e4a47b2bdb411e3b0d030cc6f968c7df00f7", "e6d97e9b11e2690a6dce05b857b806f8c65e02f3ea2772e9936bbe633674dde4", 4, "d5b7e29069182ce06c22da4eaa9141f5d83891affd9b426a26d8f7a70fa19978", "d89374724c3be8ea1c9669811b7fdcaf23950c5fdca4ad857bb31921a59a845a"},
 	}
 
 	digest := func(rep *Report) string {

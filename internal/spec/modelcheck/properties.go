@@ -20,10 +20,10 @@ const (
 )
 
 // witnessPlan is the replay recipe behind one diagnostic: the group
-// sequence to drive through the real interpreter, and what to check.
-// Plans are kept parallel to the diagnostics slice until concretize
-// consumes them.
+// sequence to drive through the real interpreter on the model it was
+// found in, and what to check.
 type witnessPlan struct {
+	m      *model
 	code   string
 	prefix []int       // group indexes from the initial state
 	cycle  []int       // group indexes closing a cycle (GM002 pumped, GM003)
@@ -90,8 +90,10 @@ func (m *model) treePath(n int) []int {
 // renderTrace narrates a group sequence starting from the initial
 // state, one line per step, by walking the recorded edges of the
 // explored graph: it performs no analysis and cannot touch exploration
-// state. The initial line prints the keys worth seeing — the property's
-// (pred may be nil) plus everything written along the steps.
+// state. Each edge's writes are narrated once (m.narrated), however
+// many findings' traces take it. The initial line prints the keys worth
+// seeing — the property's (pred may be nil) plus everything written
+// along the steps.
 func (m *model) renderTrace(groups []int, pred spec.Expr) []string {
 	set := map[string]bool{}
 	if pred != nil {
@@ -102,21 +104,31 @@ func (m *model) renderTrace(groups []int, pred spec.Expr) []string {
 	lines := make([]string, 1, len(groups)+2) // lines[0] is the initial line
 	at := 0
 	for step, gi := range groups {
-		e := m.adj[at][slices.IndexFunc(m.adj[at], func(e edge) bool { return e.group == gi })]
-		var parts []string
+		ei := slices.IndexFunc(m.adj[at], func(e edge) bool { return e.group == gi })
+		e := m.adj[at][ei]
 		for _, w := range e.writes {
-			mode := "may write"
-			if w.must {
-				mode = "writes"
-			}
 			set[m.keys[w.key]] = true
-			parts = append(parts, fmt.Sprintf("%s %s %s=%s",
-				m.mons[w.mon].Name, mode, m.keys[w.key], w.val))
 		}
-		if len(parts) == 0 {
-			parts = append(parts, "no monitor acts")
+		acts, ok := m.narrated[[2]int{at, ei}]
+		if !ok {
+			parts := make([]string, 0, len(e.writes))
+			for _, w := range e.writes {
+				mode := " may write "
+				if w.must {
+					mode = " writes "
+				}
+				parts = append(parts, m.mons[w.mon].Name+mode+m.keys[w.key]+"="+w.val.String())
+			}
+			if len(parts) == 0 {
+				parts = append(parts, "no monitor acts")
+			}
+			acts = strings.Join(parts, "; ")
+			if m.narrated == nil {
+				m.narrated = map[[2]int]string{}
+			}
+			m.narrated[[2]int{at, ei}] = acts
 		}
-		lines = append(lines, fmt.Sprintf("step %d [%s]: %s", step+1, m.groups[gi].label, strings.Join(parts, "; ")))
+		lines = append(lines, fmt.Sprintf("step %d [%s]: %s", step+1, m.groups[gi].label, acts))
 		at = e.to
 	}
 	keys := make([]string, 0, len(set))
@@ -150,8 +162,10 @@ func (m *model) monitorsOf(groups []int) (primary string, others []string) {
 		}
 	}
 	if len(all) == 0 {
-		if len(m.mons) > 0 {
-			return m.mons[0].Name, nil
+		// No step to blame: the deployment's first monitor, whichever
+		// component the finding is in.
+		if len(m.sys.mons) > 0 {
+			return m.sys.mons[0].Name, nil
 		}
 		return "(deployment)", nil
 	}
@@ -159,8 +173,9 @@ func (m *model) monitorsOf(groups []int) (primary string, others []string) {
 }
 
 // checkProperty evaluates one declared property over the explored
-// graph, appending a witness plan parallel to any diagnostic.
-func (m *model) checkProperty(p *spec.PropertyDecl, cert *Certificate) (PropertyResult, *interfere.Diagnostic) {
+// graph. Exploration was exhaustive only when no model hit a bound, so
+// a truncation anywhere withholds every proof.
+func (m *model) checkProperty(p *spec.PropertyDecl, cert *Certificate) (PropertyResult, *finding) {
 	res := PropertyResult{Property: p.String(), Kind: p.Kind.String()}
 	prog, err := compilePred(p.Pred)
 	if err != nil {
@@ -176,17 +191,15 @@ func (m *model) checkProperty(p *spec.PropertyDecl, cert *Certificate) (Property
 	// exhaustive exploration shows that: a truncated one may have cut
 	// off the state that decides it, and its refutations still stand.
 	decidable := slices.ContainsFunc(evals, func(e int8) bool { return e != evalUnknown })
-	if !decidable && !m.truncated {
+	if !decidable && m.sys.truncReason == "" {
 		res.Status = StatusInconclusive
 		res.Reason = "predicate is undecidable in every reachable abstract state"
 		primary, others := m.monitorsOf(nil)
-		d := &interfere.Diagnostic{
+		return res, &finding{diag: interfere.Diagnostic{
 			Code: CodeVacuous, Severity: interfere.Warn,
 			Pos: p.Pos, Guardrail: primary, Others: others,
-			Message: fmt.Sprintf("property %q never evaluates decidably in any of %d reachable state(s); the assertion cannot bite", p.String(), len(m.nodes)),
-		}
-		m.plans = append(m.plans, nil)
-		return res, d
+			Message: fmt.Sprintf("property %q never evaluates decidably in any of %d reachable state(s); the assertion cannot bite", p.String(), m.sys.states),
+		}}
 	}
 
 	if p.Kind == spec.PropAlways {
@@ -197,7 +210,7 @@ func (m *model) checkProperty(p *spec.PropertyDecl, cert *Certificate) (Property
 
 // checkAlways: the predicate must provably hold in every reachable
 // state. The first state (in BFS order) where it may fail refutes.
-func (m *model) checkAlways(p *spec.PropertyDecl, prog *vm.Program, evals []int8, cert *Certificate, res PropertyResult) (PropertyResult, *interfere.Diagnostic) {
+func (m *model) checkAlways(p *spec.PropertyDecl, prog *vm.Program, evals []int8, cert *Certificate, res PropertyResult) (PropertyResult, *finding) {
 	bad := -1
 	for i, e := range evals {
 		if e != evalTrue {
@@ -206,9 +219,9 @@ func (m *model) checkAlways(p *spec.PropertyDecl, prog *vm.Program, evals []int8
 		}
 	}
 	if bad < 0 {
-		if m.truncated {
+		if m.sys.truncReason != "" {
 			res.Status = StatusInconclusive
-			res.Reason = "holds in every explored state, but exploration was truncated (" + m.truncReason + ")"
+			res.Reason = "holds in every explored state, but exploration was truncated (" + m.sys.truncReason + ")"
 			return res, nil
 		}
 		res.Status = StatusProved
@@ -229,21 +242,22 @@ func (m *model) checkAlways(p *spec.PropertyDecl, prog *vm.Program, evals []int8
 	if len(path) > 0 {
 		site = m.groups[path[len(path)-1]].label
 	}
-	d := &interfere.Diagnostic{
-		Code: CodeSafety, Severity: interfere.Warn,
-		Pos: p.Pos, Guardrail: primary, Others: others, Site: site,
-		Message: fmt.Sprintf("safety property %q %s after %d step(s)", p.String(), verdict, len(path)),
-		Trace:   trace,
+	return res, &finding{
+		diag: interfere.Diagnostic{
+			Code: CodeSafety, Severity: interfere.Warn,
+			Pos: p.Pos, Guardrail: primary, Others: others, Site: site,
+			Message: fmt.Sprintf("safety property %q %s after %d step(s)", p.String(), verdict, len(path)),
+			Trace:   trace,
+		},
+		plan: &witnessPlan{m: m, code: CodeSafety, prefix: path, prog: prog},
 	}
-	m.plans = append(m.plans, &witnessPlan{code: CodeSafety, prefix: path, prog: prog})
-	return res, d
 }
 
 // checkEventually: from the initial state, every execution must reach
 // a provably-true state within K steps. A K-step path staying in
 // not-provably-true states refutes; with fewer than K states explored,
 // a shorter path revisiting a state pumps to any K.
-func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []int8, cert *Certificate, res PropertyResult) (PropertyResult, *interfere.Diagnostic) {
+func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []int8, cert *Certificate, res PropertyResult) (PropertyResult, *finding) {
 	if evals[0] == evalTrue {
 		res.Status = StatusProved
 		res.Certificate = cert
@@ -252,13 +266,11 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 	if len(m.groups) == 0 {
 		res.Status = StatusInconclusive
 		res.Reason = "deployment has no transitions, and the predicate does not provably hold initially"
-		m.plans = append(m.plans, nil)
-		d := &interfere.Diagnostic{
+		return res, &finding{diag: interfere.Diagnostic{
 			Code: CodeLiveness, Severity: interfere.Warn,
 			Pos: p.Pos, Guardrail: "(deployment)",
 			Message: fmt.Sprintf("liveness property %q cannot progress: the deployment has no hook or timer transitions", p.String()),
-		}
-		return res, d
+		}}
 	}
 
 	// Layered BFS over the not-provably-true subgraph: frontier[k] is
@@ -302,9 +314,9 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 	if len(frontier) == 0 {
 		// Every not-provably-true path dies before K steps: all
 		// executions provably reach the predicate in time.
-		if m.truncated {
+		if m.sys.truncReason != "" {
 			res.Status = StatusInconclusive
-			res.Reason = "no refuting path in the explored graph, but exploration was truncated (" + m.truncReason + ")"
+			res.Reason = "no refuting path in the explored graph, but exploration was truncated (" + m.sys.truncReason + ")"
 			return res, nil
 		}
 		res.Status = StatusProved
@@ -369,14 +381,15 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 	if len(all) > 0 {
 		site = m.groups[all[len(all)-1]].label
 	}
-	d := &interfere.Diagnostic{
-		Code: CodeLiveness, Severity: interfere.Warn,
-		Pos: p.Pos, Guardrail: primary, Others: others, Site: site,
-		Message: fmt.Sprintf("liveness property %q misses its bound: %s", p.String(), res.Reason),
-		Trace:   trace,
+	return res, &finding{
+		diag: interfere.Diagnostic{
+			Code: CodeLiveness, Severity: interfere.Warn,
+			Pos: p.Pos, Guardrail: primary, Others: others, Site: site,
+			Message: fmt.Sprintf("liveness property %q misses its bound: %s", p.String(), res.Reason),
+			Trace:   trace,
+		},
+		plan: &witnessPlan{m: m, code: CodeLiveness, prefix: prefix, cycle: cycle, prog: prog, within: p.Within},
 	}
-	m.plans = append(m.plans, &witnessPlan{code: CodeLiveness, prefix: prefix, cycle: cycle, prog: prog, within: p.Within})
-	return res, d
 }
 
 // checkOscillation finds non-convergent SAVE oscillations (GM003): a
@@ -392,8 +405,8 @@ func (m *model) checkEventually(p *spec.PropertyDecl, prog *vm.Program, evals []
 // (i, j) found: were i a repeat, its earlier occurrence would pair with j
 // first; were j a repeat of some k ≠ i, k would pair with i first. k = i
 // is possible only for an interval disjoint from itself (∅), so those
-// are never collapsed.
-func (m *model) checkOscillation() []interfere.Diagnostic {
+// are never collapsed. The findings are appended to found.
+func (m *model) checkOscillation(found []finding) []finding {
 	sccs := sccsOf(m.adj)
 	compOf := make([]int, len(m.adj))
 	for ci, comp := range sccs {
@@ -401,7 +414,6 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 			compOf[n] = ci
 		}
 	}
-	var diags []interfere.Diagnostic
 	reported := map[[3]int]bool{} // key, lower and higher writer index
 	// This SCC's writes: the distinct (key, interval) classes per writer,
 	// and the writes to scan per key.
@@ -442,15 +454,15 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 		sort.Ints(keyOrder)
 		for _, ki := range keyOrder {
 			ws := byKey[ki]
-			found := false
-			for i := 0; i < len(ws) && !found; i++ {
+			hit := false
+			for i := 0; i < len(ws) && !hit; i++ {
 				wi := m.writeAt(ws[i])
-				for j := i + 1; j < len(ws) && !found; j++ {
+				for j := i + 1; j < len(ws) && !hit; j++ {
 					wj := m.writeAt(ws[j])
 					if !wi.val.DisjointFrom(wj.val) {
 						continue
 					}
-					found = true
+					hit = true
 					id := [3]int{ki, wi.mon, wj.mon}
 					if id[2] < id[1] {
 						id[1], id[2] = id[2], id[1]
@@ -459,14 +471,12 @@ func (m *model) checkOscillation() []interfere.Diagnostic {
 						continue
 					}
 					reported[id] = true
-					d, plan := m.oscillationFinding(compOf, ki, ws[i], ws[j])
-					diags = append(diags, d)
-					m.plans = append(m.plans, plan)
+					found = append(found, m.oscillationFinding(compOf, ki, ws[i], ws[j]))
 				}
 			}
 		}
 	}
-	return diags
+	return found
 }
 
 // cycleWrite locates one feature-store write on an intra-SCC edge:
@@ -478,7 +488,7 @@ func (m *model) writeAt(cw cycleWrite) write { return m.adj[cw.from][cw.edge].wr
 // oscillationFinding builds the GM003 diagnostic and witness plan for
 // one contested key: the cycle visiting both writes, prefixed by the
 // tree path to its entry.
-func (m *model) oscillationFinding(compOf []int, ki int, a, b cycleWrite) (interfere.Diagnostic, *witnessPlan) {
+func (m *model) oscillationFinding(compOf []int, ki int, a, b cycleWrite) finding {
 	ea, eb := m.adj[a.from][a.edge], m.adj[b.from][b.edge]
 	wa, wb := ea.writes[a.write], eb.writes[b.write]
 	// Cycle: take a's edge, walk inside the SCC from a's target to b's
@@ -509,15 +519,16 @@ func (m *model) oscillationFinding(compOf []int, ki int, a, b cycleWrite) (inter
 	if src := m.mons[wa.mon].Source; src != nil {
 		pos = src.Pos
 	}
-	d := interfere.Diagnostic{
-		Code: CodeOscillation, Severity: interfere.Warn,
-		Pos: pos, Guardrail: monA, Others: others,
-		Site:    m.groups[ea.group].label,
-		Message: msg,
-		Trace:   trace,
+	return finding{
+		diag: interfere.Diagnostic{
+			Code: CodeOscillation, Severity: interfere.Warn,
+			Pos: pos, Guardrail: monA, Others: others,
+			Site:    m.groups[ea.group].label,
+			Message: msg,
+			Trace:   trace,
+		},
+		plan: &witnessPlan{m: m, code: CodeOscillation, prefix: prefix, cycle: cycleGroups, key: key},
 	}
-	plan := &witnessPlan{code: CodeOscillation, prefix: prefix, cycle: cycleGroups, key: key}
-	return d, plan
 }
 
 // sccPath returns the group sequence of a shortest path from u to v

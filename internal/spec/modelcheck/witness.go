@@ -7,7 +7,6 @@ import (
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
-	"guardrails/internal/spec/interfere"
 	"guardrails/internal/vm"
 )
 
@@ -22,17 +21,6 @@ import (
 // the group's monitors run in deployment order on the live store,
 // each fired monitor's SAVEs feeding its successors — exactly how the
 // kernel runtime serializes same-instant firings.
-
-// concretize grades every diagnostic that has a witness plan. plans is
-// parallel to diags (a nil plan leaves the diagnostic ungraded).
-func concretize(m *model, diags []interfere.Diagnostic, budget int) {
-	for i := range diags {
-		if i >= len(m.plans) || m.plans[i] == nil {
-			continue
-		}
-		diags[i].Grade(m.searchWitness(m.plans[i], budget))
-	}
-}
 
 // searchWitness enumerates concrete initial stores and replays the
 // plan's schedule, returning the first witness that reproduces the

@@ -23,6 +23,7 @@ package vet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,8 +180,7 @@ func lintGuardrail(g *spec.Guardrail, fileLoaded map[string]bool, features map[s
 	}
 
 	allTrue := len(g.Rules) > 0
-	seen := map[string]spec.Pos{}
-	for _, r := range g.Rules {
+	for i, r := range g.Rules {
 		if v, ok := compile.ConstEval(r); ok {
 			if v != 0 {
 				emit(CodeAlwaysTrue, Warn, r.ExprPos(),
@@ -193,12 +193,9 @@ func lintGuardrail(g *spec.Guardrail, fileLoaded map[string]bool, features map[s
 		} else {
 			allTrue = false
 		}
-		s := spec.ExprString(r)
-		if prev, dup := seen[s]; dup {
+		if j := slices.IndexFunc(g.Rules[:i], func(prev spec.Expr) bool { return sameExpr(prev, r) }); j >= 0 {
 			emit(CodeDuplicateRule, Warn, r.ExprPos(),
-				"rule %s duplicates the rule at %s", s, prev)
-		} else {
-			seen[s] = r.ExprPos()
+				"rule %s duplicates the rule at %s", spec.ExprString(r), g.Rules[j].ExprPos())
 		}
 		spec.WalkExpr(r, func(e spec.Expr) {
 			checkTautologicalCmp(e, emit)
@@ -247,7 +244,7 @@ func lintGuardrail(g *spec.Guardrail, fileLoaded map[string]bool, features map[s
 }
 
 // checkTautologicalCmp flags comparisons whose two sides render to the
-// same source text: x == x, LOAD(k) <= LOAD(k), and the like. Reflexive
+// same source text (sameExpr): x == x, LOAD(k) <= LOAD(k), and the like. Reflexive
 // ==/<=/>= are always true and <//>//!= always false (over ordinary
 // values; NaN is out of scope here — see the package comment).
 func checkTautologicalCmp(e spec.Expr, emit func(string, Severity, spec.Pos, string, ...any)) {
@@ -260,7 +257,7 @@ func checkTautologicalCmp(e spec.Expr, emit func(string, Severity, spec.Pos, str
 	default:
 		return
 	}
-	if spec.ExprString(b.X) != spec.ExprString(b.Y) {
+	if !sameExpr(b.X, b.Y) {
 		return
 	}
 	outcome := "always true"
@@ -270,6 +267,39 @@ func checkTautologicalCmp(e spec.Expr, emit func(string, Severity, spec.Pos, str
 	}
 	emit(CodeTautologicalCmp, Warn, b.Pos,
 		"comparison %s has identical sides: %s", spec.ExprString(b), outcome)
+}
+
+// sameExpr reports whether two expressions render to the same source
+// text (spec.ExprString) without rendering them: node by node, numbers
+// by their %g text, which tells every float64 apart but reads all NaNs
+// alike, and unary operators by their symbol. Nodes of different kinds
+// count as different; their renderings can only meet in trees the
+// parser never builds, such as a negative literal.
+func sameExpr(a, b spec.Expr) bool {
+	switch x := a.(type) {
+	case *spec.NumLit:
+		y, ok := b.(*spec.NumLit)
+		return ok && (math.Float64bits(x.Value) == math.Float64bits(y.Value) || math.IsNaN(x.Value) && math.IsNaN(y.Value))
+	case *spec.BoolLit:
+		y, ok := b.(*spec.BoolLit)
+		return ok && x.Value == y.Value
+	case *spec.LoadExpr:
+		y, ok := b.(*spec.LoadExpr)
+		return ok && x.Key == y.Key
+	case *spec.IdentExpr:
+		y, ok := b.(*spec.IdentExpr)
+		return ok && x.Name == y.Name
+	case *spec.UnaryExpr:
+		y, ok := b.(*spec.UnaryExpr)
+		return ok && (x.Op == spec.TokNot) == (y.Op == spec.TokNot) && sameExpr(x.X, y.X)
+	case *spec.BinaryExpr:
+		y, ok := b.(*spec.BinaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.X, y.X) && sameExpr(x.Y, y.Y)
+	case *spec.CallExpr:
+		y, ok := b.(*spec.CallExpr)
+		return ok && x.Fn == y.Fn && slices.EqualFunc(x.Args, y.Args, sameExpr)
+	}
+	return false
 }
 
 // checkThresholdRange flags GV010: a simple comparison rule whose

@@ -1,9 +1,13 @@
 package vet
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"guardrails/benchmark/gen"
 	"guardrails/internal/spec"
 )
 
@@ -299,5 +303,65 @@ guardrail early {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") || len(want) != 3-len(aggregates) {
 			t.Errorf("aggregates %v:\ngot  %q\nwant %q", aggregates, got, want)
 		}
+	}
+}
+
+// TestSameExprMatchesRendering is sameExpr's differential: on every pair
+// of subexpressions of the checked-in specs and of the check_manifest
+// deployment's rules, plus hand-built literals the parser cannot write
+// (-0, NaN; not beside a parsed "-0", which renders as the -0 literal
+// does), it agrees with comparing spec.ExprString renderings, which
+// is what the duplicate-rule (GV002) and identical-sides checks asked
+// before they stopped rendering.
+func TestSameExprMatchesRendering(t *testing.T) {
+	var sources []string
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "..", "cmd", "grailcheck", "testdata", "*.grail"))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, string(data))
+	}
+	for _, sf := range gen.BuildManifest(1, 1).Files {
+		sources = append(sources, sf.Source)
+	}
+	var exprs []spec.Expr
+	for _, src := range sources {
+		f, err := spec.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range f.Guardrails {
+			for _, r := range g.Rules {
+				spec.WalkExpr(r, func(e spec.Expr) { exprs = append(exprs, e) })
+			}
+		}
+	}
+	zero, negZero, nan := &spec.NumLit{}, &spec.NumLit{Value: math.Copysign(0, -1)}, &spec.NumLit{Value: math.NaN()}
+	exprs = append(exprs, zero, negZero, nan, &spec.NumLit{Value: -math.NaN()},
+		&spec.UnaryExpr{Op: spec.TokMinus, X: nan}, &spec.UnaryExpr{Op: spec.TokNot, X: nan},
+		&spec.CallExpr{Fn: "min", Args: []spec.Expr{nan, zero}}, &spec.CallExpr{Fn: "min", Args: []spec.Expr{nan, negZero}})
+	if len(exprs) < 500 {
+		t.Fatalf("only %d subexpressions", len(exprs))
+	}
+	text := make([]string, len(exprs))
+	for i, e := range exprs {
+		text[i] = spec.ExprString(e)
+	}
+	same := 0
+	for i, a := range exprs {
+		for j, b := range exprs[i:] {
+			want := text[i] == text[i+j]
+			if got := sameExpr(a, b); got != want {
+				t.Fatalf("sameExpr(%s, %s) = %v, renderings equal: %v", text[i], text[i+j], got, want)
+			}
+			if want {
+				same++
+			}
+		}
+	}
+	if same <= len(exprs) {
+		t.Errorf("no two distinct nodes render alike among %d", len(exprs))
 	}
 }

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -204,6 +206,83 @@ func FuzzVerifierSoundness(f *testing.F) {
 			if int(m.Steps) > p.Meta.MaxSteps {
 				t.Fatalf("run took %d steps, bound is %d\n%s", m.Steps, p.Meta.MaxSteps, p)
 			}
+		}
+	})
+}
+
+// rawProgram decodes a fuzz input as a program that never meets the
+// verifier: 20 bytes per instruction (opcode, dst, src, lhs, then Off
+// and Cell as little-endian int32 and Imm as float64 bits), every field
+// taken as it comes, up to 64 instructions and no EXIT appended.
+func rawProgram(data []byte) *Program {
+	const width = 20
+	n := min(len(data)/width, 64)
+	code := make([]Instr, n)
+	for i := range code {
+		b := data[i*width : (i+1)*width]
+		code[i] = Instr{
+			Op: Op(b[0]), Dst: b[1], Src: b[2], Lhs: b[3],
+			Off:  int32(binary.LittleEndian.Uint32(b[4:])),
+			Cell: int32(binary.LittleEndian.Uint32(b[8:])),
+			Imm:  math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
+		}
+	}
+	return &Program{Name: "raw", Code: code, Symbols: []string{"a", "b", "c"}}
+}
+
+// rawEnv is an Env for unverified programs: a cell outside the store
+// reads 0 and takes no write, and every helper id answers, one in
+// four with an error (a TrapHelper).
+type rawEnv struct{ cells [3]float64 }
+
+func (e *rawEnv) LoadCell(i int32) float64 {
+	if i < 0 || int(i) >= len(e.cells) {
+		return 0
+	}
+	return e.cells[i]
+}
+
+func (e *rawEnv) StoreCell(i int32, v float64) {
+	if i >= 0 && int(i) < len(e.cells) {
+		e.cells[i] = v
+	}
+}
+
+func (e *rawEnv) Helper(h HelperID, args *[5]float64) (float64, error) {
+	if h%4 == 3 {
+		return 0, errors.New("helper failed")
+	}
+	return args[0] + float64(h), nil
+}
+
+// rawInstr encodes one instruction the way rawProgram decodes it.
+func rawInstr(in Instr) []byte {
+	b := []byte{byte(in.Op), in.Dst, in.Src, in.Lhs}
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Off))
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Cell))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Imm))
+}
+
+// FuzzRunRaw holds Machine.Run to its promise for programs nobody
+// verified: any opcode, register, offset, cell or immediate either
+// returns a value or a classified *Trap, never panics, and executes at
+// most len(code)+1 steps.
+func FuzzRunRaw(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append(rawInstr(Instr{Op: OpMovI, Dst: 16, Imm: 1}), rawInstr(Instr{Op: OpExit})...))
+	f.Add(append(rawInstr(Instr{Op: OpAdd, Dst: 255, Lhs: 200, Src: 17}), rawInstr(Instr{Op: OpJmp, Off: -2})...))
+	f.Add(append(rawInstr(Instr{Op: OpLoad, Dst: 1, Cell: -7}), rawInstr(Instr{Op: OpCall, Imm: math.NaN()})...))
+	f.Add(rawInstr(Instr{Op: Op(250)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := rawProgram(data)
+		var m Machine
+		_, err := m.Run(p, &rawEnv{cells: [3]float64{1, math.NaN(), -1}}, 0.5)
+		var trap *Trap
+		if err != nil && !errors.As(err, &trap) {
+			t.Fatalf("unclassified error %v\n%s", err, p)
+		}
+		if m.Steps > uint64(len(p.Code)+1) {
+			t.Fatalf("%d steps for %d instructions\n%s", m.Steps, len(p.Code), p)
 		}
 	})
 }

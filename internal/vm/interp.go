@@ -56,6 +56,10 @@ func (t *BranchTrace) add(pc int, taken bool) {
 	t.N++
 }
 
+// regMask reduces a register field into the register file (NumRegs is a
+// power of two).
+const regMask = NumRegs - 1
+
 // Machine executes programs on the one interpreter loop. A Machine is
 // cheap; the zero value is ready to use and may be reused across runs.
 // Not safe for concurrent use.
@@ -76,8 +80,10 @@ type Machine struct {
 // errors.
 //
 // Every program runs with every guard: a per-step instruction budget
-// bounds runaway code, every pc is bounds-tested before the fetch, and
-// division is always the x/0 = 0 form. The loop reads none of p.Meta —
+// bounds runaway code, every pc is bounds-tested before the fetch,
+// register fields are read modulo NumRegs (r16 is r0: the verifier
+// rejects any register past r15, so only an unverified program can name
+// one), and division is always the x/0 = 0 form. The loop reads none of p.Meta —
 // the verifier's proof is what admission, budgets and provenance
 // consume, never a licence to drop a guard — so a wrong verifier or
 // certificate-checker verdict cannot make execution unsafe. This loop
@@ -111,99 +117,99 @@ func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
 		in := code[pc]
 		switch in.Op {
 		case OpMov:
-			r[in.Dst] = r[in.Src]
+			r[in.Dst&regMask] = r[in.Src&regMask]
 		case OpMovI:
-			r[in.Dst] = in.Imm
+			r[in.Dst&regMask] = in.Imm
 		case OpAdd:
-			r[in.Dst] = r[in.Lhs] + r[in.Src]
+			r[in.Dst&regMask] = r[in.Lhs&regMask] + r[in.Src&regMask]
 		case OpAddI:
-			r[in.Dst] = r[in.Lhs] + in.Imm
+			r[in.Dst&regMask] = r[in.Lhs&regMask] + in.Imm
 		case OpSub:
-			r[in.Dst] = r[in.Lhs] - r[in.Src]
+			r[in.Dst&regMask] = r[in.Lhs&regMask] - r[in.Src&regMask]
 		case OpSubI:
-			r[in.Dst] = r[in.Lhs] - in.Imm
+			r[in.Dst&regMask] = r[in.Lhs&regMask] - in.Imm
 		case OpMul:
-			r[in.Dst] = r[in.Lhs] * r[in.Src]
+			r[in.Dst&regMask] = r[in.Lhs&regMask] * r[in.Src&regMask]
 		case OpMulI:
-			r[in.Dst] = r[in.Lhs] * in.Imm
+			r[in.Dst&regMask] = r[in.Lhs&regMask] * in.Imm
 		case OpDiv:
-			r[in.Dst] = safeDiv(r[in.Lhs], r[in.Src])
+			r[in.Dst&regMask] = safeDiv(r[in.Lhs&regMask], r[in.Src&regMask])
 		case OpDivI:
-			r[in.Dst] = safeDiv(r[in.Lhs], in.Imm)
+			r[in.Dst&regMask] = safeDiv(r[in.Lhs&regMask], in.Imm)
 		case OpNeg:
-			r[in.Dst] = -r[in.Lhs]
+			r[in.Dst&regMask] = -r[in.Lhs&regMask]
 		case OpAbs:
-			r[in.Dst] = math.Abs(r[in.Lhs])
+			r[in.Dst&regMask] = math.Abs(r[in.Lhs&regMask])
 		case OpMin:
-			r[in.Dst] = math.Min(r[in.Lhs], r[in.Src])
+			r[in.Dst&regMask] = math.Min(r[in.Lhs&regMask], r[in.Src&regMask])
 		case OpMax:
-			r[in.Dst] = math.Max(r[in.Lhs], r[in.Src])
+			r[in.Dst&regMask] = math.Max(r[in.Lhs&regMask], r[in.Src&regMask])
 		case OpNot:
-			if r[in.Lhs] == 0 {
-				r[in.Dst] = 1
+			if r[in.Lhs&regMask] == 0 {
+				r[in.Dst&regMask] = 1
 			} else {
-				r[in.Dst] = 0
+				r[in.Dst&regMask] = 0
 			}
 		case OpBoo:
-			v := r[in.Lhs]
+			v := r[in.Lhs&regMask]
 			if v != 0 {
 				v = 1
 			}
-			r[in.Dst] = v
+			r[in.Dst&regMask] = v
 		case OpJmp:
 			pc += int(in.Off)
 		case OpJEq:
-			if taken := r[in.Dst] == r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] == r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJNe:
-			if taken := r[in.Dst] != r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] != r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJLt:
-			if taken := r[in.Dst] < r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] < r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJLe:
-			if taken := r[in.Dst] <= r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] <= r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJGt:
-			if taken := r[in.Dst] > r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] > r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJGe:
-			if taken := r[in.Dst] >= r[in.Src]; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] >= r[in.Src&regMask]; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJEqI:
-			if taken := r[in.Dst] == in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] == in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJNeI:
-			if taken := r[in.Dst] != in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] != in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJLtI:
-			if taken := r[in.Dst] < in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] < in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJLeI:
-			if taken := r[in.Dst] <= in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] <= in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJGtI:
-			if taken := r[in.Dst] > in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] > in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpJGeI:
-			if taken := r[in.Dst] >= in.Imm; branch(tr, pc, taken) {
+			if taken := r[in.Dst&regMask] >= in.Imm; branch(tr, pc, taken) {
 				pc += int(in.Off)
 			}
 		case OpLoad:
-			r[in.Dst] = env.LoadCell(in.Cell)
+			r[in.Dst&regMask] = env.LoadCell(in.Cell)
 		case OpStore:
-			env.StoreCell(in.Cell, r[in.Src])
+			env.StoreCell(in.Cell, r[in.Src&regMask])
 		case OpCall:
 			args := [5]float64{r[1], r[2], r[3], r[4], r[5]}
 			out, err := env.Helper(HelperID(in.Imm), &args)

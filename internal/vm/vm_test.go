@@ -625,3 +625,21 @@ func TestOpStringCoverage(t *testing.T) {
 		t.Error("unknown opcode format wrong")
 	}
 }
+
+// TestRunMasksRegisterFields: a register field past r15 — which only an
+// unverified program can carry — names the register it is modulo
+// NumRegs instead of indexing past the register file.
+func TestRunMasksRegisterFields(t *testing.T) {
+	p := &Program{Name: "r16", Code: []Instr{
+		{Op: OpMovI, Dst: 16, Imm: 1},                // movi r16, 1: r0 = 1
+		{Op: OpAddI, Dst: 0x47, Lhs: 0xf0, Imm: 2},   // r7 = r0 + 2
+		{Op: OpAdd, Dst: 0xff, Lhs: 0x10, Src: 0x27}, // r15 = r0 + r7
+		{Op: OpMov, Dst: 0x20, Src: 0x1f},            // r0 = r15
+		{Op: OpExit},
+	}}
+	var m Machine
+	got, err := m.Run(p, nil, 0)
+	if err != nil || got != 4 {
+		t.Fatalf("Run = %v, %v; want 4, nil", got, err)
+	}
+}
