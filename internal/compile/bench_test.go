@@ -3,6 +3,7 @@ package compile
 import (
 	"testing"
 
+	"guardrails/benchmark/gen"
 	"guardrails/internal/spec"
 )
 
@@ -20,7 +21,9 @@ guardrail bench {
 }`
 
 // BenchmarkCompilePipeline measures the full .grail → verified image
-// path at each optimization level.
+// path at each optimization level, and (manifest) CheckedFile alone over
+// the check_manifest workload's 200 guardrails, parsed and checked once
+// outside the loop, in ns and allocations per guardrail.
 func BenchmarkCompilePipeline(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -34,6 +37,37 @@ func BenchmarkCompilePipeline(b *testing.B) {
 			}
 		})
 	}
+	b.Run("manifest", func(b *testing.B) {
+		files, n := checkedManifest(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, f := range files {
+				if _, err := CheckedFile(f, DefaultOptions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/guardrail")
+	})
+}
+
+// checkedManifest parses and checks every file of the check_manifest
+// workload's deployment (benchmark/gen at seed 1, every ladder) and
+// returns them with their guardrail count.
+func checkedManifest(tb testing.TB) ([]*spec.File, int) {
+	tb.Helper()
+	var files []*spec.File
+	n := 0
+	for _, sf := range gen.BuildManifest(1, gen.Ladders).Files {
+		f, err := spec.ParseChecked(sf.Source)
+		if err != nil {
+			tb.Fatalf("%s: %v", sf.Name, err)
+		}
+		files = append(files, f)
+		n += len(f.Guardrails)
+	}
+	return files, n
 }
 
 // BenchmarkCompileStages isolates each pipeline stage: parsing+checking,

@@ -38,6 +38,7 @@ type vinfo struct {
 	reg      int8 // assigned VM register, -1 until allocated
 	mat      bool // needs a register at all
 	isConst  bool
+	call     bool // defined by a helper call
 	regUse   bool // used somewhere other than a call argument / return
 	constVal float64
 }
@@ -71,21 +72,34 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 		}
 	}
 
-	// Pass 1: positions, intervals, and use contexts.
-	pos := 0
+	// Pass 1: positions, intervals, and use contexts. ncode bounds the
+	// emitted length: a call adds its argument moves and the result
+	// move, and a terminator emits at most two instructions. nsym bounds
+	// the symbol table.
+	pos, ncode, nsym := 0, 0, 0
 	for _, b := range f.blocks {
 		for i := range b.ins {
 			in := &b.ins[i]
 			switch in.Op {
-			case irConst, irLoad:
+			case irConst:
 				defAt(in.Dst, pos)
+				if !f.multiDef[in.Dst] {
+					info[in.Dst].isConst = true
+					info[in.Dst].constVal = in.Imm
+				}
+			case irLoad:
+				defAt(in.Dst, pos)
+				nsym++
 			case irStore:
 				useAt(in.A, pos, true)
+				nsym++
 			case irCall:
 				for _, a := range in.Args {
 					useAt(a, pos, false)
 				}
 				defAt(in.Dst, pos)
+				info[in.Dst].call = true
+				ncode += len(in.Args) + 1
 			case irCopy, irNeg, irAbs, irNot, irBoo, irAddI, irSubI, irMulI, irDivI:
 				useAt(in.A, pos, true)
 				defAt(in.Dst, pos)
@@ -106,30 +120,16 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 			useAt(b.term.Ret, pos, false)
 		}
 		pos++
-	}
-	for _, b := range f.blocks {
-		for _, in := range b.ins {
-			if in.Op == irConst && !f.multiDef[in.Dst] {
-				info[in.Dst].isConst = true
-				info[in.Dst].constVal = in.Imm
-			}
-		}
+		ncode += len(b.ins) + 2
 	}
 	for i := range info {
 		iv := &info[i]
 		if iv.def < 0 {
 			continue
 		}
-		iv.mat = !(iv.isConst && !iv.regUse)
-	}
-	for _, b := range f.blocks {
-		for _, in := range b.ins {
-			// An unused call result needs no register: the mov from r0 is
-			// simply not emitted.
-			if in.Op == irCall && info[in.Dst].nuses == 0 {
-				info[in.Dst].mat = false
-			}
-		}
+		// An unused call result needs no register: the mov from r0 is
+		// simply not emitted.
+		iv.mat = !(iv.isConst && !iv.regUse) && !(iv.call && iv.nuses == 0)
 	}
 
 	// Pass 2: linear-scan allocation at each first definition.
@@ -190,13 +190,35 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 		pos++
 	}
 
-	// Pass 3: emission.
-	bld := vm.NewBuilder(name)
-	lbl := func(b *block) string { return fmt.Sprintf("b%d", b.id) }
+	// Pass 3: emission, straight into the program's code. A jump's
+	// offset is patched once every block's start pc is known.
+	type jump struct{ pc, target int }
+	jumps := make([]jump, 0, 2*len(f.blocks))
+	starts := make([]int, len(f.blocks))
+	prog := &vm.Program{Name: name, Code: make([]vm.Instr, 0, ncode)}
+	if nsym > 0 {
+		prog.Symbols = make([]string, 0, nsym)
+	}
+	emit := func(in vm.Instr) { prog.Code = append(prog.Code, in) }
+	jumpTo := func(in vm.Instr, target *block) {
+		jumps = append(jumps, jump{len(prog.Code), target.id})
+		emit(in)
+	}
+	sym := func(key string) int32 {
+		for i, s := range prog.Symbols {
+			if s == key {
+				return int32(i)
+			}
+		}
+		prog.Symbols = append(prog.Symbols, key)
+		return int32(len(prog.Symbols) - 1)
+	}
 	rg := func(v vreg) uint8 { return uint8(info[v].reg) }
+	movi := func(dst uint8, imm float64) { emit(vm.Instr{Op: vm.OpMovI, Dst: dst, Imm: imm}) }
+	mov := func(dst, src uint8) { emit(vm.Instr{Op: vm.OpMov, Dst: dst, Src: src}) }
 
 	for bi, b := range f.blocks {
-		bld.Label(lbl(b))
+		starts[bi] = len(prog.Code)
 		var next *block
 		if bi+1 < len(f.blocks) {
 			next = f.blocks[bi+1]
@@ -206,73 +228,83 @@ func genProgram(f *irFunc, name string) (*vm.Program, error) {
 			switch in.Op {
 			case irConst:
 				if info[in.Dst].mat {
-					bld.MovI(rg(in.Dst), in.Imm)
+					movi(rg(in.Dst), in.Imm)
 				}
 			case irLoad:
-				bld.Load(rg(in.Dst), in.Sym)
+				emit(vm.Instr{Op: vm.OpLoad, Dst: rg(in.Dst), Cell: sym(in.Sym)})
 			case irStore:
-				bld.Store(in.Sym, rg(in.A))
+				emit(vm.Instr{Op: vm.OpStore, Src: rg(in.A), Cell: sym(in.Sym)})
 			case irCopy:
 				switch {
 				case !info[in.A].mat:
-					bld.MovI(rg(in.Dst), info[in.A].constVal)
+					movi(rg(in.Dst), info[in.A].constVal)
 				case rg(in.Dst) != rg(in.A):
-					bld.Mov(rg(in.Dst), rg(in.A))
+					mov(rg(in.Dst), rg(in.A))
 				}
 			case irNeg, irAbs, irNot, irBoo:
-				bld.Un(aluOps[in.Op], rg(in.Dst), rg(in.A))
+				emit(vm.Instr{Op: aluOps[in.Op], Dst: rg(in.Dst), Lhs: rg(in.A)})
 			case irAddI, irSubI, irMulI, irDivI:
-				bld.ALUI(aluOps[in.Op], rg(in.Dst), rg(in.A), in.Imm)
+				emit(vm.Instr{Op: aluOps[in.Op], Dst: rg(in.Dst), Lhs: rg(in.A), Imm: in.Imm})
 			case irCall:
 				for j, a := range in.Args {
 					argReg := uint8(1 + j)
 					if info[a].mat {
-						bld.Mov(argReg, rg(a))
+						mov(argReg, rg(a))
 					} else {
-						bld.MovI(argReg, info[a].constVal)
+						movi(argReg, info[a].constVal)
 					}
 				}
-				bld.Call(in.Helper)
+				emit(vm.Instr{Op: vm.OpCall, Imm: float64(in.Helper)})
 				if info[in.Dst].mat {
-					bld.Mov(rg(in.Dst), 0)
+					mov(rg(in.Dst), 0)
 				}
 			default: // binary register forms
-				bld.ALU(aluOps[in.Op], rg(in.Dst), rg(in.A), rg(in.B))
+				emit(vm.Instr{Op: aluOps[in.Op], Dst: rg(in.Dst), Lhs: rg(in.A), Src: rg(in.B)})
 			}
 		}
 		t := &b.term
 		switch t.Kind {
 		case termJmp:
 			if t.Then != next {
-				bld.Jmp(lbl(t.Then))
+				jumpTo(vm.Instr{Op: vm.OpJmp}, t.Then)
 			}
 		case termBr:
-			emit := func(c cmpKind, target *block) {
+			branch := func(c cmpKind, target *block) {
 				if t.UseImm {
-					bld.JmpIfI(c.jumpOp(true), rg(t.A), t.Imm, lbl(target))
+					jumpTo(vm.Instr{Op: c.jumpOp(true), Dst: rg(t.A), Imm: t.Imm}, target)
 				} else {
-					bld.JmpIf(c.jumpOp(false), rg(t.A), rg(t.B), lbl(target))
+					jumpTo(vm.Instr{Op: c.jumpOp(false), Dst: rg(t.A), Src: rg(t.B)}, target)
 				}
 			}
 			switch {
 			case t.Then == next:
-				emit(t.Cmp.invert(), t.Else)
+				branch(t.Cmp.invert(), t.Else)
 			case t.Else == next:
-				emit(t.Cmp, t.Then)
+				branch(t.Cmp, t.Then)
 			default:
-				emit(t.Cmp, t.Then)
-				bld.Jmp(lbl(t.Else))
+				branch(t.Cmp, t.Then)
+				jumpTo(vm.Instr{Op: vm.OpJmp}, t.Else)
 			}
 		case termRet:
 			if info[t.Ret].mat {
-				bld.Mov(0, rg(t.Ret))
+				mov(0, rg(t.Ret))
 			} else {
-				bld.MovI(0, info[t.Ret].constVal)
+				movi(0, info[t.Ret].constVal)
 			}
-			bld.Exit()
+			emit(vm.Instr{Op: vm.OpExit})
 		default:
 			return nil, fmt.Errorf("internal error: unterminated block b%d", b.id)
 		}
 	}
-	return bld.Finish()
+	for _, j := range jumps {
+		off := -1
+		if j.target >= 0 && j.target < len(starts) {
+			off = starts[j.target] - j.pc - 1
+		}
+		if off < 1 {
+			return nil, fmt.Errorf("internal error: jump at pc=%d to b%d is not strictly forward", j.pc, j.target)
+		}
+		prog.Code[j.pc].Off = int32(off)
+	}
+	return prog, nil
 }

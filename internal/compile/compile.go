@@ -8,9 +8,15 @@
 //	      → codegen (linear-scan allocation, branch fusion, codegen.go)
 //	      → vm.Prove (vm.Verify keeping the proof)
 //
-// -O1 accepts every guardrail -O0 accepts: codegen cannot spill, so
-// when the optimized program needs more live values than the register
-// file holds, the -O0 program is built instead (Meta.OptLevel 0).
+// Codegen appends vm.Instr values straight into the program and patches
+// each jump from its target block's start pc.
+//
+// -O1 runs codegen twice: on the lowered IR, whose program is the
+// Meta.PreOptInsns baseline and must verify too (the differential
+// gate), and on the optimized IR. -O1 accepts every guardrail -O0
+// accepts: codegen cannot spill, so when the optimized program needs
+// more live values than the register file holds, the -O0 program is
+// built instead (Meta.OptLevel 0).
 //
 // One program is produced per guardrail. The program evaluates the
 // conjunction of the guardrail's rules; when the property holds it

@@ -179,13 +179,15 @@ type irFunc struct {
 	blocks []*block
 	nvregs int
 	// multiDef marks vregs assigned in more than one block (boolean
-	// materialization diamonds). Passes must not constant-track, CSE, or
-	// copy-propagate through them.
+	// materialization diamonds); nil until lowering makes the first.
+	// Passes must not constant-track, CSE, or copy-propagate through
+	// them.
 	multiDef map[vreg]bool
+	slab     []block // newBlock's current slab
 }
 
 func newIRFunc(name string) *irFunc {
-	return &irFunc{name: name, multiDef: make(map[vreg]bool)}
+	return &irFunc{name: name, blocks: make([]*block, 0, 8)}
 }
 
 func (f *irFunc) newVReg() vreg {
@@ -196,8 +198,15 @@ func (f *irFunc) newVReg() vreg {
 
 // newBlock creates an unplaced block. Blocks enter the layout (and get
 // their id) via place, so lowering can create join targets early and
-// still emit a strictly forward layout.
-func (f *irFunc) newBlock() *block { return &block{id: -1} }
+// still emit a strictly forward layout. They are carved from slabs of
+// four rather than allocated one at a time.
+func (f *irFunc) newBlock() *block {
+	if len(f.slab) == cap(f.slab) {
+		f.slab = make([]block, 0, 4)
+	}
+	f.slab = append(f.slab, block{id: -1})
+	return &f.slab[len(f.slab)-1]
+}
 
 // place appends b to the layout.
 func (f *irFunc) place(b *block) *block {

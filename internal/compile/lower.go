@@ -30,6 +30,7 @@ func lowerGuardrail(g *spec.Guardrail) (*irFunc, error) {
 	f := newIRFunc(g.Name)
 	l := &lowerer{f: f}
 	l.cur = f.place(f.newBlock())
+	l.cur.ins = make([]irInstr, 0, 16)
 	violated := f.newBlock()
 
 	for i, r := range g.Rules {
@@ -41,12 +42,12 @@ func lowerGuardrail(g *spec.Guardrail) (*irFunc, error) {
 		if err := l.lowerCond(r, cont, violated); err != nil {
 			return nil, fmt.Errorf("rule %d: %w", i, err)
 		}
-		l.cur = f.place(cont)
+		l.enter(cont)
 	}
 	one := l.emitConst(1)
 	l.cur.term = terminator{Kind: termRet, Ret: one}
 
-	l.cur = f.place(violated)
+	l.enter(violated)
 	for idx, a := range g.Actions {
 		if err := l.lowerAction(a, idx); err != nil {
 			return nil, fmt.Errorf("action %d: %w", idx, err)
@@ -61,6 +62,16 @@ func lowerGuardrail(g *spec.Guardrail) (*irFunc, error) {
 }
 
 func (l *lowerer) emit(in irInstr) { l.cur.ins = append(l.cur.ins, in) }
+
+// enter places b and makes it the current block. b appends into the
+// spare capacity of the block before it, so a guardrail's instructions
+// share a few backing arrays instead of growing one per block.
+func (l *lowerer) enter(b *block) {
+	prev := l.cur.ins
+	l.cur.ins = prev[:len(prev):len(prev)]
+	b.ins = prev[len(prev):]
+	l.cur = l.f.place(b)
+}
 
 func (l *lowerer) emitConst(v float64) vreg {
 	dst := l.f.newVReg()
@@ -123,14 +134,14 @@ func (l *lowerer) lowerCond(e spec.Expr, t, f *block) error {
 			if err := l.lowerCond(n.X, mid, f); err != nil {
 				return err
 			}
-			l.cur = l.f.place(mid)
+			l.enter(mid)
 			return l.lowerCond(n.Y, t, f)
 		case spec.TokOr: // X || Y: X true short-circuits to t
 			mid := l.f.newBlock()
 			if err := l.lowerCond(n.X, t, mid); err != nil {
 				return err
 			}
-			l.cur = l.f.place(mid)
+			l.enter(mid)
 			return l.lowerCond(n.Y, t, f)
 		}
 	}
@@ -148,18 +159,21 @@ func (l *lowerer) lowerCond(e spec.Expr, t, f *block) error {
 // result vreg is assigned in both arms and therefore marked multi-def.
 func (l *lowerer) lowerBool(e spec.Expr) (vreg, error) {
 	dst := l.f.newVReg()
+	if l.f.multiDef == nil {
+		l.f.multiDef = make(map[vreg]bool)
+	}
 	l.f.multiDef[dst] = true
 	tB, fB, join := l.f.newBlock(), l.f.newBlock(), l.f.newBlock()
 	if err := l.lowerCond(e, tB, fB); err != nil {
 		return 0, err
 	}
-	l.cur = l.f.place(tB)
+	l.enter(tB)
 	l.emit(irInstr{Op: irConst, Dst: dst, Imm: 1})
 	l.cur.term = terminator{Kind: termJmp, Then: join}
-	l.cur = l.f.place(fB)
+	l.enter(fB)
 	l.emit(irInstr{Op: irConst, Dst: dst, Imm: 0})
 	l.cur.term = terminator{Kind: termJmp, Then: join}
-	l.cur = l.f.place(join)
+	l.enter(join)
 	return dst, nil
 }
 

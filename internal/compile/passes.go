@@ -2,7 +2,6 @@ package compile
 
 import (
 	"math"
-	"strconv"
 
 	"guardrails/internal/vm"
 )
@@ -120,32 +119,39 @@ func passConstFold(f *irFunc) {
 	}
 }
 
-// cseKey returns the value-numbering key for an instruction, or "" when
-// the instruction is not a candidate (stores, calls, copies).
-func cseKey(in *irInstr) string {
-	fb := func(v float64) string {
-		return strconv.FormatUint(math.Float64bits(v), 16)
-	}
-	vs := func(v vreg) string { return strconv.Itoa(int(v)) }
+// cseKey is the value-numbering key of an instruction. The opcode
+// says which of the other fields take part: a constant its bits, a
+// load its key, an ALU op its operands (commutative ones in ascending
+// order) and an immediate form its operand and immediate's bits.
+type cseKey struct {
+	op   irOp
+	a, b vreg
+	bits uint64
+	sym  string
+}
+
+// cseKeyOf returns the key of an instruction and whether it is a
+// candidate at all (stores, calls and copies are not).
+func cseKeyOf(in *irInstr) (cseKey, bool) {
 	switch in.Op {
 	case irConst:
-		return "C:" + fb(in.Imm)
+		return cseKey{op: irConst, bits: math.Float64bits(in.Imm)}, true
 	case irLoad:
-		return "L:" + in.Sym
+		return cseKey{op: irLoad, sym: in.Sym}, true
 	case irNeg, irAbs, irNot, irBoo:
-		return "U:" + in.Op.String() + ":" + vs(in.A)
+		return cseKey{op: in.Op, a: in.A}, true
 	case irAdd, irMul, irMin, irMax: // commutative: canonicalize operand order
 		a, b := in.A, in.B
 		if b < a {
 			a, b = b, a
 		}
-		return "B:" + in.Op.String() + ":" + vs(a) + ":" + vs(b)
+		return cseKey{op: in.Op, a: a, b: b}, true
 	case irSub, irDiv:
-		return "B:" + in.Op.String() + ":" + vs(in.A) + ":" + vs(in.B)
+		return cseKey{op: in.Op, a: in.A, b: in.B}, true
 	case irAddI, irSubI, irMulI, irDivI:
-		return "I:" + in.Op.String() + ":" + vs(in.A) + ":" + fb(in.Imm)
+		return cseKey{op: in.Op, a: in.A, bits: math.Float64bits(in.Imm)}, true
 	}
-	return ""
+	return cseKey{}, false
 }
 
 // passCSE eliminates common subexpressions with local value numbering
@@ -155,63 +161,87 @@ func cseKey(in *irInstr) string {
 // single feature-store read. A store kills the loaded value of its key;
 // a helper call conservatively kills all loads (the action helper can
 // write the feature store through the runtime).
+//
+// Every table is a range of one arena, searched linearly: blocks hold a
+// handful of values, fewer than a map pays for itself on. A block's
+// last heir takes its table over in place when nothing was appended
+// after it, so a chain of rules extends one range instead of copying.
 func passCSE(f *irFunc) {
-	npred := make(map[*block]int)
-	pred := make(map[*block]*block)
+	// Per block: its predecessor count and last predecessor, how many
+	// single-predecessor successors have yet to inherit its table, and
+	// the arena range that table occupies.
+	type cseBlock struct{ npred, pred, heirs, lo, hi int }
+	bs := make([]cseBlock, len(f.blocks))
+	edge := func(from, to *block) {
+		bs[to.id].npred++
+		bs[to.id].pred = from.id
+	}
 	for _, b := range f.blocks {
-		for _, s := range b.term.succs() {
-			npred[s]++
-			pred[s] = b
+		switch b.term.Kind {
+		case termBr:
+			edge(b, b.term.Then)
+			edge(b, b.term.Else)
+		case termJmp:
+			edge(b, b.term.Then)
 		}
 	}
-	tables := make(map[*block]map[string]vreg)
-	for _, b := range f.blocks {
-		avail := make(map[string]vreg)
-		if npred[b] == 1 {
-			for k, v := range tables[pred[b]] {
-				avail[k] = v
+	for i := range bs {
+		if bs[i].npred == 1 {
+			bs[bs[i].pred].heirs++
+		}
+	}
+	type entry struct {
+		key cseKey
+		v   vreg
+	}
+	arena := make([]entry, 0, f.numInstrs())
+	kill := func(lo int, dead func(cseKey) bool) {
+		kept := arena[lo:lo]
+		for _, e := range arena[lo:] {
+			if !dead(e.key) {
+				kept = append(kept, e)
 			}
 		}
+		arena = arena[:lo+len(kept)]
+	}
+	for _, b := range f.blocks {
+		lo := len(arena)
+		if c := &bs[b.id]; c.npred == 1 {
+			p := &bs[c.pred]
+			if p.heirs--; p.heirs == 0 && p.hi == len(arena) {
+				lo = p.lo
+			} else {
+				arena = append(arena, arena[p.lo:p.hi]...)
+			}
+		}
+	ins:
 		for i := range b.ins {
 			in := &b.ins[i]
 			switch in.Op {
 			case irStore:
-				delete(avail, "L:"+in.Sym)
+				kill(lo, func(k cseKey) bool { return k.op == irLoad && k.sym == in.Sym })
 				continue
 			case irCall:
-				for k := range avail {
-					if len(k) > 1 && k[0] == 'L' {
-						delete(avail, k)
-					}
-				}
+				kill(lo, func(k cseKey) bool { return k.op == irLoad })
 				continue
 			}
 			if f.multiDef[in.Dst] || f.multiDef[in.A] || f.multiDef[in.B] {
 				continue
 			}
-			key := cseKey(in)
-			if key == "" {
+			key, ok := cseKeyOf(in)
+			if !ok {
 				continue
 			}
-			if w, ok := avail[key]; ok {
-				*in = irInstr{Op: irCopy, Dst: in.Dst, A: w}
-			} else {
-				avail[key] = in.Dst
+			for _, e := range arena[lo:] {
+				if e.key == key {
+					*in = irInstr{Op: irCopy, Dst: in.Dst, A: e.v}
+					continue ins
+				}
 			}
+			arena = append(arena, entry{key, in.Dst})
 		}
-		tables[b] = avail
+		bs[b.id].lo, bs[b.id].hi = lo, len(arena)
 	}
-}
-
-// succs returns the terminator's successor blocks.
-func (t *terminator) succs() []*block {
-	switch t.Kind {
-	case termJmp:
-		return []*block{t.Then}
-	case termBr:
-		return []*block{t.Then, t.Else}
-	}
-	return nil
 }
 
 // passCopyProp rewrites uses of copy destinations to the copy source,
@@ -416,15 +446,23 @@ func passDCE(f *irFunc) {
 	}
 }
 
+// dropUnreachable keeps the blocks an edge from a kept block reaches.
+// Edges point forward, so a block's successors still carry the layout
+// position reach is indexed by when it marks them.
 func dropUnreachable(f *irFunc) {
-	reach := map[*block]bool{f.blocks[0]: true}
+	reach := make([]bool, len(f.blocks))
+	reach[0] = true
 	kept := f.blocks[:0]
 	for _, b := range f.blocks {
-		if !reach[b] {
+		if !reach[b.id] {
 			continue
 		}
-		for _, s := range b.term.succs() {
-			reach[s] = true
+		switch b.term.Kind {
+		case termBr:
+			reach[b.term.Else.id] = true
+			reach[b.term.Then.id] = true
+		case termJmp:
+			reach[b.term.Then.id] = true
 		}
 		b.id = len(kept)
 		kept = append(kept, b)
@@ -433,8 +471,8 @@ func dropUnreachable(f *irFunc) {
 }
 
 func stripDead(f *irFunc) {
-	uses := make(map[vreg]int)
-	var buf []vreg
+	uses := make([]int32, f.nvregs)
+	buf := make([]vreg, 0, 8)
 	for _, b := range f.blocks {
 		for i := range b.ins {
 			buf = instrUses(&b.ins[i], buf[:0])
@@ -452,16 +490,16 @@ func stripDead(f *irFunc) {
 		for _, b := range f.blocks {
 			live := b.ins[:0]
 			for i := range b.ins {
-				in := b.ins[i]
-				if !sideEffecting(&in) && uses[in.Dst] == 0 {
-					buf = instrUses(&in, buf[:0])
+				in := &b.ins[i]
+				if !sideEffecting(in) && uses[in.Dst] == 0 {
+					buf = instrUses(in, buf[:0])
 					for _, v := range buf {
 						uses[v]--
 					}
 					changed = true
 					continue
 				}
-				live = append(live, in)
+				live = append(live, *in)
 			}
 			b.ins = live
 		}

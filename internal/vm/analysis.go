@@ -90,10 +90,9 @@ func join(a, b absVal) absVal {
 }
 
 // widen is join with bound acceleration: any interval bound that grew
-// beyond old's goes straight to its infinity. Forward-only CFGs reach
-// their fixpoint in one sweep without widening; the analyzer still
-// widens a pc's state past widenAfter joins into it, which bounds long
-// join chains and is part of what the certified facts say.
+// beyond old's goes straight to its infinity (Interval.Widen). The
+// analyzer never widens: a forward-only CFG reaches its fixpoint in one
+// ascending sweep, so widening could only lose precision.
 func widen(old, next absVal) absVal {
 	j := join(old, next)
 	if old.num && j.num {
@@ -502,10 +501,6 @@ func (rs *regState) canon() {
 	}
 }
 
-// widenAfter bounds the joins any single pc absorbs before widening
-// kicks in (see widen).
-const widenAfter = 16
-
 // Interval is the exported face of the analyzer's value abstraction: a
 // (possibly absent) closed interval of ordinary float64 values plus a
 // NaN-possibility flag. Deployment-level analyses (internal/spec/
@@ -647,7 +642,6 @@ func (iv Interval) Widen(o Interval) Interval {
 // pcState is the analyzer's per-instruction entry state.
 type pcState struct {
 	reachable bool
-	joins     int
 	rs        regState
 }
 
@@ -670,7 +664,7 @@ type analyzer struct {
 }
 
 // analyzers recycles analyzers between analyses. The per-pc states are
-// 408 bytes each and a load analyzes every program several times
+// 400 bytes each and a load analyzes every program several times
 // (compile's two Verify calls, Certify, the deployment checks), so a
 // fresh slice per analysis made the analyzer the load gate's largest
 // source of garbage.
@@ -809,15 +803,9 @@ func (a *analyzer) flowTo(target int, rs *regState) {
 		st.rs = *rs
 		return
 	}
-	st.joins++
-	wide := st.joins > widenAfter
 	st.rs.init &= rs.init
 	for i := range st.rs.vals {
-		if wide {
-			st.rs.vals[i] = widen(st.rs.vals[i], rs.vals[i])
-		} else {
-			st.rs.vals[i] = join(st.rs.vals[i], rs.vals[i])
-		}
+		st.rs.vals[i] = join(st.rs.vals[i], rs.vals[i])
 	}
 	st.rs.canon()
 }

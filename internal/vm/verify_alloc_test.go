@@ -9,7 +9,7 @@ import (
 )
 
 // TestVerifyAllocs bounds what one Verify of the fire_wide guardrail
-// (146 instructions) allocates. The analyzer's per-pc states and step
+// (103 instructions) allocates. The analyzer's per-pc states and step
 // table come from a pool, so what is left is the program copy the test
 // hands in, the Analysis and its two fact slices: 4 allocations per run
 // measured, where a fresh analyzer per call made 9. The bound of 5

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -103,14 +104,14 @@ func TestJoinAndWidenLattice(t *testing.T) {
 	}
 }
 
-// TestWideningAtRepeatedJoins drives one merge point past the
-// widenAfter threshold: a long cascade of branches all targeting the
-// same join must still converge and verify (the forward-only CFG makes
-// widening a defensive bound rather than a termination requirement).
+// TestWideningAtRepeatedJoins drives 20 joins into one merge point,
+// more than the 16 after which the analyzer used to widen: a long
+// cascade of branches all targeting the same join must converge in the
+// one ascending sweep and verify.
 func TestWideningAtRepeatedJoins(t *testing.T) {
 	b := NewBuilder("join-cascade")
 	b.MovI(6, 0)
-	for i := 0; i < widenAfter+4; i++ {
+	for i := 0; i < 20; i++ {
 		b.JmpIfI(OpJLeI, 0, float64(i), "join")
 		b.ALUI(OpAddI, 6, 6, 1)
 	}
@@ -133,6 +134,43 @@ func TestWideningAtRepeatedJoins(t *testing.T) {
 	}
 	if int(m.Steps) > p.Meta.MaxSteps {
 		t.Errorf("actual steps %d exceed certified bound %d", m.Steps, p.Meta.MaxSteps)
+	}
+}
+
+// TestJoinsDoNotWiden: 18 edges that each set r6 to a constant join in
+// one block, and the value it stores is exactly their hull. Seventeen
+// jlti r0, i branches (i = 1…17, increasing, so that every edge stays
+// reachable under refinement) each lead to a movi r6, i, and the
+// fall-through sets r6 to 0. An analyzer that widens after 16 joins
+// reads [0, +Inf] here: the last edge's growth goes to infinity.
+func TestJoinsDoNotWiden(t *testing.T) {
+	const n = 17
+	b := NewBuilder("join-hull")
+	for i := 1; i <= n; i++ {
+		b.JmpIfI(OpJLtI, 0, float64(i), fmt.Sprintf("set%d", i))
+	}
+	b.MovI(6, 0)
+	b.Jmp("join")
+	for i := 1; i <= n; i++ {
+		b.Label(fmt.Sprintf("set%d", i))
+		b.MovI(6, float64(i))
+		if i < n {
+			b.Jmp("join")
+		}
+	}
+	b.Label("join")
+	b.Store("out", 6)
+	b.MovI(0, 1)
+	b.Exit()
+	an, err := Prove(mustBuild(t, b), NumBuiltinHelpers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Stores) != 1 {
+		t.Fatalf("%d store facts, want 1", len(an.Stores))
+	}
+	if got, want := an.Stores[0].Val, RangeInterval(0, n); got != want {
+		t.Errorf("stored r6 = %v, want %v", got, want)
 	}
 }
 
