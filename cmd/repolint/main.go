@@ -2,8 +2,9 @@
 //
 //   - hotpath (tools/analyzers/hotpath): functions marked
 //     //guardrails:hotpath must stay free of heap allocations, time.Now
-//     calls, map iteration, and locked instructions (mutex operations,
-//     atomic read-modify-writes), with //guardrails:coldpath suppressing
+//     calls, map iteration, string-keyed map indexing, and locked
+//     instructions (mutex operations, atomic read-modify-writes), with
+//     //guardrails:coldpath suppressing
 //     findings on provably cold lines
 //   - reach (tools/analyzers/reach): every package-level declaration
 //     under internal/ or in the module-root facade must be reachable

@@ -145,6 +145,26 @@ guardrail low-false-submit {
 	}
 }
 
+// TestKernelFireSwitchingSitesAllocationFree: a fire of a site other
+// than the one the kernel fired last looks the site up by name, and
+// that path allocates nothing either.
+func TestKernelFireSwitchingSitesAllocationFree(t *testing.T) {
+	k := kernel.New()
+	sites := []string{"io_submit", "io_done"}
+	for _, s := range sites {
+		k.Attach(s, func(*kernel.Kernel, string, []float64) {})
+	}
+	n := 0
+	fire := func() { n++; k.Fire(sites[n%2], float64(n)) }
+	fire()
+	if allocs := testing.AllocsPerRun(1000, fire); allocs != 0 {
+		t.Errorf("a fire that switches site allocates %v times, want 0", allocs)
+	}
+	if a, b := k.FireCount(sites[0]), k.FireCount(sites[1]); a+b != uint64(n) || max(a, b)-min(a, b) > 1 {
+		t.Errorf("FireCount %d and %d after %d alternating fires", a, b, n)
+	}
+}
+
 // TestEventLoopAllocationFree: once the event heap has grown to its
 // working size, neither a timer period (the tick re-queues its own
 // closure) nor a one-shot At followed by RunUntil touches the heap.

@@ -203,28 +203,33 @@ func (l *lowerer) lowerValue(e spec.Expr) (vreg, error) {
 		}
 		return dst, nil
 	case *spec.BinaryExpr:
+		var op irOp
 		switch n.Op {
-		case spec.TokPlus, spec.TokMinus, spec.TokStar, spec.TokSlash:
-			a, err := l.lowerValue(n.X)
-			if err != nil {
-				return 0, err
-			}
-			b, err := l.lowerValue(n.Y)
-			if err != nil {
-				return 0, err
-			}
-			op := map[spec.TokenKind]irOp{
-				spec.TokPlus: irAdd, spec.TokMinus: irSub,
-				spec.TokStar: irMul, spec.TokSlash: irDiv,
-			}[n.Op]
-			dst := l.f.newVReg()
-			l.emit(irInstr{Op: op, Dst: dst, A: a, B: b})
-			return dst, nil
+		case spec.TokPlus:
+			op = irAdd
+		case spec.TokMinus:
+			op = irSub
+		case spec.TokStar:
+			op = irMul
+		case spec.TokSlash:
+			op = irDiv
 		case spec.TokLt, spec.TokLe, spec.TokGt, spec.TokGe,
 			spec.TokEq, spec.TokNe, spec.TokAnd, spec.TokOr:
 			return l.lowerBool(n)
+		default:
+			return 0, fmt.Errorf("unsupported binary operator %v", n.Op)
 		}
-		return 0, fmt.Errorf("unsupported binary operator %v", n.Op)
+		a, err := l.lowerValue(n.X)
+		if err != nil {
+			return 0, err
+		}
+		b, err := l.lowerValue(n.Y)
+		if err != nil {
+			return 0, err
+		}
+		dst := l.f.newVReg()
+		l.emit(irInstr{Op: op, Dst: dst, A: a, B: b})
+		return dst, nil
 	case *spec.CallExpr:
 		return l.lowerCall(n)
 	default:
@@ -271,7 +276,13 @@ func (l *lowerer) lowerCall(n *spec.CallExpr) (vreg, error) {
 		if err != nil {
 			return 0, err
 		}
-		h := map[string]vm.HelperID{"sqrt": vm.HelperSqrt, "log2": vm.HelperLog2, "now": vm.HelperNow}[n.Fn]
+		h := vm.HelperSqrt
+		switch n.Fn {
+		case "log2":
+			h = vm.HelperLog2
+		case "now":
+			h = vm.HelperNow
+		}
 		dst := l.f.newVReg()
 		l.emit(irInstr{Op: irCall, Dst: dst, Helper: h, Args: args})
 		return dst, nil

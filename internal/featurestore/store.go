@@ -34,8 +34,12 @@ const NoID ID = -1
 // same key (which would recurse).
 type WatchFunc func(name string, value float64)
 
+// cell is one key's slot. name is set before Intern publishes the cell
+// and never changes, so a watched SaveID hands its watchers the key
+// without taking mu.
 type cell struct {
 	bits atomic.Uint64 // float64 bits
+	name string
 }
 
 // Store is a concurrent feature store. The zero value is not usable; use
@@ -43,7 +47,6 @@ type cell struct {
 type Store struct {
 	mu       sync.Mutex
 	ids      map[string]ID
-	names    []string
 	cells    atomic.Pointer[[]*cell] // copy-on-write slice, grown under mu
 	watchers atomic.Pointer[map[ID][]WatchFunc]
 	tsink    atomic.Pointer[telemetry.Sink]
@@ -92,17 +95,16 @@ func (s *Store) Intern(name string) ID {
 	if id, ok := s.ids[name]; ok {
 		return id
 	}
-	id := ID(len(s.names))
 	old := *s.cells.Load()
+	id := ID(len(old))
 	grown := make([]*cell, len(old)+1)
 	copy(grown, old)
-	grown[len(old)] = &cell{}
+	grown[len(old)] = &cell{name: name}
 	// Publish the cell before the name→ID mapping becomes visible: a
 	// concurrent Lookup serializes on mu, but the store's own Save/Load
 	// fast paths trust that any ID they were handed has a cell.
 	s.cells.Store(&grown)
 	s.ids[name] = id
-	s.names = append(s.names, name)
 	return id
 }
 
@@ -117,22 +119,8 @@ func (s *Store) Lookup(name string) (ID, bool) {
 	return id, true
 }
 
-// Name returns the key string for id, or "" if out of range.
-func (s *Store) Name(id ID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id < 0 || int(id) >= len(s.names) {
-		return ""
-	}
-	return s.names[id]
-}
-
 // Len returns the number of interned keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.names)
-}
+func (s *Store) Len() int { return len(*s.cells.Load()) }
 
 func (s *Store) cellAt(id ID) *cell {
 	cells := *s.cells.Load()
@@ -159,6 +147,9 @@ func (s *Store) Load(name string) float64 {
 }
 
 // SaveID stores value in the cell for id. Out-of-range IDs are ignored.
+// It takes no lock: the watchers get the key's name from its cell.
+//
+//guardrails:hotpath
 func (s *Store) SaveID(id ID, value float64) {
 	c := s.cellAt(id)
 	if c == nil {
@@ -168,9 +159,8 @@ func (s *Store) SaveID(id ID, value float64) {
 	c.bits.Store(math.Float64bits(value))
 	ws := *s.watchers.Load()
 	if fns, ok := ws[id]; ok {
-		name := s.Name(id)
 		for _, fn := range fns {
-			fn(name, value)
+			fn(c.name, value)
 		}
 	}
 }
@@ -191,6 +181,8 @@ func (s *Store) PublishID(id ID, value float64) {
 }
 
 // LoadID returns the value in the cell for id, or 0 if out of range.
+//
+//guardrails:hotpath
 func (s *Store) LoadID(id ID) float64 {
 	c := s.cellAt(id)
 	if c == nil {
@@ -245,12 +237,10 @@ func (s *Store) setWatchers(id ID, fns []WatchFunc) {
 
 // Snapshot returns a point-in-time copy of all scalar cells.
 func (s *Store) Snapshot() map[string]float64 {
-	s.mu.Lock()
-	names := append([]string(nil), s.names...)
-	s.mu.Unlock()
-	out := make(map[string]float64, len(names))
-	for i, n := range names {
-		out[n] = s.LoadID(ID(i))
+	cells := *s.cells.Load()
+	out := make(map[string]float64, len(cells))
+	for i, c := range cells {
+		out[c.name] = s.LoadID(ID(i))
 	}
 	return out
 }

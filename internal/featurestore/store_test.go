@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -32,11 +33,8 @@ func TestInternIsStable(t *testing.T) {
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if s.Name(a) != "x" || s.Name(b) != "y" {
-		t.Error("Name mapping wrong")
-	}
-	if s.Name(ID(99)) != "" || s.Name(NoID) != "" {
-		t.Error("out-of-range Name should be empty")
+	if s.cellAt(a).name != "x" || s.cellAt(b).name != "y" {
+		t.Error("a cell does not carry its key's name")
 	}
 }
 
@@ -255,5 +253,62 @@ func TestConcurrentLoadDuringIntern(t *testing.T) {
 				t.Errorf("post-growth readback g%d.k%d = %v, want %d", g, i, got, i)
 			}
 		}
+	}
+}
+
+// TestWatchedSaveDuringRegistration: the owner's watched saves hand each
+// watcher its key's name while another goroutine interns keys and
+// registers and cancels watchers — without the store's mutex on the
+// save path, and -race clean.
+func TestWatchedSaveDuringRegistration(t *testing.T) {
+	s := New()
+	keys := []string{"ml_enabled", "false_submit_rate", "p99_latency"}
+	ids := make([]ID, len(keys))
+	seen := make([]int, len(keys)) // owned by the saving goroutine
+	for i, key := range keys {
+		ids[i] = s.Intern(key)
+		s.Watch(key, func(name string, _ float64) {
+			if name != key {
+				t.Errorf("watcher on %q got name %q", key, name)
+			}
+			seen[i]++
+		})
+	}
+	var wrong atomic.Int64
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Intern(fmt.Sprintf("churn%d", n))
+			key := keys[n%len(keys)]
+			cancel := s.Watch(key, func(name string, _ float64) {
+				if name != key {
+					wrong.Add(1)
+				}
+			})
+			runtime.Gosched()
+			cancel()
+		}
+	}()
+	want := make([]int, len(keys))
+	for n := 0; n < 20000; n++ {
+		s.SaveID(ids[n%len(ids)], float64(n))
+		want[n%len(ids)]++
+	}
+	close(stop)
+	<-churned
+	for i, key := range keys {
+		if seen[i] != want[i] {
+			t.Errorf("watcher on %q ran %d times, want %d", key, seen[i], want[i])
+		}
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d churned watchers got another key's name", n)
 	}
 }

@@ -13,12 +13,13 @@
 // event loop or fires its hooks (between barriers, the goroutine running
 // a Pool shard — for shard 0, the caller of Pool.RunUntil; at a barrier
 // and whenever nothing runs, the caller of Pool.RunUntil). The fire path
-// writes owned state — site fire counts, the argument frames, the panic
-// count — with plain stores, and firing one kernel from two goroutines
-// at once is not supported. The bookkeeping is safe from any goroutine:
-// scheduling (At, After, Every), hook attach/detach (published
-// copy-on-write), the clock, and the operator toggles SetTelemetry and
-// SetHookPanicHandler (one atomic store each, read by the next fire).
+// writes owned state — site fire counts, the argument frames, the site
+// it fired last, the panic count — with plain stores, and firing one
+// kernel from two goroutines at once is not supported. The bookkeeping
+// is safe from any goroutine: scheduling (At, After, Every), hook
+// attach/detach (published copy-on-write), the clock, and the operator
+// toggles SetTelemetry and SetHookPanicHandler (one atomic store each,
+// read by the next fire).
 // FireCount and HookPanics read owned counters: call them on the owner —
 // from an event, or a barrier callback — or after it has stopped.
 //
@@ -143,9 +144,11 @@ type hookSlot struct {
 
 // hookSite is one hook point's dispatch state. The slot list is
 // copy-on-write behind an atomic pointer, so Attach may run on any
-// goroutine while Fire reads it with one load; the rest belongs to the
-// kernel's owner and is plain.
+// goroutine while Fire reads it with one load; name never changes after
+// siteFor publishes the site, and the rest belongs to the kernel's owner
+// and is plain.
 type hookSite struct {
+	name  string
 	slots atomic.Pointer[[]hookSlot]
 	fires uint64
 	// telSink is the sink telHist, this site's dispatch-latency
@@ -193,15 +196,19 @@ type Kernel struct {
 	// args is the owner's argument stack: Fire copies its arguments into
 	// the frame args[argTop:argTop+len] and hands the hooks that frame, so
 	// the caller's variadic slice never escapes and a nested Fire stacks
-	// its frame above the outer one. hookPanics is owned too.
+	// its frame above the outer one. lastSite is the site the owner fired
+	// last, so a fire of the same site again finds it by comparing names
+	// instead of hashing one. hookPanics is owned too.
 	args       []float64
 	argTop     int
+	lastSite   *hookSite
 	hookPanics uint64
 
 	// sites is the copy-on-write hook table: the map value is replaced
 	// wholesale (under hmu) when a new site appears, and the *hookSite
-	// entries themselves are stable, so Fire finds a site with one
-	// atomic load. hmu serializes mutations only.
+	// entries themselves are stable, so lastSite never goes stale and a
+	// Fire that misses it finds the site with one atomic load and one
+	// hash. hmu serializes mutations only.
 	hmu        sync.Mutex
 	sites      atomic.Pointer[map[string]*hookSite]
 	hookID     uint64
@@ -358,7 +365,7 @@ func (k *Kernel) siteFor(site string) *hookSite {
 	if hs := old[site]; hs != nil {
 		return hs
 	}
-	hs := &hookSite{}
+	hs := &hookSite{name: site}
 	empty := make([]hookSlot, 0)
 	hs.slots.Store(&empty)
 	next := make(map[string]*hookSite, len(old)+1)
@@ -432,17 +439,23 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 // Fire invokes all hooks attached to site, in attach order. Subsystem
 // simulators call this at their instrumentation points — the analogue of
 // a kprobe firing. Fire runs on the kernel's owner: it finds the site
-// and its slot list with two atomic loads (Attach may run anywhere),
-// counts the fire with a plain increment, and hands the hooks a frame on
-// the kernel's own argument stack, so it takes no lock, no locked
-// instruction and no allocation. The hooks see the frame only for the
-// duration of their call; a hook that fires again gets a frame above it.
+// by comparing its name with the last site the owner fired (hashing it
+// only when they differ), loads the slot list atomically (Attach may run
+// anywhere), counts the fire with a plain increment, and hands the hooks
+// a frame on the kernel's own argument stack, so it takes no lock, no
+// locked instruction and no allocation. The hooks see the frame only for
+// the duration of their call; a hook that fires again gets a frame above
+// it.
 //
 //guardrails:hotpath
 func (k *Kernel) Fire(site string, args ...float64) {
-	hs := (*k.sites.Load())[site]
-	if hs == nil {
-		hs = k.siteFor(site)
+	hs := k.lastSite
+	if hs == nil || hs.name != site {
+		hs = (*k.sites.Load())[site] //guardrails:coldpath a site other than the last one fired
+		if hs == nil {
+			hs = k.siteFor(site)
+		}
+		k.lastSite = hs
 	}
 	hs.fires++
 	n := hs.fires

@@ -289,8 +289,9 @@ func TestHooksFireInOrderAndDetach(t *testing.T) {
 // TestNestedFiresKeepTheirArguments: a hook that fires its own site and
 // then another sees each nested fire's own arguments, and once a nested
 // fire returns, the hooks of the outer fire see the outer arguments
-// again — for 0-, 1- and 2-argument fires, and across a nesting deep
-// enough to outgrow the kernel's argument stack.
+// again and its remaining hooks run — for 0-, 1- and 2-argument fires,
+// and across a nesting deep enough to outgrow the kernel's argument
+// stack. Each site's fire count stays exact.
 func TestNestedFiresKeepTheirArguments(t *testing.T) {
 	k := New()
 	var seen []string
@@ -325,6 +326,12 @@ func TestNestedFiresKeepTheirArguments(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seen, want) {
 		t.Errorf("hooks saw\n%q\nwant\n%q", seen, want)
+	}
+	// Most fires above switch site, so they find their site by name.
+	for _, site := range []string{"outer", "inner", "leaf"} {
+		if got := k.FireCount(site); got != 2 {
+			t.Errorf("%s fired %d times, want 2", site, got)
+		}
 	}
 
 	// Twelve nested 3-argument frames are 36 floats: the stack grows

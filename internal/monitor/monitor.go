@@ -445,9 +445,8 @@ func (m *Monitor) evalDone() { m.running = false }
 //guardrails:hotpath
 func (m *Monitor) LoadCell(i int32) float64 {
 	v := m.rt.store.LoadID(m.cells[i])
-	key := m.c.Program.Symbols[i]
 	if inj := m.rt.injector(); inj != nil {
-		if fv, ok := inj.LoadFault(m.Name(), key, v); ok {
+		if fv, ok := inj.LoadFault(m.Name(), m.c.Program.Symbols[i], v); ok {
 			v = fv
 		}
 	}
@@ -457,7 +456,7 @@ func (m *Monitor) LoadCell(i int32) float64 {
 		if m.provLive {
 			m.provFeature(i, good, true)
 		}
-		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", key, good))
+		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", m.c.Program.Symbols[i], good))
 		return good
 	}
 	m.lastGood[i] = v

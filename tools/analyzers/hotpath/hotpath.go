@@ -27,6 +27,9 @@
 //   - map iteration (range over a map is not allocation-free in the
 //     general case and its order nondeterminism has no place on a
 //     fire path)
+//   - indexing a map by a string key: it hashes the string on every
+//     call, which a hot path avoids by resolving the name to a handle
+//     (an interned ID, a pointer) once, off the hot path
 //
 // A finding on a provably cold line — a trap constructor on an error
 // return, say — is suppressed by the line comment
@@ -191,6 +194,12 @@ func (v *visitor) Visit(n ast.Node) ast.Visitor {
 				v.flag(e, "map iteration (nondeterministic order, not allocation-free)")
 			}
 		}
+	case *ast.IndexExpr:
+		if t := v.pkg.Info.TypeOf(e.X); t != nil {
+			if m, ok := t.Underlying().(*types.Map); ok && isString(m.Key().Underlying()) {
+				v.flag(e, "map indexed by a string key hashes the string (resolve it to a handle off the hot path)")
+			}
+		}
 	}
 	return v
 }
@@ -276,10 +285,6 @@ func (v *visitor) isBuiltin(id *ast.Ident) bool {
 // copyingConversion reports whether converting from → to copies the
 // backing data (string ↔ []byte / []rune).
 func copyingConversion(from, to types.Type) bool {
-	isStr := func(t types.Type) bool {
-		b, ok := t.(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
 	isByteOrRuneSlice := func(t types.Type) bool {
 		s, ok := t.(*types.Slice)
 		if !ok {
@@ -289,5 +294,11 @@ func copyingConversion(from, to types.Type) bool {
 		return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
 			b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 	}
-	return (isStr(from) && isByteOrRuneSlice(to)) || (isByteOrRuneSlice(from) && isStr(to))
+	return (isString(from) && isByteOrRuneSlice(to)) || (isByteOrRuneSlice(from) && isString(to))
+}
+
+// isString reports whether the underlying type t is a string type.
+func isString(t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }

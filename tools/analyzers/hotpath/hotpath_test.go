@@ -1,6 +1,7 @@
 package hotpath
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -26,12 +27,30 @@ func dirty(m map[string]int, xs []int) int {
 	f := func() int { return len(lit) } // want: func literal
 	t := time.Now()            // want: time.Now
 	b := []byte("k")           // want: string conversion copies
-	total := 0
+	total := m["k"]            // want: map indexed by a string key
 	for _, v := range m {      // want: map iteration
 		total += v
 	}
 	_ = mm
 	return s[0] + p.n + q.n + f() + int(t.Unix()) + total + len(b) + xs[0]
+}
+
+type site struct{ fires int }
+
+type kernel struct {
+	last  *site
+	sites map[string]*site
+	byID  map[int32]*site
+}
+
+//guardrails:hotpath
+func (k *kernel) fire(name string, id int32) int {
+	s := k.last
+	if s == nil {
+		s = k.sites[name] //guardrails:coldpath the first fire
+		k.last = s
+	}
+	return s.fires + k.byID[id].fires
 }
 
 //guardrails:hotpath
@@ -133,7 +152,8 @@ func analyzeFixture(t *testing.T, src string) []Finding {
 }
 
 // TestAnalyzeFlagsAllCategories: every allocation category plus
-// time.Now and map iteration is caught in the marked dirty function.
+// time.Now, string-keyed indexing and map iteration is caught in the
+// marked dirty function.
 func TestAnalyzeFlagsAllCategories(t *testing.T) {
 	findings := analyzeFixture(t, fixture)
 	wants := []string{
@@ -146,6 +166,7 @@ func TestAnalyzeFlagsAllCategories(t *testing.T) {
 		"func literal",
 		"time.Now",
 		"string conversion copies",
+		"map indexed by a string key",
 		"map iteration",
 	}
 	for _, want := range wants {
@@ -170,7 +191,7 @@ func TestAnalyzeScope(t *testing.T) {
 			t.Errorf("unmarked function flagged: %v", f)
 		case "clean":
 			t.Errorf("clean function flagged: %v", f)
-		case "suppressed":
+		case "suppressed", "kernel.fire":
 			t.Errorf("coldpath-suppressed line flagged: %v", f)
 		}
 	}
@@ -178,10 +199,11 @@ func TestAnalyzeScope(t *testing.T) {
 
 // lockedFixture seeds the locked-instruction rule with the fire path as
 // it was before it became single-writer: Monitor.evaluateAt's
-// re-entrancy CAS and its mutex sections, and Kernel.Fire's fire-count
-// add and the panic count the guard adds to — each cut down to the
-// lines that lock. The owned forms below them (plain fields, atomic
-// loads and stores for the toggles) must pass.
+// re-entrancy CAS and its mutex sections, and Kernel.Fire's by-name
+// site lookup, fire-count add and the panic count the guard adds to —
+// each cut down to the lines that lock or hash. The owned forms below
+// them (plain fields, atomic loads and stores for the toggles) must
+// pass.
 const lockedFixture = `package fixture
 
 import (
@@ -302,6 +324,7 @@ func TestAnalyzeFlagsLockedInstructions(t *testing.T) {
 			"sync.Mutex.Unlock: mutex operation",
 		},
 		"Kernel.Fire": {
+			"map indexed by a string key",
 			"atomic.Uint64.Add: atomic read-modify-write",
 			"atomic.Uint64.Add: atomic read-modify-write",
 		},
@@ -328,6 +351,26 @@ func TestAnalyzeFlagsLockedInstructions(t *testing.T) {
 		if len(got[fn]) != 0 {
 			t.Errorf("owned form %s flagged: %q", fn, got[fn])
 		}
+	}
+}
+
+// TestAnalyzeStringKeyedMapIndex: a map indexed by a string key is a
+// finding and one indexed by an integer is not; the fixture's kernel.fire
+// keeps its by-name lookup only on a coldpath line, and without the
+// marker that line is its one finding.
+func TestAnalyzeStringKeyedMapIndex(t *testing.T) {
+	unmarked := strings.Replace(fixture, " //guardrails:coldpath the first fire", "", 1)
+	if unmarked == fixture {
+		t.Fatal("fixture lost its coldpath line")
+	}
+	var got []string
+	for _, f := range analyzeFixture(t, unmarked) {
+		if f.Func == "kernel.fire" {
+			got = append(got, fmt.Sprintf("%d: %s", f.Pos.Line, f.What))
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "map indexed by a string key") {
+		t.Errorf("kernel.fire without its coldpath marker: findings %q, want the one string-keyed index", got)
 	}
 }
 
