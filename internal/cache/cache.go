@@ -67,9 +67,6 @@ func (c *Cache) SwapPolicy(p Policy) error {
 	return nil
 }
 
-// Len returns the number of cached keys.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // Access performs one access, returning true on a hit. Misses insert
 // the key, evicting a victim when full.
 func (c *Cache) Access(key uint64) bool {

@@ -33,8 +33,8 @@ func TestLRUSemantics(t *testing.T) {
 		t.Errorf("LRU evicted wrong key: 1=%v 2=%v 3=%v",
 			c.entries[1], c.entries[2], c.entries[3])
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
+	if len(c.entries) != 2 {
+		t.Errorf("len = %d", len(c.entries))
 	}
 }
 
@@ -42,12 +42,12 @@ func TestRandomEvictsResidentKeys(t *testing.T) {
 	c, _ := New(8, NewRandom(1))
 	for i := uint64(0); i < 1000; i++ {
 		c.Access(i)
-		if c.Len() > 8 {
+		if len(c.entries) > 8 {
 			t.Fatal("capacity exceeded")
 		}
 	}
-	if c.Len() != 8 { // 1000 distinct keys: 992 evictions
-		t.Errorf("len = %d", c.Len())
+	if len(c.entries) != 8 { // 1000 distinct keys: 992 evictions
+		t.Errorf("len = %d", len(c.entries))
 	}
 }
 
@@ -156,7 +156,7 @@ func TestSwapPolicyMidStream(t *testing.T) {
 	for _, k := range keys[2500:] {
 		c.Access(k)
 	}
-	if c.Len() > 64 {
+	if len(c.entries) > 64 {
 		t.Error("capacity exceeded after swap")
 	}
 }

@@ -79,9 +79,6 @@ type Footprint struct {
 // Reads reports whether the program LOADs key.
 func (fp *Footprint) Reads(key string) bool { return sortedHas(fp.Loads, key) }
 
-// Writes reports whether the program STOREs key.
-func (fp *Footprint) Writes(key string) bool { return sortedHas(fp.Stores, key) }
-
 func sortedHas(sorted []string, key string) bool {
 	i := sort.SearchStrings(sorted, key)
 	return i < len(sorted) && sorted[i] == key

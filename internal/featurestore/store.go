@@ -119,9 +119,6 @@ func (s *Store) Lookup(name string) (ID, bool) {
 	return id, true
 }
 
-// Len returns the number of interned keys.
-func (s *Store) Len() int { return len(*s.cells.Load()) }
-
 func (s *Store) cellAt(id ID) *cell {
 	cells := *s.cells.Load()
 	if id < 0 || int(id) >= len(cells) {

@@ -30,8 +30,8 @@ func TestInternIsStable(t *testing.T) {
 	if s.Intern("x") != a {
 		t.Error("re-intern changed ID")
 	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
+	if len(*s.cells.Load()) != 2 {
+		t.Errorf("Len = %d", len(*s.cells.Load()))
 	}
 	if s.cellAt(a).name != "x" || s.cellAt(b).name != "y" {
 		t.Error("a cell does not carry its key's name")
@@ -43,7 +43,7 @@ func TestLookupDoesNotCreate(t *testing.T) {
 	if id, ok := s.Lookup("ghost"); ok || id != NoID {
 		t.Errorf("Lookup created or returned a key: %v %v", id, ok)
 	}
-	if s.Len() != 0 {
+	if len(*s.cells.Load()) != 0 {
 		t.Error("Lookup must not intern")
 	}
 }
@@ -144,8 +144,8 @@ func TestConcurrentSaveLoadIntern(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
+	if len(*s.cells.Load()) != 4 {
+		t.Errorf("Len = %d, want 4", len(*s.cells.Load()))
 	}
 	if left := len(*s.watchers.Load()); left != 0 {
 		t.Errorf("%d keys still watched after every watcher was cancelled", left)
@@ -238,13 +238,13 @@ func TestConcurrentLoadDuringIntern(t *testing.T) {
 	go func() { defer close(done); wg.Wait() }()
 	// Growers finish on their own; readers spin until stopped. Wait for
 	// growers by polling Len, then stop readers.
-	for s.Len() < readers+growers*perGrower {
+	for len(*s.cells.Load()) < readers+growers*perGrower {
 		runtime.Gosched()
 	}
 	close(stop)
 	<-done
 
-	if got, want := s.Len(), readers+growers*perGrower; got != want {
+	if got, want := len(*s.cells.Load()), readers+growers*perGrower; got != want {
 		t.Fatalf("Len = %d, want %d (duplicate or lost registrations)", got, want)
 	}
 	for g := range ids {

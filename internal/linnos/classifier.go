@@ -119,7 +119,3 @@ func (c *Classifier) PredictSlow(features []float64) bool {
 	}
 	return nn.Argmax(out) == 1
 }
-
-// Network exposes the underlying model (e.g. for RETRAIN actions or
-// persistence).
-func (c *Classifier) Network() *nn.Network { return c.net }

@@ -181,24 +181,6 @@ type Record struct {
 	Inc        Window
 }
 
-// Reset clears the per-capture state of a scratch record without
-// zeroing the inline arrays (entries beyond the N* counts are never
-// read), so reuse costs a handful of stores, not a 1 KiB memclr.
-func (r *Record) Reset() {
-	r.Seq, r.At = 0, 0
-	r.Kind = KindEval
-	r.Monitor, r.Gen, r.Site, r.Arg = "", 0, "", 0
-	r.Held, r.Shadow, r.ShadowReason = false, false, ""
-	r.Steps = 0
-	r.FaultKind = ""
-	r.TrapFree, r.DivProven, r.MaxSteps = false, false, 0
-	r.NFeatures, r.FeaturesTruncated = 0, false
-	r.NBranches, r.BranchesTruncated = 0, false
-	r.NActions, r.ActionsTruncated = 0, false
-	r.Stage, r.GateReason, r.GateSource, r.Reason = "", "", "", ""
-	r.Cand, r.Inc = Window{}, Window{}
-}
-
 // AddFeature appends one feature read, setting the truncation flag on
 // overflow.
 func (r *Record) AddFeature(key string, value float64, patched, global bool) {

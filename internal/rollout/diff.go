@@ -4,13 +4,15 @@
 // threshold-only retune (same rule shape, different constants). The
 // diff drives two things: the rollout report an operator reads before
 // approving a canary, and the *scoped* interference re-analysis — only
-// the changed guardrails and the unchanged ones coupled to them through
-// shared hook sites or feature-store keys are re-analyzed, so canary
-// admission stays cheap on large fleets where one guardrail changed.
+// the changed guardrails and the unchanged ones in their components of
+// the deployment's coupling (shared hook sites, coinciding timers,
+// written feature-store keys) are re-analyzed, so canary admission stays
+// cheap on large fleets where one guardrail changed.
 package rollout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,10 +96,10 @@ type Diff struct {
 	// Changes lists every guardrail of either generation, sorted by
 	// name.
 	Changes []Change `json:"changes"`
-	// was holds the old generation's footprints of the removed, retuned
-	// and modified guardrails: Scope re-analyzes whatever was coupled to
+	// was holds the old generation's form of the removed, retuned and
+	// modified guardrails: Scope re-analyzes whatever was coupled to
 	// them, as well as whatever is coupled to their new form.
-	was []*compile.Footprint
+	was []*compile.Compiled
 }
 
 // Changed returns the names of guardrails that differ (everything but
@@ -173,12 +175,12 @@ func Compare(old, new []*compile.Compiled) *Diff {
 			d.Changes = append(d.Changes, Change{Name: n, Kind: Added})
 		case !inNew:
 			d.Changes = append(d.Changes, Change{Name: n, Kind: Removed})
-			d.was = append(d.was, &oc.Footprint)
+			d.was = append(d.was, oc)
 		default:
 			ch := compareGuardrail(oc.Source, nc.Source)
 			d.Changes = append(d.Changes, ch)
 			if ch.Kind != Unchanged {
-				d.was = append(d.was, &oc.Footprint)
+				d.was = append(d.was, oc)
 			}
 		}
 	}
@@ -192,7 +194,7 @@ func compareGuardrail(old, new *spec.Guardrail) Change {
 
 	oldTrig := renderAll(len(old.Triggers), func(i int) string { return old.Triggers[i].String() })
 	newTrig := renderAll(len(new.Triggers), func(i int) string { return new.Triggers[i].String() })
-	ch.Triggers = !equalStrings(oldTrig, newTrig)
+	ch.Triggers = !slices.Equal(oldTrig, newTrig)
 	if ch.Triggers {
 		ch.Details = append(ch.Details, sectionDetail("trigger", oldTrig, newTrig)...)
 	}
@@ -202,12 +204,12 @@ func compareGuardrail(old, new *spec.Guardrail) Change {
 
 	oldAct := renderAll(len(old.Actions), func(i int) string { return old.Actions[i].String() })
 	newAct := renderAll(len(new.Actions), func(i int) string { return new.Actions[i].String() })
-	actionsChanged := !equalStrings(oldAct, newAct)
+	actionsChanged := !slices.Equal(oldAct, newAct)
 	actionsRetunedOnly := true
 	if actionsChanged {
 		oldSkel := renderAll(len(old.Actions), func(i int) string { return actionSkeleton(old.Actions[i]) })
 		newSkel := renderAll(len(new.Actions), func(i int) string { return actionSkeleton(new.Actions[i]) })
-		actionsRetunedOnly = equalStrings(oldSkel, newSkel)
+		actionsRetunedOnly = slices.Equal(oldSkel, newSkel)
 		if actionsRetunedOnly {
 			for i := range new.Actions {
 				if oldAct[i] != newAct[i] {
@@ -239,12 +241,12 @@ func compareGuardrail(old, new *spec.Guardrail) Change {
 func diffExprList(section string, old, new []spec.Expr, details *[]string) (changed, retunedOnly bool) {
 	oldFull := renderAll(len(old), func(i int) string { return spec.ExprString(old[i]) })
 	newFull := renderAll(len(new), func(i int) string { return spec.ExprString(new[i]) })
-	if equalStrings(oldFull, newFull) {
+	if slices.Equal(oldFull, newFull) {
 		return false, true
 	}
 	oldSkel := renderAll(len(old), func(i int) string { return exprSkeleton(old[i]) })
 	newSkel := renderAll(len(new), func(i int) string { return exprSkeleton(new[i]) })
-	if !equalStrings(oldSkel, newSkel) {
+	if !slices.Equal(oldSkel, newSkel) {
 		*details = append(*details, sectionDetail(section, oldFull, newFull)...)
 		return true, false
 	}
@@ -295,18 +297,6 @@ func renderAll(n int, f func(int) string) []string {
 		out[i] = f(i)
 	}
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // exprSkeleton renders an expression with every numeric literal masked,
@@ -365,72 +355,30 @@ func actionSkeleton(a spec.Action) string {
 // --- scoped interference re-analysis -----------------------------------
 
 // Scope narrows a full new-generation deployment to the slice the
-// canary admission must re-analyze: every changed (added, retuned,
-// modified) guardrail, plus the fixpoint closure of unchanged
-// guardrails coupled to the slice, in its new form or its old one —
-// sharing a FUNCTION hook site, sharing a feature key at least one side
-// writes, or both timer-driven while sharing a written key. A guardrail
-// outside the scope cannot have new interference: its source is
-// unchanged, and so is the source of every guardrail it is coupled to
-// in either generation; none of them was added, removed, retuned or
-// modified.
+// canary admission must re-analyze: the components of its coupling
+// (interfere.Deployment.Components), with the old form of every removed,
+// retuned or modified guardrail joined in, that hold a changed (added,
+// retuned, modified) guardrail or such an old form. A guardrail outside
+// the scope cannot have new interference: it fires with, and shares
+// written keys with, only guardrails whose source is unchanged, in
+// either generation.
 //
 // The returned names list the scoped guardrails (sorted); the returned
 // deployment shares the input's features and budgets but carries only
 // the scoped monitors.
 func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string) {
-	inScope := map[string]bool{}
+	changed := map[string]bool{}
 	for _, name := range d.Changed() {
-		inScope[name] = true
+		changed[name] = true
 	}
-
-	// A written key read or written by the other side couples a pair
-	// (SAVE/SAVE conflicts, SAVE→LOAD refinement and cycles).
-	writesInto := func(a, b *compile.Footprint) bool {
-		for _, k := range a.Stores {
-			if b.Reads(k) || b.Writes(k) {
-				return true
-			}
-		}
-		return false
-	}
-	coupled := func(a, b *compile.Footprint) bool {
-		for _, site := range a.Sites {
-			for _, other := range b.Sites {
-				if site == other {
-					return true
-				}
-			}
-		}
-		// Two timer-driven guardrails can co-fire (timer coincidence);
-		// that only matters when they also touch a common written key.
-		// Pure timer overlap with disjoint state cannot interfere.
-		return writesInto(a, b) || writesInto(b, a)
-	}
-
-	// Fixpoint closure over the coupling relation, grown from the
-	// changed guardrails' new footprints and old ones: a guardrail that
-	// was coupled only to what a peer touched before its edit (or its
-	// removal) lost an interaction, and what is left must be re-analyzed
-	// without it.
-	seeds := append([]*compile.Footprint(nil), d.was...)
-	for _, c := range dep.Monitors {
-		if inScope[c.Name] {
-			seeds = append(seeds, &c.Footprint)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, c := range dep.Monitors {
-			if inScope[c.Name] {
-				continue
-			}
-			for _, fp := range seeds {
-				if coupled(&c.Footprint, fp) {
-					inScope[c.Name] = true
-					seeds = append(seeds, &c.Footprint)
-					changed = true
-					break
+	n := len(dep.Monitors)
+	both := &interfere.Deployment{Monitors: append(slices.Clip(dep.Monitors), d.was...)}
+	touched := make([]bool, n)
+	for _, comp := range both.Components() {
+		if slices.ContainsFunc(comp, func(i int) bool { return i >= n || changed[dep.Monitors[i].Name] }) {
+			for _, i := range comp {
+				if i < n {
+					touched[i] = true
 				}
 			}
 		}
@@ -442,8 +390,8 @@ func Scope(d *Diff, dep *interfere.Deployment) (*interfere.Deployment, []string)
 		HookBudgets: dep.HookBudgets,
 	}
 	var names []string
-	for _, c := range dep.Monitors {
-		if inScope[c.Name] {
+	for i, c := range dep.Monitors {
+		if touched[i] {
 			scoped.Monitors = append(scoped.Monitors, c)
 			names = append(names, c.Name)
 		}

@@ -38,6 +38,46 @@ guardrail y { trigger: { FUNCTION(sched_tick) }, rule: { LOAD(k) <= 1 }, action:
 	}
 }
 
+// TestScopeCoversCoincidingTimers: a guardrail is added whose REPLACE
+// undoes an existing one's (GI002), and the two share no key. On one
+// hook site the scope always held both; on one timer it held only the
+// added guardrail, and the scoped check admitted what the full check
+// refuses. Coinciding timers fire together as a hook site does, so both
+// are in the scope.
+func TestScopeCoversCoincidingTimers(t *testing.T) {
+	for _, c := range []struct{ trigger, first, second string }{
+		{"TIMER(0, 1e9)", "a", "b"},
+		{"FUNCTION(io_done)", "c", "d"}, // the control
+	} {
+		one := fmt.Sprintf("guardrail %s { trigger: { %s }, rule: { LOAD(p) <= 1 }, action: { REPLACE(linnos, heuristic) } }\n", c.first, c.trigger)
+		two := fmt.Sprintf("guardrail %s { trigger: { %s }, rule: { LOAD(q) <= 1 }, action: { REPLACE(heuristic, linnos) } }\n", c.second, c.trigger)
+		old, new := mustCompile(t, one), mustCompile(t, one+two)
+		if v := fullCheck(old); !v.Clean() {
+			t.Fatalf("%s: old generation not clean: %v", c.trigger, v.Diagnostics())
+		}
+		if n := countCode(fullCheck(new), interfere.CodeReplaceConflict); n != 1 {
+			t.Fatalf("%s: full check finds %d GI002, want 1", c.trigger, n)
+		}
+		scoped, names := CheckScoped(Compare(old, new), &deploy.Deployment{Monitors: new})
+		if got, want := strings.Join(names, " "), c.first+" "+c.second; got != want {
+			t.Errorf("%s: scope = %v, want [%s]", c.trigger, names, want)
+		}
+		if n := countCode(scoped, interfere.CodeReplaceConflict); n != 1 {
+			t.Errorf("%s: scoped check finds %d GI002, want 1: %v", c.trigger, n, scoped.Diagnostics())
+		}
+	}
+}
+
+func countCode(v *deploy.Verdict, code string) int {
+	n := 0
+	for _, d := range v.Diagnostics() {
+		if d.Code == code {
+			n++
+		}
+	}
+	return n
+}
+
 func fullCheck(cs []*compile.Compiled) *deploy.Verdict {
 	return (&deploy.Deployment{Monitors: cs}).Check(deploy.Checks{})
 }
@@ -54,6 +94,11 @@ func FuzzScopedEqualsFull(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 1, 1, 0, 2, 0, 1, 2, 0, 0, 2, 4, 0, 1, 0})
 	f.Add([]byte{2, 0, 0, 0, 2, 0, 3, 0, 0, 0, 2, 0, 1, 1, 1, 1, 1, 4, 0, 3, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0})
 	f.Add([]byte{5, 3, 1, 0, 2, 1, 3, 3, 2, 1, 3, 2, 0, 0, 3, 1, 0, 6, 1, 2, 1, 1, 1, 1, 2, 5, 0, 2, 2, 0, 2, 5, 2, 2, 3, 3, 3, 3, 2, 3, 1, 5})
+	// The REPLACE ping-pong of TestScopeCoversCoincidingTimers on
+	// coinciding timers: g0 = TIMER(0, 2e9), k <= 0, REPLACE(linnos,
+	// heuristic); g1 and g2 on their own sites; add TIMER(0, 1e9), q <= 0,
+	// REPLACE(heuristic, linnos).
+	f.Add([]byte{0, 128, 0, 0, 0, 128, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 0, 6, 0, 0, 0, 3, 1, 0, 0, 129, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		oldSrc, newSrc := scopeFuzzGenerations(data)
 		old, err := compile.Source(oldSrc)
@@ -140,24 +185,37 @@ func scopeFuzzGenerations(data []byte) (old, new string) {
 }
 
 var (
-	scopeFuzzSites  = []string{"io_done", "net_rx", "sched_tick"}
-	scopeFuzzKeys   = []string{"k", "q", "r", "s"}
-	scopeFuzzValues = []string{"0", "0.5", "1", "7"}
+	scopeFuzzSites   = []string{"io_done", "net_rx", "sched_tick"}
+	scopeFuzzTimers  = []string{"TIMER(0, 2e9)", "TIMER(5e8, 1e9)"}
+	scopeFuzzKeys    = []string{"k", "q", "r", "s"}
+	scopeFuzzValues  = []string{"0", "0.5", "1", "7"}
+	scopeFuzzActions = []string{"REPLACE(linnos, heuristic)", "REPLACE(heuristic, linnos)", "RETRAIN(linnos)", "RETRAIN(sched_ml)"}
 )
 
 // scopeFuzzGuardrail renders one guardrail from six bytes: the trigger
 // (one of three sites, or a timer), the rule's key, comparison and
-// threshold, and the action (SAVE of a value, or REPORT of a key).
+// threshold, and the action (SAVE of a value, REPORT of a key, a REPLACE
+// or a RETRAIN). A trigger byte below 128 picks a site or TIMER(0, 1e9),
+// one of 128 or more a timer that coincides with it (TIMER(0, 2e9)) or
+// one that never does (TIMER(5e8, 1e9)); an action byte of 128 or more
+// picks a REPLACE or RETRAIN. Bytes below 128 decode as they always
+// have, so older inputs keep their meaning.
 func scopeFuzzGuardrail(name string, b [6]int) string {
 	trigger := "TIMER(0, 1e9)"
-	if b[0]%4 < 3 {
+	switch {
+	case b[0] >= 128:
+		trigger = scopeFuzzTimers[b[0]%2]
+	case b[0]%4 < 3:
 		trigger = "FUNCTION(" + scopeFuzzSites[b[0]%4] + ")"
 	}
 	cmp := []string{"<=", ">"}[b[2]%2]
 	rule := fmt.Sprintf("LOAD(%s) %s %s", scopeFuzzKeys[b[1]%4], cmp, scopeFuzzValues[b[3]%4])
 	key := scopeFuzzKeys[b[4]%4]
 	action := fmt.Sprintf("SAVE(%s, %s)", key, scopeFuzzValues[b[5]%4])
-	if b[4]%8 >= 4 {
+	switch {
+	case b[4] >= 128:
+		action = scopeFuzzActions[b[4]%4]
+	case b[4]%8 >= 4:
 		action = fmt.Sprintf("REPORT(LOAD(%s))", key)
 	}
 	return fmt.Sprintf("guardrail %s { trigger: { %s }, rule: { %s }, action: { %s } }\n", name, trigger, rule, action)

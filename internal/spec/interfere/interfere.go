@@ -572,79 +572,6 @@ func deployEnv(c *compile.Compiled, self int, facts []*monFacts, savers map[stri
 	return env, ranged
 }
 
-// --- co-firing -------------------------------------------------------
-
-// firstSharedGroup returns the first hook group on which two monitors
-// can fire at the same instant, and whether there is one. The groups
-// are every FUNCTION site both attach to, in sorted order, then the
-// "TIMER" pseudo-group when both have timers that can tick
-// coincidentally. Monitors on unrelated triggers (or a timer vs a hook
-// site) do not co-fire — the conflict checks are per-hook by design.
-// It runs for every monitor pair, so it allocates nothing.
-func firstSharedGroup(a, b *monFacts) (string, bool) {
-	as, bs := a.c.Footprint.Sites, b.c.Footprint.Sites // both sorted
-	for i, j := 0, 0; i < len(as) && j < len(bs); {
-		switch {
-		case as[i] == bs[j]:
-			return as[i], true
-		case as[i] < bs[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	if timersCanCoincide(a.c.Footprint.Timers, b.c.Footprint.Timers) {
-		return "TIMER", true
-	}
-	return "", false
-}
-
-// timersCanCoincide reports whether any pair of timer triggers can tick
-// at the same simulated instant. Two arithmetic progressions
-// start+k·interval coincide iff their start offset is divisible by
-// gcd(i1, i2); non-integral parameters are handled conservatively
-// (assume coincidence). Stop windows that provably do not overlap rule
-// coincidence out.
-func timersCanCoincide(as, bs []*spec.TimerTrigger) bool {
-	for _, a := range as {
-		for _, b := range bs {
-			if timerPairCoincides(a, b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func timerPairCoincides(a, b *spec.TimerTrigger) bool {
-	// Disjoint active windows cannot coincide. A window is
-	// [start, stop) with stop 0 = forever.
-	if a.Stop > 0 && a.Stop <= b.Start {
-		return false
-	}
-	if b.Stop > 0 && b.Stop <= a.Start {
-		return false
-	}
-	// Exact conversion bounds at 2^53 (not 2^62 as this check once
-	// allowed): past the float64 integer limit, s1-s2 rounds, and a
-	// divisibility test on the rounded difference can wrongly rule out
-	// real coincidences. When exact arithmetic is impossible, assume
-	// coincidence (schedule.go).
-	s1, ok1 := ExactInt64(a.Start)
-	i1, ok2 := ExactInt64(a.Interval)
-	s2, ok3 := ExactInt64(b.Start)
-	i2, ok4 := ExactInt64(b.Interval)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return true // conservative: cannot reason exactly
-	}
-	g := Gcd64(i1, i2)
-	if g == 0 {
-		return s1 == s2
-	}
-	// |s1|,|s2| ≤ 2^53, so the difference cannot overflow int64.
-	return (s1-s2)%g == 0
-}
-
 // --- action conflicts (GI001–GI003) ----------------------------------
 
 // sharesKey reports whether two sorted key lists have a key in common.
@@ -663,12 +590,12 @@ func sharesKey(as, bs []string) bool {
 }
 
 // checkConflicts visits the candidate pairs only, in ascending (i, j)
-// order: those sharing a hook site, and those whose monitors both have
-// timers (firstSharedGroup then asks whether the timers coincide). The
-// cost is the sum of the firing groups' squared sizes, not the number of
-// monitors squared, and a pair with no saved key in common and not two
-// monitors with REPLACE, DEPRIORITIZE or RETRAIN actions — nothing the
-// three checks compare — is dropped before anything else is asked.
+// order: the monitors that share a firing group of the coupling (a hook
+// site, or a timer tick class). The cost is the sum of the groups'
+// squared sizes, not the number of monitors squared, and a pair with no
+// saved key in common and not two monitors with REPLACE, DEPRIORITIZE
+// or RETRAIN actions — nothing the three checks compare — is dropped
+// before anything else is asked.
 func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
 	stamp := make([]int, len(facts)) // stamp[j] == i+1: j is already a partner of i
 	var partners []int
@@ -677,15 +604,8 @@ func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
 			continue
 		}
 		partners = partners[:0]
-		groups := a.c.Footprint.Sites
-		for gi := 0; gi <= len(groups); gi++ {
-			var members []int
-			switch {
-			case gi < len(groups):
-				members = c.sites[groups[gi]]
-			case len(a.c.Footprint.Timers) > 0:
-				members = c.timers
-			}
+		for _, g := range c.of[i] {
+			members := c.cofire[g].Monitors
 			for _, j := range members[sort.SearchInts(members, i+1):] {
 				if stamp[j] != i+1 {
 					stamp[j] = i + 1
@@ -699,12 +619,7 @@ func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
 			if !b.canFire || !(a.acts && b.acts) && !sharesKey(a.saveKeys, b.saveKeys) {
 				continue
 			}
-			// Conflicts are per-pair properties; report them once
-			// against the first shared group.
-			site, ok := firstSharedGroup(a, b)
-			if !ok {
-				continue
-			}
+			site := c.firstSharedGroup(i, j)
 			checkSaveConflict(r, a, b, site, wit)
 			checkReplaceConflict(r, a, b, site, wit)
 			checkDuplicateActions(r, a, b, site, wit)

@@ -1,21 +1,21 @@
 package interfere
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"guardrails/internal/spec"
 )
 
-// Timer arithmetic shared by the coincidence check (timersCanCoincide)
-// and the deployment model checker (internal/spec/modelcheck), which
-// schedules transitions over one timer hyperperiod. All of it is
-// overflow-aware: timer parameters are float64 nanoseconds, and
+// Timer arithmetic behind the coupling's timer firing groups. All of it
+// is overflow-aware: timer parameters are float64 nanoseconds, and
 // second-scale values (1e9…1e12 ns) push both float64 integer exactness
 // (2^53) and int64 products (lcm of coprime second-scale intervals) past
 // their limits. Every helper reports when it cannot compute exactly so
-// callers fall back to the conservative answer instead of reasoning
-// from silently wrapped or rounded arithmetic.
+// the coupling falls back to the conservative answer instead of
+// reasoning from silently wrapped or rounded arithmetic.
 
 // maxExactFloatInt is the largest magnitude at which every integer is
 // exactly representable as a float64. Beyond it, subtracting two timer
@@ -23,18 +23,22 @@ import (
 // wrongly rule out real coincidences.
 const maxExactFloatInt = 1 << 53
 
-// ExactInt64 converts a float64 timer parameter to int64 nanoseconds,
+// maxTicks bounds the tick events the schedule enumerates; past it the
+// coupling falls back to the pairwise coincidence test.
+const maxTicks = 4096
+
+// exactInt64 converts a float64 timer parameter to int64 nanoseconds,
 // with ok=false when the value is not an exactly-representable integer
 // (NaN, ±Inf, fractional, or past the 2^53 float64 integer limit).
-func ExactInt64(v float64) (int64, bool) {
+func exactInt64(v float64) (int64, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v != math.Trunc(v) || math.Abs(v) > maxExactFloatInt {
 		return 0, false
 	}
 	return int64(v), true
 }
 
-// Gcd64 is the non-negative greatest common divisor.
-func Gcd64(a, b int64) int64 {
+// gcd64 is the non-negative greatest common divisor.
+func gcd64(a, b int64) int64 {
 	if a < 0 {
 		a = -a
 	}
@@ -47,10 +51,10 @@ func Gcd64(a, b int64) int64 {
 	return a
 }
 
-// Lcm64 is the least common multiple, with ok=false on int64 overflow
+// lcm64 is the least common multiple, with ok=false on int64 overflow
 // (second-scale coprime intervals overflow readily: lcm(1e12+9, 1e12+7)
 // ≈ 1e24).
-func Lcm64(a, b int64) (int64, bool) {
+func lcm64(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}
@@ -60,7 +64,7 @@ func Lcm64(a, b int64) (int64, bool) {
 	if b < 0 {
 		b = -b
 	}
-	g := Gcd64(a, b)
+	g := gcd64(a, b)
 	q := a / g
 	l := q * b
 	if l/b != q {
@@ -69,14 +73,14 @@ func Lcm64(a, b int64) (int64, bool) {
 	return l, true
 }
 
-// Hyperperiod is the least common multiple of a set of timer intervals
+// hyperperiod is the least common multiple of a set of timer intervals
 // — the period after which the joint tick pattern repeats — with
 // ok=false on overflow.
-func Hyperperiod(intervals []int64) (int64, bool) {
+func hyperperiod(intervals []int64) (int64, bool) {
 	h := int64(1)
 	for _, iv := range intervals {
 		var ok bool
-		h, ok = Lcm64(h, iv)
+		h, ok = lcm64(h, iv)
 		if !ok {
 			return 0, false
 		}
@@ -84,87 +88,127 @@ func Hyperperiod(intervals []int64) (int64, bool) {
 	return h, true
 }
 
-// TickGroup is one coincidence class of timer ticks: the set of timers
-// (by index into the input slice) that tick at the same instant.
-type TickGroup struct {
-	// Members indexes the timers ticking at this instant, ascending.
-	Members []int
+// monTimer is one TIMER trigger and the monitor it belongs to.
+type monTimer struct {
+	mon int
+	t   *spec.TimerTrigger
 }
 
-// TimerTicks enumerates the joint tick schedule of a set of timers over
-// one hyperperiod: every instant in [base, base+H) at which at least
-// one timer ticks (base = earliest start, H = lcm of the intervals),
-// grouped by instant. Stop windows are respected within the enumerated
-// window. ok=false — with no partial result — when any parameter is not
-// an exactly-representable integer, the hyperperiod overflows int64, or
-// the schedule exceeds maxTicks tick events; callers then fall back to
-// conservative coincidence.
-func TimerTicks(timers []*spec.TimerTrigger, maxTicks int) (groups []TickGroup, hyper int64, ok bool) {
+// tickClasses enumerates the joint tick schedule of a set of timers and
+// returns its coincidence classes: the distinct sets of monitors that
+// tick at one instant, each ascending, in order of first tick. The
+// window runs from the first start to T+H, T the last start or stop and
+// H the lcm of the intervals: from T on the same timers run, so the
+// pattern repeats with period H, and the window holds every set that
+// ever ticks together. ok=false — with no result — when any parameter is not an
+// exactly-representable integer, the window overflows int64, or it holds
+// more than maxTicks ticks; the caller then falls back to the pairwise
+// test (timerPairCoincides).
+func tickClasses(timers []monTimer) (classes [][]int, hyper int64, ok bool) {
 	if len(timers) == 0 {
 		return nil, 0, true
 	}
-	starts := make([]int64, len(timers))
+	type timer struct {
+		mon                   int
+		start, interval, stop int64
+	}
+	ts := make([]timer, len(timers))
 	intervals := make([]int64, len(timers))
-	stops := make([]int64, len(timers))
-	for i, t := range timers {
-		var ok bool
-		if starts[i], ok = ExactInt64(t.Start); !ok {
+	for i, mt := range timers {
+		t := timer{mon: mt.mon}
+		var ok1, ok2, ok3 bool
+		t.start, ok1 = exactInt64(mt.t.Start)
+		t.interval, ok2 = exactInt64(mt.t.Interval)
+		t.stop, ok3 = exactInt64(mt.t.Stop)
+		if !ok1 || !ok2 || !ok3 || t.interval <= 0 {
 			return nil, 0, false
 		}
-		if intervals[i], ok = ExactInt64(t.Interval); !ok {
-			return nil, 0, false
-		}
-		if stops[i], ok = ExactInt64(t.Stop); !ok {
-			return nil, 0, false
-		}
-		if intervals[i] <= 0 {
-			return nil, 0, false
-		}
+		ts[i], intervals[i] = t, t.interval
 	}
-	h, ok2 := Hyperperiod(intervals)
-	if !ok2 {
+	h, ok := hyperperiod(intervals)
+	if !ok {
 		return nil, 0, false
 	}
-	base := starts[0]
-	for _, s := range starts[1:] {
-		if s < base {
-			base = s
-		}
+	last := ts[0].start
+	for _, t := range ts {
+		last = max(last, t.start, t.stop)
 	}
-	end := base + h
-	if end < base { // base+h overflow
+	end := last + h
+	if end < last { // overflow
 		return nil, 0, false
 	}
-	byOffset := map[int64][]int{}
-	ticks := 0
-	for i := range timers {
-		for t := starts[i]; t < end; {
-			if stops[i] > 0 && t >= stops[i] {
-				break
-			}
-			ticks++
-			if ticks > maxTicks {
+	type tick struct {
+		at  int64
+		mon int
+	}
+	var ticks []tick
+	for _, t := range ts {
+		for at := t.start; at < end && (t.stop <= 0 || at < t.stop); at += t.interval {
+			if len(ticks) == maxTicks {
 				return nil, 0, false
 			}
-			off := t - base
-			byOffset[off] = append(byOffset[off], i)
-			next := t + intervals[i]
-			if next < t { // int64 overflow
+			ticks = append(ticks, tick{at, t.mon})
+			if at > math.MaxInt64-t.interval {
 				break
 			}
-			t = next
 		}
 	}
-	offsets := make([]int64, 0, len(byOffset))
-	for off := range byOffset {
-		offsets = append(offsets, off)
+	slices.SortFunc(ticks, func(a, b tick) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.mon, b.mon)
+	})
+	seen := map[string]bool{}
+	var members []int
+	var key []byte
+	for i := 0; i < len(ticks); {
+		members, key = members[:0], key[:0]
+		for at := ticks[i].at; i < len(ticks) && ticks[i].at == at; i++ {
+			if m := ticks[i].mon; len(members) == 0 || members[len(members)-1] != m {
+				members = append(members, m)
+				key = binary.LittleEndian.AppendUint32(key, uint32(m))
+			}
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			classes = append(classes, slices.Clone(members))
+		}
 	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
-	groups = make([]TickGroup, 0, len(offsets))
-	for _, off := range offsets {
-		members := byOffset[off]
-		sort.Ints(members)
-		groups = append(groups, TickGroup{Members: members})
+	return classes, h, true
+}
+
+// timerPairCoincides reports whether two timer triggers can tick at the
+// same simulated instant. Two arithmetic progressions start+k·interval
+// coincide iff their start offset is divisible by gcd(i1, i2);
+// non-integral parameters are handled conservatively (assume
+// coincidence). Stop windows that provably do not overlap rule
+// coincidence out.
+func timerPairCoincides(a, b *spec.TimerTrigger) bool {
+	// Disjoint active windows cannot coincide. A window is
+	// [start, stop) with stop 0 = forever.
+	if a.Stop > 0 && a.Stop <= b.Start {
+		return false
 	}
-	return groups, h, true
+	if b.Stop > 0 && b.Stop <= a.Start {
+		return false
+	}
+	// Exact conversion bounds at 2^53 (not 2^62 as this check once
+	// allowed): past the float64 integer limit, s1-s2 rounds, and a
+	// divisibility test on the rounded difference can wrongly rule out
+	// real coincidences. When exact arithmetic is impossible, assume
+	// coincidence.
+	s1, ok1 := exactInt64(a.Start)
+	i1, ok2 := exactInt64(a.Interval)
+	s2, ok3 := exactInt64(b.Start)
+	i2, ok4 := exactInt64(b.Interval)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return true // conservative: cannot reason exactly
+	}
+	g := gcd64(i1, i2)
+	if g == 0 {
+		return s1 == s2
+	}
+	// |s1|,|s2| ≤ 2^53, so the difference cannot overflow int64.
+	return (s1-s2)%g == 0
 }

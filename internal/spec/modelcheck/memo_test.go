@@ -389,6 +389,13 @@ guardrail raise-b {
 `
 	f.Add(twoComponents + "assert always LOAD(b) <= 1\nassert always LOAD(b) <= 0\n")
 	f.Add(twoComponents + "assert always LOAD(a) + LOAD(b) <= 1\n")
+	// Two ladders on timers that never tick together, which the tick
+	// classes split into two components: properties on each, then one
+	// joining both.
+	offsetLadders := strings.NewReplacer("escalate-", "late-", "alert_level", "late_alert", "quarantined", "late_quarantined",
+		"bad_tenant_err", "late_err", "TIMER(0, 1000)", "TIMER(500, 1000)").Replace(escalationSrc)
+	f.Add(escalationSrc + offsetLadders + "assert always LOAD(quarantined) <= 1\nassert always LOAD(late_quarantined) <= 1\n")
+	f.Add(escalationSrc + offsetLadders + "assert always LOAD(quarantined) + LOAD(late_quarantined) <= 2\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := spec.ParseChecked(src)
 		if err != nil {

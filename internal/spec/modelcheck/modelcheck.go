@@ -11,10 +11,9 @@
 // The abstract state is a tuple of certified feature-store intervals —
 // one per key the deployment reads or writes — obtained from the
 // deployment's memoized vm.AnalyzeWith (interfere.Deployment.Analysis)
-// under a state-dependent cell environment. Transitions
-// are monitor firings: one per hook site, and one per timer
-// coincidence class scheduled over a single timer hyperperiod (shared
-// machinery with interfere, see TimerTicks). The checker explores the
+// under a state-dependent cell environment. Transitions are monitor
+// firings, the deployment's firing groups (interfere.Deployment.Schedule):
+// one per hook site, and one per timer tick class. The checker explores the
 // induced transition system exhaustively to a configurable depth and
 // state bound, widening per-key interval sequences so loops with
 // strictly growing counters still converge. It never builds the
@@ -82,7 +81,6 @@ const (
 	DefaultMaxDepth      = 48
 	DefaultMaxStates     = 2048
 	DefaultWidenAfter    = 8
-	DefaultMaxTicks      = 4096
 	DefaultWitnessBudget = 2048
 )
 
@@ -102,9 +100,6 @@ type Config struct {
 	// WidenAfter is the number of distinct interval values a key may
 	// take before widening accelerates it (0 = DefaultWidenAfter).
 	WidenAfter int
-	// MaxTicks bounds the timer schedule enumeration per hyperperiod
-	// (0 = DefaultMaxTicks).
-	MaxTicks int
 	// Witness enables concretization of refutations through the real
 	// interpreter.
 	Witness bool
@@ -123,7 +118,6 @@ func (c Config) filled() Config {
 	def(&c.MaxDepth, DefaultMaxDepth)
 	def(&c.MaxStates, DefaultMaxStates)
 	def(&c.WidenAfter, DefaultWidenAfter)
-	def(&c.MaxTicks, DefaultMaxTicks)
 	def(&c.WitnessBudget, DefaultWitnessBudget)
 	return c
 }
@@ -182,8 +176,9 @@ type Report struct {
 	// HyperperiodNs is the timer hyperperiod (see Certificate).
 	HyperperiodNs int64 `json:"hyperperiod_ns,omitempty"`
 	// ConservativeSchedule reports that the timer schedule could not
-	// be computed exactly (overflow or non-integral parameters) and
-	// every timer fires as its own unordered transition instead.
+	// be computed exactly (overflow, non-integral parameters or too many
+	// ticks) and every timer fires as its own unordered transition
+	// instead.
 	ConservativeSchedule bool `json:"conservative_schedule,omitempty"`
 	// Shadow lists monitors excluded from the transition relation.
 	Shadow []string `json:"shadow,omitempty"`
@@ -425,7 +420,9 @@ func Check(dep *interfere.Deployment, cfg Config) *Report {
 
 // buildSystem derives the abstract transition system from a deployment:
 // the transition groups over every active monitor, then one model per
-// component, components joined as the properties require.
+// component, components joined as the properties require. Both come
+// from the coupling of the active monitors: dep's own when every
+// monitor is active, so interfere.Analyze and Check share it.
 func buildSystem(dep *interfere.Deployment, cfg Config) *system {
 	s := &system{cfg: cfg.filled(), states: 1}
 
@@ -433,30 +430,24 @@ func buildSystem(dep *interfere.Deployment, cfg Config) *system {
 	for _, n := range cfg.Shadow {
 		shadow[n] = true
 	}
-	active := make([]int, len(dep.Monitors)) // by deployment index: index into s.mons, -1 when inactive
-	for i, c := range dep.Monitors {
-		active[i] = -1
-		if c == nil || c.Program == nil || shadow[c.Name] {
-			continue
+	for _, c := range dep.Monitors {
+		if c != nil && c.Program != nil && !shadow[c.Name] {
+			s.mons = append(s.mons, c)
 		}
-		active[i] = len(s.mons)
-		s.mons = append(s.mons, c)
 	}
-	groups := s.buildGroups()
+	active := dep
+	if len(s.mons) < len(dep.Monitors) {
+		active = &interfere.Deployment{Monitors: s.mons}
+	}
+	groups := s.buildGroups(active)
 
-	// Components of the active monitors; a shadow monitor may still have
-	// joined two of them, which only coarsens the split.
-	comp := make([]int, len(s.mons)) // active monitor → component
-	var parent []int                 // component → the component it joined
-	for _, members := range dep.Components() {
-		n := len(parent)
-		for _, i := range members {
-			if a := active[i]; a >= 0 {
-				comp[a] = n
-			}
-		}
-		if slices.ContainsFunc(members, func(i int) bool { return active[i] >= 0 }) {
-			parent = append(parent, n)
+	comps := active.Components()
+	comp := make([]int, len(s.mons))  // active monitor → component
+	parent := make([]int, len(comps)) // component → the component it joined
+	for ci, members := range comps {
+		parent[ci] = ci
+		for _, a := range members {
+			comp[a] = ci
 		}
 	}
 	find := func(c int) int {
@@ -586,82 +577,26 @@ func (m *model) init(members []int, propKeys []string, declared map[string]*spec
 	}
 }
 
-// buildGroups derives the transition groups over every active monitor:
-// one per hook site, plus the timer coincidence classes over one
-// hyperperiod. It records their labels in s.labels.
-func (s *system) buildGroups() []group {
-	var groups []group
-	hookMons := map[string][]int{}
-	type timerRef struct {
-		mon   int
-		timer *spec.TimerTrigger
-	}
-	var timers []timerRef
-	for i, c := range s.mons {
-		for _, site := range c.Footprint.Sites {
-			hookMons[site] = append(hookMons[site], i)
-		}
-		for _, tt := range c.Footprint.Timers {
-			timers = append(timers, timerRef{mon: i, timer: tt})
-		}
-	}
-
-	sites := make([]string, 0, len(hookMons))
-	for site := range hookMons {
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	for _, site := range sites {
-		groups = append(groups, group{label: "hook:" + site, mons: hookMons[site]})
-	}
-	if len(timers) > 0 {
-		specs := make([]*spec.TimerTrigger, len(timers))
-		for i, tr := range timers {
-			specs[i] = tr.timer
-		}
-		ticks, hyper, ok := interfere.TimerTicks(specs, s.cfg.MaxTicks)
-		s.hyper, s.conserv = hyper, !ok
-		if !ok {
-			// Conservative fallback (ticks is empty): each timer fires
-			// alone, in an unknown order — one singleton transition per
-			// timer.
-			for _, tr := range timers {
-				groups = append(groups, group{
-					label: "timer[" + s.mons[tr.mon].Name + "]",
-					mons:  []int{tr.mon},
-				})
+// buildGroups derives the transition groups over the active monitors
+// from their firing groups: one per hook site, then one per timer tick
+// class. It records their labels in s.labels.
+func (s *system) buildGroups(active *interfere.Deployment) []group {
+	fgs, hyper, exact := active.Schedule()
+	s.hyper, s.conserv = hyper, !exact
+	groups := make([]group, len(fgs))
+	s.labels = make([]string, 0, len(fgs))
+	for gi, fg := range fgs {
+		label := "hook:" + fg.Site
+		if fg.Site == "" {
+			names := make([]string, len(fg.Monitors))
+			for i, a := range fg.Monitors {
+				names[i] = s.mons[a].Name
 			}
+			label = "timer[" + strings.Join(names, "+") + "]"
 		}
-		// Distinct coincidence classes only: two ticks with the same
-		// member set induce the same abstract transition.
-		seen := map[string]bool{}
-		for _, tg := range ticks {
-			monSet := map[int]bool{}
-			for _, ti := range tg.Members {
-				monSet[timers[ti].mon] = true
-			}
-			mons := make([]int, 0, len(monSet))
-			for mi := range monSet {
-				mons = append(mons, mi)
-			}
-			sort.Ints(mons)
-			sig := fmt.Sprint(mons)
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			names := make([]string, len(mons))
-			for i, mi := range mons {
-				names[i] = s.mons[mi].Name
-			}
-			groups = append(groups, group{
-				label: "timer[" + strings.Join(names, "+") + "]",
-				mons:  mons,
-			})
-		}
-	}
-	for _, g := range groups {
-		s.labels = append(s.labels, g.label)
+		// mons is renumbered into its model in place: a copy.
+		groups[gi] = group{label: label, mons: slices.Clone(fg.Monitors)}
+		s.labels = append(s.labels, label)
 	}
 	return groups
 }

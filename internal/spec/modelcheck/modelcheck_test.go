@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -129,16 +130,18 @@ func TestEscalationRefutesTooTightBound(t *testing.T) {
 // an unconstrained signal splits the oscSrc cycle into two strongly
 // connected components (latched = 0 and latched = 1). The mode
 // oscillation lives in both; it is one finding, not one per component.
+// The latch's timer never ticks with oscSrc's, so its rule also reads
+// mode (never above 1) to share a component with them.
 func TestOscillationReportedOncePerWriterPair(t *testing.T) {
 	dep := deployment(t, oscSrc+`
 feature sig range(0, 1)
 
 guardrail latch {
     trigger: { TIMER(250, 1000) },
-    rule: { LOAD(sig) < 0.5 || LOAD(latched) >= 1 },
+    rule: { LOAD(sig) < 0.5 || LOAD(latched) >= 1 || LOAD(mode) > 1 },
     action: { SAVE(latched, 1) }
 }`)
-	m := buildSystem(dep, Config{}).models[0] // every monitor is timer-driven: one component
+	m := buildSystem(dep, Config{}).models[0] // the latch reads mode: one component
 	m.explore()
 	cyclic := 0
 	for _, comp := range sccsOf(m.adj) {
@@ -396,5 +399,63 @@ guardrail shed {
 	rep := Check(dep, Config{Properties: props(t, "always LOAD(load) <= 1")})
 	if len(rep.Properties) != 1 || rep.Properties[0].Status != StatusProved {
 		t.Fatalf("property judged under the later declaration's range: %+v", rep.Properties)
+	}
+}
+
+// timerLadders is n copies of the escalation ladder, copy i on
+// TIMER(start(i), 8000) with its own keys, and the two safety
+// properties of each copy. The second rung comes first, so a tick
+// raises the alert and the next one quarantines: three states a copy.
+func timerLadders(t *testing.T, n int, start func(i int) int) (*interfere.Deployment, Config) {
+	var b strings.Builder
+	var ps []string
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `
+feature err_%[1]d range(0.8, 1)
+
+guardrail lad%[1]d-two {
+    trigger: { TIMER(%[2]d, 8000) },
+    rule: { LOAD(alert_%[1]d) < 1 || LOAD(err_%[1]d) < 0.5 },
+    action: { SAVE(quarantined_%[1]d, 1) }
+}
+
+guardrail lad%[1]d-one {
+    trigger: { TIMER(%[2]d, 8000) },
+    rule: { LOAD(err_%[1]d) < 0.5 },
+    action: { SAVE(alert_%[1]d, 1) }
+}
+`, i, start(i))
+		ps = append(ps, fmt.Sprintf("always LOAD(alert_%d) <= 1", i), fmt.Sprintf("always LOAD(quarantined_%d) <= 1", i))
+	}
+	return deployment(t, b.String()), Config{Properties: props(t, ps...)}
+}
+
+// TestOffsetTimerLaddersSplit: twelve ladders on timers that never tick
+// together (starts 0, 500, …, 5 500 ns, one period) are twelve
+// components, three states each with the shared initial state counted
+// once, and every property is proved. They were one component once,
+// the product of twelve ladders, which truncated at 2 048 states and
+// proved none. On one shared timer the ladders step in lockstep: one
+// component of three states.
+func TestOffsetTimerLaddersSplit(t *testing.T) {
+	for _, c := range []struct {
+		start              func(int) int
+		components, states int
+	}{
+		{func(i int) int { return 500 * i }, 12, 25},
+		{func(int) int { return 0 }, 1, 3},
+	} {
+		dep, cfg := timerLadders(t, 12, c.start)
+		rep := Check(dep, cfg)
+		proved := 0
+		for _, p := range rep.Properties {
+			if p.Status == StatusProved {
+				proved++
+			}
+		}
+		if got := len(dep.Components()); got != c.components || rep.Truncated || rep.States != c.states || proved != 24 {
+			t.Errorf("ladders from TIMER(%d, 8000): %d components, %d states (truncated %v), %d of 24 proved; want %d components, %d states, untruncated, 24 proved",
+				c.start(1), got, rep.States, rep.Truncated, proved, c.components, c.states)
+		}
 	}
 }

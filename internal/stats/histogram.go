@@ -199,14 +199,6 @@ func (h *LogHistogram) Quantile(p float64) float64 {
 	return math.Exp2(float64(len(h.bins)))
 }
 
-// Reset zeroes all counters.
-func (h *LogHistogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.zero, h.total, h.sum = 0, 0, 0
-}
-
 // Summary is the fixed quantile export shared by telemetry snapshots
 // and benchmark emission: count, mean, and the conventional latency
 // quantiles. An empty histogram summarizes to the zero Summary (not

@@ -16,6 +16,3 @@ func (w *Welford) Add(x float64) {
 
 // Mean returns the running mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }

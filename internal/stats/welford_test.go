@@ -37,16 +37,6 @@ func TestWelfordSingleObservation(t *testing.T) {
 	}
 }
 
-func TestWelfordReset(t *testing.T) {
-	var w Welford
-	w.Add(1)
-	w.Add(2)
-	w.Reset()
-	if w.n != 0 || w.Mean() != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
 func TestWelfordPropertyMeanWithinBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		var w Welford

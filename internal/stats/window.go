@@ -37,9 +37,6 @@ func (w *Window) Add(x float64) (evicted float64, wasFull bool) {
 // Len returns the number of values currently held.
 func (w *Window) Len() int { return w.size }
 
-// Sum returns the sum of held values.
-func (w *Window) Sum() float64 { return w.sum }
-
 // Mean returns the mean of held values, or 0 when empty.
 func (w *Window) Mean() float64 {
 	if w.size == 0 {
@@ -55,11 +52,6 @@ func (w *Window) Values() []float64 {
 		out[i] = w.buf[(w.head+i)%len(w.buf)]
 	}
 	return out
-}
-
-// Reset clears the window.
-func (w *Window) Reset() {
-	w.head, w.size, w.sum = 0, 0, 0
 }
 
 // RateWindow counts event outcomes (hit/miss style) over a sliding window
@@ -104,15 +96,4 @@ func (r *RateWindow) Rate() float64 {
 		return 0
 	}
 	return float64(r.count) / float64(r.size)
-}
-
-// Len returns the number of outcomes held.
-func (r *RateWindow) Len() int { return r.size }
-
-// Reset clears the window.
-func (r *RateWindow) Reset() {
-	r.head, r.size, r.count = 0, 0, 0
-	for i := range r.bits {
-		r.bits[i] = false
-	}
 }

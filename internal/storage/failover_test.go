@@ -53,7 +53,7 @@ func TestArrayFailoverDuringGCPause(t *testing.T) {
 	if primary.chipFor(0).gcUntil <= now {
 		t.Fatal("write pressure did not trigger a GC pause")
 	}
-	gcRead := arr.Read(now, 0)
+	gcRead := arr.Primary().Submit(now, 0, false)
 	if gcRead < kernel.Millisecond {
 		t.Fatalf("pre-failure read %v should be stuck behind the GC pause", gcRead)
 	}
@@ -69,7 +69,7 @@ func TestArrayFailoverDuringGCPause(t *testing.T) {
 		t.Fatal("reads not routed to the survivor")
 	}
 	for i := 0; i < 8; i++ {
-		lat := arr.Read(now, uint64(i))
+		lat := arr.Primary().Submit(now, uint64(i), false)
 		if lat <= 0 {
 			t.Fatalf("read %d returned a zero/stale latency %v from a dead replica", i, lat)
 		}

@@ -236,9 +236,6 @@ func NewArray(devices ...*Device) (*Array, error) {
 // Replica returns the i'th device.
 func (a *Array) Replica(i int) *Device { return a.replicas[i] }
 
-// Len returns the replica count.
-func (a *Array) Len() int { return len(a.replicas) }
-
 // SetNotify registers an observer for replica up/down transitions
 // (e.g. to publish replicas_alive to a feature store). The callback
 // runs synchronously from Fail and Heal.
@@ -318,13 +315,6 @@ func (a *Array) Secondary() *Device {
 		}
 	}
 	return a.replicas[primary]
-}
-
-// Read submits a read for lba to the primary replica and returns its
-// latency. A failed replica never serves reads: after a Fail, reads
-// route to the survivor.
-func (a *Array) Read(now kernel.Time, lba uint64) kernel.Time {
-	return a.Primary().Submit(now, lba, false)
 }
 
 // Write mirrors a write to every live replica and returns the slowest

@@ -200,7 +200,7 @@ func TestArrayMirrorsWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.Len() != 2 || arr.Replica(0) != d1 {
+	if len(arr.replicas) != 2 || arr.Replica(0) != d1 {
 		t.Error("array accessors wrong")
 	}
 	lat := arr.Write(0, 5)

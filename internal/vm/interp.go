@@ -42,10 +42,6 @@ type BranchTrace struct {
 	Truncated bool
 }
 
-// Reset clears the trace for reuse (the arrays beyond N are never
-// read, so this is two stores).
-func (t *BranchTrace) Reset() { t.N, t.Truncated = 0, false }
-
 func (t *BranchTrace) add(pc int, taken bool) {
 	if t.N >= TraceCap {
 		t.Truncated = true

@@ -18,9 +18,14 @@
 //
 // From the roots the pass follows every identifier a live declaration
 // mentions. Calls through interfaces are not resolved: a method of a
-// live type is kept whenever its name is a method name of any
-// interface the module declares or can import (error, fmt.Stringer,
-// sort.Interface, json.Marshaler, ...). A constant is live when any
+// live type is kept whenever the type, or a pointer to it, implements
+// an interface that has the method and that some package of the module
+// can see where it can see the type — one the module declares or
+// writes inline, one it imports (error, fmt.Stringer, sort.Interface,
+// json.Marshaler, ...), or one errors.Is, As and Unwrap assert on. A
+// method that merely shares an interface method's name is not kept. A
+// generic type implements nothing before it is instantiated, so for it
+// the method names alone decide. A constant is live when any
 // constant of its declaration group is: deleting one would renumber an
 // iota group. _test.go files are ignored whoever hands them in, so a
 // test can never make its subject live.
@@ -124,7 +129,7 @@ type analysis struct {
 	decls  map[string]*decl
 	order  []*decl            // declaration order, for stable output
 	byRecv map[string][]*decl // methods by receiver type key
-	iface  map[string]bool    // method names of every visible interface
+	kept   map[string]bool    // methods by which a type implements a visible interface
 	live   map[string]bool
 	work   []string
 
@@ -138,22 +143,18 @@ type analysis struct {
 // whole module: a missing package takes its roots along.
 func Analyze(module string, pkgs []*Package) []Finding {
 	a := &analysis{
-		module: module,
-		decls:  map[string]*decl{},
-		byRecv: map[string][]*decl{},
-		// The interface methods no package scope shows: the universe's
-		// error, and the inline interfaces errors.Is, As and Unwrap
-		// assert on.
-		iface:   map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true},
+		module:  module,
+		decls:   map[string]*decl{},
+		byRecv:  map[string][]*decl{},
+		kept:    map[string]bool{},
 		live:    map[string]bool{},
 		readAll: map[string]bool{},
 		exempt:  map[string]bool{},
 	}
 	var findings []Finding
-	imported := map[*types.Package]bool{}
 	for _, p := range pkgs {
 		findings = append(findings, a.collect(p)...)
-		a.importedInterfaces(p.Types, imported)
+		a.implemented(p)
 	}
 	a.drain()
 
@@ -201,7 +202,6 @@ func (a *analysis) collect(p *Package) []Finding {
 		if strings.HasSuffix(p.Fset.Position(file.Pos()).Filename, "_test.go") {
 			continue
 		}
-		a.interfaceLiterals(p, file)
 		a.wholeStructUses(p, file)
 		add := func(id *ast.Ident, node ast.Node, doc *ast.CommentGroup) *decl {
 			d := &decl{pos: p.Fset.Position(id.Pos()), name: id.Name, checked: checked}
@@ -357,43 +357,104 @@ func structOf(t types.Type) (*types.Named, *types.Struct) {
 	return named, st
 }
 
-// interfaceLiterals adds the method names of every interface type
-// written in the file, named or inline.
-func (a *analysis) interfaceLiterals(p *Package, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.InterfaceType); ok {
-			if it, ok := p.Info.TypeOf(lit).(*types.Interface); ok {
-				a.interfaceMethods(it)
+// errorsInterfaces are the interfaces no package scope shows: the
+// universe's error, and the inline ones errors.Is, As and Unwrap assert
+// on.
+var errorsInterfaces = func() []*types.Interface {
+	errType := types.Universe.Lookup("error").Type()
+	method := func(name string, params, results []types.Type) *types.Interface {
+		vars := func(ts []types.Type) *types.Tuple {
+			vs := make([]*types.Var, len(ts))
+			for i, t := range ts {
+				vs[i] = types.NewParam(token.NoPos, nil, "", t)
+			}
+			return types.NewTuple(vs...)
+		}
+		fn := types.NewFunc(token.NoPos, nil, name, types.NewSignatureType(nil, nil, nil, vars(params), vars(results), false))
+		return types.NewInterfaceType([]*types.Func{fn}, nil).Complete()
+	}
+	boolType, anyType := types.Typ[types.Bool], types.Universe.Lookup("any").Type()
+	return []*types.Interface{
+		errType.Underlying().(*types.Interface),
+		method("Unwrap", nil, []types.Type{errType}),
+		method("Unwrap", nil, []types.Type{types.NewSlice(errType)}),
+		method("Is", []types.Type{errType}, []types.Type{boolType}),
+		method("As", []types.Type{anyType}, []types.Type{boolType}),
+	}
+}()
+
+// implemented adds to a.kept the methods by which a named type of the
+// module implements an interface, both as p sees them: p's own and its
+// transitive imports' named types and interfaces, the interfaces p's
+// files write inline, and errorsInterfaces. A conversion of a value to
+// an interface happens in some package that sees both, so every
+// package's view together finds every such method.
+func (a *analysis) implemented(p *Package) {
+	var named []*types.Named
+	ifaces := append([]*types.Interface(nil), errorsInterfaces...)
+	done := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if done[pkg] {
+			return
+		}
+		done[pkg] = true
+		inModule := pkg.Path() == a.module || strings.HasPrefix(pkg.Path(), a.module+"/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			} else if n, ok := tn.Type().(*types.Named); ok && inModule {
+				named = append(named, n)
 			}
 		}
-		return true
-	})
-}
-
-func (a *analysis) interfaceMethods(it *types.Interface) {
-	for i := 0; i < it.NumMethods(); i++ {
-		a.iface[it.Method(i).Name()] = true
-	}
-}
-
-// importedInterfaces adds the method names of every named interface in
-// the packages pkg imports, transitively: a type handed to fmt.Fprintf
-// needs its Write though its package never imports io.
-func (a *analysis) importedInterfaces(pkg *types.Package, done map[*types.Package]bool) {
-	for _, imp := range pkg.Imports() {
-		if done[imp] {
-			continue
+		for _, imp := range pkg.Imports() {
+			visit(imp)
 		}
-		done[imp] = true
-		scope := imp.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					a.interfaceMethods(it)
+	}
+	visit(p.Types)
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.InterfaceType); ok {
+				if it, ok := p.Info.TypeOf(lit).(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+			return true
+		})
+	}
+
+	// An interface is implemented only by a type with its first method,
+	// so each type asks only the interfaces that start with one of its
+	// method names.
+	byFirst := map[string][]*types.Interface{}
+	for _, it := range ifaces {
+		if it.NumMethods() > 0 && it.IsMethodSet() {
+			first := it.Method(0).Name()
+			byFirst[first] = append(byFirst[first], it)
+		}
+	}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		ms := types.NewMethodSet(ptr)
+		for i := 0; i < ms.Len(); i++ {
+			for _, it := range byFirst[ms.At(i).Obj().Name()] {
+				if n.TypeParams().Len() == 0 && !types.Implements(ptr, it) {
+					continue
+				}
+				for j := 0; j < it.NumMethods(); j++ {
+					m := it.Method(j)
+					obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+					if fn, ok := obj.(*types.Func); ok {
+						a.kept[key(fn)] = true
+					}
 				}
 			}
 		}
-		a.importedInterfaces(imp, done)
 	}
 }
 
@@ -405,7 +466,8 @@ func (a *analysis) mark(k string) {
 }
 
 // drain propagates liveness: a live declaration keeps what it
-// mentions, and a live type keeps its interface-named methods.
+// mentions, and a live type keeps the methods by which it implements a
+// visible interface.
 func (a *analysis) drain() {
 	for len(a.work) > 0 {
 		k := a.work[len(a.work)-1]
@@ -418,7 +480,7 @@ func (a *analysis) drain() {
 			a.mark(r)
 		}
 		for _, m := range a.byRecv[k] {
-			if a.iface[m.name] {
+			if a.kept[m.key] {
 				a.mark(m.key)
 			}
 		}

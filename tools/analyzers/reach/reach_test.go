@@ -55,7 +55,7 @@ import (
 
 type Thing struct{}
 
-func New() *Thing { hookStale(); return &Thing{} }
+func New() *Thing { hookStale(); _ = Lengthy{}; return &Thing{} }
 
 // Exported is called by the command; b.Result is live through its
 // signature.
@@ -80,6 +80,15 @@ func (t *Thing) inline()                      {}
 type Frobber interface{ Frob() }
 
 func viaInlineInterface(x any) { _, _ = x.(interface{ inline() }) }
+
+// Lengthy is live, and its methods share names with interface methods,
+// but it implements no interface that has them: a Len without Less and
+// Swap is no sort.Interface, and a String that takes an argument is no
+// fmt.Stringer.
+type Lengthy struct{}
+
+func (Lengthy) Len() int                   { return 0 }
+func (Lengthy) String(verbose bool) string { return "" }
 
 var (
 	_ fmt.Stringer   = (*Thing)(nil)
@@ -124,6 +133,10 @@ type Result struct{}
 // but nothing calls it.
 func (Result) ViaSignature() {}
 
+// Size implements c.Sizer, an interface of a package that imports this
+// one: only c sees both.
+func (Result) Size() int { return 0 }
+
 type Orphan struct{ Z int }
 
 func (Orphan) String() string { return "" }
@@ -134,6 +147,12 @@ var DeadVar = 2
 `,
 
 	"mod/internal/c/c.go": `package c
+
+import "mod/internal/b"
+
+type Sizer interface{ Size() int }
+
+var _ Sizer = b.Result{}
 
 func FromMain()      { fromMainHelper() }
 func fromMainHelper() {}
@@ -364,8 +383,13 @@ func TestAnalyzeFixture(t *testing.T) {
 		"mod/internal/a.helperOfOnlyTests": unreachable,
 		// Unexported, uncalled, and no interface has the name.
 		"mod/internal/a.Thing.unexportedUnused": unreachable,
-		// An interface nothing mentions (Thing.Frob stays: the name rule
-		// does not ask whether the interface is live).
+		// Named like interface methods, but Lengthy implements neither
+		// interface.
+		"mod/internal/a.Lengthy.Len":    unreachable,
+		"mod/internal/a.Lengthy.String": unreachable,
+		// An interface nothing mentions (Thing.Frob stays: Thing
+		// implements it, and the rule does not ask whether the interface
+		// is live).
 		"mod/internal/a.Frobber": unreachable,
 		// The facade is checked like internal/: an export no root names
 		// is a finding, and so is what only it calls.
