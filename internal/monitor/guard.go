@@ -118,6 +118,8 @@ func trapKind(err error) string {
 
 // breakerHit records one fault against the sliding-window circuit
 // breaker and quarantines the monitor when the threshold is reached.
+// A quarantined monitor records no faults, so the window holds the
+// tripping faults until rearm clears it.
 func (m *Monitor) breakerHit(now kernel.Time) {
 	if m.opts.BreakerThreshold <= 0 || m.state == StateQuarantined {
 		return
@@ -133,7 +135,6 @@ func (m *Monitor) breakerHit(now kernel.Time) {
 	if len(m.faultTimes) < m.opts.BreakerThreshold {
 		return
 	}
-	m.faultTimes = m.faultTimes[:0]
 	m.quarantine(fmt.Sprintf("%d faults within %s", m.opts.BreakerThreshold, m.opts.BreakerWindow))
 }
 

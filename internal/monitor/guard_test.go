@@ -172,6 +172,81 @@ func TestFailClosedFallbackAndRestore(t *testing.T) {
 	}
 }
 
+// A fail-closed quarantine with no Fallback dispatches the guardrail's
+// own actions once: listing 2's SAVE(ml_enabled, false) has a constant
+// value, so it applies outside the VM and drives the system safe.
+func TestFailClosedWithoutFallbackDispatchesTheActions(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("false_submit_rate", 0.01) // holds: only the fallback can SAVE
+	st.Save("ml_enabled", 1)
+	ms, err := rt.LoadSource(listing2, Options{OnFault: FailClosed, BreakerThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetFaultInjector(&testInjector{
+		evalFault: func(string) error { return errors.New("boom") },
+	})
+	k.RunUntil(1200 * kernel.Millisecond) // faults at t=0,1s → trip
+	if got := stateOf(ms[0]); got != StateQuarantined {
+		t.Fatalf("state = %v, want quarantined", got)
+	}
+	if got := st.Load("ml_enabled"); got != 0 {
+		t.Errorf("ml_enabled = %v after a fail-closed quarantine, want 0 (the SAVE action)", got)
+	}
+	if s := ms[0].Stats(); s.DispatchErrors != 0 {
+		t.Errorf("fallback dispatch errors = %d, want 0", s.DispatchErrors)
+	}
+}
+
+// The breaker counts faults within BreakerWindow only: faults spaced
+// wider than the window never add up to a trip.
+func TestBreakerForgetsFaultsOutsideItsWindow(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("false_submit_rate", 0.01)
+	ms, err := rt.LoadSource(listing2, Options{
+		BreakerThreshold: 2,
+		BreakerWindow:    500 * kernel.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetFaultInjector(&testInjector{
+		evalFault: func(string) error { return errors.New("injected crash") },
+	})
+	k.RunUntil(4500 * kernel.Millisecond) // faults at t=0..4s, 1s apart
+	s := ms[0].Stats()
+	if s.Traps != 5 || s.Quarantines != 0 || stateOf(ms[0]) != StateActive {
+		t.Errorf("5 faults 1s apart with a 500ms window: traps %d, quarantines %d, state %v; want 5, 0, active",
+			s.Traps, s.Quarantines, stateOf(ms[0]))
+	}
+}
+
+// A rearmed monitor starts a fresh breaker window: the faults that
+// tripped it do not count toward the next trip.
+func TestRearmStartsAFreshBreakerWindow(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("false_submit_rate", 0.01)
+	ms, err := rt.LoadSource(listing2, Options{
+		BreakerThreshold: 3,
+		BreakerWindow:    10 * kernel.Second,
+		Cooldown:         500 * kernel.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetFaultInjector(&testInjector{
+		evalFault: func(string) error { return errors.New("injected crash") },
+	})
+	// Faults at t=0,1s,2s trip the breaker; the rearm at 2.5s is
+	// followed by faults at 3s and 4s: two, under the threshold of three.
+	k.RunUntil(4500 * kernel.Millisecond)
+	s := ms[0].Stats()
+	if s.Quarantines != 1 || s.Rearms != 1 || s.Traps != 5 || stateOf(ms[0]) != StateActive {
+		t.Errorf("quarantines %d, rearms %d, traps %d, state %v; want 1, 1, 5, active",
+			s.Quarantines, s.Rearms, s.Traps, stateOf(ms[0]))
+	}
+}
+
 // A failing action backend is retried with exponential backoff and
 // dead-lettered when retries are exhausted; a backend that recovers
 // mid-retry is logged as recovered.
