@@ -5,7 +5,9 @@
 //     calls, map iteration, string-keyed map indexing, and locked
 //     instructions (mutex operations, atomic read-modify-writes), with
 //     //guardrails:coldpath suppressing
-//     findings on provably cold lines
+//     findings on provably cold lines; the compiler's escape analysis
+//     (`go build -gcflags=-m` on the packages that mark a function)
+//     adds every heap move or escape inside a marked function
 //   - reach (tools/analyzers/reach): every package-level declaration
 //     under internal/ or in the module-root facade must be reachable
 //     from cmd/, examples/, benchmark/ or tools/, and every field of a
@@ -109,6 +111,8 @@ func run(w io.Writer, patterns []string) (int, error) {
 	var module string
 	var loaded []*reach.Package
 	selected := map[string]bool{} // by directory
+	var hot []*hotpath.Package
+	var hotPaths []string
 	for _, p := range pkgs {
 		if len(p.Match) == 0 || p.Module == nil {
 			continue
@@ -123,8 +127,30 @@ func run(w io.Writer, patterns []string) (int, error) {
 			continue
 		}
 		selected[p.Dir] = true
-		for _, f := range hotpath.Analyze(&hotpath.Package{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}) {
+		hp := &hotpath.Package{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}
+		for _, f := range hotpath.Analyze(hp) {
 			report(f)
+		}
+		if hotpath.HasMarked(hp) {
+			hot = append(hot, hp)
+			hotPaths = append(hotPaths, p.ImportPath)
+		}
+	}
+	// The compiler's escape analysis, once over every selected package
+	// that marks a function.
+	if len(hot) > 0 {
+		wd, err := os.Getwd()
+		if err != nil {
+			return 0, err
+		}
+		diags, err := hotpath.CompilerDiagnostics(wd, hotPaths)
+		if err != nil {
+			return 0, err
+		}
+		for _, hp := range hot {
+			for _, f := range hotpath.Escapes(hp, diags) {
+				report(f)
+			}
 		}
 	}
 	for _, f := range reach.Analyze(module, loaded) {

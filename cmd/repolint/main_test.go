@@ -49,7 +49,8 @@ func TestTreeIsClean(t *testing.T) {
 
 // TestDriverFlagsSeededViolation plants a marked allocating function
 // and a function nothing calls in a throwaway package under internal/
-// and checks the driver flags both and exits 1.
+// and checks the driver flags both — the allocation syntactically and
+// through the compiler's escape analysis — and exits 1.
 func TestDriverFlagsSeededViolation(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
@@ -83,8 +84,9 @@ func leaky(n int) []int {
 	}
 	for _, want := range []string{
 		"hotpath: leaky: make allocates",
+		"hotpath: leaky: compiler: make([]int, n) escapes to heap",
 		"reach: guardrails/internal/zz_seeded_violation.leaky: reachable only from tests",
-		"repolint: 2 finding(s)", // and none from the packages the pattern leaves out
+		"repolint: 3 finding(s)", // and none from the packages the pattern leaves out
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, sb.String())

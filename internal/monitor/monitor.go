@@ -378,7 +378,7 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	m.trigAt = trig
 	sink := m.rt.Telemetry()
 	if sink != m.telSink {
-		m.telSink, m.telSteps = sink, sink.EvalHist(m.Name())
+		m.telSink, m.telSteps = sink, sink.EvalHist(m.Name()) //guardrails:coldpath the sink changed: its histogram resolves once
 	}
 	prov := m.rt.Provenance()
 	if prov != nil {
@@ -456,7 +456,7 @@ func (m *Monitor) LoadCell(i int32) float64 {
 		if m.provLive {
 			m.provFeature(i, good, true)
 		}
-		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", m.c.Program.Symbols[i], good))
+		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", m.c.Program.Symbols[i], good)) //guardrails:coldpath a corrupt read is a fault
 		return good
 	}
 	m.lastGood[i] = v

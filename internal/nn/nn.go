@@ -158,7 +158,7 @@ func (n *Network) OutputSize() int { return n.cfg.Layers[len(n.cfg.Layers)-1] }
 //guardrails:hotpath
 func (n *Network) Forward(in []float64) []float64 {
 	if len(in) != n.InputSize() {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), n.InputSize()))
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), n.InputSize())) //guardrails:coldpath caller bug
 	}
 	return n.forward(in)
 }

@@ -79,7 +79,7 @@ func (n *Network) Quantize(fracBits uint) (*Quantized, error) {
 //guardrails:hotpath
 func (q *Quantized) Forward(in []float64) []float64 {
 	if len(in) != q.inSize {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), q.inSize))
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), q.inSize)) //guardrails:coldpath caller bug
 	}
 	scale := int64(1) << q.fracBits
 	cur := q.qin

@@ -15,6 +15,9 @@ type Env interface {
 	// StoreCell writes linked cell i.
 	StoreCell(i int32, v float64)
 	// Helper invokes helper h with up to five arguments and returns r0.
+	// args aliases the machine's registers r1–r5: it is valid only
+	// during the call, and a helper must neither retain nor write it
+	// (the machine zeroes r1–r5 after the call returns).
 	// A non-nil error aborts the program with a TrapHelper trap — the
 	// seam through which failing action backends and injected
 	// helper-call faults surface to the runtime.
@@ -108,7 +111,7 @@ func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
 		if pc < 0 || pc >= len(code) {
 			m.Steps += steps
 			return 0, &Trap{Code: TrapBadPC, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
-				Cause: fmt.Errorf("pc %d outside [0,%d)", pc, len(code))}
+				Cause: fmt.Errorf("pc %d outside [0,%d)", pc, len(code))} //guardrails:coldpath trap construction
 		}
 		in := code[pc]
 		switch in.Op {
@@ -207,8 +210,9 @@ func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
 		case OpStore:
 			env.StoreCell(in.Cell, r[in.Src&regMask])
 		case OpCall:
-			args := [5]float64{r[1], r[2], r[3], r[4], r[5]}
-			out, err := env.Helper(HelperID(in.Imm), &args)
+			// The helper reads its arguments where the program left
+			// them: r1–r5, not a copy that escapes through env.
+			out, err := env.Helper(HelperID(in.Imm), (*[5]float64)(r[1:6]))
 			if err != nil {
 				m.Steps += steps
 				return 0, &Trap{Code: TrapHelper, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
@@ -222,7 +226,7 @@ func (m *Machine) Run(p *Program, env Env, arg float64) (float64, error) {
 		default:
 			m.Steps += steps
 			return 0, &Trap{Code: TrapBadOpcode, PC: pc, Program: p.Name, //guardrails:coldpath trap construction
-				Instr: p.fmtInstr(in), Cause: fmt.Errorf("invalid opcode %v", in.Op)}
+				Instr: p.fmtInstr(in), Cause: fmt.Errorf("invalid opcode %v", in.Op)} //guardrails:coldpath trap construction
 		}
 		pc++
 	}

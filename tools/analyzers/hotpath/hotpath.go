@@ -94,6 +94,12 @@ func Analyze(pkg *Package) []Finding {
 			out = append(out, v.findings...)
 		}
 	}
+	sortFindings(out)
+	return out
+}
+
+// sortFindings orders findings by position.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -104,7 +110,18 @@ func Analyze(pkg *Package) []Finding {
 		}
 		return a.Column < b.Column
 	})
-	return out
+}
+
+// HasMarked reports whether any function of the package is marked.
+func HasMarked(pkg *Package) bool {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil && marked(fn) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // marked reports whether the function's doc comment carries the
