@@ -8,6 +8,8 @@ package guardrails
 // per-inference allocation.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"guardrails/internal/cache"
@@ -105,6 +107,80 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	}
 	if rt.Provenance().Total() == 0 {
 		t.Fatal("recorder captured nothing; the measurement exercised the wrong path")
+	}
+}
+
+// evaluateAllocs loads the one guardrail in src, lets setup prepare the
+// runtime's backends and the feature store, and evaluates the monitor
+// past one wrap of the runtime's 4 096-slot report ring, so every ring
+// slot has been written once. It returns the allocations per further
+// evaluation and the monitor.
+func evaluateAllocs(t *testing.T, src string, setup func(*monitor.Runtime, *featurestore.Store)) (float64, *monitor.Runtime, *monitor.Monitor) {
+	t.Helper()
+	k := kernel.New()
+	st := featurestore.New()
+	rt := monitor.New(k, st)
+	setup(rt, st)
+	ms, err := rt.LoadSource(src, monitor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ms[0]
+	for i := 0; i <= 4096; i++ {
+		m.Evaluate(0)
+	}
+	return testing.AllocsPerRun(1000, func() { m.Evaluate(0) }), rt, m
+}
+
+// TestEvaluateEveryPathAllocationFree: a helper call, a REPORT, a SAVE
+// beside a REPORT, a REPLACE whose policy is already swapped and a
+// RETRAIN that collapses into its pending request each evaluate with
+// no allocation — the violating path is the hot path in a violation
+// storm.
+func TestEvaluateEveryPathAllocationFree(t *testing.T) {
+	const guardrail = `
+guardrail g {
+    trigger: { FUNCTION(io_done) },
+    rule: { %s },
+    action: { %s }
+}`
+	violate := func(_ *monitor.Runtime, st *featurestore.Store) { st.Save("x", 20) }
+	for _, c := range []struct {
+		name, rule, action string
+		setup              func(*monitor.Runtime, *featurestore.Store)
+		violates           bool
+	}{
+		{"holding helper call", "sqrt(LOAD(x)) < 10", "REPORT(LOAD(x))",
+			func(_ *monitor.Runtime, st *featurestore.Store) { st.Save("x", 4) }, false},
+		{"violating REPORT", "LOAD(x) < 10", "REPORT(LOAD(x))", violate, true},
+		{"violating SAVE+REPORT", "LOAD(x) < 10", "SAVE(y, LOAD(x) * 2)\n        REPORT(LOAD(x), LOAD(y))", violate, true},
+		{"steady-state REPLACE", "LOAD(x) < 10", "REPLACE(learned, heuristic)",
+			func(rt *monitor.Runtime, st *featurestore.Store) {
+				violate(rt, st)
+				if err := rt.Policies.DefineSlot("io_predictor",
+					map[string]any{"learned": "L", "heuristic": "H"}, "learned"); err != nil {
+					t.Fatal(err)
+				}
+			}, true},
+		{"collapsed RETRAIN", "LOAD(x) < 10", "RETRAIN(linnos)", violate, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf(guardrail, c.rule, c.action)
+			n, rt, m := evaluateAllocs(t, src, c.setup)
+			if n != 0 {
+				t.Errorf("Monitor.Evaluate allocates %v times per evaluation, want 0", n)
+			}
+			s := m.Stats()
+			if got := s.Violations == s.Evals; got != c.violates || s.DispatchErrors != 0 || s.Traps != 0 {
+				t.Fatalf("stats %+v: the measurement exercised the wrong path", s)
+			}
+			if c.violates && s.ActionsFired != s.Evals {
+				t.Fatalf("%d of %d evaluations acted", s.ActionsFired, s.Evals)
+			}
+			if strings.Contains(c.action, "REPORT") && c.violates && rt.Log.Total() != s.Evals {
+				t.Fatalf("%d reports for %d violations", rt.Log.Total(), s.Evals)
+			}
+		})
 	}
 }
 

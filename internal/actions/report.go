@@ -50,6 +50,13 @@ func (v Violation) String() string {
 // ReportLog is a bounded ring buffer of violations. Old entries are
 // overwritten once capacity is reached; Total always counts every
 // appended violation. Safe for concurrent use.
+//
+// Each slot keeps its Values backing array across overwrites: the
+// first violation with values written into a slot allocates it, and
+// every later one copies into it, so a steady stream of reports
+// allocates nothing once the ring has wrapped. Nothing outside the log
+// sees that storage: writers' slices are copied in, and Recent copies
+// out.
 type ReportLog struct {
 	mu    sync.Mutex
 	ring  []Violation
@@ -66,18 +73,38 @@ func NewReportLog(capacity int) *ReportLog {
 	return &ReportLog{ring: make([]Violation, capacity)}
 }
 
-// Append records one violation.
-func (l *ReportLog) Append(v Violation) {
+// Append records one violation. v.Values is copied: the caller may
+// reuse its slice.
+func (l *ReportLog) Append(v Violation) { l.put(v.Time, v.Guardrail, v.Note, v.Values) }
+
+// Report records one REPORT: guardrail violated at t, carrying vals.
+// vals is copied and not retained, so a caller may pass storage it
+// reuses (a VM's argument registers) without it escaping.
+func (l *ReportLog) Report(t kernel.Time, guardrail string, vals []float64) {
+	l.put(t, guardrail, "", vals)
+}
+
+// put writes the next slot, overwriting the oldest once full. The
+// ring only ever advances by one, so it wraps by comparison, not by a
+// division.
+func (l *ReportLog) put(t kernel.Time, guardrail, note string, vals []float64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.size == len(l.ring) {
-		l.ring[l.head] = v
-		l.head = (l.head + 1) % len(l.ring)
-	} else {
-		l.ring[(l.head+l.size)%len(l.ring)] = v
-		l.size++
+	i := l.head + l.size
+	if i >= len(l.ring) {
+		i -= len(l.ring)
 	}
+	if l.size < len(l.ring) {
+		l.size++
+	} else if l.head++; l.head == len(l.ring) {
+		l.head = 0
+	}
+	// Field by field: a composite literal is built on the stack first
+	// and copied, which costs more than the report's other writes.
+	s := &l.ring[i]
+	s.Time, s.Guardrail, s.Note = t, guardrail, note
+	s.Values = append(s.Values[:0], vals...)
 	l.total++
+	l.mu.Unlock()
 }
 
 // Total returns the count of all violations ever appended.
@@ -88,6 +115,8 @@ func (l *ReportLog) Total() uint64 {
 }
 
 // Recent returns up to n of the most recent violations, oldest first.
+// Each carries its own copy of its values (nil when it has none), so a
+// later write into the ring changes nothing a caller holds.
 func (l *ReportLog) Recent(n int) []Violation {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -97,7 +126,9 @@ func (l *ReportLog) Recent(n int) []Violation {
 	out := make([]Violation, 0, n)
 	start := l.size - n
 	for i := start; i < l.size; i++ {
-		out = append(out, l.ring[(l.head+i)%len(l.ring)])
+		v := l.ring[(l.head+i)%len(l.ring)]
+		v.Values = append([]float64(nil), v.Values...)
+		out = append(out, v)
 	}
 	return out
 }

@@ -56,9 +56,9 @@ const (
 	// policy it guards — on quarantine the monitor's Fallback runs
 	// (default: dispatch every compiled action once, driving the
 	// system to its safe configuration), and Restore runs on rearm.
-	// Note that SAVE actions are inlined into the monitor program, not
-	// in the compiled action list, so fail-closed guardrails whose
-	// safe state is a SAVE should set an explicit Fallback.
+	// Outside the VM a SAVE can apply only a constant value, so a
+	// fail-closed guardrail whose safe state is a computed SAVE should
+	// set an explicit Fallback.
 	FailClosed
 )
 
@@ -157,7 +157,7 @@ func (m *Monitor) quarantine(reason string) {
 		if m.opts.Fallback != nil {
 			m.opts.Fallback(m)
 		} else {
-			for i := range m.c.Actions {
+			for i := range m.actions {
 				m.dispatchAction(i, nil, now)
 			}
 		}
@@ -186,48 +186,58 @@ func (m *Monitor) rearm(how string) {
 }
 
 // runAction executes one dispatched action with injection, retry, and
-// dead-letter semantics. attempt is zero-based; failures retry with
-// exponential backoff (RetryBase << attempt) until RetryMax retries
-// are spent, then land in the runtime's dead-letter queue. trig is the
-// simulated time of the triggering hook; retry notes carry it so a log
-// reader can correlate a late retry back to the violation that caused
-// it.
-func (m *Monitor) runAction(name string, exec func() error, attempt int, trig kernel.Time) {
+// dead-letter semantics. attempt is zero-based; failures go to
+// actionFailed. trig is the simulated time of the triggering hook;
+// retry notes carry it so a log reader can correlate a late retry back
+// to the violation that caused it.
+//
+//guardrails:hotpath
+func (m *Monitor) runAction(a *action, vals []float64, attempt int, trig kernel.Time) {
 	var err error
 	if inj := m.rt.injector(); inj != nil {
-		err = inj.ActionFault(m.Name(), name)
+		err = inj.ActionFault(m.Name(), a.name)
 	}
 	if err == nil {
-		err = exec()
+		err = m.exec(a, vals, trig)
 	}
 	now := m.rt.k.Now()
-	sink := m.rt.Telemetry()
-	sink.Action(int64(now), m.Name(), name, attempt, err == nil)
-	if err == nil {
-		m.provAction(name, "ok", attempt)
-		if attempt > 0 {
-			m.rt.Log.Append(actions.Violation{
-				Time: now, Guardrail: m.Name(),
-				Note: fmt.Sprintf("action %s recovered (attempt %d) [triggered at %s]", name, attempt+1, trig),
-			})
-		}
+	m.rt.Telemetry().Action(int64(now), m.Name(), a.name, attempt, err == nil)
+	if err != nil {
+		m.actionFailed(a, vals, attempt, trig, now, err)
 		return
 	}
+	m.provAction(a.name, "ok", attempt)
+	if attempt > 0 {
+		m.rt.Log.Append(actions.Violation{
+			Time: now, Guardrail: m.Name(),
+			Note: fmt.Sprintf("action %s recovered (attempt %d) [triggered at %s]", a.name, attempt+1, trig), //guardrails:coldpath a retry recovered
+		})
+	}
+}
+
+// actionFailed reports a failed dispatch and either schedules its retry,
+// with exponential backoff (RetryBase << attempt), or, once RetryMax
+// retries are spent, dead-letters it.
+func (m *Monitor) actionFailed(a *action, vals []float64, attempt int, trig, now kernel.Time, err error) {
 	m.stats.DispatchErrors++
 	m.rt.Log.Append(actions.Violation{
 		Time: now, Guardrail: m.Name(),
-		Note: fmt.Sprintf("action %s failed (attempt %d) [triggered at %s]: %v", name, attempt+1, trig, err),
+		Note: fmt.Sprintf("action %s failed (attempt %d) [triggered at %s]: %v", a.name, attempt+1, trig, err),
 	})
 	m.breakerHit(now)
+	sink := m.rt.Telemetry()
 	if attempt >= m.opts.RetryMax {
-		m.provAction(name, "dead-letter", attempt)
+		m.provAction(a.name, "dead-letter", attempt)
 		m.stats.DeadLetters++
-		sink.DeadLetter(int64(now), m.Name(), name)
+		sink.DeadLetter(int64(now), m.Name(), a.name)
 		m.rt.DeadLetter.Add()
 		return
 	}
-	m.provAction(name, "retry", attempt)
+	m.provAction(a.name, "retry", attempt)
 	m.stats.Retries++
-	sink.ActionRetry(int64(now), m.Name(), name, attempt+1)
-	m.rt.k.After(m.opts.RetryBase<<attempt, func() { m.runAction(name, exec, attempt+1, trig) })
+	sink.ActionRetry(int64(now), m.Name(), a.name, attempt+1)
+	// vals alias the VM's argument registers, which the next helper
+	// call reuses: the retry keeps its own copy.
+	saved := append([]float64(nil), vals...)
+	m.rt.k.After(m.opts.RetryBase<<attempt, func() { m.runAction(a, saved, attempt+1, trig) })
 }

@@ -38,9 +38,10 @@ type Options struct {
 	// to its safe configuration via Fallback/Restore.
 	OnFault FaultPolicy
 	// Fallback runs when a FailClosed monitor is quarantined. Nil means
-	// dispatch every compiled action once. (SAVE actions are inlined in
-	// the program, not the action list — fail-closed guardrails whose
-	// safe state is a SAVE need an explicit Fallback.)
+	// dispatch every compiled action once. (Outside the VM a SAVE can
+	// apply only a constant value; a non-constant one fails its
+	// dispatch, so fail-closed guardrails whose safe state is a computed
+	// SAVE need an explicit Fallback.)
 	Fallback func(m *Monitor)
 	// Restore runs when a FailClosed monitor is rearmed, undoing
 	// Fallback.
@@ -146,6 +147,9 @@ type Monitor struct {
 	// first Load, incremented by every hot Update. Fixed at install.
 	gen int
 
+	// actions are c.Actions resolved for dispatch, by action index.
+	actions []action
+
 	timers []*kernel.Timer
 	detach []func()
 
@@ -172,8 +176,8 @@ type Monitor struct {
 	lastGood []float64
 
 	// trigAt is the simulated time of the trigger that started the
-	// in-flight evaluation; action closures copy it out so retries keep
-	// the original trigger time.
+	// in-flight evaluation; dispatch passes it on, so retries keep the
+	// original trigger time.
 	trigAt kernel.Time
 
 	// telSink is the telemetry sink the in-flight (or last) evaluation
@@ -188,13 +192,11 @@ type Monitor struct {
 	// reusable scratch record and provTrace the reusable VM branch
 	// trace for the in-flight evaluation; provLive marks a capture in
 	// flight; provSkip is the head-based healthy-sample countdown
-	// (commit at zero, reload to HealthyEvery-1); provSite is the
-	// in-flight evaluation's hook site.
+	// (commit at zero, reload to HealthyEvery-1).
 	prov      provenance.Record
 	provTrace vm.BranchTrace
 	provLive  bool
 	provSkip  uint64
-	provSite  string
 	// provSyms is the program symbol table (pulled up from
 	// m.c.Program so feature capture does one index, not a pointer
 	// chase per LOAD); provGlobal marks, per program cell, whether the
@@ -355,7 +357,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	if !m.enabled.Load() || m.state == StateQuarantined {
 		return true
 	}
-	m.provSite = site
 	shadow := m.forceShadow.Load()
 	shadowReason := ""
 	if shadow {
@@ -382,13 +383,12 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	}
 	prov := m.rt.Provenance()
 	if prov != nil {
-		m.provBegin(arg, shadow, shadowReason)
+		m.provBegin(site, arg, shadow, shadowReason)
 	}
 
 	if inj := m.rt.injector(); inj != nil {
 		if err := inj.EvalFault(m.Name()); err != nil {
 			m.recordFault("injected-trap", err)
-			m.provAbandon()
 			return true
 		}
 	}
@@ -408,7 +408,6 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	if err != nil {
 		sink.EvalOn(m.telSteps, int64(trig), m.Name(), steps, true)
 		m.recordFault(trapKind(err), err)
-		m.provAbandon()
 		return true
 	}
 	m.stats.LastResult = out
@@ -432,8 +431,11 @@ func (m *Monitor) evaluateAt(site string, arg float64) bool {
 	return held
 }
 
-// evalDone ends an evaluation; evaluateAt defers it.
-func (m *Monitor) evalDone() { m.running = false }
+// evalDone ends an evaluation; evaluateAt defers it. It also ends any
+// provenance capture still in flight — a trapped evaluation's, whose
+// fault record recordFault already committed, or a panicked one's — so
+// a later fault outside an evaluation never reads its scratch.
+func (m *Monitor) evalDone() { m.running, m.provLive = false, false }
 
 // --- vm.Env implementation -------------------------------------------
 
@@ -503,12 +505,7 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 		// The compiler sends REPORT through HelperAction: only a decoded
 		// or hand-built image reaches this branch.
 		if !m.suppressActions {
-			vals := []float64{args[0]} //guardrails:coldpath the compiler never emits HelperReport
-			v := actions.Violation{Time: m.trigAt, Guardrail: m.Name(), Values: vals}
-			m.runAction("REPORT", func() error { //guardrails:coldpath the compiler never emits HelperReport
-				m.rt.Log.Append(v)
-				return nil
-			}, 0, m.trigAt)
+			m.runAction(&rawReport, args[:1], 0, m.trigAt)
 		} else if m.provLive {
 			m.prov.AddAction("REPORT", "suppressed")
 		}
@@ -526,82 +523,128 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	}
 }
 
-// dispatchAction interprets a compiled action index against the
-// guardrail's action list and runs it through the retry machinery.
-// trig is the simulated time of the triggering hook (or, for
-// out-of-band dispatch such as a fail-closed fallback, the dispatch
-// time itself).
+// dispatchAction runs the compiled action with index idx through the
+// retry machinery. vals are REPORT's values: they alias the VM's
+// argument registers, which the next helper call reuses, and nothing on
+// the success path retains them. trig is the simulated time of the
+// triggering hook (or, for out-of-band dispatch such as a fail-closed
+// fallback, the dispatch time itself).
+//
+//guardrails:hotpath
 func (m *Monitor) dispatchAction(idx int, vals []float64, trig kernel.Time) {
-	if idx < 0 || idx >= len(m.c.Actions) {
+	if idx < 0 || idx >= len(m.actions) {
 		m.stats.DispatchErrors++
 		m.rt.Log.Append(actions.Violation{
 			Time: trig, Guardrail: m.Name(),
-			Note: fmt.Sprintf("action dispatch failed: no action at index %d", idx),
+			Note: fmt.Sprintf("action dispatch failed: no action at index %d", idx), //guardrails:coldpath only a hand-built image names a missing action
 		})
 		return
 	}
-	// vals aliases the VM's argument registers; actionExec copies what it
-	// needs before any closure can outlive this call, so no allocation
-	// happens on the dispatch path.
-	name, exec := m.actionExec(m.c.Actions[idx], vals, trig)
-	m.runAction(name, exec, 0, trig)
+	m.runAction(&m.actions[idx], vals, 0, trig)
 }
 
-// actionExec binds a compiled action to its backend, returning the
-// rendered action name (for logs and the dead-letter queue) and an
-// idempotent-enough closure the retry machinery can re-run. vals may
-// alias the VM's argument registers, which are reused by the next
-// dispatch: anything a closure needs is copied out eagerly here.
-func (m *Monitor) actionExec(act spec.Action, vals []float64, trig kernel.Time) (string, func() error) {
-	switch a := act.(type) {
-	case *spec.ReportAction:
-		var saved [compile.MaxReportArgs]float64
-		n := 0
-		if k := len(a.Args); k > 0 && k <= len(vals) && k <= len(saved) {
-			n = copy(saved[:], vals[:k])
-		}
-		return "REPORT", func() error {
-			v := actions.Violation{Time: trig, Guardrail: m.Name()}
-			if n > 0 {
-				v.Values = append(v.Values, saved[:n]...)
+// actionKind selects an action's backend.
+type actionKind uint8
+
+const (
+	actReport  actionKind = iota // the runtime's report log
+	actReplace                   // the policy registry
+	actRetrain                   // the retrainer
+	actSave                      // the feature store, with a constant value
+	actFail                      // none: every dispatch fails with err
+)
+
+// action is one compiled action resolved at load to what its dispatch
+// needs: the backend, the arguments it takes, the name logs, telemetry
+// and provenance render it by, and the error a failing dispatch
+// returns. Dispatching one builds no closure and formats nothing.
+type action struct {
+	kind actionKind
+	name string
+	// nvals is how many REPORT values the program passes.
+	nvals int
+	// from and to are REPLACE's policies; from is also RETRAIN's model.
+	from, to string
+	// key and value are a constant SAVE's.
+	key   string
+	value float64
+	// err is RETRAIN's rate-limit rejection, or an actFail dispatch's
+	// failure.
+	err error
+}
+
+// rawReport is HelperReport's action: a REPORT of r1, which only a
+// decoded or hand-built image calls (the compiler sends REPORT through
+// HelperAction).
+var rawReport = action{kind: actReport, name: "REPORT", nvals: 1}
+
+// resolveActions resolves a guardrail's compiled actions at load.
+func resolveActions(acts []spec.Action) []action {
+	out := make([]action, len(acts))
+	for i, act := range acts {
+		switch a := act.(type) {
+		case *spec.ReportAction:
+			out[i] = action{kind: actReport, name: "REPORT"}
+			if n := len(a.Args); n <= compile.MaxReportArgs {
+				out[i].nvals = n
 			}
-			m.rt.Log.Append(v)
-			return nil
-		}
-	case *spec.ReplaceAction:
-		return fmt.Sprintf("REPLACE(%s, %s)", a.Old, a.New), func() error {
-			_, err := m.rt.Policies.Replace(a.Old, a.New, m.rt.k.Now())
-			return err
-		}
-	case *spec.RetrainAction:
-		return fmt.Sprintf("RETRAIN(%s)", a.Model), func() error {
-			if !m.rt.Retrainer.Request(a.Model, m.rt.k.Now()) {
-				return fmt.Errorf("retrain %q rejected by rate limit", a.Model)
-			}
-			return nil
-		}
-	case *spec.DeprioritizeAction:
-		// No binary owns a task group, so there is no backend to demote
-		// one: the dispatch fails and takes the retry ladder.
-		return fmt.Sprintf("DEPRIORITIZE(%s)", a.Target), func() error {
-			return fmt.Errorf("actions: no task group %q", a.Target)
-		}
-	case *spec.SaveAction:
-		// SAVE compiles inline into the monitor program, so this path
-		// only runs for out-of-band dispatch (fail-closed quarantine):
-		// the VM is unavailable, so only constant values can be applied.
-		return fmt.Sprintf("SAVE(%s)", a.Key), func() error {
-			v, ok := compile.ConstEval(a.Value)
-			if !ok {
-				return fmt.Errorf("save %q: value %s is not constant outside the VM",
+		case *spec.ReplaceAction:
+			out[i] = action{kind: actReplace, name: fmt.Sprintf("REPLACE(%s, %s)", a.Old, a.New),
+				from: a.Old, to: a.New}
+		case *spec.RetrainAction:
+			out[i] = action{kind: actRetrain, name: fmt.Sprintf("RETRAIN(%s)", a.Model),
+				from: a.Model, err: fmt.Errorf("retrain %q rejected by rate limit", a.Model)}
+		case *spec.DeprioritizeAction:
+			// No binary owns a task group, so there is no backend to
+			// demote one: the dispatch fails and takes the retry ladder.
+			out[i] = action{kind: actFail, name: fmt.Sprintf("DEPRIORITIZE(%s)", a.Target),
+				err: fmt.Errorf("actions: no task group %q", a.Target)}
+		case *spec.SaveAction:
+			// SAVE compiles inline into the monitor program, so this
+			// action only runs for out-of-band dispatch (fail-closed
+			// quarantine): the VM is unavailable, so only a constant
+			// value can be applied.
+			out[i] = action{kind: actSave, name: fmt.Sprintf("SAVE(%s)", a.Key), key: a.Key}
+			if v, ok := compile.ConstEval(a.Value); ok {
+				out[i].value = v
+			} else {
+				out[i].kind = actFail
+				out[i].err = fmt.Errorf("save %q: value %s is not constant outside the VM",
 					a.Key, spec.ExprString(a.Value))
 			}
-			m.rt.store.Save(a.Key, v)
-			return nil
-		}
-	default:
-		return fmt.Sprintf("%T", act), func() error {
-			return fmt.Errorf("unsupported action %T", act)
+		default:
+			out[i] = action{kind: actFail, name: fmt.Sprintf("%T", act),
+				err: fmt.Errorf("unsupported action %T", act)}
 		}
 	}
+	return out
+}
+
+// exec runs a on its backend: the success path of every action. vals
+// are REPORT's values (nil outside an evaluation, where a REPORT
+// carries none).
+//
+//guardrails:hotpath
+func (m *Monitor) exec(a *action, vals []float64, trig kernel.Time) error {
+	switch a.kind {
+	case actReport:
+		n := a.nvals
+		if n > len(vals) {
+			n = 0
+		}
+		m.rt.Log.Report(trig, m.Name(), vals[:n])
+		return nil
+	case actReplace:
+		_, err := m.rt.Policies.Replace(a.from, a.to, m.rt.k.Now())
+		return err
+	case actRetrain:
+		if !m.rt.Retrainer.Request(a.from, m.rt.k.Now()) {
+			return a.err
+		}
+		return nil
+	case actSave:
+		m.rt.store.Save(a.key, a.value)
+		return nil
+	}
+	return a.err
 }

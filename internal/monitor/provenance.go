@@ -38,20 +38,23 @@ func (m *Monitor) provInit() {
 	}
 }
 
-// provBegin starts capture for the in-flight evaluation and installs
-// the branch trace on the VM. The scratch is not fully Reset per
-// evaluation (that is a measurable fraction of a steady-state eval):
-// static fields were prefilled by provInit, Commit stamps Seq, the
-// rollout-only fields are never touched by a
-// monitor, and every other field (At, Site, Held, Kind, ...) is
-// written by whichever commit path runs (provEnd for evaluations,
-// provFault for faults) — so only the state appended to during the
-// run is cleared here.
-func (m *Monitor) provBegin(arg float64, shadow bool, shadowReason string) {
+// provBegin starts capture for the in-flight evaluation, triggered at
+// hook site ("" for timers and direct calls), and installs the branch
+// trace on the VM. The scratch is not fully Reset per evaluation (that
+// is a measurable fraction of a steady-state eval): static fields were
+// prefilled by provInit, Commit stamps Seq, the rollout-only fields are
+// never touched by a monitor, and every other field (At, Held, Kind,
+// ...) is written by whichever commit path runs (provEnd for
+// evaluations, provFault for faults) — so only the trigger and the
+// state appended to during the run are set here. The site is stored
+// only here, with a recorder attached: an unrecorded evaluation pays no
+// string store.
+func (m *Monitor) provBegin(site string, arg float64, shadow bool, shadowReason string) {
 	r := &m.prov
 	r.NFeatures, r.FeaturesTruncated = 0, false
 	r.NActions, r.ActionsTruncated = 0, false
 	r.Arg = arg
+	r.Site = site
 	// Shadow state is stable across steady-state evaluations; compare
 	// before storing so the common case does not dirty the fields.
 	if r.Shadow != shadow || r.ShadowReason != shadowReason {
@@ -62,15 +65,6 @@ func (m *Monitor) provBegin(arg float64, shadow bool, shadowReason string) {
 		m.machine.Trace = &m.provTrace
 	}
 	m.provLive = true
-}
-
-// provAbandon tears down an in-flight capture without committing an
-// evaluation record — the trap paths, whose fault record recordFault
-// already committed. The branch trace stays installed on the machine:
-// the next provBegin resets it, nothing reads it in between, and
-// detaching would put an extra store on every evaluation.
-func (m *Monitor) provAbandon() {
-	m.provLive = false
 }
 
 // provEnd finishes the in-flight capture and commits it if the
@@ -101,7 +95,6 @@ func (m *Monitor) provEnd(rec *provenance.Recorder, held bool, steps uint64) {
 	r := &m.prov
 	m.provSyncTrace(r)
 	r.At = int64(m.trigAt)
-	r.Site = m.provSite
 	r.Held = held
 	r.Steps = steps
 	if held {
@@ -137,7 +130,6 @@ func (m *Monitor) provFault(rec *provenance.Recorder, kind string, now kernel.Ti
 		f.Kind = provenance.KindFault
 		f.FaultKind = kind
 		f.At = int64(now)
-		f.Site = m.provSite
 		// provBegin's slim reset leaves these to the commit paths: the
 		// snapshot may carry them from the previous committed record.
 		f.Held, f.Steps = false, 0

@@ -134,6 +134,7 @@ func (r *Runtime) install(c *compile.Compiled, opts Options, old *Monitor) *Moni
 		cells:    make([]featurestore.ID, len(c.Program.Symbols)),
 		lastGood: make([]float64, len(c.Program.Symbols)),
 		gen:      1,
+		actions:  resolveActions(c.Actions),
 		stats:    &Stats{},
 	}
 	m.enabled.Store(true)
