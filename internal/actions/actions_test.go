@@ -35,6 +35,56 @@ func TestReportLogAppendAndRecent(t *testing.T) {
 	}
 }
 
+// Values returned by Recent are the caller's own: the ring wrapping
+// over their slots, which reuses each slot's storage, changes nothing.
+func TestReportLogRecentSurvivesTheWrap(t *testing.T) {
+	l := NewReportLog(2)
+	l.Report(1, "g", []float64{1, 10})
+	l.Report(2, "g", []float64{2, 20})
+	got := l.Recent(2)
+	for i := 3; i <= 6; i++ { // two full wraps over both slots
+		l.Report(kernel.Time(i), "g", []float64{float64(i), float64(10 * i)})
+	}
+	if got[0].Values[0] != 1 || got[0].Values[1] != 10 || got[1].Values[0] != 2 || got[1].Values[1] != 20 {
+		t.Errorf("Recent's values changed under the wrap: %v, %v", got[0].Values, got[1].Values)
+	}
+	if now := l.Recent(2); now[0].Values[0] != 5 || now[1].Values[1] != 60 {
+		t.Errorf("after the wrap Recent = %v", now)
+	}
+}
+
+// The log keeps its own copy of what it is given: a caller reusing its
+// slice after Append or Report (the VM reuses its argument registers)
+// does not rewrite history.
+func TestReportLogCopiesWritersValues(t *testing.T) {
+	l := NewReportLog(4)
+	buf := []float64{1, 2}
+	l.Report(1, "g", buf)
+	buf[0] = 99
+	l.Append(Violation{Time: 2, Guardrail: "g", Values: buf})
+	buf[0], buf[1] = -1, -2
+	got := l.Recent(2)
+	if got[0].Values[0] != 1 || got[0].Values[1] != 2 || got[1].Values[0] != 99 || got[1].Values[1] != 2 {
+		t.Errorf("the log aliases its writers' slices: %v, %v", got[0].Values, got[1].Values)
+	}
+}
+
+// A REPORT with no values — and a note — still reads Values == nil,
+// also from a slot that held values before the ring wrapped onto it,
+// so nothing that renders a violation changes.
+func TestReportLogNoValuesReadsNil(t *testing.T) {
+	l := NewReportLog(1)
+	l.Report(1, "g", []float64{1})
+	l.Report(2, "g", nil)
+	if v := l.Recent(1)[0]; v.Values != nil || v.String() != `[2ns] guardrail "g" violated` {
+		t.Errorf("a REPORT without values reads %#v, renders %q", v.Values, v.String())
+	}
+	l.Append(Violation{Time: 3, Guardrail: "g", Note: "n"})
+	if v := l.Recent(1)[0]; v.Values != nil {
+		t.Errorf("a note reads Values %#v, want nil", v.Values)
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Time: 2 * kernel.Second, Guardrail: "low-false-submit",
 		Values: []float64{0.12}, Note: "rate spike"}

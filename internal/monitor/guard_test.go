@@ -705,3 +705,44 @@ guardrail steady {
 		t.Errorf("after the recovered panic: stats %+v; want one clean evaluation", s)
 	}
 }
+
+// A fault record carries the hook site of its own evaluation, never one
+// left behind by an earlier capture: here an evaluation at site_a panics
+// mid-capture, and the next one, at site_b, starts without a recorder
+// (so it captures nothing) and faults after one is attached. Its fault
+// record is the minimal header, with no site.
+func TestFaultRecordNeverCarriesAStaleSite(t *testing.T) {
+	rt, k, st := newRT()
+	st.Save("err_rate", 0.001)
+	ms, err := rt.LoadSource(`
+guardrail two-sites {
+    trigger: { FUNCTION(site_a), FUNCTION(site_b) },
+    rule: { LOAD(err_rate) <= 0.01 },
+    action: { SAVE(ml_enabled, 0) }
+}`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := provenance.New(64, 1)
+	rt.SetProvenance(rec)
+	k.SetHookPanicHandler(func(string, any) {})
+	calls := 0
+	rt.SetFaultInjector(&testInjector{evalFault: func(string) error {
+		calls++
+		if calls == 1 {
+			panic("injector bug")
+		}
+		rt.SetProvenance(rec)
+		return errors.New("injected crash")
+	}})
+	k.Fire("site_a", 1)
+	rt.SetProvenance(nil)
+	k.Fire("site_b", 2)
+	recs := rec.Records()
+	if ms[0].Stats().Traps != 1 || len(recs) != 1 {
+		t.Fatalf("traps %d, records %d; want 1 and 1", ms[0].Stats().Traps, len(recs))
+	}
+	if r := recs[0]; r.Kind != provenance.KindFault || r.Site != "" || r.NFeatures != 0 {
+		t.Errorf("fault record kind %v, site %q, %d features; want a fault with no site and no features", r.Kind, r.Site, r.NFeatures)
+	}
+}
