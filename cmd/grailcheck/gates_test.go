@@ -99,6 +99,7 @@ func TestEveryGateGivesTheSameVerdict(t *testing.T) {
 		{name: "feedback", files: []string{"feedback.grail"}},
 		{name: "witness", files: []string{"witness.grail"}},
 		{name: "deep-witness", files: []string{"deep_witness.grail"}},
+		{name: "witness-order", files: []string{"witness_order.grail"}},
 		{name: "listing2", files: []string{"listing2.grail"}, clean: true},
 		{name: "aggregates-no-context", files: []string{"aggregates.grail"}, clean: true},
 	} {

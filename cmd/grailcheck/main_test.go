@@ -236,6 +236,29 @@ func TestWitnessGolden(t *testing.T) {
 	}
 }
 
+// TestWitnessOrderGolden pins witnesses that depend on dispatch order: a
+// hook runs its monitors in deployment order on one shared store, so
+// save-first's SAVE keeps then-ping from firing on the same dispatch
+// (PLAUSIBLE), the same pair declared the other way round co-fires
+// (CONFIRMED), and the GI001 search goes past the first input that fires
+// both, where the two orders agree, to one where they differ.
+func TestWitnessOrderGolden(t *testing.T) {
+	out, _, code := runCheck(t, "-witness", filepath.Join("testdata", "witness_order.grail"))
+	if code != 1 {
+		t.Fatalf("witness-order deployment exited %d, want 1\n%s", code, out)
+	}
+	compareGolden(t, filepath.Join("testdata", "witness_order.golden"), out)
+	for _, want := range []string{
+		"guardrail save-first (with then-ping): REPLACE ping-pong on hook io_uring_submit: REPLACE(linnos, heuristic) vs REPLACE(heuristic, linnos) — each undoes the other's failover [PLAUSIBLE: no witness within search bounds]",
+		"guardrail ping-first (with then-save): REPLACE ping-pong on hook io_submit: REPLACE(heuristic, linnos) vs REPLACE(linnos, heuristic) — each undoes the other's failover [CONFIRMED: inputs {y=0}:",
+		"[CONFIRMED: inputs {m=0, z=10}: dispatch pin-on then pin-off: final m = 0; dispatch pin-off then pin-on: final m = 1;",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestWitnessJSONReport: witness annotations ride the JSON artifact as
 // witness_status and a replayable witness object.
 func TestWitnessJSONReport(t *testing.T) {

@@ -86,7 +86,8 @@ func TestVetCleanSpec(t *testing.T) {
 // contradiction on a compilable guardrail must come back CONFIRMED with
 // a concrete input and the replayed trace, while the GV002 on a
 // guardrail that fails verification (constant-zero divisor) must be
-// downgraded to PLAUSIBLE — the static finding is never dropped.
+// downgraded to PLAUSIBLE, saying it was never replayed — the static
+// finding is never dropped.
 func TestVetWitnessGolden(t *testing.T) {
 	got, _, code := runInTestdata(t, "-vet", "-witness", "vet_witness.grail")
 	if code != 1 {
@@ -100,7 +101,7 @@ func TestVetWitnessGolden(t *testing.T) {
 	if !strings.Contains(got, "rule conjunction evaluates to 0 (violated) on the real VM") {
 		t.Errorf("confirmed witness missing the replay narration:\n%s", got)
 	}
-	if !strings.Contains(got, "[GV002]") || !strings.Contains(got, "PLAUSIBLE: no witness within search bounds") {
+	if !strings.Contains(got, "[GV002]") || !strings.Contains(got, "PLAUSIBLE: not replayed: the guardrail does not compile") {
 		t.Errorf("GV002 on the unverifiable guardrail not downgraded to PLAUSIBLE:\n%s", got)
 	}
 }

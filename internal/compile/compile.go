@@ -76,9 +76,6 @@ type Footprint struct {
 	Loads, Stores []string
 }
 
-// Reads reports whether the program LOADs key.
-func (fp *Footprint) Reads(key string) bool { return sortedHas(fp.Loads, key) }
-
 func sortedHas(sorted []string, key string) bool {
 	i := sort.SearchStrings(sorted, key)
 	return i < len(sorted) && sorted[i] == key
@@ -98,21 +95,6 @@ func footprintOf(triggers []spec.Trigger, p *vm.Program) Footprint {
 		}
 	}
 	return fp
-}
-
-// WitnessSpace is the search space every witness synthesizer draws
-// concrete inputs from: a key with a declared feature range takes
-// vm.Candidates of that range, any other key the generic seeds.
-func WitnessSpace(keys []string, features map[string]*spec.FeatureDecl) map[string][]float64 {
-	cands := make(map[string][]float64, len(keys))
-	for _, k := range keys {
-		if fd, ok := features[k]; ok {
-			cands[k] = vm.Candidates(vm.RangeInterval(fd.Lo, fd.Hi), true)
-		} else {
-			cands[k] = vm.Candidates(vm.Interval{}, false)
-		}
-	}
-	return cands
 }
 
 // Register conventions for generated code.

@@ -72,6 +72,7 @@ func TestProgramsPinned(t *testing.T) {
 		"vet_range.grail":         {"7143316cbc86d5bb3ba9f04e33594140c20e956aaff8ec41f3ab3bd9c49debe9", "a29bf52297d8fd07ef39419163f9e2530cecfd5c4fdf22d60bf5764064d18a80"},
 		"vet_witness.grail":       {"3ca64e910e6bd0b43aed3499265834ab4e6004188069946366313e884035c560", "e2ab094da1f3a15fc981db309e4b0dc054da67ecb8aebe6cf22ac6d774721d05"},
 		"witness.grail":           {"630f78417ceef0079c593d6c1f2e7ba22f17a76cdde252828c3628493fce81e6", "cad67c9e3380e6160720411b7436a699840fa920412d6a46e0336fd0efe9dcd0"},
+		"witness_order.grail":     {"5067d71fa7dbb5b05beadc8def6e026ae1efef86851a0a841f7e1f1ba62e1a0b", "2aafcfa3aab37cf5559d9f2848e0454b62e15942570db7e1e50dbb85a2162345"},
 	}
 	got := map[string][2]string{}
 	for name, texts := range pinnedSources(t) {

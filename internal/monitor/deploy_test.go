@@ -92,6 +92,32 @@ func TestLoadDeploymentEnforceRefusesConflicts(t *testing.T) {
 	}
 }
 
+// TestLoadDeploymentAdmitsFirstFireViolation: report-low violates while
+// x <= 1, and only raise-x writes x (to 10). x reads 0 until raise-x
+// fires, so report-low is live, and LoadDeployment admits the pair; the
+// first fire, with x unset, counts report-low's violation.
+func TestLoadDeploymentAdmitsFirstFireViolation(t *testing.T) {
+	rt, k, _ := newRT()
+	res, err := rt.LoadDeployment(compileAll(t, `
+guardrail report-low {
+    trigger: { FUNCTION(s) },
+    rule: { LOAD(x) > 1 },
+    action: { REPORT(1) }
+}
+guardrail raise-x {
+    trigger: { FUNCTION(s) },
+    rule: { LOAD(x) > 1 },
+    action: { SAVE(x, 10) }
+}`), DeployConfig{})
+	if err != nil {
+		t.Fatalf("deployment refused: %v", err)
+	}
+	k.Fire("s")
+	if got := res.Monitors[0].Stats().Violations; got != 1 {
+		t.Errorf("report-low counted %d violations on the first fire, want 1", got)
+	}
+}
+
 // TestLoadDeploymentEnforceAdmitsClean: a clean deployment loads every
 // monitor and records the kernel-side admission.
 func TestLoadDeploymentEnforceAdmitsClean(t *testing.T) {

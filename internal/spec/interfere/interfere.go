@@ -131,6 +131,11 @@ type Diagnostic struct {
 	// deployment state to the violating state or cycle. Empty for
 	// single-step GI findings.
 	Trace []string `json:"trace,omitempty"`
+
+	// uncompiled marks a PLAUSIBLE finding that was never replayed
+	// because its guardrail does not compile; otherwise the search ran
+	// out.
+	uncompiled bool
 }
 
 // String renders "line:col: severity: [CODE] guardrail g: message",
@@ -146,7 +151,11 @@ func (d Diagnostic) String() string {
 	case vm.WitnessConfirmed:
 		s += fmt.Sprintf(" [CONFIRMED: %s]", d.Witness)
 	case vm.WitnessPlausible:
-		s += " [PLAUSIBLE: no witness within search bounds]"
+		if d.uncompiled {
+			s += " [PLAUSIBLE: not replayed: the guardrail does not compile]"
+		} else {
+			s += " [PLAUSIBLE: no witness within search bounds]"
+		}
 	}
 	return s
 }
@@ -154,10 +163,17 @@ func (d Diagnostic) String() string {
 // Grade records the outcome of a witness search: CONFIRMED with the
 // witness found, or PLAUSIBLE (the static claim stands) when w is nil.
 func (d *Diagnostic) Grade(w *vm.Witness) {
-	d.Status, d.Witness = vm.WitnessPlausible, w
+	d.Status, d.Witness, d.uncompiled = vm.WitnessPlausible, w, false
 	if w != nil {
 		d.Status = vm.WitnessConfirmed
 	}
+}
+
+// Uncompiled grades the finding PLAUSIBLE without a search: its
+// guardrail does not compile, so there is nothing to replay.
+func (d *Diagnostic) Uncompiled() {
+	d.Grade(nil)
+	d.uncompiled = true
 }
 
 // Deployment is the analyzer's input: the compiled guardrails that will
@@ -185,8 +201,8 @@ type Deployment struct {
 	// replayable joint input, or downgraded to PLAUSIBLE when no input
 	// within the search bounds co-fires the pair. See witness.go.
 	Witness bool
-	// WitnessBudget bounds the assignment enumeration per finding
-	// (0 = DefaultWitnessBudget).
+	// WitnessBudget bounds the inputs tried per finding
+	// (0 = compile.DefaultWitnessBudget).
 	WitnessBudget int
 
 	// memo holds vm.AnalyzeWith's results for this deployment, keyed by
@@ -479,9 +495,9 @@ func Analyze(d *Deployment) *Report {
 		})
 	}
 
-	var wit *witnesser
+	var wit pairSearch
 	if d.Witness {
-		wit = newWitnesser(features, d.WitnessBudget)
+		wit = newPairSearch(features, d.WitnessBudget)
 	}
 	c := d.coupling()
 	checkConflicts(r, facts, c, wit)
@@ -531,10 +547,10 @@ func (f *monFacts) savePos(key string) spec.Pos {
 
 // deployEnv builds monitor i's input environment: per feature-store
 // cell, the declared range when one exists, else the join of the other
-// monitors' certified SAVE ranges of that key. Returns the env plus the
-// sorted list of keys it constrains (empty = nothing to refine). A
-// monitor's own SAVEs never constrain its own LOADs — self-feedback is
-// vet's GV006, not a certificate.
+// monitors' certified SAVE ranges of that key and the store's initial
+// 0. Returns the env plus the sorted list of keys it constrains (empty =
+// nothing to refine). A monitor's own SAVEs never constrain its own
+// LOADs — self-feedback is vet's GV006, not a certificate.
 func deployEnv(c *compile.Compiled, self int, facts []*monFacts, savers map[string][]int, features map[string]*spec.FeatureDecl) (vm.CellEnv, []string) {
 	byCell := map[int32]vm.Interval{}
 	var ranged []string
@@ -560,7 +576,8 @@ func deployEnv(c *compile.Compiled, self int, facts []*monFacts, savers map[stri
 			}
 		}
 		if found {
-			byCell[int32(cell)] = acc
+			// Until a producer fires, the key reads the store's 0.
+			byCell[int32(cell)] = acc.Join(vm.RangeInterval(0, 0))
 			ranged = append(ranged, key)
 		}
 	}
@@ -596,7 +613,7 @@ func sharesKey(as, bs []string) bool {
 // saved key in common and not two monitors with REPLACE, DEPRIORITIZE
 // or RETRAIN actions — nothing the three checks compare — is dropped
 // before anything else is asked.
-func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
+func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit pairSearch) {
 	stamp := make([]int, len(facts)) // stamp[j] == i+1: j is already a partner of i
 	var partners []int
 	for i, a := range facts {
@@ -631,7 +648,7 @@ func checkConflicts(r *Report, facts []*monFacts, c *coupling, wit *witnesser) {
 // their certified value ranges share no value — when both fire on one
 // hook dispatch, the key's final value is a dispatch-order accident and
 // one monitor's corrective write is always lost.
-func checkSaveConflict(r *Report, a, b *monFacts, site string, wit *witnesser) {
+func checkSaveConflict(r *Report, a, b *monFacts, site string, wit pairSearch) {
 	for _, k := range a.saveKeys {
 		vb, ok := b.saves[k]
 		if !ok {
@@ -656,7 +673,7 @@ func checkSaveConflict(r *Report, a, b *monFacts, site string, wit *witnesser) {
 // checkReplaceConflict reports GI002: REPLACE ping-pong (A installs
 // what B removes and vice versa) or divergent replacement (both replace
 // one policy with different targets).
-func checkReplaceConflict(r *Report, a, b *monFacts, site string, wit *witnesser) {
+func checkReplaceConflict(r *Report, a, b *monFacts, site string, wit pairSearch) {
 	for _, actA := range a.c.Actions {
 		ra, ok := actA.(*spec.ReplaceAction)
 		if !ok {
@@ -698,7 +715,7 @@ func checkReplaceConflict(r *Report, a, b *monFacts, site string, wit *witnesser
 // task group (double demotion compounds: the second DEPRIORITIZE sees
 // the already-demoted priority) or retrain the same model (burning the
 // retrainer's rate budget twice per incident).
-func checkDuplicateActions(r *Report, a, b *monFacts, site string, wit *witnesser) {
+func checkDuplicateActions(r *Report, a, b *monFacts, site string, wit pairSearch) {
 	for _, actA := range a.c.Actions {
 		switch na := actA.(type) {
 		case *spec.DeprioritizeAction:

@@ -406,6 +406,32 @@ guardrail self-stabilizing {
 	}
 }
 
+// firstFirePair: report-low violates while x <= 1, and no monitor but
+// raise-x writes x, which it sets to 10. The store starts every key at
+// 0, so report-low violates on the first dispatch, before raise-x has
+// written anything.
+const firstFirePair = `
+guardrail report-low {
+    trigger: { FUNCTION(s) },
+    rule: { LOAD(x) > 1 },
+    action: { REPORT(1) }
+}
+guardrail raise-x {
+    trigger: { FUNCTION(s) },
+    rule: { LOAD(x) > 1 },
+    action: { SAVE(x, 10) }
+}`
+
+// A key that only other monitors write reads the store's initial 0
+// until one of them fires, so its env is the producers' SAVE ranges
+// joined with 0: report-low, live on the first dispatch, is not dead.
+func TestProducedKeyStartsAtZero(t *testing.T) {
+	r := Analyze(deployment(t, firstFirePair, 0))
+	if c := codes(r); c[CodeDeadGuardrail] != 0 {
+		t.Errorf("a guardrail that fires on its first dispatch marked dead: %v", r.Diagnostics)
+	}
+}
+
 func TestDuplicateNames(t *testing.T) {
 	// Duplicate names across deployment entries cannot come from one
 	// checked file (spec.Check rejects them), so build the deployment

@@ -2,7 +2,7 @@ package interfere
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"guardrails/internal/compile"
 	"guardrails/internal/spec"
@@ -12,137 +12,88 @@ import (
 // Witness synthesis for co-firing findings. The GI001–GI003 checks
 // prove *may*-interference: the abstract certificates admit a hook
 // dispatch on which both monitors fire with conflicting actions. A
-// witness upgrades that to *does*: a concrete joint feature assignment
-// under which both monitors' violation paths fire on the real
-// interpreter — and, for SAVE conflicts, a pair of order-swapped
-// sequential replays whose final key values differ, demonstrating the
-// dispatch-order dependence the diagnostic describes. When the bounded
-// search finds no co-firing input (the monitors' firing conditions may
-// be jointly infeasible even though each fires alone), the finding is
-// downgraded to PLAUSIBLE and kept: the static claim is sound, the
-// evidence is just beyond the search bounds.
-//
-// Replays run on the raw VM with the same deterministic helper
-// semantics the monitor runtime applies (vm.ReplayProgram); SAVE
-// compiles to OpStore inside the program, so one replay exercises the
-// rules and the store-visible half of the actions. The monitor runtime
-// itself cannot be imported here (it sits above this package), which is
-// why sequential dispatch is modeled by feeding the first replay's
-// stores into the second replay's feature environment — exactly what a
-// shared feature store does between two monitors on one hook dispatch.
+// witness upgrades that to *does*: a concrete input under which one
+// dispatch of the pair, replayed by the witness engine
+// (compile.SearchWitness, compile.Schedule) the way kernel.Fire runs
+// it — in deployment order on one shared store, the first monitor's
+// SAVEs visible to the second — fires both violation paths; for SAVE
+// conflicts, an input whose two dispatch orders leave different final
+// values in the contested key. When the bounded search finds none (the
+// monitors' firing conditions may be jointly infeasible even though each
+// fires alone), the finding is downgraded to PLAUSIBLE and kept: the
+// static claim is sound, the evidence is just beyond the search bounds.
 
-// DefaultWitnessBudget bounds the joint-assignment enumeration per
-// finding.
-const DefaultWitnessBudget = 2048
+// pairSearch runs the witness engine over the inputs either monitor of
+// a pair LOADs; nil when witnesses were not requested.
+type pairSearch func(a, b *monFacts, try func(init map[string]float64) []string) *vm.Witness
 
-// witnesser performs bounded counterexample synthesis for one Analyze
-// run. A nil witnesser (witnesses not requested) is valid and inert.
-type witnesser struct {
-	features map[string]*spec.FeatureDecl
-	budget   int
-}
-
-func newWitnesser(features map[string]*spec.FeatureDecl, budget int) *witnesser {
-	if budget <= 0 {
-		budget = DefaultWitnessBudget
+// newPairSearch searches the declared feature ranges, trying at most
+// budget inputs per finding.
+func newPairSearch(features map[string]*spec.FeatureDecl, budget int) pairSearch {
+	return func(a, b *monFacts, try func(map[string]float64) []string) *vm.Witness {
+		free := append(slices.Clone(a.c.Footprint.Loads), b.c.Footprint.Loads...)
+		return compile.SearchWitness(free, features, nil, budget, try)
 	}
-	return &witnesser{features: features, budget: budget}
 }
 
-// jointSpace builds the search space for a monitor pair: the union of
-// the feature keys either program LOADs, with candidate values drawn
-// from the declared ranges where they exist.
-func (w *witnesser) jointSpace(a, b *monFacts) ([]string, map[string][]float64) {
-	keys := append([]string(nil), a.c.Footprint.Loads...)
-	for _, k := range b.c.Footprint.Loads {
-		if !a.c.Footprint.Reads(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, compile.WitnessSpace(keys, w.features)
-}
-
-// findJoint searches for one assignment on which both monitors'
-// violation paths fire when each is replayed against it. Returns nil
-// when the budget is exhausted first.
-func (w *witnesser) findJoint(a, b *monFacts) map[string]float64 {
-	keys, cands := w.jointSpace(a, b)
-	var found map[string]float64
-	vm.EnumAssignments(keys, cands, w.budget, func(assign map[string]float64) bool {
-		if !vm.ReplayProgram(a.c.Program, assign, 0, 0).Violated {
-			return false
-		}
-		if !vm.ReplayProgram(b.c.Program, assign, 0, 0).Violated {
-			return false
-		}
-		found = vm.CopyAssign(assign)
-		return true
-	})
-	return found
-}
-
-// coFire annotates a GI002/GI003-style finding: CONFIRMED when a joint
-// input fires both monitors on one dispatch, PLAUSIBLE otherwise.
-func (w *witnesser) coFire(d *Diagnostic, a, b *monFacts) {
-	if w == nil {
+// coFire annotates a GI002/GI003-style finding: CONFIRMED when one hook
+// dispatch of a then b runs both violation paths, PLAUSIBLE otherwise.
+func (search pairSearch) coFire(d *Diagnostic, a, b *monFacts) {
+	if search == nil {
 		return
 	}
-	d.Grade(nil)
-	if assign := w.findJoint(a, b); assign != nil {
-		d.Grade(&vm.Witness{Inputs: assign, Steps: []string{
+	dispatch := compile.Schedule{{a.c, b.c}}
+	d.Grade(search(a, b, func(init map[string]float64) []string {
+		both := false
+		dispatch.Replay(init, func(_ int, recs []*vm.Replay, _ map[string]float64) bool {
+			both = recs[0].Violated && recs[1].Violated
+			return true
+		})
+		if !both {
+			return nil
+		}
+		return []string{
 			fmt.Sprintf("replayed %s: violation path fires", a.c.Name),
 			fmt.Sprintf("replayed %s: violation path fires", b.c.Name),
 			"one hook dispatch runs both conflicting actions",
-		}})
-	}
-}
-
-// saveConflict annotates a GI001 finding: CONFIRMED when a joint input
-// fires both monitors AND replaying the dispatch in both orders leaves
-// different final values in the contested key — the order-dependence
-// the diagnostic claims, demonstrated end to end. PLAUSIBLE when no
-// joint input co-fires the pair within bounds, or when (despite
-// disjoint certified ranges) the sequential replays converge.
-func (w *witnesser) saveConflict(d *Diagnostic, a, b *monFacts, key string) {
-	if w == nil {
-		return
-	}
-	d.Grade(nil)
-	assign := w.findJoint(a, b)
-	if assign == nil {
-		return
-	}
-	fAB, okAB := runSequential(a, b, assign, key)
-	fBA, okBA := runSequential(b, a, assign, key)
-	if !okAB || !okBA || fAB == fBA {
-		return
-	}
-	d.Grade(&vm.Witness{Inputs: assign, Steps: []string{
-		fmt.Sprintf("dispatch %s then %s: final %s = %g", a.c.Name, b.c.Name, key, fAB),
-		fmt.Sprintf("dispatch %s then %s: final %s = %g", b.c.Name, a.c.Name, key, fBA),
-		"the surviving value depends on dispatch order",
-	}})
-}
-
-// runSequential models one hook dispatch ordering: replay first, apply
-// its stores to the shared feature environment, replay second, and
-// return the contested key's final value (second's last write wins,
-// else first's).
-func runSequential(first, second *monFacts, assign map[string]float64, key string) (float64, bool) {
-	env := vm.CopyAssign(assign)
-	r1 := vm.ReplayProgram(first.c.Program, env, 0, 0)
-	for _, s := range r1.Stores {
-		if s.Key != "" {
-			env[s.Key] = s.Val
 		}
+	}))
+}
+
+// saveConflict annotates a GI001 finding: CONFIRMED when one input,
+// dispatched a then b and (on a fresh copy) b then a, leaves different
+// final values in the contested key — the order-dependence the
+// diagnostic claims, demonstrated end to end. PLAUSIBLE when no input
+// within bounds does.
+func (search pairSearch) saveConflict(d *Diagnostic, a, b *monFacts, key string) {
+	if search == nil {
+		return
 	}
-	r2 := vm.ReplayProgram(second.c.Program, env, 0, 0)
-	if v, ok := r2.FinalStore(key); ok {
-		return v, true
-	}
-	if v, ok := r1.FinalStore(key); ok {
-		return v, true
-	}
-	return 0, false
+	d.Grade(search(a, b, func(init map[string]float64) []string {
+		fAB, okAB := lastSave(init, key, a, b)
+		fBA, okBA := lastSave(init, key, b, a)
+		if !okAB || !okBA || fAB == fBA {
+			return nil
+		}
+		return []string{
+			fmt.Sprintf("dispatch %s then %s: final %s = %g", a.c.Name, b.c.Name, key, fAB),
+			fmt.Sprintf("dispatch %s then %s: final %s = %g", b.c.Name, a.c.Name, key, fBA),
+			"the surviving value depends on dispatch order",
+		}
+	}))
+}
+
+// lastSave replays one dispatch of first then second from init and
+// returns the last value either SAVEd to key, false when neither did
+// (or a monitor trapped).
+func lastSave(init map[string]float64, key string, first, second *monFacts) (v float64, ok bool) {
+	_, clean := compile.Schedule{{first.c, second.c}}.Replay(init, func(_ int, recs []*vm.Replay, _ map[string]float64) bool {
+		for _, rec := range recs {
+			if x, saved := rec.FinalStore(key); saved && rec.Violated {
+				v, ok = x, true
+			}
+		}
+		return true
+	})
+	return v, ok && clean
 }

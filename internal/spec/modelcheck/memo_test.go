@@ -507,9 +507,10 @@ func refuteConcretely(t *testing.T, m *model, p *spec.PropertyDecl) {
 		}
 		var steps []string
 		falsified := m.predFalse(prog, env)
-		ok := m.replayGroups(seq, env, &steps, func(e map[string]float64) {
-			falsified = falsified || m.predFalse(prog, e)
-		}, nil)
+		_, ok := m.schedule(seq).Replay(env, m.narrate(seq, &steps, func(_ []*vm.Replay, store map[string]float64) bool {
+			falsified = falsified || m.predFalse(prog, store)
+			return true
+		}))
 		if ok && falsified {
 			t.Fatalf("%s PROVED, but is false on the real interpreter along %v:\n%s", p, seq, strings.Join(steps, "\n"))
 		}

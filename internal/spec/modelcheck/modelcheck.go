@@ -78,10 +78,9 @@ const (
 
 // Exploration defaults.
 const (
-	DefaultMaxDepth      = 48
-	DefaultMaxStates     = 2048
-	DefaultWidenAfter    = 8
-	DefaultWitnessBudget = 2048
+	DefaultMaxDepth   = 48
+	DefaultMaxStates  = 2048
+	DefaultWidenAfter = 8
 )
 
 // Config bounds one model-checking run.
@@ -103,8 +102,8 @@ type Config struct {
 	// Witness enables concretization of refutations through the real
 	// interpreter.
 	Witness bool
-	// WitnessBudget bounds the assignment enumeration per refutation
-	// (0 = DefaultWitnessBudget).
+	// WitnessBudget bounds the initial stores tried per refutation
+	// (0 = compile.DefaultWitnessBudget).
 	WitnessBudget int
 }
 
@@ -118,7 +117,6 @@ func (c Config) filled() Config {
 	def(&c.MaxDepth, DefaultMaxDepth)
 	def(&c.MaxStates, DefaultMaxStates)
 	def(&c.WidenAfter, DefaultWidenAfter)
-	def(&c.WitnessBudget, DefaultWitnessBudget)
 	return c
 }
 

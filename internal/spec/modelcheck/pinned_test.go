@@ -180,6 +180,7 @@ func TestReportsPinned(t *testing.T) {
 		"temporal_osc.grail":      {"e13f5a665dbf7b7e43da72d30fca7625301e2811eee0361866abefdfb8afbf55", "5a813816572b4be6f6796749444947774c3ac6cb60f36e2865c2c79b9e59dcab", 6, "e9a1129af195669ec189ae83566c2f2d011bb0f391850db3442074b43f22eeff", "3afeec24f283ed83304589edaf841136caecc066e834a312edf572700f0f0898"},
 		"vet_range.grail":         {"218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", "218d64f456fcf9edbed2362384f8836b42a5265783f5354668ea7ec5cff9051f", 3, "232e264790f2aae04c125b067b9a91f0dde0eaabeecc258e4f0e893291aca606", "b092a05b6ebd48ef2e689dc0df8828fa0eaee99180bcab6621340eebf4bc2830"},
 		"witness.grail":           {"4b16fb4c33f331ce66e2e6b43537e4a47b2bdb411e3b0d030cc6f968c7df00f7", "e6d97e9b11e2690a6dce05b857b806f8c65e02f3ea2772e9936bbe633674dde4", 4, "d5b7e29069182ce06c22da4eaa9141f5d83891affd9b426a26d8f7a70fa19978", "d89374724c3be8ea1c9669811b7fdcaf23950c5fdca4ad857bb31921a59a845a"},
+		"witness_order.grail":     {"dc8c6231cabf945cc1e8cafd7eb09af5cb514d147b49d12f84f88f5fef50d526", "8c90ba1508bdf77dd3a6d59e148b4280b5b0c3530f152f751ff607b3f3da5b4a", 6, "a243b146790df723c6dae4df612b3dd73ceeb20b6cb40a48f9433eec345ab5ff", "b6d2e597110c57fd95c3fdd70795cc8d09f010b12ca73604865522a4f8125f10"},
 	}
 
 	digest := func(rep *Report) string {

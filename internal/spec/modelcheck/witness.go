@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -11,121 +12,113 @@ import (
 )
 
 // Witness concretization: replay a refutation's abstract trace through
-// the real interpreter. A concrete initial store that reproduces the
-// violation upgrades the diagnostic to CONFIRMED and attaches a
-// replayable event schedule; otherwise the diagnostic stays PLAUSIBLE
-// — the sound abstract claim stands, unreproduced within the search
-// bounds.
+// the witness engine (compile.SearchWitness, compile.Schedule). A
+// concrete initial store that reproduces the violation upgrades the
+// diagnostic to CONFIRMED and attaches a replayable event schedule;
+// otherwise the diagnostic stays PLAUSIBLE — the sound abstract claim
+// stands, unreproduced within the search bounds.
 //
-// The schedule is the abstract trace's group sequence: at each step
-// the group's monitors run in deployment order on the live store,
-// each fired monitor's SAVEs feeding its successors — exactly how the
-// kernel runtime serializes same-instant firings.
+// The schedule is the abstract trace's group sequence: each group is one
+// instant whose monitors run in deployment order on the live store, each
+// fired monitor's SAVEs feeding its successors — exactly how the kernel
+// runtime serializes same-instant firings.
 
-// searchWitness enumerates concrete initial stores and replays the
-// plan's schedule, returning the first witness that reproduces the
-// violation.
+// searchWitness hands the witness engine the plan's schedule over
+// concrete initial stores, returning the first witness that reproduces
+// the violation. Declared features range over their interval's candidate
+// values and undeclared-unwritten keys (pure environment inputs) over the
+// generic seeds; written-undeclared keys are pinned to the store default
+// 0.
 func (m *model) searchWitness(plan *witnessPlan, budget int) *vm.Witness {
-	// Free variables of the search: declared features range over their
-	// interval's candidate values; undeclared-unwritten keys (pure
-	// environment inputs) over generic seeds. Written-undeclared keys
-	// are pinned to the store default 0.
-	var keys []string // m.keys is sorted, so keys is too
+	var free []string
 	features := map[string]*spec.FeatureDecl{}
-	base := map[string]float64{}
+	pinned := map[string]float64{}
 	for i, k := range m.keys {
 		switch {
 		case m.declared[i] != nil:
-			keys = append(keys, k)
+			free = append(free, k)
 			features[k] = m.declared[i]
 		case !m.written[i]:
-			keys = append(keys, k)
+			free = append(free, k)
 		default:
-			base[k] = 0
+			pinned[k] = 0
 		}
 	}
-
-	var found *vm.Witness
-	vm.EnumAssignments(keys, compile.WitnessSpace(keys, features), budget, func(assign map[string]float64) bool {
-		env := vm.CopyAssign(base)
-		for k, v := range assign {
-			env[k] = v
-		}
-		initial := vm.CopyAssign(env)
-		if w := m.replayPlan(plan, env); w != nil {
-			w.Inputs = initial
-			found = w
-			return true
-		}
-		return false
+	prefix, cycle := m.schedule(plan.prefix), m.schedule(plan.cycle)
+	return compile.SearchWitness(free, features, pinned, budget, func(init map[string]float64) []string {
+		return m.replayPlan(plan, prefix, cycle, init)
 	})
-	return found
+}
+
+// schedule turns a group sequence into the monitors each group fires, in
+// deployment order.
+func (m *model) schedule(groups []int) compile.Schedule {
+	s := make(compile.Schedule, len(groups))
+	for i, gi := range groups {
+		for _, mi := range m.groups[gi].mons {
+			s[i] = append(s[i], m.mons[mi])
+		}
+	}
+	return s
 }
 
 // replayPlan drives one concrete initial store through the plan's
-// schedule on the real interpreter and checks the plan's claim,
-// returning a narrated witness on success. env is mutated.
-func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witness {
+// schedule (prefix, then cycle) on the real interpreter and checks the
+// plan's claim, returning the narrated steps on success.
+func (m *model) replayPlan(plan *witnessPlan, prefix, cycle compile.Schedule, init map[string]float64) []string {
 	var steps []string
 
 	switch plan.code {
 	case CodeSafety:
-		if !m.replayGroups(plan.prefix, env, &steps, nil, nil) {
+		end, ok := prefix.Replay(init, m.narrate(plan.prefix, &steps, nil))
+		if !ok || !m.predFalse(plan.prog, end) {
 			return nil
 		}
-		if !m.predFalse(plan.prog, env) {
-			return nil
-		}
-		steps = append(steps, "property predicate evaluates false")
-		return &vm.Witness{Steps: steps}
+		return append(steps, "property predicate evaluates false")
 
 	case CodeLiveness:
-		if plan.prog == nil || !m.predFalse(plan.prog, env) {
+		if plan.prog == nil || !m.predFalse(plan.prog, init) {
 			return nil
 		}
-		allFalse := true
-		check := func(e map[string]float64) {
-			if !m.predFalse(plan.prog, e) {
-				allFalse = false
-			}
+		stillFalse := func(_ []*vm.Replay, store map[string]float64) bool {
+			return m.predFalse(plan.prog, store)
 		}
-		if !m.replayGroups(plan.prefix, env, &steps, check, nil) || !allFalse {
+		entry, ok := prefix.Replay(init, m.narrate(plan.prefix, &steps, stillFalse))
+		if !ok {
 			return nil
 		}
 		if len(plan.cycle) == 0 {
 			// Finite refutation: the predicate stayed false for the
 			// full bound.
-			steps = append(steps, fmt.Sprintf("predicate still false after %d step(s) (bound %d)", len(plan.prefix), plan.within))
-			return &vm.Witness{Steps: steps}
+			return append(steps, fmt.Sprintf("predicate still false after %d step(s) (bound %d)", len(plan.prefix), plan.within))
 		}
 		// Pumped refutation: one cycle lap must return to the same
 		// concrete store with the predicate false throughout — then
 		// the schedule extends to any bound.
-		entry := vm.CopyAssign(env)
-		if !m.replayGroups(plan.cycle, env, &steps, check, nil) || !allFalse {
+		end, ok := cycle.Replay(entry, m.narrate(plan.cycle, &steps, stillFalse))
+		if !ok || !sameAssign(entry, end) {
 			return nil
 		}
-		if !sameAssign(entry, env) {
-			return nil
-		}
-		steps = append(steps, fmt.Sprintf("store returned to its pre-cycle state with the predicate false throughout: the %d-step cycle repeats past any bound (bound %d)", len(plan.cycle), plan.within))
-		return &vm.Witness{Steps: steps}
+		return append(steps, fmt.Sprintf("store returned to its pre-cycle state with the predicate false throughout: the %d-step cycle repeats past any bound (bound %d)", len(plan.cycle), plan.within))
 
 	case CodeOscillation:
-		if !m.replayGroups(plan.prefix, env, &steps, nil, nil) {
+		entry, ok := prefix.Replay(init, m.narrate(plan.prefix, &steps, nil))
+		if !ok {
 			return nil
 		}
-		entry := vm.CopyAssign(env)
 		written := map[float64]bool{}
-		observe := func(key string, val float64) {
-			if key == plan.key {
-				written[val] = true
+		observe := func(recs []*vm.Replay, _ map[string]float64) bool {
+			for _, rec := range recs {
+				for _, se := range rec.Stores {
+					if rec.Violated && se.Key == plan.key {
+						written[se.Val] = true
+					}
+				}
 			}
+			return true
 		}
-		if !m.replayGroups(plan.cycle, env, &steps, nil, observe) {
-			return nil
-		}
-		if len(written) < 2 || !sameAssign(entry, env) {
+		end, ok := cycle.Replay(entry, m.narrate(plan.cycle, &steps, observe))
+		if !ok || len(written) < 2 || !sameAssign(entry, end) {
 			return nil
 		}
 		vals := make([]float64, 0, len(written))
@@ -133,50 +126,38 @@ func (m *model) replayPlan(plan *witnessPlan, env map[string]float64) *vm.Witnes
 			vals = append(vals, v)
 		}
 		sort.Float64s(vals)
-		steps = append(steps, fmt.Sprintf("store returned to its pre-cycle state after writing %s=%v within the lap: the oscillation repeats forever", plan.key, vals))
-		return &vm.Witness{Steps: steps}
+		return append(steps, fmt.Sprintf("store returned to its pre-cycle state after writing %s=%v within the lap: the oscillation repeats forever", plan.key, vals))
 	}
 	return nil
 }
 
-// replayGroups replays a group sequence on env, narrating into steps:
-// each group's monitors run in deployment order, fired monitors' stores
-// applied as they go. observe (when non-nil) sees each store write,
-// after (when non-nil) the store after each group. Returns false on any
-// interpreter trap.
-func (m *model) replayGroups(groups []int, env map[string]float64, steps *[]string, after func(map[string]float64), observe func(string, float64)) bool {
-	for _, gi := range groups {
-		g := m.groups[gi]
+// narrate returns a Schedule.Replay step for the group sequence groups
+// that appends one "[label] …" line per group to steps: each fired
+// monitor's SAVEs, or that it fired. keep, when non-nil, sees each
+// group's replays and the store after it, and ends the replay by
+// returning false.
+func (m *model) narrate(groups []int, steps *[]string, keep func([]*vm.Replay, map[string]float64) bool) func(int, []*vm.Replay, map[string]float64) bool {
+	return func(i int, recs []*vm.Replay, store map[string]float64) bool {
+		g := m.groups[groups[i]]
 		var acts []string
-		for _, mi := range g.mons {
-			c := m.mons[mi]
-			rec := vm.ReplayProgram(c.Program, env, 0, 0)
-			if rec.Err != nil {
-				return false
-			}
+		for j, rec := range recs {
 			if !rec.Violated {
 				continue
 			}
+			name := m.mons[g.mons[j]].Name
 			for _, se := range rec.Stores {
-				env[se.Key] = se.Val
-				if observe != nil {
-					observe(se.Key, se.Val)
-				}
-				acts = append(acts, fmt.Sprintf("%s SAVE %s=%g", c.Name, se.Key, se.Val))
+				acts = append(acts, fmt.Sprintf("%s SAVE %s=%g", name, se.Key, se.Val))
 			}
 			if len(rec.Stores) == 0 {
-				acts = append(acts, c.Name+" fires")
+				acts = append(acts, name+" fires")
 			}
 		}
 		if len(acts) == 0 {
 			acts = append(acts, "no monitor fires")
 		}
 		*steps = append(*steps, fmt.Sprintf("[%s] %s", g.label, strings.Join(acts, "; ")))
-		if after != nil {
-			after(env)
-		}
+		return keep == nil || keep(recs, store)
 	}
-	return true
 }
 
 // predFalse replays a compiled predicate against a concrete store:
@@ -192,17 +173,5 @@ func (m *model) predFalse(prog *vm.Program, env map[string]float64) bool {
 // sameAssign reports two concrete stores identical (same keys, same
 // values; NaN matches NaN).
 func sameAssign(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok {
-			return false
-		}
-		if va != vb && !(va != va && vb != vb) {
-			return false
-		}
-	}
-	return true
+	return maps.EqualFunc(a, b, func(x, y float64) bool { return x == y || x != x && y != y })
 }

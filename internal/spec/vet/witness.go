@@ -12,16 +12,14 @@ import (
 // action fires on every evaluation" — a claim with a replayable half:
 // if it is true, *any* concrete feature assignment makes the compiled
 // program's rule conjunction evaluate to 0 on the real VM. Witnesses
-// turns those claims into evidence by compiling the flagged guardrail,
-// enumerating bounded assignments drawn from the file's declared
-// feature ranges, and replaying until a run's violation path fires.
-// A successful replay marks the diagnostic CONFIRMED and attaches the
-// assignment plus the replayed trace; an exhausted search (or a
-// guardrail the compiler rejects) downgrades it to PLAUSIBLE — the
-// static finding is never dropped.
-
-// DefaultWitnessBudget bounds the assignment enumeration per finding.
-const DefaultWitnessBudget = 512
+// turns those claims into evidence by compiling the flagged guardrail
+// and handing the witness engine (compile.SearchWitness) a one-instant
+// schedule of it, with inputs drawn from the file's declared feature
+// ranges, until a replay's violation path fires. A successful replay
+// marks the diagnostic CONFIRMED and attaches the input plus the
+// replayed trace; an exhausted search (or a guardrail the compiler
+// rejects) downgrades it to PLAUSIBLE — the static finding is never
+// dropped.
 
 // witnessable reports whether a diagnostic code carries a replayable
 // claim. GV002 (always-false rule) and GV003 (contradictory rules) both
@@ -34,12 +32,10 @@ func witnessable(code string) bool {
 
 // Witnesses annotates witnessable diagnostics in place with a
 // CONFIRMED/PLAUSIBLE status (and, when confirmed, the replayable
-// counterexample). budget <= 0 uses DefaultWitnessBudget. The input
-// slice is returned for convenience.
+// counterexample), trying at most budget inputs each (0 =
+// compile.DefaultWitnessBudget). The input slice is returned for
+// convenience.
 func Witnesses(f *spec.File, ds []Diagnostic, budget int) []Diagnostic {
-	if budget <= 0 {
-		budget = DefaultWitnessBudget
-	}
 	features := spec.FeatureRanges(f)
 	byName := map[string]*spec.Guardrail{}
 	for _, g := range f.Guardrails {
@@ -56,30 +52,27 @@ func Witnesses(f *spec.File, ds []Diagnostic, budget int) []Diagnostic {
 			c, _ = compile.Guardrail(g) // nil when it does not compile
 			compiled[d.Guardrail] = c
 		}
-		// A guardrail that does not compile in isolation (e.g. it also
-		// fails verification) leaves the static finding unreplayed.
-		d.Grade(nil)
-		if c != nil {
-			d.Grade(synthesize(c, features, budget))
+		if c == nil {
+			// A guardrail that does not compile in isolation (e.g. it
+			// also fails verification) leaves the static finding
+			// unreplayed.
+			d.Uncompiled()
+			continue
 		}
+		// One dispatch of the guardrail alone: any violating replay
+		// confirms the claim.
+		d.Grade(compile.SearchWitness(c.Footprint.Loads, features, nil, budget, func(init map[string]float64) []string {
+			var steps []string
+			compile.Schedule{{c}}.Replay(init, func(_ int, recs []*vm.Replay, _ map[string]float64) bool {
+				if recs[0].Violated {
+					steps = narrate(recs[0])
+				}
+				return true
+			})
+			return steps
+		}))
 	}
 	return ds
-}
-
-// synthesize searches for one assignment whose replay violates the
-// program's rule conjunction, returning the witness or nil.
-func synthesize(c *compile.Compiled, features map[string]*spec.FeatureDecl, budget int) *vm.Witness {
-	keys := c.Footprint.Loads
-	var found *vm.Witness
-	vm.EnumAssignments(keys, compile.WitnessSpace(keys, features), budget, func(assign map[string]float64) bool {
-		rec := vm.ReplayProgram(c.Program, assign, 0, 0)
-		if !rec.Violated {
-			return false
-		}
-		found = &vm.Witness{Inputs: vm.CopyAssign(assign), Steps: narrate(rec)}
-		return true
-	})
-	return found
 }
 
 // narrate renders a violating replay as human-readable steps.

@@ -16,7 +16,9 @@ import (
 // when the bounded search exhausts its candidate assignments without
 // reproducing the behavior the claim stands but is downgraded to
 // PLAUSIBLE — an over-approximation the operator may triage later,
-// never a silently dropped finding.
+// never a silently dropped finding. This file holds the witness's
+// types and the single-program replay; the search and the
+// multi-monitor schedule replay are compile's witness engine.
 
 // WitnessStatus annotates a diagnostic with the outcome of witness
 // synthesis.
@@ -197,67 +199,6 @@ func Candidates(iv Interval, ok bool) []float64 {
 		// Degenerate declared interval (e.g. [+Inf,+Inf]); try its
 		// bounds as given.
 		out = append(out, iv.Lo)
-	}
-	return out
-}
-
-// EnumAssignments drives a bounded search: it calls try with each
-// assignment drawn from the Cartesian product of cands over keys (keys
-// beyond the first vary fastest), stopping when try returns true or
-// after budget trials. The assignment map is reused between calls — try
-// must copy it if it escapes the call. Returns the number of trials and
-// whether try accepted one.
-func EnumAssignments(keys []string, cands map[string][]float64, budget int, try func(map[string]float64) bool) (int, bool) {
-	if budget <= 0 {
-		budget = 1
-	}
-	assign := make(map[string]float64, len(keys))
-	if len(keys) == 0 {
-		return 1, try(assign)
-	}
-	idx := make([]int, len(keys))
-	trials := 0
-	for {
-		for i, k := range keys {
-			vs := cands[k]
-			if len(vs) == 0 {
-				assign[k] = 0
-				continue
-			}
-			assign[k] = vs[idx[i]]
-		}
-		trials++
-		if try(assign) {
-			return trials, true
-		}
-		if trials >= budget {
-			return trials, false
-		}
-		// Odometer increment, last key fastest.
-		i := len(keys) - 1
-		for i >= 0 {
-			n := len(cands[keys[i]])
-			if n == 0 {
-				n = 1
-			}
-			idx[i]++
-			if idx[i] < n {
-				break
-			}
-			idx[i] = 0
-			i--
-		}
-		if i < 0 {
-			return trials, false
-		}
-	}
-}
-
-// CopyAssign snapshots a (reused) assignment map.
-func CopyAssign(a map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(a))
-	for k, v := range a {
-		out[k] = v
 	}
 	return out
 }

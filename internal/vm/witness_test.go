@@ -153,52 +153,6 @@ func TestCandidatesUndeclared(t *testing.T) {
 	}
 }
 
-func TestEnumAssignmentsCoverageAndBudget(t *testing.T) {
-	keys := []string{"a", "b"}
-	cands := map[string][]float64{"a": {1, 2, 3}, "b": {10, 20}}
-
-	// Full product visited when nothing accepts.
-	seen := map[[2]float64]bool{}
-	trials, found := EnumAssignments(keys, cands, 1000, func(m map[string]float64) bool {
-		seen[[2]float64{m["a"], m["b"]}] = true
-		return false
-	})
-	if found || trials != 6 || len(seen) != 6 {
-		t.Fatalf("expected all 6 assignments visited: trials=%d found=%v seen=%d", trials, found, len(seen))
-	}
-
-	// Budget caps the search even with acceptors never firing.
-	trials, found = EnumAssignments(keys, cands, 4, func(map[string]float64) bool { return false })
-	if found || trials != 4 {
-		t.Fatalf("budget not enforced: trials=%d found=%v", trials, found)
-	}
-
-	// Early accept stops the enumeration; the accepted assignment must
-	// be snapshotted because the map is reused.
-	var hit map[string]float64
-	trials, found = EnumAssignments(keys, cands, 1000, func(m map[string]float64) bool {
-		if m["a"] == 2 && m["b"] == 10 {
-			hit = CopyAssign(m)
-			return true
-		}
-		return false
-	})
-	if !found || trials >= 6 {
-		t.Fatalf("acceptor did not stop the search: trials=%d found=%v", trials, found)
-	}
-	if hit["a"] != 2 || hit["b"] != 10 {
-		t.Fatalf("snapshot drifted: %v", hit)
-	}
-
-	// Keys with no candidates default to 0 rather than stalling.
-	trials, found = EnumAssignments([]string{"x"}, map[string][]float64{}, 10, func(m map[string]float64) bool {
-		return m["x"] == 0
-	})
-	if !found || trials != 1 {
-		t.Fatalf("empty-candidate key not defaulted: trials=%d found=%v", trials, found)
-	}
-}
-
 func TestLoadedKeysSorted(t *testing.T) {
 	b := NewBuilder("keys")
 	b.Load(1, "zeta")
